@@ -27,6 +27,7 @@ from .errors import (
     DivergenceError,
     HatallocError,
     InfeasibleProblemError,
+    ScenarioFormatError,
     UnsupportedByOracleError,
 )
 from .model import (
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
         if args.command == "preset":
             return _cmd_preset(args)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ScenarioFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleProblemError as exc:

@@ -11,10 +11,23 @@ where y is the (derived, never integrated) human response and J its Jacobian
 with respect to the autonomous states. Discretization is projected forward
 Euler: the multiplier step is clamped at zero, which is the consistent
 discrete counterpart of the projection.
+
+`integrate` steps one stacked state w = [x, z, lambda]. When every cost is
+quadratic, every human affine and no schedule is still settling, the response
+y = S x + d is folded into the operators once (`FlowEngine.velocity`):
+
+    dx      = b_x - H x - C^T lambda,   H = F'' + S^T G'' S,  C = [a_bar ; b_bar S]
+    dz      = -l_bar lambda
+    gap     = C x + l_bar z + b_g,      b_x = -S^T G'' d,  b_g = [0 ; b_bar d] + c_split
+
+Every other scenario takes its velocity from `FlowEngine.rhs`, which is also
+the reference that the per-agent rounds and `_step_arrays` use. Both
+velocities give the same trajectory to roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +74,19 @@ def initial_state(scenario: Scenario) -> SystemState:
         for agent_id, raw in doc.get(key, {}).items():
             if agent_id not in target:
                 raise KeyError(f"initial_state.{key}: unknown agent '{agent_id}'")
-            vec = np.asarray(raw, dtype=float)
+            try:
+                vec = np.asarray(raw, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"initial_state.{key}['{agent_id}'] is not a numeric vector"
+                ) from exc
             if vec.shape != target[agent_id].shape:
                 raise ValueError(
                     f"initial_state.{key}['{agent_id}'] has shape {vec.shape}, "
                     f"expected {target[agent_id].shape}"
                 )
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"initial_state.{key}['{agent_id}'] is not finite")
             target[agent_id] = vec
     for agent_id, block in lam.items():
         if np.any(block < 0):
@@ -97,6 +117,8 @@ class FlowEngine:
     Assembles the stacked response gain once (per-block Jacobians remain the
     reference path, used by the per-agent rounds) and evaluates the right-hand
     side with a handful of mat-vecs, which is what makes long horizons cheap.
+    `velocity` is what `integrate` steps with: the folded affine flow where
+    the scenario allows it, `rhs` otherwise.
     """
 
     def __init__(
@@ -168,6 +190,10 @@ class FlowEngine:
         self._settle_time = max(
             (entry[3].settle_time for entry in sched_rows), default=0.0
         )
+        # Folded on the first `velocity` call, so engines built only to
+        # evaluate costs or residuals never pay for it.
+        self._affine = self._quadratic and not self._soft_rows and not sched_rows
+        self._folded = None
 
     @property
     def uses_softplus(self) -> bool:
@@ -280,6 +306,43 @@ class FlowEngine:
         )
         return dx, dz, gap
 
+    def _fold(self):
+        """K = [-H ; C], the constant velocity b = [b_x ; 0 ; b_g] and a
+        scratch vector for K x."""
+        S, d = self._S_true, self._d_true
+        n, q = self.layout.x_dim, self.dc.block_dim
+        K = np.empty((n + q, n))
+        np.negative(self._fx2 + S.T @ self._gy2 @ S, out=K[:n])
+        K[n:n + self._rm] = self._A_bar
+        np.matmul(self._B_bar, S, out=K[n + self._rm:])
+        b = np.zeros(n + 2 * q)
+        b[:n] = -(S.T @ (self._gy2 @ d))
+        b[n + q + self._rm:] = self._B_bar @ d
+        b[n + q:] += self._C
+        return K, b, np.empty(n + q)
+
+    def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
+        """Write (dx, dz, raw multiplier gradient) at w = [x, z, lambda] into out."""
+        n, q = self.layout.x_dim, self.dc.block_dim
+        x, z, lam = w[:n], w[n:n + q], w[n + q:]
+        if not self._affine:
+            out[:n], out[n:n + q], out[n + q:] = self.rhs(x, z, lam, t)
+            return
+        if self._folded is None:
+            self._folded = self._fold()
+        K, b, kx = self._folded
+        dx, dz, gap = out[:n], out[n:n + q], out[n + q:]
+        np.matmul(K, x, out=kx)                  # [-H x ; C x]
+        np.matmul(lam, K[n:], out=dx)            # C^T lambda
+        np.subtract(kx[:n], dx, out=dx)
+        # l_bar is used in place, never copied or stacked with the other
+        # operators: at a few hundred agents it is most of the engine's memory.
+        np.matmul(self._L_bar, lam, out=dz)
+        np.negative(dz, out=dz)
+        np.matmul(self._L_bar, z, out=gap)
+        gap += kx[n:]
+        out += b
+
     def lagrangian_value(self, x, z, lam, t) -> float:
         y, _ = self.response(x, t)
         return self.objective_value(x, y) + float(lam @ self.constraint_gap(x, y, z))
@@ -325,13 +388,21 @@ def flow_rhs(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) ->
     )
 
 
+def _finite_max(block: np.ndarray) -> float:
+    """Largest finite |entry| of a block (inf when none is finite)."""
+    finite = block[np.isfinite(block)]
+    return float(np.max(np.abs(finite))) if finite.size else float("inf")
+
+
+def _check_finite(t: float, *blocks: np.ndarray) -> None:
+    for block in blocks:
+        if not np.all(np.isfinite(block)):
+            raise DivergenceError(t, _finite_max(block))
+
+
 def _step_arrays(engine: FlowEngine, x, z, lam, t, dt):
     dx, dz, gap = engine.rhs(x, z, lam, t)
-    for block in (dx, dz, gap):
-        if not np.all(np.isfinite(block)):
-            finite_max = float(np.max(np.abs(block[np.isfinite(block)]))) \
-                if np.any(np.isfinite(block)) else float("inf")
-            raise DivergenceError(t, finite_max)
+    _check_finite(t, dx, dz, gap)
     lam_new = np.maximum(0.0, lam + dt * gap)
     return x + dt * dx, z + dt * dz, lam_new, dx, dz
 
@@ -359,7 +430,8 @@ def integrate(
 
     The stopping rule is ||(dx, dz, d lambda)||_2 <= tolerance, with the
     multiplier part measured as the realized post-projection change per unit
-    time. On divergence the step size is halved and the run restarted once.
+    time. On divergence the step size is halved and the run restarted once;
+    the record's `failed_attempt` then names the step size that diverged.
 
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
     enables distance-to-saddle recording, tracked at every step.
@@ -370,59 +442,77 @@ def integrate(
     engine = FlowEngine(scenario, dc, schedules)
     state0 = initial if initial is not None else initial_state(scenario)
 
-    last_error = None
-    for dt in (opts.dt, opts.dt / 2.0):
-        try:
-            return _run_flow(engine, scenario, opts, dt, state0, reference, saddle)
-        except DivergenceError as exc:
-            last_error = exc
-    raise last_error
+    try:
+        return _run_flow(engine, scenario, opts, opts.dt, state0, reference, saddle)
+    except DivergenceError as exc:
+        failed = metrics.FailedAttempt(dt=opts.dt, t=exc.t, max_entry=exc.max_entry)
+    final, record = _run_flow(
+        engine, scenario, opts, opts.dt / 2.0, state0, reference, saddle
+    )
+    record.failed_attempt = failed
+    return final, record
 
 
 def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
     lay = scenario.layout
-    x, z, lam = engine.stack_state(state0)
+    n, q = lay.x_dim, engine.dc.block_dim
+    # Two stacked states [x, z, lambda] that trade places every step, so the
+    # pre-step state is still at hand when a step has to be checked.
+    w = np.concatenate(engine.stack_state(state0))
+    w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
 
-    eta_ref = lam_ref = None
-    v_prev = v_initial = v_max_inc = v_now = None
+    w_ref = None
+    v_initial = v_max_inc = v_now = None
     if saddle is not None:
-        eta_ref = np.asarray(saddle[0], dtype=float)
-        lam_ref = np.asarray(saddle[1], dtype=float)
-        v_prev = v_initial = _saddle_dist(x, z, lam, eta_ref, lam_ref)
-        v_max_inc = -np.inf
+        w_ref = np.concatenate([np.asarray(saddle[0], float), np.asarray(saddle[1], float)])
+        np.subtract(w, w_ref, out=scratch)
+        v_now = v_initial = 0.5 * float(scratch @ scratch)
+        v_max_inc = -math.inf
 
-    samples = [_sample(engine, scenario, x, z, lam, 0.0, reference, saddle)]
+    samples = [_sample(engine, scenario, w, 0.0, reference, saddle)]
     termination = "max_time"
     steps_done = 0
     t = 0.0
-    sup_norm = _sup_norm(x, z, lam)
+    update_norm = None
+    sup_norm = float(np.max(np.abs(w)))
     for k in range(n_steps):
         t = k * dt
-        x, z, lam_new, dx, dz = _step_arrays(engine, x, z, lam, t, dt)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise DivergenceError(t, float(np.max(np.abs(lam_new))))
-        dlam = (lam_new - lam) / dt
-        lam = lam_new
+        engine.velocity(w, t, vel)
+        np.multiply(vel, dt, out=w_new)
+        w_new += w
+        lam, lam_new, dlam = w[n + q:], w_new[n + q:], vel[n + q:]
+        np.maximum(lam_new, 0.0, out=lam_new)
+        # The multiplier part of the update norm is the realized change.
+        np.subtract(lam_new, lam, out=dlam)
+        dlam /= dt
+        update_norm = math.sqrt(vel @ vel)
+        step_sup = float(np.abs(w_new, out=scratch).max())
+        if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
+            # A non-finite velocity or state reaches one of the two; only
+            # then are the blocks checked one by one.
+            engine.velocity(w, t, vel)
+            _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
+        w, w_new = w_new, w
         steps_done = k + 1
         t = steps_done * dt
-        sup_norm = max(sup_norm, _sup_norm(x, z, lam))
+        sup_norm = max(sup_norm, step_sup)
 
-        if saddle is not None:
-            v_now = _saddle_dist(x, z, lam, eta_ref, lam_ref)
-            v_max_inc = max(v_max_inc, v_now - v_prev)
+        if w_ref is not None:
             v_prev = v_now
+            np.subtract(w, w_ref, out=scratch)
+            v_now = 0.5 * float(scratch @ scratch)
+            v_max_inc = max(v_max_inc, v_now - v_prev)
 
-        update_norm = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
         converged = update_norm <= opts.tolerance
         if converged or steps_done == n_steps or steps_done % stride == 0:
-            samples.append(_sample(engine, scenario, x, z, lam, t, reference, saddle))
+            samples.append(_sample(engine, scenario, w, t, reference, saddle))
         if converged:
             termination = "converged"
             break
 
-    final = engine.unstack_state(x, z, lam, t)
+    final = engine.unstack_state(w[:n], w[n:n + q], w[n + q:], t)
     record = metrics.TrajectoryRecord(
         agent_order=lay.node_order,
         samples=samples,
@@ -431,29 +521,17 @@ def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
         steps=steps_done,
         dt=dt,
         state_sup_norm=sup_norm,
+        final_update_norm=update_norm,
         v_initial=v_initial,
-        v_final=v_now if saddle is not None else None,
-        v_max_step_increase=v_max_inc if saddle is not None else None,
+        v_final=v_now,
+        v_max_step_increase=v_max_inc,
     )
     return final, record
 
 
-def _sup_norm(x, z, lam) -> float:
-    out = 0.0
-    for block in (x, z, lam):
-        if block.size:
-            out = max(out, float(np.max(np.abs(block))))
-    return out
-
-
-def _saddle_dist(x, z, lam, eta_ref, lam_ref) -> float:
-    d_eta = np.concatenate([x, z]) - eta_ref
-    d_lam = lam - lam_ref
-    return float(0.5 * (d_eta @ d_eta) + 0.5 * (d_lam @ d_lam))
-
-
-def _sample(engine, scenario, x, z, lam, t, reference, saddle):
-    lay = scenario.layout
+def _sample(engine, scenario, w, t, reference, saddle):
+    n, q = engine.layout.x_dim, engine.dc.block_dim
+    x, z, lam = w[:n], w[n:n + q], w[n + q:]
     state = engine.unstack_state(x, z, lam, t)
     deviation = None
     if reference is not None:

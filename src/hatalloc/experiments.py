@@ -516,6 +516,22 @@ def _kkt_dict(residuals) -> dict:
     }
 
 
+def _convergence_dict(record: TrajectoryRecord, tolerance: float) -> dict:
+    failed = record.failed_attempt
+    if failed is not None:
+        # JSON has no infinity: null when no entry of the block stayed finite.
+        failed = {
+            "dt": failed.dt,
+            "t": failed.t,
+            "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None,
+        }
+    return {
+        "final_update_norm": record.final_update_norm,
+        "tolerance": tolerance,
+        "failed_attempt": failed,
+    }
+
+
 def _run_with_oracle(scenario: Scenario, out_dir: str, summary: dict) -> ExperimentResult:
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
@@ -533,6 +549,7 @@ def _run_with_oracle(scenario: Scenario, out_dir: str, summary: dict) -> Experim
         "final_t": record.final_t,
         "steps": record.steps,
         "dt": record.dt,
+        **_convergence_dict(record, scenario.solver.tolerance),
         "final_deviation": record.samples[-1].deviation,
         "saddle_dist_initial": record.v_initial,
         "saddle_dist_final": record.v_final,
@@ -595,7 +612,7 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "termination": record.termination,
                 **{f"workload_{a}": w for a, w in report.by_agent.items()},
             })
-            cells[(k1, k2)] = (report, cost)
+            cells[(k1, k2)] = (report, cost, record)
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     cols = list(rows[0].keys())
@@ -626,8 +643,11 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "cost": cost,
                 "autonomous_workload": rep.autonomous_total,
                 "human_workload": rep.human_total,
+                "termination": rec.termination,
+                "steps": rec.steps,
+                "final_update_norm": rec.final_update_norm,
             }
-            for (k1, k2), (rep, cost) in cells.items()
+            for (k1, k2), (rep, cost, rec) in cells.items()
         },
     }
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
@@ -677,6 +697,8 @@ def run_experiment(
         "termination": record.termination,
         "final_t": record.final_t,
         "steps": record.steps,
+        "dt": record.dt,
+        **_convergence_dict(record, scenario.solver.tolerance),
         "kkt": _kkt_dict(residuals),
     })
     summary_path = os.path.join(out_dir, "summary.json")

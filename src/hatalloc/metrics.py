@@ -104,6 +104,15 @@ class TrajectorySample:
     saddle_dist: float | None = None
 
 
+@dataclass(frozen=True)
+class FailedAttempt:
+    """A run that diverged before the integrator retried at half the step."""
+
+    dt: float
+    t: float
+    max_entry: float
+
+
 @dataclass
 class TrajectoryRecord:
     """Sampled run history plus termination bookkeeping.
@@ -111,7 +120,9 @@ class TrajectoryRecord:
     When a reference saddle was supplied, the half squared distance to it is
     additionally tracked at every integrator step; `v_max_step_increase` is
     the largest single-step increase observed (descent means <= 0 up to the
-    integrator's own O(dt^2) error).
+    integrator's own O(dt^2) error). `final_update_norm` is the update norm
+    of the last step, the quantity the stopping rule compares with the
+    tolerance. `failed_attempt` is set when the run had to halve `dt`.
     """
 
     agent_order: tuple[str, ...]
@@ -121,6 +132,8 @@ class TrajectoryRecord:
     steps: int
     dt: float
     state_sup_norm: float = 0.0
+    final_update_norm: float | None = None
+    failed_attempt: FailedAttempt | None = None
     v_initial: float | None = None
     v_final: float | None = None
     v_max_step_increase: float | None = None

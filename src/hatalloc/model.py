@@ -440,7 +440,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     except TypeError as exc:
         raise ScenarioFormatError(f"solver options: {exc}") from exc
 
-    return Scenario(
+    scenario = Scenario(
         topology=topo,
         dims=dims,
         costs=costs,
@@ -450,6 +450,25 @@ def scenario_from_document(doc: dict) -> Scenario:
         schedules=schedules,
         initial_state=doc.get("initial_state"),
     )
+    if scenario.initial_state is not None:
+        _check_initial_state(scenario)
+    return scenario
+
+
+def _check_initial_state(scenario: Scenario) -> None:
+    """Reject an `initial_state` the flow could not start from."""
+    from .dynamics import initial_state
+
+    doc = scenario.initial_state
+    _require(
+        isinstance(doc, dict) and set(doc) <= {"x", "z", "lambda"}
+        and all(isinstance(section, dict) for section in doc.values()),
+        "initial_state must map 'x', 'z' or 'lambda' to per-agent vectors",
+    )
+    try:
+        initial_state(scenario)
+    except (KeyError, ValueError) as exc:
+        raise ScenarioFormatError(exc.args[0]) from exc
 
 
 def load_scenario(path_or_text, check_slater: bool | None = None) -> Scenario:

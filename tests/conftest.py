@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,23 @@ def single_agent_scenario(c=(-1.0,)):
         ),
         human_models={},
         solver=SolverOptions(),
+    )
+
+
+def free_multiplier_scenario(dt):
+    """`single_agent_scenario` with a zero constraint row, started at x = 1.
+
+    The zero row keeps the multiplier out of the dynamics, so the state map
+    is exactly x <- (1 - 2 dt) x; |1 - 2 dt| > 1 then grows without the clamp
+    nonlinearity capturing it in a cycle.
+    """
+    scenario = single_agent_scenario().with_solver(dt=dt, max_time=20000.0)
+    return replace(
+        scenario,
+        constraint=CouplingConstraint(
+            {"a1": np.array([[0.0]])}, {}, np.array([-1.0])
+        ),
+        initial_state={"x": {"a1": [1.0]}},
     )
 
 

@@ -18,7 +18,7 @@ from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import DivergenceError
 from hatalloc.experiments import random_scenario
 
-from conftest import path_scenario, single_agent_scenario
+from conftest import free_multiplier_scenario, path_scenario, single_agent_scenario
 
 
 def random_state(scenario, rng, lam_scale=1.0):
@@ -174,6 +174,7 @@ class TestIntegrate:
     def test_interior_optimum(self, single_agent):
         final, record = integrate(single_agent)
         assert record.termination == "converged"
+        assert record.failed_attempt is None
         np.testing.assert_allclose(final.x["a1"], [0.0], atol=1e-5)
         np.testing.assert_allclose(final.lam["a1"], [0.0], atol=1e-5)
 
@@ -181,6 +182,7 @@ class TestIntegrate:
         scenario = single_agent_scenario(c=(1.0,))
         final, record = integrate(scenario)
         assert record.termination == "converged"
+        assert 0.0 < record.final_update_norm <= scenario.solver.tolerance
         np.testing.assert_allclose(final.x["a1"], [-1.0], atol=1e-4)
         np.testing.assert_allclose(final.lam["a1"], [2.0], atol=1e-4)
 
@@ -202,36 +204,46 @@ class TestIntegrate:
         assert res.dual_min >= -1e-15
         assert res.comp_slack <= 10 * tol
 
-    @staticmethod
-    def _free_multiplier_scenario(dt):
-        # A zero constraint row keeps the multiplier out of the dynamics, so
-        # the state map is exactly x <- (1 - 2 dt) x; |1 - 2 dt| > 1 then
-        # grows without the clamp nonlinearity capturing it in a cycle.
-        from dataclasses import replace
-
-        from hatalloc.model import CouplingConstraint
-
-        scenario = single_agent_scenario().with_solver(dt=dt, max_time=20000.0)
-        return replace(
-            scenario,
-            constraint=CouplingConstraint(
-                {"a1": np.array([[0.0]])}, {}, np.array([-1.0])
-            ),
-            initial_state={"x": {"a1": [1.0]}},
-        )
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_halves_dt_once_then_raises(self):
         # diverges at dt = 2.5 and still at the halved 1.25
         with pytest.raises(DivergenceError):
-            integrate(self._free_multiplier_scenario(2.5))
+            integrate(free_multiplier_scenario(2.5))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_retry_succeeds_on_borderline_dt(self):
         # dt = 1.2 diverges (|1 - 2 dt| = 1.4 > 1), the halved 0.6 contracts
-        final, record = integrate(self._free_multiplier_scenario(1.2))
+        final, record = integrate(free_multiplier_scenario(1.2))
         assert record.dt == pytest.approx(0.6)
         np.testing.assert_allclose(final.x["a1"], [0.0], atol=1e-5)
+        failed = record.failed_attempt
+        assert failed is not None and failed.dt == 1.2
+        # |x| grows by 1.4 per step until dx = -2 x overflows, near 9e307
+        assert 1.2 * 2000 < failed.t < 1.2 * 2200
+        assert failed.max_entry == np.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_reports_the_state_block_that_overflowed(self):
+        # At the halved dt = 2, x1 <- -3 x1 while x2 <- -x2: the step
+        # overflows x1 before its velocity -2 x1 does, and the largest
+        # finite entry left in x is |x2| = 1. The multipliers stay at zero.
+        from dataclasses import replace
+
+        from hatalloc.model import CouplingConstraint, QuadraticCost
+
+        base = single_agent_scenario().with_solver(dt=4.0, max_time=20000.0)
+        scenario = replace(
+            base,
+            dims={"a1": 2},
+            costs={"a1": QuadraticCost(np.diag([1.0, 0.5]))},
+            constraint=CouplingConstraint(
+                {"a1": np.zeros((1, 2))}, {}, np.array([-1.0])
+            ),
+            initial_state={"x": {"a1": [1.0, 1.0]}},
+        )
+        with pytest.raises(DivergenceError) as info:
+            integrate(scenario)
+        assert info.value.max_entry == 1.0
 
     def test_initial_state_override(self):
         scenario = single_agent_scenario()

@@ -4,16 +4,18 @@ import os
 import numpy as np
 import pytest
 
-from hatalloc import save_scenario, serialize_scenario
+from hatalloc import load_scenario, save_scenario, serialize_scenario
 from hatalloc.cli import main
+from hatalloc.errors import ScenarioFormatError
 from hatalloc.experiments import (
     random_scenario,
     run_experiment,
+    run_risk_grid,
     team_scenario,
     with_attitudes,
 )
 
-from conftest import path_scenario, single_agent_scenario
+from conftest import free_multiplier_scenario, path_scenario, single_agent_scenario
 
 
 class TestGenerators:
@@ -113,6 +115,8 @@ class TestCli:
         assert (out_dir / "summary.json").exists()
         summary = json.loads(capsys.readouterr().out)
         assert summary["termination"] == "converged"
+        assert summary["final_update_norm"] <= summary["tolerance"] == 1e-6
+        assert summary["failed_attempt"] is None
 
     def test_run_option_overrides(self, tmp_path, capsys):
         scenario = single_agent_scenario()
@@ -151,6 +155,56 @@ class TestCli:
 
         monkeypatch.setenv("HATALLOC_OUT_DIR", str(tmp_path / "env-out"))
         assert default_output_dir() == str(tmp_path / "env-out")
+
+
+class TestScenarioFormatErrors:
+    @pytest.mark.parametrize("start, message", [
+        ({"x": {"r9": [0.0]}}, "unknown agent 'r9'"),
+        ({"x": {"a1": [0.0, 1.0]}}, "has shape (2,), expected (1,)"),
+        ({"lambda": {"a1": [-0.5]}}, "initial multiplier for 'a1' is negative"),
+        ({"lam": {"a1": [0.5]}}, "initial_state must map"),
+    ])
+    def test_bad_initial_state_is_usage_error(self, tmp_path, capsys, start, message):
+        doc = serialize_scenario(single_agent_scenario())
+        doc["initial_state"] = start
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(str(path))
+
+    def test_missing_cost_is_usage_error(self, tmp_path, capsys):
+        doc = serialize_scenario(single_agent_scenario())
+        del doc["costs"]["a1"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        assert "agent 'a1' has no cost" in capsys.readouterr().err
+
+
+class TestRunOutputs:
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_summary_records_halved_dt(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        save_scenario(free_multiplier_scenario(1.2), path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"),
+                     "--reference", "none"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["dt"] == 0.6
+        assert summary["failed_attempt"]["dt"] == 1.2
+        assert summary["failed_attempt"]["t"] > 0
+        # dx = -2 x overflowed whole, so no finite entry is left to report
+        assert summary["failed_attempt"]["max_entry"] is None
+
+    def test_grid_cells_report_how_each_run_ended(self, tmp_path):
+        run_risk_grid(1, str(tmp_path), opts={"max_time": 0.5})
+        saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
+        assert len(saved["cells"]) == 4
+        for cell in saved["cells"].values():
+            assert (cell["termination"], cell["steps"]) == ("max_time", 500)
+            assert cell["final_update_norm"] > 0
 
 
 class TestPresetRun:
