@@ -208,8 +208,10 @@ def agent_round(view, inbox, dt: float):
 class DistributedRunner:
     """Synchronous barrier-stepped execution of all agents.
 
-    Maintains one mailbox slot per directed edge. Each sweep runs the
-    autonomous wave, delivers, then the human wave, and delivers again.
+    Maintains one mailbox slot per directed edge, also indexed by receiver
+    so that collecting an inbox costs the agent's degree, not the edge count.
+    Each sweep runs the autonomous wave, delivers, then the human wave, and
+    delivers again.
     """
 
     def __init__(
@@ -258,6 +260,7 @@ class DistributedRunner:
 
         # Bootstrap mailbox from the initial global state.
         self.mailbox: dict[tuple[str, str], Message] = {}
+        self._by_receiver: dict[str, dict[str, Message]] = {a: {} for a in lay.node_order}
         for i in lay.autonomous_ids:
             view = self.views[i]
             for j in view.auto_neighbors:
@@ -281,23 +284,24 @@ class DistributedRunner:
 
     def _post(self, msg: Message):
         self.mailbox[(msg.sender, msg.receiver)] = msg
+        self._by_receiver[msg.receiver][msg.sender] = msg
 
     def _inbox(self, agent_id: str) -> list[Message]:
-        return [m for (s, r), m in self.mailbox.items() if r == agent_id]
+        return list(self._by_receiver[agent_id].values())
 
     def sweep(self, dt: float, order: list[str] | None = None) -> None:
         """One synchronous step of every agent (autonomous wave, human wave)."""
         lay = self.scenario.layout
         order = list(order) if order is not None else list(lay.node_order)
         outgoing = []
-        for agent_id in [a for a in order if a in lay.autonomous_ids]:
+        for agent_id in [a for a in order if a in lay.x_offsets]:
             new_view, outbox = agent_round(self.views[agent_id], self._inbox(agent_id), dt)
             self.views[agent_id] = new_view
             outgoing.extend(outbox)
         for msg in outgoing:
             self._post(msg)
         outgoing = []
-        for agent_id in [a for a in order if a in lay.human_ids]:
+        for agent_id in [a for a in order if a in lay.y_offsets]:
             new_view, outbox = agent_round(self.views[agent_id], self._inbox(agent_id), dt)
             self.views[agent_id] = new_view
             outgoing.extend(outbox)

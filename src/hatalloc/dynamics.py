@@ -14,12 +14,14 @@ discrete counterpart of the projection.
 
 `integrate` steps one stacked state w = [x, z, lambda]. When every cost is
 quadratic, every human affine and no schedule is still settling, the response
-y = S x + d is folded into the operators once (`FlowEngine.velocity`):
+y = S x + d is folded into one sparse affine operator (`FlowEngine.velocity`):
 
     dx      = b_x - H x - C^T lambda,   H = F'' + S^T G'' S,  C = [a_bar ; b_bar S]
     dz      = -l_bar lambda
     gap     = C x + l_bar z + b_g,      b_x = -S^T G'' d,  b_g = [0 ; b_bar d] + c_split
 
+so the velocity is M w + b. M is graph-local, with O(edges) nonzeros kept as
+row, column and value arrays: a step is a gather, a multiply and a bincount.
 Every other scenario takes its velocity from `FlowEngine.rhs`, which is also
 the reference that the per-agent rounds and `_step_arrays` use. Both
 velocities give the same trajectory to roundoff.
@@ -37,6 +39,7 @@ from .errors import DivergenceError
 from .human import AFFINE, logistic, softplus
 from .model import Scenario, QuadraticCost
 from .reformulation import DecoupledConstraint, build_decoupled
+from .topology import lift_entries
 
 PROJECTION_DOMAIN_TOL = 1e-12
 
@@ -117,8 +120,8 @@ class FlowEngine:
     Assembles the stacked response gain once (per-block Jacobians remain the
     reference path, used by the per-agent rounds) and evaluates the right-hand
     side with a handful of mat-vecs, which is what makes long horizons cheap.
-    `velocity` is what `integrate` steps with: the folded affine flow where
-    the scenario allows it, `rhs` otherwise.
+    `velocity` is what `integrate` steps with: the sparse affine operator
+    where the scenario allows it, `rhs` otherwise.
     """
 
     def __init__(
@@ -307,41 +310,36 @@ class FlowEngine:
         return dx, dz, gap
 
     def _fold(self):
-        """K = [-H ; C], the constant velocity b = [b_x ; 0 ; b_g] and a
-        scratch vector for K x."""
+        """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
+        M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], its l_bar blocks
+        read from the node Laplacian, never from the dense lift."""
         S, d = self._S_true, self._d_true
         n, q = self.layout.x_dim, self.dc.block_dim
-        K = np.empty((n + q, n))
-        np.negative(self._fx2 + S.T @ self._gy2 @ S, out=K[:n])
-        K[n:n + self._rm] = self._A_bar
-        np.matmul(self._B_bar, S, out=K[n + self._rm:])
+        H = self._fx2 + S.T @ self._gy2 @ S
+        C = np.vstack([self._A_bar, self._B_bar @ S])
+        hr, hc = np.nonzero(H)
+        cr, cc = np.nonzero(C)
+        lr, lc, lv = lift_entries(self.dc.laplacian, self.dc.rows)
+        rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
+        cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
+        vals = np.concatenate([-H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
+        order = np.lexsort((cols, rows))
         b = np.zeros(n + 2 * q)
         b[:n] = -(S.T @ (self._gy2 @ d))
         b[n + q + self._rm:] = self._B_bar @ d
         b[n + q:] += self._C
-        return K, b, np.empty(n + q)
+        return rows[order], cols[order], vals[order], b
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
         """Write (dx, dz, raw multiplier gradient) at w = [x, z, lambda] into out."""
-        n, q = self.layout.x_dim, self.dc.block_dim
-        x, z, lam = w[:n], w[n:n + q], w[n + q:]
         if not self._affine:
-            out[:n], out[n:n + q], out[n + q:] = self.rhs(x, z, lam, t)
+            n, q = self.layout.x_dim, self.dc.block_dim
+            out[:n], out[n:n + q], out[n + q:] = self.rhs(w[:n], w[n:n + q], w[n + q:], t)
             return
         if self._folded is None:
             self._folded = self._fold()
-        K, b, kx = self._folded
-        dx, dz, gap = out[:n], out[n:n + q], out[n + q:]
-        np.matmul(K, x, out=kx)                  # [-H x ; C x]
-        np.matmul(lam, K[n:], out=dx)            # C^T lambda
-        np.subtract(kx[:n], dx, out=dx)
-        # l_bar is used in place, never copied or stacked with the other
-        # operators: at a few hundred agents it is most of the engine's memory.
-        np.matmul(self._L_bar, lam, out=dz)
-        np.negative(dz, out=dz)
-        np.matmul(self._L_bar, z, out=gap)
-        gap += kx[n:]
-        out += b
+        rows, cols, vals, b = self._folded
+        np.add(np.bincount(rows, vals * w[cols], minlength=out.size), b, out=out)
 
     def lagrangian_value(self, x, z, lam, t) -> float:
         y, _ = self.response(x, t)

@@ -603,6 +603,9 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
             y, _ = engine.response(x, final.t)
             report = workload_report(cell, final)
             cost = engine.objective_value(x, y)
+            # The oracle's optimum shows how far a cell that stopped short of
+            # its tolerance is from the cost it should report.
+            oracle_cost = solve_centralized(cell)[3]
             rows.append({
                 f"{h1}_attitude": k1,
                 f"{h2}_attitude": k2,
@@ -612,7 +615,7 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "termination": record.termination,
                 **{f"workload_{a}": w for a, w in report.by_agent.items()},
             })
-            cells[(k1, k2)] = (report, cost, record)
+            cells[(k1, k2)] = (report, cost, record, oracle_cost)
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     cols = list(rows[0].keys())
@@ -646,8 +649,10 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "termination": rec.termination,
                 "steps": rec.steps,
                 "final_update_norm": rec.final_update_norm,
+                "oracle_cost": oracle,
+                "value_gap": abs(cost - oracle) / max(1.0, abs(oracle)),
             }
-            for (k1, k2), (rep, cost, rec) in cells.items()
+            for (k1, k2), (rep, cost, rec, oracle) in cells.items()
         },
     }
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")

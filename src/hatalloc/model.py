@@ -334,24 +334,27 @@ def _parse_model(human_id: str, doc: dict, neighbor_ids: list[str]) -> HumanResp
     }
     attitude_doc = doc.get("attitude")
     _require(isinstance(attitude_doc, dict), f"model '{human_id}': attitude required")
-    if "alpha" in attitude_doc:
-        alpha = float(attitude_doc["alpha"])
-    else:
-        alpha = attitude_preset(
-            attitude_doc.get("kind", ""), float(attitude_doc.get("magnitude", 0.0))
+    try:
+        if "alpha" in attitude_doc:
+            alpha = float(attitude_doc["alpha"])
+        else:
+            alpha = attitude_preset(
+                attitude_doc.get("kind", ""), float(attitude_doc.get("magnitude", 0.0))
+            )
+        kwargs = {}
+        if "beta" in doc:
+            kwargs["sharpness"] = float(doc["beta"])
+        return HumanResponseModel(
+            human_id=human_id,
+            neighbor_ids=tuple(neighbor_ids),
+            gains=gains,
+            base=base,
+            attitude=alpha,
+            family=family,
+            **kwargs,
         )
-    kwargs = {}
-    if "beta" in doc:
-        kwargs["sharpness"] = float(doc["beta"])
-    return HumanResponseModel(
-        human_id=human_id,
-        neighbor_ids=tuple(neighbor_ids),
-        gains=gains,
-        base=base,
-        attitude=alpha,
-        family=family,
-        **kwargs,
-    )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"model '{human_id}': {exc}") from exc
 
 
 def _parse_schedule(human_id: str, doc: dict) -> ApproximationSchedule:
@@ -363,11 +366,14 @@ def _parse_schedule(human_id: str, doc: dict) -> ApproximationSchedule:
     base_delta = _as_vector(
         delta.get("base", []), f"schedule '{human_id}' base delta"
     )
-    return ApproximationSchedule(
-        gain_deltas=gain_deltas,
-        base_delta=base_delta,
-        settle_time=float(doc.get("settle_time", 0.0)),
-    )
+    try:
+        return ApproximationSchedule(
+            gain_deltas=gain_deltas,
+            base_delta=base_delta,
+            settle_time=float(doc.get("settle_time", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"schedule '{human_id}': {exc}") from exc
 
 
 def scenario_from_document(doc: dict) -> Scenario:
@@ -376,6 +382,8 @@ def scenario_from_document(doc: dict) -> Scenario:
     for key in ("agents", "edges", "costs", "constraint"):
         _require(key in doc, f"missing top-level key '{key}'")
 
+    _require(isinstance(doc["agents"], (list, tuple)), "'agents' must be a list")
+    _require(isinstance(doc["edges"], (list, tuple)), "'edges' must be a list")
     autonomous, humans, dims = [], [], {}
     for entry in doc["agents"]:
         _require(
@@ -383,7 +391,12 @@ def scenario_from_document(doc: dict) -> Scenario:
             "each agent needs id, kind and dim",
         )
         agent_id = str(entry["id"])
-        dims[agent_id] = int(entry["dim"])
+        try:
+            dims[agent_id] = int(entry["dim"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioFormatError(
+                f"agent '{agent_id}': dim {entry['dim']!r} is not an integer"
+            ) from exc
         kind = entry["kind"]
         if kind == "autonomous":
             autonomous.append(agent_id)
@@ -392,9 +405,10 @@ def scenario_from_document(doc: dict) -> Scenario:
         else:
             raise ScenarioFormatError(f"agent '{agent_id}': unknown kind '{kind}'")
 
-    edges = frozenset(
-        (str(a), str(b)) for a, b in (tuple(e) for e in doc["edges"])
-    )
+    for e in doc["edges"]:
+        _require(isinstance(e, (list, tuple)) and len(e) == 2,
+                 f"edge {e!r}: expected a pair of agent ids")
+    edges = frozenset((str(a), str(b)) for a, b in doc["edges"])
     topo = NetworkTopology(tuple(autonomous), tuple(humans), edges)
 
     costs: dict[str, CostFunction] = {}
@@ -437,7 +451,7 @@ def scenario_from_document(doc: dict) -> Scenario:
 
     try:
         solver = SolverOptions(**doc.get("solver", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"solver options: {exc}") from exc
 
     scenario = Scenario(
@@ -477,15 +491,18 @@ def load_scenario(path_or_text, check_slater: bool | None = None) -> Scenario:
     When the Slater flag is set (argument, or `solver.check_slater` in the
     document), a centralized pre-solve certifies strict feasibility.
     """
-    if hasattr(path_or_text, "read"):
-        doc = json.load(path_or_text)
-    else:
-        text = str(path_or_text)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
+    try:
+        if hasattr(path_or_text, "read"):
+            doc = json.load(path_or_text)
         else:
-            with open(text, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+            text = str(path_or_text)
+            if text.lstrip().startswith("{"):
+                doc = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as handle:
+                    doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"scenario is not valid JSON: {exc}") from exc
     scenario = scenario_from_document(doc)
     if check_slater is None:
         check_slater = scenario.solver.check_slater

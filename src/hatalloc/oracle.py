@@ -220,7 +220,7 @@ def lift_to_saddle(
     slack = np.zeros_like(terms)
     slack[:dc.rows] = -slack_rows
     rhs = -(terms + slack)
-    z_star, _, _, _ = np.linalg.lstsq(dc.l_bar, rhs, rcond=None)
+    z_star = dc.lift_solve(rhs)
 
     n_nodes = len(scenario.layout.node_order)
     lam_star = np.tile(mu_star, n_nodes)
@@ -250,7 +250,7 @@ def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state) -> KKTResid
     grad_x = engine.lagrangian_gradient_x(x, lam, state.t)
     resid = decoupled_residual(dc, x, engine.response(x, state.t)[0], z)
     station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0
-    station_z = float(np.max(np.abs(dc.l_bar @ lam)))
+    station_z = float(np.max(np.abs(dc.lift_apply(lam))))
     return KKTResidual(
         stationarity=max(station_x, station_z),
         primal=float(max(0.0, np.max(resid))),

@@ -27,7 +27,12 @@ class NetworkTopology:
     autonomous_ids: tuple[str, ...]
     human_ids: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _adjacency: dict[str, list[str]] = field(
+    # Computed once: the autonomous id set and each agent's neighbors split
+    # into (autonomous, human).
+    _autonomous_set: frozenset[str] = field(
+        init=False, repr=False, compare=False, default=frozenset()
+    )
+    _split: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -60,7 +65,13 @@ class NetworkTopology:
         object.__setattr__(self, "edges", frozenset(normalized))
         for key in adjacency:
             adjacency[key].sort()
-        object.__setattr__(self, "_adjacency", adjacency)
+        autos = frozenset(auto)
+        object.__setattr__(self, "_autonomous_set", autos)
+        object.__setattr__(self, "_split", {
+            node: (tuple(n for n in adj if n in autos),
+                   tuple(n for n in adj if n not in autos))
+            for node, adj in adjacency.items()
+        })
 
         # Assumption: connected graph. BFS from an arbitrary vertex.
         start = next(iter(all_ids))
@@ -92,19 +103,15 @@ class NetworkTopology:
         return len(self.human_ids)
 
     def is_autonomous(self, agent_id: str) -> bool:
-        return agent_id in set(self.autonomous_ids)
+        return agent_id in self._autonomous_set
 
 
 def neighbors(topology: NetworkTopology, agent_id: str) -> tuple[list[str], list[str]]:
     """Neighbor set of `agent_id`, split into (autonomous, human), each sorted."""
-    if agent_id not in topology._adjacency:
+    if agent_id not in topology._split:
         raise KeyError(f"unknown agent id '{agent_id}'")
-    autos = set(topology.autonomous_ids)
-    adjacent = topology._adjacency[agent_id]
-    return (
-        [n for n in adjacent if n in autos],
-        [n for n in adjacent if n not in autos],
-    )
+    autos, humans = topology._split[agent_id]
+    return list(autos), list(humans)
 
 
 def laplacian(topology: NetworkTopology) -> np.ndarray:
@@ -130,3 +137,16 @@ def laplacian_lift(lap: np.ndarray, r: int) -> np.ndarray:
     if r < 1:
         raise ValueError(f"block size must be a positive integer, got {r}")
     return np.kron(lap, np.eye(r))
+
+
+def lift_entries(lap: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and values of the nonzeros of lap (x) I_r,
+    read from the node Laplacian: one entry per edge end, per diagonal and
+    per block row, never the dense lift."""
+    i, j = np.nonzero(lap)
+    k = np.arange(r)
+    return (
+        (i[:, None] * r + k).ravel(),
+        (j[:, None] * r + k).ravel(),
+        np.repeat(lap[i, j], r),
+    )

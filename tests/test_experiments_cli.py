@@ -175,6 +175,38 @@ class TestScenarioFormatErrors:
         with pytest.raises(ScenarioFormatError):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["edges"][0].append("a2"), "expected a pair of agent ids"),
+        (lambda d: d["agents"][0].update(dim="x"), "dim 'x' is not an integer"),
+        (lambda d: d["solver"].update(dt=-1e-3), "dt must be positive"),
+        (lambda d: d["solver"].update(offset_split="sideways"),
+         "unknown offset split policy 'sideways'"),
+        (lambda d: d["human_models"]["k1"].update(family="cubic"),
+         "unknown response family 'cubic'"),
+        (lambda d: d.update(agents=5), "'agents' must be a list"),
+        (lambda d: d["human_models"]["k1"].update(attitude={"alpha": 2}),
+         "attitude must lie in [-1, 1]"),
+    ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
+            "unknown-offset-split", "unknown-family", "agents-not-a-list",
+            "alpha-out-of-range"])
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
+        doc = serialize_scenario(path_scenario())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(str(path))
+
+    def test_non_json_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"agents": [')
+        assert main(["oracle", str(path)]) == 1
+        assert "scenario is not valid JSON" in capsys.readouterr().err
+
     def test_missing_cost_is_usage_error(self, tmp_path, capsys):
         doc = serialize_scenario(single_agent_scenario())
         del doc["costs"]["a1"]
@@ -205,6 +237,12 @@ class TestRunOutputs:
         for cell in saved["cells"].values():
             assert (cell["termination"], cell["steps"]) == ("max_time", 500)
             assert cell["final_update_norm"] > 0
+            # 500 steps stop far from the optimum, and the gap says how far.
+            oracle = cell["oracle_cost"]
+            assert cell["value_gap"] == pytest.approx(
+                abs(cell["cost"] - oracle) / max(1.0, abs(oracle)), rel=1e-12
+            )
+            assert cell["value_gap"] > 1e-6
 
 
 class TestPresetRun:

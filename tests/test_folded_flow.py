@@ -1,6 +1,6 @@
-"""The folded affine velocity against the reference `FlowEngine.rhs` path.
+"""The sparse affine velocity M w + b against the reference `FlowEngine.rhs`.
 
-`integrate` takes the folded step for quadratic costs with affine,
+`integrate` takes the sparse step for quadratic costs with affine,
 unscheduled humans and `FlowEngine.rhs` otherwise; `_step_arrays` is the
 reference both are held to.
 """
@@ -22,6 +22,8 @@ from conftest import path_scenario
 
 STEPS = 300
 AFFINE_SEEDS = (0, 1, 2, 5, 11)
+# 100 agents: a sparse graph whose operator is mostly structural zeros.
+LARGE_TEAM = random_scenario(3, n_autonomous=80, n_human=20, rows=3)
 
 
 def _with_random_start(scenario, seed):
@@ -55,6 +57,7 @@ def _cases():
         pytest.param(random_scenario(s), None, True, id=f"affine-{s}")
         for s in AFFINE_SEEDS
     ]
+    cases.append(pytest.param(LARGE_TEAM, None, True, id="affine-100-agents"))
     cases.append(pytest.param(
         path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0),
         None, False, id="softplus",
@@ -115,7 +118,9 @@ def test_integrate_matches_reference_steps(scenario, schedules, folded):
     assert record.v_max_step_increase == pytest.approx(v_max_inc, rel=1e-12)
 
 
-AFFINE_ENGINES = [FlowEngine(random_scenario(s)) for s in AFFINE_SEEDS]
+AFFINE_ENGINES = [FlowEngine(random_scenario(s)) for s in AFFINE_SEEDS] + [
+    FlowEngine(LARGE_TEAM)
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,6 +136,7 @@ def test_folded_velocity_equals_rhs(data):
 
     out = np.empty_like(w)
     engine.velocity(w, 0.0, out)
+    assert engine._affine  # the sparse operator, not the rhs fallback
     expected = np.concatenate(engine.rhs(x, z, lam, 0.0))
     scale = max(1.0, float(np.max(np.abs(expected))))
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * scale)

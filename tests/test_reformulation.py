@@ -232,6 +232,21 @@ class TestCertificate:
                     interior += 1
         assert interior > 50
 
+    @pytest.mark.parametrize("scenario", [
+        *(random_scenario(seed) for seed in range(8)),
+        random_scenario(4, n_autonomous=80, n_human=20, rows=3),
+    ])
+    def test_node_laplacian_solve_equals_dense_lstsq(self, scenario):
+        # pinv(L (x) I_r) = pinv(L) (x) I_r: the same minimum-norm solution,
+        # also for right-hand sides outside the image of l_bar.
+        dc = build_decoupled(scenario)
+        rng = np.random.default_rng(len(scenario.layout.node_order))
+        for _ in range(3):
+            rhs = rng.normal(size=dc.block_dim)
+            dense, _, _, _ = np.linalg.lstsq(dc.l_bar, rhs, rcond=None)
+            np.testing.assert_allclose(dc.lift_solve(rhs), dense,
+                                       rtol=0, atol=1e-10)
+
     def test_split_policies_agree_on_feasibility(self):
         rng = np.random.default_rng(7)
         scenario = path_scenario()
