@@ -35,6 +35,7 @@ from .model import (
     load_scenario,
     midpoint_convexity_gap,
     save_scenario,
+    stack_problem,
 )
 from .oracle import solve_centralized
 from .reformulation import (
@@ -124,15 +125,12 @@ def _cmd_oracle(args) -> int:
 def _sample_feasible_pair(scenario, rng):
     """Random (x, y) made coupled-feasible by a least-squares shift."""
     lay = scenario.layout
-    con = scenario.constraint
     x = rng.normal(size=lay.x_dim)
     y = rng.normal(size=lay.y_dim)
     resid = coupled_residual(scenario, x, y)
-    a_cat = np.hstack([con.a_blocks[i] for i in lay.autonomous_ids]) \
-        if lay.autonomous_ids else np.zeros((con.rows, 0))
-    margin = rng.uniform(0.0, 1.0, size=con.rows)
+    margin = rng.uniform(0.0, 1.0, size=lay.rows)
     if lay.x_dim:
-        x = x - np.linalg.pinv(a_cat) @ (resid + margin)
+        x = x - np.linalg.pinv(stack_problem(scenario).a_cat) @ (resid + margin)
     return x, y
 
 

@@ -10,21 +10,25 @@ in the multipliers, with a projection keeping every multiplier nonnegative:
 where y is the (derived, never integrated) human response and J its Jacobian
 with respect to the autonomous states. Discretization is projected forward
 Euler: the multiplier step is clamped at zero, which is the consistent
-discrete counterpart of the projection.
+discrete counterpart of the projection. l_bar = L (x) I_r is applied on the
+node Laplacian L (`DecoupledConstraint.lift_apply`), never as a dense matrix.
 
 `integrate` steps one stacked state w = [x, z, lambda]. When every cost is
 quadratic, every human affine and no schedule is still settling, the response
 y = S x + d is folded into one sparse affine operator (`FlowEngine.velocity`):
 
-    dx      = b_x - H x - C^T lambda,   H = F'' + S^T G'' S,  C = [a_bar ; b_bar S]
+    dx      = -g - H x - C^T lambda,   C = [a_bar ; b_bar S]
     dz      = -l_bar lambda
-    gap     = C x + l_bar z + b_g,      b_x = -S^T G'' d,  b_g = [0 ; b_bar d] + c_split
+    gap     = C x + l_bar z + b_g,     b_g = [0 ; b_bar d] + c_split
 
-so the velocity is M w + b. M is graph-local, with O(edges) nonzeros kept as
-row, column and value arrays: a step is a gather, a multiply and a bincount.
-Every other scenario takes its velocity from `FlowEngine.rhs`, which is also
-the reference that the per-agent rounds and `_step_arrays` use. Both
-velocities give the same trajectory to roundoff.
+where H and g come from the oracle's `reduce_program`, so the flow and the
+oracle step one assembled problem. The velocity is M w + b; M is graph-local,
+kept as row, column and value arrays of its O(edges) nonzeros. Every other
+scenario takes its velocity from `FlowEngine.rhs`, which is also the
+reference that the per-agent rounds and `_step_arrays` use. Both velocities
+give the same trajectory to roundoff. Samples are taken on the stacked state,
+from one response evaluation each; the state-level functions in `metrics`
+are the reference they agree with.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import numpy as np
 from . import metrics
 from .errors import DivergenceError
 from .human import AFFINE, logistic, softplus
-from .model import Scenario, QuadraticCost
+from .model import Scenario, stack_problem
+from .oracle import reduce_program
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import lift_entries
 
@@ -117,11 +122,11 @@ def projection_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FlowEngine:
     """Vectorized evaluator of the flow over stacked state vectors.
 
-    Assembles the stacked response gain once (per-block Jacobians remain the
-    reference path, used by the per-agent rounds) and evaluates the right-hand
-    side with a handful of mat-vecs, which is what makes long horizons cheap.
-    `velocity` is what `integrate` steps with: the sparse affine operator
-    where the scenario allows it, `rhs` otherwise.
+    Reads the stacked operators of `model.stack_problem` and adds only the
+    schedule deltas and the softplus rows; the right-hand side is then a
+    handful of mat-vecs, which is what makes long horizons cheap. `velocity`
+    is what `integrate` steps with: the sparse affine operator where the
+    scenario allows it, `rhs` otherwise.
     """
 
     def __init__(
@@ -135,49 +140,17 @@ class FlowEngine:
         self.schedules = scenario.schedules if schedules is None else schedules
         lay = scenario.layout
         self.layout = lay
+        self.stacked = sp = stack_problem(scenario)
         self._rm = self.dc.rows * len(lay.autonomous_ids)
-        self._A_bar = self.dc.a_bar
-        self._B_bar = self.dc.b_bar
-        self._L_bar = self.dc.l_bar
-        self._C = self.dc.c_split
-
-        # Coupled-constraint row view, used for recording only.
-        con = scenario.constraint
-        self._A_cat = (
-            np.hstack([con.a_blocks[i] for i in lay.autonomous_ids])
-            if lay.autonomous_ids else np.zeros((con.rows, 0))
-        )
-        self._B_cat = (
-            np.hstack([con.b_blocks[k] for k in lay.human_ids])
-            if lay.human_ids else np.zeros((con.rows, 0))
-        )
-        self._c = con.c
-
-        self._quadratic = all(
-            isinstance(scenario.costs[a], QuadraticCost) for a in lay.node_order
-        )
+        self._quadratic = sp.x_weight is not None
         if self._quadratic:
-            fx = np.zeros((lay.x_dim, lay.x_dim))
-            for i in lay.autonomous_ids:
-                sl = lay.x_slice(i)
-                fx[sl, sl] = 2.0 * scenario.costs[i].weight
-            gy = np.zeros((lay.y_dim, lay.y_dim))
-            for k in lay.human_ids:
-                sl = lay.y_slice(k)
-                gy[sl, sl] = 2.0 * scenario.costs[k].weight
-            self._fx2, self._gy2 = fx, gy
+            self._fx2, self._gy2 = 2.0 * sp.x_weight, 2.0 * sp.y_weight
 
-        # Stacked response parameters: pre-activation = S x + d per human row.
-        S = np.zeros((lay.y_dim, lay.x_dim))
-        d = np.zeros(lay.y_dim)
         self._soft_rows: list[tuple[slice, float]] = []
         sched_rows = []
         for k in lay.human_ids:
             model = scenario.human_models[k]
             rows = lay.y_slice(k)
-            d[rows] = model.base
-            for j in model.neighbor_ids:
-                S[rows, lay.x_slice(j)] = model.attitude * model.gains[j]
             if model.family != AFFINE:
                 self._soft_rows.append((rows, model.sharpness))
             sched = self.schedules.get(k)
@@ -188,7 +161,6 @@ class FlowEngine:
                 sched_rows.append(
                     (rows, s_delta, np.asarray(sched.base_delta, float), sched)
                 )
-        self._S_true, self._d_true = S, d
         self._sched_rows = sched_rows
         self._settle_time = max(
             (entry[3].settle_time for entry in sched_rows), default=0.0
@@ -206,9 +178,9 @@ class FlowEngine:
 
     def _params(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if not self._sched_rows or t >= self._settle_time:
-            return self._S_true, self._d_true
-        S = self._S_true.copy()
-        d = self._d_true.copy()
+            return self.stacked.S, self.stacked.d
+        S = self.stacked.S.copy()
+        d = self.stacked.d.copy()
         for rows, s_delta, d_delta, sched in self._sched_rows:
             phi = sched.blend(t)
             if phi > 0.0:
@@ -276,58 +248,51 @@ class FlowEngine:
 
     def constraint_gap(self, x, y, z) -> np.ndarray:
         """Decoupled residual [a_bar x ; b_bar y] + l_bar z + c_split."""
+        dc = self.dc
         return (
-            np.concatenate([self._A_bar @ x, self._B_bar @ y])
-            + self._L_bar @ z + self._C
+            np.concatenate([dc.a_bar @ x, dc.b_bar @ y])
+            + dc.lift_apply(z) + dc.c_split
         )
 
     def coupled_gap(self, x, y) -> np.ndarray:
-        return self._A_cat @ x + self._B_cat @ y + self._c
+        sp = self.stacked
+        return sp.a_cat @ x + sp.b_cat @ y + self.scenario.constraint.c
 
-    def lagrangian_gradient_x(self, x, lam, t) -> np.ndarray:
+    def lagrangian_gradient_x(self, x, lam, t) -> tuple[np.ndarray, np.ndarray]:
+        """x-gradient of the Lagrangian, and the response y it was taken at."""
         S, d = self._params(t)
         pre = S @ x + d
         y = self._activate(pre)
-        w = self._grad_g(y) + self._B_bar.T @ lam[self._rm:]
-        return self._grad_f(x) + S.T @ self._chain_scale(w, pre) \
-            + self._A_bar.T @ lam[:self._rm]
+        w = self._grad_g(y) + self.dc.b_bar.T @ lam[self._rm:]
+        grad = self._grad_f(x) + S.T @ self._chain_scale(w, pre) \
+            + self.dc.a_bar.T @ lam[:self._rm]
+        return grad, y
 
     def rhs(self, x, z, lam, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dx, dz, raw multiplier gradient) at the given stacked state."""
-        S, d = self._params(t)
-        pre = S @ x + d
-        y = self._activate(pre)
-        w = self._grad_g(y) + self._B_bar.T @ lam[self._rm:]
-        dx = -(
-            self._grad_f(x) + S.T @ self._chain_scale(w, pre)
-            + self._A_bar.T @ lam[:self._rm]
-        )
-        dz = -(self._L_bar @ lam)
-        gap = (
-            np.concatenate([self._A_bar @ x, self._B_bar @ y])
-            + self._L_bar @ z + self._C
-        )
-        return dx, dz, gap
+        grad, y = self.lagrangian_gradient_x(x, lam, t)
+        return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
     def _fold(self):
         """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
-        M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], its l_bar blocks
-        read from the node Laplacian, never from the dense lift."""
-        S, d = self._S_true, self._d_true
-        n, q = self.layout.x_dim, self.dc.block_dim
-        H = self._fx2 + S.T @ self._gy2 @ S
-        C = np.vstack([self._A_bar, self._B_bar @ S])
-        hr, hc = np.nonzero(H)
+        M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
+        b_x = -g from the oracle's reduced program and the l_bar blocks read
+        from the node Laplacian, never from the dense lift."""
+        rp = reduce_program(self.scenario)
+        dc = self.dc
+        n, q = self.layout.x_dim, dc.block_dim
+        C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
+        hr, hc = np.nonzero(rp.H)
         cr, cc = np.nonzero(C)
-        lr, lc, lv = lift_entries(self.dc.laplacian, self.dc.rows)
+        lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
         rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
         cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
-        vals = np.concatenate([-H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
+        vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
         order = np.lexsort((cols, rows))
         b = np.zeros(n + 2 * q)
-        b[:n] = -(S.T @ (self._gy2 @ d))
-        b[n + q + self._rm:] = self._B_bar @ d
-        b[n + q:] += self._C
+        b[:n] = -rp.g
+        b[n + q + self._rm:] = dc.b_bar @ rp.d
+        b[n + q:] += dc.c_split
         return rows[order], cols[order], vals[order], b
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
@@ -441,18 +406,16 @@ def integrate(
     state0 = initial if initial is not None else initial_state(scenario)
 
     try:
-        return _run_flow(engine, scenario, opts, opts.dt, state0, reference, saddle)
+        return _run_flow(engine, opts, opts.dt, state0, reference, saddle)
     except DivergenceError as exc:
         failed = metrics.FailedAttempt(dt=opts.dt, t=exc.t, max_entry=exc.max_entry)
-    final, record = _run_flow(
-        engine, scenario, opts, opts.dt / 2.0, state0, reference, saddle
-    )
+    final, record = _run_flow(engine, opts, opts.dt / 2.0, state0, reference, saddle)
     record.failed_attempt = failed
     return final, record
 
 
-def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
-    lay = scenario.layout
+def _run_flow(engine, opts, dt, state0, reference, saddle):
+    lay = engine.layout
     n, q = lay.x_dim, engine.dc.block_dim
     # Two stacked states [x, z, lambda] that trade places every step, so the
     # pre-step state is still at hand when a step has to be checked.
@@ -469,7 +432,9 @@ def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
         v_now = v_initial = 0.5 * float(scratch @ scratch)
         v_max_inc = -math.inf
 
-    samples = [_sample(engine, scenario, w, 0.0, reference, saddle)]
+    if reference is not None:
+        reference = (np.asarray(reference[0], float), np.asarray(reference[1], float))
+    samples = [_sample(engine, w, 0.0, reference, v_now)]
     termination = "max_time"
     steps_done = 0
     t = 0.0
@@ -505,7 +470,7 @@ def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
 
         converged = update_norm <= opts.tolerance
         if converged or steps_done == n_steps or steps_done % stride == 0:
-            samples.append(_sample(engine, scenario, w, t, reference, saddle))
+            samples.append(_sample(engine, w, t, reference, v_now))
         if converged:
             termination = "converged"
             break
@@ -527,29 +492,29 @@ def _run_flow(engine, scenario, opts, dt, state0, reference, saddle):
     return final, record
 
 
-def _sample(engine, scenario, w, t, reference, saddle):
-    n, q = engine.layout.x_dim, engine.dc.block_dim
+def _sample(engine, w, t, reference, saddle_dist):
+    """Trajectory sample at the stacked state w = [x, z, lambda], from one
+    response evaluation; `saddle_dist` is the distance the loop tracks."""
+    lay = engine.layout
+    n, q = lay.x_dim, engine.dc.block_dim
     x, z, lam = w[:n], w[n:n + q], w[n + q:]
-    state = engine.unstack_state(x, z, lam, t)
+    y, _ = engine.response(x, t)
     deviation = None
     if reference is not None:
-        deviation = metrics.squared_deviation(
-            scenario, state, reference, schedules=engine.schedules
-        )
-    sdist = None
-    if saddle is not None:
-        sdist = metrics.saddle_distance(scenario, state, saddle)
-    y, _ = engine.response(x, t)
-    workloads = metrics.workload_report(
-        scenario, state, schedules=engine.schedules
-    ).by_agent
+        dx, dy = x - reference[0], y - reference[1]
+        deviation = float(dx @ dx + dy @ dy)
+    # Per-agent 1-norms: every block is nonempty, so reduceat sums each one.
+    workloads = {}
+    for ids, v, offsets in ((lay.autonomous_ids, x, lay.x_offsets),
+                            (lay.human_ids, y, lay.y_offsets)):
+        workloads.update(zip(ids, np.add.reduceat(np.abs(v), [*offsets.values()]).tolist()))
     return metrics.TrajectorySample(
         t=t,
         deviation=deviation,
-        saddle_dist=sdist,
+        saddle_dist=saddle_dist,
         max_coupled_residual=float(np.max(engine.coupled_gap(x, y))),
         min_multiplier=float(np.min(lam)) if lam.size else 0.0,
-        lagrangian=engine.lagrangian_value(x, z, lam, t),
+        lagrangian=engine.objective_value(x, y) + float(lam @ engine.constraint_gap(x, y, z)),
         workloads=workloads,
     )
 
@@ -564,7 +529,7 @@ def gradient_check(
     against central finite differences."""
     engine = FlowEngine(scenario, dc)
     x, z, lam = engine.stack_state(state)
-    analytic = engine.lagrangian_gradient_x(x, lam, state.t)
+    analytic, _ = engine.lagrangian_gradient_x(x, lam, state.t)
     worst = 0.0
     for idx in range(x.shape[0]):
         bump = np.zeros_like(x)

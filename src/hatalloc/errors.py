@@ -66,3 +66,13 @@ class MessageProtocolError(HatallocError):
 
 class CertificateError(HatallocError):
     """Internal consistency failure while recovering a decoupling certificate."""
+
+
+class NoAdmissibleInstanceError(HatallocError):
+    """A generator rejected every draw; `rejected` counts them by check."""
+
+    def __init__(self, seed: int, rejected: dict[str, int]):
+        reasons = ", ".join(f"{reason} {count}" for reason, count in rejected.items())
+        super().__init__(f"no admissible instance found for seed {seed} after "
+                         f"{sum(rejected.values())} draws (rejected by: {reasons})")
+        self.rejected = rejected

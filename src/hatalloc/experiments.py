@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .dynamics import FlowEngine, integrate
-from .errors import HatallocError, UnsupportedByOracleError
+from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from .human import HumanResponseModel, attitude_preset
 from .metrics import TrajectoryRecord, workload_report
 from .model import (
@@ -267,23 +267,16 @@ def _normalize_scale(
 
 
 def _stability_margins(scenario: Scenario) -> tuple[float, float]:
-    """(spectral abscissa, forward-Euler radius) of the all-active linearization.
+    """(spectral abscissa, forward-Euler radius) of the all-active linearization,
+    the flow's affine operator M with every multiplier unclamped.
 
     Shared z/lambda consensus shifts are genuinely neutral directions of the
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    rp = reduce_program(scenario)
-    dc = build_decoupled(scenario)
-    n = scenario.layout.x_dim
-    q = dc.block_dim
-    coupling = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
-    jac = np.zeros((n + 2 * q, n + 2 * q))
-    jac[:n, :n] = -rp.H
-    jac[:n, n + q:] = -coupling.T
-    jac[n:n + q, n + q:] = -dc.l_bar
-    jac[n + q:, :n] = coupling
-    jac[n + q:, n:n + q] = dc.l_bar
+    rows, cols, vals, b = FlowEngine(scenario)._fold()
+    jac = np.zeros((b.size, b.size))
+    jac[rows, cols] = vals
     eigs = np.linalg.eigvals(jac)
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
@@ -333,50 +326,55 @@ def _grid_margins(scenario: Scenario) -> tuple[float, float, float] | None:
     )
 
 
-def _accept_team(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> bool:
+REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability",
+              "initial speed", "grid")
+
+
+def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
+    """The first check a scaled draw fails, or None when it is admissible."""
     try:
         x, y, mu, _ = solve_centralized(scenario)
     except HatallocError:
-        return False
+        return "oracle"
     if np.any(mu < 5e-4) or np.any(y < 0.0):
-        return False
+        return "multipliers/responses"
     if strictly_feasible_point(scenario) is None:
-        return False
+        return "Slater"
     abscissa, radius = _stability_margins(scenario)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
-        return False
+        return "stability"
     if _initial_speed(scenario) > 3.2:
-        return False
+        return "initial speed"
     if check_grid:
         # Every attitude cell is integrated by the grid experiment, so each
         # must be stable and reasonably damped as well.
         for cell in _attitude_cells(scenario):
             cell_abscissa, cell_radius = _stability_margins(cell)
             if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
-                return False
+                return "grid"
+        # (workload margin, cost margin | h2 seeking, cost margin | h2 averse)
         margins = _grid_margins(scenario)
-        if margins is None:
-            return False
-        workload_margin, cost_h2_seeking, cost_h2_averse = margins
-        if workload_margin < 5e-3:
-            return False
-        if cost_h2_seeking < 2e-4 or cost_h2_averse < 2e-4:
-            return False
-    return True
+        if margins is None or margins[0] < 5e-3 or margins[1] < 2e-4 or margins[2] < 2e-4:
+            return "grid"
+    return None
 
 
 def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
               check_grid, stream: int, max_attempts: int = 400) -> Scenario:
+    rejected = dict.fromkeys(REJECTIONS, 0)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
         candidate = _draw_instance(rng, auto_dims, human_dims, attitudes)
         tightened = _tighten_offsets(candidate)
         if tightened is None:
+            rejected["tighten"] += 1
             continue
         scaled = _normalize_scale(tightened)
-        if _accept_team(scaled, abscissa_bar, check_grid):
+        reason = _rejection(scaled, abscissa_bar, check_grid)
+        if reason is None:
             return scaled
-    raise HatallocError(f"no admissible instance found for seed {seed}")
+        rejected[reason] += 1
+    raise NoAdmissibleInstanceError(seed, rejected)
 
 
 @lru_cache(maxsize=16)
@@ -615,7 +613,8 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "termination": record.termination,
                 **{f"workload_{a}": w for a, w in report.by_agent.items()},
             })
-            cells[(k1, k2)] = (report, cost, record, oracle_cost)
+            kkt = _kkt_dict(kkt_residual(cell, dc, final))
+            cells[(k1, k2)] = (report, cost, record, oracle_cost, kkt)
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     cols = list(rows[0].keys())
@@ -651,8 +650,9 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 "final_update_norm": rec.final_update_norm,
                 "oracle_cost": oracle,
                 "value_gap": abs(cost - oracle) / max(1.0, abs(oracle)),
+                "kkt": kkt,
             }
-            for (k1, k2), (rep, cost, rec, oracle) in cells.items()
+            for (k1, k2), (rep, cost, rec, oracle, kkt) in cells.items()
         },
     }
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")

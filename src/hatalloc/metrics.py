@@ -19,21 +19,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import Scenario
 
 
-def _current_y(scenario, state, schedules=None) -> dict[str, np.ndarray]:
-    schedules = scenario.schedules if schedules is None else schedules
-    out = {}
-    for k in scenario.topology.human_ids:
-        out[k] = scenario.human_response(
-            k, state.x, t=state.t, schedule=schedules.get(k)
-        )
-    return out
+def _current_y(scenario, state) -> dict[str, np.ndarray]:
+    return {
+        k: scenario.human_response(k, state.x, t=state.t, schedule=scenario.schedules.get(k))
+        for k in scenario.topology.human_ids
+    }
 
 
 def squared_deviation(
     scenario: "Scenario",
     state: "SystemState",
     reference: tuple[np.ndarray, np.ndarray],
-    schedules=None,
 ) -> float:
     """Sum of squared block distances from the reference (x*, y*).
 
@@ -44,7 +40,7 @@ def squared_deviation(
     x_ref, y_ref = reference
     x_ref = np.asarray(x_ref, dtype=float)
     y_ref = np.asarray(y_ref, dtype=float)
-    y_now = _current_y(scenario, state, schedules)
+    y_now = _current_y(scenario, state)
     total = 0.0
     for i in lay.autonomous_ids:
         diff = np.asarray(state.x[i], dtype=float) - x_ref[lay.x_slice(i)]
@@ -77,13 +73,13 @@ class WorkloadReport:
     human_total: float
 
 
-def workload_report(scenario, state, schedules=None) -> WorkloadReport:
+def workload_report(scenario, state) -> WorkloadReport:
     """Per-agent 1-norm workloads plus group totals."""
     lay = scenario.layout
     by_agent = {}
     for i in lay.autonomous_ids:
         by_agent[i] = float(np.sum(np.abs(state.x[i])))
-    y_now = _current_y(scenario, state, schedules)
+    y_now = _current_y(scenario, state)
     for k in lay.human_ids:
         by_agent[k] = float(np.sum(np.abs(y_now[k])))
     return WorkloadReport(

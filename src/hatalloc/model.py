@@ -279,6 +279,52 @@ class Scenario:
         return human_mod.respond(model, inputs, t, schedule)
 
 
+@dataclass(frozen=True)
+class StackedProblem:
+    """The scenario's stacked operators, in canonical agent order.
+
+    `S` and `d` give the response pre-activation S x + d of every human (the
+    response itself for affine humans), with attitudes folded into S.
+    `a_cat` = [A_i] and `b_cat` = [B_k] are the coupled-constraint blocks side
+    by side. `x_weight` / `y_weight` are the block diagonals of the cost
+    weights, None unless every cost is quadratic.
+    """
+
+    S: np.ndarray
+    d: np.ndarray
+    a_cat: np.ndarray
+    b_cat: np.ndarray
+    x_weight: np.ndarray | None
+    y_weight: np.ndarray | None
+
+
+def stack_problem(scenario: Scenario) -> StackedProblem:
+    """Assemble the stacked operators that the flow, the oracle and the
+    generator all read."""
+    lay = scenario.layout
+    con = scenario.constraint
+    S = np.zeros((lay.y_dim, lay.x_dim))
+    d = np.zeros(lay.y_dim)
+    for k in lay.human_ids:
+        model = scenario.human_models[k]
+        rows = lay.y_slice(k)
+        d[rows] = model.base
+        for j in model.neighbor_ids:
+            S[rows, lay.x_slice(j)] = model.attitude * model.gains[j]
+    empty = np.zeros((con.rows, 0))
+    a_cat = np.hstack([empty] + [con.a_blocks[i] for i in lay.autonomous_ids])
+    b_cat = np.hstack([empty] + [con.b_blocks[k] for k in lay.human_ids])
+    x_weight = y_weight = None
+    if all(isinstance(cost, QuadraticCost) for cost in scenario.costs.values()):
+        x_weight = np.zeros((lay.x_dim, lay.x_dim))
+        for i in lay.autonomous_ids:
+            x_weight[lay.x_slice(i), lay.x_slice(i)] = scenario.costs[i].weight
+        y_weight = np.zeros((lay.y_dim, lay.y_dim))
+        for k in lay.human_ids:
+            y_weight[lay.y_slice(k), lay.y_slice(k)] = scenario.costs[k].weight
+    return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight)
+
+
 def stack_dimensions(scenario: Scenario) -> tuple[int, int, int, int, int]:
     """(total autonomous dim, total human dim, constraint rows, m, h)."""
     lay = scenario.layout

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedByOracleError,
 )
 from .human import AFFINE
-from .model import QuadraticCost, Scenario
+from .model import QuadraticCost, Scenario, stack_problem
 from .reformulation import (
     DecoupledConstraint,
     coupled_residual,
@@ -52,56 +52,29 @@ class ReducedProgram:
         return self.G_c @ x + self.h_c
 
 
-def response_map(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked affine response y = S x + d with attitudes folded into S."""
-    lay = scenario.layout
-    S = np.zeros((lay.y_dim, lay.x_dim))
-    d = np.zeros(lay.y_dim)
-    for k in lay.human_ids:
+def reduce_program(scenario: Scenario) -> ReducedProgram:
+    """Eliminate the human states, leaving a QP in the autonomous states."""
+    for agent_id, cost in scenario.costs.items():
+        if not isinstance(cost, QuadraticCost):
+            raise UnsupportedByOracleError(
+                f"cost for '{agent_id}' is not quadratic; outside oracle scope"
+            )
+    for k in scenario.layout.human_ids:
         model = scenario.human_models[k]
         if model.family != AFFINE:
             raise UnsupportedByOracleError(
                 f"human '{k}' uses family '{model.family}'; the centralized "
                 "solver handles affine responses only"
             )
-        rows = lay.y_slice(k)
-        d[rows] = model.base
-        for j in model.neighbor_ids:
-            S[rows, lay.x_slice(j)] = model.attitude * model.gains[j]
-    return S, d
+    sp = stack_problem(scenario)
+    S, d, gam_bar = sp.S, sp.d, sp.y_weight
 
-
-def reduce_program(scenario: Scenario) -> ReducedProgram:
-    """Eliminate the human states, leaving a QP in the autonomous states."""
-    lay = scenario.layout
-    for agent_id, cost in scenario.costs.items():
-        if not isinstance(cost, QuadraticCost):
-            raise UnsupportedByOracleError(
-                f"cost for '{agent_id}' is not quadratic; outside oracle scope"
-            )
-    S, d = response_map(scenario)
-
-    lam_bar = np.zeros((lay.x_dim, lay.x_dim))
-    for i in lay.autonomous_ids:
-        sl = lay.x_slice(i)
-        lam_bar[sl, sl] = scenario.costs[i].weight
-    gam_bar = np.zeros((lay.y_dim, lay.y_dim))
-    for k in lay.human_ids:
-        sl = lay.y_slice(k)
-        gam_bar[sl, sl] = scenario.costs[k].weight
-
-    H = 2.0 * (lam_bar + S.T @ gam_bar @ S)
+    H = 2.0 * (sp.x_weight + S.T @ gam_bar @ S)
     H = 0.5 * (H + H.T)
     g = 2.0 * (S.T @ (gam_bar @ d))
     const = float(d @ gam_bar @ d)
-
-    con = scenario.constraint
-    a_cat = np.hstack([con.a_blocks[i] for i in lay.autonomous_ids]) \
-        if lay.autonomous_ids else np.zeros((con.rows, 0))
-    b_cat = np.hstack([con.b_blocks[k] for k in lay.human_ids]) \
-        if lay.human_ids else np.zeros((con.rows, 0))
-    G_c = a_cat + b_cat @ S
-    h_c = con.c + b_cat @ d
+    G_c = sp.a_cat + sp.b_cat @ S
+    h_c = scenario.constraint.c + sp.b_cat @ d
     return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=h_c, S=S, d=d)
 
 
@@ -247,8 +220,8 @@ def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state) -> KKTResid
 
     engine = FlowEngine(scenario, dc)
     x, z, lam = engine.stack_state(state)
-    grad_x = engine.lagrangian_gradient_x(x, lam, state.t)
-    resid = decoupled_residual(dc, x, engine.response(x, state.t)[0], z)
+    grad_x, y = engine.lagrangian_gradient_x(x, lam, state.t)
+    resid = decoupled_residual(dc, x, y, z)
     station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0
     station_z = float(np.max(np.abs(dc.lift_apply(lam))))
     return KKTResidual(

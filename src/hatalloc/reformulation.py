@@ -11,7 +11,9 @@ inequality involves one agent and its graph neighbors only, which is what
 makes a fully distributed algorithm possible.
 
 Both residual evaluators and a constructive certificate recovery (slack
-placement plus a Laplacian least-squares solve) live here.
+placement plus a Laplacian least-squares solve) live here. The lift
+L (x) I_r is never stored: it is applied and solved on the node Laplacian,
+and `DecoupledConstraint.l_bar` builds the dense matrix only when read.
 """
 
 from __future__ import annotations
@@ -33,14 +35,20 @@ class DecoupledConstraint:
 
     a_bar: np.ndarray  # block diagonal of A_i, (r*m, sum n_i)
     b_bar: np.ndarray  # block diagonal of B_k, (r*h, sum s_k)
-    l_bar: np.ndarray  # Laplacian lift, (r(m+h), r(m+h))
-    laplacian: np.ndarray  # node Laplacian L, l_bar = L (x) I_r, (m+h, m+h)
+    laplacian: np.ndarray  # node Laplacian L, (m+h, m+h)
     c_split: np.ndarray  # blockwise split of c, (r(m+h),)
     rows: int
 
     @property
     def block_dim(self) -> int:
         return self.c_split.shape[0]
+
+    @property
+    def l_bar(self) -> np.ndarray:
+        """The dense Laplacian lift L (x) I_r, (r(m+h), r(m+h)), built anew on
+        every access. The package computes with the node Laplacian through
+        `lift_apply` and `lift_solve`; the dense lift is for inspection."""
+        return laplacian_lift(self.laplacian, self.rows)
 
     def lift_apply(self, v: np.ndarray) -> np.ndarray:
         """l_bar v, computed on the node Laplacian (one column per row)."""
@@ -99,8 +107,7 @@ def build_decoupled(scenario: Scenario, policy: str | None = None) -> DecoupledC
     lap = laplacian(scenario.topology)
     c_split = split_offset(con.c, scenario.topology, policy)
     return DecoupledConstraint(
-        a_bar=a_bar, b_bar=b_bar, l_bar=laplacian_lift(lap, con.rows),
-        laplacian=lap, c_split=c_split, rows=con.rows,
+        a_bar=a_bar, b_bar=b_bar, laplacian=lap, c_split=c_split, rows=con.rows,
     )
 
 

@@ -6,8 +6,12 @@ import pytest
 
 from hatalloc import load_scenario, save_scenario, serialize_scenario
 from hatalloc.cli import main
-from hatalloc.errors import ScenarioFormatError
+from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
+    REJECTIONS,
+    TEAM_DIMS,
+    TEAM_HUMAN_DIMS,
+    _generate,
     random_scenario,
     run_experiment,
     run_risk_grid,
@@ -48,6 +52,16 @@ class TestGenerators:
         np.testing.assert_array_equal(
             flipped.human_models["h1"].base, scenario.human_models["h1"].base
         )
+
+    def test_generator_counts_rejections_by_reason(self):
+        attitudes = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
+        with pytest.raises(NoAdmissibleInstanceError) as info:
+            _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, attitudes, abscissa_bar=-1e9,
+                      check_grid=False, stream=40, max_attempts=3)
+        rejected = info.value.rejected
+        assert list(rejected) == list(REJECTIONS)
+        assert sum(rejected.values()) == 3
+        assert "rejected by: tighten" in str(info.value)
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -243,6 +257,10 @@ class TestRunOutputs:
                 abs(cell["cost"] - oracle) / max(1.0, abs(oracle)), rel=1e-12
             )
             assert cell["value_gap"] > 1e-6
+            kkt = cell["kkt"]
+            assert set(kkt) == {"stationarity", "primal", "dual_min", "comp_slack"}
+            assert kkt["stationarity"] > 1e-6
+            assert kkt["dual_min"] >= 0.0
 
 
 class TestPresetRun:

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hatalloc import (
+    ApproximationSchedule,
     build_decoupled,
+    coupled_residual,
     initial_state,
     integrate,
+    lagrangian,
     lift_to_saddle,
     saddle_distance,
     solve_centralized,
@@ -13,6 +18,23 @@ from hatalloc import (
 )
 from hatalloc.dynamics import FlowEngine
 
+from conftest import path_scenario
+
+
+def _sampled_scenarios():
+    """An affine, a softplus and a still-settling scheduled scenario."""
+    scheduled = path_scenario(attitude=-0.7)
+    model = scheduled.human_models["k1"]
+    schedule = ApproximationSchedule(
+        gain_deltas={j: 0.5 * g for j, g in model.gains.items()},
+        base_delta=np.array([0.3, -0.2]),
+        settle_time=2.0,  # still settling when the run ends
+    )
+    return [
+        path_scenario(),
+        path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0),
+        replace(scheduled, schedules={"k1": schedule}),
+    ]
 
 
 class TestSquaredDeviation:
@@ -111,12 +133,33 @@ class TestTrajectoryRecord:
         assert "deviation" not in header
         assert "saddle_dist" not in header
 
-    def test_final_sample_matches_returned_state(self, path_team):
-        scenario = path_team.with_solver(max_time=1.0, record_stride=77)
-        x_star, y_star, _, _ = solve_centralized(scenario)
-        final, rec = integrate(scenario, reference=(x_star, y_star))
-        recomputed = squared_deviation(scenario, final, (x_star, y_star))
-        assert abs(rec.samples[-1].deviation - recomputed) <= 1e-12
+    def test_final_sample_matches_returned_state(self):
+        # The sample is computed on the stacked state; the state-level API
+        # below is the independent reference it must agree with.
+        for scenario in _sampled_scenarios():
+            scenario = scenario.with_solver(max_time=1.0, record_stride=77)
+            lay = scenario.layout
+            rng = np.random.default_rng(3)
+            reference = (rng.normal(size=lay.x_dim), rng.normal(size=lay.y_dim))
+            saddle = (rng.normal(size=lay.x_dim + lay.block_dim),
+                      rng.uniform(size=lay.block_dim))
+            dc = build_decoupled(scenario)
+            final, rec = integrate(scenario, dc=dc, reference=reference, saddle=saddle)
+            last = rec.samples[-1]
+            assert last.t == final.t
+            assert abs(last.deviation - squared_deviation(scenario, final, reference)) <= 1e-12
+            assert abs(last.saddle_dist - saddle_distance(scenario, final, saddle)) <= 1e-12
+            assert abs(last.lagrangian - lagrangian(scenario, dc, final)) <= 1e-12
+            report = workload_report(scenario, final)
+            assert list(last.workloads) == list(report.by_agent)
+            for agent, value in report.by_agent.items():
+                assert abs(last.workloads[agent] - value) <= 1e-12
+            y = lay.stack_y({
+                k: scenario.human_response(k, final.x, final.t, scenario.schedules.get(k))
+                for k in lay.human_ids
+            })
+            coupled = coupled_residual(scenario, lay.stack_x(final.x), y)
+            assert abs(last.max_coupled_residual - np.max(coupled)) <= 1e-12
 
     def test_time_strictly_increasing(self, path_team):
         scenario = path_team.with_solver(max_time=1.0, record_stride=50)
