@@ -27,6 +27,7 @@ from .errors import (
     DivergenceError,
     HatallocError,
     InfeasibleProblemError,
+    NoAdmissibleInstanceError,
     ScenarioFormatError,
     UnsupportedByOracleError,
 )
@@ -51,6 +52,12 @@ EXIT_NUMERICAL = 2
 EXIT_INFEASIBLE = 3
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hatalloc",
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, default=None)
     run.add_argument("--tol", type=float, default=None)
     run.add_argument("--max-time", type=float, default=None)
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--seed", type=non_negative_int, default=1)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument(
         "--reference", choices=["oracle", "none"], default="oracle",
@@ -76,11 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="equivalence and gradient checks")
     check.add_argument("scenario")
     check.add_argument("--samples", type=int, default=100)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=non_negative_int, default=0)
 
     preset = sub.add_parser("preset", help="write a preset's scenario file(s)")
     preset.add_argument("name", help="|".join(experiments.PRESETS))
-    preset.add_argument("--seed", type=int, default=1)
+    preset.add_argument("--seed", type=non_negative_int, default=1)
     preset.add_argument("--out", default=None)
     return parser
 
@@ -206,17 +213,10 @@ def _cmd_preset(args) -> int:
         save_scenario(base, path)
         written.append(path)
     else:
-        h1, h2 = base.topology.human_ids
-        for k1 in ("risk_seeking", "risk_averse"):
-            for k2 in ("risk_seeking", "risk_averse"):
-                cell = experiments.with_attitudes(
-                    base, {h1: (k1, 1.0), h2: (k2, 1.0)}
-                )
-                path = os.path.join(
-                    out_dir, f"fig5_{k1}_{k2}_seed{args.seed}.json"
-                )
-                save_scenario(cell, path)
-                written.append(path)
+        for (k1, k2), cell in experiments.attitude_cells(base).items():
+            path = os.path.join(out_dir, f"fig5_{k1}_{k2}_seed{args.seed}.json")
+            save_scenario(cell, path)
+            written.append(path)
     for path in written:
         print(path)
     return EXIT_OK
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
         if args.command == "preset":
             return _cmd_preset(args)
         return EXIT_USAGE
-    except (FileNotFoundError, ScenarioFormatError) as exc:
+    except (FileNotFoundError, ScenarioFormatError, NoAdmissibleInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleProblemError as exc:

@@ -9,6 +9,10 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
+The offset search (`_tighten_offsets`) reduces each risk-attitude cell of a
+draw once, probes every candidate offset c on the reduced cells with
+`ReducedProgram.with_offset`, and builds a scenario only for the one it takes.
+
 Offsets and response bases are rescaled after acceptance: for quadratic costs
 with affine responses the optimal point is exactly linear in (c, base), so
 normalizing the lifted saddle norm keeps the flow's velocity small enough for
@@ -18,6 +22,7 @@ tight per-step descent checks without touching the problem structure.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -38,17 +43,20 @@ from .model import (
     save_scenario,
 )
 from .oracle import (
+    ReducedProgram,
+    interior_point,
     kkt_residual,
     lift_to_saddle,
     reduce_program,
     solve_centralized,
-    strictly_feasible_point,
+    solve_program,
 )
 from .reformulation import build_decoupled
 from .topology import NetworkTopology, neighbors
 
 PRESETS = ("fig4_convergence", "fig5_risk_grid")
 OUTPUT_DIR_ENV = "HATALLOC_OUT_DIR"
+log = logging.getLogger(__name__)
 
 TEAM_DIMS = (3, 5, 4, 2, 1)
 TEAM_HUMAN_DIMS = (3, 5)
@@ -166,33 +174,25 @@ def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) 
     return replace(scenario, human_models=models)
 
 
-def _row_levels(scenario: Scenario, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row values of the shared constraint at x, with the offset c removed."""
-    rp = reduce_program(_with_offsets(scenario, c))
-    return rp.G_c @ x + rp.h_c - c
-
-
-def _attitude_cells(scenario: Scenario) -> list[Scenario]:
+def attitude_cells(scenario: Scenario) -> dict[tuple[str, ...], Scenario]:
+    """The instance under every combination of unit risk attitudes, keyed by
+    the humans' attitude kinds in id order (risk-seeking first)."""
     humans = scenario.topology.human_ids
-    if not humans:
-        return [scenario]
-    cells = []
-    for combo in product(("risk_seeking", "risk_averse"), repeat=len(humans)):
-        cells.append(
-            with_attitudes(scenario, {k: (kind, 1.0) for k, kind in zip(humans, combo)})
-        )
-    return cells
+    return {
+        combo: with_attitudes(scenario, {k: (kind, 1.0) for k, kind in zip(humans, combo)})
+        for combo in product(("risk_seeking", "risk_averse"), repeat=len(humans))
+    }
 
 
-def _cell_admissible(cell: Scenario) -> bool:
+def _cell_admissible(rp: ReducedProgram) -> bool:
     try:
-        _, y, mu, _ = solve_centralized(cell)
+        _, y, mu, _ = solve_program(rp)
     except HatallocError:
         return False
     return (
         bool(np.all(mu > 1e-2))
         and bool(np.all(y >= 0.0))
-        and strictly_feasible_point(cell) is not None
+        and interior_point(rp) is not None
     )
 
 
@@ -206,15 +206,18 @@ def _tighten_offsets(scenario: Scenario) -> Scenario | None:
     above the largest cost-minimal production level across cells, the budget
     a factor below the smallest demand-constrained usage.
     """
-    cells = _attitude_cells(scenario)
     slack_c = np.array([-1e6, -1e6])
-    productions = []
-    for cell in cells:
+    cells, productions = [], []
+    for cell in attitude_cells(scenario).values():
         try:
-            x0, _, _, _ = solve_centralized(_with_offsets(cell, slack_c))
+            rp = reduce_program(cell)
+            probe = rp.with_offset(slack_c)
+            x0, _, _, _ = solve_program(probe)
         except HatallocError:
             return None
-        productions.append(-_row_levels(cell, slack_c, x0)[1])
+        cells.append(rp)
+        # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
+        productions.append(-(probe.constraint(x0) - slack_c)[1])
     production0 = max(productions)
 
     for margin in (1.0, 1.8, 2.8):
@@ -222,20 +225,21 @@ def _tighten_offsets(scenario: Scenario) -> Scenario | None:
         c_demand = np.array([-1e6, demand])
         usages = []
         for cell in cells:
+            probe = cell.with_offset(c_demand)
             try:
-                x1, _, mu1, _ = solve_centralized(_with_offsets(cell, c_demand))
+                x1, _, mu1, _ = solve_program(probe)
             except HatallocError:
                 usages = None
                 break
             if mu1[1] <= 1e-2:
                 usages = None
                 break
-            usages.append(_row_levels(cell, c_demand, x1)[0])
+            usages.append((probe.constraint(x1) - c_demand)[0])
         if usages is None or min(usages) <= 0.05:
             continue
         for theta in (0.85, 0.7, 0.55):
             c_try = np.array([-theta * min(usages), demand])
-            if all(_cell_admissible(_with_offsets(cell, c_try)) for cell in cells):
+            if all(_cell_admissible(cell.with_offset(c_try)) for cell in cells):
                 return _with_offsets(scenario, c_try)
     return None
 
@@ -300,22 +304,19 @@ def _grid_margins(scenario: Scenario) -> tuple[float, float, float] | None:
     """(workload margin, cost margin | h2 seeking, cost margin | h2 averse),
     from the centralized solutions of the four attitude cells; None when a
     cell fails or produces negative human workloads."""
-    h1, h2 = scenario.topology.human_ids
     cells = {}
-    for k1 in ("risk_seeking", "risk_averse"):
-        for k2 in ("risk_seeking", "risk_averse"):
-            cell = with_attitudes(scenario, {h1: (k1, 1.0), h2: (k2, 1.0)})
-            try:
-                x, y, _, value = solve_centralized(cell)
-            except HatallocError:
-                return None
-            if np.any(y < -1e-9):
-                return None
-            lay = cell.layout
-            auto_total = sum(
-                float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids
-            )
-            cells[(k1, k2)] = (auto_total, value)
+    for key, cell in attitude_cells(scenario).items():
+        try:
+            x, y, _, value = solve_centralized(cell)
+        except HatallocError:
+            return None
+        if np.any(y < -1e-9):
+            return None
+        lay = cell.layout
+        auto_total = sum(
+            float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids
+        )
+        cells[key] = (auto_total, value)
     return (
         cells[("risk_seeking", "risk_seeking")][0]
         - cells[("risk_averse", "risk_averse")][0],
@@ -333,12 +334,13 @@ REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability
 def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
     """The first check a scaled draw fails, or None when it is admissible."""
     try:
-        x, y, mu, _ = solve_centralized(scenario)
+        rp = reduce_program(scenario)
+        _, y, mu, _ = solve_program(rp)
     except HatallocError:
         return "oracle"
     if np.any(mu < 5e-4) or np.any(y < 0.0):
         return "multipliers/responses"
-    if strictly_feasible_point(scenario) is None:
+    if interior_point(rp) is None:
         return "Slater"
     abscissa, radius = _stability_margins(scenario)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
@@ -348,7 +350,7 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
     if check_grid:
         # Every attitude cell is integrated by the grid experiment, so each
         # must be stable and reasonably damped as well.
-        for cell in _attitude_cells(scenario):
+        for cell in attitude_cells(scenario).values():
             cell_abscissa, cell_radius = _stability_margins(cell)
             if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
                 return "grid"
@@ -372,6 +374,7 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
         scaled = _normalize_scale(tightened)
         reason = _rejection(scaled, abscissa_bar, check_grid)
         if reason is None:
+            log.debug("seed %d: accepted draw %d; rejected by %s", seed, attempt, rejected)
             return scaled
         rejected[reason] += 1
     raise NoAdmissibleInstanceError(seed, rejected)
@@ -591,30 +594,28 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
     h1, h2 = base.topology.human_ids
     rows = []
     cells = {}
-    for k1 in ("risk_seeking", "risk_averse"):
-        for k2 in ("risk_seeking", "risk_averse"):
-            cell = with_attitudes(base, {h1: (k1, 1.0), h2: (k2, 1.0)})
-            dc = build_decoupled(cell)
-            final, record = integrate(cell, dc=dc)
-            engine = FlowEngine(cell, dc)
-            x, _, _ = engine.stack_state(final)
-            y, _ = engine.response(x, final.t)
-            report = workload_report(cell, final)
-            cost = engine.objective_value(x, y)
-            # The oracle's optimum shows how far a cell that stopped short of
-            # its tolerance is from the cost it should report.
-            oracle_cost = solve_centralized(cell)[3]
-            rows.append({
-                f"{h1}_attitude": k1,
-                f"{h2}_attitude": k2,
-                "autonomous_workload": report.autonomous_total,
-                "human_workload": report.human_total,
-                "total_cost": cost,
-                "termination": record.termination,
-                **{f"workload_{a}": w for a, w in report.by_agent.items()},
-            })
-            kkt = _kkt_dict(kkt_residual(cell, dc, final))
-            cells[(k1, k2)] = (report, cost, record, oracle_cost, kkt)
+    for (k1, k2), cell in attitude_cells(base).items():
+        dc = build_decoupled(cell)
+        final, record = integrate(cell, dc=dc)
+        engine = FlowEngine(cell, dc)
+        x, _, _ = engine.stack_state(final)
+        y, _ = engine.response(x, final.t)
+        report = workload_report(cell, final)
+        cost = engine.objective_value(x, y)
+        # The oracle's optimum shows how far a cell that stopped short of
+        # its tolerance is from the cost it should report.
+        oracle_cost = solve_centralized(cell)[3]
+        rows.append({
+            f"{h1}_attitude": k1,
+            f"{h2}_attitude": k2,
+            "autonomous_workload": report.autonomous_total,
+            "human_workload": report.human_total,
+            "total_cost": cost,
+            "termination": record.termination,
+            **{f"workload_{a}": w for a, w in report.by_agent.items()},
+        })
+        kkt = _kkt_dict(kkt_residual(cell, dc, final))
+        cells[(k1, k2)] = (report, cost, record, oracle_cost, kkt)
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     cols = list(rows[0].keys())

@@ -181,9 +181,6 @@ class ScenarioLayout:
     def unstack_x(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         return {i: np.array(vec[self.x_slice(i)]) for i in self.autonomous_ids}
 
-    def unstack_y(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {k: np.array(vec[self.y_slice(k)]) for k in self.human_ids}
-
     def unstack_nodes(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         return {a: np.array(vec[self.node_slice(a)]) for a in self.node_order}
 

@@ -4,12 +4,15 @@ Substituting the affine response map y = d + S x into the objective and the
 shared constraint leaves a strictly convex QP in x alone, which is solved
 exactly by enumerating active sets of the (few) constraint rows. The result
 is used as ground truth against the distributed flow: same problem, entirely
-different solution path.
+different solution path. Reduce once, solve per offset: of the reduced
+program only h_c = c + B d depends on the offset c, so
+`ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
+`solve_program` / `interior_point` solve a reduced program as it stands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +34,7 @@ from .reformulation import (
 
 MAX_ENUMERATION_ROWS = 12
 ACCEPT_TOL = 1e-9
+Solution = tuple[np.ndarray, np.ndarray, np.ndarray, float]  # (x*, y*, mu*, value)
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,15 @@ class ReducedProgram:
     h_c: np.ndarray
     S: np.ndarray  # stacked response gain, y = S x + d
     d: np.ndarray
+    b_d: np.ndarray  # B d, the human part of h_c = c + B d
+    # The part of a solve that h_c does not change; built once, shared by `with_offset`.
+    _offset_free: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def with_offset(self, c: np.ndarray) -> ReducedProgram:
+        """The same program with the scenario's constraint offset set to c."""
+        probe = replace(self, h_c=np.asarray(c, dtype=float) + self.b_d)
+        object.__setattr__(probe, "_offset_free", self._offset_free)
+        return probe
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x + self.const)
@@ -74,13 +87,17 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
     g = 2.0 * (S.T @ (gam_bar @ d))
     const = float(d @ gam_bar @ d)
     G_c = sp.a_cat + sp.b_cat @ S
-    h_c = scenario.constraint.c + sp.b_cat @ d
-    return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=h_c, S=S, d=d)
+    b_d = sp.b_cat @ d
+    return ReducedProgram(H=H, g=g, const=const, G_c=G_c,
+                          h_c=scenario.constraint.c + b_d, S=S, d=d, b_d=b_d)
 
 
-def solve_centralized(
-    scenario: Scenario,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def solve_centralized(scenario: Scenario) -> Solution:
+    """Exact solution (x*, y*, mu*, value) of the scenario's reduced QP."""
+    return solve_program(reduce_program(scenario))
+
+
+def solve_program(rp: ReducedProgram) -> Solution:
     """Exact solution (x*, y*, mu*, value) by active-set enumeration.
 
     Every subset of constraint rows is tried as the active set; a candidate
@@ -88,66 +105,67 @@ def solve_centralized(
     nonnegative (both up to 1e-9). Strict convexity makes the accepted
     solution unique.
     """
-    rp = reduce_program(scenario)
     r = rp.h_c.shape[0]
     if r > MAX_ENUMERATION_ROWS:
         raise ActiveSetEnumerationError(
             f"{r} constraint rows exceed the enumeration bound "
             f"{MAX_ENUMERATION_ROWS}"
         )
-    if rp.H.shape[0] == 0:
+    n = rp.H.shape[0]
+    if n == 0:
         # No controllable states: a constant problem, feasible or not.
         if np.max(rp.h_c) > ACCEPT_TOL:
             raise InfeasibleProblemError(
                 "fixed human responses violate the shared constraint"
             )
         return np.zeros(0), rp.d.copy(), np.zeros(r), rp.const
-    if np.min(np.linalg.eigvalsh(rp.H)) <= 0:
+    if not rp._offset_free:
+        # (active rows, inactive rows, their G_c rows) of every active set, in order.
+        sets = [(list(a), [j for j in range(r) if j not in a], rp.G_c[list(a)])
+                for size in range(r + 1) for a in combinations(range(r), size)]
+        rp._offset_free.append((bool(np.min(np.linalg.eigvalsh(rp.H)) > 0), sets))
+    convex, sets = rp._offset_free[0]
+    if not convex:
         raise UnsupportedByOracleError("reduced objective is not strictly convex")
 
-    n = rp.H.shape[0]
-    for size in range(r + 1):
-        for active in combinations(range(r), size):
-            idx = list(active)
-            G_a = rp.G_c[idx]
-            if size == 0:
-                kkt = rp.H
-                rhs = -rp.g
-            else:
-                kkt = np.block([
-                    [rp.H, G_a.T],
-                    [G_a, np.zeros((size, size))],
-                ])
-                rhs = np.concatenate([-rp.g, -rp.h_c[idx]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x = sol[:n]
-            mu_active = sol[n:]
-            if np.any(mu_active < -ACCEPT_TOL):
-                continue
-            inactive = [j for j in range(r) if j not in active]
-            if inactive and np.max(rp.constraint(x)[inactive]) > ACCEPT_TOL:
-                continue
-            mu = np.zeros(r)
-            mu[idx] = np.maximum(mu_active, 0.0)
-            y = rp.S @ x + rp.d
-            return x, y, mu, rp.objective(x)
+    kkt_buf = np.zeros((n + r, n + r))  # leading block: [[H, G_a^T], [G_a, 0]]
+    kkt_buf[:n, :n] = rp.H
+    rhs_buf = np.concatenate([-rp.g, np.empty(r)])
+    for idx, inactive, G_a in sets:
+        m = n + len(idx)
+        kkt_buf[n:m, :n] = G_a
+        kkt_buf[:n, n:m] = G_a.T
+        rhs_buf[n:m] = -rp.h_c[idx]
+        try:
+            sol = np.linalg.solve(kkt_buf[:m, :m], rhs_buf[:m])
+        except np.linalg.LinAlgError:
+            continue
+        x = sol[:n]
+        mu_active = sol[n:]
+        if (mu_active < -ACCEPT_TOL).any():
+            continue
+        if inactive and rp.constraint(x)[inactive].max() > ACCEPT_TOL:
+            continue
+        mu = np.zeros(r)
+        mu[idx] = np.maximum(mu_active, 0.0)
+        y = rp.S @ x + rp.d
+        return x, y, mu, rp.objective(x)
     raise InfeasibleProblemError(
         "no active set admissible: instance is infeasible or degenerate"
     )
 
 
-def strictly_feasible_point(
-    scenario: Scenario, margin: float = 1e-3
-) -> np.ndarray | None:
+def strictly_feasible_point(scenario: Scenario, margin: float = 1e-3) -> np.ndarray | None:
+    """`interior_point` of the scenario's reduced program."""
+    return interior_point(reduce_program(scenario), margin)
+
+
+def interior_point(rp: ReducedProgram, margin: float = 1e-3) -> np.ndarray | None:
     """A point with G_c x + h_c < 0 strictly, or None if none was found.
 
     Probes least-squares shifts at a few margins; sufficient for full
     row-rank constraints, which covers the generated scenario class.
     """
-    rp = reduce_program(scenario)
     pinv = np.linalg.pinv(rp.G_c)
     for scale in (margin, 1e-2, 1e-1, 1.0):
         x = -pinv @ (rp.h_c + scale)

@@ -27,11 +27,7 @@ class NetworkTopology:
     autonomous_ids: tuple[str, ...]
     human_ids: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    # Computed once: the autonomous id set and each agent's neighbors split
-    # into (autonomous, human).
-    _autonomous_set: frozenset[str] = field(
-        init=False, repr=False, compare=False, default=frozenset()
-    )
+    # Computed once: each agent's neighbors split into (autonomous, human).
     _split: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -66,7 +62,6 @@ class NetworkTopology:
         for key in adjacency:
             adjacency[key].sort()
         autos = frozenset(auto)
-        object.__setattr__(self, "_autonomous_set", autos)
         object.__setattr__(self, "_split", {
             node: (tuple(n for n in adj if n in autos),
                    tuple(n for n in adj if n not in autos))
@@ -93,17 +88,6 @@ class NetworkTopology:
     def node_order(self) -> tuple[str, ...]:
         """Canonical vertex order: autonomous ids then human ids."""
         return self.autonomous_ids + self.human_ids
-
-    @property
-    def n_autonomous(self) -> int:
-        return len(self.autonomous_ids)
-
-    @property
-    def n_human(self) -> int:
-        return len(self.human_ids)
-
-    def is_autonomous(self, agent_id: str) -> bool:
-        return agent_id in self._autonomous_set
 
 
 def neighbors(topology: NetworkTopology, agent_id: str) -> tuple[list[str], list[str]]:

@@ -1,10 +1,11 @@
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
-from hatalloc import load_scenario, save_scenario, serialize_scenario
+from hatalloc import experiments, load_scenario, save_scenario, serialize_scenario
 from hatalloc.cli import main
 from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
@@ -62,6 +63,19 @@ class TestGenerators:
         assert list(rejected) == list(REJECTIONS)
         assert sum(rejected.values()) == 3
         assert "rejected by: tighten" in str(info.value)
+
+    def test_generator_logs_accepted_draw(self, caplog):
+        attitudes = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
+        with caplog.at_level(logging.DEBUG, logger="hatalloc.experiments"):
+            _generate(7, TEAM_DIMS, TEAM_HUMAN_DIMS, attitudes, abscissa_bar=-0.08,
+                      check_grid=True, stream=40)
+        [record] = [r for r in caplog.records if r.name == "hatalloc.experiments"]
+        assert record.levelno == logging.DEBUG
+        seed, draw, rejected = record.args
+        assert seed == 7 and draw > 0
+        assert list(rejected) == list(REJECTIONS)
+        assert sum(rejected.values()) == draw
+        assert f"accepted draw {draw}" in record.getMessage()
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -141,6 +155,34 @@ class TestCli:
                      "--dt", "5e-4", "--tol", "1e-7", "--max-time", "20"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["dt"] == pytest.approx(5e-4)
+
+    @pytest.mark.parametrize("argv", [
+        ["preset", "fig4_convergence", "--seed", "-1"],
+        ["run", "fig5_risk_grid", "--seed", "-3"],
+        ["check", "f.json", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["preset", "run"])
+    def test_seed_without_instance_is_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        rejected = dict.fromkeys(REJECTIONS, 0)
+        rejected.update(tighten=327, stability=55, grid=18)
+
+        def no_instance(seed, attitudes=None):
+            raise NoAdmissibleInstanceError(seed, rejected)
+
+        monkeypatch.setattr(experiments, "team_scenario", no_instance)
+        assert main([command, "fig4_convergence", "--seed", "10",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "seed 10 after 400 draws" in err
+        assert "tighten 327" in err and "stability 55" in err and "grid 18" in err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 1

@@ -1,0 +1,166 @@
+"""The generator's offset search against a per-offset reference.
+
+`_tighten_offsets` reduces each attitude cell once and re-targets the reduced
+cells to every probed offset with `ReducedProgram.with_offset`. The reference
+below is the per-offset search it replaced: a new scenario for every probe,
+solved and checked with the scenario-level oracle functions. Both must pick
+the same offset bit for bit, because the generator's accepted draws (and so
+every seeded benchmark instance) depend on it.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from hatalloc import experiments, oracle
+from hatalloc.errors import HatallocError, UnsupportedByOracleError
+from hatalloc.experiments import (
+    TEAM_DIMS,
+    TEAM_HUMAN_DIMS,
+    attitude_cells,
+    _draw_instance,
+    _tighten_offsets,
+    _with_offsets,
+    crosscheck_scenario,
+)
+from hatalloc.oracle import (
+    reduce_program,
+    solve_centralized,
+    solve_program,
+    strictly_feasible_point,
+)
+
+TEAM_ATTITUDES = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
+# Team seed 1, stream 40: draws 5, 12, 14 and 15 are tightened, the other
+# eight are rejected.
+DRAWS = range(4, 16)
+
+
+def _team_draw(attempt, seed=1):
+    rng = np.random.default_rng(np.random.SeedSequence([40, seed, attempt]))
+    return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+
+
+def _reference_row_levels(scenario, c, x):
+    rp = reduce_program(_with_offsets(scenario, c))
+    return rp.G_c @ x + rp.h_c - c
+
+
+def _reference_cell_admissible(cell):
+    try:
+        _, y, mu, _ = solve_centralized(cell)
+    except HatallocError:
+        return False
+    return (
+        bool(np.all(mu > 1e-2))
+        and bool(np.all(y >= 0.0))
+        and strictly_feasible_point(cell) is not None
+    )
+
+
+def _reference_tighten(scenario):
+    """The search with one new scenario per probed offset."""
+    cells = list(attitude_cells(scenario).values())
+    slack_c = np.array([-1e6, -1e6])
+    productions = []
+    for cell in cells:
+        try:
+            x0, _, _, _ = solve_centralized(_with_offsets(cell, slack_c))
+        except HatallocError:
+            return None
+        productions.append(-_reference_row_levels(cell, slack_c, x0)[1])
+    production0 = max(productions)
+
+    for margin in (1.0, 1.8, 2.8):
+        demand = production0 + margin * (0.5 + 0.5 * abs(production0))
+        c_demand = np.array([-1e6, demand])
+        usages = []
+        for cell in cells:
+            try:
+                x1, _, mu1, _ = solve_centralized(_with_offsets(cell, c_demand))
+            except HatallocError:
+                usages = None
+                break
+            if mu1[1] <= 1e-2:
+                usages = None
+                break
+            usages.append(_reference_row_levels(cell, c_demand, x1)[0])
+        if usages is None or min(usages) <= 0.05:
+            continue
+        for theta in (0.85, 0.7, 0.55):
+            c_try = np.array([-theta * min(usages), demand])
+            if all(_reference_cell_admissible(_with_offsets(cell, c_try))
+                   for cell in cells):
+                return _with_offsets(scenario, c_try)
+    return None
+
+
+@pytest.mark.parametrize("attempt", DRAWS)
+def test_tighten_matches_per_offset_reference(attempt):
+    draw = _team_draw(attempt)
+    got = _tighten_offsets(draw)
+    expected = _reference_tighten(draw)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert np.array_equal(got.constraint.c, expected.constraint.c)
+
+
+def test_draws_cover_accepted_and_rejected():
+    outcomes = {_tighten_offsets(_team_draw(attempt)) is None for attempt in DRAWS}
+    assert outcomes == {True, False}
+
+
+def test_tighten_reduces_each_cell_once(monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return reduce_program(scenario)
+
+    monkeypatch.setattr(experiments, "reduce_program", counting)
+    monkeypatch.setattr(oracle, "reduce_program", counting)
+    draw = _team_draw(5)
+    assert _tighten_offsets(draw) is not None
+    assert 0 < len(calls) <= len(attitude_cells(draw))
+
+
+def _outcome(solve):
+    """The solution, or the type of the package error it raised."""
+    try:
+        return solve()
+    except HatallocError as exc:
+        return type(exc)
+
+
+OFFSET_SCENARIOS = [crosscheck_scenario(seed) for seed in (1, 2, 3)] + [_team_draw(5)]
+offsets = st.floats(-50.0, 50.0, allow_nan=False) | st.just(-1e6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_program_at_offset_equals_scenario_at_offset(data):
+    scenario = data.draw(st.sampled_from(OFFSET_SCENARIOS))
+    c = data.draw(arrays(float, scenario.constraint.rows, elements=offsets))
+    got = _outcome(lambda: solve_program(reduce_program(scenario).with_offset(c)))
+    expected = _outcome(lambda: solve_centralized(_with_offsets(scenario, c)))
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    for a, b in zip(got[:3], expected[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == expected[3]
+
+
+def test_convexity_verdict_follows_the_hessian():
+    scenario = crosscheck_scenario(1)
+    rp = reduce_program(scenario)
+    x_star = solve_program(rp)[0]  # records the verdict for rp and its offset copies
+    flat = replace(rp, H=np.zeros_like(rp.H))
+    for program in (flat, flat.with_offset(np.array([-1e6, -1e6]))):
+        with pytest.raises(UnsupportedByOracleError):
+            solve_program(program)
+    assert np.array_equal(solve_program(rp.with_offset(scenario.constraint.c))[0], x_star)

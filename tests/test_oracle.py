@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hatalloc import (
     build_decoupled,
@@ -11,11 +14,12 @@ from hatalloc import (
 )
 from hatalloc.errors import (
     ActiveSetEnumerationError,
+    HatallocError,
     InfeasibleProblemError,
     UnsupportedByOracleError,
 )
-from hatalloc.experiments import crosscheck_scenario, random_scenario
-from hatalloc.oracle import assert_slater, strictly_feasible_point
+from hatalloc.experiments import _with_offsets, crosscheck_scenario, random_scenario
+from hatalloc.oracle import assert_slater, solve_program, strictly_feasible_point
 from hatalloc.dynamics import FlowEngine
 
 from conftest import path_scenario, single_agent_scenario
@@ -163,6 +167,31 @@ class TestSaddleLift:
             assert res.primal <= 1e-6
             assert res.dual_min >= 0.0
             assert res.comp_slack <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lift_is_stationary_at_rescaled_offsets(self, data):
+        base = crosscheck_scenario(data.draw(st.sampled_from((1, 2, 3))))
+        scale = data.draw(arrays(float, base.constraint.rows,
+                                 elements=st.floats(0.25, 4.0)))
+        c = base.constraint.c * scale
+        try:
+            x_star, _, mu_star, _ = solve_program(reduce_program(base).with_offset(c))
+        except HatallocError:
+            assume(False)
+        scenario = _with_offsets(base, c)
+        dc = build_decoupled(scenario)
+        z_star, lam_star, _ = lift_to_saddle(scenario, dc, x_star, mu_star)
+        lay = scenario.layout
+        state = initial_state(scenario)
+        state.x = lay.unstack_x(x_star)
+        state.z = lay.unstack_nodes(z_star)
+        state.lam = lay.unstack_nodes(lam_star)
+        res = kkt_residual(scenario, dc, state)
+        assert res.stationarity <= 1e-6
+        assert res.primal <= 1e-6
+        assert res.comp_slack <= 1e-6
+        assert res.dual_min >= 0.0
 
     def test_multiplier_lift_is_consensus(self, path_team):
         dc = build_decoupled(path_team)
