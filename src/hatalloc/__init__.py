@@ -15,16 +15,11 @@ from .agents import (
     agent_round,
 )
 from .dynamics import (
-    FlowDerivative,
     FlowEngine,
     SystemState,
-    flow_rhs,
     gradient_check,
     initial_state,
     integrate,
-    lagrangian,
-    projection_plus,
-    step,
 )
 from .human import (
     ApproximationSchedule,
@@ -80,7 +75,6 @@ __all__ = [
     "CustomCost",
     "DecoupledConstraint",
     "DistributedRunner",
-    "FlowDerivative",
     "FlowEngine",
     "HumanProxyView",
     "HumanResponseModel",
@@ -101,18 +95,15 @@ __all__ = [
     "coupled_residual",
     "decoupled_residual",
     "find_certificate_z",
-    "flow_rhs",
     "gradient_check",
     "initial_state",
     "integrate",
     "kkt_residual",
-    "lagrangian",
     "laplacian",
     "laplacian_lift",
     "lift_to_saddle",
     "load_scenario",
     "neighbors",
-    "projection_plus",
     "reduce_program",
     "respond",
     "response_jacobian",
@@ -124,6 +115,5 @@ __all__ = [
     "split_offset",
     "squared_deviation",
     "stack_dimensions",
-    "step",
     "workload_report",
 ]

@@ -24,11 +24,14 @@ y = S x + d is folded into one sparse affine operator (`FlowEngine.velocity`):
 where H and g come from the oracle's `reduce_program`, so the flow and the
 oracle step one assembled problem. The velocity is M w + b; M is graph-local,
 kept as row, column and value arrays of its O(edges) nonzeros. Every other
-scenario takes its velocity from `FlowEngine.rhs`, which is also the
-reference that the per-agent rounds and `_step_arrays` use. Both velocities
-give the same trajectory to roundoff. Samples are taken on the stacked state,
-from one response evaluation each; the state-level functions in `metrics`
-are the reference they agree with.
+scenario takes its velocity from `FlowEngine.rhs`.
+
+The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
+projected Euler step on the stacked arrays. The per-agent rounds of `agents`
+and the sparse operator are held to it, and both velocities give the same
+trajectory to roundoff. Samples are taken on the stacked state, from one
+response evaluation each; the state-level functions in `metrics` are the
+reference they agree with.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ from .oracle import reduce_program
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import lift_entries
 
-PROJECTION_DOMAIN_TOL = 1e-12
-
 
 @dataclass
 class SystemState:
@@ -62,13 +63,6 @@ class SystemState:
     z: dict[str, np.ndarray]
     lam: dict[str, np.ndarray]
     t: float = 0.0
-
-
-@dataclass
-class FlowDerivative:
-    dx: dict[str, np.ndarray]
-    dz: dict[str, np.ndarray]
-    dlam: dict[str, np.ndarray]
 
 
 def initial_state(scenario: Scenario) -> SystemState:
@@ -100,23 +94,6 @@ def initial_state(scenario: Scenario) -> SystemState:
         if np.any(block < 0):
             raise ValueError(f"initial multiplier for '{agent_id}' is negative")
     return SystemState(x=x, z=z, lam=lam, t=0.0)
-
-
-def projection_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise projected value: a where b > 0, max(0, a) where b = 0.
-
-    Negative b is a contract violation (multipliers never go negative).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if np.any(b < -PROJECTION_DOMAIN_TOL):
-        raise ValueError(
-            "projection evaluated at a negative base point; multiplier "
-            "nonnegativity was broken upstream"
-        )
-    return np.where(b > 0, a, np.maximum(0.0, a))
 
 
 class FlowEngine:
@@ -330,27 +307,6 @@ class FlowEngine:
         )
 
 
-def lagrangian(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> float:
-    """Lagrangian value F(x) + G(y) + lambda . (decoupled residual)."""
-    engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
-    return engine.lagrangian_value(x, z, lam, state.t)
-
-
-def flow_rhs(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> FlowDerivative:
-    """Continuous-time right-hand side, multiplier part projected at lambda."""
-    engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
-    dx, dz, gap = engine.rhs(x, z, lam, state.t)
-    dlam = projection_plus(gap, lam)
-    lay = scenario.layout
-    return FlowDerivative(
-        dx=lay.unstack_x(dx),
-        dz=lay.unstack_nodes(dz),
-        dlam=lay.unstack_nodes(dlam),
-    )
-
-
 def _finite_max(block: np.ndarray) -> float:
     """Largest finite |entry| of a block (inf when none is finite)."""
     finite = block[np.isfinite(block)]
@@ -370,40 +326,29 @@ def _step_arrays(engine: FlowEngine, x, z, lam, t, dt):
     return x + dt * dx, z + dt * dz, lam_new, dx, dz
 
 
-def step(scenario: Scenario, dc: DecoupledConstraint, state: SystemState, dt: float) -> SystemState:
-    """One projected forward-Euler step evaluated at the pre-step state."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
-    x2, z2, lam2, _, _ = _step_arrays(engine, x, z, lam, state.t, dt)
-    return engine.unstack_state(x2, z2, lam2, state.t + dt)
-
-
 def integrate(
     scenario: Scenario,
-    options=None,
     dc: DecoupledConstraint | None = None,
     reference: tuple[np.ndarray, np.ndarray] | None = None,
     saddle: tuple[np.ndarray, np.ndarray] | None = None,
-    initial: SystemState | None = None,
     schedules: dict | None = None,
 ) -> tuple[SystemState, metrics.TrajectoryRecord]:
     """Run the flow until the update norm drops below tolerance or time runs out.
 
-    The stopping rule is ||(dx, dz, d lambda)||_2 <= tolerance, with the
-    multiplier part measured as the realized post-projection change per unit
-    time. On divergence the step size is halved and the run restarted once;
+    The run starts from `initial_state(scenario)` and uses the step size,
+    tolerance and horizon of `scenario.solver`. The stopping rule is
+    ||(dx, dz, d lambda)||_2 <= tolerance, with the multiplier part measured
+    as the realized post-projection change per unit time. On divergence the step size is halved and the run restarted once;
     the record's `failed_attempt` then names the step size that diverged.
 
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
     enables distance-to-saddle recording, tracked at every step.
     """
-    opts = options if options is not None else scenario.solver
+    opts = scenario.solver
     if dc is None:
         dc = build_decoupled(scenario, opts.offset_split)
     engine = FlowEngine(scenario, dc, schedules)
-    state0 = initial if initial is not None else initial_state(scenario)
+    state0 = initial_state(scenario)
 
     try:
         return _run_flow(engine, opts, opts.dt, state0, reference, saddle)

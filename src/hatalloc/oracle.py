@@ -29,7 +29,7 @@ from .reformulation import (
     DecoupledConstraint,
     coupled_residual,
     decoupled_residual,
-    stacked_terms,
+    find_certificate_z,
 )
 
 MAX_ENUMERATION_ROWS = 12
@@ -194,8 +194,10 @@ def lift_to_saddle(
 
     Returns (z*, lambda*, eta*) where lambda* repeats mu* on every block (the
     Laplacian kernel forces consensus multipliers on a connected graph) and
-    z* is recovered with slack placed only on inactive rows, so complementary
-    slackness carries over and the flow is stationary at the lifted point.
+    z* is recovered by `find_certificate_z` with slack placed only on inactive
+    rows, so complementary slackness carries over and the flow is stationary
+    at the lifted point. Raises `CertificateError` when the Laplacian solve
+    for z* leaves a residual, i.e. the decoupled constraint is broken.
     """
     rp = reduce_program(scenario)
     y_star = rp.S @ x_star + rp.d
@@ -206,12 +208,7 @@ def lift_to_saddle(
         )
     slack_rows = np.minimum(coupled, 0.0)
     slack_rows[mu_star > active_tol] = 0.0
-
-    terms = stacked_terms(dc, x_star, y_star)
-    slack = np.zeros_like(terms)
-    slack[:dc.rows] = -slack_rows
-    rhs = -(terms + slack)
-    z_star = dc.lift_solve(rhs)
+    z_star = find_certificate_z(dc, x_star, y_star, slack_rows)
 
     n_nodes = len(scenario.layout.node_order)
     lam_star = np.tile(mu_star, n_nodes)

@@ -8,6 +8,7 @@ import pytest
 from hatalloc import NetworkTopology, Scenario
 from hatalloc.human import HumanResponseModel
 from hatalloc.model import CouplingConstraint, QuadraticCost, SolverOptions
+from hatalloc.reformulation import decoupled_residual_blocks
 
 
 def single_agent_scenario(c=(-1.0,)):
@@ -84,6 +85,25 @@ def path_scenario(attitude=0.5, family="affine", beta=6.0):
         human_models={"k1": model},
         solver=SolverOptions(),
     )
+
+
+def resummed_lagrangian(scenario, dc, state):
+    """F(x) + G(y) + lambda . (decoupled residual), summed agent by agent.
+
+    Built from the per-agent costs, `Scenario.human_response` and
+    `decoupled_residual_blocks`, so it shares no code with `FlowEngine`.
+    """
+    lay = scenario.layout
+    y = {
+        k: scenario.human_response(k, state.x, state.t, scenario.schedules.get(k))
+        for k in lay.human_ids
+    }
+    total = sum(scenario.costs[i].value(state.x[i]) for i in lay.autonomous_ids)
+    total += sum(scenario.costs[k].value(y[k]) for k in lay.human_ids)
+    blocks = decoupled_residual_blocks(
+        scenario, dc, lay.stack_x(state.x), lay.stack_y(y), state.z
+    )
+    return total + sum(float(state.lam[a] @ blocks[a]) for a in lay.node_order)
 
 
 @pytest.fixture

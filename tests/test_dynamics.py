@@ -1,24 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hatalloc import (
     build_decoupled,
-    flow_rhs,
     gradient_check,
     initial_state,
     integrate,
     kkt_residual,
-    lagrangian,
     lift_to_saddle,
-    projection_plus,
     solve_centralized,
-    step,
 )
-from hatalloc.dynamics import FlowEngine
+from hatalloc.dynamics import FlowEngine, _step_arrays
 from hatalloc.errors import DivergenceError
 from hatalloc.experiments import random_scenario
+from hatalloc.model import CouplingConstraint
 
-from conftest import free_multiplier_scenario, path_scenario, single_agent_scenario
+from conftest import (
+    free_multiplier_scenario,
+    path_scenario,
+    resummed_lagrangian,
+    single_agent_scenario,
+)
 
 
 def random_state(scenario, rng, lam_scale=1.0):
@@ -31,69 +35,65 @@ def random_state(scenario, rng, lam_scale=1.0):
     return state
 
 
+def single_agent_arrays(x, lam=(0.0,), c=(-1.0,)):
+    """`single_agent_scenario` with one x-weighted row per entry of c, its
+    engine, and the stacked state (x, z = 0, lam). A single vertex has a zero
+    Laplacian, so the raw multiplier gradient is x + c."""
+    scenario = replace(
+        single_agent_scenario(),
+        constraint=CouplingConstraint(
+            {"a1": np.ones((len(c), 1))}, {}, np.array(c, dtype=float)
+        ),
+    )
+    engine = FlowEngine(scenario, build_decoupled(scenario))
+    lam = np.array(lam, dtype=float)
+    return engine, np.array(x, dtype=float), np.zeros_like(lam), lam
+
+
 class TestProjection:
+    """The clamp of `_step_arrays`: lambda <- max(0, lambda + dt * gap)."""
+
     def test_clamps_at_zero_base(self):
-        np.testing.assert_array_equal(projection_plus([-1.0], [0.0]), [0.0])
+        engine, x, z, lam = single_agent_arrays([0.0], lam=[0.0])  # gap = -1
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 0.1)
+        np.testing.assert_array_equal(lam_new, [0.0])
 
     def test_passes_through_at_positive_base(self):
-        np.testing.assert_array_equal(projection_plus([-1.0], [0.5]), [-1.0])
+        engine, x, z, lam = single_agent_arrays([0.0], lam=[0.5])  # gap = -1
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 0.1)
+        np.testing.assert_array_equal(lam_new, [0.5 + 0.1 * -1.0])
 
     def test_componentwise(self):
-        np.testing.assert_array_equal(
-            projection_plus([2.0, -3.0], [0.0, 1.0]), [2.0, -3.0]
+        engine, x, z, lam = single_agent_arrays(
+            [0.0], lam=[0.0, 1.0, 0.0], c=[2.0, -3.0, -1.0]
         )
-
-    def test_negative_base_rejected(self):
-        with pytest.raises(ValueError):
-            projection_plus([1.0], [-1e-6])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            projection_plus([1.0, 2.0], [0.0])
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 0.1)
+        np.testing.assert_array_equal(lam_new, [0.1 * 2.0, 1.0 + 0.1 * -3.0, 0.0])
 
 
 class TestLagrangian:
     def test_multiplier_free_is_objective(self, path_team):
-        dc = build_decoupled(path_team)
+        engine = FlowEngine(path_team, build_decoupled(path_team))
         state = initial_state(path_team)
         state.x["a1"] = np.array([1.0, 0.0])
-        value = lagrangian(path_team, dc, state)
-        engine = FlowEngine(path_team, dc)
-        x, _, _ = engine.stack_state(state)
+        x, z, lam = engine.stack_state(state)
         y, _ = engine.response(x, 0.0)
-        assert value == pytest.approx(engine.objective_value(x, y))
+        assert engine.lagrangian_value(x, z, lam, 0.0) == pytest.approx(
+            engine.objective_value(x, y)
+        )
 
-    def test_single_agent_arithmetic(self, single_agent):
-        dc = build_decoupled(single_agent)
-        state = initial_state(single_agent)
-        state.x["a1"] = np.array([2.0])
-        state.lam["a1"] = np.array([1.0])
-        assert lagrangian(single_agent, dc, state) == pytest.approx(5.0)
+    def test_single_agent_arithmetic(self):
+        engine, x, z, lam = single_agent_arrays([2.0], lam=[1.0])
+        assert engine.lagrangian_value(x, z, lam, 0.0) == pytest.approx(5.0)
 
     def test_equals_per_agent_resummation(self, path_team):
         dc = build_decoupled(path_team)
-        rng = np.random.default_rng(0)
-        state = random_state(path_team, rng)
-        value = lagrangian(path_team, dc, state)
-
-        # independent per-agent accumulation
-        lay = path_team.layout
+        state = random_state(path_team, np.random.default_rng(0))
         engine = FlowEngine(path_team, dc)
-        x, z, lam = engine.stack_state(state)
-        y, _ = engine.response(x, 0.0)
-        total = 0.0
-        for i in lay.autonomous_ids:
-            total += path_team.costs[i].value(x[lay.x_slice(i)])
-        for k in lay.human_ids:
-            total += path_team.costs[k].value(y[lay.y_slice(k)])
-        from hatalloc.reformulation import decoupled_residual_blocks
-
-        blocks = decoupled_residual_blocks(
-            path_team, dc, x, y, {a: z[lay.node_slice(a)] for a in lay.node_order}
+        value = engine.lagrangian_value(*engine.stack_state(state), state.t)
+        assert value == pytest.approx(
+            resummed_lagrangian(path_team, dc, state), abs=1e-10
         )
-        for a in lay.node_order:
-            total += float(lam[lay.node_slice(a)] @ blocks[a])
-        assert value == pytest.approx(total, abs=1e-10)
 
 
 class TestFlowRhs:
@@ -101,73 +101,61 @@ class TestFlowRhs:
         dc = build_decoupled(path_team)
         x_star, y_star, mu_star, _ = solve_centralized(path_team)
         z_star, lam_star, _ = lift_to_saddle(path_team, dc, x_star, mu_star)
-        lay = path_team.layout
-        state = initial_state(path_team)
-        state.x = lay.unstack_x(x_star)
-        state.z = lay.unstack_nodes(z_star)
-        state.lam = lay.unstack_nodes(lam_star)
-        deriv = flow_rhs(path_team, dc, state)
-        for block in deriv.dx.values():
-            assert np.max(np.abs(block)) <= 1e-6
-        for block in deriv.dz.values():
-            assert np.max(np.abs(block)) <= 1e-6
-        for block in deriv.dlam.values():
-            assert np.max(np.abs(block)) <= 1e-6
+        engine = FlowEngine(path_team, dc)
+        dx, dz, _ = engine.rhs(x_star, z_star, lam_star, 0.0)
+        assert np.max(np.abs(dx)) <= 1e-6
+        assert np.max(np.abs(dz)) <= 1e-6
+        # the projected multiplier velocity: the clamped step's change per dt
+        dt = 1e-3
+        _, _, lam_new, _, _ = _step_arrays(engine, x_star, z_star, lam_star, 0.0, dt)
+        assert np.max(np.abs(lam_new - lam_star)) / dt <= 1e-6
 
-    def test_clamp_at_zero_multiplier_interior(self, single_agent):
-        dc = build_decoupled(single_agent)
-        state = initial_state(single_agent)
-        state.x["a1"] = np.array([0.0])  # residual = -1 < 0, lam = 0
-        deriv = flow_rhs(single_agent, dc, state)
-        np.testing.assert_array_equal(deriv.dlam["a1"], [0.0])
+    def test_clamp_at_zero_multiplier_interior(self):
+        engine, x, z, lam = single_agent_arrays([0.0])  # gap = -1 < 0, lam = 0
+        _, _, gap = engine.rhs(x, z, lam, 0.0)
+        np.testing.assert_array_equal(gap, [-1.0])
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 1e-3)
+        np.testing.assert_array_equal(lam_new, lam)
 
     def test_no_humans_matches_hand_assembly(self):
         scenario = random_scenario(31, n_human=0, n_autonomous=3, rows=2)
         dc = build_decoupled(scenario)
         rng = np.random.default_rng(1)
-        state = random_state(scenario, rng)
-        deriv = flow_rhs(scenario, dc, state)
+        engine = FlowEngine(scenario, dc)
+        x, z, lam = engine.stack_state(random_state(scenario, rng))
+        dx, _, _ = engine.rhs(x, z, lam, 0.0)
 
         lay = scenario.layout
         lam_bar = np.zeros((lay.x_dim, lay.x_dim))
         for i in lay.autonomous_ids:
             sl = lay.x_slice(i)
             lam_bar[sl, sl] = scenario.costs[i].weight
-        x = lay.stack_x(state.x)
-        lam = lay.stack_nodes(state.lam)
         expected = -(2.0 * lam_bar @ x + dc.a_bar.T @ lam)
-        np.testing.assert_allclose(lay.stack_x(deriv.dx), expected, atol=1e-12)
+        np.testing.assert_allclose(dx, expected, atol=1e-12)
 
 
 class TestStep:
+    """`_step_arrays`, the reference projected Euler step."""
+
     def test_zero_derivative_only_advances_time(self, single_agent):
-        dc = build_decoupled(single_agent)
         x_star, _, mu_star, _ = solve_centralized(single_agent)
-        state = initial_state(single_agent)
-        state.x["a1"] = x_star.copy()
-        out = step(single_agent, dc, state, 0.5)
-        np.testing.assert_allclose(out.x["a1"], x_star, atol=1e-12)
-        assert out.t == 0.5
+        engine, x, z, lam = single_agent_arrays(x_star, lam=mu_star)
+        x_new, z_new, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 0.5)
+        # the state stays put; only the caller's clock moves on
+        np.testing.assert_allclose(x_new, x_star, atol=1e-12)
+        np.testing.assert_array_equal(z_new, z)
+        np.testing.assert_array_equal(lam_new, mu_star)
 
-    def test_multiplier_clamped(self, single_agent):
-        dc = build_decoupled(single_agent)
-        state = initial_state(single_agent)
-        state.x["a1"] = np.array([-4.0])  # residual = -5
-        out = step(single_agent, dc, state, 0.3)
-        np.testing.assert_array_equal(out.lam["a1"], [0.0])
+    def test_multiplier_clamped(self):
+        engine, x, z, lam = single_agent_arrays([-4.0])  # residual = -5
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 0.3)
+        np.testing.assert_array_equal(lam_new, [0.0])
 
-    def test_arithmetic_from_rhs_example(self, single_agent):
-        dc = build_decoupled(single_agent)
-        state = initial_state(single_agent)
-        state.x["a1"] = np.array([2.0])
-        state.lam["a1"] = np.array([1.0])
-        out = step(single_agent, dc, state, 0.1)
-        np.testing.assert_allclose(out.x["a1"], [1.5])
-
-    def test_rejects_nonpositive_dt(self, single_agent):
-        dc = build_decoupled(single_agent)
-        with pytest.raises(ValueError):
-            step(single_agent, dc, initial_state(single_agent), 0.0)
+    def test_arithmetic_from_rhs_example(self):
+        engine, x, z, lam = single_agent_arrays([2.0], lam=[1.0])
+        x_new, _, _, dx, _ = _step_arrays(engine, x, z, lam, 0.0, 0.1)
+        np.testing.assert_allclose(dx, [-5.0])  # -(2 x + lambda)
+        np.testing.assert_allclose(x_new, [1.5])
 
 
 class TestIntegrate:
@@ -293,7 +281,7 @@ class TestHumanOnlyEdges:
         # a human connected to another human exchanges only auxiliary blocks
         import numpy as np
 
-        from hatalloc import NetworkTopology, Scenario, build_decoupled, step
+        from hatalloc import NetworkTopology, Scenario, build_decoupled
         from hatalloc.agents import DistributedRunner
         from hatalloc.human import HumanResponseModel
         from hatalloc.model import CouplingConstraint, QuadraticCost
@@ -324,11 +312,11 @@ class TestHumanOnlyEdges:
         state = initial_state(scenario)
         runner = DistributedRunner(scenario, dc, state=state)
         runner.sweep(1e-3)
-        compact = step(scenario, dc, state, 1e-3)
-        for a in topo.node_order:
-            np.testing.assert_allclose(
-                runner.state().lam[a], compact.lam[a], atol=1e-14
-            )
+        engine = FlowEngine(scenario, dc)
+        x, z, lam = engine.stack_state(state)
+        _, _, lam_new, _, _ = _step_arrays(engine, x, z, lam, 0.0, 1e-3)
+        _, _, lam_swept = engine.stack_state(runner.state())
+        np.testing.assert_allclose(lam_swept, lam_new, atol=1e-14)
 
 
 class TestSaddleDescent:

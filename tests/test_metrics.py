@@ -9,7 +9,6 @@ from hatalloc import (
     coupled_residual,
     initial_state,
     integrate,
-    lagrangian,
     lift_to_saddle,
     saddle_distance,
     solve_centralized,
@@ -18,7 +17,7 @@ from hatalloc import (
 )
 from hatalloc.dynamics import FlowEngine
 
-from conftest import path_scenario
+from conftest import path_scenario, resummed_lagrangian
 
 
 def _sampled_scenarios():
@@ -135,7 +134,8 @@ class TestTrajectoryRecord:
 
     def test_final_sample_matches_returned_state(self):
         # The sample is computed on the stacked state; the state-level API
-        # below is the independent reference it must agree with.
+        # and the per-agent resummation below are the independent references
+        # it must agree with.
         for scenario in _sampled_scenarios():
             scenario = scenario.with_solver(max_time=1.0, record_stride=77)
             lay = scenario.layout
@@ -149,7 +149,7 @@ class TestTrajectoryRecord:
             assert last.t == final.t
             assert abs(last.deviation - squared_deviation(scenario, final, reference)) <= 1e-12
             assert abs(last.saddle_dist - saddle_distance(scenario, final, saddle)) <= 1e-12
-            assert abs(last.lagrangian - lagrangian(scenario, dc, final)) <= 1e-12
+            assert abs(last.lagrangian - resummed_lagrangian(scenario, dc, final)) <= 1e-12
             report = workload_report(scenario, final)
             assert list(last.workloads) == list(report.by_agent)
             for agent, value in report.by_agent.items():

@@ -1,7 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hatalloc import (
     load_scenario,
@@ -15,6 +19,8 @@ from hatalloc.errors import (
     NotPositiveDefiniteError,
     ScenarioFormatError,
 )
+from hatalloc.experiments import random_scenario
+from hatalloc.human import ApproximationSchedule
 from hatalloc.model import (
     CustomCost,
     QuadraticCost,
@@ -172,11 +178,50 @@ class TestCosts:
         assert midpoint_convexity_gap(cost, rng, samples=100) <= 1e-9
 
 
+@st.composite
+def scenarios(draw):
+    """A `random_scenario` of either response family, with a schedule on its
+    first human (if it has one) and an `initial_state`. The offset c takes
+    any finite floats, subnormal and huge ones included."""
+    families = draw(st.sampled_from(
+        [("affine",), ("softplus_affine",), ("affine", "softplus_affine")]
+    ))
+    scenario = random_scenario(draw(st.integers(0, 10_000)), families=families)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lay = scenario.layout
+    c = draw(arrays(float, lay.rows, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    schedules = {}
+    for k in lay.human_ids[:1]:
+        model = scenario.human_models[k]
+        schedules[k] = ApproximationSchedule(
+            gain_deltas={j: rng.normal(size=g.shape) for j, g in model.gains.items()},
+            base_delta=rng.normal(size=model.dim),
+            settle_time=float(rng.uniform(0.0, 5.0)),
+        )
+    start = {
+        "x": {i: rng.normal(size=scenario.dims[i]).tolist() for i in lay.autonomous_ids},
+        "z": {a: rng.normal(size=lay.rows).tolist() for a in lay.node_order},
+        "lambda": {a: rng.uniform(0.0, 1.0, lay.rows).tolist() for a in lay.node_order},
+    }
+    return replace(
+        scenario,
+        constraint=replace(scenario.constraint, c=c),
+        schedules=schedules,
+        initial_state=start,
+    )
+
+
 class TestRoundTrip:
-    def test_serialize_load_is_bit_exact(self):
-        scenario = scenario_from_document(reference_dims_doc())
-        text = json.dumps(serialize_scenario(scenario))
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios())
+    @example(scenario=scenario_from_document(reference_dims_doc()))
+    def test_serialize_load_is_bit_exact(self, scenario):
+        doc = serialize_scenario(scenario)
+        text = json.dumps(doc)
         again = load_scenario(text)
+        assert serialize_scenario(again) == doc
+        assert json.dumps(serialize_scenario(again)) == text  # -0.0 stays -0.0
+        # and nothing was lost on the way into the document
         for agent_id, cost in scenario.costs.items():
             np.testing.assert_array_equal(cost.weight, again.costs[agent_id].weight)
         for agent_id, block in scenario.constraint.a_blocks.items():
@@ -187,9 +232,18 @@ class TestRoundTrip:
         for k, model in scenario.human_models.items():
             other = again.human_models[k]
             np.testing.assert_array_equal(model.base, other.base)
-            assert model.attitude == other.attitude
+            assert (model.family, model.attitude) == (other.family, other.attitude)
+            if model.family == "softplus_affine":  # affine responses have no beta
+                assert model.sharpness == other.sharpness
             for j, gain in model.gains.items():
                 np.testing.assert_array_equal(gain, other.gains[j])
+        for k, sched in scenario.schedules.items():
+            other = again.schedules[k]
+            np.testing.assert_array_equal(sched.base_delta, other.base_delta)
+            assert sched.settle_time == other.settle_time
+            for j, delta in sched.gain_deltas.items():
+                np.testing.assert_array_equal(delta, other.gain_deltas[j])
+        assert again.initial_state == scenario.initial_state
 
 
 class TestSolverOptions:

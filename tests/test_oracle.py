@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from hatalloc import (
 )
 from hatalloc.errors import (
     ActiveSetEnumerationError,
+    CertificateError,
     HatallocError,
     InfeasibleProblemError,
     UnsupportedByOracleError,
@@ -167,6 +170,15 @@ class TestSaddleLift:
             assert res.primal <= 1e-6
             assert res.dual_min >= 0.0
             assert res.comp_slack <= 1e-6
+
+    def test_broken_laplacian_raises_certificate_error(self, path_team):
+        # The lift solves for z* with `find_certificate_z`, which refuses a
+        # z* that does not solve its own Laplacian system.
+        dc = build_decoupled(path_team)
+        x_star, _, mu_star, _ = solve_centralized(path_team)
+        broken = replace(dc, laplacian=np.zeros_like(dc.laplacian))
+        with pytest.raises(CertificateError):
+            lift_to_saddle(path_team, broken, x_star, mu_star)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hatalloc import (
     build_decoupled,
@@ -8,7 +12,7 @@ from hatalloc import (
     find_certificate_z,
     split_offset,
 )
-from hatalloc.errors import DimensionMismatchError
+from hatalloc.errors import CertificateError, DimensionMismatchError
 from hatalloc.experiments import random_scenario
 from hatalloc.model import scenario_from_document
 from hatalloc.reformulation import decoupled_residual_blocks, stacked_terms
@@ -16,6 +20,15 @@ from hatalloc.topology import NetworkTopology
 
 from conftest import path_scenario, single_agent_scenario
 from test_model import reference_dims_doc
+
+
+def seed_examples(seeds):
+    """`@example(seed=s)` for every s, so fixed seeds stay covered."""
+    def apply(test):
+        for s in seeds:
+            test = example(seed=s)(test)
+        return test
+    return apply
 
 
 def feasible_pair(scenario, rng, boundary=False):
@@ -199,38 +212,42 @@ class TestCertificate:
             assert z is not None
             assert np.max(decoupled_residual(dc, x, y, z)) <= 1e-8
 
-    def test_forward_and_backward_equivalence(self):
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1_000_000))
+    @seed_examples(range(12))
+    def test_forward_and_backward_equivalence(self, seed):
         # Feasibility transfers both ways between the coupled and decoupled
         # forms; the backward direction builds strictly interior points in
         # the decoupled space (consensus residual split plus kernel shifts)
         # and verifies them through the independently assembled coupled
         # evaluator.
-        interior = 0
-        for seed in range(12):
-            scenario = random_scenario(seed)
-            dc = build_decoupled(scenario)
-            lay = scenario.layout
-            rng = np.random.default_rng(100 + seed)
-            n_nodes = len(lay.node_order)
-            for _ in range(15):
-                x, y = feasible_pair(scenario, rng, boundary=bool(rng.integers(0, 2)))
-                s = coupled_residual(scenario, x, y)
-                z = find_certificate_z(dc, x, y, s)
-                if np.max(s) > 0:  # rank-deficient shift, nothing to certify
-                    assert z is None
-                    continue
-                assert z is not None
-                assert np.max(decoupled_residual(dc, x, y, z)) <= 1e-8
-                # interior construction: spread the coupled residual evenly
-                # over the blocks, then wander along the Laplacian kernel
-                terms = stacked_terms(dc, x, y)
-                target = np.kron(np.ones(n_nodes), s / n_nodes)
-                z2, _, _, _ = np.linalg.lstsq(dc.l_bar, target - terms, rcond=None)
-                z2 = z2 + np.kron(np.ones(n_nodes), rng.normal(size=dc.rows))
-                if np.max(decoupled_residual(dc, x, y, z2)) <= 0:
-                    assert np.max(coupled_residual(scenario, x, y)) <= 1e-8
-                    interior += 1
-        assert interior > 50
+        scenario = random_scenario(seed)
+        dc = build_decoupled(scenario)
+        lay = scenario.layout
+        rng = np.random.default_rng(100 + seed)
+        n_nodes = len(lay.node_order)
+        for _ in range(15):
+            boundary = bool(rng.integers(0, 2))
+            x, y = feasible_pair(scenario, rng, boundary=boundary)
+            s = coupled_residual(scenario, x, y)
+            z = find_certificate_z(dc, x, y, s)
+            if np.max(s) > 0:  # rank-deficient shift, nothing to certify
+                assert z is None
+                continue
+            assert z is not None
+            assert np.max(decoupled_residual(dc, x, y, z)) <= 1e-8
+            # interior construction: spread the coupled residual evenly
+            # over the blocks, then wander along the Laplacian kernel
+            terms = stacked_terms(dc, x, y)
+            target = np.kron(np.ones(n_nodes), s / n_nodes)
+            z2, _, _, _ = np.linalg.lstsq(dc.l_bar, target - terms, rcond=None)
+            z2 = z2 + np.kron(np.ones(n_nodes), rng.normal(size=dc.rows))
+            interior = np.max(decoupled_residual(dc, x, y, z2)) <= 0
+            # a pair pushed inside by a positive margin always gives one, so
+            # every certified margin pair exercises the backward direction
+            assert interior or boundary
+            if interior:
+                assert np.max(coupled_residual(scenario, x, y)) <= 1e-8
 
     @pytest.mark.parametrize("scenario", [
         *(random_scenario(seed) for seed in range(8)),
@@ -246,6 +263,15 @@ class TestCertificate:
             dense, _, _, _ = np.linalg.lstsq(dc.l_bar, rhs, rcond=None)
             np.testing.assert_allclose(dc.lift_solve(rhs), dense,
                                        rtol=0, atol=1e-10)
+
+    def test_broken_laplacian_raises_certificate_error(self, path_team):
+        dc = build_decoupled(path_team)
+        broken = replace(dc, laplacian=np.zeros_like(dc.laplacian))
+        x, y = feasible_pair(path_team, np.random.default_rng(2))
+        s = coupled_residual(path_team, x, y)
+        assert find_certificate_z(dc, x, y, s) is not None
+        with pytest.raises(CertificateError):
+            find_certificate_z(broken, x, y, s)
 
     def test_split_policies_agree_on_feasibility(self):
         rng = np.random.default_rng(7)
