@@ -208,10 +208,11 @@ def agent_round(view, inbox, dt: float):
 class DistributedRunner:
     """Synchronous barrier-stepped execution of all agents.
 
-    Maintains one mailbox slot per directed edge, also indexed by receiver
-    so that collecting an inbox costs the agent's degree, not the edge count.
+    Maintains one mailbox slot per directed edge, indexed by receiver so
+    that collecting an inbox costs the agent's degree, not the edge count.
     Each sweep runs the autonomous wave, delivers, then the human wave, and
-    delivers again.
+    delivers again. Human proxies respond under the scenario's own
+    approximation schedules (`scenario.schedules`).
     """
 
     def __init__(
@@ -219,11 +220,9 @@ class DistributedRunner:
         scenario: Scenario,
         dc: DecoupledConstraint | None = None,
         state: SystemState | None = None,
-        schedules: dict | None = None,
     ):
         self.scenario = scenario
         self.dc = dc if dc is not None else build_decoupled(scenario)
-        schedules = scenario.schedules if schedules is None else schedules
         state = state if state is not None else initial_state(scenario)
         lay = scenario.layout
 
@@ -254,12 +253,11 @@ class DistributedRunner:
                 c_block=np.array(self.dc.c_split[lay.node_slice(k)]),
                 auto_neighbors=tuple(auto_n),
                 human_neighbors=tuple(human_n),
-                schedule=schedules.get(k),
+                schedule=scenario.schedules.get(k),
                 t=state.t,
             )
 
         # Bootstrap mailbox from the initial global state.
-        self.mailbox: dict[tuple[str, str], Message] = {}
         self._by_receiver: dict[str, dict[str, Message]] = {a: {} for a in lay.node_order}
         for i in lay.autonomous_ids:
             view = self.views[i]
@@ -271,7 +269,7 @@ class DistributedRunner:
                 )
         for k in lay.human_ids:
             view = self.views[k]
-            snapshot = {j: self.mailbox[(j, k)] for j in view.auto_neighbors}
+            snapshot = {j: self._by_receiver[k][j] for j in view.auto_neighbors}
             self.views[k] = replace(view, snapshot=snapshot)
             coupling = _proxy_coupling(view, snapshot, view.lam, view.t)
             for j in view.auto_neighbors:
@@ -282,8 +280,13 @@ class DistributedRunner:
             for ell in view.human_neighbors:
                 self._post(Message(sender=k, receiver=ell, z=view.z, lam=view.lam))
 
+    @property
+    def mailbox(self) -> dict[tuple[str, str], Message]:
+        """The last message on every directed edge, keyed (sender, receiver)."""
+        return {(sender, receiver): msg for receiver, inbox in self._by_receiver.items()
+                for sender, msg in inbox.items()}
+
     def _post(self, msg: Message):
-        self.mailbox[(msg.sender, msg.receiver)] = msg
         self._by_receiver[msg.receiver][msg.sender] = msg
 
     def _inbox(self, agent_id: str) -> list[Message]:

@@ -103,18 +103,13 @@ class FlowEngine:
     schedule deltas and the softplus rows; the right-hand side is then a
     handful of mat-vecs, which is what makes long horizons cheap. `velocity`
     is what `integrate` steps with: the sparse affine operator where the
-    scenario allows it, `rhs` otherwise.
+    scenario allows it, `rhs` otherwise. The approximation schedules are the
+    scenario's own (`scenario.schedules`).
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        dc: DecoupledConstraint | None = None,
-        schedules: dict | None = None,
-    ):
+    def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None):
         self.scenario = scenario
         self.dc = dc if dc is not None else build_decoupled(scenario)
-        self.schedules = scenario.schedules if schedules is None else schedules
         lay = scenario.layout
         self.layout = lay
         self.stacked = sp = stack_problem(scenario)
@@ -130,7 +125,7 @@ class FlowEngine:
             rows = lay.y_slice(k)
             if model.family != AFFINE:
                 self._soft_rows.append((rows, model.sharpness))
-            sched = self.schedules.get(k)
+            sched = scenario.schedules.get(k)
             if sched is not None and sched.settle_time > 0:
                 s_delta = np.zeros((model.dim, lay.x_dim))
                 for j, delta in sched.gain_deltas.items():
@@ -331,23 +326,22 @@ def integrate(
     dc: DecoupledConstraint | None = None,
     reference: tuple[np.ndarray, np.ndarray] | None = None,
     saddle: tuple[np.ndarray, np.ndarray] | None = None,
-    schedules: dict | None = None,
 ) -> tuple[SystemState, metrics.TrajectoryRecord]:
     """Run the flow until the update norm drops below tolerance or time runs out.
 
-    The run starts from `initial_state(scenario)` and uses the step size,
-    tolerance and horizon of `scenario.solver`. The stopping rule is
+    The run starts from `initial_state(scenario)`, uses the step size,
+    tolerance and horizon of `scenario.solver` and the approximation
+    schedules of `scenario.schedules`. The stopping rule is
     ||(dx, dz, d lambda)||_2 <= tolerance, with the multiplier part measured
-    as the realized post-projection change per unit time. On divergence the step size is halved and the run restarted once;
-    the record's `failed_attempt` then names the step size that diverged.
+    as the realized post-projection change per unit time. On divergence the
+    step size is halved and the run restarted once; the record's
+    `failed_attempt` then names the step size that diverged.
 
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
     enables distance-to-saddle recording, tracked at every step.
     """
     opts = scenario.solver
-    if dc is None:
-        dc = build_decoupled(scenario, opts.offset_split)
-    engine = FlowEngine(scenario, dc, schedules)
+    engine = FlowEngine(scenario, dc)
     state0 = initial_state(scenario)
 
     try:
@@ -464,24 +458,22 @@ def _sample(engine, w, t, reference, saddle_dist):
     )
 
 
-def gradient_check(
-    scenario: Scenario,
-    dc: DecoupledConstraint,
-    state: SystemState,
-    fd_step: float = 1e-6,
-) -> float:
+GRADIENT_CHECK_STEP = 1e-6
+
+
+def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> float:
     """Max relative error of the analytic x-gradient of the Lagrangian
-    against central finite differences."""
+    against central finite differences of step `GRADIENT_CHECK_STEP`."""
     engine = FlowEngine(scenario, dc)
     x, z, lam = engine.stack_state(state)
     analytic, _ = engine.lagrangian_gradient_x(x, lam, state.t)
     worst = 0.0
     for idx in range(x.shape[0]):
         bump = np.zeros_like(x)
-        bump[idx] = fd_step
+        bump[idx] = GRADIENT_CHECK_STEP
         hi = engine.lagrangian_value(x + bump, z, lam, state.t)
         lo = engine.lagrangian_value(x - bump, z, lam, state.t)
-        numeric = (hi - lo) / (2.0 * fd_step)
+        numeric = (hi - lo) / (2.0 * GRADIENT_CHECK_STEP)
         denom = max(1.0, abs(analytic[idx]), abs(numeric))
         worst = max(worst, abs(analytic[idx] - numeric) / denom)
     return worst

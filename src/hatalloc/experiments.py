@@ -61,6 +61,7 @@ log = logging.getLogger(__name__)
 TEAM_DIMS = (3, 5, 4, 2, 1)
 TEAM_HUMAN_DIMS = (3, 5)
 SADDLE_NORM_TARGET = 0.45
+INITIAL_SPEED_CAP = 3.0
 
 
 def _connected_graph(rng, autonomous, humans, extra_edges=3):
@@ -83,7 +84,7 @@ def _connected_graph(rng, autonomous, humans, extra_edges=3):
     return NetworkTopology(tuple(autonomous), tuple(humans), frozenset(edges))
 
 
-def _draw_instance(rng, auto_dims, human_dims, attitudes, cheap_first_human=True):
+def _draw_instance(rng, auto_dims, human_dims, attitudes):
     autonomous = tuple(f"r{idx}" for idx in range(1, len(auto_dims) + 1))
     humans = tuple(f"h{idx}" for idx in range(1, len(human_dims) + 1))
     dims = {a: d for a, d in zip(autonomous, auto_dims)}
@@ -95,7 +96,7 @@ def _draw_instance(rng, auto_dims, human_dims, attitudes, cheap_first_human=True
         costs[i] = QuadraticCost(np.diag(rng.uniform(1.0, 8.0, size=dims[i])))
     for pos, k in enumerate(humans):
         weight = np.diag(rng.uniform(1.0, 8.0, size=dims[k]))
-        if cheap_first_human and pos == 0:
+        if pos == 0:  # the first human's effort is cheap
             weight = weight * 0.1
         costs[k] = QuadraticCost(weight)
 
@@ -244,11 +245,7 @@ def _tighten_offsets(scenario: Scenario) -> Scenario | None:
     return None
 
 
-def _normalize_scale(
-    scenario: Scenario,
-    target: float = SADDLE_NORM_TARGET,
-    speed_cap: float = 3.0,
-) -> Scenario:
+def _normalize_scale(scenario: Scenario) -> Scenario:
     """Rescale (c, bases) so the lifted saddle norm and the initial flow
     speed both stay small.
 
@@ -265,7 +262,7 @@ def _normalize_scale(
     speed = _initial_speed(scenario)
     if norm <= 1e-12:
         return scenario
-    s = min(target / norm, speed_cap / max(speed, 1e-12))
+    s = min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
     bases = {k: m.base * s for k, m in scenario.human_models.items()}
     return _with_offsets(scenario, scenario.constraint.c * s, bases)
 
@@ -300,12 +297,12 @@ def _initial_speed(scenario: Scenario) -> float:
     return float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
 
 
-def _grid_margins(scenario: Scenario) -> tuple[float, float, float] | None:
+def _grid_margins(cells: dict[tuple[str, ...], Scenario]) -> tuple[float, float, float] | None:
     """(workload margin, cost margin | h2 seeking, cost margin | h2 averse),
-    from the centralized solutions of the four attitude cells; None when a
+    from the centralized solutions of the four `attitude_cells`; None when a
     cell fails or produces negative human workloads."""
-    cells = {}
-    for key, cell in attitude_cells(scenario).items():
+    totals = {}
+    for key, cell in cells.items():
         try:
             x, y, _, value = solve_centralized(cell)
         except HatallocError:
@@ -316,14 +313,14 @@ def _grid_margins(scenario: Scenario) -> tuple[float, float, float] | None:
         auto_total = sum(
             float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids
         )
-        cells[key] = (auto_total, value)
+        totals[key] = (auto_total, value)
     return (
-        cells[("risk_seeking", "risk_seeking")][0]
-        - cells[("risk_averse", "risk_averse")][0],
-        cells[("risk_seeking", "risk_seeking")][1]
-        - cells[("risk_averse", "risk_seeking")][1],
-        cells[("risk_seeking", "risk_averse")][1]
-        - cells[("risk_averse", "risk_averse")][1],
+        totals[("risk_seeking", "risk_seeking")][0]
+        - totals[("risk_averse", "risk_averse")][0],
+        totals[("risk_seeking", "risk_seeking")][1]
+        - totals[("risk_averse", "risk_seeking")][1],
+        totals[("risk_seeking", "risk_averse")][1]
+        - totals[("risk_averse", "risk_averse")][1],
     )
 
 
@@ -349,13 +346,20 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
         return "initial speed"
     if check_grid:
         # Every attitude cell is integrated by the grid experiment, so each
-        # must be stable and reasonably damped as well.
-        for cell in attitude_cells(scenario).values():
-            cell_abscissa, cell_radius = _stability_margins(cell)
+        # must be stable and reasonably damped as well. The cell with the
+        # scenario's own attitudes has the scenario's operator, whose margins
+        # are the ones computed above.
+        cells = attitude_cells(scenario)
+        own = {k: m.attitude for k, m in scenario.human_models.items()}
+        for cell in cells.values():
+            if {k: m.attitude for k, m in cell.human_models.items()} == own:
+                cell_abscissa, cell_radius = abscissa, radius
+            else:
+                cell_abscissa, cell_radius = _stability_margins(cell)
             if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
                 return "grid"
         # (workload margin, cost margin | h2 seeking, cost margin | h2 averse)
-        margins = _grid_margins(scenario)
+        margins = _grid_margins(cells)
         if margins is None or margins[0] < 5e-3 or margins[1] < 2e-4 or margins[2] < 2e-4:
             return "grid"
     return None
@@ -431,10 +435,10 @@ def random_scenario(
     n_autonomous: int | None = None,
     n_human: int | None = None,
     rows: int | None = None,
-    max_dim: int = 3,
     families: tuple[str, ...] = ("affine",),
 ) -> Scenario:
-    """Small random instance for randomized algebra checks (not budget-tuned)."""
+    """Small random instance (state dims 1 to 3) for randomized algebra
+    checks (not budget-tuned)."""
     rng = np.random.default_rng(np.random.SeedSequence([2718, seed]))
     if n_autonomous is None:
         n_autonomous = int(rng.integers(1, 6))
@@ -446,7 +450,7 @@ def random_scenario(
         rows = int(rng.integers(1, 4))
     autonomous = tuple(f"r{i}" for i in range(1, n_autonomous + 1))
     humans = tuple(f"h{k}" for k in range(1, n_human + 1))
-    dims = {a: int(rng.integers(1, max_dim + 1)) for a in autonomous + humans}
+    dims = {a: int(rng.integers(1, 4)) for a in autonomous + humans}
     topo = _connected_graph(
         rng, autonomous, humans, extra_edges=int(rng.integers(0, 3))
     )
@@ -533,15 +537,24 @@ def _convergence_dict(record: TrajectoryRecord, tolerance: float) -> dict:
     }
 
 
-def _run_with_oracle(scenario: Scenario, out_dir: str, summary: dict) -> ExperimentResult:
+def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
+                  oracle: bool) -> ExperimentResult:
+    """Decouple, integrate, take the KKT residuals and write `trajectory.csv`
+    and `summary.json`. With `oracle`, the centralized solution is computed
+    first and deviation/saddle-distance metrics are recorded against it; an
+    instance outside the oracle's scope still runs, without them."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
-    x_star, y_star, mu_star, value = solve_centralized(scenario)
-    _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
-    final, record = integrate(
-        scenario, dc=dc, reference=(x_star, y_star), saddle=(eta_star, lam_star)
-    )
-    residuals = kkt_residual(scenario, dc, final)
+    tracking = {}
+    if oracle:
+        try:
+            x_star, y_star, mu_star, value = solve_centralized(scenario)
+        except UnsupportedByOracleError as exc:
+            summary["oracle"] = f"unavailable: {exc}"
+        else:
+            _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
+            tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
+    final, record = integrate(scenario, dc=dc, **tracking)
 
     table_path = os.path.join(out_dir, "trajectory.csv")
     record.write(table_path)
@@ -551,19 +564,19 @@ def _run_with_oracle(scenario: Scenario, out_dir: str, summary: dict) -> Experim
         "steps": record.steps,
         "dt": record.dt,
         **_convergence_dict(record, scenario.solver.tolerance),
-        "final_deviation": record.samples[-1].deviation,
-        "saddle_dist_initial": record.v_initial,
-        "saddle_dist_final": record.v_final,
-        "saddle_dist_max_step_increase": record.v_max_step_increase,
-        "oracle_value": value,
-        "kkt": _kkt_dict(residuals),
     })
+    if tracking:
+        summary.update({
+            "final_deviation": record.samples[-1].deviation,
+            "saddle_dist_initial": record.v_initial,
+            "saddle_dist_final": record.v_final,
+            "saddle_dist_max_step_increase": record.v_max_step_increase,
+            "oracle_value": value,
+        })
+    summary["kkt"] = _kkt_dict(kkt_residual(scenario, dc, final))
     summary_path = os.path.join(out_dir, "summary.json")
     _write_json(summary_path, summary)
-    converged = (
-        record.samples[-1].deviation is not None
-        and record.samples[-1].deviation <= 1e-6
-    )
+    converged = not tracking or record.samples[-1].deviation <= 1e-6
     return ExperimentResult(
         exit_code=0 if converged else 2,
         summary=summary,
@@ -580,8 +593,8 @@ def run_convergence_benchmark(seed: int, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     scenario_path = os.path.join(out_dir, "scenario.json")
     save_scenario(scenario, scenario_path)
-    result = _run_with_oracle(scenario, out_dir, {"preset": "fig4_convergence",
-                                                  "seed": seed})
+    result = _run_scenario(scenario, out_dir, {"preset": "fig4_convergence", "seed": seed},
+                           oracle=True)
     result.artifacts["scenario"] = scenario_path
     return result
 
@@ -686,32 +699,5 @@ def run_experiment(
     scenario = load_scenario(preset_or_path)
     if opts:
         scenario = scenario.with_solver(**opts)
-    summary: dict = {"scenario": str(preset_or_path), "seed": seed}
-    if reference:
-        try:
-            return _run_with_oracle(scenario, out_dir, summary)
-        except UnsupportedByOracleError as exc:
-            # Instances outside oracle scope still run, without references.
-            summary["oracle"] = f"unavailable: {exc}"
-    os.makedirs(out_dir, exist_ok=True)
-    dc = build_decoupled(scenario)
-    final, record = integrate(scenario, dc=dc)
-    residuals = kkt_residual(scenario, dc, final)
-    table_path = os.path.join(out_dir, "trajectory.csv")
-    record.write(table_path)
-    summary.update({
-        "termination": record.termination,
-        "final_t": record.final_t,
-        "steps": record.steps,
-        "dt": record.dt,
-        **_convergence_dict(record, scenario.solver.tolerance),
-        "kkt": _kkt_dict(residuals),
-    })
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, summary)
-    return ExperimentResult(
-        exit_code=0,
-        summary=summary,
-        artifacts={"trajectory": table_path, "summary": summary_path},
-        record=record,
-    )
+    summary = {"scenario": str(preset_or_path), "seed": seed}
+    return _run_scenario(scenario, out_dir, summary, oracle=reference)

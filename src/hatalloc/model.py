@@ -528,11 +528,11 @@ def _check_initial_state(scenario: Scenario) -> None:
         raise ScenarioFormatError(exc.args[0]) from exc
 
 
-def load_scenario(path_or_text, check_slater: bool | None = None) -> Scenario:
+def load_scenario(path_or_text) -> Scenario:
     """Load a scenario document from a file path or a JSON string.
 
-    When the Slater flag is set (argument, or `solver.check_slater` in the
-    document), a centralized pre-solve certifies strict feasibility.
+    When the document sets `solver.check_slater`, a centralized pre-solve
+    certifies strict feasibility.
     """
     try:
         if hasattr(path_or_text, "read"):
@@ -547,9 +547,7 @@ def load_scenario(path_or_text, check_slater: bool | None = None) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"scenario is not valid JSON: {exc}") from exc
     scenario = scenario_from_document(doc)
-    if check_slater is None:
-        check_slater = scenario.solver.check_slater
-    if check_slater:
+    if scenario.solver.check_slater:
         from .oracle import assert_slater
 
         assert_slater(scenario)
@@ -600,9 +598,8 @@ def serialize_scenario(scenario: Scenario) -> dict:
             "base": model.base.tolist(),
             "gains": {j: g.tolist() for j, g in model.gains.items()},
             "attitude": {"alpha": model.attitude},
+            "beta": model.sharpness,
         }
-        if model.family == human_mod.SOFTPLUS_AFFINE:
-            entry["beta"] = model.sharpness
         if k in schedules:
             sched = schedules[k]
             entry["schedule"] = {
@@ -629,20 +626,23 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def midpoint_convexity_gap(cost: CostFunction, rng: np.random.Generator,
-                           samples: int = 200, scale: float = 3.0) -> float:
-    """Worst violation of f((u+v)/2) <= (f(u)+f(v))/2 over random pairs."""
+                           samples: int = 200) -> float:
+    """Worst violation of f((u+v)/2) <= (f(u)+f(v))/2 over random pairs,
+    drawn normal with standard deviation 3."""
     worst = -np.inf
     for _ in range(samples):
-        u = rng.normal(scale=scale, size=cost.dim)
-        v = rng.normal(scale=scale, size=cost.dim)
+        u = rng.normal(scale=3.0, size=cost.dim)
+        v = rng.normal(scale=3.0, size=cost.dim)
         gap = cost.value((u + v) / 2) - 0.5 * (cost.value(u) + cost.value(v))
         worst = max(worst, gap)
     return float(worst)
 
 
 def gradient_consistency_error(cost: CostFunction, rng: np.random.Generator,
-                               points: int = 50, step: float = 1e-6) -> float:
-    """Max relative error of the declared gradient vs central differences."""
+                               points: int = 50) -> float:
+    """Max relative error of the declared gradient vs central differences
+    of step 1e-6."""
+    step = 1e-6
     worst = 0.0
     for _ in range(points):
         v = rng.normal(size=cost.dim)

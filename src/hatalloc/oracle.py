@@ -34,6 +34,7 @@ from .reformulation import (
 
 MAX_ENUMERATION_ROWS = 12
 ACCEPT_TOL = 1e-9
+ACTIVE_TOL = 1e-7  # a multiplier above this marks its row active in the lift
 Solution = tuple[np.ndarray, np.ndarray, np.ndarray, float]  # (x*, y*, mu*, value)
 
 
@@ -155,19 +156,19 @@ def solve_program(rp: ReducedProgram) -> Solution:
     )
 
 
-def strictly_feasible_point(scenario: Scenario, margin: float = 1e-3) -> np.ndarray | None:
+def strictly_feasible_point(scenario: Scenario) -> np.ndarray | None:
     """`interior_point` of the scenario's reduced program."""
-    return interior_point(reduce_program(scenario), margin)
+    return interior_point(reduce_program(scenario))
 
 
-def interior_point(rp: ReducedProgram, margin: float = 1e-3) -> np.ndarray | None:
+def interior_point(rp: ReducedProgram) -> np.ndarray | None:
     """A point with G_c x + h_c < 0 strictly, or None if none was found.
 
     Probes least-squares shifts at a few margins; sufficient for full
     row-rank constraints, which covers the generated scenario class.
     """
     pinv = np.linalg.pinv(rp.G_c)
-    for scale in (margin, 1e-2, 1e-1, 1.0):
+    for scale in (1e-3, 1e-2, 1e-1, 1.0):
         x = -pinv @ (rp.h_c + scale)
         if np.max(rp.constraint(x)) < -ACCEPT_TOL:
             return x
@@ -188,7 +189,6 @@ def lift_to_saddle(
     dc: DecoupledConstraint,
     x_star: np.ndarray,
     mu_star: np.ndarray,
-    active_tol: float = 1e-7,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lift the centralized solution into the decoupled space.
 
@@ -207,7 +207,7 @@ def lift_to_saddle(
             "cannot lift: the candidate point violates the coupled constraint"
         )
     slack_rows = np.minimum(coupled, 0.0)
-    slack_rows[mu_star > active_tol] = 0.0
+    slack_rows[mu_star > ACTIVE_TOL] = 0.0
     z_star = find_certificate_z(dc, x_star, y_star, slack_rows)
 
     n_nodes = len(scenario.layout.node_order)

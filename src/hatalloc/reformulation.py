@@ -92,12 +92,11 @@ def _block_diag(blocks: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def build_decoupled(scenario: Scenario, policy: str | None = None) -> DecoupledConstraint:
-    """Assemble the decoupled constraint for a scenario in canonical order."""
+def build_decoupled(scenario: Scenario) -> DecoupledConstraint:
+    """Assemble the decoupled constraint for a scenario in canonical order,
+    splitting the offset by `scenario.solver.offset_split`."""
     lay = scenario.layout
     con = scenario.constraint
-    if policy is None:
-        policy = scenario.solver.offset_split
     a_bar = _block_diag(
         [con.a_blocks[i] for i in lay.autonomous_ids], con.rows, lay.x_dim
     )
@@ -105,7 +104,7 @@ def build_decoupled(scenario: Scenario, policy: str | None = None) -> DecoupledC
         [con.b_blocks[k] for k in lay.human_ids], con.rows, lay.y_dim
     )
     lap = laplacian(scenario.topology)
-    c_split = split_offset(con.c, scenario.topology, policy)
+    c_split = split_offset(con.c, scenario.topology, scenario.solver.offset_split)
     return DecoupledConstraint(
         a_bar=a_bar, b_bar=b_bar, laplacian=lap, c_split=c_split, rows=con.rows,
     )

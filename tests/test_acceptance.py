@@ -7,6 +7,7 @@ independent centralized solver on seeded generated instances.
 """
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,7 +277,7 @@ def test_criterion_7_settling_approximation(fig4):
         for k, model in scenario.human_models.items()
     }
     perturbed_final, perturbed_rec = integrate(
-        scenario, dc=fig4.dc, schedules=schedules
+        replace(scenario, schedules=schedules), dc=fig4.dc
     )
     exact_final, exact_rec = fig4.final, fig4.record
 

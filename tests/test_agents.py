@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,11 +108,12 @@ class TestSweepEquivalence:
                 settle_time=0.4,
             )
         }
+        scenario = replace(scenario, schedules=schedules)
         dc = build_decoupled(scenario)
         rng = np.random.default_rng(4)
         state = random_system_state(scenario, rng)
-        runner = DistributedRunner(scenario, dc, state=state, schedules=schedules)
-        engine = FlowEngine(scenario, dc, schedules=schedules)
+        runner = DistributedRunner(scenario, dc, state=state)
+        engine = FlowEngine(scenario, dc)
         x, z, lam = engine.stack_state(state)
         t = 0.0
         for _ in range(600):  # crosses the settle time

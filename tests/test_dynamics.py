@@ -14,8 +14,8 @@ from hatalloc import (
 )
 from hatalloc.dynamics import FlowEngine, _step_arrays
 from hatalloc.errors import DivergenceError
-from hatalloc.experiments import random_scenario
-from hatalloc.model import CouplingConstraint
+from hatalloc.experiments import crosscheck_scenario, random_scenario
+from hatalloc.model import CouplingConstraint, CustomCost
 
 from conftest import (
     free_multiplier_scenario,
@@ -274,6 +274,50 @@ class TestGradientCheck:
                 scenario, dc, random_state(scenario, rng)
             ))
         assert worst <= 1e-4
+
+
+def with_callback_costs(scenario, quartic=0.0):
+    """The scenario with every cost a `CustomCost`: the quadratic v^T W v of
+    its own weight, plus `quartic` * sum(v^4) on the autonomous agents."""
+    costs = {}
+    for a, cost in scenario.costs.items():
+        q = quartic if a in scenario.layout.x_offsets else 0.0
+        costs[a] = CustomCost(
+            cost.dim,
+            lambda v, w=cost.weight, q=q: float(v @ w @ v + q * np.sum(v ** 4)),
+            lambda v, w=cost.weight, q=q: 2.0 * (w @ v) + 4.0 * q * v ** 3,
+        )
+    return replace(scenario, costs=costs)
+
+
+class TestCallbackCosts:
+    """The engine's per-agent cost loops, taken when any cost is a callback."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_quadratic_callbacks_match_stacked_weights(self, seed):
+        scenario = random_scenario(seed)
+        dc = build_decoupled(scenario)
+        quadratic = FlowEngine(scenario, dc)
+        callback = FlowEngine(with_callback_costs(scenario), dc)
+        assert quadratic._quadratic and not callback._quadratic
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            x, z, lam = quadratic.stack_state(random_state(scenario, rng))
+            for got, want in zip(callback.rhs(x, z, lam, 0.0), quadratic.rhs(x, z, lam, 0.0)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            y, _ = quadratic.response(x, 0.0)
+            assert callback.objective_value(x, y) == pytest.approx(
+                quadratic.objective_value(x, y), rel=0, abs=1e-12
+            )
+
+    def test_quartic_costs_converge_to_kkt_point(self):
+        scenario = with_callback_costs(crosscheck_scenario(4), quartic=1.0)
+        dc = build_decoupled(scenario)
+        final, record = integrate(scenario, dc=dc)
+        assert record.termination == "converged"
+        kkt = kkt_residual(scenario, dc, final)
+        assert kkt.stationarity <= 1e-6 and kkt.primal <= 1e-6
+        assert gradient_check(scenario, dc, final) <= 1e-5
 
 
 class TestHumanOnlyEdges:

@@ -49,26 +49,26 @@ def _scheduled():
         base_delta=np.array([0.3]),
         settle_time=0.1,  # settles inside the run
     )}
-    return scenario, schedules
+    return replace(scenario, schedules=schedules)
 
 
 def _cases():
     cases = [
-        pytest.param(random_scenario(s), None, True, id=f"affine-{s}")
+        pytest.param(random_scenario(s), True, id=f"affine-{s}")
         for s in AFFINE_SEEDS
     ]
-    cases.append(pytest.param(LARGE_TEAM, None, True, id="affine-100-agents"))
+    cases.append(pytest.param(LARGE_TEAM, True, id="affine-100-agents"))
     cases.append(pytest.param(
         path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0),
-        None, False, id="softplus",
+        False, id="softplus",
     ))
-    cases.append(pytest.param(*_scheduled(), False, id="scheduled"))
+    cases.append(pytest.param(_scheduled(), False, id="scheduled"))
     return cases
 
 
-def _reference_run(scenario, schedules, w_ref):
+def _reference_run(scenario, w_ref):
     """STEPS reference steps with the bookkeeping `integrate` records."""
-    engine = FlowEngine(scenario, build_decoupled(scenario), schedules)
+    engine = FlowEngine(scenario, build_decoupled(scenario))
     x, z, lam = engine.stack_state(initial_state(scenario))
     dt = scenario.solver.dt
 
@@ -93,9 +93,9 @@ def _reference_run(scenario, schedules, w_ref):
     return stacked(), sup, v_max_inc
 
 
-@pytest.mark.parametrize("scenario, schedules, folded", _cases())
-def test_integrate_matches_reference_steps(scenario, schedules, folded):
-    assert FlowEngine(scenario, schedules=schedules)._affine is folded
+@pytest.mark.parametrize("scenario, folded", _cases())
+def test_integrate_matches_reference_steps(scenario, folded):
+    assert FlowEngine(scenario)._affine is folded
     scenario = _with_random_start(scenario, 7).with_solver(
         tolerance=0.0, max_time=STEPS * 1e-3
     )
@@ -104,10 +104,8 @@ def test_integrate_matches_reference_steps(scenario, schedules, folded):
     w_ref = np.random.default_rng(8).normal(size=n_eta + lay.block_dim)
     w_ref[n_eta:] = np.abs(w_ref[n_eta:])
 
-    final, record = integrate(
-        scenario, schedules=schedules, saddle=(w_ref[:n_eta], w_ref[n_eta:])
-    )
-    expected, sup, v_max_inc = _reference_run(scenario, schedules, w_ref)
+    final, record = integrate(scenario, saddle=(w_ref[:n_eta], w_ref[n_eta:]))
+    expected, sup, v_max_inc = _reference_run(scenario, w_ref)
 
     assert (record.steps, record.termination) == (STEPS, "max_time")
     got = np.concatenate([

@@ -233,8 +233,7 @@ class TestRoundTrip:
             other = again.human_models[k]
             np.testing.assert_array_equal(model.base, other.base)
             assert (model.family, model.attitude) == (other.family, other.attitude)
-            if model.family == "softplus_affine":  # affine responses have no beta
-                assert model.sharpness == other.sharpness
+            assert model.sharpness == other.sharpness
             for j, gain in model.gains.items():
                 np.testing.assert_array_equal(gain, other.gains[j])
         for k, sched in scenario.schedules.items():
@@ -283,10 +282,11 @@ class TestSlaterFlag:
             "b_blocks": {},
             "c": [0.0, 0.0],
         }
+        doc["solver"] = {"check_slater": True}
         from hatalloc.errors import SlaterConditionError
 
         with pytest.raises(SlaterConditionError):
-            load_scenario(json.dumps(doc), check_slater=True)
+            load_scenario(json.dumps(doc))
 
 
 class TestOffsets:

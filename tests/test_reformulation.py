@@ -177,7 +177,7 @@ class TestResiduals:
         x, y = rng.normal(size=4), rng.normal(size=2)
         base = coupled_residual(scenario, x, y)
         for policy in ("first_agent", "uniform"):
-            dc = build_decoupled(scenario, policy)
+            dc = build_decoupled(scenario.with_solver(offset_split=policy))
             n_nodes = len(scenario.layout.node_order)
             left = np.kron(np.ones(n_nodes), np.eye(dc.rows))
             np.testing.assert_allclose(
@@ -280,7 +280,7 @@ class TestCertificate:
             x, y = feasible_pair(scenario, rng)
             s = coupled_residual(scenario, x, y)
             for policy in ("first_agent", "uniform"):
-                dc = build_decoupled(scenario, policy)
+                dc = build_decoupled(scenario.with_solver(offset_split=policy))
                 z = find_certificate_z(dc, x, y, s)
                 assert z is not None
                 assert np.max(decoupled_residual(dc, x, y, z)) <= 1e-8
