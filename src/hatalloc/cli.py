@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import experiments
-from .dynamics import FlowEngine, gradient_check, initial_state
+from .dynamics import gradient_check, initial_state
 from .errors import (
     DivergenceError,
     HatallocError,
@@ -31,6 +32,7 @@ from .errors import (
     ScenarioFormatError,
     UnsupportedByOracleError,
 )
+from .human import SOFTPLUS_AFFINE
 from .model import (
     gradient_consistency_error,
     load_scenario,
@@ -52,10 +54,23 @@ EXIT_NUMERICAL = 2
 EXIT_INFEASIBLE = 3
 
 
-def non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return int(text)
+def _bounded(convert, strict: bool, what: str):
+    """An argparse type: `convert(text)`, finite and > 0 (`strict`) or >= 0."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # NaN fails both comparisons below
+        if not (value > 0 if strict else value >= 0) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
+
+
+non_negative_int = _bounded(int, False, "a non-negative integer")
+positive_int = _bounded(int, True, "a positive integer")
+positive_float = _bounded(float, True, "a finite positive number")
+non_negative_float = _bounded(float, False, "a finite non-negative number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate a scenario file or preset")
     run.add_argument("scenario", help="scenario file path or preset name")
-    run.add_argument("--dt", type=float, default=None)
-    run.add_argument("--tol", type=float, default=None)
-    run.add_argument("--max-time", type=float, default=None)
+    run.add_argument("--dt", type=positive_float, default=None)
+    run.add_argument("--tol", type=non_negative_float, default=None)
+    run.add_argument("--max-time", type=positive_float, default=None)
     run.add_argument("--seed", type=non_negative_int, default=1)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument(
@@ -82,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="equivalence and gradient checks")
     check.add_argument("scenario")
-    check.add_argument("--samples", type=int, default=100)
+    check.add_argument("--samples", type=positive_int, default=100)
     check.add_argument("--seed", type=non_negative_int, default=0)
 
     preset = sub.add_parser("preset", help="write a preset's scenario file(s)")
@@ -167,7 +182,6 @@ def _cmd_check(args) -> int:
     print(f"decoupling: {certified} certified, {skipped} infeasible draws")
 
     worst_grad = 0.0
-    engine = FlowEngine(scenario, dc)
     for _ in range(10):
         state = initial_state(scenario)
         for i in scenario.layout.autonomous_ids:
@@ -176,7 +190,8 @@ def _cmd_check(args) -> int:
             state.z[a] = rng.normal(size=dc.rows)
             state.lam[a] = rng.uniform(0.0, 1.0, size=dc.rows)
         worst_grad = max(worst_grad, gradient_check(scenario, dc, state))
-    grad_tol = 1e-4 if engine.uses_softplus else 1e-5
+    softplus = any(m.family == SOFTPLUS_AFFINE for m in scenario.human_models.values())
+    grad_tol = 1e-4 if softplus else 1e-5
     print(f"lagrangian x-gradient vs finite differences: {worst_grad:.3g} "
           f"(tolerance {grad_tol:g})")
     if worst_grad > grad_tol:
@@ -238,7 +253,7 @@ def main(argv=None) -> int:
         if args.command == "preset":
             return _cmd_preset(args)
         return EXIT_USAGE
-    except (FileNotFoundError, ScenarioFormatError, NoAdmissibleInstanceError) as exc:
+    except (OSError, ScenarioFormatError, NoAdmissibleInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleProblemError as exc:

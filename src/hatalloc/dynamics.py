@@ -142,10 +142,6 @@ class FlowEngine:
         self._affine = self._quadratic and not self._soft_rows and not sched_rows
         self._folded = None
 
-    @property
-    def uses_softplus(self) -> bool:
-        return bool(self._soft_rows)
-
     # -- stacked parameter and response evaluation --------------------------
 
     def _params(self, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,11 @@ class HatallocError(Exception):
     """Base class for all package errors."""
 
 
-class TopologyError(HatallocError):
+class ScenarioFormatError(HatallocError):
+    """Scenario document violates the schema or fails validation."""
+
+
+class TopologyError(ScenarioFormatError):
     """Malformed graph: self loop, unknown endpoint, duplicate id."""
 
 
@@ -17,19 +21,15 @@ class DisconnectedGraphError(TopologyError):
     """The interaction graph is not connected."""
 
 
-class ScenarioFormatError(HatallocError):
-    """Scenario document violates the schema."""
-
-
-class DimensionMismatchError(HatallocError):
+class DimensionMismatchError(ScenarioFormatError):
     """A matrix or vector has a shape inconsistent with the declared dims."""
 
 
-class NotPositiveDefiniteError(HatallocError):
+class NotPositiveDefiniteError(ScenarioFormatError):
     """A quadratic cost weight is not symmetric positive definite."""
 
 
-class MissingHumanModelError(HatallocError):
+class MissingHumanModelError(ScenarioFormatError):
     """A human agent has no response model."""
 
 

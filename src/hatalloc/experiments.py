@@ -253,15 +253,16 @@ def _normalize_scale(scenario: Scenario) -> Scenario:
     offsets, and so is the flow velocity at the all-zero start, so one scale
     factor controls both; keeping them small bounds the integrator's
     per-step overshoot. The rescaled instance keeps its active set and
-    structure.
+    structure; its zero-start speed is at most `INITIAL_SPEED_CAP`.
     """
     x, _, mu, _ = solve_centralized(scenario)
     dc = build_decoupled(scenario)
     _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
-    speed = _initial_speed(scenario)
-    if norm <= 1e-12:
-        return scenario
+    zl = np.zeros(dc.block_dim)
+    dx, dz, gap = FlowEngine(scenario, dc).rhs(np.zeros(scenario.layout.x_dim), zl, zl, 0.0)
+    dlam = np.maximum(0.0, gap)
+    speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
     s = min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
     bases = {k: m.base * s for k, m in scenario.human_models.items()}
     return _with_offsets(scenario, scenario.constraint.c * s, bases)
@@ -286,21 +287,28 @@ def _stability_margins(scenario: Scenario) -> tuple[float, float]:
     return float(np.max(moving.real)), float(np.max(np.abs(1.0 + dt * moving)))
 
 
-def _initial_speed(scenario: Scenario) -> float:
-    """Flow velocity at the all-zero start (effective, after the clamp)."""
-    engine = FlowEngine(scenario)
-    lay = scenario.layout
-    x = np.zeros(lay.x_dim)
-    zl = np.zeros(engine.dc.block_dim)
-    dx, dz, gap = engine.rhs(x, zl, zl, 0.0)
-    dlam = np.maximum(0.0, gap)
-    return float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
+GRID_CONTRASTS = (
+    "autonomous_workload_seeking_minus_averse",
+    "cost_drop_h1_averse_h2_seeking",
+    "cost_drop_h1_averse_h2_averse",
+)
 
 
-def _grid_margins(cells: dict[tuple[str, ...], Scenario]) -> tuple[float, float, float] | None:
-    """(workload margin, cost margin | h2 seeking, cost margin | h2 averse),
-    from the centralized solutions of the four `attitude_cells`; None when a
-    cell fails or produces negative human workloads."""
+def _grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[str, float]:
+    """The three Fig. 5 contrasts, keyed by `GRID_CONTRASTS`, from each
+    attitude cell's (autonomous workload, cost)."""
+    seek, averse = "risk_seeking", "risk_averse"
+    return dict(zip(GRID_CONTRASTS, (
+        totals[(seek, seek)][0] - totals[(averse, averse)][0],
+        totals[(seek, seek)][1] - totals[(averse, seek)][1],
+        totals[(seek, averse)][1] - totals[(averse, averse)][1],
+    )))
+
+
+def _grid_margins(cells: dict[tuple[str, ...], Scenario]) -> tuple[float, ...] | None:
+    """`_grid_contrasts` of the centralized solutions of the four
+    `attitude_cells`; None when a cell fails or produces negative human
+    workloads."""
     totals = {}
     for key, cell in cells.items():
         try:
@@ -314,18 +322,10 @@ def _grid_margins(cells: dict[tuple[str, ...], Scenario]) -> tuple[float, float,
             float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids
         )
         totals[key] = (auto_total, value)
-    return (
-        totals[("risk_seeking", "risk_seeking")][0]
-        - totals[("risk_averse", "risk_averse")][0],
-        totals[("risk_seeking", "risk_seeking")][1]
-        - totals[("risk_averse", "risk_seeking")][1],
-        totals[("risk_seeking", "risk_averse")][1]
-        - totals[("risk_averse", "risk_averse")][1],
-    )
+    return tuple(_grid_contrasts(totals).values())
 
 
-REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability",
-              "initial speed", "grid")
+REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
 
 
 def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
@@ -342,8 +342,6 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
     abscissa, radius = _stability_margins(scenario)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
-    if _initial_speed(scenario) > 3.2:
-        return "initial speed"
     if check_grid:
         # Every attitude cell is integrated by the grid experiment, so each
         # must be stable and reasonably damped as well. The cell with the
@@ -358,7 +356,6 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
                 cell_abscissa, cell_radius = _stability_margins(cell)
             if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
                 return "grid"
-        # (workload margin, cost margin | h2 seeking, cost margin | h2 averse)
         margins = _grid_margins(cells)
         if margins is None or margins[0] < 5e-3 or margins[1] < 2e-4 or margins[2] < 2e-4:
             return "grid"
@@ -385,27 +382,17 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
 
 
 @lru_cache(maxsize=16)
-def _team_scenario_cached(seed: int) -> Scenario:
+def team_scenario(seed: int) -> Scenario:
+    """The benchmark instance (5 autonomous, 2 humans, reference dims).
+
+    Human 1 is risk-seeking, human 2 risk-averse (`with_attitudes` relabels
+    them). Instances are cached per seed; treat the result as immutable.
+    """
     attitudes = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
     return _generate(
         seed, TEAM_DIMS, TEAM_HUMAN_DIMS, attitudes,
         abscissa_bar=-0.08, check_grid=True, stream=40,
     )
-
-
-def team_scenario(
-    seed: int = 1,
-    attitudes: dict[str, tuple[str, float]] | None = None,
-) -> Scenario:
-    """The benchmark instance (5 autonomous, 2 humans, reference dims).
-
-    Default attitudes: human 1 risk-seeking, human 2 risk-averse. Instances
-    are cached per seed; treat the result as immutable.
-    """
-    scenario = _team_scenario_cached(seed)
-    if attitudes:
-        scenario = with_attitudes(scenario, attitudes)
-    return scenario
 
 
 @lru_cache(maxsize=32)
@@ -585,28 +572,11 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
     )
 
 
-def run_convergence_benchmark(seed: int, out_dir: str,
-                              opts: dict | None = None) -> ExperimentResult:
-    scenario = team_scenario(seed)
-    if opts:
-        scenario = scenario.with_solver(**opts)
-    os.makedirs(out_dir, exist_ok=True)
-    scenario_path = os.path.join(out_dir, "scenario.json")
-    save_scenario(scenario, scenario_path)
-    result = _run_scenario(scenario, out_dir, {"preset": "fig4_convergence", "seed": seed},
-                           oracle=True)
-    result.artifacts["scenario"] = scenario_path
-    return result
-
-
-def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> ExperimentResult:
-    base = team_scenario(seed)
-    if opts:
-        base = base.with_solver(**opts)
+def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
+    """Integrate `base` in every attitude cell; the grid never tracks."""
     os.makedirs(out_dir, exist_ok=True)
     h1, h2 = base.topology.human_ids
-    rows = []
-    cells = {}
+    rows, totals, cells = [], {}, {}
     for (k1, k2), cell in attitude_cells(base).items():
         dc = build_decoupled(cell)
         final, record = integrate(cell, dc=dc)
@@ -627,8 +597,18 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
             "termination": record.termination,
             **{f"workload_{a}": w for a, w in report.by_agent.items()},
         })
-        kkt = _kkt_dict(kkt_residual(cell, dc, final))
-        cells[(k1, k2)] = (report, cost, record, oracle_cost, kkt)
+        totals[(k1, k2)] = (report.autonomous_total, cost)
+        cells[f"{k1}|{k2}"] = {
+            "cost": cost,
+            "autonomous_workload": report.autonomous_total,
+            "human_workload": report.human_total,
+            "termination": record.termination,
+            "steps": record.steps,
+            "final_update_norm": record.final_update_norm,
+            "oracle_cost": oracle_cost,
+            "value_gap": abs(cost - oracle_cost) / max(1.0, abs(oracle_cost)),
+            "kkt": _kkt_dict(kkt_residual(cell, dc, final)),
+        }
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     cols = list(rows[0].keys())
@@ -639,36 +619,8 @@ def run_risk_grid(seed: int, out_dir: str, opts: dict | None = None) -> Experime
                 v if isinstance(v, str) else repr(v) for v in (row[c] for c in cols)
             ) + "\n")
 
-    summary = {
-        "preset": "fig5_risk_grid",
-        "seed": seed,
-        "autonomous_workload_seeking_minus_averse": (
-            cells[("risk_seeking", "risk_seeking")][0].autonomous_total
-            - cells[("risk_averse", "risk_averse")][0].autonomous_total
-        ),
-        "cost_drop_h1_averse_h2_seeking": (
-            cells[("risk_seeking", "risk_seeking")][1]
-            - cells[("risk_averse", "risk_seeking")][1]
-        ),
-        "cost_drop_h1_averse_h2_averse": (
-            cells[("risk_seeking", "risk_averse")][1]
-            - cells[("risk_averse", "risk_averse")][1]
-        ),
-        "cells": {
-            f"{k1}|{k2}": {
-                "cost": cost,
-                "autonomous_workload": rep.autonomous_total,
-                "human_workload": rep.human_total,
-                "termination": rec.termination,
-                "steps": rec.steps,
-                "final_update_norm": rec.final_update_norm,
-                "oracle_cost": oracle,
-                "value_gap": abs(cost - oracle) / max(1.0, abs(oracle)),
-                "kkt": kkt,
-            }
-            for (k1, k2), (rep, cost, rec, oracle, kkt) in cells.items()
-        },
-    }
+    summary = {"preset": "fig5_risk_grid", "seed": seed, **_grid_contrasts(totals),
+               "cells": cells}
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     _write_json(summary_path, summary)
     return ExperimentResult(
@@ -687,17 +639,24 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run a named preset or a scenario file; writes tables and a summary.
 
-    With `reference` (the default), the centralized solution is computed
-    first and deviation/saddle-distance metrics are recorded against it.
+    A preset runs `team_scenario(seed)`, and `opts` overrides solver options.
+    The fig4 preset (which saves `scenario.json`) and a file run one scenario;
+    with `reference`, deviation/saddle-distance metrics are recorded against
+    the centralized solution.
     """
     out_dir = out_dir or default_output_dir()
-    if preset_or_path == "fig4_convergence":
-        return run_convergence_benchmark(seed, out_dir, opts)
-    if preset_or_path == "fig5_risk_grid":
-        return run_risk_grid(seed, out_dir, opts)
-
-    scenario = load_scenario(preset_or_path)
+    preset = preset_or_path in PRESETS
+    scenario = team_scenario(seed) if preset else load_scenario(preset_or_path)
     if opts:
         scenario = scenario.with_solver(**opts)
-    summary = {"scenario": str(preset_or_path), "seed": seed}
-    return _run_scenario(scenario, out_dir, summary, oracle=reference)
+    if preset_or_path == "fig5_risk_grid":
+        return run_risk_grid(scenario, seed, out_dir)
+    artifacts = {}
+    if preset:
+        os.makedirs(out_dir, exist_ok=True)
+        artifacts["scenario"] = os.path.join(out_dir, "scenario.json")
+        save_scenario(scenario, artifacts["scenario"])
+    summary = {"preset" if preset else "scenario": str(preset_or_path), "seed": seed}
+    result = _run_scenario(scenario, out_dir, summary, oracle=reference)
+    result.artifacts.update(artifacts)
+    return result

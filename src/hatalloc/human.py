@@ -42,8 +42,8 @@ class ApproximationSchedule:
     settle_time: float
 
     def __post_init__(self):
-        if self.settle_time < 0:
-            raise ValueError("settle_time must be nonnegative")
+        if not 0 <= self.settle_time < np.inf:
+            raise ValueError(f"settle_time must be nonnegative and finite: {self.settle_time}")
 
     def blend(self, t: float) -> float:
         """Remaining perturbation fraction at time t (continuous, 0 for t >= T)."""
@@ -85,8 +85,8 @@ class HumanResponseModel:
                 )
         if not -1.0 <= self.attitude <= 1.0:
             raise ValueError(f"attitude must lie in [-1, 1], got {self.attitude}")
-        if self.family == SOFTPLUS_AFFINE and self.sharpness <= 0:
-            raise ValueError("softplus sharpness must be positive")
+        if self.family == SOFTPLUS_AFFINE and not 0 < self.sharpness < np.inf:
+            raise ValueError(f"sharpness must be positive and finite: {self.sharpness}")
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,9 @@ a save/load round trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -118,12 +120,17 @@ class SolverOptions:
     check_slater: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name, strict in (("dt", True), ("max_time", True), ("tolerance", False)):
+            value = getattr(self, name)
+            number = isinstance(value, Real) and not isinstance(value, bool)  # JSON true
+            if not (number and math.isfinite(value) and (value > 0 if strict else value >= 0)):
+                bound = "positive" if strict else "nonnegative"
+                raise ValueError(f"{name} must be {bound} and finite: {value!r}")
         if self.offset_split not in ("first_agent", "uniform"):
             raise ValueError(f"unknown offset split policy '{self.offset_split}'")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1: {stride!r}")
 
 
 class ScenarioLayout:
@@ -544,7 +551,7 @@ def load_scenario(path_or_text) -> Scenario:
             else:
                 with open(text, "r", encoding="utf-8") as handle:
                     doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"scenario is not valid JSON: {exc}") from exc
     scenario = scenario_from_document(doc)
     if scenario.solver.check_slater:

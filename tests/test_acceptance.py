@@ -302,7 +302,7 @@ def test_criterion_7_settling_approximation(fig4):
 
 
 def test_criterion_8_risk_attitude_directions(tmp_path):
-    result = run_risk_grid(1, str(tmp_path))
+    result = run_risk_grid(team_scenario(1), 1, str(tmp_path))
     workload_margin = result.summary["autonomous_workload_seeking_minus_averse"]
     cost_drop_seeking = result.summary["cost_drop_h1_averse_h2_seeking"]
     cost_drop_averse = result.summary["cost_drop_h1_averse_h2_averse"]

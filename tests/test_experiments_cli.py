@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -34,10 +35,8 @@ class TestGenerators:
         assert scenario.constraint.c[1] > 0  # demand
 
     def test_team_scenario_deterministic(self):
-        from hatalloc.experiments import _team_scenario_cached
-
         a = serialize_scenario(team_scenario(1))
-        _team_scenario_cached.cache_clear()  # force a true regeneration
+        team_scenario.cache_clear()  # force a true regeneration
         b = serialize_scenario(team_scenario(1))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -168,6 +167,20 @@ class TestCli:
         assert "must be a non-negative integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "f.json", "--dt", "0"], "must be a finite positive number"),
+        (["run", "f.json", "--dt", "nan"], "must be a finite positive number"),
+        (["run", "f.json", "--max-time", "inf"], "must be a finite positive number"),
+        (["run", "f.json", "--tol", "-1"], "must be a finite non-negative number"),
+        (["check", "f.json", "--samples", "0"], "must be a positive integer"),
+    ], ids=["zero-dt", "nan-dt", "infinite-max-time", "negative-tol", "zero-samples"])
+    def test_bad_override_value_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["preset", "run"])
     def test_seed_without_instance_is_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, command):
@@ -186,6 +199,18 @@ class TestCli:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"agents": "\xff"}'),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_path_is_usage_error(self, tmp_path, capsys, make):
+        path = tmp_path / "s.json"
+        make(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_preset_writes_scenarios(self, tmp_path, capsys):
         assert main(["preset", "fig4_convergence", "--seed", "1",
@@ -242,9 +267,29 @@ class TestScenarioFormatErrors:
         (lambda d: d.update(agents=5), "'agents' must be a list"),
         (lambda d: d["human_models"]["k1"].update(attitude={"alpha": 2}),
          "attitude must lie in [-1, 1]"),
+        (lambda d: d["solver"].update(dt=math.nan), "dt must be positive and finite"),
+        (lambda d: d["solver"].update(tolerance="x"),
+         "tolerance must be nonnegative and finite"),
+        (lambda d: d["human_models"]["k1"].update(schedule={"settle_time": math.nan}),
+         "settle_time must be nonnegative and finite"),
+        (lambda d: d["solver"].update(record_stride=2.5),
+         "record_stride must be an integer >= 1"),
+        (lambda d: d["solver"].update(max_time=True), "max_time must be positive and finite"),
+        (lambda d: d["human_models"]["k1"].update(family="softplus_affine", beta=math.nan),
+         "sharpness must be positive and finite"),
+        (lambda d: d.update(edges=[["a1", "k1"]]), "graph is not connected"),
+        (lambda d: d["edges"].append(["a1", "a1"]), "self loop on 'a1'"),
+        (lambda d: d["costs"]["a1"].update(weight=[[1.0, 0.0], [0.0, -1.0]]),
+         "cost weight is not positive definite"),
+        (lambda d: d["constraint"]["a_blocks"].update(a1=[[1.0], [1.0]]),
+         "has 1 columns, agent dim is 2"),
+        (lambda d: d["human_models"].pop("k1"), "human 'k1' has no response model"),
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
-            "alpha-out-of-range"])
+            "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
+            "fractional-record-stride", "boolean-max-time", "nan-softplus-beta",
+            "disconnected-graph", "self-loop", "weight-not-pd", "block-dim-mismatch",
+            "missing-response-model"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
         doc = serialize_scenario(path_scenario())
         edit(doc)
@@ -287,7 +332,7 @@ class TestRunOutputs:
         assert summary["failed_attempt"]["max_entry"] is None
 
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
-        run_risk_grid(1, str(tmp_path), opts={"max_time": 0.5})
+        run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
         saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
         assert len(saved["cells"]) == 4
         for cell in saved["cells"].values():
@@ -314,6 +359,14 @@ class TestPresetRun:
         assert summary["final_deviation"] <= 1e-6
         assert (tmp_path / "scenario.json").exists()
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_preset_run_without_reference_skips_oracle(self, tmp_path, capsys):
+        assert main(["run", "fig4_convergence", "--seed", "1", "--reference", "none",
+                     "--max-time", "0.5", "--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert "final_deviation" not in summary
+        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+        assert "deviation" not in header
 
     def test_run_without_reference_skips_oracle(self, tmp_path, capsys):
         scenario = single_agent_scenario().with_solver(max_time=30.0)

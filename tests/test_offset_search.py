@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hatalloc import experiments, oracle
+from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import HatallocError, UnsupportedByOracleError
 from hatalloc.experiments import (
+    INITIAL_SPEED_CAP,
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     attitude_cells,
     _draw_instance,
+    _normalize_scale,
     _tighten_offsets,
     _with_offsets,
     crosscheck_scenario,
@@ -126,6 +129,30 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     draw = _team_draw(5)
     assert _tighten_offsets(draw) is not None
     assert 0 < len(calls) <= len(attitude_cells(draw))
+
+
+def _zero_start_speed(scenario):
+    """|velocity| at w = 0, with the multiplier part clamped at the bound."""
+    engine = FlowEngine(scenario)
+    w = np.zeros(scenario.layout.x_dim + 2 * engine.dc.block_dim)
+    v = np.empty_like(w)
+    engine.velocity(w, 0.0, v)
+    lam = slice(scenario.layout.x_dim + engine.dc.block_dim, None)
+    v[lam] = np.maximum(v[lam], 0.0)
+    return float(np.linalg.norm(v))
+
+
+def test_scaled_draws_start_within_the_speed_cap():
+    """`_normalize_scale` bounds the zero-start speed of every tightened draw,
+    so the generator needs no admission check on it."""
+    speeds = {}
+    for attempt in range(60):
+        tightened = _tighten_offsets(_team_draw(attempt))
+        if tightened is not None:
+            speeds[attempt] = _zero_start_speed(_normalize_scale(tightened))
+    assert max(speeds.values()) <= INITIAL_SPEED_CAP * (1 + 1e-12)
+    # Draw 5 is one where the cap, not the saddle-norm target, sets the scale.
+    assert speeds[5] == pytest.approx(INITIAL_SPEED_CAP, abs=1e-12)
 
 
 def _outcome(solve):
