@@ -14,8 +14,9 @@ discrete counterpart of the projection. l_bar = L (x) I_r is applied on the
 node Laplacian L (`DecoupledConstraint.lift_apply`), never as a dense matrix.
 
 `integrate` steps one stacked state w = [x, z, lambda]. When every cost is
-quadratic, every human affine and no schedule is still settling, the response
-y = S x + d is folded into one sparse affine operator (`FlowEngine.velocity`):
+quadratic and every human affine, the response y = S x + d is folded into
+one sparse affine operator (`FlowEngine.velocity`), from the start or, with
+a schedule, from its settle time on, where the parameters are the true ones:
 
     dx      = -g - H x - C^T lambda,   C = [a_bar ; b_bar S]
     dz      = -l_bar lambda
@@ -26,12 +27,33 @@ oracle step one assembled problem. The velocity is M w + b; M is graph-local,
 kept as row, column and value arrays of its O(edges) nonzeros. Every other
 scenario takes its velocity from `FlowEngine.rhs`.
 
+While no multiplier is clamped, projected Euler on the affine flow is the
+linear recurrence w <- w + dt (M w + b), and the velocity obeys
+v_{k+1} = A v_k with A = I + dt M. `integrate` then takes CHUNK steps per
+matrix-vector product: P = [I; A; ...; A^(CHUNK-1)] is built once per run,
+V = (P v_k).reshape(CHUNK, N) holds the next velocities and
+W = w_k + dt cumsum(V) the next states. The update norms are the row norms
+of V, not of the state differences, which would multiply state roundoff by
+1/dt; the saddle distance, the sup-norm and the samples are read from the
+rows. A chunk is taken only if every multiplier in W is positive, every row
+is finite and every update norm exceeds tolerance (1 + CHUNK_GUARD).
+Otherwise the next CHUNK steps go singly, so the clamp, the stopping step
+and a `DivergenceError` are always decided by the single-step arithmetic.
+The guard band is needed because near the crossing the update norm is known
+only to roundoff, and it falls by only ~5e-5 relative per step: the final
+update norms of chunked and single-step runs of crosscheck seeds 1-30
+(tolerance 1e-10) differ by up to 2.5e-5 relative. Chunks pay N^2 multiply-adds per step and
+a sparse step its nonzeros plus the numpy call overhead, so chunks are used
+only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense
+array is allocated: the benchmark's 7-agent team chunks, a few hundred
+agents keep the sparse step.
+
 The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
 and the sparse operator are held to it, and both velocities give the same
-trajectory to roundoff. Samples are taken on the stacked state, from one
-response evaluation each; the state-level functions in `metrics` are the
-reference they agree with.
+trajectory to roundoff. The states at the sampled steps are kept during the
+run and evaluated SAMPLE_BLOCK at a time in one stacked pass each; the
+state-level functions in `metrics` are the reference the samples agree with.
 """
 
 from __future__ import annotations
@@ -103,8 +125,9 @@ class FlowEngine:
     schedule deltas and the softplus rows; the right-hand side is then a
     handful of mat-vecs, which is what makes long horizons cheap. `velocity`
     is what `integrate` steps with: the sparse affine operator where the
-    scenario allows it, `rhs` otherwise. The approximation schedules are the
-    scenario's own (`scenario.schedules`).
+    scenario allows it (with a schedule, once it has settled), `rhs`
+    otherwise. The approximation schedules are the scenario's own
+    (`scenario.schedules`).
     """
 
     def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None):
@@ -137,9 +160,13 @@ class FlowEngine:
         self._settle_time = max(
             (entry[3].settle_time for entry in sched_rows), default=0.0
         )
-        # Folded on the first `velocity` call, so engines built only to
-        # evaluate costs or residuals never pay for it.
-        self._affine = self._quadratic and not self._soft_rows and not sched_rows
+        # From `_fold_time` on the flow is affine and `velocity` steps the
+        # folded operator: from the start without a schedule, once it has
+        # settled with one, never with softplus rows or callback costs.
+        foldable = self._quadratic and not self._soft_rows
+        self._fold_time = self._settle_time if foldable else math.inf
+        # Folded on first use, so engines built only to evaluate costs or
+        # residuals never pay for it.
         self._folded = None
 
     # -- stacked parameter and response evaluation --------------------------
@@ -161,7 +188,7 @@ class FlowEngine:
             return pre
         y = pre.copy()
         for rows, beta in self._soft_rows:
-            y[rows] = softplus(pre[rows], beta)
+            y[..., rows] = softplus(pre[..., rows], beta)
         return y
 
     def _chain_scale(self, w: np.ndarray, pre: np.ndarray) -> np.ndarray:
@@ -263,15 +290,19 @@ class FlowEngine:
         b[n + q:] += dc.c_split
         return rows[order], cols[order], vals[order], b
 
+    def folded(self):
+        """The affine operator of `_fold`, built on the first call."""
+        if self._folded is None:
+            self._folded = self._fold()
+        return self._folded
+
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
         """Write (dx, dz, raw multiplier gradient) at w = [x, z, lambda] into out."""
-        if not self._affine:
+        if t < self._fold_time:
             n, q = self.layout.x_dim, self.dc.block_dim
             out[:n], out[n:n + q], out[n + q:] = self.rhs(w[:n], w[n:n + q], w[n + q:], t)
             return
-        if self._folded is None:
-            self._folded = self._fold()
-        rows, cols, vals, b = self._folded
+        rows, cols, vals, b = self.folded()
         np.add(np.bincount(rows, vals * w[cols], minlength=out.size), b, out=out)
 
     def lagrangian_value(self, x, z, lam, t) -> float:
@@ -334,7 +365,9 @@ def integrate(
     `failed_attempt` then names the step size that diverged.
 
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
-    enables distance-to-saddle recording, tracked at every step.
+    enables distance-to-saddle recording, tracked at every step. The record's
+    `chunked_steps` and `single_steps` count the steps taken in propagated
+    chunks and one at a time.
     """
     opts = scenario.solver
     engine = FlowEngine(scenario, dc)
@@ -349,6 +382,67 @@ def integrate(
     return final, record
 
 
+# Euler steps per chunk of the affine propagator.
+CHUNK = 32
+# A chunk with an update norm within this relative band above the tolerance
+# is stepped singly instead: there the stopping step depends on roundoff,
+# so the single-step arithmetic decides it. 40x the largest gap measured
+# between the final update norms of chunked and single-step runs.
+CHUNK_GUARD = 1e-3
+# The numpy call overhead of one sparse step, in dense multiply-adds: a
+# chunk costs N^2 of them per step, a sparse step its nonzeros plus these.
+# Measured on a 2-CPU machine, the two cost the same at N ~ 120.
+STEP_OVERHEAD_ENTRIES = 16384
+# Sampled states evaluated per stacked pass, which bounds the memory a run
+# holds for states not yet evaluated.
+SAMPLE_BLOCK = 256
+
+
+def _propagator(engine, dt):
+    """P = [I; A; ...; A^(CHUNK-1)] stacked to (CHUNK N, N), A = I + dt M.
+
+    None when the flow never folds or when the sparse step is the cheaper one
+    (N^2 > nnz + STEP_OVERHEAD_ENTRIES); that is decided before any dense
+    array is allocated.
+    """
+    if engine._fold_time == math.inf:
+        return None
+    rows, cols, vals, b = engine.folded()
+    size = b.size
+    if size * size > rows.size + STEP_OVERHEAD_ENTRIES:
+        return None
+    step = np.eye(size)
+    np.add.at(step, (rows, cols), dt * vals)
+    powers = np.empty((CHUNK, size, size))
+    powers[0] = np.eye(size)
+    for j in range(1, CHUNK):
+        np.matmul(step, powers[j - 1], out=powers[j])
+    return powers.reshape(CHUNK * size, size)
+
+
+def _chunk(P, w, v, dt, lam_start, floor):
+    """The next CHUNK Euler steps from w, whose velocity is v.
+
+    While no multiplier clamps, v_{k+1} = A v_k, so the rows of
+    V = (P v).reshape(CHUNK, N) are the next velocities and
+    W = w + dt cumsum(V) the next states. Returns (W, the row norms of V,
+    max |W|), or None when a step would clamp a multiplier (some lambda of W
+    is <= 0), a row is not finite, or an update norm is <= `floor`; the
+    reference steps decide those cases.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = (P @ v).reshape(CHUNK, -1)
+        W = np.cumsum(V, axis=0)
+        W *= dt
+        W += w
+        norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+        sup = float(np.abs(W).max())
+    if (norms.min() > floor and norms.max() < math.inf and sup < math.inf
+            and (W[:, lam_start:] > 0.0).all()):
+        return W, norms, sup
+    return None
+
+
 def _run_flow(engine, opts, dt, state0, reference, saddle):
     lay = engine.layout
     n, q = lay.x_dim, engine.dc.block_dim
@@ -358,6 +452,8 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
+    P = _propagator(engine, dt)
+    floor = opts.tolerance * (1.0 + CHUNK_GUARD)
 
     w_ref = None
     v_initial = v_max_inc = v_now = None
@@ -367,16 +463,51 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
         v_now = v_initial = 0.5 * float(scratch @ scratch)
         v_max_inc = -math.inf
 
-    if reference is not None:
-        reference = (np.asarray(reference[0], float), np.asarray(reference[1], float))
-    samples = [_sample(engine, w, 0.0, reference, v_now)]
+    # (step, state, saddle distance) of the samples not yet evaluated.
+    samples, pending = [], []
+
+    def keep(step, state, dist):
+        pending.append((step, state.copy(), dist))
+        if len(pending) == SAMPLE_BLOCK:
+            samples.extend(_samples(engine, pending, dt, reference))
+            pending.clear()
+
+    keep(0, w, v_now)
     termination = "max_time"
-    steps_done = 0
-    t = 0.0
+    k = chunked = single_until = 0
     update_norm = None
     sup_norm = float(np.max(np.abs(w)))
-    for k in range(n_steps):
+    while k < n_steps:
         t = k * dt
+        if (P is not None and k >= single_until and k + CHUNK <= n_steps
+                and t >= engine._fold_time):
+            engine.velocity(w, t, vel)
+            rows = _chunk(P, w, vel, dt, n + q, floor)
+            if rows is None:
+                # The next CHUNK steps go singly.
+                single_until = k + CHUNK
+            else:
+                W, norms, sup = rows
+                update_norm = float(norms[-1])
+                sup_norm = max(sup_norm, sup)
+                dist = None
+                if w_ref is not None:
+                    D = W - w_ref
+                    dist = 0.5 * np.einsum("ij,ij->i", D, D)
+                    v_max_inc = max(v_max_inc, float(np.diff(dist, prepend=v_now).max()))
+                    v_now = float(dist[-1])
+                end = k + CHUNK
+                marks = list(range((k // stride + 1) * stride, end + 1, stride))
+                if end == n_steps and n_steps % stride:
+                    marks.append(end)
+                for s in marks:
+                    j = s - k - 1
+                    keep(s, W[j], None if dist is None else float(dist[j]))
+                w[:] = W[-1]
+                k = end
+                chunked += CHUNK
+                continue
+
         engine.velocity(w, t, vel)
         np.multiply(vel, dt, out=w_new)
         w_new += w
@@ -393,8 +524,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
             engine.velocity(w, t, vel)
             _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
         w, w_new = w_new, w
-        steps_done = k + 1
-        t = steps_done * dt
+        k += 1
         sup_norm = max(sup_norm, step_sup)
 
         if w_ref is not None:
@@ -404,54 +534,85 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
             v_max_inc = max(v_max_inc, v_now - v_prev)
 
         converged = update_norm <= opts.tolerance
-        if converged or steps_done == n_steps or steps_done % stride == 0:
-            samples.append(_sample(engine, w, t, reference, v_now))
+        if converged or k == n_steps or k % stride == 0:
+            keep(k, w, v_now)
         if converged:
             termination = "converged"
             break
 
+    if pending:
+        samples.extend(_samples(engine, pending, dt, reference))
+    t = k * dt
     final = engine.unstack_state(w[:n], w[n:n + q], w[n + q:], t)
     record = metrics.TrajectoryRecord(
         agent_order=lay.node_order,
         samples=samples,
         termination=termination,
         final_t=t,
-        steps=steps_done,
+        steps=k,
         dt=dt,
         state_sup_norm=sup_norm,
         final_update_norm=update_norm,
         v_initial=v_initial,
         v_final=v_now,
         v_max_step_increase=v_max_inc,
+        chunked_steps=chunked,
+        single_steps=k - chunked,
     )
     return final, record
 
 
-def _sample(engine, w, t, reference, saddle_dist):
-    """Trajectory sample at the stacked state w = [x, z, lambda], from one
-    response evaluation; `saddle_dist` is the distance the loop tracks."""
+def _samples(engine, sampled, dt, reference):
+    """The trajectory samples of (step, stacked state, saddle distance)
+    triples, evaluated in one stacked pass over the sampled states."""
     lay = engine.layout
     n, q = lay.x_dim, engine.dc.block_dim
-    x, z, lam = w[:n], w[n:n + q], w[n + q:]
-    y, _ = engine.response(x, t)
-    deviation = None
+    steps, states, dists = zip(*sampled)
+    ts = [s * dt for s in steps]
+    W = np.stack(states)
+    X, Z, L = W[:, :n], W[:, n:n + q], W[:, n + q:]
+    sp, dc = engine.stacked, engine.dc
+    pre = X @ sp.S.T + sp.d
+    for i in np.flatnonzero(np.asarray(ts) < engine._settle_time):
+        S, d = engine._params(ts[i])  # a schedule still settling
+        pre[i] = S @ X[i] + d
+    Y = engine._activate(pre)
+
+    deviation = [None] * len(ts)
     if reference is not None:
-        dx, dy = x - reference[0], y - reference[1]
-        deviation = float(dx @ dx + dy @ dy)
+        dX = X - np.asarray(reference[0], float)
+        dY = Y - np.asarray(reference[1], float)
+        deviation = (np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", dY, dY)).tolist()
+    if engine._quadratic:
+        objective = 0.5 * (np.einsum("ij,ij->i", X @ engine._fx2.T, X)
+                           + np.einsum("ij,ij->i", Y @ engine._gy2.T, Y))
+    else:
+        objective = np.array([engine.objective_value(x, y) for x, y in zip(X, Y)])
+    lifted = (dc.laplacian @ Z.reshape(len(ts), -1, dc.rows)).reshape(Z.shape)
+    gap = np.concatenate([X @ dc.a_bar.T, Y @ dc.b_bar.T], axis=1) + lifted + dc.c_split
+    lagrangian = objective + np.einsum("ij,ij->i", L, gap)
+    coupled = (X @ sp.a_cat.T + Y @ sp.b_cat.T + engine.scenario.constraint.c).max(axis=1)
+    min_lam = L.min(axis=1) if q else np.zeros(len(ts))
     # Per-agent 1-norms: every block is nonempty, so reduceat sums each one.
-    workloads = {}
-    for ids, v, offsets in ((lay.autonomous_ids, x, lay.x_offsets),
-                            (lay.human_ids, y, lay.y_offsets)):
-        workloads.update(zip(ids, np.add.reduceat(np.abs(v), [*offsets.values()]).tolist()))
-    return metrics.TrajectorySample(
-        t=t,
-        deviation=deviation,
-        saddle_dist=saddle_dist,
-        max_coupled_residual=float(np.max(engine.coupled_gap(x, y))),
-        min_multiplier=float(np.min(lam)) if lam.size else 0.0,
-        lagrangian=engine.objective_value(x, y) + float(lam @ engine.constraint_gap(x, y, z)),
-        workloads=workloads,
-    )
+    loads = np.concatenate([
+        np.add.reduceat(np.abs(X), [*lay.x_offsets.values()], axis=1),
+        np.add.reduceat(np.abs(Y), [*lay.y_offsets.values()], axis=1),
+    ], axis=1).tolist()
+    agents = (*lay.autonomous_ids, *lay.human_ids)
+    return [
+        metrics.TrajectorySample(
+            t=t,
+            deviation=dev,
+            saddle_dist=dist,
+            max_coupled_residual=res,
+            min_multiplier=low,
+            lagrangian=value,
+            workloads=dict(zip(agents, row)),
+        )
+        for t, dev, dist, res, low, value, row in zip(
+            ts, deviation, dists, coupled.tolist(), min_lam.tolist(),
+            lagrangian.tolist(), loads)
+    ]
 
 
 GRADIENT_CHECK_STEP = 1e-6

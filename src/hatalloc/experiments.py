@@ -549,6 +549,8 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
         "termination": record.termination,
         "final_t": record.final_t,
         "steps": record.steps,
+        "chunked_steps": record.chunked_steps,
+        "single_steps": record.single_steps,
         "dt": record.dt,
         **_convergence_dict(record, scenario.solver.tolerance),
     })

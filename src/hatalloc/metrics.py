@@ -119,6 +119,8 @@ class TrajectoryRecord:
     integrator's own O(dt^2) error). `final_update_norm` is the update norm
     of the last step, the quantity the stopping rule compares with the
     tolerance. `failed_attempt` is set when the run had to halve `dt`.
+    `chunked_steps` + `single_steps` = `steps`: the steps taken in
+    propagated chunks of the affine flow and those taken one at a time.
     """
 
     agent_order: tuple[str, ...]
@@ -133,6 +135,8 @@ class TrajectoryRecord:
     v_initial: float | None = None
     v_final: float | None = None
     v_max_step_increase: float | None = None
+    chunked_steps: int = 0
+    single_steps: int = 0
 
     @property
     def has_deviation(self) -> bool:

@@ -350,6 +350,13 @@ def _require(cond: bool, msg: str):
         raise ScenarioFormatError(msg)
 
 
+def _as_int(raw, context: str) -> int:
+    """A JSON integer: booleans and fractional numbers fail, not truncate."""
+    _require(isinstance(raw, Integral) and not isinstance(raw, bool),
+             f"{context} {raw!r} is not an integer")
+    return int(raw)
+
+
 def _as_matrix(raw, context: str) -> np.ndarray:
     try:
         mat = np.array(raw, dtype=float)
@@ -441,12 +448,7 @@ def scenario_from_document(doc: dict) -> Scenario:
             "each agent needs id, kind and dim",
         )
         agent_id = str(entry["id"])
-        try:
-            dims[agent_id] = int(entry["dim"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioFormatError(
-                f"agent '{agent_id}': dim {entry['dim']!r} is not an integer"
-            ) from exc
+        dims[agent_id] = _as_int(entry["dim"], f"agent '{agent_id}': dim")
         kind = entry["kind"]
         if kind == "autonomous":
             autonomous.append(agent_id)
@@ -475,6 +477,7 @@ def scenario_from_document(doc: dict) -> Scenario:
             raise NotPositiveDefiniteError(f"cost for '{agent_id}': {exc}") from exc
 
     con_doc = doc["constraint"]
+    _require(isinstance(con_doc, dict), "'constraint' must be an object")
     constraint = CouplingConstraint(
         a_blocks={
             i: _as_matrix(m, f"a_block for '{i}'")
@@ -486,7 +489,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         },
         c=_as_vector(con_doc.get("c"), "constraint offset c"),
     )
-    if "rows" in con_doc and int(con_doc["rows"]) != constraint.rows:
+    if "rows" in con_doc and _as_int(con_doc["rows"], "constraint rows") != constraint.rows:
         raise DimensionMismatchError(
             f"declared {con_doc['rows']} constraint rows, offset c has {constraint.rows}"
         )

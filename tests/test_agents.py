@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hatalloc import build_decoupled, initial_state
 from hatalloc.agents import DistributedRunner, Message, agent_round
-from hatalloc.dynamics import FlowEngine, _step_arrays
+from hatalloc.dynamics import FlowEngine, _chunk, _propagator, _step_arrays
 from hatalloc.errors import MessageProtocolError
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
@@ -40,15 +40,25 @@ def max_state_diff(scenario, a, b):
 FAMILY_SETS = [("affine",), ("softplus_affine",), ("affine", "softplus_affine")]
 
 
-def check_one_sweep(seed, families, state_seed, clamp):
-    """One sweep = one `_step_arrays` step = one `velocity` step."""
+STARTS = ("uniform", "clamped", "lifted")
+
+
+def check_one_sweep(seed, families, state_seed, start):
+    """One sweep = one `_step_arrays` step = one `velocity` step = the first
+    row of a propagated chunk. Returns whether the chunk was taken.
+
+    `start` sets the multipliers: uniform in [0, 1] (`uniform`), the same
+    with about half of them at the clamp (`clamped`), or uniform in [5, 6]
+    (`lifted`), so that no step of a chunk clamps."""
     scenario = random_scenario(seed, families=families)
     dc = build_decoupled(scenario)
     rng = np.random.default_rng(state_seed)
     state = random_system_state(scenario, rng)
-    if clamp:  # about half of the multipliers start at the clamp
-        for block in state.lam.values():
+    for block in state.lam.values():
+        if start == "clamped":
             block[rng.random(block.size) < 0.5] = 0.0
+        elif start == "lifted":
+            block += 5.0
     runner = DistributedRunner(scenario, dc, state=state)
     runner.sweep(DT)
     engine = FlowEngine(scenario, dc)
@@ -56,7 +66,7 @@ def check_one_sweep(seed, families, state_seed, clamp):
     stepped = np.concatenate(_step_arrays(engine, x, z, lam, 0.0, DT)[:3])
     swept = np.concatenate(engine.stack_state(runner.state()))
     assert np.max(np.abs(swept - stepped)) <= 1e-12
-    if engine._affine:
+    if engine._fold_time == 0.0:
         # the folded operator, stepped and clamped as `integrate` does
         w = np.concatenate([x, z, lam])
         vel = np.empty_like(w)
@@ -64,22 +74,29 @@ def check_one_sweep(seed, families, state_seed, clamp):
         folded = w + DT * vel
         np.maximum(folded[x.size + z.size:], 0.0, out=folded[x.size + z.size:])
         assert np.max(np.abs(folded - stepped)) <= 1e-12
+        # the chunk, taken only while no multiplier clamps
+        rows = _chunk(_propagator(engine, DT), w, vel, DT, x.size + z.size, 0.0)
+        if rows is not None:
+            assert np.max(np.abs(rows[0][0] - stepped)) <= 1e-12
+            return True
+    return False
 
 
 class TestSweepEquivalence:
     @pytest.mark.parametrize("seed", [3, 8, 15])
     def test_one_sweep_matches_compact_step(self, seed):
-        check_one_sweep(seed, FAMILY_SETS[2], seed, clamp=False)
+        check_one_sweep(seed, FAMILY_SETS[2], seed, "uniform")
+        assert check_one_sweep(seed, FAMILY_SETS[0], seed, "lifted")
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         families=st.sampled_from(FAMILY_SETS),
         state_seed=st.integers(0, 2**32 - 1),
-        clamp=st.booleans(),
+        start=st.sampled_from(STARTS),
     )
-    def test_random_sweep_matches_compact_step(self, seed, families, state_seed, clamp):
-        check_one_sweep(seed, families, state_seed, clamp)
+    def test_random_sweep_matches_compact_step(self, seed, families, state_seed, start):
+        check_one_sweep(seed, families, state_seed, start)
 
     def test_thousand_sweeps_match_compact_trajectory(self):
         scenario = random_scenario(3, families=("affine", "softplus_affine"))

@@ -284,12 +284,17 @@ class TestScenarioFormatErrors:
         (lambda d: d["constraint"]["a_blocks"].update(a1=[[1.0], [1.0]]),
          "has 1 columns, agent dim is 2"),
         (lambda d: d["human_models"].pop("k1"), "human 'k1' has no response model"),
+        (lambda d: d.update(constraint=[1]), "'constraint' must be an object"),
+        (lambda d: d["constraint"].update(rows="x"), "constraint rows 'x' is not an integer"),
+        (lambda d: d["agents"][0].update(dim=1.7), "dim 1.7 is not an integer"),
+        (lambda d: d["agents"][0].update(dim=True), "dim True is not an integer"),
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
             "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
             "fractional-record-stride", "boolean-max-time", "nan-softplus-beta",
             "disconnected-graph", "self-loop", "weight-not-pd", "block-dim-mismatch",
-            "missing-response-model"])
+            "missing-response-model", "constraint-not-an-object", "rows-not-integer",
+            "fractional-dim", "boolean-dim"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
         doc = serialize_scenario(path_scenario())
         edit(doc)
@@ -357,6 +362,10 @@ class TestPresetRun:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["final_deviation"] <= 1e-6
+        # After the clamp pattern settles, the run goes in propagated chunks.
+        steps = summary["steps"]
+        assert summary["chunked_steps"] + summary["single_steps"] == steps == 186015
+        assert summary["chunked_steps"] > 0.9 * steps
         assert (tmp_path / "scenario.json").exists()
         assert (tmp_path / "trajectory.csv").exists()
 

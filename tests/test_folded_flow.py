@@ -1,8 +1,10 @@
-"""The sparse affine velocity M w + b against the reference `FlowEngine.rhs`.
+"""The sparse affine velocity M w + b and the chunked propagator against the
+reference `FlowEngine.rhs`.
 
-`integrate` takes the sparse step for quadratic costs with affine,
-unscheduled humans and `FlowEngine.rhs` otherwise; `_step_arrays` is the
-reference both are held to.
+`integrate` takes the sparse step for quadratic costs with affine humans
+whose schedule (if any) has settled, and `FlowEngine.rhs` otherwise; on small
+affine systems it takes CHUNK steps at a time while no multiplier clamps.
+`_step_arrays` is the reference all of them are held to.
 """
 
 from dataclasses import replace
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hatalloc import build_decoupled, initial_state, integrate
-from hatalloc.dynamics import FlowEngine, _step_arrays
-from hatalloc.experiments import random_scenario
+from hatalloc.dynamics import CHUNK, FlowEngine, _step_arrays
+from hatalloc.experiments import crosscheck_scenario, random_scenario
 from hatalloc.human import ApproximationSchedule
 
 from conftest import path_scenario
@@ -26,13 +28,17 @@ AFFINE_SEEDS = (0, 1, 2, 5, 11)
 LARGE_TEAM = random_scenario(3, n_autonomous=80, n_human=20, rows=3)
 
 
-def _with_random_start(scenario, seed):
-    """The scenario started from a random state with about half of the
-    multipliers at zero, so the clamp acts from the first step."""
+def _with_random_start(scenario, seed, clamped=True):
+    """The scenario started from a random state. With `clamped`, about half
+    of the multipliers start at zero, so the clamp acts from the first step;
+    otherwise every multiplier starts well above zero, so chunks run."""
     rng = np.random.default_rng(seed)
     lay = scenario.layout
     lam = rng.uniform(0.0, 1.0, size=lay.block_dim)
-    lam[rng.random(lay.block_dim) < 0.5] = 0.0
+    if clamped:
+        lam[rng.random(lay.block_dim) < 0.5] = 0.0
+    else:
+        lam += 5.0
     start = {
         "x": {i: rng.normal(size=scenario.dims[i]).tolist() for i in lay.autonomous_ids},
         "z": {a: rng.normal(size=lay.rows).tolist() for a in lay.node_order},
@@ -53,21 +59,28 @@ def _scheduled():
 
 
 def _cases():
-    cases = [
-        pytest.param(random_scenario(s), True, id=f"affine-{s}")
-        for s in AFFINE_SEEDS
+    """(scenario, folded from the start, chunks once no multiplier clamps)
+    with an id; each case runs from a clamped start and, under
+    `<id>-positive`, from positive multipliers."""
+    named = [(random_scenario(s), True, True, f"affine-{s}") for s in AFFINE_SEEDS]
+    named += [
+        # the cost rule keeps the sparse step for a few hundred entries
+        (LARGE_TEAM, True, False, "affine-100-agents"),
+        (path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0),
+         False, False, "softplus"),
+        # folds, and so chunks, once the schedule has settled
+        (_scheduled(), False, True, "scheduled"),
     ]
-    cases.append(pytest.param(LARGE_TEAM, True, id="affine-100-agents"))
-    cases.append(pytest.param(
-        path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0),
-        False, id="softplus",
-    ))
-    cases.append(pytest.param(_scheduled(), False, id="scheduled"))
-    return cases
+    return [
+        pytest.param(scenario, folded, chunks, clamped,
+                     id=name if clamped else f"{name}-positive")
+        for clamped in (True, False)
+        for scenario, folded, chunks, name in named
+    ]
 
 
-def _reference_run(scenario, w_ref):
-    """STEPS reference steps with the bookkeeping `integrate` records."""
+def _reference_run(scenario, w_ref, steps=STEPS):
+    """`steps` reference steps with the bookkeeping `integrate` records."""
     engine = FlowEngine(scenario, build_decoupled(scenario))
     x, z, lam = engine.stack_state(initial_state(scenario))
     dt = scenario.solver.dt
@@ -83,7 +96,7 @@ def _reference_run(scenario, w_ref):
     sup = float(np.max(np.abs(stacked())))
     v = distance(stacked())
     v_max_inc = -np.inf
-    for k in range(STEPS):
+    for k in range(steps):
         x, z, lam, _, _ = _step_arrays(engine, x, z, lam, k * dt, dt)
         w = stacked()
         sup = max(sup, float(np.max(np.abs(w))))
@@ -93,27 +106,74 @@ def _reference_run(scenario, w_ref):
     return stacked(), sup, v_max_inc
 
 
-@pytest.mark.parametrize("scenario, folded", _cases())
-def test_integrate_matches_reference_steps(scenario, folded):
-    assert FlowEngine(scenario)._affine is folded
-    scenario = _with_random_start(scenario, 7).with_solver(
-        tolerance=0.0, max_time=STEPS * 1e-3
-    )
+def _stacked(scenario, state):
+    lay = scenario.layout
+    return np.concatenate([
+        lay.stack_x(state.x), lay.stack_nodes(state.z), lay.stack_nodes(state.lam)
+    ])
+
+
+def _check_against_reference(scenario, steps):
+    """`integrate` over `steps` steps from the scenario's start equals the
+    reference steps: final state, sup-norm and largest saddle-distance
+    increase. Returns the run's record."""
+    scenario = scenario.with_solver(tolerance=0.0, max_time=steps * 1e-3)
     lay = scenario.layout
     n_eta = lay.x_dim + lay.block_dim
     w_ref = np.random.default_rng(8).normal(size=n_eta + lay.block_dim)
     w_ref[n_eta:] = np.abs(w_ref[n_eta:])
 
     final, record = integrate(scenario, saddle=(w_ref[:n_eta], w_ref[n_eta:]))
-    expected, sup, v_max_inc = _reference_run(scenario, w_ref)
+    expected, sup, v_max_inc = _reference_run(scenario, w_ref, steps)
 
-    assert (record.steps, record.termination) == (STEPS, "max_time")
-    got = np.concatenate([
-        lay.stack_x(final.x), lay.stack_nodes(final.z), lay.stack_nodes(final.lam)
-    ])
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    assert (record.steps, record.termination) == (steps, "max_time")
+    assert record.chunked_steps + record.single_steps == steps
+    np.testing.assert_allclose(_stacked(scenario, final), expected, rtol=0, atol=1e-12)
     assert record.state_sup_norm == pytest.approx(sup, rel=1e-12)
     assert record.v_max_step_increase == pytest.approx(v_max_inc, rel=1e-12)
+    return record
+
+
+@pytest.mark.parametrize("scenario, folded, chunks, clamped", _cases())
+def test_integrate_matches_reference_steps(scenario, folded, chunks, clamped):
+    assert (FlowEngine(scenario)._fold_time == 0.0) is folded
+    record = _check_against_reference(_with_random_start(scenario, 7, clamped), STEPS)
+    assert (record.chunked_steps > 0) is (chunks and not clamped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from(AFFINE_SEEDS),
+    start=st.integers(0, 2**32 - 1),
+    n_chunks=st.integers(0, 6),
+    rest=st.integers(1, CHUNK - 1),
+)
+def test_random_starts_and_budgets_match_reference_steps(seed, start, n_chunks, rest):
+    scenario = _with_random_start(random_scenario(seed), start, clamped=False)
+    _check_against_reference(scenario, n_chunks * CHUNK + rest)
+
+
+@pytest.mark.parametrize("seed, steps", [(2, 80482), (6, 166874)])
+def test_roundoff_sensitive_stops_match_reference(seed, steps):
+    """Crosscheck seeds whose stopping step depends on roundoff: near the
+    tolerance the update norm falls by only ~5e-5 relative per step."""
+    scenario = crosscheck_scenario(seed).with_solver(tolerance=1e-10, max_time=600.0)
+    final, record = integrate(scenario)
+    assert (record.steps, record.termination) == (steps, "converged")
+    assert record.chunked_steps > 0.9 * steps
+
+    engine = FlowEngine(scenario)
+    x, z, lam = engine.stack_state(initial_state(scenario))
+    dt, tol = scenario.solver.dt, scenario.solver.tolerance
+    for k in range(record.steps):
+        lam_old = lam
+        x, z, lam, dx, dz = _step_arrays(engine, x, z, lam, k * dt, dt)
+        dlam = (lam - lam_old) / dt
+        norm = np.sqrt(dx @ dx + dz @ dz + dlam @ dlam)
+        assert (norm <= tol) == (k + 1 == steps)
+    np.testing.assert_allclose(
+        _stacked(scenario, final), np.concatenate([x, z, lam]), rtol=0, atol=1e-12
+    )
 
 
 AFFINE_ENGINES = [FlowEngine(random_scenario(s)) for s in AFFINE_SEEDS] + [
@@ -134,7 +194,7 @@ def test_folded_velocity_equals_rhs(data):
 
     out = np.empty_like(w)
     engine.velocity(w, 0.0, out)
-    assert engine._affine  # the sparse operator, not the rhs fallback
+    assert engine._fold_time == 0.0  # the sparse operator, not the rhs fallback
     expected = np.concatenate(engine.rhs(x, z, lam, 0.0))
     scale = max(1.0, float(np.max(np.abs(expected))))
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * scale)

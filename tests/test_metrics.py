@@ -15,7 +15,7 @@ from hatalloc import (
     squared_deviation,
     workload_report,
 )
-from hatalloc.dynamics import FlowEngine
+from hatalloc.dynamics import SAMPLE_BLOCK, FlowEngine
 
 from conftest import path_scenario, resummed_lagrangian
 
@@ -166,3 +166,23 @@ class TestTrajectoryRecord:
         _, rec = integrate(scenario)
         times = [s.t for s in rec.samples]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_every_step_sampled_across_evaluation_blocks(self, path_team):
+        # Samples are evaluated SAMPLE_BLOCK at a time; the sample at step s
+        # equals the last sample of a run stopped at s.
+        scenario = path_team.with_solver(max_time=0.7, record_stride=1, tolerance=0.0)
+        lay = scenario.layout
+        # Multipliers well above zero, so that chunks run.
+        start = {"lambda": {a: [5.0] * lay.rows for a in lay.node_order}}
+        scenario = replace(scenario, initial_state=start)
+        dt = scenario.solver.dt
+        _, rec = integrate(scenario)
+        assert rec.chunked_steps > 0
+        assert [s.t for s in rec.samples] == [k * dt for k in range(rec.steps + 1)]
+        for steps in (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1):
+            _, short = integrate(scenario.with_solver(max_time=steps * dt))
+            a, b = rec.samples[steps], short.samples[-1]
+            assert a.t == b.t
+            for key in ("max_coupled_residual", "min_multiplier", "lagrangian"):
+                assert abs(getattr(a, key) - getattr(b, key)) <= 1e-12
+            assert a.workloads == pytest.approx(b.workloads, rel=0, abs=1e-12)
