@@ -13,6 +13,11 @@ A sweep runs in two barrier-separated waves along graph edges:
    then evaluate the workload-coupling term J_{k,i}^T (grad g_k + B_k^T
    lambda_k) at the fresh states and send it with their new blocks.
 
+Both rounds share one skeleton: `_consensus` sums the neighbor differences
+edge by edge, and `_outbox` builds every outgoing message. A proxy's snapshot
+is set when it is built, and the runner's mailbox starts as the initial
+views' outboxes.
+
 The coupling term is what an autonomous agent needs from each neighboring
 human, and only the proxy can evaluate it: the response depends on *all* of
 the human's neighbors, which are not all neighbors of the agent. Within a
@@ -22,6 +27,7 @@ order inside a wave cannot change the result.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +76,8 @@ class AutonomousAgentView:
 class HumanProxyView:
     """Everything human proxy k owns, including the cached pre-sweep snapshot
     of its autonomous neighbors' payloads (needed because its own update and
-    the coupling terms it sends are evaluated one wave apart)."""
+    the coupling terms it sends are evaluated one wave apart). The snapshot
+    is set when the proxy is built; `DistributedRunner` builds it."""
 
     agent_id: str
     z: np.ndarray
@@ -81,7 +88,7 @@ class HumanProxyView:
     c_block: np.ndarray
     auto_neighbors: tuple[str, ...]
     human_neighbors: tuple[str, ...]
-    snapshot: dict[str, Message] | None = None
+    snapshot: dict[str, Message]
     schedule: ApproximationSchedule | None = None
     t: float = 0.0
 
@@ -102,6 +109,31 @@ def _index_inbox(view, inbox) -> dict[str, Message]:
     return by_sender
 
 
+def _consensus(view, payloads, gap):
+    """The neighbor sums of one round, edge by edge over the neighbors in
+    order: (-sum_j (lambda - lambda_j), gap + sum_j (z - z_j)), where
+    `payloads` maps each neighbor to its message."""
+    dz = np.zeros_like(view.z)
+    for other in view.auto_neighbors + view.human_neighbors:
+        dz = dz - (view.lam - payloads[other].lam)
+        gap = gap + (view.z - payloads[other].z)
+    return dz, gap
+
+
+def _outbox(view, coupling=None):
+    """The view's z and lambda to every neighbor, plus its x to human
+    neighbors (an autonomous sender) or `coupling[j]` to each autonomous
+    neighbor j (a proxy)."""
+    me, z, lam = view.agent_id, view.z, view.lam
+    x = view.x if isinstance(view, AutonomousAgentView) else None
+    outbox = []
+    for j in view.auto_neighbors:
+        outbox.append(Message(me, j, z, lam, coupling=None if coupling is None else coupling[j]))
+    for ell in view.human_neighbors:
+        outbox.append(Message(me, ell, z, lam, x=x))
+    return outbox
+
+
 def _autonomous_round(view: AutonomousAgentView, inbox, dt):
     msgs = _index_inbox(view, inbox)
     dx = -(view.cost.gradient(view.x) + view.a_block.T @ view.lam)
@@ -109,40 +141,22 @@ def _autonomous_round(view: AutonomousAgentView, inbox, dt):
         coupling = msgs[ell].coupling
         if coupling is None:
             raise MessageProtocolError(
-                f"message '{ell}' -> '{view.agent_id}' lacks the coupling term"
-            )
+                f"message '{ell}' -> '{view.agent_id}' lacks the coupling term")
         dx = dx - coupling
 
-    dz = np.zeros_like(view.z)
-    gap = view.a_block @ view.x + view.c_block
-    for other in view.auto_neighbors + view.human_neighbors:
-        dz = dz - (view.lam - msgs[other].lam)
-        gap = gap + (view.z - msgs[other].z)
-
-    new = replace(
-        view,
-        x=view.x + dt * dx,
-        z=view.z + dt * dz,
-        lam=np.maximum(0.0, view.lam + dt * gap),
-        t=view.t + dt,
-    )
-    outbox = []
-    for j in new.auto_neighbors:
-        outbox.append(Message(sender=new.agent_id, receiver=j, z=new.z, lam=new.lam))
-    for ell in new.human_neighbors:
-        outbox.append(
-            Message(sender=new.agent_id, receiver=ell, z=new.z, lam=new.lam, x=new.x)
-        )
-    return new, outbox
+    dz, gap = _consensus(view, msgs, view.a_block @ view.x + view.c_block)
+    new = replace(view, x=view.x + dt * dx, z=view.z + dt * dz,
+                  lam=np.maximum(0.0, view.lam + dt * gap), t=view.t + dt)
+    return new, _outbox(new)
 
 
-def _proxy_coupling(view: HumanProxyView, snapshot, lam, t):
+def _proxy_coupling(view: HumanProxyView):
     """Coupling vectors J_{k,i}^T (grad g_k(y_k) + B_k^T lambda_k), one per
-    autonomous neighbor, at the given snapshot / multiplier / time."""
-    x_in = {j: snapshot[j].x for j in view.auto_neighbors}
-    y = respond(view.model, x_in, t, view.schedule)
-    jac = response_jacobian(view.model, x_in, t, view.schedule)
-    w = view.cost.gradient(y) + view.b_block.T @ lam
+    autonomous neighbor, at the view's snapshot, multiplier and time."""
+    x_in = {j: view.snapshot[j].x for j in view.auto_neighbors}
+    y = respond(view.model, x_in, view.t, view.schedule)
+    jac = response_jacobian(view.model, x_in, view.t, view.schedule)
+    w = view.cost.gradient(y) + view.b_block.T @ view.lam
     return {j: jac[j].T @ w for j in view.auto_neighbors}
 
 
@@ -151,44 +165,17 @@ def _human_round(view: HumanProxyView, inbox, dt):
     for j in view.auto_neighbors:
         if msgs[j].x is None:
             raise MessageProtocolError(
-                f"message '{j}' -> '{view.agent_id}' lacks the state block"
-            )
-    # The cached snapshot holds pre-sweep autonomous payloads; a standalone
-    # call without one is assumed to receive a pre-step inbox directly.
-    snapshot = view.snapshot if view.snapshot is not None else msgs
+                f"message '{j}' -> '{view.agent_id}' lacks the state block")
 
     # Euler update from pre-sweep values: cached autonomous payloads, fresh
     # human payloads (human neighbors only send once per sweep, in this wave
     # of the previous sweep, so their inbox entries are still pre-sweep).
-    x_in = {j: snapshot[j].x for j in view.auto_neighbors}
+    x_in = {j: view.snapshot[j].x for j in view.auto_neighbors}
     y = respond(view.model, x_in, view.t, view.schedule)
-    gap = view.b_block @ y + view.c_block
-    dz = np.zeros_like(view.z)
-    for j in view.auto_neighbors:
-        gap = gap + (view.z - snapshot[j].z)
-        dz = dz - (view.lam - snapshot[j].lam)
-    for ell in view.human_neighbors:
-        gap = gap + (view.z - msgs[ell].z)
-        dz = dz - (view.lam - msgs[ell].lam)
-
-    fresh = {j: msgs[j] for j in view.auto_neighbors}
-    new = replace(
-        view,
-        z=view.z + dt * dz,
-        lam=np.maximum(0.0, view.lam + dt * gap),
-        snapshot=fresh,
-        t=view.t + dt,
-    )
-    coupling = _proxy_coupling(new, fresh, new.lam, new.t)
-    outbox = []
-    for j in new.auto_neighbors:
-        outbox.append(
-            Message(sender=new.agent_id, receiver=j, z=new.z, lam=new.lam,
-                    coupling=coupling[j])
-        )
-    for ell in new.human_neighbors:
-        outbox.append(Message(sender=new.agent_id, receiver=ell, z=new.z, lam=new.lam))
-    return new, outbox
+    dz, gap = _consensus(view, {**msgs, **view.snapshot}, view.b_block @ y + view.c_block)
+    new = replace(view, z=view.z + dt * dz, lam=np.maximum(0.0, view.lam + dt * gap),
+                  snapshot={j: msgs[j] for j in view.auto_neighbors}, t=view.t + dt)
+    return new, _outbox(new, _proxy_coupling(new))
 
 
 def agent_round(view, inbox, dt: float):
@@ -215,70 +202,41 @@ class DistributedRunner:
     approximation schedules (`scenario.schedules`).
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        dc: DecoupledConstraint | None = None,
-        state: SystemState | None = None,
-    ):
+    def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None,
+                 state: SystemState | None = None):
         self.scenario = scenario
         self.dc = dc if dc is not None else build_decoupled(scenario)
         state = state if state is not None else initial_state(scenario)
         lay = scenario.layout
 
-        self.views: dict[str, AutonomousAgentView | HumanProxyView] = {}
-        for i in lay.autonomous_ids:
-            auto_n, human_n = neighbors(scenario.topology, i)
-            self.views[i] = AutonomousAgentView(
-                agent_id=i,
-                x=np.array(state.x[i], dtype=float),
-                z=np.array(state.z[i], dtype=float),
-                lam=np.array(state.lam[i], dtype=float),
-                cost=scenario.costs[i],
-                a_block=scenario.constraint.a_blocks[i],
-                c_block=np.array(self.dc.c_split[lay.node_slice(i)]),
-                auto_neighbors=tuple(auto_n),
-                human_neighbors=tuple(human_n),
-                t=state.t,
-            )
-        for k in lay.human_ids:
-            auto_n, human_n = neighbors(scenario.topology, k)
-            self.views[k] = HumanProxyView(
-                agent_id=k,
-                z=np.array(state.z[k], dtype=float),
-                lam=np.array(state.lam[k], dtype=float),
-                model=scenario.human_models[k],
-                cost=scenario.costs[k],
-                b_block=scenario.constraint.b_blocks[k],
-                c_block=np.array(self.dc.c_split[lay.node_slice(k)]),
-                auto_neighbors=tuple(auto_n),
-                human_neighbors=tuple(human_n),
-                schedule=scenario.schedules.get(k),
-                t=state.t,
+        def common(a):
+            auto_n, human_n = neighbors(scenario.topology, a)
+            return dict(
+                agent_id=a, z=np.array(state.z[a], dtype=float),
+                lam=np.array(state.lam[a], dtype=float), cost=scenario.costs[a],
+                c_block=np.array(self.dc.c_split[lay.node_slice(a)]),
+                auto_neighbors=tuple(auto_n), human_neighbors=tuple(human_n), t=state.t,
             )
 
-        # Bootstrap mailbox from the initial global state.
+        # The mailbox starts as the initial views' outboxes. A proxy's
+        # snapshot holds its autonomous neighbors' initial messages, so the
+        # autonomous agents post first.
         self._by_receiver: dict[str, dict[str, Message]] = {a: {} for a in lay.node_order}
+        self.views: dict[str, AutonomousAgentView | HumanProxyView] = {}
         for i in lay.autonomous_ids:
-            view = self.views[i]
-            for j in view.auto_neighbors:
-                self._post(Message(sender=i, receiver=j, z=view.z, lam=view.lam))
-            for ell in view.human_neighbors:
-                self._post(
-                    Message(sender=i, receiver=ell, z=view.z, lam=view.lam, x=view.x)
-                )
+            view = self.views[i] = AutonomousAgentView(
+                **common(i), x=np.array(state.x[i], dtype=float),
+                a_block=scenario.constraint.a_blocks[i],
+            )
+            self._deliver(_outbox(view))
         for k in lay.human_ids:
-            view = self.views[k]
-            snapshot = {j: self._by_receiver[k][j] for j in view.auto_neighbors}
-            self.views[k] = replace(view, snapshot=snapshot)
-            coupling = _proxy_coupling(view, snapshot, view.lam, view.t)
-            for j in view.auto_neighbors:
-                self._post(
-                    Message(sender=k, receiver=j, z=view.z, lam=view.lam,
-                            coupling=coupling[j])
-                )
-            for ell in view.human_neighbors:
-                self._post(Message(sender=k, receiver=ell, z=view.z, lam=view.lam))
+            own = common(k)
+            view = self.views[k] = HumanProxyView(
+                **own, model=scenario.human_models[k], b_block=scenario.constraint.b_blocks[k],
+                snapshot={j: self._by_receiver[k][j] for j in own["auto_neighbors"]},
+                schedule=scenario.schedules.get(k),
+            )
+            self._deliver(_outbox(view, _proxy_coupling(view)))
 
     @property
     def mailbox(self) -> dict[tuple[str, str], Message]:
@@ -286,30 +244,27 @@ class DistributedRunner:
         return {(sender, receiver): msg for receiver, inbox in self._by_receiver.items()
                 for sender, msg in inbox.items()}
 
-    def _post(self, msg: Message):
-        self._by_receiver[msg.receiver][msg.sender] = msg
+    def _deliver(self, messages):
+        for msg in messages:
+            self._by_receiver[msg.receiver][msg.sender] = msg
 
     def _inbox(self, agent_id: str) -> list[Message]:
         return list(self._by_receiver[agent_id].values())
 
     def sweep(self, dt: float, order: list[str] | None = None) -> None:
-        """One synchronous step of every agent (autonomous wave, human wave)."""
+        """One synchronous step of every agent (autonomous wave, human wave).
+        `order` must list every agent once; it cannot change the result."""
         lay = self.scenario.layout
-        order = list(order) if order is not None else list(lay.node_order)
-        outgoing = []
-        for agent_id in [a for a in order if a in lay.x_offsets]:
-            new_view, outbox = agent_round(self.views[agent_id], self._inbox(agent_id), dt)
-            self.views[agent_id] = new_view
-            outgoing.extend(outbox)
-        for msg in outgoing:
-            self._post(msg)
-        outgoing = []
-        for agent_id in [a for a in order if a in lay.y_offsets]:
-            new_view, outbox = agent_round(self.views[agent_id], self._inbox(agent_id), dt)
-            self.views[agent_id] = new_view
-            outgoing.extend(outbox)
-        for msg in outgoing:
-            self._post(msg)
+        order = lay.node_order if order is None else _permutation(order, lay.node_order)
+        for wave in (lay.x_offsets, lay.y_offsets):
+            outgoing = []
+            for agent_id in order:
+                if agent_id in wave:
+                    new_view, outbox = agent_round(
+                        self.views[agent_id], self._inbox(agent_id), dt)
+                    self.views[agent_id] = new_view
+                    outgoing.extend(outbox)
+            self._deliver(outgoing)
 
     def run(self, n_sweeps: int, dt: float) -> SystemState:
         for _ in range(n_sweeps):
@@ -323,3 +278,18 @@ class DistributedRunner:
         lam = {a: np.array(self.views[a].lam) for a in lay.node_order}
         t = max((v.t for v in self.views.values()), default=0.0)
         return SystemState(x=x, z=z, lam=lam, t=t)
+
+
+def _permutation(order, agents) -> list[str]:
+    """`order` as a list; ValueError unless it lists every agent exactly once."""
+    order = list(order)
+    counts = Counter(order)
+    problems = [f"{kind} {ids}" for kind, ids in (
+        ("duplicate", sorted(a for a, n in counts.items() if n > 1)),
+        ("missing", sorted(set(agents) - set(counts))),
+        ("unknown", sorted(set(counts) - set(agents))),
+    ) if ids]
+    if problems:
+        raise ValueError("sweep order is not a permutation of the agents: "
+                         + "; ".join(problems))
+    return order

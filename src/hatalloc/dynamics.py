@@ -249,10 +249,6 @@ class FlowEngine:
             + dc.lift_apply(z) + dc.c_split
         )
 
-    def coupled_gap(self, x, y) -> np.ndarray:
-        sp = self.stacked
-        return sp.a_cat @ x + sp.b_cat @ y + self.scenario.constraint.c
-
     def lagrangian_gradient_x(self, x, lam, t) -> tuple[np.ndarray, np.ndarray]:
         """x-gradient of the Lagrangian, and the response y it was taken at."""
         S, d = self._params(t)
@@ -479,9 +475,9 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     sup_norm = float(np.max(np.abs(w)))
     while k < n_steps:
         t = k * dt
+        engine.velocity(w, t, vel)
         if (P is not None and k >= single_until and k + CHUNK <= n_steps
                 and t >= engine._fold_time):
-            engine.velocity(w, t, vel)
             rows = _chunk(P, w, vel, dt, n + q, floor)
             if rows is None:
                 # The next CHUNK steps go singly.
@@ -508,7 +504,6 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
                 chunked += CHUNK
                 continue
 
-        engine.velocity(w, t, vel)
         np.multiply(vel, dt, out=w_new)
         w_new += w
         lam, lam_new, dlam = w[n + q:], w_new[n + q:], vel[n + q:]

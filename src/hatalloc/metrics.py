@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _current_y(scenario, state) -> dict[str, np.ndarray]:
     return {
-        k: scenario.human_response(k, state.x, t=state.t, schedule=scenario.schedules.get(k))
+        k: scenario.human_response(k, state.x, t=state.t)
         for k in scenario.topology.human_ids
     }
 

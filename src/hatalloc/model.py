@@ -275,12 +275,13 @@ class Scenario:
         return replace(self, solver=replace(self.solver, **overrides))
 
     def human_response(
-        self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0,
-        schedule: ApproximationSchedule | None = None,
+        self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0
     ) -> np.ndarray:
+        """Human `agent_id`'s response at time t, under its schedule in
+        `self.schedules` if it has one."""
         model = self.human_models[agent_id]
         inputs = {j: x_blocks[j] for j in model.neighbor_ids}
-        return human_mod.respond(model, inputs, t, schedule)
+        return human_mod.respond(model, inputs, t, self.schedules.get(agent_id))
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,11 @@ class DecoupledConstraint:
 
 
 def split_offset(c: np.ndarray, topology, policy: str = "first_agent") -> np.ndarray:
-    """Blockwise split of the constraint offset; blocks sum back to c exactly.
+    """Blockwise split of the constraint offset; the blocks sum back to c.
 
-    `first_agent` puts all of c in the first canonical block; `uniform`
-    spreads it evenly over the m+h blocks.
+    `first_agent` puts all of c in the first canonical block, so the sum is
+    exact; `uniform` spreads it evenly over the m+h blocks, so the sum holds
+    to roundoff (c / n added n times may differ from c in the last bits).
     """
     c = np.asarray(c, dtype=float)
     order = topology.node_order

@@ -95,7 +95,7 @@ def resummed_lagrangian(scenario, dc, state):
     """
     lay = scenario.layout
     y = {
-        k: scenario.human_response(k, state.x, state.t, scenario.schedules.get(k))
+        k: scenario.human_response(k, state.x, state.t)
         for k in lay.human_ids
     }
     total = sum(scenario.costs[i].value(state.x[i]) for i in lay.autonomous_ids)

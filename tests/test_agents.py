@@ -12,7 +12,7 @@ from hatalloc.errors import MessageProtocolError
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
 
-from conftest import path_scenario
+from conftest import path_scenario, single_agent_scenario
 
 DT = 1e-3
 
@@ -35,6 +35,16 @@ def max_state_diff(scenario, a, b):
         worst = max(worst, float(np.max(np.abs(a.z[node] - b.z[node]))))
         worst = max(worst, float(np.max(np.abs(a.lam[node] - b.lam[node]))))
     return worst
+
+
+def assert_same_state(scenario, a, b):
+    """Bitwise equality of two system states."""
+    assert a.t == b.t
+    for i in scenario.topology.autonomous_ids:
+        assert a.x[i].tobytes() == b.x[i].tobytes()
+    for node in scenario.topology.node_order:
+        assert a.z[node].tobytes() == b.z[node].tobytes()
+        assert a.lam[node].tobytes() == b.lam[node].tobytes()
 
 
 FAMILY_SETS = [("affine",), ("softplus_affine",), ("affine", "softplus_affine")]
@@ -140,6 +150,20 @@ class TestSweepEquivalence:
         compact = engine.unstack_state(x, z, lam, t)
         assert max_state_diff(scenario, runner.state(), compact) <= 1e-11
 
+    def test_agent_without_neighbors(self):
+        scenario = single_agent_scenario()
+        dc = build_decoupled(scenario)
+        state = random_system_state(scenario, np.random.default_rng(6))
+        runner = DistributedRunner(scenario, dc, state=state)
+        assert runner.mailbox == {}
+        runner.sweep(DT)
+        engine = FlowEngine(scenario, dc)
+        x, z, lam = engine.stack_state(state)
+        stepped = np.concatenate(_step_arrays(engine, x, z, lam, 0.0, DT)[:3])
+        swept = np.concatenate(engine.stack_state(runner.state()))
+        assert np.max(np.abs(swept - stepped)) <= 1e-12
+        assert np.max(np.abs(swept - np.concatenate([x, z, lam]))) > 0.0
+
 
 class TestLocality:
     def test_rounds_ignore_non_neighbor_garbage(self):
@@ -215,8 +239,21 @@ class TestOrderIndependence:
             rng.shuffle(order)
             shuffled.sweep(DT, order=order)
         a, b = canonical.state(), shuffled.state()
-        for i in scenario.topology.autonomous_ids:
-            assert a.x[i].tobytes() == b.x[i].tobytes()
-        for node in scenario.topology.node_order:
-            assert a.z[node].tobytes() == b.z[node].tobytes()
-            assert a.lam[node].tobytes() == b.lam[node].tobytes()
+        assert_same_state(scenario, a, b)
+
+    def test_order_must_be_a_permutation(self):
+        scenario = random_scenario(9)
+        runner = DistributedRunner(scenario, build_decoupled(scenario))
+        order = list(scenario.topology.node_order)
+        before, mail = runner.state(), runner.mailbox
+        for bad, match in [
+            (order + ["r1"], r"duplicate \['r1'\]"),
+            (order[1:], rf"missing \['{order[0]}'\]"),
+            (order + ["nobody"], r"unknown \['nobody'\]"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                runner.sweep(DT, order=bad)
+            assert_same_state(scenario, runner.state(), before)
+            assert all(runner.mailbox[edge] is msg for edge, msg in mail.items())
+        runner.sweep(DT, order=order[::-1])
+        assert runner.state().t == DT

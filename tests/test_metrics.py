@@ -155,7 +155,7 @@ class TestTrajectoryRecord:
             for agent, value in report.by_agent.items():
                 assert abs(last.workloads[agent] - value) <= 1e-12
             y = lay.stack_y({
-                k: scenario.human_response(k, final.x, final.t, scenario.schedules.get(k))
+                k: scenario.human_response(k, final.x, final.t)
                 for k in lay.human_ids
             })
             coupled = coupled_residual(scenario, lay.stack_x(final.x), y)
