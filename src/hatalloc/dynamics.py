@@ -15,8 +15,9 @@ node Laplacian L (`DecoupledConstraint.lift_apply`), never as a dense matrix.
 
 `integrate` steps one stacked state w = [x, z, lambda]. When every cost is
 quadratic and every human affine, the response y = S x + d is folded into
-one sparse affine operator (`FlowEngine.velocity`), from the start or, with
-a schedule, from its settle time on, where the parameters are the true ones:
+one sparse affine operator (`fold`, stepped by `FlowEngine.velocity`), from
+the start or, with a schedule, from its settle time on, where the parameters
+are the true ones:
 
     dx      = -g - H x - C^T lambda,   C = [a_bar ; b_bar S]
     dz      = -l_bar lambda
@@ -67,7 +68,7 @@ from . import metrics
 from .errors import DivergenceError
 from .human import AFFINE, logistic, softplus
 from .model import Scenario, stack_problem
-from .oracle import reduce_program
+from .oracle import ReducedProgram, reduce_program
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import lift_entries
 
@@ -264,32 +265,10 @@ class FlowEngine:
         grad, y = self.lagrangian_gradient_x(x, lam, t)
         return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
-    def _fold(self):
-        """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
-        M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
-        b_x = -g from the oracle's reduced program and the l_bar blocks read
-        from the node Laplacian, never from the dense lift."""
-        rp = reduce_program(self.scenario)
-        dc = self.dc
-        n, q = self.layout.x_dim, dc.block_dim
-        C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
-        hr, hc = np.nonzero(rp.H)
-        cr, cc = np.nonzero(C)
-        lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
-        rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
-        cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
-        vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
-        order = np.lexsort((cols, rows))
-        b = np.zeros(n + 2 * q)
-        b[:n] = -rp.g
-        b[n + q + self._rm:] = dc.b_bar @ rp.d
-        b[n + q:] += dc.c_split
-        return rows[order], cols[order], vals[order], b
-
     def folded(self):
-        """The affine operator of `_fold`, built on the first call."""
+        """`fold` of the scenario's reduced program, built on the first call."""
         if self._folded is None:
-            self._folded = self._fold()
+            self._folded = fold(reduce_program(self.scenario), self.dc)
         return self._folded
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
@@ -323,6 +302,27 @@ class FlowEngine:
             lam=lay.unstack_nodes(lam),
             t=t,
         )
+
+
+def fold(rp: ReducedProgram, dc: DecoupledConstraint):
+    """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
+    M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
+    b_x = -g from the reduced program and the l_bar blocks read from the node
+    Laplacian, never from the dense lift."""
+    n, q, rm = rp.H.shape[0], dc.block_dim, dc.a_bar.shape[0]
+    C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
+    hr, hc = np.nonzero(rp.H)
+    cr, cc = np.nonzero(C)
+    lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
+    rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
+    cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
+    vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
+    order = np.lexsort((cols, rows))
+    b = np.zeros(n + 2 * q)
+    b[:n] = -rp.g
+    b[n + q + rm:] = dc.b_bar @ rp.d
+    b[n + q:] += dc.c_split
+    return rows[order], cols[order], vals[order], b
 
 
 def _finite_max(block: np.ndarray) -> float:

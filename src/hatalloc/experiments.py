@@ -12,6 +12,7 @@ deterministically, so a seed pins the instance byte for byte.
 The offset search (`_tighten_offsets`) reduces each risk-attitude cell of a
 draw once, probes every candidate offset c on the reduced cells with
 `ReducedProgram.with_offset`, and builds a scenario only for the one it takes.
+The admission checks read stability from `dynamics.fold` of each reduction.
 
 Offsets and response bases are rescaled after acceptance: for quadratic costs
 with affine responses the optimal point is exactly linear in (c, base), so
@@ -24,13 +25,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .dynamics import FlowEngine, integrate
+from .dynamics import FlowEngine, fold, integrate
 from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from .human import HumanResponseModel, attitude_preset
 from .metrics import TrajectoryRecord, workload_report
@@ -51,7 +52,7 @@ from .oracle import (
     solve_centralized,
     solve_program,
 )
-from .reformulation import build_decoupled
+from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import NetworkTopology, neighbors
 
 PRESETS = ("fig4_convergence", "fig5_risk_grid")
@@ -255,35 +256,38 @@ def _normalize_scale(scenario: Scenario) -> Scenario:
     per-step overshoot. The rescaled instance keeps its active set and
     structure; its zero-start speed is at most `INITIAL_SPEED_CAP`.
     """
-    x, _, mu, _ = solve_centralized(scenario)
+    rp = reduce_program(scenario)
+    x, _, mu, _ = solve_program(rp)
     dc = build_decoupled(scenario)
     _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
-    zl = np.zeros(dc.block_dim)
-    dx, dz, gap = FlowEngine(scenario, dc).rhs(np.zeros(scenario.layout.x_dim), zl, zl, 0.0)
-    dlam = np.maximum(0.0, gap)
+    # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
+    b = fold(rp, dc)[3]
+    n, q = rp.H.shape[0], dc.block_dim
+    dx, dz, dlam = b[:n], b[n:n + q], np.maximum(0.0, b[n + q:])
     speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
     s = min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
     bases = {k: m.base * s for k, m in scenario.human_models.items()}
     return _with_offsets(scenario, scenario.constraint.c * s, bases)
 
 
-def _stability_margins(scenario: Scenario) -> tuple[float, float]:
-    """(spectral abscissa, forward-Euler radius) of the all-active linearization,
-    the flow's affine operator M with every multiplier unclamped.
+def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
+                       dt: float) -> tuple[float, float]:
+    """(spectral abscissa, forward-Euler radius at step dt) of the all-active
+    linearization, the flow's affine operator M (`fold`) with every
+    multiplier unclamped.
 
     Shared z/lambda consensus shifts are genuinely neutral directions of the
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    rows, cols, vals, b = FlowEngine(scenario)._fold()
+    rows, cols, vals, b = fold(rp, dc)
     jac = np.zeros((b.size, b.size))
     jac[rows, cols] = vals
     eigs = np.linalg.eigvals(jac)
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
         return 0.0, 1.0
-    dt = scenario.solver.dt
     return float(np.max(moving.real)), float(np.max(np.abs(1.0 + dt * moving)))
 
 
@@ -305,31 +309,13 @@ def _grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[
     )))
 
 
-def _grid_margins(cells: dict[tuple[str, ...], Scenario]) -> tuple[float, ...] | None:
-    """`_grid_contrasts` of the centralized solutions of the four
-    `attitude_cells`; None when a cell fails or produces negative human
-    workloads."""
-    totals = {}
-    for key, cell in cells.items():
-        try:
-            x, y, _, value = solve_centralized(cell)
-        except HatallocError:
-            return None
-        if np.any(y < -1e-9):
-            return None
-        lay = cell.layout
-        auto_total = sum(
-            float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids
-        )
-        totals[key] = (auto_total, value)
-    return tuple(_grid_contrasts(totals).values())
-
-
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
 
 
 def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
-    """The first check a scaled draw fails, or None when it is admissible."""
+    """The first check a scaled draw fails, or None when it is admissible.
+    All attitude cells share one decoupled constraint and are reduced once;
+    the cell with the scenario's own attitudes is the scenario's program."""
     try:
         rp = reduce_program(scenario)
         _, y, mu, _ = solve_program(rp)
@@ -339,26 +325,37 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
         return "multipliers/responses"
     if interior_point(rp) is None:
         return "Slater"
-    abscissa, radius = _stability_margins(scenario)
+    dc, dt = build_decoupled(scenario), scenario.solver.dt
+    abscissa, radius = _stability_margins(rp, dc, dt)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
-    if check_grid:
-        # Every attitude cell is integrated by the grid experiment, so each
-        # must be stable and reasonably damped as well. The cell with the
-        # scenario's own attitudes has the scenario's operator, whose margins
-        # are the ones computed above.
-        cells = attitude_cells(scenario)
-        own = {k: m.attitude for k, m in scenario.human_models.items()}
-        for cell in cells.values():
-            if {k: m.attitude for k, m in cell.human_models.items()} == own:
-                cell_abscissa, cell_radius = abscissa, radius
-            else:
-                cell_abscissa, cell_radius = _stability_margins(cell)
-            if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
-                return "grid"
-        margins = _grid_margins(cells)
-        if margins is None or margins[0] < 5e-3 or margins[1] < 2e-4 or margins[2] < 2e-4:
+    if not check_grid:
+        return None
+    # The grid experiment integrates every attitude cell, so each must be
+    # stable and reasonably damped, solvable with nonnegative human
+    # workloads, and the cells' contrasts must clear their margins.
+    lay = scenario.layout
+    own = {k: m.attitude for k, m in scenario.human_models.items()}
+    totals = {}
+    for key, cell in attitude_cells(scenario).items():
+        if {k: m.attitude for k, m in cell.human_models.items()} == own:
+            cell_rp, margins = rp, (abscissa, radius)
+        else:
+            cell_rp = reduce_program(cell)
+            margins = _stability_margins(cell_rp, dc, dt)
+        if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
             return "grid"
+        try:
+            x, y, _, value = solve_program(cell_rp)
+        except HatallocError:
+            return "grid"
+        if np.any(y < -1e-9):
+            return "grid"
+        totals[key] = (sum(float(np.sum(np.abs(x[lay.x_slice(i)])))
+                           for i in lay.autonomous_ids), value)
+    contrasts = tuple(_grid_contrasts(totals).values())
+    if contrasts[0] < 5e-3 or contrasts[1] < 2e-4 or contrasts[2] < 2e-4:
+        return "grid"
     return None
 
 
@@ -499,25 +496,22 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _kkt_dict(residuals) -> dict:
-    return {
-        "stationarity": residuals.stationarity,
-        "primal": residuals.primal,
-        "dual_min": residuals.dual_min,
-        "comp_slack": residuals.comp_slack,
-    }
-
-
-def _convergence_dict(record: TrajectoryRecord, tolerance: float) -> dict:
+def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
+    """How a run ended: why and when it stopped, its steps (chunked and
+    single), the step size it finished with, its last update norm against
+    the tolerance, and the attempt that diverged before a `dt` halving."""
     failed = record.failed_attempt
     if failed is not None:
         # JSON has no infinity: null when no entry of the block stayed finite.
-        failed = {
-            "dt": failed.dt,
-            "t": failed.t,
-            "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None,
-        }
+        failed = {**asdict(failed),
+                  "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None}
     return {
+        "termination": record.termination,
+        "final_t": record.final_t,
+        "steps": record.steps,
+        "chunked_steps": record.chunked_steps,
+        "single_steps": record.single_steps,
+        "dt": record.dt,
         "final_update_norm": record.final_update_norm,
         "tolerance": tolerance,
         "failed_attempt": failed,
@@ -545,15 +539,7 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
 
     table_path = os.path.join(out_dir, "trajectory.csv")
     record.write(table_path)
-    summary.update({
-        "termination": record.termination,
-        "final_t": record.final_t,
-        "steps": record.steps,
-        "chunked_steps": record.chunked_steps,
-        "single_steps": record.single_steps,
-        "dt": record.dt,
-        **_convergence_dict(record, scenario.solver.tolerance),
-    })
+    summary.update(_outcome(record, scenario.solver.tolerance))
     if tracking:
         summary.update({
             "final_deviation": record.samples[-1].deviation,
@@ -562,7 +548,7 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
             "saddle_dist_max_step_increase": record.v_max_step_increase,
             "oracle_value": value,
         })
-    summary["kkt"] = _kkt_dict(kkt_residual(scenario, dc, final))
+    summary["kkt"] = asdict(kkt_residual(scenario, dc, final))
     summary_path = os.path.join(out_dir, "summary.json")
     _write_json(summary_path, summary)
     converged = not tracking or record.samples[-1].deviation <= 1e-6
@@ -604,12 +590,10 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
             "cost": cost,
             "autonomous_workload": report.autonomous_total,
             "human_workload": report.human_total,
-            "termination": record.termination,
-            "steps": record.steps,
-            "final_update_norm": record.final_update_norm,
+            **_outcome(record, cell.solver.tolerance),
             "oracle_cost": oracle_cost,
             "value_gap": abs(cost - oracle_cost) / max(1.0, abs(oracle_cost)),
-            "kkt": _kkt_dict(kkt_residual(cell, dc, final)),
+            "kkt": asdict(kkt_residual(cell, dc, final)),
         }
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")

@@ -415,15 +415,27 @@ def _parse_model(human_id: str, doc: dict, neighbor_ids: list[str]) -> HumanResp
         raise ScenarioFormatError(f"model '{human_id}': {exc}") from exc
 
 
-def _parse_schedule(human_id: str, doc: dict) -> ApproximationSchedule:
+def _parse_schedule(model: HumanResponseModel, doc) -> ApproximationSchedule:
+    """The schedule of `model`'s human: an object whose `delta` object holds
+    an optional `base` of the human's dim (omitted means zero) and `gains`
+    deltas for the human's autonomous neighbors, each of that gain's shape."""
+    k = model.human_id
+    _require(isinstance(doc, dict), f"schedule '{k}': expected an object")
     delta = doc.get("delta", {})
-    gain_deltas = {
-        j: _as_matrix(g, f"schedule '{human_id}' gain delta for '{j}'")
-        for j, g in delta.get("gains", {}).items()
-    }
-    base_delta = _as_vector(
-        delta.get("base", []), f"schedule '{human_id}' base delta"
-    )
+    _require(isinstance(delta, dict), f"schedule '{k}': delta must be an object")
+    gains_doc = delta.get("gains", {})
+    _require(isinstance(gains_doc, dict), f"schedule '{k}': gain deltas must be a map")
+    gain_deltas = {}
+    for j, g in gains_doc.items():
+        _require(j in model.gains, f"schedule '{k}': gain delta for '{j}', which is "
+                 f"not an autonomous neighbor (neighbors {list(model.neighbor_ids)})")
+        gain_deltas[j] = mat = _as_matrix(g, f"schedule '{k}' gain delta for '{j}'")
+        _require(mat.shape == model.gains[j].shape, f"schedule '{k}' gain delta for "
+                 f"'{j}' has shape {mat.shape}, the gain has {model.gains[j].shape}")
+    base_delta = _as_vector(delta.get("base", np.zeros(model.dim)),
+                            f"schedule '{k}' base delta")
+    _require(base_delta.shape == (model.dim,), f"schedule '{k}' base delta has "
+             f"{base_delta.shape[0]} entries, the human's dim is {model.dim}")
     try:
         return ApproximationSchedule(
             gain_deltas=gain_deltas,
@@ -431,7 +443,7 @@ def _parse_schedule(human_id: str, doc: dict) -> ApproximationSchedule:
             settle_time=float(doc.get("settle_time", 0.0)),
         )
     except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"schedule '{human_id}': {exc}") from exc
+        raise ScenarioFormatError(f"schedule '{k}': {exc}") from exc
 
 
 def scenario_from_document(doc: dict) -> Scenario:
@@ -501,7 +513,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         auto_nbrs, _ = neighbors(topo, human_id) if human_id in topo.node_order else ([], [])
         models[human_id] = _parse_model(human_id, model_doc, auto_nbrs)
         if "schedule" in model_doc:
-            schedules[human_id] = _parse_schedule(human_id, model_doc["schedule"])
+            schedules[human_id] = _parse_schedule(models[human_id], model_doc["schedule"])
 
     try:
         solver = SolverOptions(**doc.get("solver", {}))

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from hatalloc import experiments, load_scenario, save_scenario, serialize_scenario
+from hatalloc import dynamics, experiments, load_scenario, oracle, save_scenario, \
+    serialize_scenario
 from hatalloc.cli import main
 from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
@@ -14,6 +15,7 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _generate,
+    _rejection,
     random_scenario,
     run_experiment,
     run_risk_grid,
@@ -75,6 +77,30 @@ class TestGenerators:
         assert list(rejected) == list(REJECTIONS)
         assert sum(rejected.values()) == draw
         assert f"accepted draw {draw}" in record.getMessage()
+
+    def test_generator_builds_no_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator built a FlowEngine")
+
+        monkeypatch.setattr(experiments, "FlowEngine", refuse)
+        monkeypatch.setattr(dynamics, "FlowEngine", refuse)
+        fresh = team_scenario.__wrapped__(1)
+        monkeypatch.undo()
+        assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
+
+    def test_rejection_reduces_each_attitude_cell_once(self, monkeypatch):
+        scenario = team_scenario(1)
+        reduced = []
+        real = oracle.reduce_program
+
+        def counted(scenario):
+            reduced.append([m.attitude for m in scenario.human_models.values()])
+            return real(scenario)
+
+        for module in (experiments, dynamics, oracle):
+            monkeypatch.setattr(module, "reduce_program", counted)
+        assert _rejection(scenario, abscissa_bar=-0.08, check_grid=True) is None
+        assert 1 <= len(reduced) <= 4
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -288,13 +314,32 @@ class TestScenarioFormatErrors:
         (lambda d: d["constraint"].update(rows="x"), "constraint rows 'x' is not an integer"),
         (lambda d: d["agents"][0].update(dim=1.7), "dim 1.7 is not an integer"),
         (lambda d: d["agents"][0].update(dim=True), "dim True is not an integer"),
+        (lambda d: d["human_models"]["k1"].update(schedule=[1]),
+         "schedule 'k1': expected an object"),
+        (lambda d: d["human_models"]["k1"].update(schedule={"delta": [1]}),
+         "schedule 'k1': delta must be an object"),
+        (lambda d: d["human_models"]["k1"].update(schedule={"delta": {"gains": [1]}}),
+         "schedule 'k1': gain deltas must be a map"),
+        (lambda d: d["human_models"]["k1"].update(
+            schedule={"delta": {"base": [0.1, 0.2, 0.3]}, "settle_time": 1.0}),
+         "base delta has 3 entries, the human's dim is 2"),
+        (lambda d: d["human_models"]["k1"].update(
+            schedule={"delta": {"gains": {"zz": [[0.1, 0.0], [0.0, 0.1]]}},
+                      "settle_time": 1.0}),
+         "gain delta for 'zz', which is not an autonomous neighbor"),
+        (lambda d: d["human_models"]["k1"].update(
+            schedule={"delta": {"gains": {"a1": [[0.1]]}}, "settle_time": 1.0}),
+         "gain delta for 'a1' has shape (1, 1), the gain has (2, 2)"),
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
             "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
             "fractional-record-stride", "boolean-max-time", "nan-softplus-beta",
             "disconnected-graph", "self-loop", "weight-not-pd", "block-dim-mismatch",
             "missing-response-model", "constraint-not-an-object", "rows-not-integer",
-            "fractional-dim", "boolean-dim"])
+            "fractional-dim", "boolean-dim", "schedule-not-an-object",
+            "schedule-delta-not-an-object", "schedule-gains-not-a-map",
+            "schedule-base-wrong-dim", "schedule-gain-unknown-neighbor",
+            "schedule-gain-wrong-shape"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
         doc = serialize_scenario(path_scenario())
         edit(doc)
@@ -306,6 +351,19 @@ class TestScenarioFormatErrors:
         assert "Traceback" not in err
         with pytest.raises(ScenarioFormatError):
             load_scenario(str(path))
+
+    def test_schedule_without_base_delta_runs(self, tmp_path, capsys):
+        doc = serialize_scenario(path_scenario())
+        doc["human_models"]["k1"]["schedule"] = {
+            "delta": {"gains": {"a1": [[0.1, 0.0], [0.0, 0.1]]}}, "settle_time": 1.0,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(load_scenario(str(path)).schedules["k1"].base_delta,
+                                      [0.0, 0.0])
+        assert main(["run", str(path), "--max-time", "2", "--reference", "none",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 2000
 
     def test_non_json_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -353,6 +411,22 @@ class TestRunOutputs:
             assert set(kkt) == {"stationarity", "primal", "dual_min", "comp_slack"}
             assert kkt["stationarity"] > 1e-6
             assert kkt["dual_min"] >= 0.0
+
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_grid_cells_report_a_halved_dt(self, tmp_path):
+        # At dt = 0.15 every cell diverges, then reruns at 0.075.
+        base = team_scenario(1).with_solver(dt=0.15, max_time=300.0)
+        result = run_risk_grid(base, 1, str(tmp_path))
+        cells = result.summary["cells"]
+        assert len(cells) == 4
+        for cell in cells.values():
+            assert cell["failed_attempt"]["dt"] == 0.15
+            assert cell["dt"] == 0.075
+            assert cell["steps"] == cell["chunked_steps"] + cell["single_steps"]
+            assert cell["tolerance"] == base.solver.tolerance
+        saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
+        assert saved["cells"] == cells
 
 
 class TestPresetRun:

@@ -56,11 +56,11 @@ def test_pipeline_never_builds_the_dense_lift(monkeypatch, family):
     assert z is not None
 
     if family == "affine":
-        abscissa, radius = _stability_margins(scenario)
+        abscissa, radius = _stability_margins(reduce_program(scenario), dc, scenario.solver.dt)
         assert np.isfinite(abscissa) and np.isfinite(radius)
     else:
         with pytest.raises(UnsupportedByOracleError):
-            _stability_margins(scenario)
+            _stability_margins(reduce_program(scenario), dc, scenario.solver.dt)
 
 
 def _block_jacobian(scenario):
@@ -92,6 +92,7 @@ def test_stability_operator_equals_block_assembly(monkeypatch, make):
     seen = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.copy()) or eigvals(a))
-    _stability_margins(scenario)
+    rp, dc = reduce_program(scenario), build_decoupled(scenario)
+    _stability_margins(rp, dc, scenario.solver.dt)
     assert len(seen) == 1
     assert np.array_equal(seen[0], _block_jacobian(scenario))
