@@ -16,10 +16,12 @@ from .agents import (
 )
 from .dynamics import (
     FlowEngine,
+    KKTResidual,
     SystemState,
     gradient_check,
     initial_state,
     integrate,
+    kkt_residual,
 )
 from .human import (
     ApproximationSchedule,
@@ -42,17 +44,14 @@ from .model import (
     QuadraticCost,
     Scenario,
     SolverOptions,
-    load_scenario,
     save_scenario,
     scenario_from_document,
     serialize_scenario,
-    stack_dimensions,
 )
 from .oracle import (
-    KKTResidual,
     ReducedProgram,
-    kkt_residual,
     lift_to_saddle,
+    load_scenario,
     reduce_program,
     solve_centralized,
 )
@@ -114,6 +113,5 @@ __all__ = [
     "solve_centralized",
     "split_offset",
     "squared_deviation",
-    "stack_dimensions",
     "workload_report",
 ]

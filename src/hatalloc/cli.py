@@ -35,12 +35,11 @@ from .errors import (
 from .human import SOFTPLUS_AFFINE
 from .model import (
     gradient_consistency_error,
-    load_scenario,
     midpoint_convexity_gap,
     save_scenario,
     stack_problem,
 )
-from .oracle import solve_centralized
+from .oracle import load_scenario, solve_centralized
 from .reformulation import (
     build_decoupled,
     coupled_residual,

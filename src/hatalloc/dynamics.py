@@ -49,6 +49,11 @@ only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense
 array is allocated: the benchmark's 7-agent team chunks, a few hundred
 agents keep the sparse step.
 
+A run starts from `initial_state`, the scenario's (already checked) overrides
+laid on zeros. Explicit finiteness checks decide divergence, so numpy's
+overflow and invalid-value warnings are off while a run steps. `kkt_residual`
+evaluates optimality residuals on the flow's own Lagrangian gradient.
+
 The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
 and the sparse operator are held to it, and both velocities give the same
@@ -69,7 +74,7 @@ from .errors import DivergenceError
 from .human import AFFINE, logistic, softplus
 from .model import Scenario, stack_problem
 from .oracle import ReducedProgram, reduce_program
-from .reformulation import DecoupledConstraint, build_decoupled
+from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
 
 
@@ -89,7 +94,8 @@ class SystemState:
 
 
 def initial_state(scenario: Scenario) -> SystemState:
-    """All-zero state, with any scenario-file override applied on top."""
+    """All-zero state with the scenario's `initial_state` overrides laid on
+    top; `Scenario` checked them when it was built."""
     lay = scenario.layout
     x = {i: np.zeros(scenario.dims[i]) for i in lay.autonomous_ids}
     z = {a: np.zeros(lay.rows) for a in lay.node_order}
@@ -97,25 +103,7 @@ def initial_state(scenario: Scenario) -> SystemState:
     doc = scenario.initial_state or {}
     for target, key in ((x, "x"), (z, "z"), (lam, "lambda")):
         for agent_id, raw in doc.get(key, {}).items():
-            if agent_id not in target:
-                raise KeyError(f"initial_state.{key}: unknown agent '{agent_id}'")
-            try:
-                vec = np.asarray(raw, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"initial_state.{key}['{agent_id}'] is not a numeric vector"
-                ) from exc
-            if vec.shape != target[agent_id].shape:
-                raise ValueError(
-                    f"initial_state.{key}['{agent_id}'] has shape {vec.shape}, "
-                    f"expected {target[agent_id].shape}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"initial_state.{key}['{agent_id}'] is not finite")
-            target[agent_id] = vec
-    for agent_id, block in lam.items():
-        if np.any(block < 0):
-            raise ValueError(f"initial multiplier for '{agent_id}' is negative")
+            target[agent_id] = np.asarray(raw, dtype=float)
     return SystemState(x=x, z=z, lam=lam, t=0.0)
 
 
@@ -426,13 +414,12 @@ def _chunk(P, w, v, dt, lam_start, floor):
     is <= 0), a row is not finite, or an update norm is <= `floor`; the
     reference steps decide those cases.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = (P @ v).reshape(CHUNK, -1)
-        W = np.cumsum(V, axis=0)
-        W *= dt
-        W += w
-        norms = np.sqrt(np.einsum("ij,ij->i", V, V))
-        sup = float(np.abs(W).max())
+    V = (P @ v).reshape(CHUNK, -1)
+    W = np.cumsum(V, axis=0)
+    W *= dt
+    W += w
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+    sup = float(np.abs(W).max())
     if (norms.min() > floor and norms.max() < math.inf and sup < math.inf
             and (W[:, lam_start:] > 0.0).all()):
         return W, norms, sup
@@ -461,11 +448,13 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
 
     # (step, state, saddle distance) of the samples not yet evaluated.
     samples, pending = [], []
+    caller = np.geterr()  # the samples are evaluated under the caller's settings
 
     def keep(step, state, dist):
         pending.append((step, state.copy(), dist))
         if len(pending) == SAMPLE_BLOCK:
-            samples.extend(_samples(engine, pending, dt, reference))
+            with np.errstate(**caller):
+                samples.extend(_samples(engine, pending, dt, reference))
             pending.clear()
 
     keep(0, w, v_now)
@@ -473,67 +462,70 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     k = chunked = single_until = 0
     update_norm = None
     sup_norm = float(np.max(np.abs(w)))
-    while k < n_steps:
-        t = k * dt
-        engine.velocity(w, t, vel)
-        if (P is not None and k >= single_until and k + CHUNK <= n_steps
-                and t >= engine._fold_time):
-            rows = _chunk(P, w, vel, dt, n + q, floor)
-            if rows is None:
-                # The next CHUNK steps go singly.
-                single_until = k + CHUNK
-            else:
-                W, norms, sup = rows
-                update_norm = float(norms[-1])
-                sup_norm = max(sup_norm, sup)
-                dist = None
-                if w_ref is not None:
-                    D = W - w_ref
-                    dist = 0.5 * np.einsum("ij,ij->i", D, D)
-                    v_max_inc = max(v_max_inc, float(np.diff(dist, prepend=v_now).max()))
-                    v_now = float(dist[-1])
-                end = k + CHUNK
-                marks = list(range((k // stride + 1) * stride, end + 1, stride))
-                if end == n_steps and n_steps % stride:
-                    marks.append(end)
-                for s in marks:
-                    j = s - k - 1
-                    keep(s, W[j], None if dist is None else float(dist[j]))
-                w[:] = W[-1]
-                k = end
-                chunked += CHUNK
-                continue
-
-        np.multiply(vel, dt, out=w_new)
-        w_new += w
-        lam, lam_new, dlam = w[n + q:], w_new[n + q:], vel[n + q:]
-        np.maximum(lam_new, 0.0, out=lam_new)
-        # The multiplier part of the update norm is the realized change.
-        np.subtract(lam_new, lam, out=dlam)
-        dlam /= dt
-        update_norm = math.sqrt(vel @ vel)
-        step_sup = float(np.abs(w_new, out=scratch).max())
-        if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
-            # A non-finite velocity or state reaches one of the two; only
-            # then are the blocks checked one by one.
+    # The explicit finiteness checks decide divergence, so the stepping
+    # raises no numpy overflow or invalid-value warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n_steps:
+            t = k * dt
             engine.velocity(w, t, vel)
-            _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
-        w, w_new = w_new, w
-        k += 1
-        sup_norm = max(sup_norm, step_sup)
+            if (P is not None and k >= single_until and k + CHUNK <= n_steps
+                    and t >= engine._fold_time):
+                rows = _chunk(P, w, vel, dt, n + q, floor)
+                if rows is None:
+                    # The next CHUNK steps go singly.
+                    single_until = k + CHUNK
+                else:
+                    W, norms, sup = rows
+                    update_norm = float(norms[-1])
+                    sup_norm = max(sup_norm, sup)
+                    dist = None
+                    if w_ref is not None:
+                        D = W - w_ref
+                        dist = 0.5 * np.einsum("ij,ij->i", D, D)
+                        v_max_inc = max(v_max_inc, float(np.diff(dist, prepend=v_now).max()))
+                        v_now = float(dist[-1])
+                    end = k + CHUNK
+                    marks = list(range((k // stride + 1) * stride, end + 1, stride))
+                    if end == n_steps and n_steps % stride:
+                        marks.append(end)
+                    for s in marks:
+                        j = s - k - 1
+                        keep(s, W[j], None if dist is None else float(dist[j]))
+                    w[:] = W[-1]
+                    k = end
+                    chunked += CHUNK
+                    continue
 
-        if w_ref is not None:
-            v_prev = v_now
-            np.subtract(w, w_ref, out=scratch)
-            v_now = 0.5 * float(scratch @ scratch)
-            v_max_inc = max(v_max_inc, v_now - v_prev)
+            np.multiply(vel, dt, out=w_new)
+            w_new += w
+            lam, lam_new, dlam = w[n + q:], w_new[n + q:], vel[n + q:]
+            np.maximum(lam_new, 0.0, out=lam_new)
+            # The multiplier part of the update norm is the realized change.
+            np.subtract(lam_new, lam, out=dlam)
+            dlam /= dt
+            update_norm = math.sqrt(vel @ vel)
+            step_sup = float(np.abs(w_new, out=scratch).max())
+            if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
+                # A non-finite velocity or state reaches one of the two; only
+                # then are the blocks checked one by one.
+                engine.velocity(w, t, vel)
+                _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
+            w, w_new = w_new, w
+            k += 1
+            sup_norm = max(sup_norm, step_sup)
 
-        converged = update_norm <= opts.tolerance
-        if converged or k == n_steps or k % stride == 0:
-            keep(k, w, v_now)
-        if converged:
-            termination = "converged"
-            break
+            if w_ref is not None:
+                v_prev = v_now
+                np.subtract(w, w_ref, out=scratch)
+                v_now = 0.5 * float(scratch @ scratch)
+                v_max_inc = max(v_max_inc, v_now - v_prev)
+
+            converged = update_norm <= opts.tolerance
+            if converged or k == n_steps or k % stride == 0:
+                keep(k, w, v_now)
+            if converged:
+                termination = "converged"
+                break
 
     if pending:
         samples.extend(_samples(engine, pending, dt, reference))
@@ -629,3 +621,32 @@ def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemSta
         denom = max(1.0, abs(analytic[idx]), abs(numeric))
         worst = max(worst, abs(analytic[idx] - numeric) / denom)
     return worst
+
+
+@dataclass(frozen=True)
+class KKTResidual:
+    stationarity: float
+    primal: float
+    dual_min: float
+    comp_slack: float
+
+
+def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> KKTResidual:
+    """First-order optimality residuals of a system state.
+
+    Stationarity covers both the x gradient of the Lagrangian and the z
+    gradient (the Laplacian image of the multipliers); primal is the largest
+    constraint violation; comp_slack is |lambda . residual|.
+    """
+    engine = FlowEngine(scenario, dc)
+    x, z, lam = engine.stack_state(state)
+    grad_x, y = engine.lagrangian_gradient_x(x, lam, state.t)
+    resid = decoupled_residual(dc, x, y, z)
+    station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0
+    station_z = float(np.max(np.abs(dc.lift_apply(lam))))
+    return KKTResidual(
+        stationarity=max(station_x, station_z),
+        primal=float(max(0.0, np.max(resid))),
+        dual_min=float(np.min(lam)),
+        comp_slack=float(abs(lam @ resid)),
+    )

@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import FlowEngine, fold, integrate
+from .dynamics import FlowEngine, fold, integrate, kkt_residual
 from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from .human import HumanResponseModel, attitude_preset
 from .metrics import TrajectoryRecord, workload_report
@@ -40,14 +40,13 @@ from .model import (
     QuadraticCost,
     Scenario,
     SolverOptions,
-    load_scenario,
     save_scenario,
 )
 from .oracle import (
     ReducedProgram,
     interior_point,
-    kkt_residual,
     lift_to_saddle,
+    load_scenario,
     reduce_program,
     solve_centralized,
     solve_program,

@@ -1,9 +1,13 @@
-"""Problem instances: costs, the coupled constraint, and scenario files.
+"""Problem instances: costs, the coupled constraint, and scenario documents.
 
 A scenario bundles the interaction graph, per-agent state dimensions and
 costs, the shared linear inequality coupling every agent, the human response
-models, and solver options. Scenario documents are JSON trees; floats survive
-a save/load round trip bit-exactly.
+models with their schedules, an optional initial state, and solver options.
+`Scenario.__post_init__` is the one semantic check of all of it, for documents
+and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
+changed copy again. The document parser checks only JSON types. Documents are
+JSON trees; floats survive a save/load round trip bit-exactly. Files are read
+by `oracle.load_scenario`, since a document may ask for a Slater certificate.
 """
 
 from __future__ import annotations
@@ -192,9 +196,11 @@ class ScenarioLayout:
         return {a: np.array(vec[self.node_slice(a)]) for a in self.node_order}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A fully validated problem instance. Treat as immutable after load."""
+    """A fully validated problem instance, whether loaded from a document or
+    built in code. Frozen: `dataclasses.replace` makes a changed copy, and
+    validates it again."""
 
     topology: NetworkTopology
     dims: dict[str, int]
@@ -215,9 +221,9 @@ class Scenario:
                 raise DimensionMismatchError(f"agent '{agent_id}' has dim < 1")
             if agent_id not in self.costs:
                 raise ScenarioFormatError(f"agent '{agent_id}' has no cost")
-        extra = set(self.dims) - all_ids
-        if extra:
-            raise ScenarioFormatError(f"dims declared for unknown agents {sorted(extra)}")
+        for section in ("dims", "costs"):
+            extra = set(getattr(self, section)) - all_ids
+            _require(not extra, f"{section} declared for unknown agents {sorted(extra)}")
 
         for agent_id, cost in self.costs.items():
             if cost.dim != self.dims[agent_id]:
@@ -263,13 +269,50 @@ class Scenario:
                         f"model for '{k}': gain block for '{j}' has "
                         f"{model.gains[j].shape[1]} columns, agent dim is {self.dims[j]}"
                     )
-        extra_models = set(self.human_models) - set(topo.human_ids)
-        if extra_models:
-            raise ScenarioFormatError(
-                f"response models for unknown humans {sorted(extra_models)}"
-            )
+        for label, keyed in (("response models", self.human_models),
+                             ("schedules", self.schedules)):
+            extra = set(keyed) - set(topo.human_ids)
+            _require(not extra, f"{label} for unknown humans {sorted(extra)}")
+        for k, sched in self.schedules.items():
+            model = self.human_models[k]
+            for j, delta in sched.gain_deltas.items():
+                _require(j in model.gains, f"schedule '{k}': gain delta for '{j}', which is "
+                         f"not an autonomous neighbor (neighbors {list(model.neighbor_ids)})")
+                _require(np.shape(delta) == model.gains[j].shape, f"schedule '{k}' gain "
+                         f"delta for '{j}' has shape {np.shape(delta)}, the gain has "
+                         f"{model.gains[j].shape}")
+            base = np.asarray(sched.base_delta, dtype=float)
+            _require(base.shape == (model.dim,), f"schedule '{k}' base delta has "
+                     f"{base.size} entries, the human's dim is {model.dim}")
 
-        self.layout = ScenarioLayout(topo, self.dims, con.rows)
+        object.__setattr__(self, "layout", ScenarioLayout(topo, self.dims, con.rows))
+        start = self.initial_state
+        if start is None:
+            return
+        _require(
+            isinstance(start, dict) and set(start) <= {"x", "z", "lambda"}
+            and all(isinstance(section, dict) for section in start.values()),
+            "initial_state must map 'x', 'z' or 'lambda' to per-agent vectors",
+        )
+        shapes = {"x": {i: (int(self.dims[i]),) for i in topo.autonomous_ids},
+                  "z": dict.fromkeys(topo.node_order, (con.rows,))}
+        shapes["lambda"] = shapes["z"]
+        for key in shapes:
+            for agent_id, raw in start.get(key, {}).items():
+                name = f"initial_state.{key}['{agent_id}']"
+                _require(agent_id in shapes[key],
+                         f"initial_state.{key}: unknown agent '{agent_id}'")
+                try:
+                    vec = np.asarray(raw, dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ScenarioFormatError(f"{name} is not a numeric vector") from exc
+                _require(vec.shape == shapes[key][agent_id], f"{name} has shape "
+                         f"{vec.shape}, expected {shapes[key][agent_id]}")
+                _require(bool(np.all(np.isfinite(vec))), f"{name} is not finite")
+        lam = start.get("lambda", {})
+        for agent_id in topo.node_order:
+            _require(not np.any(np.asarray(lam.get(agent_id, 0.0), dtype=float) < 0),
+                     f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
         return replace(self, solver=replace(self.solver, **overrides))
@@ -328,18 +371,6 @@ def stack_problem(scenario: Scenario) -> StackedProblem:
         for k in lay.human_ids:
             y_weight[lay.y_slice(k), lay.y_slice(k)] = scenario.costs[k].weight
     return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight)
-
-
-def stack_dimensions(scenario: Scenario) -> tuple[int, int, int, int, int]:
-    """(total autonomous dim, total human dim, constraint rows, m, h)."""
-    lay = scenario.layout
-    return (
-        lay.x_dim,
-        lay.y_dim,
-        lay.rows,
-        len(lay.autonomous_ids),
-        len(lay.human_ids),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +448,17 @@ def _parse_model(human_id: str, doc: dict, neighbor_ids: list[str]) -> HumanResp
 
 def _parse_schedule(model: HumanResponseModel, doc) -> ApproximationSchedule:
     """The schedule of `model`'s human: an object whose `delta` object holds
-    an optional `base` of the human's dim (omitted means zero) and `gains`
-    deltas for the human's autonomous neighbors, each of that gain's shape."""
+    an optional `base` (omitted means zero) and a map of `gains` deltas."""
     k = model.human_id
     _require(isinstance(doc, dict), f"schedule '{k}': expected an object")
     delta = doc.get("delta", {})
     _require(isinstance(delta, dict), f"schedule '{k}': delta must be an object")
     gains_doc = delta.get("gains", {})
     _require(isinstance(gains_doc, dict), f"schedule '{k}': gain deltas must be a map")
-    gain_deltas = {}
-    for j, g in gains_doc.items():
-        _require(j in model.gains, f"schedule '{k}': gain delta for '{j}', which is "
-                 f"not an autonomous neighbor (neighbors {list(model.neighbor_ids)})")
-        gain_deltas[j] = mat = _as_matrix(g, f"schedule '{k}' gain delta for '{j}'")
-        _require(mat.shape == model.gains[j].shape, f"schedule '{k}' gain delta for "
-                 f"'{j}' has shape {mat.shape}, the gain has {model.gains[j].shape}")
+    gain_deltas = {j: _as_matrix(g, f"schedule '{k}' gain delta for '{j}'")
+                   for j, g in gains_doc.items()}
     base_delta = _as_vector(delta.get("base", np.zeros(model.dim)),
                             f"schedule '{k}' base delta")
-    _require(base_delta.shape == (model.dim,), f"schedule '{k}' base delta has "
-             f"{base_delta.shape[0]} entries, the human's dim is {model.dim}")
     try:
         return ApproximationSchedule(
             gain_deltas=gain_deltas,
@@ -491,25 +514,24 @@ def scenario_from_document(doc: dict) -> Scenario:
 
     con_doc = doc["constraint"]
     _require(isinstance(con_doc, dict), "'constraint' must be an object")
+    blocks = {}
+    for key in ("a_blocks", "b_blocks"):
+        section = con_doc.get(key, {})
+        _require(isinstance(section, dict), f"constraint '{key}' must be a map")
+        blocks[key] = {i: _as_matrix(m, f"{key[:-1]} for '{i}'") for i, m in section.items()}
     constraint = CouplingConstraint(
-        a_blocks={
-            i: _as_matrix(m, f"a_block for '{i}'")
-            for i, m in con_doc.get("a_blocks", {}).items()
-        },
-        b_blocks={
-            k: _as_matrix(m, f"b_block for '{k}'")
-            for k, m in con_doc.get("b_blocks", {}).items()
-        },
-        c=_as_vector(con_doc.get("c"), "constraint offset c"),
+        **blocks, c=_as_vector(con_doc.get("c"), "constraint offset c")
     )
     if "rows" in con_doc and _as_int(con_doc["rows"], "constraint rows") != constraint.rows:
         raise DimensionMismatchError(
             f"declared {con_doc['rows']} constraint rows, offset c has {constraint.rows}"
         )
 
+    models_doc = doc.get("human_models", {})
+    _require(isinstance(models_doc, dict), "'human_models' must be a map")
     models = {}
     schedules = {}
-    for human_id, model_doc in doc.get("human_models", {}).items():
+    for human_id, model_doc in models_doc.items():
         auto_nbrs, _ = neighbors(topo, human_id) if human_id in topo.node_order else ([], [])
         models[human_id] = _parse_model(human_id, model_doc, auto_nbrs)
         if "schedule" in model_doc:
@@ -520,7 +542,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"solver options: {exc}") from exc
 
-    scenario = Scenario(
+    return Scenario(
         topology=topo,
         dims=dims,
         costs=costs,
@@ -530,51 +552,6 @@ def scenario_from_document(doc: dict) -> Scenario:
         schedules=schedules,
         initial_state=doc.get("initial_state"),
     )
-    if scenario.initial_state is not None:
-        _check_initial_state(scenario)
-    return scenario
-
-
-def _check_initial_state(scenario: Scenario) -> None:
-    """Reject an `initial_state` the flow could not start from."""
-    from .dynamics import initial_state
-
-    doc = scenario.initial_state
-    _require(
-        isinstance(doc, dict) and set(doc) <= {"x", "z", "lambda"}
-        and all(isinstance(section, dict) for section in doc.values()),
-        "initial_state must map 'x', 'z' or 'lambda' to per-agent vectors",
-    )
-    try:
-        initial_state(scenario)
-    except (KeyError, ValueError) as exc:
-        raise ScenarioFormatError(exc.args[0]) from exc
-
-
-def load_scenario(path_or_text) -> Scenario:
-    """Load a scenario document from a file path or a JSON string.
-
-    When the document sets `solver.check_slater`, a centralized pre-solve
-    certifies strict feasibility.
-    """
-    try:
-        if hasattr(path_or_text, "read"):
-            doc = json.load(path_or_text)
-        else:
-            text = str(path_or_text)
-            if text.lstrip().startswith("{"):
-                doc = json.loads(text)
-            else:
-                with open(text, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioFormatError(f"scenario is not valid JSON: {exc}") from exc
-    scenario = scenario_from_document(doc)
-    if scenario.solver.check_slater:
-        from .oracle import assert_slater
-
-        assert_slater(scenario)
-    return scenario
 
 
 def serialize_scenario(scenario: Scenario) -> dict:

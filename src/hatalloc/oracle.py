@@ -8,10 +8,13 @@ different solution path. Reduce once, solve per offset: of the reduced
 program only h_c = c + B d depends on the offset c, so
 `ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
 `solve_program` / `interior_point` solve a reduced program as it stands.
+`load_scenario` reads scenario files, since a file may ask for the solver's
+Slater certificate.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -20,15 +23,15 @@ import numpy as np
 from .errors import (
     ActiveSetEnumerationError,
     InfeasibleProblemError,
+    ScenarioFormatError,
     SlaterConditionError,
     UnsupportedByOracleError,
 )
 from .human import AFFINE
-from .model import QuadraticCost, Scenario, stack_problem
+from .model import QuadraticCost, Scenario, scenario_from_document, stack_problem
 from .reformulation import (
     DecoupledConstraint,
     coupled_residual,
-    decoupled_residual,
     find_certificate_z,
 )
 
@@ -184,6 +187,30 @@ def assert_slater(scenario: Scenario) -> None:
         )
 
 
+def load_scenario(path_or_text) -> Scenario:
+    """Load a scenario document from a file path, a file object or a JSON string.
+
+    When the document sets `solver.check_slater`, a centralized pre-solve
+    certifies strict feasibility (`assert_slater`).
+    """
+    try:
+        if hasattr(path_or_text, "read"):
+            doc = json.load(path_or_text)
+        else:
+            text = str(path_or_text)
+            if text.lstrip().startswith("{"):
+                doc = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as handle:
+                    doc = json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioFormatError(f"scenario is not valid JSON: {exc}") from exc
+    scenario = scenario_from_document(doc)
+    if scenario.solver.check_slater:
+        assert_slater(scenario)
+    return scenario
+
+
 def lift_to_saddle(
     scenario: Scenario,
     dc: DecoupledConstraint,
@@ -214,34 +241,3 @@ def lift_to_saddle(
     lam_star = np.tile(mu_star, n_nodes)
     eta_star = np.concatenate([x_star, z_star])
     return z_star, lam_star, eta_star
-
-
-@dataclass(frozen=True)
-class KKTResidual:
-    stationarity: float
-    primal: float
-    dual_min: float
-    comp_slack: float
-
-
-def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state) -> KKTResidual:
-    """First-order optimality residuals of a system state.
-
-    Stationarity covers both the x gradient of the Lagrangian and the z
-    gradient (the Laplacian image of the multipliers); primal is the largest
-    constraint violation; comp_slack is |lambda . residual|.
-    """
-    from .dynamics import FlowEngine
-
-    engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
-    grad_x, y = engine.lagrangian_gradient_x(x, lam, state.t)
-    resid = decoupled_residual(dc, x, y, z)
-    station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0
-    station_z = float(np.max(np.abs(dc.lift_apply(lam))))
-    return KKTResidual(
-        stationarity=max(station_x, station_z),
-        primal=float(max(0.0, np.max(resid))),
-        dual_min=float(np.min(lam)),
-        comp_slack=float(abs(lam @ resid)),
-    )

@@ -131,7 +131,7 @@ class TestSweepEquivalence:
             "k1": ApproximationSchedule(
                 gain_deltas={j: 0.5 * g for j, g in
                              scenario.human_models["k1"].gains.items()},
-                base_delta=np.array([0.3]),
+                base_delta=np.array([0.3, 0.3]),
                 settle_time=0.4,
             )
         }

@@ -1,9 +1,12 @@
-"""The package runs on numpy alone."""
+"""The package runs on numpy alone, and its layers import only downward."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hatalloc
 
@@ -23,3 +26,26 @@ def test_importing_every_module_loads_no_scipy():
         capture_output=True, text=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def imported_modules(name: str) -> set[str]:
+    """Every module that `hatalloc.<name>` imports, at module or function level."""
+    tree = ast.parse(Path(hatalloc.__file__).with_name(f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(["hatalloc"] + ([base] if base else []))
+            # `from pkg import name` may name a submodule.
+            found |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module, above", [
+    ("model", "dynamics"), ("oracle", "dynamics"), ("model", "oracle"),
+])
+def test_lower_layers_do_not_import_higher_ones(module, above):
+    assert f"hatalloc.{above}" not in imported_modules(module)

@@ -13,7 +13,7 @@ from hatalloc import (
     solve_centralized,
 )
 from hatalloc.dynamics import FlowEngine, _step_arrays
-from hatalloc.errors import DivergenceError
+from hatalloc.errors import DivergenceError, ScenarioFormatError
 from hatalloc.experiments import crosscheck_scenario, random_scenario
 from hatalloc.model import CouplingConstraint, CustomCost
 
@@ -234,17 +234,15 @@ class TestIntegrate:
         assert info.value.max_entry == 1.0
 
     def test_initial_state_override(self):
-        scenario = single_agent_scenario()
-        scenario.initial_state = {"x": {"a1": [0.7]}, "lambda": {"a1": [0.2]}}
+        scenario = replace(single_agent_scenario(),
+                           initial_state={"x": {"a1": [0.7]}, "lambda": {"a1": [0.2]}})
         state = initial_state(scenario)
         np.testing.assert_array_equal(state.x["a1"], [0.7])
         np.testing.assert_array_equal(state.lam["a1"], [0.2])
 
     def test_negative_initial_multiplier_rejected(self):
-        scenario = single_agent_scenario()
-        scenario.initial_state = {"lambda": {"a1": [-0.1]}}
-        with pytest.raises(ValueError):
-            initial_state(scenario)
+        with pytest.raises(ScenarioFormatError, match="initial multiplier for 'a1'"):
+            replace(single_agent_scenario(), initial_state={"lambda": {"a1": [-0.1]}})
 
 
 class TestGradientCheck:

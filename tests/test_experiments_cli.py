@@ -2,6 +2,9 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +333,11 @@ class TestScenarioFormatErrors:
         (lambda d: d["human_models"]["k1"].update(
             schedule={"delta": {"gains": {"a1": [[0.1]]}}, "settle_time": 1.0}),
          "gain delta for 'a1' has shape (1, 1), the gain has (2, 2)"),
+        (lambda d: d["constraint"].update(a_blocks=[]), "constraint 'a_blocks' must be a map"),
+        (lambda d: d["constraint"].update(b_blocks=[]), "constraint 'b_blocks' must be a map"),
+        (lambda d: d.update(human_models=[]), "'human_models' must be a map"),
+        (lambda d: d["costs"].update(zz={"type": "quadratic", "weight": [[1.0]]}),
+         "costs declared for unknown agents ['zz']"),
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
             "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
@@ -339,7 +347,8 @@ class TestScenarioFormatErrors:
             "fractional-dim", "boolean-dim", "schedule-not-an-object",
             "schedule-delta-not-an-object", "schedule-gains-not-a-map",
             "schedule-base-wrong-dim", "schedule-gain-unknown-neighbor",
-            "schedule-gain-wrong-shape"])
+            "schedule-gain-wrong-shape", "a-blocks-not-a-map", "b-blocks-not-a-map",
+            "human-models-not-a-map", "cost-for-unknown-agent"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
         doc = serialize_scenario(path_scenario())
         edit(doc)
@@ -381,7 +390,6 @@ class TestScenarioFormatErrors:
 
 
 class TestRunOutputs:
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_summary_records_halved_dt(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         save_scenario(free_multiplier_scenario(1.2), path)
@@ -393,6 +401,20 @@ class TestRunOutputs:
         assert summary["failed_attempt"]["t"] > 0
         # dx = -2 x overflowed whole, so no finite entry is left to report
         assert summary["failed_attempt"]["max_entry"] is None
+
+    def test_handled_divergence_prints_no_numpy_warning(self, tmp_path):
+        # A fresh interpreter with numpy's default warnings, not the suite's.
+        path = tmp_path / "s.json"
+        save_scenario(free_multiplier_scenario(1.2), path)
+        src = str(Path(dynamics.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hatalloc.cli", "run", str(path),
+             "--out", str(tmp_path / "o"), "--reference", "none"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["failed_attempt"]["dt"] == 1.2
+        assert "RuntimeWarning" not in done.stderr
 
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
@@ -413,7 +435,6 @@ class TestRunOutputs:
             assert kkt["dual_min"] >= 0.0
 
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_grid_cells_report_a_halved_dt(self, tmp_path):
         # At dt = 0.15 every cell diverges, then reruns at 0.075.
         base = team_scenario(1).with_solver(dt=0.15, max_time=300.0)

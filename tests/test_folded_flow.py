@@ -52,7 +52,7 @@ def _scheduled():
     model = scenario.human_models["k1"]
     schedules = {"k1": ApproximationSchedule(
         gain_deltas={j: 0.5 * g for j, g in model.gains.items()},
-        base_delta=np.array([0.3]),
+        base_delta=np.array([0.3, 0.3]),
         settle_time=0.1,  # settles inside the run
     )}
     return replace(scenario, schedules=schedules)

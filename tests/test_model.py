@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hatalloc import (
     load_scenario,
     scenario_from_document,
     serialize_scenario,
-    stack_dimensions,
 )
 from hatalloc.errors import (
     DimensionMismatchError,
@@ -28,6 +27,8 @@ from hatalloc.model import (
     gradient_consistency_error,
     midpoint_convexity_gap,
 )
+
+from conftest import path_scenario
 
 MINIMAL_DOC = {
     "agents": [{"id": "a1", "kind": "autonomous", "dim": 1}],
@@ -84,12 +85,14 @@ def reference_dims_doc():
 
 class TestLoad:
     def test_minimal_document(self):
-        scenario = scenario_from_document(MINIMAL_DOC)
-        assert stack_dimensions(scenario) == (1, 0, 1, 1, 0)
+        lay = scenario_from_document(MINIMAL_DOC).layout
+        assert (lay.x_dim, lay.y_dim, lay.rows) == (1, 0, 1)
+        assert (len(lay.autonomous_ids), len(lay.human_ids)) == (1, 0)
 
     def test_reference_dimensions(self):
-        scenario = scenario_from_document(reference_dims_doc())
-        assert stack_dimensions(scenario) == (15, 8, 2, 5, 2)
+        lay = scenario_from_document(reference_dims_doc()).layout
+        assert (lay.x_dim, lay.y_dim, lay.rows) == (15, 8, 2)
+        assert (len(lay.autonomous_ids), len(lay.human_ids)) == (5, 2)
 
     def test_load_from_json_text(self):
         scenario = load_scenario(json.dumps(MINIMAL_DOC))
@@ -134,6 +137,70 @@ class TestLoad:
         doc["human_models"]["h1"]["gains"] = {"r2": np.zeros((3, 5)).tolist()}
         with pytest.raises(Exception, match="h1"):
             scenario_from_document(doc)
+
+
+def _schedule_fault(delta, message):
+    """A schedule fault made in code and in a document, and its message."""
+    gains = {j: np.array(g) for j, g in delta.get("gains", {}).items()}
+    schedule = ApproximationSchedule(gains, np.array(delta.get("base", [0.0, 0.0])), 1.0)
+    return (lambda s: replace(s, schedules={"k1": schedule}),
+            lambda d: d["human_models"]["k1"].update(
+                schedule={"delta": delta, "settle_time": 1.0}),
+            message)
+
+
+UNKNOWN_START = {"x": {"zz": [1.0]}}
+# (edit of a scenario, the same edit of its document, the message of both)
+CONSTRUCTION_FAULTS = {
+    "schedule-unknown-neighbor": _schedule_fault(
+        {"gains": {"zz": [[0.1, 0.0], [0.0, 0.1]]}}, "schedule 'k1': gain delta for "
+        "'zz', which is not an autonomous neighbor (neighbors ['a1', 'a2'])"),
+    "schedule-base-wrong-dim": _schedule_fault(
+        {"base": [0.1, 0.2, 0.3]},
+        "schedule 'k1' base delta has 3 entries, the human's dim is 2"),
+    "schedule-gain-wrong-shape": _schedule_fault(
+        {"gains": {"a1": [[0.1]]}},
+        "schedule 'k1' gain delta for 'a1' has shape (1, 1), the gain has (2, 2)"),
+    "cost-for-unknown-agent": (
+        lambda s: replace(s, costs={**s.costs, "zz": QuadraticCost(np.eye(1))}),
+        lambda d: d["costs"].update(zz={"type": "quadratic", "weight": [[1.0]]}),
+        "costs declared for unknown agents ['zz']"),
+    "initial-state-unknown-agent": (
+        lambda s: replace(s, initial_state=UNKNOWN_START),
+        lambda d: d.update(initial_state=UNKNOWN_START),
+        "initial_state.x: unknown agent 'zz'"),
+}
+
+
+class TestConstruction:
+    """A `Scenario` built in code is checked as a document is."""
+
+    @pytest.mark.parametrize("edit_scenario, edit_doc, message",
+                             CONSTRUCTION_FAULTS.values(), ids=CONSTRUCTION_FAULTS)
+    def test_replace_is_checked_as_a_document_is(self, edit_scenario, edit_doc, message):
+        with pytest.raises(ScenarioFormatError) as from_code:
+            edit_scenario(path_scenario())
+        doc = serialize_scenario(path_scenario())
+        edit_doc(doc)
+        with pytest.raises(ScenarioFormatError) as from_file:
+            scenario_from_document(doc)
+        assert str(from_code.value) == str(from_file.value) == message
+
+    def test_schedule_for_unknown_human_is_rejected(self):
+        schedule = ApproximationSchedule({}, np.zeros(2), 1.0)
+        for agent_id in ("zz", "a1"):
+            with pytest.raises(ScenarioFormatError,
+                               match=rf"schedules for unknown humans \['{agent_id}'\]"):
+                replace(path_scenario(), schedules={agent_id: schedule})
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial_state", {"x": {"a1": [0.7, 0.0]}}),
+        ("solver", SolverOptions(dt=1e-2)),
+    ])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        scenario = path_scenario()
+        with pytest.raises(FrozenInstanceError):
+            setattr(scenario, field, value)
 
 
 class TestStackDimensions:
