@@ -13,29 +13,48 @@ A sweep runs in two barrier-separated waves along graph edges:
    then evaluate the workload-coupling term J_{k,i}^T (grad g_k + B_k^T
    lambda_k) at the fresh states and send it with their new blocks.
 
-Both rounds share one skeleton: `_consensus` sums the neighbor differences
-edge by edge, and `_outbox` builds every outgoing message. A proxy's snapshot
-is set when it is built, and the runner's mailbox starts as the initial
-views' outboxes.
+`agent_round(view, inbox, dt)` is the pure per-agent reference. Both kinds
+of round share one skeleton: `_consensus` sums the neighbor differences edge
+by edge, and `_outbox` builds every outgoing message.
 
 The coupling term is what an autonomous agent needs from each neighboring
 human, and only the proxy can evaluate it: the response depends on *all* of
 the human's neighbors, which are not all neighbors of the agent. Within a
 wave, updates depend only on an agent's own view and inbox, so execution
 order inside a wave cannot change the result.
+
+`DistributedRunner` runs all rounds of a sweep as one stacked wave kernel,
+bit for bit `agent_round`. Both waves read only pre-sweep z and lambda; the
+proxies respond once per sweep, at the fresh x and t + dt, which is the y
+the next sweep's gap needs. Each per-block product is one batched `np.matmul`
+per block shape (see `_apply`), and each neighbor sum one ordered
+`np.add.at`: the agent's own term, then its edge terms in `_consensus`'s
+neighbor order, the reference's accumulation order. The runner's `views`,
+`mailbox` and `_inbox` are built from the stacked arrays on demand, and
+stay the same objects until the next sweep.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .dynamics import SystemState, initial_state
 from .errors import MessageProtocolError
-from .human import ApproximationSchedule, HumanResponseModel, respond, response_jacobian
-from .model import CostFunction, Scenario
+from .human import (
+    SOFTPLUS_AFFINE,
+    ApproximationSchedule,
+    HumanResponseModel,
+    effective_parameters,
+    logistic,
+    respond,
+    response_jacobian,
+    softplus,
+)
+from .model import CostFunction, QuadraticCost, Scenario
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import neighbors
 
@@ -77,7 +96,7 @@ class HumanProxyView:
     """Everything human proxy k owns, including the cached pre-sweep snapshot
     of its autonomous neighbors' payloads (needed because its own update and
     the coupling terms it sends are evaluated one wave apart). The snapshot
-    is set when the proxy is built; `DistributedRunner` builds it."""
+    is set when the proxy is built."""
 
     agent_id: str
     z: np.ndarray
@@ -193,13 +212,11 @@ def agent_round(view, inbox, dt: float):
 
 
 class DistributedRunner:
-    """Synchronous barrier-stepped execution of all agents.
+    """Synchronous execution of all agents as one stacked wave kernel.
 
-    Maintains one mailbox slot per directed edge, indexed by receiver so
-    that collecting an inbox costs the agent's degree, not the edge count.
-    Each sweep runs the autonomous wave, delivers, then the human wave, and
-    delivers again. Human proxies respond under the scenario's own
-    approximation schedules (`scenario.schedules`).
+    Holds x, z and lambda stacked in layout order, with the proxies' last
+    responses y and coupling terms; a sweep is one Jacobi step. The proxies
+    respond under the scenario's own approximation schedules.
     """
 
     def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None,
@@ -207,64 +224,133 @@ class DistributedRunner:
         self.scenario = scenario
         self.dc = dc if dc is not None else build_decoupled(scenario)
         state = state if state is not None else initial_state(scenario)
-        lay = scenario.layout
+        lay, con, models = scenario.layout, scenario.constraint, scenario.human_models
+        dims, xo, yo, humans = lay.dims, lay.x_offsets, lay.y_offsets, lay.human_ids
+        node = {a: n * con.rows for n, a in enumerate(lay.node_order)}
+        self._nbrs = {a: tuple(sum(neighbors(scenario.topology, a), [])) for a in lay.node_order}
+        pairs = [(node[a], node[b]) for a in lay.node_order for b in self._nbrs[a]]
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        self._recv, self._send = ((p[:, None] + np.arange(con.rows)).ravel() for p in pairs.T)
+        self._a = [_batch(g, con.a_blocks.get, node.get, xo.get)
+                   for g in _groups(lay.autonomous_ids, dims.get)]
+        self._b = [_batch(g, con.b_blocks.get, node.get, yo.get)
+                   for g in _groups(humans, dims.get)]
+        self._wx = _cost_blocks(lay.autonomous_ids, scenario.costs, xo, dims)
+        self._wy = _cost_blocks(humans, scenario.costs, yo, dims)
 
-        def common(a):
-            auto_n, human_n = neighbors(scenario.topology, a)
-            return dict(
-                agent_id=a, z=np.array(state.z[a], dtype=float),
-                lam=np.array(state.lam[a], dtype=float), cost=scenario.costs[a],
-                c_block=np.array(self.dc.c_split[lay.node_slice(a)]),
-                auto_neighbors=tuple(auto_n), human_neighbors=tuple(human_n), t=state.t,
-            )
+        # Coupling terms k -> i, ordered by receiver and then by its human
+        # neighbors; pre-activation terms of gain edges (k, j), by k and then j.
+        into = [(k, i) for i in lay.autonomous_ids for k in self._nbrs[i] if k in yo]
+        ends = list(accumulate([dims[i] for _, i in into], initial=0))
+        cpl = dict(zip(into, ends))
+        self._cpl_slice = {e: slice(s, s + dims[e[1]]) for e, s in cpl.items()}
+        edges = [(k, j) for k in humans for j in models[k].neighbor_ids]
+        term = dict(zip(edges, accumulate([dims[k] for k, _ in edges], initial=0)))
+        self._alpha = np.array([models[k].attitude for k, _ in edges for _ in range(dims[k])])
+        groups = _groups(edges, lambda e: (dims[e[0]], dims[e[1]]))
+        self._at = {e: (n, m) for n, group in enumerate(groups) for m, e in enumerate(group)}
+        self._gain = [_batch(g, lambda e: models[e[0]].gains[e[1]], term.get, lambda e: xo[e[1]])
+                      for g in groups]
+        self._jac = [_batch(g, lambda e: models[e[0]].attitude * models[e[0]].gains[e[1]],
+                            lambda e: yo[e[0]], cpl.get) for g in groups]
+        self._terms_at = np.zeros(self._alpha.size, dtype=np.intp)
+        self._cpl_at = np.zeros(ends[-1], dtype=np.intp)
+        for (_, terms, xj), (_, yk, cpl_pos) in zip(self._gain, self._jac):
+            self._terms_at[terms], self._cpl_at[cpl_pos] = yk, xj
+        soft = [(yo[k] + n, models[k].sharpness) for k in humans for n in range(dims[k])
+                if models[k].family == SOFTPLUS_AFFINE]
+        self._soft = np.array([row for row, _ in soft], dtype=np.intp)
+        self._beta = np.array([beta for _, beta in soft])
+        self._base = lay.stack_y({k: models[k].base for k in humans})
+        self._c = np.array(self.dc.c_split)
+        self._advance(lay.stack_x(state.x), lay.stack_nodes(state.z),
+                      lay.stack_nodes(state.lam), state.t)
 
-        # The mailbox starts as the initial views' outboxes. A proxy's
-        # snapshot holds its autonomous neighbors' initial messages, so the
-        # autonomous agents post first.
-        self._by_receiver: dict[str, dict[str, Message]] = {a: {} for a in lay.node_order}
-        self.views: dict[str, AutonomousAgentView | HumanProxyView] = {}
-        for i in lay.autonomous_ids:
-            view = self.views[i] = AutonomousAgentView(
-                **common(i), x=np.array(state.x[i], dtype=float),
-                a_block=scenario.constraint.a_blocks[i],
-            )
-            self._deliver(_outbox(view))
-        for k in lay.human_ids:
-            own = common(k)
-            view = self.views[k] = HumanProxyView(
-                **own, model=scenario.human_models[k], b_block=scenario.constraint.b_blocks[k],
-                snapshot={j: self._by_receiver[k][j] for j in own["auto_neighbors"]},
-                schedule=scenario.schedules.get(k),
-            )
-            self._deliver(_outbox(view, _proxy_coupling(view)))
+    def _advance(self, x, z, lam, t):
+        """Make (x, z, lam, t) the state, and have the proxies respond there."""
+        for block in (x, z, lam):
+            block.flags.writeable = False
+        self._x, self._z, self._lam, self._t = x, z, lam, t
+        self._y, self._cpl = self._respond()
+        self._views = self._mail = None
+
+    def _respond(self):
+        """Every y_k and coupling term J_{k,j}^T (grad g_k(y_k) + B_k^T lambda_k)
+        at the current state, computed as `_proxy_coupling` computes them."""
+        gain, jac, base, sc = self._gain, self._jac, self._base, self.scenario
+        live = [k for k, s in sc.schedules.items() if s.blend(self._t) != 0.0]
+        if live:  # the blended parameters, from `effective_parameters` itself
+            gain = [(G.copy(), rows, cols) for G, rows, cols in gain]
+            jac = [(J.copy(), rows, cols) for J, rows, cols in jac]
+            base = base.copy()
+            for k in live:
+                model, schedule = sc.human_models[k], sc.schedules[k]
+                gains, base[sc.layout.y_slice(k)] = effective_parameters(model, self._t, schedule)
+                for j in model.neighbor_ids:
+                    n, m = self._at[k, j]
+                    gain[n][0][m], jac[n][0][m] = gains[j], model.attitude * gains[j]
+        pre = base.copy()
+        terms = _apply(gain, self._x, np.zeros(self._alpha.size))
+        np.add.at(pre, self._terms_at, self._alpha * terms)
+        y = pre
+        if self._soft.size:
+            u, y, sig = pre[self._soft], pre.copy(), np.ones(pre.size)
+            y[self._soft], sig[self._soft] = softplus(u, self._beta), logistic(u, self._beta)
+            jac = [(sig[rows][..., None] * J, rows, cols) for J, rows, cols in jac]
+        w = _gradient(*self._wy, y) + _apply(self._b, self._lam, np.zeros(y.size), True)
+        return y, _apply(jac, w, np.zeros(self._cpl_at.size), True)
 
     @property
     def mailbox(self) -> dict[tuple[str, str], Message]:
-        """The last message on every directed edge, keyed (sender, receiver)."""
-        return {(sender, receiver): msg for receiver, inbox in self._by_receiver.items()
-                for sender, msg in inbox.items()}
+        """The last message on every directed edge, keyed (sender, receiver),
+        receivers in layout order and each one's senders in neighbor order."""
+        if self._mail is None:
+            lay, self._mail = self.scenario.layout, {}
+            for a in lay.node_order:
+                for b in self._nbrs[a]:
+                    s = lay.node_slice(b)
+                    to_human = b in lay.x_offsets and a in lay.y_offsets
+                    x = self._x[lay.x_slice(b)] if to_human else None
+                    cpl = self._cpl[self._cpl_slice[b, a]] if (b, a) in self._cpl_slice else None
+                    self._mail[b, a] = Message(b, a, self._z[s], self._lam[s], x=x, coupling=cpl)
+        return self._mail
 
-    def _deliver(self, messages):
-        for msg in messages:
-            self._by_receiver[msg.receiver][msg.sender] = msg
+    @property
+    def views(self) -> dict[str, AutonomousAgentView | HumanProxyView]:
+        """Every agent's view of the current state, as `agent_round` takes it."""
+        if self._views is None:
+            scenario, lay, mail = self.scenario, self.scenario.layout, self.mailbox
+            con, top = scenario.constraint, scenario.topology
+            self._views = {}
+            for a in lay.node_order:
+                auto_n, human_n, s = *neighbors(top, a), lay.node_slice(a)
+                own = dict(agent_id=a, z=self._z[s], lam=self._lam[s], cost=scenario.costs[a],
+                           c_block=self._c[s], auto_neighbors=tuple(auto_n),
+                           human_neighbors=tuple(human_n), t=self._t)
+                self._views[a] = AutonomousAgentView(
+                    **own, x=self._x[lay.x_slice(a)], a_block=con.a_blocks[a],
+                ) if a in lay.x_offsets else HumanProxyView(
+                    **own, model=scenario.human_models[a], b_block=con.b_blocks[a],
+                    snapshot={j: mail[j, a] for j in auto_n}, schedule=scenario.schedules.get(a))
+        return self._views
 
     def _inbox(self, agent_id: str) -> list[Message]:
-        return list(self._by_receiver[agent_id].values())
+        return [self.mailbox[sender, agent_id] for sender in self._nbrs[agent_id]]
 
     def sweep(self, dt: float, order: list[str] | None = None) -> None:
         """One synchronous step of every agent (autonomous wave, human wave).
         `order` must list every agent once; it cannot change the result."""
-        lay = self.scenario.layout
-        order = lay.node_order if order is None else _permutation(order, lay.node_order)
-        for wave in (lay.x_offsets, lay.y_offsets):
-            outgoing = []
-            for agent_id in order:
-                if agent_id in wave:
-                    new_view, outbox = agent_round(
-                        self.views[agent_id], self._inbox(agent_id), dt)
-                    self.views[agent_id] = new_view
-                    outgoing.extend(outbox)
-            self._deliver(outgoing)
+        if order is not None:
+            _permutation(order, self.scenario.layout.node_order)
+        x, z, lam, recv, send = self._x, self._z, self._lam, self._recv, self._send
+        dx = -(_gradient(*self._wx, x) + _apply(self._a, lam, np.zeros(x.size), True))
+        np.subtract.at(dx, self._cpl_at, self._cpl)
+        gap = _apply(self._b, self._y, _apply(self._a, x, np.zeros(z.size)))
+        gap += self._c
+        np.add.at(gap, recv, z[recv] - z[send])
+        dz = np.zeros(z.size)
+        np.subtract.at(dz, recv, lam[recv] - lam[send])
+        self._advance(x + dt * dx, z + dt * dz, np.maximum(0.0, lam + dt * gap), self._t + dt)
 
     def run(self, n_sweeps: int, dt: float) -> SystemState:
         for _ in range(n_sweeps):
@@ -273,11 +359,56 @@ class DistributedRunner:
 
     def state(self) -> SystemState:
         lay = self.scenario.layout
-        x = {i: np.array(self.views[i].x) for i in lay.autonomous_ids}
-        z = {a: np.array(self.views[a].z) for a in lay.node_order}
-        lam = {a: np.array(self.views[a].lam) for a in lay.node_order}
-        t = max((v.t for v in self.views.values()), default=0.0)
-        return SystemState(x=x, z=z, lam=lam, t=t)
+        return SystemState(x=lay.unstack_x(self._x), z=lay.unstack_nodes(self._z),
+                           lam=lay.unstack_nodes(self._lam), t=self._t)
+
+
+def _groups(items, key) -> list[list]:
+    """`items` grouped by `key`, in order of first appearance."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
+
+
+def _batch(members, block, row, col):
+    """(M, rows, cols) for the equal-shape blocks `block(e)`: the stacked
+    blocks and the flat positions of each block's row and column space."""
+    mats = np.array([block(e) for e in members])
+    _, m, n = mats.shape
+    at = np.array([[*range(row(e), row(e) + m), *range(col(e), col(e) + n)] for e in members],
+                  dtype=np.intp)
+    return mats, at[:, :m], at[:, m:]
+
+
+def _apply(batches, v, out, transposed=False):
+    """out[rows_e] = M_e @ v[cols_e] for every block of every batch, or
+    out[cols_e] = M_e^T @ v[rows_e] if `transposed`. The transpose stays a
+    strided view, and the value objects store their blocks C-ordered: so each
+    item runs the BLAS call of `M @ v` or `M.T @ v` on one block, bit for bit."""
+    for mats, rows, cols in batches:
+        if transposed:
+            out[cols] = np.matmul(mats.transpose(0, 2, 1), v[rows][..., None])[..., 0]
+        else:
+            out[rows] = np.matmul(mats, v[cols][..., None])[..., 0]
+    return out
+
+
+def _cost_blocks(ids, costs, start, dims):
+    """Batches of the quadratic costs' weights; the callback costs, sliced."""
+    quadratic = dict.fromkeys(a for a in ids if isinstance(costs[a], QuadraticCost))
+    custom = [(slice(start[a], start[a] + dims[a]), costs[a]) for a in ids if a not in quadratic]
+    return [_batch(g, lambda a: costs[a].weight, start.get, start.get)
+            for g in _groups(quadratic, dims.get)], custom
+
+
+def _gradient(quadratic, custom, v):
+    """Every cost's gradient on its slice of v: 2.0 * (W @ v) per quadratic
+    block, as `QuadraticCost.gradient`, and one call per callback cost."""
+    g = 2.0 * _apply(quadratic, v, np.zeros(v.size))
+    for s, cost in custom:
+        g[s] = cost.gradient(v[s])
+    return g
 
 
 def _permutation(order, agents) -> list[str]:

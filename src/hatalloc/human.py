@@ -44,6 +44,12 @@ class ApproximationSchedule:
     def __post_init__(self):
         if not 0 <= self.settle_time < np.inf:
             raise ValueError(f"settle_time must be nonnegative and finite: {self.settle_time}")
+        deltas = {j: np.ascontiguousarray(d, dtype=float) for j, d in self.gain_deltas.items()}
+        object.__setattr__(self, "gain_deltas", deltas)
+        object.__setattr__(self, "base_delta", np.asarray(self.base_delta, dtype=float))
+        for name, delta in [("base", self.base_delta), *deltas.items()]:
+            if not np.isfinite(delta).all():
+                raise ValueError(f"schedule delta for '{name}' must be finite")
 
     def blend(self, t: float) -> float:
         """Remaining perturbation fraction at time t (continuous, 0 for t >= T)."""
@@ -67,7 +73,8 @@ class HumanResponseModel:
     def __post_init__(self):
         object.__setattr__(self, "neighbor_ids", tuple(self.neighbor_ids))
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        gains = {j: np.atleast_2d(np.asarray(g, dtype=float)) for j, g in self.gains.items()}
+        gains = {j: np.atleast_2d(np.ascontiguousarray(g, dtype=float))
+                 for j, g in self.gains.items()}
         object.__setattr__(self, "gains", gains)
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown response family '{self.family}'")
@@ -77,12 +84,16 @@ class HumanResponseModel:
                 f"match neighbor list {sorted(self.neighbor_ids)}"
             )
         dim = self.base.shape[0]
+        if not np.isfinite(self.base).all():
+            raise ValueError(f"model '{self.human_id}': base entries must be finite")
         for j, g in gains.items():
             if g.shape[0] != dim:
                 raise ValueError(
                     f"model '{self.human_id}': gain block for '{j}' has "
                     f"{g.shape[0]} rows, base has {dim}"
                 )
+            if not np.isfinite(g).all():
+                raise ValueError(f"model '{self.human_id}': gain for '{j}' must be finite")
         if not -1.0 <= self.attitude <= 1.0:
             raise ValueError(f"attitude must lie in [-1, 1], got {self.attitude}")
         if self.family == SOFTPLUS_AFFINE and not 0 < self.sharpness < np.inf:

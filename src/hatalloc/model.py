@@ -41,10 +41,12 @@ class QuadraticCost:
     weight: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.weight, dtype=float))
+        w = np.atleast_2d(np.ascontiguousarray(self.weight, dtype=float))
         object.__setattr__(self, "weight", w)
         if w.shape[0] != w.shape[1]:
             raise DimensionMismatchError(f"cost weight must be square, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise NotPositiveDefiniteError("cost weight entries must be finite")
         if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
             raise NotPositiveDefiniteError("cost weight is not symmetric")
         if np.min(np.linalg.eigvalsh(w)) <= MIN_EIGENVALUE:
@@ -93,19 +95,23 @@ class CouplingConstraint:
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        a = {i: np.atleast_2d(np.asarray(m, dtype=float)) for i, m in self.a_blocks.items()}
-        b = {k: np.atleast_2d(np.asarray(m, dtype=float)) for k, m in self.b_blocks.items()}
+        a, b = ({i: np.atleast_2d(np.ascontiguousarray(m, dtype=float)) for i, m in blocks.items()}
+                for blocks in (self.a_blocks, self.b_blocks))
         object.__setattr__(self, "a_blocks", a)
         object.__setattr__(self, "b_blocks", b)
         r = self.c.shape[0]
         if r < 1:
             raise DimensionMismatchError("constraint needs at least one row")
+        if not np.isfinite(self.c).all():
+            raise DimensionMismatchError("constraint offset c entries must be finite")
         for agent_id, block in list(a.items()) + list(b.items()):
             if block.shape[0] != r:
                 raise DimensionMismatchError(
                     f"constraint block for '{agent_id}' has {block.shape[0]} rows, "
                     f"expected {r}"
                 )
+            if not np.isfinite(block).all():
+                raise DimensionMismatchError(f"constraint block for '{agent_id}' must be finite")
 
     @property
     def rows(self) -> int:

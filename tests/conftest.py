@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from hatalloc import NetworkTopology, Scenario
+from hatalloc.agents import (
+    AutonomousAgentView,
+    HumanProxyView,
+    _outbox,
+    _permutation,
+    _proxy_coupling,
+    agent_round,
+)
+from hatalloc.dynamics import SystemState, initial_state
 from hatalloc.human import HumanResponseModel
-from hatalloc.model import CouplingConstraint, QuadraticCost, SolverOptions
-from hatalloc.reformulation import decoupled_residual_blocks
+from hatalloc.model import CouplingConstraint, CustomCost, QuadraticCost, SolverOptions
+from hatalloc.reformulation import build_decoupled, decoupled_residual_blocks
+from hatalloc.topology import neighbors
 
 
 def single_agent_scenario(c=(-1.0,)):
@@ -85,6 +95,123 @@ def path_scenario(attitude=0.5, family="affine", beta=6.0):
         human_models={"k1": model},
         solver=SolverOptions(),
     )
+
+
+def human_only_edge_scenario():
+    """One autonomous agent and two humans on a path a1 - k1 - k2: k2 has no
+    autonomous neighbor, so it exchanges only auxiliary blocks."""
+    topo = NetworkTopology(
+        ("a1",), ("k1", "k2"),
+        frozenset({("a1", "k1"), ("k1", "k2")}),
+    )
+    models = {
+        "k1": HumanResponseModel(
+            "k1", ("a1",), {"a1": np.array([[0.3]])},
+            np.array([0.5]), 0.5,
+        ),
+        "k2": HumanResponseModel("k2", (), {}, np.array([0.4]), 0.5),
+    }
+    return Scenario(
+        topology=topo,
+        dims={"a1": 1, "k1": 1, "k2": 1},
+        costs={a: QuadraticCost(np.array([[1.0]])) for a in topo.node_order},
+        constraint=CouplingConstraint(
+            {"a1": np.array([[1.0]])},
+            {"k1": np.array([[0.5]]), "k2": np.array([[0.5]])},
+            np.array([-2.0]),
+        ),
+        human_models=models,
+    )
+
+
+def with_callback_costs(scenario, quartic=0.0):
+    """The scenario with every cost a `CustomCost`: the quadratic v^T W v of
+    its own weight, plus `quartic` * sum(v^4) on the autonomous agents."""
+    costs = {}
+    for a, cost in scenario.costs.items():
+        q = quartic if a in scenario.layout.x_offsets else 0.0
+        costs[a] = CustomCost(
+            cost.dim,
+            lambda v, w=cost.weight, q=q: float(v @ w @ v + q * np.sum(v ** 4)),
+            lambda v, w=cost.weight, q=q: 2.0 * (w @ v) + 4.0 * q * v ** 3,
+        )
+    return replace(scenario, costs=costs)
+
+
+class ReferenceRunner:
+    """The per-agent wave loop that `DistributedRunner`'s stacked kernel is
+    held to, bit for bit: views stepped one at a time with `agent_round`,
+    and one mailbox slot per directed edge, indexed by receiver.
+
+    The mailbox starts as the initial views' outboxes. A proxy's snapshot
+    holds its autonomous neighbors' initial messages, so the autonomous
+    agents post first. Each sweep runs the autonomous wave, delivers, then
+    the human wave, and delivers again, visiting the agents in `order`.
+    """
+
+    def __init__(self, scenario, dc=None, state=None):
+        self.scenario = scenario
+        dc = dc if dc is not None else build_decoupled(scenario)
+        state = state if state is not None else initial_state(scenario)
+        lay = scenario.layout
+
+        def common(a):
+            auto_n, human_n = neighbors(scenario.topology, a)
+            return dict(
+                agent_id=a, z=np.array(state.z[a], dtype=float),
+                lam=np.array(state.lam[a], dtype=float), cost=scenario.costs[a],
+                c_block=np.array(dc.c_split[lay.node_slice(a)]),
+                auto_neighbors=tuple(auto_n), human_neighbors=tuple(human_n), t=state.t,
+            )
+
+        self._by_receiver = {a: {} for a in lay.node_order}
+        self.views = {}
+        for i in lay.autonomous_ids:
+            view = self.views[i] = AutonomousAgentView(
+                **common(i), x=np.array(state.x[i], dtype=float),
+                a_block=scenario.constraint.a_blocks[i],
+            )
+            self._deliver(_outbox(view))
+        for k in lay.human_ids:
+            own = common(k)
+            view = self.views[k] = HumanProxyView(
+                **own, model=scenario.human_models[k], b_block=scenario.constraint.b_blocks[k],
+                snapshot={j: self._by_receiver[k][j] for j in own["auto_neighbors"]},
+                schedule=scenario.schedules.get(k),
+            )
+            self._deliver(_outbox(view, _proxy_coupling(view)))
+
+    @property
+    def mailbox(self):
+        """The last message on every directed edge, keyed (sender, receiver)."""
+        return {(sender, receiver): msg for receiver, inbox in self._by_receiver.items()
+                for sender, msg in inbox.items()}
+
+    def _deliver(self, messages):
+        for msg in messages:
+            self._by_receiver[msg.receiver][msg.sender] = msg
+
+    def sweep(self, dt, order=None):
+        lay = self.scenario.layout
+        order = lay.node_order if order is None else _permutation(order, lay.node_order)
+        for wave in (lay.x_offsets, lay.y_offsets):
+            outgoing = []
+            for agent_id in order:
+                if agent_id in wave:
+                    new_view, outbox = agent_round(
+                        self.views[agent_id], list(self._by_receiver[agent_id].values()), dt)
+                    self.views[agent_id] = new_view
+                    outgoing.extend(outbox)
+            self._deliver(outgoing)
+
+    def state(self):
+        lay = self.scenario.layout
+        return SystemState(
+            x={i: np.array(self.views[i].x) for i in lay.autonomous_ids},
+            z={a: np.array(self.views[a].z) for a in lay.node_order},
+            lam={a: np.array(self.views[a].lam) for a in lay.node_order},
+            t=max((v.t for v in self.views.values()), default=0.0),
+        )
 
 
 def resummed_lagrangian(scenario, dc, state):

@@ -15,13 +15,15 @@ from hatalloc import (
 from hatalloc.dynamics import FlowEngine, _step_arrays
 from hatalloc.errors import DivergenceError, ScenarioFormatError
 from hatalloc.experiments import crosscheck_scenario, random_scenario
-from hatalloc.model import CouplingConstraint, CustomCost
+from hatalloc.model import CouplingConstraint
 
 from conftest import (
     free_multiplier_scenario,
+    human_only_edge_scenario,
     path_scenario,
     resummed_lagrangian,
     single_agent_scenario,
+    with_callback_costs,
 )
 
 
@@ -274,20 +276,6 @@ class TestGradientCheck:
         assert worst <= 1e-4
 
 
-def with_callback_costs(scenario, quartic=0.0):
-    """The scenario with every cost a `CustomCost`: the quadratic v^T W v of
-    its own weight, plus `quartic` * sum(v^4) on the autonomous agents."""
-    costs = {}
-    for a, cost in scenario.costs.items():
-        q = quartic if a in scenario.layout.x_offsets else 0.0
-        costs[a] = CustomCost(
-            cost.dim,
-            lambda v, w=cost.weight, q=q: float(v @ w @ v + q * np.sum(v ** 4)),
-            lambda v, w=cost.weight, q=q: 2.0 * (w @ v) + 4.0 * q * v ** 3,
-        )
-    return replace(scenario, costs=costs)
-
-
 class TestCallbackCosts:
     """The engine's per-agent cost loops, taken when any cost is a callback."""
 
@@ -321,35 +309,9 @@ class TestCallbackCosts:
 class TestHumanOnlyEdges:
     def test_human_human_edge_runs(self):
         # a human connected to another human exchanges only auxiliary blocks
-        import numpy as np
-
-        from hatalloc import NetworkTopology, Scenario, build_decoupled
         from hatalloc.agents import DistributedRunner
-        from hatalloc.human import HumanResponseModel
-        from hatalloc.model import CouplingConstraint, QuadraticCost
 
-        topo = NetworkTopology(
-            ("a1",), ("k1", "k2"),
-            frozenset({("a1", "k1"), ("k1", "k2")}),
-        )
-        models = {
-            "k1": HumanResponseModel(
-                "k1", ("a1",), {"a1": np.array([[0.3]])},
-                np.array([0.5]), 0.5,
-            ),
-            "k2": HumanResponseModel("k2", (), {}, np.array([0.4]), 0.5),
-        }
-        scenario = Scenario(
-            topology=topo,
-            dims={"a1": 1, "k1": 1, "k2": 1},
-            costs={a: QuadraticCost(np.array([[1.0]])) for a in topo.node_order},
-            constraint=CouplingConstraint(
-                {"a1": np.array([[1.0]])},
-                {"k1": np.array([[0.5]]), "k2": np.array([[0.5]])},
-                np.array([-2.0]),
-            ),
-            human_models=models,
-        )
+        scenario = human_only_edge_scenario()
         dc = build_decoupled(scenario)
         state = initial_state(scenario)
         runner = DistributedRunner(scenario, dc, state=state)

@@ -21,6 +21,7 @@ from hatalloc.errors import (
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
 from hatalloc.model import (
+    CouplingConstraint,
     CustomCost,
     QuadraticCost,
     SolverOptions,
@@ -201,6 +202,55 @@ class TestConstruction:
         scenario = path_scenario()
         with pytest.raises(FrozenInstanceError):
             setattr(scenario, field, value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _constraint(edit):
+    con = path_scenario().constraint
+    parts = {"a_blocks": dict(con.a_blocks), "b_blocks": dict(con.b_blocks), "c": con.c}
+    edit(parts)
+    return CouplingConstraint(**parts)
+
+
+NONFINITE_FIELDS = {
+    "cost-weight": (lambda: QuadraticCost([[NAN]]), NotPositiveDefiniteError,
+                    "cost weight entries must be finite"),
+    "constraint-c": (lambda: _constraint(lambda p: p.update(c=[INF, 1.0])),
+                     DimensionMismatchError, "offset c entries must be finite"),
+    "constraint-a-block": (lambda: _constraint(lambda p: p["a_blocks"].update(
+        a1=np.full((2, 2), NAN))), DimensionMismatchError, "block for 'a1' must be finite"),
+    "constraint-b-block": (lambda: _constraint(lambda p: p["b_blocks"].update(
+        k1=np.full((2, 2), -INF))), DimensionMismatchError, "block for 'k1' must be finite"),
+    "model-base": (lambda: replace(path_scenario().human_models["k1"], base=[NAN, 1.0]),
+                   ValueError, "base entries must be finite"),
+    "model-gains": (lambda: replace(path_scenario().human_models["k1"], gains={
+        "a1": np.full((2, 2), NAN), "a2": np.eye(2)}), ValueError,
+        "gain for 'a1' must be finite"),
+    "schedule-gain-delta": (lambda: ApproximationSchedule(
+        {"a1": np.full((2, 2), NAN)}, np.zeros(2), 1.0), ValueError,
+        "delta for 'a1' must be finite"),
+    "schedule-base-delta": (lambda: ApproximationSchedule({}, [INF, 0.0], 1.0), ValueError,
+                            "delta for 'base' must be finite"),
+}
+
+
+class TestNonFiniteParameters:
+    """Every value object refuses non-finite entries when built, with the
+    error type it raises for its other faults."""
+
+    @pytest.mark.parametrize("build, error, message", NONFINITE_FIELDS.values(),
+                             ids=NONFINITE_FIELDS)
+    def test_rejected_at_construction(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_blocks_are_stored_c_contiguous(self):
+        f_order = np.asfortranarray([[2.0, 0.5], [0.5, 1.0]])
+        assert QuadraticCost(f_order).weight.flags.c_contiguous
+        con = CouplingConstraint({"a1": f_order}, {"k1": f_order.T}, [1.0, 0.0])
+        assert all(m.flags.c_contiguous for m in (*con.a_blocks.values(), *con.b_blocks.values()))
 
 
 class TestStackDimensions:
