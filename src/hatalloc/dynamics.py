@@ -28,26 +28,37 @@ oracle step one assembled problem. The velocity is M w + b; M is graph-local,
 kept as row, column and value arrays of its O(edges) nonzeros. Every other
 scenario takes its velocity from `FlowEngine.rhs`.
 
-While no multiplier is clamped, projected Euler on the affine flow is the
-linear recurrence w <- w + dt (M w + b), and the velocity obeys
-v_{k+1} = A v_k with A = I + dt M. `integrate` then takes CHUNK steps per
-matrix-vector product: P = [I; A; ...; A^(CHUNK-1)] is built once per run,
-V = (P v_k).reshape(CHUNK, N) holds the next velocities and
-W = w_k + dt cumsum(V) the next states. The update norms are the row norms
-of V, not of the state differences, which would multiply state roundoff by
-1/dt; the saddle distance, the sup-norm and the samples are read from the
-rows. A chunk is taken only if every multiplier in W is positive, every row
-is finite and every update norm exceeds tolerance (1 + CHUNK_GUARD).
-Otherwise the next CHUNK steps go singly, so the clamp, the stopping step
-and a `DivergenceError` are always decided by the single-step arithmetic.
+Projected Euler on the affine flow is piecewise affine, one piece per set S
+of clamped multipliers (those at zero whose gap is <= 0, which the clamp
+keeps at zero). While S stays fixed and every other multiplier positive, a
+step is w <- w + dt D_S (M w + b), where D_S zeroes the rows of S, and the
+realized velocity obeys v_{k+1} = A_S v_k with A_S = I + dt D_S M; S empty
+gives A = I + dt M. `integrate` then takes CHUNK steps per matrix-vector
+product: with P_S = [I; A_S; ...; A_S^(CHUNK-1)], V = (P_S v_k).reshape(CHUNK, N)
+holds the next velocities and the running sums w_k + dt V_0 + ... the next
+states W. The update norms are the row norms of V, not of the state
+differences, which would multiply state roundoff by 1/dt; the saddle
+distance, the sup-norm and the samples are read from the rows. A chunk is
+taken only if every free multiplier in W is positive, every clamped gap
+M_S w + b_S at a state it steps from is <= 0, max |W| is finite and every
+update norm exceeds tolerance (1 + CHUNK_GUARD). Otherwise the next CHUNK
+steps go singly, so a clamp change, the stopping step and a
+`DivergenceError` are always decided by the single-step arithmetic.
 The guard band is needed because near the crossing the update norm is known
 only to roundoff, and it falls by only ~5e-5 relative per step: the final
 update norms of chunked and single-step runs of crosscheck seeds 1-30
-(tolerance 1e-10) differ by up to 2.5e-5 relative. Chunks pay N^2 multiply-adds per step and
-a sparse step its nonzeros plus the numpy call overhead, so chunks are used
-only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense
-array is allocated: the benchmark's 7-agent team chunks, a few hundred
-agents keep the sparse step.
+(tolerance 1e-10) differ by up to 2.5e-5 relative, and without the band a
+chunk that ends at the stopping step is taken whenever roundoff puts its
+norm above the tolerance.
+
+The unclamped P is built once per run. A P_S for a nonempty S is built only
+once S has held across two chunk attempts in a row, into one buffer that
+the next such S reuses, so at most two propagators are live; an attempt
+under an S without one is skipped, not computed. Chunks pay N^2
+multiply-adds per step and a sparse step its nonzeros plus the numpy call
+overhead, so chunks are used only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES,
+decided before any dense array is allocated: the benchmark's 7-agent team
+chunks, a few hundred agents keep the sparse step.
 
 A run starts from `initial_state`, the scenario's (already checked) overrides
 laid on zeros. Explicit finiteness checks decide divergence, so numpy's
@@ -351,7 +362,8 @@ def integrate(
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
     enables distance-to-saddle recording, tracked at every step. The record's
     `chunked_steps` and `single_steps` count the steps taken in propagated
-    chunks and one at a time.
+    chunks and one at a time, `rejected_chunks` the chunks computed and then
+    stepped singly, and `propagator_builds` the dense propagators built.
     """
     opts = scenario.solver
     engine = FlowEngine(scenario, dc)
@@ -367,7 +379,7 @@ def integrate(
 
 
 # Euler steps per chunk of the affine propagator.
-CHUNK = 32
+CHUNK = 64
 # A chunk with an update norm within this relative band above the tolerance
 # is stepped singly instead: there the stopping step depends on roundoff,
 # so the single-step arithmetic decides it. 40x the largest gap measured
@@ -382,48 +394,116 @@ STEP_OVERHEAD_ENTRIES = 16384
 SAMPLE_BLOCK = 256
 
 
-def _propagator(engine, dt):
-    """P = [I; A; ...; A^(CHUNK-1)] stacked to (CHUNK N, N), A = I + dt M.
-
-    None when the flow never folds or when the sparse step is the cheaper one
+def _dense_operator(engine):
+    """The folded M as a dense (N, N) array, or None when the flow never
+    folds or when the sparse step is the cheaper one
     (N^2 > nnz + STEP_OVERHEAD_ENTRIES); that is decided before any dense
-    array is allocated.
-    """
+    array is allocated."""
     if engine._fold_time == math.inf:
         return None
     rows, cols, vals, b = engine.folded()
-    size = b.size
-    if size * size > rows.size + STEP_OVERHEAD_ENTRIES:
+    if b.size * b.size > rows.size + STEP_OVERHEAD_ENTRIES:
         return None
+    M = np.zeros((b.size, b.size))
+    np.add.at(M, (rows, cols), vals)
+    return M
+
+
+def _propagator(engine, dt, clamped=(), out=None):
+    """P_S = [I; A_S; ...; A_S^(CHUNK-1)] stacked to (CHUNK N, N), with
+    A_S = I + dt D_S M, where D_S zeroes the rows `clamped` (indices into w)
+    of the clamped multipliers S; S = () gives the unclamped propagator.
+    Built into `out`, a (CHUNK N, N) array, when one is given; None where
+    `_dense_operator` is.
+    """
+    M = _dense_operator(engine)
+    if M is None:
+        return None
+    size, clamped = M.shape[0], np.asarray(clamped, dtype=int)
     step = np.eye(size)
-    np.add.at(step, (rows, cols), dt * vals)
-    powers = np.empty((CHUNK, size, size))
+    step += dt * M
+    step[clamped] = 0.0
+    step[clamped, clamped] = 1.0
+    powers = np.empty((CHUNK, size, size)) if out is None else out.reshape(CHUNK, size, size)
     powers[0] = np.eye(size)
     for j in range(1, CHUNK):
         np.matmul(step, powers[j - 1], out=powers[j])
     return powers.reshape(CHUNK * size, size)
 
 
-def _chunk(P, w, v, dt, lam_start, floor):
-    """The next CHUNK Euler steps from w, whose velocity is v.
+def _chunk(P, w, v, dt, lam_start, floor, clamp=None):
+    """The next CHUNK Euler steps from w, whose realized velocity is v.
 
-    While no multiplier clamps, v_{k+1} = A v_k, so the rows of
-    V = (P v).reshape(CHUNK, N) are the next velocities and
-    W = w + dt cumsum(V) the next states. Returns (W, the row norms of V,
-    max |W|), or None when a step would clamp a multiplier (some lambda of W
-    is <= 0), a row is not finite, or an update norm is <= `floor`; the
-    reference steps decide those cases.
+    While the clamped multipliers S stay at zero and every other one stays
+    positive, v_{k+1} = A_S v_k, so the rows of V = (P_S v).reshape(CHUNK, N)
+    are the next velocities and the running sums w + dt V_0 + ... + dt V_j,
+    accumulated in the order single steps add them, the next states W.
+    `clamp` = (M_S^T, b_S) holds the rows of M and b of S, whose entries of
+    v must be zero; None when S is empty.
+
+    Returns (W, the update norm of its last step, max |W|), or None when the
+    chunk leaves its piece or cannot decide its steps: a free lambda of W is
+    <= 0, a clamped gap M_S w + b_S at a state stepped from is > 0, max |W|
+    is not finite, or an update norm (a row norm of V) is <= `floor`. The
+    single steps decide those cases.
     """
-    V = (P @ v).reshape(CHUNK, -1)
-    W = np.cumsum(V, axis=0)
-    W *= dt
-    W += w
-    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
-    sup = float(np.abs(W).max())
-    if (norms.min() > floor and norms.max() < math.inf and sup < math.inf
-            and (W[:, lam_start:] > 0.0).all()):
-        return W, norms, sup
+    size = w.size
+    V = (P @ v).reshape(CHUNK, size)
+    W = np.empty((CHUNK + 1, size))
+    W[0] = w
+    np.multiply(V, dt, out=W[1:])
+    np.add.accumulate(W, axis=0, out=W)
+    W = W[1:]
+    squares = np.einsum("ij,ij->i", V, V)
+    sup = max(float(W.max()), -float(W.min()))
+    n_free = size - lam_start
+    if clamp is not None:
+        n_free -= clamp[0].shape[1]
+        # The clamp holds at every state the chunk steps from.
+        if float((W[:-1] @ clamp[0] + clamp[1]).max()) > 0.0:
+            return None
+    if (math.sqrt(float(squares.min())) > floor and sup < math.inf
+            and np.count_nonzero(W[:, lam_start:] > 0.0) == CHUNK * n_free):
+        return W, math.sqrt(float(squares[-1])), sup
     return None
+
+
+class _ChunkPlan:
+    """The propagators of a run: the unclamped one, built at the start, and
+    at most one for a nonempty clamp set S, built in one reused buffer once
+    S has held across two chunk attempts in a row. An attempt under any other
+    S is skipped, not computed."""
+
+    def __init__(self, engine, dt):
+        self.engine, self.dt = engine, dt
+        self.free = _propagator(engine, dt)
+        self.builds = int(self.free is not None)
+        self.held = self.seen = None  # clamp set keys
+        self.clamped = self.clamp = None
+
+    def choose(self, lam_at, w, vel):
+        """(P_S, clamp) for the clamp set at w, or None to skip the attempt.
+
+        S holds the multipliers at zero whose gap is <= 0: projected Euler
+        keeps them at zero. Their entries of `vel` are zeroed, which is the
+        step's realized velocity."""
+        if w[lam_at:].min() > 0.0:
+            return self.free, None
+        S = lam_at + np.flatnonzero((w[lam_at:] == 0.0) & (vel[lam_at:] <= 0.0))
+        if not S.size:
+            return self.free, None
+        key = S.tobytes()
+        if key != self.held:
+            if key != self.seen:
+                self.seen = key
+                return None
+            self.clamped = _propagator(self.engine, self.dt, S, out=self.clamped)
+            M_S = _dense_operator(self.engine)[S]
+            self.clamp = (np.ascontiguousarray(M_S.T), self.engine.folded()[3][S])
+            self.held = key
+            self.builds += 1
+        vel[S] = 0.0
+        return self.clamped, self.clamp
 
 
 def _run_flow(engine, opts, dt, state0, reference, saddle):
@@ -435,7 +515,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
-    P = _propagator(engine, dt)
+    plan = _ChunkPlan(engine, dt)
     floor = opts.tolerance * (1.0 + CHUNK_GUARD)
 
     w_ref = None
@@ -459,7 +539,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
 
     keep(0, w, v_now)
     termination = "max_time"
-    k = chunked = single_until = 0
+    k = chunked = rejected = single_until = 0
     update_norm = None
     sup_norm = float(np.max(np.abs(w)))
     # The explicit finiteness checks decide divergence, so the stepping
@@ -468,29 +548,33 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
         while k < n_steps:
             t = k * dt
             engine.velocity(w, t, vel)
-            if (P is not None and k >= single_until and k + CHUNK <= n_steps
+            if (plan.free is not None and k >= single_until and k + CHUNK <= n_steps
                     and t >= engine._fold_time):
-                rows = _chunk(P, w, vel, dt, n + q, floor)
+                chosen = plan.choose(n + q, w, vel)
+                rows = None
+                if chosen is not None:
+                    P, clamp = chosen
+                    rows = _chunk(P, w, vel, dt, n + q, floor, clamp)
+                    rejected += rows is None
                 if rows is None:
                     # The next CHUNK steps go singly.
                     single_until = k + CHUNK
                 else:
-                    W, norms, sup = rows
-                    update_norm = float(norms[-1])
+                    W, update_norm, sup = rows
                     sup_norm = max(sup_norm, sup)
-                    dist = None
                     if w_ref is not None:
                         D = W - w_ref
-                        dist = 0.5 * np.einsum("ij,ij->i", D, D)
-                        v_max_inc = max(v_max_inc, float(np.diff(dist, prepend=v_now).max()))
-                        v_now = float(dist[-1])
+                        twice = np.einsum("ij,ij->i", D, D)  # twice the distances
+                        rise = max(float(twice[0]) - 2.0 * v_now,
+                                   float(np.subtract(twice[1:], twice[:-1]).max()))
+                        v_max_inc = max(v_max_inc, 0.5 * rise)
+                        v_now = 0.5 * float(twice[-1])
                     end = k + CHUNK
-                    marks = list(range((k // stride + 1) * stride, end + 1, stride))
-                    if end == n_steps and n_steps % stride:
-                        marks.append(end)
-                    for s in marks:
+                    for s in range((k // stride + 1) * stride, end + 1, stride):
                         j = s - k - 1
-                        keep(s, W[j], None if dist is None else float(dist[j]))
+                        keep(s, W[j], None if w_ref is None else 0.5 * float(twice[j]))
+                    if end == n_steps and n_steps % stride:
+                        keep(end, W[-1], v_now)
                     w[:] = W[-1]
                     k = end
                     chunked += CHUNK
@@ -545,6 +629,8 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
         v_max_step_increase=v_max_inc,
         chunked_steps=chunked,
         single_steps=k - chunked,
+        rejected_chunks=rejected,
+        propagator_builds=plan.builds,
     )
     return final, record
 

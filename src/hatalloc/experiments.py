@@ -44,6 +44,7 @@ from .model import (
 )
 from .oracle import (
     ReducedProgram,
+    _lift,
     interior_point,
     lift_to_saddle,
     load_scenario,
@@ -258,7 +259,7 @@ def _normalize_scale(scenario: Scenario) -> Scenario:
     rp = reduce_program(scenario)
     x, _, mu, _ = solve_program(rp)
     dc = build_decoupled(scenario)
-    _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
+    _, lam, eta = _lift(scenario, rp, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
     b = fold(rp, dc)[3]
@@ -497,8 +498,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
     """How a run ended: why and when it stopped, its steps (chunked and
-    single), the step size it finished with, its last update norm against
-    the tolerance, and the attempt that diverged before a `dt` halving."""
+    single, with the chunks rejected and the propagators built), the step
+    size it finished with, its last update norm against the tolerance, and
+    the attempt that diverged before a `dt` halving."""
     failed = record.failed_attempt
     if failed is not None:
         # JSON has no infinity: null when no entry of the block stayed finite.
@@ -510,6 +512,8 @@ def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
         "steps": record.steps,
         "chunked_steps": record.chunked_steps,
         "single_steps": record.single_steps,
+        "rejected_chunks": record.rejected_chunks,
+        "propagator_builds": record.propagator_builds,
         "dt": record.dt,
         "final_update_norm": record.final_update_norm,
         "tolerance": tolerance,

@@ -121,6 +121,8 @@ class TrajectoryRecord:
     tolerance. `failed_attempt` is set when the run had to halve `dt`.
     `chunked_steps` + `single_steps` = `steps`: the steps taken in
     propagated chunks of the affine flow and those taken one at a time.
+    `rejected_chunks` counts the chunks computed and then stepped singly
+    instead, and `propagator_builds` the dense propagators built.
     """
 
     agent_order: tuple[str, ...]
@@ -137,6 +139,8 @@ class TrajectoryRecord:
     v_max_step_increase: float | None = None
     chunked_steps: int = 0
     single_steps: int = 0
+    rejected_chunks: int = 0
+    propagator_builds: int = 0
 
     @property
     def has_deviation(self) -> bool:

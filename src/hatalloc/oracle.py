@@ -226,7 +226,11 @@ def lift_to_saddle(
     at the lifted point. Raises `CertificateError` when the Laplacian solve
     for z* leaves a residual, i.e. the decoupled constraint is broken.
     """
-    rp = reduce_program(scenario)
+    return _lift(scenario, reduce_program(scenario), dc, x_star, mu_star)
+
+
+def _lift(scenario, rp, dc, x_star, mu_star):
+    """`lift_to_saddle` with the scenario's reduced program `rp` at hand."""
     y_star = rp.S @ x_star + rp.d
     coupled = coupled_residual(scenario, x_star, y_star)
     if np.max(coupled) > 1e-6:

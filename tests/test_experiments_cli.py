@@ -18,6 +18,7 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _generate,
+    _normalize_scale,
     _rejection,
     random_scenario,
     run_experiment,
@@ -104,6 +105,20 @@ class TestGenerators:
             monkeypatch.setattr(module, "reduce_program", counted)
         assert _rejection(scenario, abscissa_bar=-0.08, check_grid=True) is None
         assert 1 <= len(reduced) <= 4
+
+    def test_normalize_scale_reduces_once(self, monkeypatch):
+        scenario = team_scenario(1)
+        reduced = []
+        real = oracle.reduce_program
+
+        def counted(scenario):
+            reduced.append(scenario)
+            return real(scenario)
+
+        for module in (experiments, dynamics, oracle):
+            monkeypatch.setattr(module, "reduce_program", counted)
+        _normalize_scale(scenario)
+        assert len(reduced) == 1
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -445,6 +460,7 @@ class TestRunOutputs:
             assert cell["failed_attempt"]["dt"] == 0.15
             assert cell["dt"] == 0.075
             assert cell["steps"] == cell["chunked_steps"] + cell["single_steps"]
+            assert cell["propagator_builds"] >= 1 and cell["rejected_chunks"] >= 0
             assert cell["tolerance"] == base.solver.tolerance
         saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
         assert saved["cells"] == cells
@@ -461,6 +477,10 @@ class TestPresetRun:
         steps = summary["steps"]
         assert summary["chunked_steps"] + summary["single_steps"] == steps == 186015
         assert summary["chunked_steps"] > 0.9 * steps
+        # Each rejected chunk is followed by CHUNK single steps; the
+        # unclamped propagator and those of clamp sets that held are built.
+        assert 0 < summary["rejected_chunks"] * dynamics.CHUNK <= summary["single_steps"]
+        assert summary["propagator_builds"] > 1
         assert (tmp_path / "scenario.json").exists()
         assert (tmp_path / "trajectory.csv").exists()
 

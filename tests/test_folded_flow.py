@@ -3,20 +3,22 @@ reference `FlowEngine.rhs`.
 
 `integrate` takes the sparse step for quadratic costs with affine humans
 whose schedule (if any) has settled, and `FlowEngine.rhs` otherwise; on small
-affine systems it takes CHUNK steps at a time while no multiplier clamps.
-`_step_arrays` is the reference all of them are held to.
+affine systems it takes CHUNK steps at a time while the set of clamped
+multipliers stays fixed. `_step_arrays` is the reference all of them are
+held to.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hatalloc import build_decoupled, initial_state, integrate
-from hatalloc.dynamics import CHUNK, FlowEngine, _step_arrays
+from hatalloc import build_decoupled, dynamics, initial_state, integrate
+from hatalloc.dynamics import CHUNK, FlowEngine, _ChunkPlan, _step_arrays
 from hatalloc.experiments import crosscheck_scenario, random_scenario
 from hatalloc.human import ApproximationSchedule
 
@@ -59,9 +61,9 @@ def _scheduled():
 
 
 def _cases():
-    """(scenario, folded from the start, chunks once no multiplier clamps)
-    with an id; each case runs from a clamped start and, under
-    `<id>-positive`, from positive multipliers."""
+    """(scenario, folded from the start, chunks where it folds) with an id;
+    each case runs from a clamped start and, under `<id>-positive`, from
+    positive multipliers."""
     named = [(random_scenario(s), True, True, f"affine-{s}") for s in AFFINE_SEEDS]
     named += [
         # the cost rule keeps the sparse step for a few hundred entries
@@ -138,7 +140,10 @@ def _check_against_reference(scenario, steps):
 def test_integrate_matches_reference_steps(scenario, folded, chunks, clamped):
     assert (FlowEngine(scenario)._fold_time == 0.0) is folded
     record = _check_against_reference(_with_random_start(scenario, 7, clamped), STEPS)
-    assert (record.chunked_steps > 0) is (chunks and not clamped)
+    # Chunks run under a clamp set that holds, and a clamped start holds one
+    # long enough for its propagator to be built.
+    assert (record.chunked_steps > 0) is chunks
+    assert (record.propagator_builds > 1) is (chunks and clamped)
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,6 +156,84 @@ def test_integrate_matches_reference_steps(scenario, folded, chunks, clamped):
 def test_random_starts_and_budgets_match_reference_steps(seed, start, n_chunks, rest):
     scenario = _with_random_start(random_scenario(seed), start, clamped=False)
     _check_against_reference(scenario, n_chunks * CHUNK + rest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from(AFFINE_SEEDS),
+    start=st.integers(0, 2**32 - 1),
+    n_chunks=st.integers(2, 6),
+    rest=st.integers(1, CHUNK - 1),
+)
+def test_clamped_starts_match_reference_steps(seed, start, n_chunks, rest):
+    scenario = _with_random_start(random_scenario(seed), start, clamped=True)
+    record = _check_against_reference(scenario, n_chunks * CHUNK + rest)
+    # Only runs that built a clamped propagator count as examples.
+    assume(record.propagator_builds > 1)
+
+
+def test_clamp_set_seen_once_builds_no_propagator():
+    engine = FlowEngine(random_scenario(2))
+    plan = _ChunkPlan(engine, 1e-3)
+    lam_at = engine.layout.x_dim + engine.dc.block_dim
+    size = lam_at + engine.dc.block_dim
+
+    def attempt(clamped):
+        """`choose` at a state whose listed multipliers are clamped."""
+        w = np.ones(size)
+        w[lam_at + np.asarray(clamped, dtype=int)] = 0.0
+        return plan.choose(lam_at, w, -np.ones(size))
+
+    assert attempt([])[0] is plan.free
+    # Each clamp set is seen once: every attempt is skipped, nothing built.
+    assert attempt([0]) is None and attempt([1]) is None and attempt([0]) is None
+    assert plan.builds == 1 and plan.clamped is None
+    # Seen twice in a row, the set gets its propagator ...
+    first = attempt([0])[0]
+    assert plan.builds == 2
+    assert attempt([0])[0] is first and plan.builds == 2
+    # ... and the next one that holds is built into the same buffer.
+    assert attempt([2]) is None
+    assert np.shares_memory(attempt([2])[0], first) and plan.builds == 3
+
+
+def _singly(scenario):
+    """`integrate` with every step taken singly: no dense propagator."""
+    with mock.patch.object(dynamics, "_dense_operator", return_value=None):
+        return integrate(scenario)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from(AFFINE_SEEDS),
+    start=st.integers(0, 2**32 - 1),
+    clamped=st.booleans(),
+    offset=st.sampled_from([CHUNK, CHUNK - 1]) | st.integers(1, CHUNK),
+    scale=st.sampled_from([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]),
+)
+def test_stop_inside_a_chunk_is_decided_by_single_steps(seed, start, clamped, offset, scale):
+    """The tolerance is set at a single-step update norm inside the first
+    chunk the run computes: at the start, or one CHUNK later when the start
+    has a clamp set, whose first attempt is skipped. That chunk's update
+    norm there equals the tolerance to roundoff, so the guard band steps it
+    singly, and the run stops where single steps stop, in the same state.
+    Without the band (CHUNK_GUARD = 0) a chunk that ends at the stop is
+    taken whenever roundoff puts its norm above the tolerance."""
+    scenario = _with_random_start(random_scenario(seed), start, clamped)
+    dt = scenario.solver.dt
+    engine = FlowEngine(scenario)
+    w = _stacked(scenario, initial_state(scenario))
+    vel = np.empty_like(w)
+    engine.velocity(w, 0.0, vel)
+    skipped = _ChunkPlan(engine, dt).choose(w.size - engine.dc.block_dim, w, vel) is None
+    at = offset + (CHUNK if skipped else 0)
+    _, probe = _singly(scenario.with_solver(tolerance=0.0, max_time=at * dt))
+    scenario = scenario.with_solver(tolerance=probe.final_update_norm * scale,
+                                    max_time=(2 * CHUNK + 40) * dt)
+    expected, single = _singly(scenario)
+    final, record = integrate(scenario)
+    assert (record.steps, record.termination) == (single.steps, single.termination)
+    np.testing.assert_array_equal(_stacked(scenario, final), _stacked(scenario, expected))
 
 
 @pytest.mark.parametrize("seed, steps", [(2, 80482), (6, 166874)])
