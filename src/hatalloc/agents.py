@@ -36,7 +36,6 @@ stay the same objects until the next sweep.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -337,11 +336,8 @@ class DistributedRunner:
     def _inbox(self, agent_id: str) -> list[Message]:
         return [self.mailbox[sender, agent_id] for sender in self._nbrs[agent_id]]
 
-    def sweep(self, dt: float, order: list[str] | None = None) -> None:
-        """One synchronous step of every agent (autonomous wave, human wave).
-        `order` must list every agent once; it cannot change the result."""
-        if order is not None:
-            _permutation(order, self.scenario.layout.node_order)
+    def sweep(self, dt: float) -> None:
+        """One synchronous step of every agent (autonomous wave, human wave)."""
         x, z, lam, recv, send = self._x, self._z, self._lam, self._recv, self._send
         dx = -(_gradient(*self._wx, x) + _apply(self._a, lam, np.zeros(x.size), True))
         np.subtract.at(dx, self._cpl_at, self._cpl)
@@ -410,17 +406,3 @@ def _gradient(quadratic, custom, v):
         g[s] = cost.gradient(v[s])
     return g
 
-
-def _permutation(order, agents) -> list[str]:
-    """`order` as a list; ValueError unless it lists every agent exactly once."""
-    order = list(order)
-    counts = Counter(order)
-    problems = [f"{kind} {ids}" for kind, ids in (
-        ("duplicate", sorted(a for a, n in counts.items() if n > 1)),
-        ("missing", sorted(set(agents) - set(counts))),
-        ("unknown", sorted(set(counts) - set(agents))),
-    ) if ids]
-    if problems:
-        raise ValueError("sweep order is not a permutation of the agents: "
-                         + "; ".join(problems))
-    return order

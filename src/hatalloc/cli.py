@@ -32,7 +32,6 @@ from .errors import (
     ScenarioFormatError,
     UnsupportedByOracleError,
 )
-from .human import SOFTPLUS_AFFINE
 from .model import (
     gradient_consistency_error,
     midpoint_convexity_gap,
@@ -189,8 +188,7 @@ def _cmd_check(args) -> int:
             state.z[a] = rng.normal(size=dc.rows)
             state.lam[a] = rng.uniform(0.0, 1.0, size=dc.rows)
         worst_grad = max(worst_grad, gradient_check(scenario, dc, state))
-    softplus = any(m.family == SOFTPLUS_AFFINE for m in scenario.human_models.values())
-    grad_tol = 1e-4 if softplus else 1e-5
+    grad_tol = 1e-4 if stack_problem(scenario).soft.size else 1e-5
     print(f"lagrangian x-gradient vs finite differences: {worst_grad:.3g} "
           f"(tolerance {grad_tol:g})")
     if worst_grad > grad_tol:

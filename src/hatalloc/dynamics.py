@@ -26,7 +26,9 @@ are the true ones:
 where H and g come from the oracle's `reduce_program`, so the flow and the
 oracle step one assembled problem. The velocity is M w + b; M is graph-local,
 kept as row, column and value arrays of its O(edges) nonzeros. Every other
-scenario takes its velocity from `FlowEngine.rhs`.
+scenario takes its velocity from `FlowEngine.rhs`, which reads the softplus
+rows and the schedules row by row from `model.stack_problem`, as the oracle
+reads S and d.
 
 Projected Euler on the affine flow is piecewise affine, one piece per set S
 of clamped multipliers (those at zero whose gap is <= 0, which the clamp
@@ -51,14 +53,16 @@ update norms of chunked and single-step runs of crosscheck seeds 1-30
 chunk that ends at the stopping step is taken whenever roundoff puts its
 norm above the tolerance.
 
-The unclamped P is built once per run. A P_S for a nonempty S is built only
-once S has held across two chunk attempts in a row, into one buffer that
-the next such S reuses, so at most two propagators are live; an attempt
-under an S without one is skipped, not computed. Chunks pay N^2
-multiply-adds per step and a sparse step its nonzeros plus the numpy call
-overhead, so chunks are used only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES,
-decided before any dense array is allocated: the benchmark's 7-agent team
-chunks, a few hundred agents keep the sparse step.
+The dense M (`dense_operator`, which the generator's stability check also
+reads) and the unclamped P are built once per run. A P_S for a nonempty S
+is built from that M only once S has held across two chunk attempts in a
+row, into one buffer that the next such S reuses, so at most two
+propagators are live; an attempt under an S without one is skipped, not
+computed. Chunks pay N^2 multiply-adds per step and a sparse step its
+nonzeros plus the numpy call overhead, so chunks are used only when
+N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array is
+allocated: the benchmark's 7-agent team chunks, a few hundred agents keep
+the sparse step.
 
 A run starts from `initial_state`, the scenario's (already checked) overrides
 laid on zeros. Explicit finiteness checks decide divergence, so numpy's
@@ -82,7 +86,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DivergenceError
-from .human import AFFINE, logistic, softplus
+from .human import logistic, softplus
 from .model import Scenario, stack_problem
 from .oracle import ReducedProgram, reduce_program
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
@@ -121,13 +125,14 @@ def initial_state(scenario: Scenario) -> SystemState:
 class FlowEngine:
     """Vectorized evaluator of the flow over stacked state vectors.
 
-    Reads the stacked operators of `model.stack_problem` and adds only the
-    schedule deltas and the softplus rows; the right-hand side is then a
-    handful of mat-vecs, which is what makes long horizons cheap. `velocity`
-    is what `integrate` steps with: the sparse affine operator where the
-    scenario allows it (with a schedule, once it has settled), `rhs`
-    otherwise. The approximation schedules are the scenario's own
-    (`scenario.schedules`).
+    Reads everything it evaluates from `model.stack_problem`: the response
+    map S x + d, the softplus rows with their sharpness, and the schedule
+    deltas row by row, so the right-hand side is a handful of mat-vecs and
+    indexed numpy expressions, with no loop over agents, which is what makes
+    long horizons cheap. `velocity` is what `integrate` steps with: the
+    sparse affine operator where the scenario allows it (with a schedule,
+    once it has settled), `rhs` otherwise. The approximation schedules are
+    the scenario's own (`scenario.schedules`).
     """
 
     def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None):
@@ -141,29 +146,11 @@ class FlowEngine:
         if self._quadratic:
             self._fx2, self._gy2 = 2.0 * sp.x_weight, 2.0 * sp.y_weight
 
-        self._soft_rows: list[tuple[slice, float]] = []
-        sched_rows = []
-        for k in lay.human_ids:
-            model = scenario.human_models[k]
-            rows = lay.y_slice(k)
-            if model.family != AFFINE:
-                self._soft_rows.append((rows, model.sharpness))
-            sched = scenario.schedules.get(k)
-            if sched is not None and sched.settle_time > 0:
-                s_delta = np.zeros((model.dim, lay.x_dim))
-                for j, delta in sched.gain_deltas.items():
-                    s_delta[:, lay.x_slice(j)] = model.attitude * np.asarray(delta, float)
-                sched_rows.append(
-                    (rows, s_delta, np.asarray(sched.base_delta, float), sched)
-                )
-        self._sched_rows = sched_rows
-        self._settle_time = max(
-            (entry[3].settle_time for entry in sched_rows), default=0.0
-        )
+        self._settle_time = float(sp.settle.max(initial=0.0))
         # From `_fold_time` on the flow is affine and `velocity` steps the
         # folded operator: from the start without a schedule, once it has
         # settled with one, never with softplus rows or callback costs.
-        foldable = self._quadratic and not self._soft_rows
+        foldable = self._quadratic and not sp.soft.size
         self._fold_time = self._settle_time if foldable else math.inf
         # Folded on first use, so engines built only to evaluate costs or
         # residuals never pay for it.
@@ -172,32 +159,33 @@ class FlowEngine:
     # -- stacked parameter and response evaluation --------------------------
 
     def _params(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if not self._sched_rows or t >= self._settle_time:
-            return self.stacked.S, self.stacked.d
-        S = self.stacked.S.copy()
-        d = self.stacked.d.copy()
-        for rows, s_delta, d_delta, sched in self._sched_rows:
-            phi = sched.blend(t)
-            if phi > 0.0:
-                S[rows] += phi * s_delta
-                d[rows] += phi * d_delta
+        """(S, d) at time t: each scheduled row still settling gets its
+        delta scaled by the remaining fraction 1 - t/settle."""
+        sp = self.stacked
+        if t >= self._settle_time:
+            return sp.S, sp.d
+        phi = 1.0 - t / sp.settle
+        live = phi > 0.0
+        S, d = sp.S.copy(), sp.d.copy()
+        S[sp.scheduled[live]] += phi[live, None] * sp.S_delta[live]
+        d[sp.scheduled[live]] += phi[live] * sp.d_delta[live]
         return S, d
 
     def _activate(self, pre: np.ndarray) -> np.ndarray:
-        if not self._soft_rows:
+        soft = self.stacked.soft
+        if not soft.size:
             return pre
         y = pre.copy()
-        for rows, beta in self._soft_rows:
-            y[..., rows] = softplus(pre[..., rows], beta)
+        y[..., soft] = softplus(pre[..., soft], self.stacked.beta)
         return y
 
     def _chain_scale(self, w: np.ndarray, pre: np.ndarray) -> np.ndarray:
         """Multiply by the activation derivative (identity for affine rows)."""
-        if not self._soft_rows:
+        soft = self.stacked.soft
+        if not soft.size:
             return w
         out = w.copy()
-        for rows, beta in self._soft_rows:
-            out[rows] = logistic(pre[rows], beta) * w[rows]
+        out[soft] = logistic(pre[soft], self.stacked.beta) * w[soft]
         return out
 
     def response(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -394,31 +382,21 @@ STEP_OVERHEAD_ENTRIES = 16384
 SAMPLE_BLOCK = 256
 
 
-def _dense_operator(engine):
-    """The folded M as a dense (N, N) array, or None when the flow never
-    folds or when the sparse step is the cheaper one
-    (N^2 > nnz + STEP_OVERHEAD_ENTRIES); that is decided before any dense
-    array is allocated."""
-    if engine._fold_time == math.inf:
-        return None
-    rows, cols, vals, b = engine.folded()
-    if b.size * b.size > rows.size + STEP_OVERHEAD_ENTRIES:
-        return None
+def dense_operator(folded) -> np.ndarray:
+    """The folded M as a dense (N, N) array, from `fold`'s nonzeros, each of
+    which it lists once."""
+    rows, cols, vals, b = folded
     M = np.zeros((b.size, b.size))
-    np.add.at(M, (rows, cols), vals)
+    M[rows, cols] = vals
     return M
 
 
-def _propagator(engine, dt, clamped=(), out=None):
+def _propagator(M, dt, clamped=(), out=None):
     """P_S = [I; A_S; ...; A_S^(CHUNK-1)] stacked to (CHUNK N, N), with
     A_S = I + dt D_S M, where D_S zeroes the rows `clamped` (indices into w)
     of the clamped multipliers S; S = () gives the unclamped propagator.
-    Built into `out`, a (CHUNK N, N) array, when one is given; None where
-    `_dense_operator` is.
+    Built into `out`, a (CHUNK N, N) array, when one is given.
     """
-    M = _dense_operator(engine)
-    if M is None:
-        return None
     size, clamped = M.shape[0], np.asarray(clamped, dtype=int)
     step = np.eye(size)
     step += dt * M
@@ -472,11 +450,18 @@ class _ChunkPlan:
     """The propagators of a run: the unclamped one, built at the start, and
     at most one for a nonempty clamp set S, built in one reused buffer once
     S has held across two chunk attempts in a row. An attempt under any other
-    S is skipped, not computed."""
+    S is skipped, not computed. The dense M they are built from is made once,
+    and only when the flow folds and N^2 <= nnz + STEP_OVERHEAD_ENTRIES;
+    otherwise `free` is None and every step is a sparse one."""
 
     def __init__(self, engine, dt):
-        self.engine, self.dt = engine, dt
-        self.free = _propagator(engine, dt)
+        self.dt = dt
+        self.free = self.M = None
+        if engine._fold_time < math.inf:
+            rows, _, _, b = folded = engine.folded()
+            if b.size * b.size <= rows.size + STEP_OVERHEAD_ENTRIES:
+                self.M, self.b = dense_operator(folded), b
+                self.free = _propagator(self.M, dt)
         self.builds = int(self.free is not None)
         self.held = self.seen = None  # clamp set keys
         self.clamped = self.clamp = None
@@ -497,9 +482,8 @@ class _ChunkPlan:
             if key != self.seen:
                 self.seen = key
                 return None
-            self.clamped = _propagator(self.engine, self.dt, S, out=self.clamped)
-            M_S = _dense_operator(self.engine)[S]
-            self.clamp = (np.ascontiguousarray(M_S.T), self.engine.folded()[3][S])
+            self.clamped = _propagator(self.M, self.dt, S, out=self.clamped)
+            self.clamp = (np.ascontiguousarray(self.M[S].T), self.b[S])
             self.held = key
             self.builds += 1
         vel[S] = 0.0

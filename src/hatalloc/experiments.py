@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import FlowEngine, fold, integrate, kkt_residual
+from .dynamics import FlowEngine, dense_operator, fold, integrate, kkt_residual
 from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from .human import HumanResponseModel, attitude_preset
 from .metrics import TrajectoryRecord, workload_report
@@ -281,10 +281,7 @@ def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    rows, cols, vals, b = fold(rp, dc)
-    jac = np.zeros((b.size, b.size))
-    jac[rows, cols] = vals
-    eigs = np.linalg.eigvals(jac)
+    eigs = np.linalg.eigvals(dense_operator(fold(rp, dc)))
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
         return 0.0, 1.0

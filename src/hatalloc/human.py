@@ -133,25 +133,26 @@ def effective_parameters(
     gains = {}
     for j, g in model.gains.items():
         delta = schedule.gain_deltas.get(j)
-        gains[j] = g if delta is None else g + phi * np.asarray(delta, dtype=float)
-    base = model.base + phi * np.asarray(schedule.base_delta, dtype=float)
+        gains[j] = g if delta is None else g + phi * delta
+    base = model.base + phi * schedule.base_delta
     return gains, base
 
 
-def softplus(u: np.ndarray, beta: float) -> np.ndarray:
-    # log1p(exp(beta*u))/beta, stabilized for large positive pre-activations
+def softplus(u: np.ndarray, beta) -> np.ndarray:
+    """log1p(exp(beta*u))/beta, stabilized for large positive pre-activations;
+    `beta` is a scalar or broadcasts against u."""
     bu = beta * u
     return (np.maximum(bu, 0.0) + np.log1p(np.exp(-np.abs(bu)))) / beta
 
 
-def logistic(u: np.ndarray, beta: float) -> np.ndarray:
+def logistic(u: np.ndarray, beta) -> np.ndarray:
+    """The derivative of `softplus` in u: 1/(1 + exp(-beta*u)) where
+    beta*u >= 0, exp(beta*u)/(1 + exp(beta*u)) elsewhere. Both branches are
+    evaluated; the one not taken may overflow, and is discarded."""
     bu = beta * u
-    out = np.empty_like(bu)
-    pos = bu >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-bu[pos]))
-    e = np.exp(bu[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(bu)
+        return np.where(bu >= 0, 1.0 / (1.0 + np.exp(-bu)), e / (1.0 + e))
 
 
 def _pre_activation(model, x_neighbors, gains, base) -> np.ndarray:

@@ -287,9 +287,8 @@ class Scenario:
                 _require(np.shape(delta) == model.gains[j].shape, f"schedule '{k}' gain "
                          f"delta for '{j}' has shape {np.shape(delta)}, the gain has "
                          f"{model.gains[j].shape}")
-            base = np.asarray(sched.base_delta, dtype=float)
-            _require(base.shape == (model.dim,), f"schedule '{k}' base delta has "
-                     f"{base.size} entries, the human's dim is {model.dim}")
+            _require(sched.base_delta.shape == (model.dim,), f"schedule '{k}' base delta "
+                     f"has {sched.base_delta.size} entries, the human's dim is {model.dim}")
 
         object.__setattr__(self, "layout", ScenarioLayout(topo, self.dims, con.rows))
         start = self.initial_state
@@ -338,7 +337,11 @@ class StackedProblem:
     """The scenario's stacked operators, in canonical agent order.
 
     `S` and `d` give the response pre-activation S x + d of every human (the
-    response itself for affine humans), with attitudes folded into S.
+    response itself for affine humans), with attitudes folded into S. `soft`
+    lists the rows of softplus humans and `beta` their sharpness. Each
+    schedule with a positive settle time is laid out row by row: `scheduled`
+    lists its rows, `settle` their settle times, and `S_delta` (attitude
+    folded in) and `d_delta` the perturbations added at t = 0.
     `a_cat` = [A_i] and `b_cat` = [B_k] are the coupled-constraint blocks side
     by side. `x_weight` / `y_weight` are the block diagonals of the cost
     weights, None unless every cost is quadratic.
@@ -350,6 +353,12 @@ class StackedProblem:
     b_cat: np.ndarray
     x_weight: np.ndarray | None
     y_weight: np.ndarray | None
+    soft: np.ndarray
+    beta: np.ndarray
+    scheduled: np.ndarray
+    settle: np.ndarray
+    S_delta: np.ndarray
+    d_delta: np.ndarray
 
 
 def stack_problem(scenario: Scenario) -> StackedProblem:
@@ -358,13 +367,22 @@ def stack_problem(scenario: Scenario) -> StackedProblem:
     lay = scenario.layout
     con = scenario.constraint
     S = np.zeros((lay.y_dim, lay.x_dim))
-    d = np.zeros(lay.y_dim)
+    S_delta = np.zeros((lay.y_dim if scenario.schedules else 0, lay.x_dim))
+    d, d_delta, beta, settle = np.zeros((4, lay.y_dim))
     for k in lay.human_ids:
         model = scenario.human_models[k]
         rows = lay.y_slice(k)
         d[rows] = model.base
         for j in model.neighbor_ids:
             S[rows, lay.x_slice(j)] = model.attitude * model.gains[j]
+        if model.family != human_mod.AFFINE:
+            beta[rows] = model.sharpness
+        sched = scenario.schedules.get(k)
+        if sched is not None:
+            settle[rows], d_delta[rows] = sched.settle_time, sched.base_delta
+            for j, delta in sched.gain_deltas.items():
+                S_delta[rows, lay.x_slice(j)] = model.attitude * delta
+    soft, scheduled = np.flatnonzero(beta), np.flatnonzero(settle)
     empty = np.zeros((con.rows, 0))
     a_cat = np.hstack([empty] + [con.a_blocks[i] for i in lay.autonomous_ids])
     b_cat = np.hstack([empty] + [con.b_blocks[k] for k in lay.human_ids])
@@ -376,7 +394,8 @@ def stack_problem(scenario: Scenario) -> StackedProblem:
         y_weight = np.zeros((lay.y_dim, lay.y_dim))
         for k in lay.human_ids:
             y_weight[lay.y_slice(k), lay.y_slice(k)] = scenario.costs[k].weight
-    return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight)
+    return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight, soft, beta[soft],
+                          scheduled, settle[scheduled], S_delta[scheduled], d_delta[scheduled])
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +630,7 @@ def serialize_scenario(scenario: Scenario) -> dict:
             entry["schedule"] = {
                 "delta": {
                     "gains": {j: g.tolist() for j, g in sched.gain_deltas.items()},
-                    "base": np.asarray(sched.base_delta, dtype=float).tolist(),
+                    "base": sched.base_delta.tolist(),
                 },
                 "settle_time": sched.settle_time,
             }

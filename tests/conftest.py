@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,11 @@ from hatalloc.agents import (
     AutonomousAgentView,
     HumanProxyView,
     _outbox,
-    _permutation,
     _proxy_coupling,
     agent_round,
 )
 from hatalloc.dynamics import SystemState, initial_state
-from hatalloc.human import HumanResponseModel
+from hatalloc.human import ApproximationSchedule, HumanResponseModel
 from hatalloc.model import CouplingConstraint, CustomCost, QuadraticCost, SolverOptions
 from hatalloc.reformulation import build_decoupled, decoupled_residual_blocks
 from hatalloc.topology import neighbors
@@ -136,6 +136,36 @@ def with_callback_costs(scenario, quartic=0.0):
             lambda v, w=cost.weight, q=q: 2.0 * (w @ v) + 4.0 * q * v ** 3,
         )
     return replace(scenario, costs=costs)
+
+
+def _permutation(order, agents) -> list[str]:
+    """`order` as a list; ValueError unless it lists every agent exactly once."""
+    order = list(order)
+    counts = Counter(order)
+    problems = [f"{kind} {ids}" for kind, ids in (
+        ("duplicate", sorted(a for a, n in counts.items() if n > 1)),
+        ("missing", sorted(set(agents) - set(counts))),
+        ("unknown", sorted(set(counts) - set(agents))),
+    ) if ids]
+    if problems:
+        raise ValueError("sweep order is not a permutation of the agents: "
+                         + "; ".join(problems))
+    return order
+
+
+def with_schedules(scenario, rng):
+    """Every human scheduled: gain deltas on a random subset of its
+    neighbors, a base delta, and a settle time under 0.05, 50 steps of
+    dt = 1e-3, so that a run of up to 50 steps crosses it or not."""
+    schedules = {}
+    for k, model in scenario.human_models.items():
+        schedules[k] = ApproximationSchedule(
+            gain_deltas={j: rng.uniform(-0.2, 0.2, size=g.shape)
+                         for j, g in model.gains.items() if rng.random() < 0.7},
+            base_delta=rng.uniform(-0.3, 0.3, size=model.dim),
+            settle_time=float(rng.uniform(0.0, 0.05)),
+        )
+    return replace(scenario, schedules=schedules)
 
 
 class ReferenceRunner:

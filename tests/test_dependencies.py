@@ -49,3 +49,19 @@ def imported_modules(name: str) -> set[str]:
 ])
 def test_lower_layers_do_not_import_higher_ones(module, above):
     assert f"hatalloc.{above}" not in imported_modules(module)
+
+
+def test_wave_kernel_names_no_stacked_builder():
+    """`agents` keeps its own per-block build: its source neither imports
+    nor names `FlowEngine`, `reduce_program` or `stack_problem`, so no call
+    to them can hide on a path that a run of the kernel does not take."""
+    tree = ast.parse(Path(hatalloc.__file__).with_name("agents.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+    assert not names & {"FlowEngine", "reduce_program", "stack_problem"}

@@ -8,6 +8,7 @@ multipliers stays fixed. `_step_arrays` is the reference all of them are
 held to.
 """
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -198,8 +199,10 @@ def test_clamp_set_seen_once_builds_no_propagator():
 
 
 def _singly(scenario):
-    """`integrate` with every step taken singly: no dense propagator."""
-    with mock.patch.object(dynamics, "_dense_operator", return_value=None):
+    """`integrate` with every step taken singly: at a step overhead of -inf
+    entries a sparse step is always the cheaper one, so no propagator is
+    built."""
+    with mock.patch.object(dynamics, "STEP_OVERHEAD_ENTRIES", -math.inf):
         return integrate(scenario)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from hatalloc.human import (
     HumanResponseModel,
     attitude_preset,
     effective_parameters,
+    logistic,
     respond,
     response_jacobian,
+    softplus,
 )
 
 
@@ -117,6 +121,42 @@ class TestJacobian:
                     denom = np.maximum(1.0, np.abs(jac[j][:, col]))
                     err = np.max(np.abs(jac[j][:, col] - numeric) / denom)
                     assert err <= 1e-5
+
+
+# |beta u| from 0 to 800, with the thresholds where exp(|beta u|) overflows
+# (709.78) and exp(-|beta u|) underflows to zero (745.13) on both sides.
+MAGNITUDES = np.concatenate([np.linspace(0.0, 800.0, 1601),
+                             [709.78, 709.79, 745.13, 745.14]])
+
+
+class TestActivations:
+    @pytest.mark.parametrize("beta", [0.5, 6.0, 10.0, 80.0])
+    def test_each_branch_exactly_and_without_warnings(self, beta):
+        u = np.concatenate([-MAGNITUDES, MAGNITUDES]) / beta
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            sig, soft = logistic(u, beta), softplus(u, beta)
+        bu = beta * u
+        assert np.abs(bu).max() >= 800.0
+        assert np.isfinite(sig).all() and np.isfinite(soft).all()
+        assert ((sig >= 0.0) & (sig <= 1.0)).all()
+        # Each branch's formula, evaluated on its own entries only.
+        pos = ~(bu < 0)
+        e = np.exp(bu[~pos])
+        want_sig, want_soft = np.empty_like(bu), np.empty_like(bu)
+        want_sig[pos] = 1.0 / (1.0 + np.exp(-bu[pos]))
+        want_sig[~pos] = e / (1.0 + e)
+        want_soft[pos] = (bu[pos] + np.log1p(np.exp(-bu[pos]))) / beta
+        want_soft[~pos] = np.log1p(e) / beta
+        assert sig.tobytes() == want_sig.tobytes()
+        assert soft.tobytes() == want_soft.tobytes()
+
+    def test_per_row_sharpness_matches_each_scalar(self):
+        rng = np.random.default_rng(0)
+        u, beta = rng.normal(scale=50.0, size=40), rng.uniform(0.5, 80.0, size=40)
+        for f in (logistic, softplus):
+            rows = np.array([f(u[i:i + 1], beta[i])[0] for i in range(u.size)])
+            assert f(u, beta).tobytes() == rows.tobytes()
 
 
 class TestAttitude:

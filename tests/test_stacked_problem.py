@@ -1,6 +1,8 @@
 """The one stacked assembly that the flow, the oracle and the generator read,
 and the dense Laplacian lift that none of them needs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hatalloc import (
 )
 from hatalloc import reformulation, topology
 from hatalloc.cli import _sample_feasible_pair
+from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import UnsupportedByOracleError
 from hatalloc.experiments import (
     _stability_margins,
@@ -23,6 +26,10 @@ from hatalloc.experiments import (
     random_scenario,
     team_scenario,
 )
+from hatalloc.human import AFFINE, logistic, softplus
+from hatalloc.model import stack_problem
+
+from conftest import with_schedules
 
 
 def _refuse_lift(*args, **kwargs):
@@ -96,3 +103,47 @@ def test_stability_operator_equals_block_assembly(monkeypatch, make):
     _stability_margins(rp, dc, scenario.solver.dt)
     assert len(seen) == 1
     assert np.array_equal(seen[0], _block_jacobian(scenario))
+
+
+def _per_human_response(scenario, t, pre, w):
+    """(S, d) at time t, the activation of `pre` and `w` scaled by its
+    derivative, laid out human by human with the arithmetic of the stacked
+    expressions: the loops that the stacked layout replaced."""
+    lay, sp = scenario.layout, stack_problem(scenario)
+    S, d, y, scaled = sp.S.copy(), sp.d.copy(), pre.copy(), w.copy()
+    for k in lay.human_ids:
+        model, rows = scenario.human_models[k], lay.y_slice(k)
+        sched = scenario.schedules.get(k)
+        phi = 0.0 if sched is None else sched.blend(t)
+        if phi > 0.0:
+            s_delta = np.zeros((model.dim, lay.x_dim))
+            for j, delta in sched.gain_deltas.items():
+                s_delta[:, lay.x_slice(j)] = model.attitude * delta
+            S[rows] += phi * s_delta
+            d[rows] += phi * sched.base_delta
+        if model.family != AFFINE:
+            y[rows] = softplus(pre[rows], model.sharpness)
+            scaled[rows] = logistic(pre[rows], model.sharpness) * w[rows]
+    return S, d, y, scaled
+
+
+@pytest.mark.parametrize("seed", [4, 6, 9])
+def test_response_map_equals_per_human_layout(seed):
+    """Three humans of both families, two of them with schedules that
+    settle at different times: at every time, with some rows exact while
+    others still blend, `FlowEngine` reads the same S, d and activation from
+    the stacked layout, bit for bit."""
+    rng = np.random.default_rng(seed)
+    scenario = random_scenario(seed, n_human=3, families=(AFFINE, "softplus_affine"))
+    scenario = with_schedules(scenario, rng)
+    first = scenario.layout.human_ids[0]
+    scenario = replace(scenario, schedules={
+        k: sched for k, sched in scenario.schedules.items() if k != first})
+    settle = sorted(sched.settle_time for sched in scenario.schedules.values())
+    engine = FlowEngine(scenario)
+    for t in [0.0, *settle, *np.linspace(0.0, 1.2 * settle[-1], 25)]:
+        pre, w = rng.normal(scale=2.0, size=(2, scenario.layout.y_dim))
+        want = _per_human_response(scenario, t, pre, w)
+        got = (*engine._params(t), engine._activate(pre), engine._chain_scale(w, pre))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
