@@ -319,6 +319,11 @@ def _finite_max(block: np.ndarray) -> float:
 
 
 def _check_finite(t: float, *blocks: np.ndarray) -> None:
+    """Raise `DivergenceError` for the first block with a non-finite entry.
+    One reduction tests all blocks; only when it fails are they tested one
+    by one, to name the block."""
+    if np.isfinite(np.concatenate(blocks)).all():
+        return
     for block in blocks:
         if not np.all(np.isfinite(block)):
             raise DivergenceError(t, _finite_max(block))

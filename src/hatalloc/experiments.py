@@ -9,10 +9,20 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
-The offset search (`_tighten_offsets`) reduces each risk-attitude cell of a
-draw once, probes every candidate offset c on the reduced cells with
-`ReducedProgram.with_offset`, and builds a scenario only for the one it takes.
-The admission checks read stability from `dynamics.fold` of each reduction.
+The offset search (`_tighten_offsets`) stacks a draw once (`stack_problem`)
+and builds every risk-attitude cell from that stack by negating the gain
+blocks of the humans whose unit attitude the cell flips; `reduce_stacked`
+reduces each cell. It then screens all nine (demand margin, budget fraction)
+probes at once: with its active set fixed, each probe's solution is affine in
+the offset c, so one inverse of each cell's Hessian gives (x, mu, y) at every
+probe. The screen rejects a probe only when a multiplier falls below 1e-2, or
+a response below 0, by more than SCREEN_TOL = 1e-6 times the probe's scale
+(1 + max |c|); a singular or ill-conditioned cell turns it off. Every probe it
+keeps is solved exactly with `solve_program` on the cell re-targeted by
+`ReducedProgram.with_offset`, so the offset taken, and every seeded instance,
+is the exact search's bit for bit. A scenario is built only for that offset.
+The admission checks reuse the same cells and read stability from
+`dynamics.fold` of each reduction.
 
 Offsets and response bases are rescaled after acceptance: for quadratic costs
 with affine responses the optimal point is exactly linear in (c, base), so
@@ -25,6 +35,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -40,7 +51,9 @@ from .model import (
     QuadraticCost,
     Scenario,
     SolverOptions,
+    StackedProblem,
     save_scenario,
+    stack_problem,
 )
 from .oracle import (
     ReducedProgram,
@@ -49,6 +62,7 @@ from .oracle import (
     lift_to_saddle,
     load_scenario,
     reduce_program,
+    reduce_stacked,
     solve_centralized,
     solve_program,
 )
@@ -63,6 +77,7 @@ TEAM_DIMS = (3, 5, 4, 2, 1)
 TEAM_HUMAN_DIMS = (3, 5)
 SADDLE_NORM_TARGET = 0.45
 INITIAL_SPEED_CAP = 3.0
+ATTITUDE_KINDS = ("risk_seeking", "risk_averse")  # the grid's attitudes, in cell order
 
 
 def _connected_graph(rng, autonomous, humans, extra_edges=3):
@@ -182,8 +197,32 @@ def attitude_cells(scenario: Scenario) -> dict[tuple[str, ...], Scenario]:
     humans = scenario.topology.human_ids
     return {
         combo: with_attitudes(scenario, {k: (kind, 1.0) for k, kind in zip(humans, combo)})
-        for combo in product(("risk_seeking", "risk_averse"), repeat=len(humans))
+        for combo in product(ATTITUDE_KINDS, repeat=len(humans))
     }
+
+
+def _cell_stacks(scenario: Scenario, sp: StackedProblem) -> dict[tuple[str, ...], StackedProblem]:
+    """`attitude_cells` as stacked problems, all from the scenario's stack `sp`.
+
+    A unit attitude only signs its human's gain blocks in S, and generated
+    draws have unit attitudes, so a cell negates the blocks of each human
+    whose attitude it flips: the floats `stack_problem` lays out for the
+    relabeled scenario. The cell with the scenario's own attitudes is `sp`.
+    """
+    lay = scenario.layout
+    models = [scenario.human_models[k] for k in lay.human_ids]
+    if any(abs(model.attitude) != 1.0 for model in models):
+        raise ValueError("attitude cells from one stack need unit attitudes")
+    stacks = {}
+    for combo in product(ATTITUDE_KINDS, repeat=len(models)):
+        flipped = [model for model, kind in zip(models, combo)
+                   if attitude_preset(kind, 1.0) != model.attitude]
+        S = sp.S.copy() if flipped else sp.S
+        for model in flipped:
+            for j in model.neighbor_ids:
+                S[lay.y_slice(model.human_id), lay.x_slice(j)] *= -1.0
+        stacks[combo] = replace(sp, S=S) if flipped else sp
+    return stacks
 
 
 def _cell_admissible(rp: ReducedProgram) -> bool:
@@ -198,7 +237,88 @@ def _cell_admissible(rp: ReducedProgram) -> bool:
     )
 
 
-def _tighten_offsets(scenario: Scenario) -> Scenario | None:
+DEMAND_MARGINS = (1.0, 1.8, 2.8)
+BUDGET_FRACTIONS = (0.85, 0.7, 0.55)
+# The screen's slack per unit of probe scale 1 + max |c|: it rejects a probe
+# only when a multiplier falls below 1e-2 or a response below 0 by more.
+SCREEN_TOL = 1e-6
+# Above this 1-norm condition number a matrix the screen inverts counts as
+# singular, so the maps' roundoff stays far below SCREEN_TOL. Over 300 team
+# draws and crosscheck 1-30, H stayed below ~100 and M below ~60.
+SCREEN_MAX_COND = 1e6
+
+
+def _inverse(a: np.ndarray) -> np.ndarray | None:
+    """Inverses of a stack of matrices, or None when one is singular or
+    worse conditioned than SCREEN_MAX_COND."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    return inv if np.all(norm1 <= SCREEN_MAX_COND) else None
+
+
+def _demands(production: float) -> list[float]:
+    """The probed demand offsets: a definite margin above `production`."""
+    return [production + margin * (0.5 + 0.5 * abs(production)) for margin in DEMAND_MARGINS]
+
+
+def _screen(cells: list[ReducedProgram]) -> np.ndarray:
+    """Which (demand margin, budget fraction) probes of `_offset_search` may
+    pass, as a boolean grid; False only where the exact search must fail.
+
+    Each probe's solution is the KKT point of a known active set A, affine in
+    the offset c (Bemporad et al., Automatica 38(1), 2002): at the slack
+    offset -1e6 no row binds, at a demand probe (budget offset -1e6) only the
+    demand row does, and in every cell of an admissible probe (multipliers
+    above 1e-2) both do. With the free minimizer x0 = -H^-1 g, V = H^-1 G_c^T,
+    the Schur complement M = G_c V and the row levels r = G_c x0 + B d
+    (Nocedal & Wright, ch. 16.2), that point is
+
+        mu_A = M_AA^-1 (r_A + c_A),   x = x0 - V_A mu_A,   y = S x + d,
+
+    so one stacked inverse of H gives every probe of every cell. A probe is
+    rejected when some cell's demand or both-row multiplier lies below 1e-2,
+    or a response below 0, by more than SCREEN_TOL times the probe's scale
+    1 + max |c|. When H or M is singular or ill-conditioned in some cell,
+    every probe passes.
+    """
+    unscreened = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
+    G = np.stack([rp.G_c for rp in cells])  # (cells, 2, n)
+    H_inv = _inverse(np.stack([rp.H for rp in cells]))
+    if H_inv is None:
+        return unscreened
+    x0 = -H_inv @ np.stack([rp.g for rp in cells])[:, :, None]  # (cells, n, 1)
+    V = H_inv @ G.transpose(0, 2, 1)
+    M = G @ V
+    M_inv = _inverse(M)
+    if M_inv is None:
+        return unscreened
+    r = G @ x0 + np.stack([rp.b_d for rp in cells])[:, :, None]  # (cells, 2, 1)
+
+    # Demand probes: the demand row alone binds, mu_2 = (r_2 + c_2) / M_22.
+    demands = np.array(_demands(max(-r[:, 1, 0])))
+    mu_demand = (r[:, 1] + demands) / M[:, 1, 1:]  # (cells, margins)
+    tau = SCREEN_TOL * (1.0 + np.abs(demands))
+    passes = np.all(mu_demand >= 1e-2 - tau, axis=0)
+    usages = r[:, 0] - M[:, 0, 1:] * mu_demand  # the budget row's G_c x + B d
+
+    # Budget probes: both rows bind.
+    budgets = -np.multiply.outer(usages.min(axis=0), BUDGET_FRACTIONS)
+    c = np.stack([budgets, np.broadcast_to(demands[:, None], budgets.shape)])
+    c = c.reshape(2, -1)  # every (margin, fraction) probe, one per column
+    tau = SCREEN_TOL * (1.0 + np.abs(c).max(axis=0))
+    mu = M_inv @ (r + c)  # (cells, 2, probes)
+    S = np.stack([rp.S for rp in cells])
+    y = S @ (x0 - V @ mu) + np.stack([rp.d for rp in cells])[:, :, None]
+    passes = np.repeat(passes, len(BUDGET_FRACTIONS))
+    passes &= np.all(mu >= 1e-2 - tau, axis=(0, 1))
+    passes &= np.all(y >= -tau, axis=(0, 1))
+    return passes.reshape(unscreened.shape)
+
+
+def _tighten_offsets(scenario: Scenario, tally: Counter | None = None) -> Scenario | None:
     """Pick demand and budget offsets so both constraint rows bind at the
     optimum for every risk-attitude combination.
 
@@ -206,28 +326,46 @@ def _tighten_offsets(scenario: Scenario) -> Scenario | None:
     otherwise withdrawing humans would not force the autonomous agents to
     compensate; the budget likewise. The demand is set a definite margin
     above the largest cost-minimal production level across cells, the budget
-    a factor below the smallest demand-constrained usage.
+    a factor below the smallest demand-constrained usage. The cells are
+    reduced from one `stack_problem`, and a scenario is built only for the
+    offset taken. `tally` counts the draws the screen rejects whole
+    ("screened") and the exact `solve_program` calls ("exact_solves").
     """
+    sp = stack_problem(scenario)
+    c0 = scenario.constraint.c
+    cells = [reduce_stacked(cell, c0) for cell in _cell_stacks(scenario, sp).values()]
+    c = _offset_search(cells, Counter() if tally is None else tally)
+    return None if c is None else _with_offsets(scenario, c)
+
+
+def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | None:
+    """The offset c that `_tighten_offsets` takes for these attitude cells,
+    or None. `_screen` rules out the probes that cannot pass; every other
+    probe is solved exactly, so a returned offset comes from exact solves."""
+    passes = _screen(cells)
+    if not passes.any():
+        tally["screened"] += 1
+        return None
+
     slack_c = np.array([-1e6, -1e6])
-    cells, productions = [], []
-    for cell in attitude_cells(scenario).values():
+    productions = []
+    for cell in cells:
+        probe = cell.with_offset(slack_c)
+        tally["exact_solves"] += 1
         try:
-            rp = reduce_program(cell)
-            probe = rp.with_offset(slack_c)
             x0, _, _, _ = solve_program(probe)
         except HatallocError:
             return None
-        cells.append(rp)
         # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
         productions.append(-(probe.constraint(x0) - slack_c)[1])
-    production0 = max(productions)
-
-    for margin in (1.0, 1.8, 2.8):
-        demand = production0 + margin * (0.5 + 0.5 * abs(production0))
+    for demand, probes in zip(_demands(max(productions)), passes):
+        if not probes.any():
+            continue
         c_demand = np.array([-1e6, demand])
         usages = []
         for cell in cells:
             probe = cell.with_offset(c_demand)
+            tally["exact_solves"] += 1
             try:
                 x1, _, mu1, _ = solve_program(probe)
             except HatallocError:
@@ -239,10 +377,16 @@ def _tighten_offsets(scenario: Scenario) -> Scenario | None:
             usages.append((probe.constraint(x1) - c_demand)[0])
         if usages is None or min(usages) <= 0.05:
             continue
-        for theta in (0.85, 0.7, 0.55):
+        for theta, screened_in in zip(BUDGET_FRACTIONS, probes):
+            if not screened_in:
+                continue
             c_try = np.array([-theta * min(usages), demand])
-            if all(_cell_admissible(cell.with_offset(c_try)) for cell in cells):
-                return _with_offsets(scenario, c_try)
+            for cell in cells:
+                tally["exact_solves"] += 1
+                if not _cell_admissible(cell.with_offset(c_try)):
+                    break
+            else:
+                return c_try
     return None
 
 
@@ -293,17 +437,27 @@ GRID_CONTRASTS = (
     "cost_drop_h1_averse_h2_seeking",
     "cost_drop_h1_averse_h2_averse",
 )
+_SEEK, _AVERSE = ATTITUDE_KINDS
+# Per contrast: the total it compares (0 autonomous workload, 1 cost) and the
+# two attitude cells it reads, minuend first.
+_CONTRAST_CELLS = dict(zip(GRID_CONTRASTS, (
+    (0, (_SEEK, _SEEK), (_AVERSE, _AVERSE)),
+    (1, (_SEEK, _SEEK), (_AVERSE, _SEEK)),
+    (1, (_SEEK, _AVERSE), (_AVERSE, _AVERSE)),
+)))
 
 
 def _grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[str, float]:
     """The three Fig. 5 contrasts, keyed by `GRID_CONTRASTS`, from each
     attitude cell's (autonomous workload, cost)."""
-    seek, averse = "risk_seeking", "risk_averse"
-    return dict(zip(GRID_CONTRASTS, (
-        totals[(seek, seek)][0] - totals[(averse, averse)][0],
-        totals[(seek, seek)][1] - totals[(averse, seek)][1],
-        totals[(seek, averse)][1] - totals[(averse, averse)][1],
-    )))
+    return {name: totals[a][i] - totals[b][i] for name, (i, a, b) in _CONTRAST_CELLS.items()}
+
+
+def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, list[str]]:
+    """Per contrast, the cells it reads ("h1 kind|h2 kind") whose run did not
+    end converged."""
+    return {name: ["|".join(cell) for cell in (a, b) if terminations[cell] != "converged"]
+            for name, (_, a, b) in _CONTRAST_CELLS.items()}
 
 
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
@@ -311,10 +465,12 @@ REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability
 
 def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
     """The first check a scaled draw fails, or None when it is admissible.
-    All attitude cells share one decoupled constraint and are reduced once;
-    the cell with the scenario's own attitudes is the scenario's program."""
+    All attitude cells share one decoupled constraint and one stack, and each
+    is reduced once; the cell with the scenario's own attitudes is the
+    scenario's program."""
+    sp = stack_problem(scenario)
+    rp = reduce_stacked(sp, scenario.constraint.c)
     try:
-        rp = reduce_program(scenario)
         _, y, mu, _ = solve_program(rp)
     except HatallocError:
         return "oracle"
@@ -332,13 +488,12 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
     # stable and reasonably damped, solvable with nonnegative human
     # workloads, and the cells' contrasts must clear their margins.
     lay = scenario.layout
-    own = {k: m.attitude for k, m in scenario.human_models.items()}
     totals = {}
-    for key, cell in attitude_cells(scenario).items():
-        if {k: m.attitude for k, m in cell.human_models.items()} == own:
+    for key, cell in _cell_stacks(scenario, sp).items():
+        if cell is sp:
             cell_rp, margins = rp, (abscissa, radius)
         else:
-            cell_rp = reduce_program(cell)
+            cell_rp = reduce_stacked(cell, scenario.constraint.c)
             margins = _stability_margins(cell_rp, dc, dt)
         if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
             return "grid"
@@ -359,17 +514,20 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
 def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
               check_grid, stream: int, max_attempts: int = 400) -> Scenario:
     rejected = dict.fromkeys(REJECTIONS, 0)
+    tally = Counter()
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
         candidate = _draw_instance(rng, auto_dims, human_dims, attitudes)
-        tightened = _tighten_offsets(candidate)
+        tightened = _tighten_offsets(candidate, tally)
         if tightened is None:
             rejected["tighten"] += 1
             continue
         scaled = _normalize_scale(tightened)
         reason = _rejection(scaled, abscissa_bar, check_grid)
         if reason is None:
-            log.debug("seed %d: accepted draw %d; rejected by %s", seed, attempt, rejected)
+            log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
+                      "rejected %d draws whole, %d exact offset solves ran",
+                      seed, attempt, rejected, tally["screened"], tally["exact_solves"])
             return scaled
         rejected[reason] += 1
     raise NoAdmissibleInstanceError(seed, rejected)
@@ -564,7 +722,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
     """Integrate `base` in every attitude cell; the grid never tracks."""
     os.makedirs(out_dir, exist_ok=True)
     h1, h2 = base.topology.human_ids
-    rows, totals, cells = [], {}, {}
+    rows, totals, terminations, cells = [], {}, {}, {}
     for (k1, k2), cell in attitude_cells(base).items():
         dc = build_decoupled(cell)
         final, record = integrate(cell, dc=dc)
@@ -586,6 +744,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
             **{f"workload_{a}": w for a, w in report.by_agent.items()},
         })
         totals[(k1, k2)] = (report.autonomous_total, cost)
+        terminations[(k1, k2)] = record.termination
         cells[f"{k1}|{k2}"] = {
             "cost": cost,
             "autonomous_workload": report.autonomous_total,
@@ -606,7 +765,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
             ) + "\n")
 
     summary = {"preset": "fig5_risk_grid", "seed": seed, **_grid_contrasts(totals),
-               "cells": cells}
+               "contrast_unconverged_cells": _unconverged_cells(terminations), "cells": cells}
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     _write_json(summary_path, summary)
     return ExperimentResult(

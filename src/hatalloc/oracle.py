@@ -8,6 +8,8 @@ different solution path. Reduce once, solve per offset: of the reduced
 program only h_c = c + B d depends on the offset c, so
 `ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
 `solve_program` / `interior_point` solve a reduced program as it stands.
+`reduce_stacked` holds the reduction algebra, so a caller that already has
+stacked operators reduces them the way `reduce_program` reduces a scenario.
 `load_scenario` reads scenario files, since a file may ask for the solver's
 Slater certificate.
 """
@@ -28,7 +30,13 @@ from .errors import (
     UnsupportedByOracleError,
 )
 from .human import AFFINE
-from .model import QuadraticCost, Scenario, scenario_from_document, stack_problem
+from .model import (
+    QuadraticCost,
+    Scenario,
+    StackedProblem,
+    scenario_from_document,
+    stack_problem,
+)
 from .reformulation import (
     DecoupledConstraint,
     coupled_residual,
@@ -83,17 +91,22 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
                 f"human '{k}' uses family '{model.family}'; the centralized "
                 "solver handles affine responses only"
             )
-    sp = stack_problem(scenario)
-    S, d, gam_bar = sp.S, sp.d, sp.y_weight
+    return reduce_stacked(stack_problem(scenario), scenario.constraint.c)
 
+
+def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
+    """The reduced program of stacked operators with quadratic costs and
+    affine responses, at constraint offset c. `reduce_program` checks those
+    conditions; the generator calls this on attitude cells it builds from one
+    `stack_problem` by flipping rows of S."""
+    S, d, gam_bar = sp.S, sp.d, sp.y_weight
     H = 2.0 * (sp.x_weight + S.T @ gam_bar @ S)
     H = 0.5 * (H + H.T)
     g = 2.0 * (S.T @ (gam_bar @ d))
     const = float(d @ gam_bar @ d)
     G_c = sp.a_cat + sp.b_cat @ S
     b_d = sp.b_cat @ d
-    return ReducedProgram(H=H, g=g, const=const, G_c=G_c,
-                          h_c=scenario.constraint.c + b_d, S=S, d=d, b_d=b_d)
+    return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=c + b_d, S=S, d=d, b_d=b_d)
 
 
 def solve_centralized(scenario: Scenario) -> Solution:

@@ -12,7 +12,7 @@ from hatalloc import (
     lift_to_saddle,
     solve_centralized,
 )
-from hatalloc.dynamics import FlowEngine, _step_arrays
+from hatalloc.dynamics import FlowEngine, _check_finite, _finite_max, _step_arrays
 from hatalloc.errors import DivergenceError, ScenarioFormatError
 from hatalloc.experiments import crosscheck_scenario, random_scenario
 from hatalloc.model import CouplingConstraint
@@ -158,6 +158,44 @@ class TestStep:
         x_new, _, _, dx, _ = _step_arrays(engine, x, z, lam, 0.0, 0.1)
         np.testing.assert_allclose(dx, [-5.0])  # -(2 x + lambda)
         np.testing.assert_allclose(x_new, [1.5])
+
+
+class TestCheckFinite:
+    """`_check_finite` tests all blocks with one reduction and names the
+    first non-finite block, as the per-block loop does."""
+
+    BLOCKS = (np.array([0.5, -2.0, 3.0]), np.array([-7.0]), np.array([1.0, 4.0]),
+              np.zeros(0), np.array([-0.25, 6.0, 0.0, 9.5]))
+
+    @staticmethod
+    def per_block(t, *blocks):
+        for block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise DivergenceError(t, _finite_max(block))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [0, 1, 2, 4])
+    def test_names_the_block_the_loop_names(self, index, bad):
+        blocks = [b.copy() for b in self.BLOCKS]
+        blocks[index][0] = bad
+        blocks[-1][-1] = np.nan  # a later bad block is not the one named
+        with pytest.raises(DivergenceError) as expected:
+            self.per_block(2.5, *blocks)
+        with pytest.raises(DivergenceError) as got:
+            _check_finite(2.5, *blocks)
+        assert got.value.t == expected.value.t == 2.5
+        assert got.value.max_entry == expected.value.max_entry
+        assert str(got.value) == str(expected.value)
+
+    def test_block_without_a_finite_entry_reports_inf(self):
+        with pytest.raises(DivergenceError) as info:
+            _check_finite(0.0, self.BLOCKS[0], np.array([np.inf, np.nan]))
+        assert info.value.max_entry == np.inf
+
+    def test_finite_blocks_whose_sum_overflows_pass(self):
+        big = np.array([1.5e308, 1.7e308])
+        _check_finite(1.0, big, -big[::-1], big)
+        _check_finite(1.0, *self.BLOCKS)
 
 
 class TestIntegrate:

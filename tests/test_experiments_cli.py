@@ -4,22 +4,26 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hatalloc import dynamics, experiments, load_scenario, oracle, save_scenario, \
+from hatalloc import dynamics, experiments, load_scenario, model, oracle, save_scenario, \
     serialize_scenario
 from hatalloc.cli import main
 from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
+    ATTITUDE_KINDS,
+    GRID_CONTRASTS,
     REJECTIONS,
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _generate,
     _normalize_scale,
     _rejection,
+    _unconverged_cells,
     random_scenario,
     run_experiment,
     run_risk_grid,
@@ -76,11 +80,16 @@ class TestGenerators:
                       check_grid=True, stream=40)
         [record] = [r for r in caplog.records if r.name == "hatalloc.experiments"]
         assert record.levelno == logging.DEBUG
-        seed, draw, rejected = record.args
+        seed, draw, rejected, screened, solves = record.args
         assert seed == 7 and draw > 0
         assert list(rejected) == list(REJECTIONS)
         assert sum(rejected.values()) == draw
         assert f"accepted draw {draw}" in record.getMessage()
+        # Seed 7's five tighten rejections are all decided by the offset
+        # screen; only the draws it lets through are solved exactly.
+        assert screened == rejected["tighten"] == 5
+        assert solves > 0
+        assert f"screen rejected {screened} draws whole, {solves} exact" in record.getMessage()
 
     def test_generator_builds_no_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -93,18 +102,28 @@ class TestGenerators:
         assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
     def test_rejection_reduces_each_attitude_cell_once(self, monkeypatch):
+        """One `stack_problem` for the draw, and one reduction of it per
+        attitude cell."""
         scenario = team_scenario(1)
-        reduced = []
-        real = oracle.reduce_program
+        reduced, stacked = [], []
+        real_reduce, real_stack = oracle.reduce_stacked, model.stack_problem
 
-        def counted(scenario):
-            reduced.append([m.attitude for m in scenario.human_models.values()])
-            return real(scenario)
+        def counted(sp, c):
+            reduced.append(sp)
+            return real_reduce(sp, c)
 
-        for module in (experiments, dynamics, oracle):
-            monkeypatch.setattr(module, "reduce_program", counted)
+        def counted_stack(scenario):
+            stacked.append(scenario)
+            return real_stack(scenario)
+
+        for module in (experiments, oracle):
+            monkeypatch.setattr(module, "reduce_stacked", counted)
+        for module in (experiments, oracle, model):
+            monkeypatch.setattr(module, "stack_problem", counted_stack)
         assert _rejection(scenario, abscissa_bar=-0.08, check_grid=True) is None
         assert 1 <= len(reduced) <= 4
+        assert len({id(sp) for sp in reduced}) == len(reduced)
+        assert len(stacked) == 1
 
     def test_normalize_scale_reduces_once(self, monkeypatch):
         scenario = team_scenario(1)
@@ -449,6 +468,30 @@ class TestRunOutputs:
             assert kkt["stationarity"] > 1e-6
             assert kkt["dual_min"] >= 0.0
 
+
+    def test_grid_flags_contrasts_read_from_unconverged_cells(self, tmp_path):
+        run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
+        saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
+        # Every cell stops at max_time, so every contrast names both its cells.
+        assert saved["contrast_unconverged_cells"] == {
+            "autonomous_workload_seeking_minus_averse":
+                ["risk_seeking|risk_seeking", "risk_averse|risk_averse"],
+            "cost_drop_h1_averse_h2_seeking":
+                ["risk_seeking|risk_seeking", "risk_averse|risk_seeking"],
+            "cost_drop_h1_averse_h2_averse":
+                ["risk_seeking|risk_averse", "risk_averse|risk_averse"],
+        }
+        assert list(saved["contrast_unconverged_cells"]) == list(GRID_CONTRASTS)
+
+    def test_unconverged_cells_name_only_the_cells_a_contrast_reads(self):
+        # Seed 1's grid: only risk_averse|risk_seeking ends at max_time.
+        terminations = {cell: "converged" for cell in product(ATTITUDE_KINDS, repeat=2)}
+        terminations[("risk_averse", "risk_seeking")] = "max_time"
+        assert _unconverged_cells(terminations) == {
+            "autonomous_workload_seeking_minus_averse": [],
+            "cost_drop_h1_averse_h2_seeking": ["risk_averse|risk_seeking"],
+            "cost_drop_h1_averse_h2_averse": [],
+        }
 
     def test_grid_cells_report_a_halved_dt(self, tmp_path):
         # At dt = 0.15 every cell diverges, then reruns at 0.075.

@@ -1,13 +1,18 @@
 """The generator's offset search against a per-offset reference.
 
-`_tighten_offsets` reduces each attitude cell once and re-targets the reduced
-cells to every probed offset with `ReducedProgram.with_offset`. The reference
-below is the per-offset search it replaced: a new scenario for every probe,
-solved and checked with the scenario-level oracle functions. Both must pick
-the same offset bit for bit, because the generator's accepted draws (and so
-every seeded benchmark instance) depend on it.
+`_tighten_offsets` reduces every attitude cell of a draw from one
+`stack_problem`, screens all probed offsets with the cells' affine KKT maps
+and solves the probes the screen keeps exactly, re-targeting the reduced
+cells with `ReducedProgram.with_offset`. The reference below is the
+per-offset search it replaced: a new scenario for every probe, solved and
+checked with the scenario-level oracle functions. Both must pick the same
+offset bit for bit, because the generator's accepted draws (and so every
+seeded benchmark instance) depend on it.
 """
 
+import hashlib
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,26 +21,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hatalloc import experiments, oracle
+from hatalloc import experiments, model, oracle
 from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import HatallocError, UnsupportedByOracleError
 from hatalloc.experiments import (
+    BUDGET_FRACTIONS,
+    DEMAND_MARGINS,
     INITIAL_SPEED_CAP,
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     attitude_cells,
     _draw_instance,
+    _cell_admissible,
+    _cell_stacks,
     _normalize_scale,
+    _offset_search,
+    _screen,
     _tighten_offsets,
     _with_offsets,
     crosscheck_scenario,
+    team_scenario,
 )
+from hatalloc.model import Scenario, serialize_scenario
 from hatalloc.oracle import (
     reduce_program,
+    reduce_stacked,
     solve_centralized,
     solve_program,
     strictly_feasible_point,
 )
+
+from conftest import path_scenario
 
 TEAM_ATTITUDES = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
 # Team seed 1, stream 40: draws 5, 12, 14 and 15 are tightened, the other
@@ -118,17 +134,189 @@ def test_draws_cover_accepted_and_rejected():
 
 
 def test_tighten_reduces_each_cell_once(monkeypatch):
-    calls = []
-
-    def counting(scenario):
-        calls.append(scenario)
-        return reduce_program(scenario)
-
-    monkeypatch.setattr(experiments, "reduce_program", counting)
-    monkeypatch.setattr(oracle, "reduce_program", counting)
+    """One `stack_problem` per draw, one reduction of it per attitude cell,
+    and no `Scenario` but the one returned."""
     draw = _team_draw(5)
-    assert _tighten_offsets(draw) is not None
-    assert 0 < len(calls) <= len(attitude_cells(draw))
+    n_cells = len(attitude_cells(draw))
+    stacked, reduced, built = [], [], []
+    real_stack, real_reduce = model.stack_problem, oracle.reduce_stacked
+    real_init = Scenario.__post_init__
+
+    def refuse(scenario):
+        raise AssertionError("the offset search reduced a scenario")
+
+    monkeypatch.setattr(experiments, "stack_problem",
+                        lambda scenario: stacked.append(scenario) or real_stack(scenario))
+    monkeypatch.setattr(experiments, "reduce_stacked",
+                        lambda sp, c: reduced.append(sp) or real_reduce(sp, c))
+    monkeypatch.setattr(experiments, "reduce_program", refuse)
+    monkeypatch.setattr(oracle, "reduce_program", refuse)
+    monkeypatch.setattr(Scenario, "__post_init__",
+                        lambda self: built.append(self) or real_init(self))
+    tightened = _tighten_offsets(draw)
+    assert tightened is not None
+    assert stacked == [draw]
+    assert len(reduced) == n_cells
+    assert built == [tightened]
+
+
+def _cells(scenario):
+    """The attitude cells' reduced programs, as `_tighten_offsets` builds them."""
+    stacks = _cell_stacks(scenario, model.stack_problem(scenario))
+    return [reduce_stacked(sp, scenario.constraint.c) for sp in stacks.values()]
+
+
+def test_cell_stacks_reduce_like_relabeled_scenarios():
+    """A cell's sign-flipped stack reduces to the same floats as the
+    relabeled scenario, signed zeros included."""
+    for scenario in (_team_draw(5), _team_draw(6), crosscheck_scenario(2)):
+        for got, cell in zip(_cells(scenario), attitude_cells(scenario).values()):
+            expected = reduce_program(cell)
+            for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.tobytes() == b.tobytes(), name
+            assert got.const == expected.const
+
+
+def test_cell_stacks_need_unit_attitudes():
+    """Negating gain blocks relabels only a unit attitude."""
+    scenario = path_scenario(attitude=0.5)
+    with pytest.raises(ValueError, match="unit attitudes"):
+        _cell_stacks(scenario, model.stack_problem(scenario))
+
+
+@pytest.mark.parametrize("attempt", DRAWS)
+def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
+    """A draw the screen rejects is decided without `solve_program`: no slack
+    or demand probe and no `_cell_admissible`. Every draw the search rejects
+    here is rejected by the screen, and `tally` counts the solves made."""
+    solves, admissible = [], []
+    real_solve, real_admissible = experiments.solve_program, experiments._cell_admissible
+    monkeypatch.setattr(experiments, "solve_program",
+                        lambda rp: solves.append(rp) or real_solve(rp))
+    monkeypatch.setattr(experiments, "_cell_admissible",
+                        lambda rp: admissible.append(rp) or real_admissible(rp))
+    tally = Counter()
+    tightened = _tighten_offsets(_team_draw(attempt), tally)
+    assert tally["exact_solves"] == len(solves)
+    if tightened is None:
+        assert tally["screened"] == 1
+        assert solves == [] and admissible == []
+    else:
+        assert tally["screened"] == 0
+        assert len(admissible) >= 4
+
+
+def test_singular_kkt_system_passes_every_probe():
+    """Two equal constraint rows make a cell's KKT matrix, and its Schur
+    complement M, singular: that cell turns the screen off."""
+    cells = _cells(_team_draw(4))
+    assert not _screen(cells).any()  # draw 4 is screened out
+    twin_rows = replace(cells[2], G_c=cells[2].G_c[[1, 1]])
+    assert _screen(cells[:2] + [twin_rows] + cells[3:]).all()
+
+
+def _unscreened(cells):
+    """`_offset_search` with a screen that passes every probe."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_screen", lambda cells: np.ones(
+            (len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool))
+        return _offset_search(cells, Counter())
+
+
+def _assert_screen_keeps_zero_responses(cells, c, index):
+    """Shift cell `index`'s responses so that, at the offset c the search
+    takes, its smallest response is 1e-12. The probe stays admissible, so
+    the screen must keep it and the search must still take c."""
+    cell = cells[index]
+    y = solve_program(cell.with_offset(c))[1]
+    edge = replace(cell, d=cell.d - (y.min() - 1e-12))
+    assert 0.0 <= solve_program(edge.with_offset(c))[1].min() < 1e-11
+    assert _cell_admissible(edge.with_offset(c))
+    shifted = cells[:index] + [edge] + cells[index + 1:]
+    assert np.array_equal(_unscreened(shifted), c)
+    assert np.array_equal(_offset_search(shifted, Counter()), c)
+
+
+@pytest.mark.parametrize("attempt", (5, 12, 14, 15))
+def test_screen_keeps_a_probe_with_a_response_at_zero(attempt):
+    cells = _cells(_team_draw(attempt))
+    c = _offset_search(cells, Counter())
+    for index in range(len(cells)):
+        _assert_screen_keeps_zero_responses(cells, c, index)
+
+
+@st.composite
+def raw_draws(draw):
+    """An unscreened generator draw, shaped as `team_scenario`'s or as
+    `crosscheck_scenario`'s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+    auto_dims = tuple(draw(st.lists(st.integers(3, 5), min_size=3, max_size=4)))
+    human_dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
+    attitudes = dict(list(TEAM_ATTITUDES.items())[:len(human_dims)])
+    return _draw_instance(rng, auto_dims, human_dims, attitudes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenario=raw_draws(), data=st.data())
+def test_screened_search_matches_reference_on_raw_draws(scenario, data):
+    """The screened search takes the reference's offset bit for bit, and
+    still does when a cell's smallest response sits at zero there."""
+    got, expected = _tighten_offsets(scenario), _reference_tighten(scenario)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got.constraint.c.tobytes() == expected.constraint.c.tobytes()
+        cells = _cells(scenario)
+        index = data.draw(st.integers(0, len(cells) - 1))
+        _assert_screen_keeps_zero_responses(cells, got.constraint.c, index)
+
+
+# sha256 of `json.dumps(serialize_scenario(s), indent=2)`, the text that
+# `save_scenario` writes, recorded before the offset screen was added.
+PINNED_SHA256 = {
+    ("crosscheck", 1): "644b781bbd24c0cb5dcb8cc4834a5c3b39ce78e73eb7a87d88b4194aaad364f9",
+    ("crosscheck", 2): "12c98713af2fd80020da2b363f0ab411972fe64a3557c1c5cb2050dfc9637820",
+    ("crosscheck", 3): "1e65edc3ffe272756189bbdb2494bdeb6853a53829a7d044ff03c6a24f2ca576",
+    ("crosscheck", 4): "803a6a63c38806e3c00a0b7a1b8cfd005a8abca6b548cc0d37d00995e606fb9a",
+    ("crosscheck", 5): "d8a4b774253b94e1dffca29dd280acc8d03b77620c0b9bfe0ea833d56237dbd2",
+    ("crosscheck", 6): "81748625212f626dccbefe2e33ad26c9a364f5e01aa916844bb5f3e3f57dccfd",
+    ("crosscheck", 7): "a7217dc6572b9ec6ee2dde1e308b1860c6e6c3f4118eb79d5522a450105039fd",
+    ("crosscheck", 8): "0cda4e26f2fa413bc63c87b63d4066ef49e106a4e658c1ed5599a89bc0bae570",
+    ("crosscheck", 9): "3d1ab1e8c29f0dac934708f744dd9c8a3f778cd9663403cf826015de0b864fc4",
+    ("crosscheck", 10): "a31b627bdbedd8344127e82a1fc250648cee89c7590805759fdb413199c74cfa",
+    ("crosscheck", 11): "cc0bbb3b8a8b3eb46124d794ae3c07a0651e874574096694a957274582ab5642",
+    ("crosscheck", 12): "74a397345ca675fd8127de1709629cd0e24fc3d775d41a37f5466a2b40dcf748",
+    ("crosscheck", 13): "263a36c4c1794f246354ba9e52f82c6462f40d69704db24c50fca762db6d9069",
+    ("crosscheck", 14): "fb123105b6deac758ddec231df69194bae1ff6050109e55a15a76ded31dba535",
+    ("crosscheck", 15): "4de5ea4a20607f6cbe321c161f471d00585fb7f8032ce30cacfc76a3d7eaf5ee",
+    ("crosscheck", 16): "63a5e0bc36d9bae75f03da44dc23b166179e5c50b1bee7f6685f9004ca678896",
+    ("crosscheck", 17): "436eceece14e7ef6c202d4da04654b1c2588f3a628fbff5e62d26aedf9484cd0",
+    ("crosscheck", 18): "234c42b53ed06e6512ed4e44760a9e5a72de07f05623563015d2fe34f7d10775",
+    ("crosscheck", 19): "8e4caded1a552a518804dd04b1a1f33584a45ad6dd91b98e110c67dcc6afc3e0",
+    ("crosscheck", 20): "e471dedbc889e63dc5fb0a27da4873b2d675954b8051d9e4b25fafe0eff948c1",
+    ("crosscheck", 21): "a34eb24579fcaa4c6474e4b120c754fdd08a55e786f267e71d60a61d99d21e9e",
+    ("crosscheck", 22): "cb27ffc829548772cc655093457962cbfd0594e83339d490a98f521a9285f574",
+    ("crosscheck", 23): "bce45c56411c03b2653ad9ea128571075a15e0a3b5f770197749a036e73a6f6d",
+    ("crosscheck", 24): "205324bbbc93e5484344f46060294cfd8b91f39715089e286f8cd68892c62c83",
+    ("crosscheck", 25): "1a742a51ecb766c794c30e74714cb3378e847e30073a1eaddba3f871a92bce45",
+    ("crosscheck", 26): "674c19eac79109e09008dab93328f03be830cd7efe231c360277932ed9855157",
+    ("crosscheck", 27): "6737887ced9cf7f4a6c33da35e5d07ba1b08327e8cc747230e5d8ea09a7dd48e",
+    ("crosscheck", 28): "dffd1eb4deeaa97a413f5f30186d008379768db6e54555e1ae9e5ad1fc539213",
+    ("crosscheck", 29): "9313c1bd193d7a32247d3e4d13e05fda7dfcd8f790a311096805b08497b6a964",
+    ("crosscheck", 30): "f57e08198ad7e5a86145ca0f445dc9e2e511a124d08fc103755c32d64a2abdb8",
+    ("team", 4): "988e6034f61f1d4e3af61dd2da490c99439917c7df60b4653e52999a8ba565fc",
+    ("team", 5): "fa2b6327751ffa53e3cb1b467555a241843746c2e8af2b0894ceaafe9e51d2f0",
+    ("team", 7): "973b1543714e0df8d2cefd43a1c474dac9bd93c00aedb5c630858cc4f9134717",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_SHA256))
+def test_generator_outputs_are_pinned(kind, seed):
+    generate = team_scenario if kind == "team" else crosscheck_scenario
+    text = json.dumps(serialize_scenario(generate(seed)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[(kind, seed)]
 
 
 def _zero_start_speed(scenario):
