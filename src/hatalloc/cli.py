@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .dynamics import gradient_check, initial_state
+from .dynamics import FlowEngine, _gradient_error, initial_state
 from .errors import (
     DivergenceError,
     HatallocError,
@@ -36,7 +36,6 @@ from .model import (
     gradient_consistency_error,
     midpoint_convexity_gap,
     save_scenario,
-    stack_problem,
 )
 from .oracle import load_scenario, solve_centralized
 from .reformulation import (
@@ -142,27 +141,28 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sample_feasible_pair(scenario, rng):
-    """Random (x, y) made coupled-feasible by a least-squares shift."""
+def _sample_feasible_pair(scenario, a_pinv, rng):
+    """Random (x, y) made coupled-feasible by a least-squares shift, with
+    `a_pinv` the pseudo-inverse of the stacked autonomous blocks `a_cat`."""
     lay = scenario.layout
     x = rng.normal(size=lay.x_dim)
     y = rng.normal(size=lay.y_dim)
     resid = coupled_residual(scenario, x, y)
     margin = rng.uniform(0.0, 1.0, size=lay.rows)
-    if lay.x_dim:
-        x = x - np.linalg.pinv(stack_problem(scenario).a_cat) @ (resid + margin)
-    return x, y
+    return x - a_pinv @ (resid + margin), y
 
 
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     rng = np.random.default_rng(args.seed)
     dc = build_decoupled(scenario)
+    engine = FlowEngine(scenario, dc)  # the command's one stack
+    a_pinv = np.linalg.pinv(engine.stacked.a_cat)
     failures = []
 
     certified = skipped = 0
     for _ in range(args.samples):
-        x, y = _sample_feasible_pair(scenario, rng)
+        x, y = _sample_feasible_pair(scenario, a_pinv, rng)
         coupled = coupled_residual(scenario, x, y)
         z = find_certificate_z(dc, x, y, coupled)
         if np.max(coupled) > 0:
@@ -187,8 +187,8 @@ def _cmd_check(args) -> int:
         for a in scenario.layout.node_order:
             state.z[a] = rng.normal(size=dc.rows)
             state.lam[a] = rng.uniform(0.0, 1.0, size=dc.rows)
-        worst_grad = max(worst_grad, gradient_check(scenario, dc, state))
-    grad_tol = 1e-4 if stack_problem(scenario).soft.size else 1e-5
+        worst_grad = max(worst_grad, _gradient_error(engine, state))
+    grad_tol = 1e-4 if engine.stacked.soft.size else 1e-5
     print(f"lagrangian x-gradient vs finite differences: {worst_grad:.3g} "
           f"(tolerance {grad_tol:g})")
     if worst_grad > grad_tol:

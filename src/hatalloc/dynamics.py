@@ -23,12 +23,12 @@ are the true ones:
     dz      = -l_bar lambda
     gap     = C x + l_bar z + b_g,     b_g = [0 ; b_bar d] + c_split
 
-where H and g come from the oracle's `reduce_program`, so the flow and the
-oracle step one assembled problem. The velocity is M w + b; M is graph-local,
-kept as row, column and value arrays of its O(edges) nonzeros. Every other
-scenario takes its velocity from `FlowEngine.rhs`, which reads the softplus
-rows and the schedules row by row from `model.stack_problem`, as the oracle
-reads S and d.
+where H and g come from the oracle's `reduce_stacked` of the engine's own
+stack, so the flow and the oracle step one assembled problem. The velocity
+is M w + b; M is graph-local, kept as row, column and value arrays of its
+O(edges) nonzeros. Every other scenario takes its velocity from
+`FlowEngine.rhs`, which reads the softplus rows and the schedules row by row
+from the same stack, as the oracle reads S and d.
 
 Projected Euler on the affine flow is piecewise affine, one piece per set S
 of clamped multipliers (those at zero whose gap is <= 0, which the clamp
@@ -88,7 +88,7 @@ from . import metrics
 from .errors import DivergenceError
 from .human import logistic, softplus
 from .model import Scenario, stack_problem
-from .oracle import ReducedProgram, reduce_program
+from .oracle import ReducedProgram, reduce_stacked
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
 
@@ -253,9 +253,11 @@ class FlowEngine:
         return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
     def folded(self):
-        """`fold` of the scenario's reduced program, built on the first call."""
+        """`fold` of the engine's own stack, reduced, on the first call; read
+        only once the flow folds, which covers `reduce_program`'s checks."""
         if self._folded is None:
-            self._folded = fold(reduce_program(self.scenario), self.dc)
+            rp = reduce_stacked(self.stacked, self.scenario.constraint.c)
+            self._folded = fold(rp, self.dc)
         return self._folded
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
@@ -683,7 +685,11 @@ GRADIENT_CHECK_STEP = 1e-6
 def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> float:
     """Max relative error of the analytic x-gradient of the Lagrangian
     against central finite differences of step `GRADIENT_CHECK_STEP`."""
-    engine = FlowEngine(scenario, dc)
+    return _gradient_error(FlowEngine(scenario, dc), state)
+
+
+def _gradient_error(engine: FlowEngine, state: SystemState) -> float:
+    """`gradient_check` on an engine already built."""
     x, z, lam = engine.stack_state(state)
     analytic, _ = engine.lagrangian_gradient_x(x, lam, state.t)
     worst = 0.0

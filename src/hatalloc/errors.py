@@ -37,7 +37,7 @@ class UnsupportedByOracleError(HatallocError):
     """Instance is outside the centralized solver's scope."""
 
 
-class ActiveSetEnumerationError(HatallocError):
+class ActiveSetEnumerationError(UnsupportedByOracleError):
     """Too many constraint rows for exhaustive active-set enumeration."""
 
 

@@ -9,25 +9,25 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
-The offset search (`_tighten_offsets`) stacks a draw once (`stack_problem`)
-and builds every risk-attitude cell from that stack by negating the gain
-blocks of the humans whose unit attitude the cell flips; `reduce_stacked`
-reduces each cell. It then screens all nine (demand margin, budget fraction)
-probes at once: with its active set fixed, each probe's solution is affine in
-the offset c, so one inverse of each cell's Hessian gives (x, mu, y) at every
-probe. The screen rejects a probe only when a multiplier falls below 1e-2, or
-a response below 0, by more than SCREEN_TOL = 1e-6 times the probe's scale
-(1 + max |c|); a singular or ill-conditioned cell turns it off. Every probe it
-keeps is solved exactly with `solve_program` on the cell re-targeted by
-`ReducedProgram.with_offset`, so the offset taken, and every seeded instance,
-is the exact search's bit for bit. A scenario is built only for that offset.
-The admission checks reuse the same cells and read stability from
-`dynamics.fold` of each reduction.
+`_generate` stacks each draw once (`stack_problem`), builds every
+risk-attitude cell from that stack by negating the gain blocks of the humans
+whose unit attitude the cell flips, and reduces each cell (`reduce_stacked`).
+Every admission stage reads these cells. The offset search screens all nine
+(demand margin, budget fraction) probes at once: with its active set fixed,
+each probe's solution is affine in the offset c, so one inverse of each
+cell's Hessian gives (x, mu, y) at every probe. The screen rejects a probe
+only when a multiplier falls below 1e-2, or a response below 0, by more than
+SCREEN_TOL = 1e-6 times the probe's scale (1 + max |c|); a singular or
+ill-conditioned cell turns it off. Every probe it keeps is solved exactly on
+the cell re-targeted by `ReducedProgram.with_offset`, so the offset taken,
+and every seeded instance, is the exact search's bit for bit.
 
-Offsets and response bases are rescaled after acceptance: for quadratic costs
-with affine responses the optimal point is exactly linear in (c, base), so
-normalizing the lifted saddle norm keeps the flow's velocity small enough for
-tight per-step descent checks without touching the problem structure.
+Offsets and response bases are then scaled by one factor s: for quadratic
+costs with affine responses the optimal point is exactly linear in
+(c, base), so normalizing the lifted saddle norm keeps the flow's velocity
+small enough for tight per-step descent checks. The remaining checks read
+each cell's stack with d scaled by s. A `Scenario` is built only for the
+tightened offsets and for the accepted draw.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .oracle import (
     ReducedProgram,
     _lift,
     interior_point,
-    lift_to_saddle,
     load_scenario,
     reduce_program,
     reduce_stacked,
@@ -168,19 +167,11 @@ def _draw_instance(rng, auto_dims, human_dims, attitudes):
 
 def _with_offsets(scenario: Scenario, c: np.ndarray,
                   bases: dict[str, np.ndarray] | None = None) -> Scenario:
-    con = scenario.constraint
     models = scenario.human_models
     if bases is not None:
-        models = {
-            k: replace(m, base=bases.get(k, m.base)) for k, m in models.items()
-        }
-    return replace(
-        scenario,
-        constraint=CouplingConstraint(
-            a_blocks=con.a_blocks, b_blocks=con.b_blocks, c=np.asarray(c, float)
-        ),
-        human_models=models,
-    )
+        models = {k: replace(m, base=bases[k]) for k, m in models.items()}
+    constraint = replace(scenario.constraint, c=np.asarray(c, float))
+    return replace(scenario, constraint=constraint, human_models=models)
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -318,30 +309,17 @@ def _screen(cells: list[ReducedProgram]) -> np.ndarray:
     return passes.reshape(unscreened.shape)
 
 
-def _tighten_offsets(scenario: Scenario, tally: Counter | None = None) -> Scenario | None:
-    """Pick demand and budget offsets so both constraint rows bind at the
-    optimum for every risk-attitude combination.
+def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | None:
+    """Demand and budget offsets c at which both constraint rows bind at the
+    optimum of every attitude cell, or None.
 
     The production requirement must be active regardless of attitudes,
     otherwise withdrawing humans would not force the autonomous agents to
     compensate; the budget likewise. The demand is set a definite margin
     above the largest cost-minimal production level across cells, the budget
-    a factor below the smallest demand-constrained usage. The cells are
-    reduced from one `stack_problem`, and a scenario is built only for the
-    offset taken. `tally` counts the draws the screen rejects whole
-    ("screened") and the exact `solve_program` calls ("exact_solves").
-    """
-    sp = stack_problem(scenario)
-    c0 = scenario.constraint.c
-    cells = [reduce_stacked(cell, c0) for cell in _cell_stacks(scenario, sp).values()]
-    c = _offset_search(cells, Counter() if tally is None else tally)
-    return None if c is None else _with_offsets(scenario, c)
-
-
-def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | None:
-    """The offset c that `_tighten_offsets` takes for these attitude cells,
-    or None. `_screen` rules out the probes that cannot pass; every other
-    probe is solved exactly, so a returned offset comes from exact solves."""
+    a factor below the smallest demand-constrained usage. Every probe that
+    `_screen` keeps is solved exactly. `tally` counts the draws the screen
+    rejects whole ("screened") and the exact solves ("exact_solves")."""
     passes = _screen(cells)
     if not passes.any():
         tally["screened"] += 1
@@ -390,9 +368,10 @@ def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | 
     return None
 
 
-def _normalize_scale(scenario: Scenario) -> Scenario:
-    """Rescale (c, bases) so the lifted saddle norm and the initial flow
-    speed both stay small.
+def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
+                     dc: DecoupledConstraint) -> float:
+    """The factor s for (c, bases) that keeps the lifted saddle norm and the
+    initial flow speed small, from the scenario's `rp` and `dc`.
 
     The optimum of a quadratic/affine instance is exactly linear in these
     offsets, and so is the flow velocity at the all-zero start, so one scale
@@ -400,9 +379,7 @@ def _normalize_scale(scenario: Scenario) -> Scenario:
     per-step overshoot. The rescaled instance keeps its active set and
     structure; its zero-start speed is at most `INITIAL_SPEED_CAP`.
     """
-    rp = reduce_program(scenario)
     x, _, mu, _ = solve_program(rp)
-    dc = build_decoupled(scenario)
     _, lam, eta = _lift(scenario, rp, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
@@ -410,9 +387,13 @@ def _normalize_scale(scenario: Scenario) -> Scenario:
     n, q = rp.H.shape[0], dc.block_dim
     dx, dz, dlam = b[:n], b[n:n + q], np.maximum(0.0, b[n + q:])
     speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
-    s = min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
-    bases = {k: m.base * s for k, m in scenario.human_models.items()}
-    return _with_offsets(scenario, scenario.constraint.c * s, bases)
+    return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
+
+
+def _scaled(cell: StackedProblem, s: float, c: np.ndarray) -> ReducedProgram:
+    """A cell's reduced program with its bases and offset c scaled by s:
+    `stack_problem` copies each base into d, so d * s is the scaled stack."""
+    return reduce_stacked(replace(cell, d=cell.d * s), c * s)
 
 
 def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
@@ -463,13 +444,14 @@ def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, li
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
 
 
-def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str | None:
-    """The first check a scaled draw fails, or None when it is admissible.
-    All attitude cells share one decoupled constraint and one stack, and each
-    is reduced once; the cell with the scenario's own attitudes is the
-    scenario's program."""
-    sp = stack_problem(scenario)
-    rp = reduce_stacked(sp, scenario.constraint.c)
+def _rejection(scenario: Scenario, stacks: dict[tuple[str, ...], StackedProblem],
+               own: tuple[str, ...], s: float, dc: DecoupledConstraint,
+               abscissa_bar: float, check_grid: bool) -> str | None:
+    """The first check the tightened draw fails once scaled by s, or None.
+    It reads each cell of `stacks` (`own` is the draw's) scaled, reduced
+    once; all share `dc`, since the folded M reads neither c nor d."""
+    dt = scenario.solver.dt
+    rp = _scaled(stacks[own], s, scenario.constraint.c)
     try:
         _, y, mu, _ = solve_program(rp)
     except HatallocError:
@@ -478,7 +460,6 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
         return "multipliers/responses"
     if interior_point(rp) is None:
         return "Slater"
-    dc, dt = build_decoupled(scenario), scenario.solver.dt
     abscissa, radius = _stability_margins(rp, dc, dt)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
@@ -489,11 +470,11 @@ def _rejection(scenario: Scenario, abscissa_bar: float, check_grid: bool) -> str
     # workloads, and the cells' contrasts must clear their margins.
     lay = scenario.layout
     totals = {}
-    for key, cell in _cell_stacks(scenario, sp).items():
-        if cell is sp:
+    for key, cell in stacks.items():
+        if key == own:
             cell_rp, margins = rp, (abscissa, radius)
         else:
-            cell_rp = reduce_stacked(cell, scenario.constraint.c)
+            cell_rp = _scaled(cell, s, scenario.constraint.c)
             margins = _stability_margins(cell_rp, dc, dt)
         if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
             return "grid"
@@ -517,18 +498,26 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
     tally = Counter()
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
-        candidate = _draw_instance(rng, auto_dims, human_dims, attitudes)
-        tightened = _tighten_offsets(candidate, tally)
-        if tightened is None:
+        draw = _draw_instance(rng, auto_dims, human_dims, attitudes)
+        # One stack per draw: every stage below reads its attitude cells.
+        sp = stack_problem(draw)
+        stacks = _cell_stacks(draw, sp)
+        own = next(key for key, cell in stacks.items() if cell is sp)
+        cells = {key: reduce_stacked(cell, draw.constraint.c) for key, cell in stacks.items()}
+        c = _offset_search(list(cells.values()), tally)
+        if c is None:
             rejected["tighten"] += 1
             continue
-        scaled = _normalize_scale(tightened)
-        reason = _rejection(scaled, abscissa_bar, check_grid)
+        tightened = _with_offsets(draw, c)
+        dc = build_decoupled(tightened)
+        s = _normalize_scale(tightened, cells[own].with_offset(c), dc)
+        reason = _rejection(tightened, stacks, own, s, dc, abscissa_bar, check_grid)
         if reason is None:
             log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
                       "rejected %d draws whole, %d exact offset solves ran",
                       seed, attempt, rejected, tally["screened"], tally["exact_solves"])
-            return scaled
+            bases = {k: m.base * s for k, m in tightened.human_models.items()}
+            return _with_offsets(tightened, c * s, bases)
         rejected[reason] += 1
     raise NoAdmissibleInstanceError(seed, rejected)
 
@@ -679,19 +668,21 @@ def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
 def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
                   oracle: bool) -> ExperimentResult:
     """Decouple, integrate, take the KKT residuals and write `trajectory.csv`
-    and `summary.json`. With `oracle`, the centralized solution is computed
-    first and deviation/saddle-distance metrics are recorded against it; an
-    instance outside the oracle's scope still runs, without them."""
+    and `summary.json`. With `oracle`, the scenario is reduced once, solved
+    and lifted, and deviation/saddle-distance metrics are recorded against
+    it; an instance outside the oracle's scope still runs, without them, and
+    `summary["oracle"]` says why."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
     tracking = {}
     if oracle:
         try:
-            x_star, y_star, mu_star, value = solve_centralized(scenario)
+            rp = reduce_program(scenario)
+            x_star, y_star, mu_star, value = solve_program(rp)
         except UnsupportedByOracleError as exc:
             summary["oracle"] = f"unavailable: {exc}"
         else:
-            _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
+            _, lam_star, eta_star = _lift(scenario, rp, dc, x_star, mu_star)
             tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
     final, record = integrate(scenario, dc=dc, **tracking)
 

@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -15,8 +16,24 @@ from hatalloc.agents import (
     agent_round,
 )
 from hatalloc.dynamics import SystemState, initial_state
+from hatalloc.experiments import (
+    TEAM_DIMS,
+    TEAM_HUMAN_DIMS,
+    _cell_stacks,
+    _draw_instance,
+    _normalize_scale,
+    _offset_search,
+    _with_offsets,
+)
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
-from hatalloc.model import CouplingConstraint, CustomCost, QuadraticCost, SolverOptions
+from hatalloc.model import (
+    CouplingConstraint,
+    CustomCost,
+    QuadraticCost,
+    SolverOptions,
+    stack_problem,
+)
+from hatalloc.oracle import reduce_stacked
 from hatalloc.reformulation import build_decoupled, decoupled_residual_blocks
 from hatalloc.topology import neighbors
 
@@ -261,6 +278,56 @@ def resummed_lagrangian(scenario, dc, state):
         scenario, dc, lay.stack_x(state.x), lay.stack_y(y), state.z
     )
     return total + sum(float(state.lam[a] @ blocks[a]) for a in lay.node_order)
+
+
+TEAM_ATTITUDES = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
+
+
+def team_draw(attempt, seed=1):
+    """Raw draw `attempt` of `team_scenario(seed)`, before any admission check."""
+    rng = np.random.default_rng(np.random.SeedSequence([40, seed, attempt]))
+    return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+
+
+def generator_stages(draw):
+    """What `experiments._generate` hands `_rejection` for a draw: the
+    tightened scenario, the attitude cells' stacks, the key of the draw's own
+    cell, the scale factor s and the decoupled constraint; None when the
+    offset search rejects the draw."""
+    sp = stack_problem(draw)
+    stacks = _cell_stacks(draw, sp)
+    own = next(key for key, cell in stacks.items() if cell is sp)
+    cells = [reduce_stacked(cell, draw.constraint.c) for cell in stacks.values()]
+    c = _offset_search(cells, Counter())
+    if c is None:
+        return None
+    tightened = _with_offsets(draw, c)
+    dc = build_decoupled(tightened)
+    s = _normalize_scale(tightened, reduce_stacked(sp, c), dc)
+    return tightened, stacks, own, s, dc
+
+
+def scaled_scenario(tightened, s):
+    """The tightened draw rebuilt with its offsets and bases scaled by s."""
+    bases = {k: m.base * s for k, m in tightened.human_models.items()}
+    return _with_offsets(tightened, tightened.constraint.c * s, bases)
+
+
+def record_calls(monkeypatch, log, *funcs):
+    """Patch each of `funcs` under every name a module of the package binds
+    it to, so that each call appends (function name, args, result) to `log`
+    once it returns."""
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "hatalloc"]
+    for func in funcs:
+        def recorded(*args, _func=func, **kwargs):
+            result = _func(*args, **kwargs)
+            log.append((_func.__name__, args, result))
+            return result
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, recorded)
 
 
 @pytest.fixture

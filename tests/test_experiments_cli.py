@@ -4,14 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hatalloc import dynamics, experiments, load_scenario, model, oracle, save_scenario, \
-    serialize_scenario
+from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, \
+    save_scenario, serialize_scenario
 from hatalloc.cli import main
 from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
@@ -31,7 +32,14 @@ from hatalloc.experiments import (
     with_attitudes,
 )
 
-from conftest import free_multiplier_scenario, path_scenario, single_agent_scenario
+from conftest import (
+    free_multiplier_scenario,
+    generator_stages,
+    path_scenario,
+    record_calls,
+    single_agent_scenario,
+    team_draw,
+)
 
 
 class TestGenerators:
@@ -101,43 +109,47 @@ class TestGenerators:
         monkeypatch.undo()
         assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
-    def test_rejection_reduces_each_attitude_cell_once(self, monkeypatch):
-        """One `stack_problem` for the draw, and one reduction of it per
-        attitude cell."""
-        scenario = team_scenario(1)
-        reduced, stacked = [], []
-        real_reduce, real_stack = oracle.reduce_stacked, model.stack_problem
+    def test_generator_stacks_each_draw_once(self, monkeypatch):
+        """Generation makes one `stack_problem` per draw and no
+        `reduce_program`, decouples each tightened draw once, and builds a
+        `Scenario` only for each draw, each tightened offset and the
+        accepted draw."""
+        log, built = [], []
+        record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program,
+                     reformulation.build_decoupled, experiments._offset_search)
+        real_init = model.Scenario.__post_init__
+        monkeypatch.setattr(model.Scenario, "__post_init__",
+                            lambda self: built.append(self) or real_init(self))
+        fresh = team_scenario.__wrapped__(1)
+        monkeypatch.undo()
+        calls = Counter(name for name, _, _ in log)
+        offsets = [c for name, _, c in log if name == "_offset_search"]
+        tightened = sum(c is not None for c in offsets)
+        assert len(offsets) == 95 and tightened == 16  # seed 1 accepts draw 94
+        assert calls["stack_problem"] == len(offsets)
+        assert calls["reduce_program"] == 0
+        assert calls["build_decoupled"] == tightened
+        assert len(built) == len(offsets) + tightened + 1
+        assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
-        def counted(sp, c):
-            reduced.append(sp)
-            return real_reduce(sp, c)
+    def test_scale_and_rejection_assemble_nothing(self, monkeypatch):
+        """The scale step and `_rejection` read the draw's cell stacks and
+        its one decoupled constraint: they call no `stack_problem`,
+        `build_decoupled` or `reduce_program` and build no `Scenario`."""
+        tightened, stacks, own, s, dc = generator_stages(team_draw(94))
+        own_cell = oracle.reduce_stacked(stacks[own], tightened.constraint.c)
 
-        def counted_stack(scenario):
-            stacked.append(scenario)
-            return real_stack(scenario)
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled during the scale step or the rejection")
 
-        for module in (experiments, oracle):
-            monkeypatch.setattr(module, "reduce_stacked", counted)
-        for module in (experiments, oracle, model):
-            monkeypatch.setattr(module, "stack_problem", counted_stack)
-        assert _rejection(scenario, abscissa_bar=-0.08, check_grid=True) is None
-        assert 1 <= len(reduced) <= 4
-        assert len({id(sp) for sp in reduced}) == len(reduced)
-        assert len(stacked) == 1
-
-    def test_normalize_scale_reduces_once(self, monkeypatch):
-        scenario = team_scenario(1)
-        reduced = []
-        real = oracle.reduce_program
-
-        def counted(scenario):
-            reduced.append(scenario)
-            return real(scenario)
-
-        for module in (experiments, dynamics, oracle):
-            monkeypatch.setattr(module, "reduce_program", counted)
-        _normalize_scale(scenario)
-        assert len(reduced) == 1
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "hatalloc"]
+        for module in modules:
+            for name in ("stack_problem", "build_decoupled", "reduce_program"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(model.Scenario, "__post_init__", refuse)
+        assert _normalize_scale(tightened, own_cell, dc) == s
+        assert _rejection(tightened, stacks, own, s, dc, abscissa_bar=-0.08,
+                          check_grid=True) is None
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -159,6 +171,35 @@ class TestRunExperiment:
         assert os.path.exists(result.artifacts["trajectory"])
         assert os.path.exists(result.artifacts["summary"])
         assert result.summary["kkt"]["primal"] <= 1e-6
+
+    def test_run_with_the_oracle_reduces_once(self, tmp_path, monkeypatch):
+        """A run with the oracle reference makes three stacks (the oracle's
+        reduction, the flow's engine and the KKT residuals' engine) and one
+        `reduce_program`, which the solve and the lift both read."""
+        scenario = team_scenario(1).with_solver(max_time=0.5)
+        log = []
+        record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program)
+        result = experiments._run_scenario(scenario, str(tmp_path), {}, oracle=True)
+        assert Counter(name for name, _, _ in log) == {"stack_problem": 3, "reduce_program": 1}
+        assert "oracle_value" in result.summary
+
+    @pytest.mark.parametrize("scenario, reason", [
+        (random_scenario(3, n_autonomous=3, n_human=1, rows=13),
+         "13 constraint rows exceed the enumeration bound 12"),
+        (path_scenario(family="softplus_affine"),
+         "human 'k1' uses family 'softplus_affine'"),
+    ])
+    def test_run_outside_the_oracle_scope_runs_without_it(self, tmp_path, capsys,
+                                                          scenario, reason):
+        """A file the oracle cannot solve still runs, without the reference,
+        and its summary says why; `hatalloc oracle` on it still fails."""
+        path = tmp_path / "s.json"
+        save_scenario(scenario, path)
+        assert main(["run", str(path), "--max-time", "0.05", "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["oracle"].startswith(f"unavailable: {reason}")
+        assert "final_deviation" not in summary
+        assert main(["oracle", str(path)]) == 2
 
     def test_unknown_preset_is_usage_error(self, tmp_path):
         code = main(["run", "no_such_preset", "--out", str(tmp_path)])

@@ -18,12 +18,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hatalloc import build_decoupled, dynamics, initial_state, integrate
+from hatalloc import build_decoupled, dynamics, initial_state, integrate, model, oracle
 from hatalloc.dynamics import CHUNK, FlowEngine, _ChunkPlan, _step_arrays
 from hatalloc.experiments import crosscheck_scenario, random_scenario
 from hatalloc.human import ApproximationSchedule
 
-from conftest import path_scenario
+from conftest import path_scenario, record_calls
 
 STEPS = 300
 AFFINE_SEEDS = (0, 1, 2, 5, 11)
@@ -284,3 +284,17 @@ def test_folded_velocity_equals_rhs(data):
     expected = np.concatenate(engine.rhs(x, z, lam, 0.0))
     scale = max(1.0, float(np.max(np.abs(expected))))
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * scale)
+
+
+def test_integrate_stacks_once_and_folds_its_own_stack(monkeypatch):
+    """`integrate` assembles one stack, its engine's, and folds the reduction
+    of that stack; it reduces no scenario, since the engine has already
+    decided the flow folds."""
+    scenario = crosscheck_scenario(2).with_solver(max_time=1.0)
+    log = []
+    record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program,
+                 oracle.reduce_stacked)
+    _, record = integrate(scenario)
+    assert [name for name, _, _ in log] == ["stack_problem", "reduce_stacked"]
+    assert log[1][1][0] is log[0][2]
+    assert record.chunked_steps > 0

@@ -1,23 +1,25 @@
 """The generator's offset search against a per-offset reference.
 
-`_tighten_offsets` reduces every attitude cell of a draw from one
-`stack_problem`, screens all probed offsets with the cells' affine KKT maps
-and solves the probes the screen keeps exactly, re-targeting the reduced
-cells with `ReducedProgram.with_offset`. The reference below is the
-per-offset search it replaced: a new scenario for every probe, solved and
-checked with the scenario-level oracle functions. Both must pick the same
-offset bit for bit, because the generator's accepted draws (and so every
-seeded benchmark instance) depend on it.
+The generator reduces every attitude cell of a draw from one
+`stack_problem`, and `_offset_search` screens all probed offsets with the
+cells' affine KKT maps and solves the probes the screen keeps exactly,
+re-targeting the reduced cells with `ReducedProgram.with_offset`. The
+reference below is the per-offset search it replaced: a new scenario for
+every probe, solved and checked with the scenario-level oracle functions.
+Both must pick the same offset bit for bit, because the generator's accepted
+draws (and so every seeded benchmark instance) depend on it. After the
+search, the generator scales the draw's cell stacks instead of rebuilding
+the scaled scenario; they must reduce to the same floats.
 """
 
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,34 +36,49 @@ from hatalloc.experiments import (
     _draw_instance,
     _cell_admissible,
     _cell_stacks,
-    _normalize_scale,
+    _generate,
     _offset_search,
+    _scaled,
     _screen,
-    _tighten_offsets,
+    _stability_margins,
     _with_offsets,
     crosscheck_scenario,
     team_scenario,
 )
 from hatalloc.model import Scenario, serialize_scenario
 from hatalloc.oracle import (
+    ReducedProgram,
     reduce_program,
     reduce_stacked,
     solve_centralized,
     solve_program,
     strictly_feasible_point,
 )
+from hatalloc.reformulation import build_decoupled
 
-from conftest import path_scenario
+from conftest import (
+    TEAM_ATTITUDES,
+    generator_stages,
+    path_scenario,
+    record_calls,
+    scaled_scenario,
+    team_draw,
+)
 
-TEAM_ATTITUDES = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
 # Team seed 1, stream 40: draws 5, 12, 14 and 15 are tightened, the other
 # eight are rejected.
 DRAWS = range(4, 16)
 
 
-def _team_draw(attempt, seed=1):
-    rng = np.random.default_rng(np.random.SeedSequence([40, seed, attempt]))
-    return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+def _cells(scenario):
+    """The attitude cells' reduced programs, as the generator builds them."""
+    stacks = _cell_stacks(scenario, model.stack_problem(scenario))
+    return [reduce_stacked(sp, scenario.constraint.c) for sp in stacks.values()]
+
+
+def _tighten(scenario, tally=None):
+    """The offset the generator's search takes for a raw draw, or None."""
+    return _offset_search(_cells(scenario), Counter() if tally is None else tally)
 
 
 def _reference_row_levels(scenario, c, x):
@@ -82,7 +99,7 @@ def _reference_cell_admissible(cell):
 
 
 def _reference_tighten(scenario):
-    """The search with one new scenario per probed offset."""
+    """The offset the search takes, with one new scenario per probed offset."""
     cells = list(attitude_cells(scenario).values())
     slack_c = np.array([-1e6, -1e6])
     productions = []
@@ -114,62 +131,55 @@ def _reference_tighten(scenario):
             c_try = np.array([-theta * min(usages), demand])
             if all(_reference_cell_admissible(_with_offsets(cell, c_try))
                    for cell in cells):
-                return _with_offsets(scenario, c_try)
+                return c_try
     return None
 
 
 @pytest.mark.parametrize("attempt", DRAWS)
 def test_tighten_matches_per_offset_reference(attempt):
-    draw = _team_draw(attempt)
-    got = _tighten_offsets(draw)
+    draw = team_draw(attempt)
+    got = _tighten(draw)
     expected = _reference_tighten(draw)
     assert (got is None) == (expected is None)
     if expected is not None:
-        assert np.array_equal(got.constraint.c, expected.constraint.c)
+        assert np.array_equal(got, expected)
 
 
 def test_draws_cover_accepted_and_rejected():
-    outcomes = {_tighten_offsets(_team_draw(attempt)) is None for attempt in DRAWS}
+    outcomes = {_tighten(team_draw(attempt)) is None for attempt in DRAWS}
     assert outcomes == {True, False}
 
 
 def test_tighten_reduces_each_cell_once(monkeypatch):
-    """One `stack_problem` per draw, one reduction of it per attitude cell,
-    and no `Scenario` but the one returned."""
-    draw = _team_draw(5)
-    n_cells = len(attitude_cells(draw))
-    stacked, reduced, built = [], [], []
-    real_stack, real_reduce = model.stack_problem, oracle.reduce_stacked
+    """`_generate` stacks each draw once, then reduces each attitude cell of
+    that stack once, and those reductions are the cells its offset search
+    reads. No `Scenario` is built between the draw and its search, and no
+    scenario is reduced."""
+    log = []
+    record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_stacked,
+                 oracle.reduce_program, experiments._offset_search)
     real_init = Scenario.__post_init__
-
-    def refuse(scenario):
-        raise AssertionError("the offset search reduced a scenario")
-
-    monkeypatch.setattr(experiments, "stack_problem",
-                        lambda scenario: stacked.append(scenario) or real_stack(scenario))
-    monkeypatch.setattr(experiments, "reduce_stacked",
-                        lambda sp, c: reduced.append(sp) or real_reduce(sp, c))
-    monkeypatch.setattr(experiments, "reduce_program", refuse)
-    monkeypatch.setattr(oracle, "reduce_program", refuse)
     monkeypatch.setattr(Scenario, "__post_init__",
-                        lambda self: built.append(self) or real_init(self))
-    tightened = _tighten_offsets(draw)
-    assert tightened is not None
-    assert stacked == [draw]
-    assert len(reduced) == n_cells
-    assert built == [tightened]
-
-
-def _cells(scenario):
-    """The attitude cells' reduced programs, as `_tighten_offsets` builds them."""
-    stacks = _cell_stacks(scenario, model.stack_problem(scenario))
-    return [reduce_stacked(sp, scenario.constraint.c) for sp in stacks.values()]
+                        lambda self: log.append(("Scenario", (self,), None)) or real_init(self))
+    with pytest.raises(HatallocError):  # draws 0-15 of seed 1 hold no admissible one
+        _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES, abscissa_bar=-0.08,
+                  check_grid=True, stream=40, max_attempts=16)
+    assert "reduce_program" not in {name for name, _, _ in log}
+    starts = [i for i, (name, _, _) in enumerate(log) if name == "stack_problem"]
+    searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
+    assert len(starts) == len(searches) == 16
+    for start, search in zip(starts, searches):
+        sp, cells = log[start][2], log[search][1][0]
+        between = log[start + 1:search]
+        assert [name for name, _, _ in between] == ["reduce_stacked"] * 4  # two humans
+        assert [result for _, _, result in between] == cells
+        assert any(args[0] is sp for _, args, _ in between)
 
 
 def test_cell_stacks_reduce_like_relabeled_scenarios():
     """A cell's sign-flipped stack reduces to the same floats as the
     relabeled scenario, signed zeros included."""
-    for scenario in (_team_draw(5), _team_draw(6), crosscheck_scenario(2)):
+    for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2)):
         for got, cell in zip(_cells(scenario), attitude_cells(scenario).values()):
             expected = reduce_program(cell)
             for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d"):
@@ -197,7 +207,7 @@ def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
     monkeypatch.setattr(experiments, "_cell_admissible",
                         lambda rp: admissible.append(rp) or real_admissible(rp))
     tally = Counter()
-    tightened = _tighten_offsets(_team_draw(attempt), tally)
+    tightened = _tighten(team_draw(attempt), tally)
     assert tally["exact_solves"] == len(solves)
     if tightened is None:
         assert tally["screened"] == 1
@@ -210,7 +220,7 @@ def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
 def test_singular_kkt_system_passes_every_probe():
     """Two equal constraint rows make a cell's KKT matrix, and its Schur
     complement M, singular: that cell turns the screen off."""
-    cells = _cells(_team_draw(4))
+    cells = _cells(team_draw(4))
     assert not _screen(cells).any()  # draw 4 is screened out
     twin_rows = replace(cells[2], G_c=cells[2].G_c[[1, 1]])
     assert _screen(cells[:2] + [twin_rows] + cells[3:]).all()
@@ -240,23 +250,28 @@ def _assert_screen_keeps_zero_responses(cells, c, index):
 
 @pytest.mark.parametrize("attempt", (5, 12, 14, 15))
 def test_screen_keeps_a_probe_with_a_response_at_zero(attempt):
-    cells = _cells(_team_draw(attempt))
+    cells = _cells(team_draw(attempt))
     c = _offset_search(cells, Counter())
     for index in range(len(cells)):
         _assert_screen_keeps_zero_responses(cells, c, index)
 
 
 @st.composite
-def raw_draws(draw):
-    """An unscreened generator draw, shaped as `team_scenario`'s or as
-    `crosscheck_scenario`'s."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def draw_shapes(draw):
+    """`_draw_instance`'s (autonomous dims, human dims, attitudes), shaped as
+    `team_scenario`'s or as `crosscheck_scenario`'s."""
     if draw(st.booleans()):
-        return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+        return TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES
     auto_dims = tuple(draw(st.lists(st.integers(3, 5), min_size=3, max_size=4)))
     human_dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
-    attitudes = dict(list(TEAM_ATTITUDES.items())[:len(human_dims)])
-    return _draw_instance(rng, auto_dims, human_dims, attitudes)
+    return auto_dims, human_dims, dict(list(TEAM_ATTITUDES.items())[:len(human_dims)])
+
+
+@st.composite
+def raw_draws(draw):
+    """An unscreened generator draw of either shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _draw_instance(rng, *draw(draw_shapes()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -264,13 +279,40 @@ def raw_draws(draw):
 def test_screened_search_matches_reference_on_raw_draws(scenario, data):
     """The screened search takes the reference's offset bit for bit, and
     still does when a cell's smallest response sits at zero there."""
-    got, expected = _tighten_offsets(scenario), _reference_tighten(scenario)
+    got, expected = _tighten(scenario), _reference_tighten(scenario)
     assert (got is None) == (expected is None)
     if expected is not None:
-        assert got.constraint.c.tobytes() == expected.constraint.c.tobytes()
+        assert got.tobytes() == expected.tobytes()
         cells = _cells(scenario)
         index = data.draw(st.integers(0, len(cells) - 1))
-        _assert_screen_keeps_zero_responses(cells, got.constraint.c, index)
+        _assert_screen_keeps_zero_responses(cells, got, index)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=draw_shapes())
+def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
+    """On the first of up to 40 raw draws from one seed that the offset
+    search tightens: `_rejection` reads each attitude cell as `_scaled` of
+    the draw's cell stack. Every field of it is byte-equal to
+    `reduce_program` of the same cell of the scenario rebuilt with scaled
+    offsets and bases, and the tightened decoupled constraint gives the
+    rebuilt scenario's stability margins."""
+    rng = np.random.default_rng(seed)
+    draws = (generator_stages(_draw_instance(rng, *shape)) for _ in range(40))
+    stages = next((stages for stages in draws if stages is not None), None)
+    assume(stages is not None)
+    tightened, stacks, _, s, dc = stages
+    scaled = scaled_scenario(tightened, s)
+    scaled_dc, dt = build_decoupled(scaled), tightened.solver.dt
+    cells = attitude_cells(scaled)
+    assert list(cells) == list(stacks)
+    for key, cell in cells.items():
+        got, expected = _scaled(stacks[key], s, tightened.constraint.c), reduce_program(cell)
+        for f in fields(ReducedProgram):
+            if f.init:
+                a, b = getattr(got, f.name), getattr(expected, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        assert _stability_margins(got, dc, dt) == _stability_margins(got, scaled_dc, dt)
 
 
 # sha256 of `json.dumps(serialize_scenario(s), indent=2)`, the text that
@@ -331,13 +373,14 @@ def _zero_start_speed(scenario):
 
 
 def test_scaled_draws_start_within_the_speed_cap():
-    """`_normalize_scale` bounds the zero-start speed of every tightened draw,
-    so the generator needs no admission check on it."""
+    """`_normalize_scale`'s factor bounds the zero-start speed of every
+    tightened draw, so the generator needs no admission check on it."""
     speeds = {}
     for attempt in range(60):
-        tightened = _tighten_offsets(_team_draw(attempt))
-        if tightened is not None:
-            speeds[attempt] = _zero_start_speed(_normalize_scale(tightened))
+        stages = generator_stages(team_draw(attempt))
+        if stages is not None:
+            tightened, _, _, s, _ = stages
+            speeds[attempt] = _zero_start_speed(scaled_scenario(tightened, s))
     assert max(speeds.values()) <= INITIAL_SPEED_CAP * (1 + 1e-12)
     # Draw 5 is one where the cap, not the saddle-norm target, sets the scale.
     assert speeds[5] == pytest.approx(INITIAL_SPEED_CAP, abs=1e-12)
@@ -351,7 +394,7 @@ def _outcome(solve):
         return type(exc)
 
 
-OFFSET_SCENARIOS = [crosscheck_scenario(seed) for seed in (1, 2, 3)] + [_team_draw(5)]
+OFFSET_SCENARIOS = [crosscheck_scenario(seed) for seed in (1, 2, 3)] + [team_draw(5)]
 offsets = st.floats(-50.0, 50.0, allow_nan=False) | st.just(-1e6)
 
 

@@ -58,7 +58,8 @@ def test_pipeline_never_builds_the_dense_lift(monkeypatch, family):
     residuals = kkt_residual(scenario, dc, final)
     assert np.isfinite(residuals.stationarity)
 
-    x, y = _sample_feasible_pair(scenario, np.random.default_rng(0))
+    a_pinv = np.linalg.pinv(stack_problem(scenario).a_cat)
+    x, y = _sample_feasible_pair(scenario, a_pinv, np.random.default_rng(0))
     z = find_certificate_z(dc, x, y, coupled_residual(scenario, x, y))
     assert z is not None
 
