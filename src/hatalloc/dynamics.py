@@ -23,8 +23,8 @@ are the true ones:
     dz      = -l_bar lambda
     gap     = C x + l_bar z + b_g,     b_g = [0 ; b_bar d] + c_split
 
-where H and g come from the oracle's `reduce_stacked` of the engine's own
-stack, so the flow and the oracle step one assembled problem. The velocity
+where H and g come from the oracle's `reduce_stacked` of `scenario.stacked`,
+so the flow and the oracle step one assembled problem. The velocity
 is M w + b; M is graph-local, kept as row, column and value arrays of its
 O(edges) nonzeros. Every other scenario takes its velocity from
 `FlowEngine.rhs`, which reads the softplus rows and the schedules row by row
@@ -54,15 +54,15 @@ chunk that ends at the stopping step is taken whenever roundoff puts its
 norm above the tolerance.
 
 The dense M (`dense_operator`, which the generator's stability check also
-reads) and the unclamped P are built once per run. A P_S for a nonempty S
-is built from that M only once S has held across two chunk attempts in a
-row, into one buffer that the next such S reuses, so at most two
-propagators are live; an attempt under an S without one is skipped, not
-computed. Chunks pay N^2 multiply-adds per step and a sparse step its
-nonzeros plus the numpy call overhead, so chunks are used only when
-N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array is
-allocated: the benchmark's 7-agent team chunks, a few hundred agents keep
-the sparse step.
+reads) and the unclamped P are built once per run of at least CHUNK steps.
+A P_S for a nonempty S is built from that M only once S has held across two
+chunk attempts in a row, into one buffer that the next such S reuses, so at
+most two propagators are live; an attempt under an S without one is
+skipped, not computed. Chunks pay N^2 multiply-adds per step and a sparse
+step its nonzeros plus the numpy call overhead, so chunks are used only
+when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array
+is allocated: the benchmark's 7-agent team chunks, a few hundred agents
+keep the sparse step.
 
 A run starts from `initial_state`, the scenario's (already checked) overrides
 laid on zeros. Explicit finiteness checks decide divergence, so numpy's
@@ -87,7 +87,7 @@ import numpy as np
 from . import metrics
 from .errors import DivergenceError
 from .human import logistic, softplus
-from .model import Scenario, stack_problem
+from .model import Scenario
 from .oracle import ReducedProgram, reduce_stacked
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
@@ -125,7 +125,7 @@ def initial_state(scenario: Scenario) -> SystemState:
 class FlowEngine:
     """Vectorized evaluator of the flow over stacked state vectors.
 
-    Reads everything it evaluates from `model.stack_problem`: the response
+    Reads everything it evaluates from `scenario.stacked`: the response
     map S x + d, the softplus rows with their sharpness, and the schedule
     deltas row by row, so the right-hand side is a handful of mat-vecs and
     indexed numpy expressions, with no loop over agents, which is what makes
@@ -138,13 +138,10 @@ class FlowEngine:
     def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None):
         self.scenario = scenario
         self.dc = dc if dc is not None else build_decoupled(scenario)
-        lay = scenario.layout
-        self.layout = lay
-        self.stacked = sp = stack_problem(scenario)
+        self.layout = lay = scenario.layout
+        self.stacked = sp = scenario.stacked
         self._rm = self.dc.rows * len(lay.autonomous_ids)
         self._quadratic = sp.x_weight is not None
-        if self._quadratic:
-            self._fx2, self._gy2 = 2.0 * sp.x_weight, 2.0 * sp.y_weight
 
         self._settle_time = float(sp.settle.max(initial=0.0))
         # From `_fold_time` on the flow is affine and `velocity` steps the
@@ -198,7 +195,7 @@ class FlowEngine:
 
     def _grad_f(self, x: np.ndarray) -> np.ndarray:
         if self._quadratic:
-            return self._fx2 @ x
+            return 2.0 * (self.stacked.x_weight @ x)
         lay = self.layout
         out = np.empty(lay.x_dim)
         for i in lay.autonomous_ids:
@@ -208,7 +205,7 @@ class FlowEngine:
 
     def _grad_g(self, y: np.ndarray) -> np.ndarray:
         if self._quadratic:
-            return self._gy2 @ y
+            return 2.0 * (self.stacked.y_weight @ y)
         lay = self.layout
         out = np.empty(lay.y_dim)
         for k in lay.human_ids:
@@ -218,7 +215,8 @@ class FlowEngine:
 
     def objective_value(self, x: np.ndarray, y: np.ndarray) -> float:
         if self._quadratic:
-            return float(0.5 * x @ (self._fx2 @ x) + 0.5 * y @ (self._gy2 @ y))
+            sp = self.stacked
+            return float(x @ (sp.x_weight @ x) + y @ (sp.y_weight @ y))
         lay = self.layout
         total = 0.0
         for i in lay.autonomous_ids:
@@ -253,7 +251,7 @@ class FlowEngine:
         return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
     def folded(self):
-        """`fold` of the engine's own stack, reduced, on the first call; read
+        """`fold` of the scenario's stack, reduced, on the first call; read
         only once the flow folds, which covers `reduce_program`'s checks."""
         if self._folded is None:
             rp = reduce_stacked(self.stacked, self.scenario.constraint.c)
@@ -454,17 +452,17 @@ def _chunk(P, w, v, dt, lam_start, floor, clamp=None):
 
 
 class _ChunkPlan:
-    """The propagators of a run: the unclamped one, built at the start, and
-    at most one for a nonempty clamp set S, built in one reused buffer once
-    S has held across two chunk attempts in a row. An attempt under any other
-    S is skipped, not computed. The dense M they are built from is made once,
-    and only when the flow folds and N^2 <= nnz + STEP_OVERHEAD_ENTRIES;
-    otherwise `free` is None and every step is a sparse one."""
+    """The propagators of a run: the unclamped one, built at the start, and at
+    most one for a nonempty clamp set S, built in one reused buffer once S has
+    held across two chunk attempts in a row. An attempt under any other S is
+    skipped, not computed. The dense M they are built from is made once, and
+    only when the flow folds, the run's `n_steps` hold a chunk and N^2 <=
+    nnz + STEP_OVERHEAD_ENTRIES; otherwise `free` is None and steps are sparse."""
 
-    def __init__(self, engine, dt):
+    def __init__(self, engine, dt, n_steps):
         self.dt = dt
         self.free = self.M = None
-        if engine._fold_time < math.inf:
+        if engine._fold_time < math.inf and n_steps >= CHUNK:
             rows, _, _, b = folded = engine.folded()
             if b.size * b.size <= rows.size + STEP_OVERHEAD_ENTRIES:
                 self.M, self.b = dense_operator(folded), b
@@ -506,7 +504,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
-    plan = _ChunkPlan(engine, dt)
+    plan = _ChunkPlan(engine, dt, n_steps)
     floor = opts.tolerance * (1.0 + CHUNK_GUARD)
 
     w_ref = None
@@ -648,8 +646,8 @@ def _samples(engine, sampled, dt, reference):
         dY = Y - np.asarray(reference[1], float)
         deviation = (np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", dY, dY)).tolist()
     if engine._quadratic:
-        objective = 0.5 * (np.einsum("ij,ij->i", X @ engine._fx2.T, X)
-                           + np.einsum("ij,ij->i", Y @ engine._gy2.T, Y))
+        objective = (np.einsum("ij,ij->i", X @ sp.x_weight.T, X)
+                     + np.einsum("ij,ij->i", Y @ sp.y_weight.T, Y))
     else:
         objective = np.array([engine.objective_value(x, y) for x, y in zip(X, Y)])
     lifted = (dc.laplacian @ Z.reshape(len(ts), -1, dc.rows)).reshape(Z.shape)
@@ -685,11 +683,7 @@ GRADIENT_CHECK_STEP = 1e-6
 def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> float:
     """Max relative error of the analytic x-gradient of the Lagrangian
     against central finite differences of step `GRADIENT_CHECK_STEP`."""
-    return _gradient_error(FlowEngine(scenario, dc), state)
-
-
-def _gradient_error(engine: FlowEngine, state: SystemState) -> float:
-    """`gradient_check` on an engine already built."""
+    engine = FlowEngine(scenario, dc)
     x, z, lam = engine.stack_state(state)
     analytic, _ = engine.lagrangian_gradient_x(x, lam, state.t)
     worst = 0.0

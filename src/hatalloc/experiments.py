@@ -9,9 +9,9 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
-`_generate` stacks each draw once (`stack_problem`), builds every
-risk-attitude cell from that stack by negating the gain blocks of the humans
-whose unit attitude the cell flips, and reduces each cell (`reduce_stacked`).
+`_generate` reads each draw's stack (`Scenario.stacked`), builds every
+risk-attitude cell from it by negating the gain blocks of the humans whose
+unit attitude the cell flips, and reduces each cell (`reduce_stacked`).
 Every admission stage reads these cells. The offset search screens all nine
 (demand margin, budget fraction) probes at once: with its active set fixed,
 each probe's solution is affine in the offset c, so one inverse of each
@@ -25,9 +25,10 @@ and every seeded instance, is the exact search's bit for bit.
 Offsets and response bases are then scaled by one factor s: for quadratic
 costs with affine responses the optimal point is exactly linear in
 (c, base), so normalizing the lifted saddle norm keeps the flow's velocity
-small enough for tight per-step descent checks. The remaining checks read
-each cell's stack with d scaled by s. A `Scenario` is built only for the
-tightened offsets and for the accepted draw.
+small enough for tight per-step descent checks; the lift reads the
+tightened scenario's stack. The remaining checks read each cell's stack with
+d scaled by s. A `Scenario` is built only for the tightened offsets and for
+the accepted draw.
 """
 
 from __future__ import annotations
@@ -53,14 +54,12 @@ from .model import (
     SolverOptions,
     StackedProblem,
     save_scenario,
-    stack_problem,
 )
 from .oracle import (
     ReducedProgram,
-    _lift,
     interior_point,
+    lift_to_saddle,
     load_scenario,
-    reduce_program,
     reduce_stacked,
     solve_centralized,
     solve_program,
@@ -192,15 +191,15 @@ def attitude_cells(scenario: Scenario) -> dict[tuple[str, ...], Scenario]:
     }
 
 
-def _cell_stacks(scenario: Scenario, sp: StackedProblem) -> dict[tuple[str, ...], StackedProblem]:
-    """`attitude_cells` as stacked problems, all from the scenario's stack `sp`.
+def _cell_stacks(scenario: Scenario) -> dict[tuple[str, ...], StackedProblem]:
+    """`attitude_cells` as stacked problems, all from the scenario's stack.
 
     A unit attitude only signs its human's gain blocks in S, and generated
     draws have unit attitudes, so a cell negates the blocks of each human
     whose attitude it flips: the floats `stack_problem` lays out for the
-    relabeled scenario. The cell with the scenario's own attitudes is `sp`.
+    relabeled scenario. The scenario's own cell is `scenario.stacked`.
     """
-    lay = scenario.layout
+    lay, sp = scenario.layout, scenario.stacked
     models = [scenario.human_models[k] for k in lay.human_ids]
     if any(abs(model.attitude) != 1.0 for model in models):
         raise ValueError("attitude cells from one stack need unit attitudes")
@@ -380,7 +379,7 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
     structure; its zero-start speed is at most `INITIAL_SPEED_CAP`.
     """
     x, _, mu, _ = solve_program(rp)
-    _, lam, eta = _lift(scenario, rp, dc, x, mu)
+    _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
     b = fold(rp, dc)[3]
@@ -500,9 +499,8 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
         draw = _draw_instance(rng, auto_dims, human_dims, attitudes)
         # One stack per draw: every stage below reads its attitude cells.
-        sp = stack_problem(draw)
-        stacks = _cell_stacks(draw, sp)
-        own = next(key for key, cell in stacks.items() if cell is sp)
+        stacks = _cell_stacks(draw)
+        own = next(key for key, cell in stacks.items() if cell is draw.stacked)
         cells = {key: reduce_stacked(cell, draw.constraint.c) for key, cell in stacks.items()}
         c = _offset_search(list(cells.values()), tally)
         if c is None:
@@ -668,21 +666,20 @@ def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
 def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
                   oracle: bool) -> ExperimentResult:
     """Decouple, integrate, take the KKT residuals and write `trajectory.csv`
-    and `summary.json`. With `oracle`, the scenario is reduced once, solved
-    and lifted, and deviation/saddle-distance metrics are recorded against
-    it; an instance outside the oracle's scope still runs, without them, and
+    and `summary.json`. With `oracle`, the scenario is solved centrally and
+    lifted, and deviation/saddle-distance metrics are recorded against it;
+    an instance outside the oracle's scope still runs, without them, and
     `summary["oracle"]` says why."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
     tracking = {}
     if oracle:
         try:
-            rp = reduce_program(scenario)
-            x_star, y_star, mu_star, value = solve_program(rp)
+            x_star, y_star, mu_star, value = solve_centralized(scenario)
         except UnsupportedByOracleError as exc:
             summary["oracle"] = f"unavailable: {exc}"
         else:
-            _, lam_star, eta_star = _lift(scenario, rp, dc, x_star, mu_star)
+            _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
             tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
     final, record = integrate(scenario, dc=dc, **tracking)
 

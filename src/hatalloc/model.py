@@ -5,9 +5,10 @@ costs, the shared linear inequality coupling every agent, the human response
 models with their schedules, an optional initial state, and solver options.
 `Scenario.__post_init__` is the one semantic check of all of it, for documents
 and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
-changed copy again. The document parser checks only JSON types. Documents are
-JSON trees; floats survive a save/load round trip bit-exactly. Files are read
-by `oracle.load_scenario`, since a document may ask for a Slater certificate.
+changed copy again, which assembles its own read-only `stacked` operators on
+first use. The document parser checks only JSON types. Documents are JSON
+trees; floats survive a save/load round trip bit-exactly. Files are read by
+`oracle.load_scenario`, since a document may ask for a Slater certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable
 
@@ -322,6 +324,16 @@ class Scenario:
     def with_solver(self, **overrides) -> "Scenario":
         return replace(self, solver=replace(self.solver, **overrides))
 
+    @cached_property
+    def stacked(self) -> StackedProblem:
+        """`stack_problem` of this scenario, built on first use for every
+        consumer; read-only, as the scenario is immutable."""
+        sp = stack_problem(self)
+        for value in vars(sp).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return sp
+
     def human_response(
         self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0
     ) -> np.ndarray:
@@ -363,7 +375,7 @@ class StackedProblem:
 
 def stack_problem(scenario: Scenario) -> StackedProblem:
     """Assemble the stacked operators that the flow, the oracle and the
-    generator all read."""
+    generator all read, through `Scenario.stacked`."""
     lay = scenario.layout
     con = scenario.constraint
     S = np.zeros((lay.y_dim, lay.x_dim))

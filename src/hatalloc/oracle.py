@@ -9,7 +9,9 @@ program only h_c = c + B d depends on the offset c, so
 `ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
 `solve_program` / `interior_point` solve a reduced program as it stands.
 `reduce_stacked` holds the reduction algebra, so a caller that already has
-stacked operators reduces them the way `reduce_program` reduces a scenario.
+stacked operators reduces them the way `reduce_program` reduces
+`scenario.stacked`, from which `lift_to_saddle` reads S and d: it reduces
+nothing.
 `load_scenario` reads scenario files, since a file may ask for the solver's
 Slater certificate.
 """
@@ -35,7 +37,6 @@ from .model import (
     Scenario,
     StackedProblem,
     scenario_from_document,
-    stack_problem,
 )
 from .reformulation import (
     DecoupledConstraint,
@@ -91,14 +92,14 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
                 f"human '{k}' uses family '{model.family}'; the centralized "
                 "solver handles affine responses only"
             )
-    return reduce_stacked(stack_problem(scenario), scenario.constraint.c)
+    return reduce_stacked(scenario.stacked, scenario.constraint.c)
 
 
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     """The reduced program of stacked operators with quadratic costs and
     affine responses, at constraint offset c. `reduce_program` checks those
     conditions; the generator calls this on attitude cells it builds from one
-    `stack_problem` by flipping rows of S."""
+    stack by flipping rows of S."""
     S, d, gam_bar = sp.S, sp.d, sp.y_weight
     H = 2.0 * (sp.x_weight + S.T @ gam_bar @ S)
     H = 0.5 * (H + H.T)
@@ -239,12 +240,8 @@ def lift_to_saddle(
     at the lifted point. Raises `CertificateError` when the Laplacian solve
     for z* leaves a residual, i.e. the decoupled constraint is broken.
     """
-    return _lift(scenario, reduce_program(scenario), dc, x_star, mu_star)
-
-
-def _lift(scenario, rp, dc, x_star, mu_star):
-    """`lift_to_saddle` with the scenario's reduced program `rp` at hand."""
-    y_star = rp.S @ x_star + rp.d
+    sp = scenario.stacked
+    y_star = sp.S @ x_star + sp.d
     coupled = coupled_residual(scenario, x_star, y_star)
     if np.max(coupled) > 1e-6:
         raise InfeasibleProblemError(

@@ -31,7 +31,6 @@ from hatalloc.model import (
     CustomCost,
     QuadraticCost,
     SolverOptions,
-    stack_problem,
 )
 from hatalloc.oracle import reduce_stacked
 from hatalloc.reformulation import build_decoupled, decoupled_residual_blocks
@@ -294,16 +293,15 @@ def generator_stages(draw):
     tightened scenario, the attitude cells' stacks, the key of the draw's own
     cell, the scale factor s and the decoupled constraint; None when the
     offset search rejects the draw."""
-    sp = stack_problem(draw)
-    stacks = _cell_stacks(draw, sp)
-    own = next(key for key, cell in stacks.items() if cell is sp)
+    stacks = _cell_stacks(draw)
+    own = next(key for key, cell in stacks.items() if cell is draw.stacked)
     cells = [reduce_stacked(cell, draw.constraint.c) for cell in stacks.values()]
     c = _offset_search(cells, Counter())
     if c is None:
         return None
     tightened = _with_offsets(draw, c)
     dc = build_decoupled(tightened)
-    s = _normalize_scale(tightened, reduce_stacked(sp, c), dc)
+    s = _normalize_scale(tightened, reduce_stacked(draw.stacked, c), dc)
     return tightened, stacks, own, s, dc
 
 

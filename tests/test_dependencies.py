@@ -65,3 +65,18 @@ def test_wave_kernel_names_no_stacked_builder():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {part for alias in node.names for part in alias.name.split(".")}
     assert not names & {"FlowEngine", "reduce_program", "stack_problem"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore stays inside its module: no module
+    of the package imports one from another, so each private helper can be
+    changed without a caller elsewhere depending on it."""
+    package = Path(hatalloc.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "hatalloc"):
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -110,8 +111,9 @@ class TestGenerators:
         assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
     def test_generator_stacks_each_draw_once(self, monkeypatch):
-        """Generation makes one `stack_problem` per draw and no
-        `reduce_program`, decouples each tightened draw once, and builds a
+        """Generation makes one `stack_problem` per draw, plus one per
+        tightened draw, whose stack the scale step's lift reads, and no
+        `reduce_program`; it decouples each tightened draw once, and builds a
         `Scenario` only for each draw, each tightened offset and the
         accepted draw."""
         log, built = [], []
@@ -126,7 +128,7 @@ class TestGenerators:
         offsets = [c for name, _, c in log if name == "_offset_search"]
         tightened = sum(c is not None for c in offsets)
         assert len(offsets) == 95 and tightened == 16  # seed 1 accepts draw 94
-        assert calls["stack_problem"] == len(offsets)
+        assert calls["stack_problem"] == len(offsets) + tightened  # 111
         assert calls["reduce_program"] == 0
         assert calls["build_decoupled"] == tightened
         assert len(built) == len(offsets) + tightened + 1
@@ -134,9 +136,11 @@ class TestGenerators:
 
     def test_scale_and_rejection_assemble_nothing(self, monkeypatch):
         """The scale step and `_rejection` read the draw's cell stacks and
-        its one decoupled constraint: they call no `stack_problem`,
-        `build_decoupled` or `reduce_program` and build no `Scenario`."""
+        its one decoupled constraint: they call no `build_decoupled` or
+        `reduce_program` and build no `Scenario`. The one stack they make
+        is the tightened scenario's, for the scale step's lift."""
         tightened, stacks, own, s, dc = generator_stages(team_draw(94))
+        tightened = replace(tightened)  # a copy whose stack is not yet built
         own_cell = oracle.reduce_stacked(stacks[own], tightened.constraint.c)
 
         def refuse(*args, **kwargs):
@@ -144,12 +148,16 @@ class TestGenerators:
 
         modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "hatalloc"]
         for module in modules:
-            for name in ("stack_problem", "build_decoupled", "reduce_program"):
+            for name in ("build_decoupled", "reduce_program"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         monkeypatch.setattr(model.Scenario, "__post_init__", refuse)
+        log = []
+        record_calls(monkeypatch, log, model.stack_problem)
         assert _normalize_scale(tightened, own_cell, dc) == s
+        assert [(name, args) for name, args, _ in log] == [("stack_problem", (tightened,))]
         assert _rejection(tightened, stacks, own, s, dc, abscissa_bar=-0.08,
                           check_grid=True) is None
+        assert len(log) == 1
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -173,15 +181,40 @@ class TestRunExperiment:
         assert result.summary["kkt"]["primal"] <= 1e-6
 
     def test_run_with_the_oracle_reduces_once(self, tmp_path, monkeypatch):
-        """A run with the oracle reference makes three stacks (the oracle's
-        reduction, the flow's engine and the KKT residuals' engine) and one
-        `reduce_program`, which the solve and the lift both read."""
+        """A run with the oracle reference makes one stack, the scenario's,
+        which the oracle's reduction, the lift, the flow's engine and the KKT
+        residuals' engine all read, and one `reduce_program`, the solve's."""
         scenario = team_scenario(1).with_solver(max_time=0.5)
         log = []
         record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program)
         result = experiments._run_scenario(scenario, str(tmp_path), {}, oracle=True)
-        assert Counter(name for name, _, _ in log) == {"stack_problem": 3, "reduce_program": 1}
+        assert Counter(name for name, _, _ in log) == {"stack_problem": 1, "reduce_program": 1}
         assert "oracle_value" in result.summary
+
+    def test_risk_grid_stacks_each_cell_once(self, tmp_path, monkeypatch):
+        """Each attitude cell of the grid is stacked once and decoupled once:
+        its flow, its cost, its oracle solve and its KKT residuals read the
+        cell's one stack."""
+        base = team_scenario(1).with_solver(max_time=0.5)
+        log = []
+        record_calls(monkeypatch, log, model.stack_problem, reformulation.build_decoupled)
+        run_risk_grid(base, 1, str(tmp_path))
+        assert Counter(name for name, _, _ in log) == {"stack_problem": 4, "build_decoupled": 4}
+        stacked = [args[0] for name, args, _ in log if name == "stack_problem"]
+        assert len({id(cell) for cell in stacked}) == 4
+
+    def test_short_run_builds_no_propagator(self, tmp_path, capsys):
+        """A horizon shorter than one chunk builds no propagator; one chunk
+        long, the same file builds the unclamped one."""
+        path = tmp_path / "s.json"
+        save_scenario(random_scenario(3, n_autonomous=3, n_human=1, rows=13), path)
+        builds = []
+        for max_time in ("0.05", "0.064"):
+            argv = ["run", str(path), "--max-time", max_time, "--out", str(tmp_path / max_time)]
+            assert main(argv) == 0
+            summary = json.loads(capsys.readouterr().out)
+            builds.append((summary["steps"], summary["propagator_builds"]))
+        assert builds == [(50, 0), (64, 1)]
 
     @pytest.mark.parametrize("scenario, reason", [
         (random_scenario(3, n_autonomous=3, n_human=1, rows=13),
@@ -611,6 +644,17 @@ class TestReproducibility:
 
 
 class TestCheckCommand:
+    def test_check_stacks_once(self, tmp_path, capsys, monkeypatch):
+        """`hatalloc check` reads the loaded scenario's one stack for its
+        pseudo-inverse, its gradient checks and its tolerance."""
+        path = tmp_path / "fig4.json"
+        save_scenario(team_scenario(1), path)
+        log = []
+        record_calls(monkeypatch, log, model.stack_problem)
+        assert main(["check", str(path)]) == 0
+        assert [name for name, _, _ in log] == ["stack_problem"]
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_check_softplus_instance(self, tmp_path, capsys):
         scenario = path_scenario(attitude=-0.6, family="softplus_affine", beta=4.0)
         path = tmp_path / "soft.json"

@@ -175,7 +175,7 @@ def test_clamped_starts_match_reference_steps(seed, start, n_chunks, rest):
 
 def test_clamp_set_seen_once_builds_no_propagator():
     engine = FlowEngine(random_scenario(2))
-    plan = _ChunkPlan(engine, 1e-3)
+    plan = _ChunkPlan(engine, 1e-3, CHUNK)
     lam_at = engine.layout.x_dim + engine.dc.block_dim
     size = lam_at + engine.dc.block_dim
 
@@ -228,11 +228,13 @@ def test_stop_inside_a_chunk_is_decided_by_single_steps(seed, start, clamped, of
     w = _stacked(scenario, initial_state(scenario))
     vel = np.empty_like(w)
     engine.velocity(w, 0.0, vel)
-    skipped = _ChunkPlan(engine, dt).choose(w.size - engine.dc.block_dim, w, vel) is None
+    n_steps = 2 * CHUNK + 40
+    plan = _ChunkPlan(engine, dt, n_steps)
+    skipped = plan.choose(w.size - engine.dc.block_dim, w, vel) is None
     at = offset + (CHUNK if skipped else 0)
     _, probe = _singly(scenario.with_solver(tolerance=0.0, max_time=at * dt))
     scenario = scenario.with_solver(tolerance=probe.final_update_norm * scale,
-                                    max_time=(2 * CHUNK + 40) * dt)
+                                    max_time=n_steps * dt)
     expected, single = _singly(scenario)
     final, record = integrate(scenario)
     assert (record.steps, record.termination) == (single.steps, single.termination)

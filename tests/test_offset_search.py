@@ -1,7 +1,7 @@
 """The generator's offset search against a per-offset reference.
 
-The generator reduces every attitude cell of a draw from one
-`stack_problem`, and `_offset_search` screens all probed offsets with the
+The generator reduces every attitude cell of a draw from the draw's one
+stack, `Scenario.stacked`, and `_offset_search` screens all probed offsets with the
 cells' affine KKT maps and solves the probes the screen keeps exactly,
 re-targeting the reduced cells with `ReducedProgram.with_offset`. The
 reference below is the per-offset search it replaced: a new scenario for
@@ -72,7 +72,7 @@ DRAWS = range(4, 16)
 
 def _cells(scenario):
     """The attitude cells' reduced programs, as the generator builds them."""
-    stacks = _cell_stacks(scenario, model.stack_problem(scenario))
+    stacks = _cell_stacks(scenario)
     return [reduce_stacked(sp, scenario.constraint.c) for sp in stacks.values()]
 
 
@@ -154,7 +154,8 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     """`_generate` stacks each draw once, then reduces each attitude cell of
     that stack once, and those reductions are the cells its offset search
     reads. No `Scenario` is built between the draw and its search, and no
-    scenario is reduced."""
+    scenario is reduced. The only other stacks are those of the tightened
+    scenarios, one each, which the scale step's lift reads."""
     log = []
     record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_stacked,
                  oracle.reduce_program, experiments._offset_search)
@@ -165,9 +166,16 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
         _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES, abscissa_bar=-0.08,
                   check_grid=True, stream=40, max_attempts=16)
     assert "reduce_program" not in {name for name, _, _ in log}
-    starts = [i for i, (name, _, _) in enumerate(log) if name == "stack_problem"]
+    stacks = [i for i, (name, _, _) in enumerate(log) if name == "stack_problem"]
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
-    assert len(starts) == len(searches) == 16
+    starts = [search - 5 for search in searches]
+    assert len(searches) == 16 and set(starts) <= set(stacks)
+    offsets = [log[search][2] for search in searches if log[search][2] is not None]
+    assert len(offsets) == 4  # draws 5, 12, 14 and 15
+    tightened = [log[i][1][0] for i in stacks if i not in starts]
+    assert len(tightened) == len(offsets)
+    for scenario, c in zip(tightened, offsets):
+        assert np.array_equal(scenario.constraint.c, c)
     for start, search in zip(starts, searches):
         sp, cells = log[start][2], log[search][1][0]
         between = log[start + 1:search]
@@ -192,7 +200,7 @@ def test_cell_stacks_need_unit_attitudes():
     """Negating gain blocks relabels only a unit attitude."""
     scenario = path_scenario(attitude=0.5)
     with pytest.raises(ValueError, match="unit attitudes"):
-        _cell_stacks(scenario, model.stack_problem(scenario))
+        _cell_stacks(scenario)
 
 
 @pytest.mark.parametrize("attempt", DRAWS)

@@ -1,7 +1,7 @@
 """The one stacked assembly that the flow, the oracle and the generator read,
 and the dense Laplacian lift that none of them needs."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,12 +22,14 @@ from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import UnsupportedByOracleError
 from hatalloc.experiments import (
     _stability_margins,
+    attitude_cells,
     crosscheck_scenario,
     random_scenario,
     team_scenario,
+    with_attitudes,
 )
 from hatalloc.human import AFFINE, logistic, softplus
-from hatalloc.model import stack_problem
+from hatalloc.model import StackedProblem, stack_problem
 
 from conftest import with_schedules
 
@@ -148,3 +150,52 @@ def test_response_map_equals_per_human_layout(seed):
         got = (*engine._params(t), engine._activate(pre), engine._chain_scale(w, pre))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+def _scheduled_mixed_scenario():
+    """Three humans of both families, every one scheduled: every array of
+    its stack is nonempty."""
+    scenario = random_scenario(4, n_human=3, families=(AFFINE, "softplus_affine"))
+    return with_schedules(scenario, np.random.default_rng(4))
+
+
+def test_engine_and_oracle_read_the_scenario_stack():
+    scenario = crosscheck_scenario(2)
+    assert FlowEngine(scenario).stacked is scenario.stacked
+    assert reduce_program(scenario).S is scenario.stacked.S
+
+
+def test_the_scenario_stack_is_read_only():
+    """Every array of `Scenario.stacked` refuses writes, so no consumer can
+    change the stack the others read."""
+    scenario = _scheduled_mixed_scenario()
+    arrays = [getattr(scenario.stacked, f.name) for f in fields(StackedProblem)]
+    assert all(isinstance(a, np.ndarray) and a.size for a in arrays)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert stack_problem(scenario).S.flags.writeable  # only the shared one is frozen
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: s.with_solver(max_time=1.0),
+    lambda s: replace(s),
+    lambda s: with_attitudes(s, {"h1": ("risk_averse", 1.0)}),
+], ids=["with_solver", "replace", "with_attitudes"])
+def test_changed_copies_build_their_own_stack(change):
+    """`with_solver`, `dataclasses.replace` and `with_attitudes` make a new
+    scenario, whose stack is its own and laid out from its own fields."""
+    base = team_scenario(1)
+    copy = change(base)
+    fresh = stack_problem(copy)
+    assert copy.stacked is not base.stacked
+    for f in fields(StackedProblem):
+        assert getattr(copy.stacked, f.name).tobytes() == getattr(fresh, f.name).tobytes()
+
+
+def test_a_flipped_cell_stacks_its_own_attitudes():
+    base = team_scenario(1)
+    for key, cell in attitude_cells(base).items():
+        assert np.array_equal(cell.stacked.S, stack_problem(cell).S)
+        own = key == ("risk_seeking", "risk_averse")  # team 1's attitudes
+        assert np.array_equal(cell.stacked.S, base.stacked.S) == own
