@@ -63,7 +63,7 @@ from .reformulation import (
     find_certificate_z,
     split_offset,
 )
-from .topology import NetworkTopology, laplacian, laplacian_lift, neighbors
+from .topology import NetworkTopology, laplacian, neighbors
 
 __version__ = "0.1.0"
 
@@ -99,7 +99,6 @@ __all__ = [
     "integrate",
     "kkt_residual",
     "laplacian",
-    "laplacian_lift",
     "lift_to_saddle",
     "load_scenario",
     "neighbors",

@@ -25,10 +25,11 @@ and every seeded instance, is the exact search's bit for bit.
 Offsets and response bases are then scaled by one factor s: for quadratic
 costs with affine responses the optimal point is exactly linear in
 (c, base), so normalizing the lifted saddle norm keeps the flow's velocity
-small enough for tight per-step descent checks; the lift reads the
-tightened scenario's stack. The remaining checks read each cell's stack with
-d scaled by s. A `Scenario` is built only for the tightened offsets and for
-the accepted draw.
+small enough for tight per-step descent checks; the lift reads the stack
+that the tightened scenario (`Scenario.with_offset`) shares with its draw.
+The remaining checks read each cell's stack with d scaled by s. A `Scenario`
+is built only for the tightened offsets and for the accepted draw, so each
+draw is stacked once.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ INITIAL_SPEED_CAP = 3.0
 ATTITUDE_KINDS = ("risk_seeking", "risk_averse")  # the grid's attitudes, in cell order
 
 
-def _connected_graph(rng, autonomous, humans, extra_edges=3):
+def _connected_graph(rng, autonomous, humans, extra_edges):
     """Random connected graph; every human gets at least one autonomous neighbor."""
     nodes = list(autonomous) + list(humans)
     edges = set()
@@ -162,15 +163,6 @@ def _draw_instance(rng, auto_dims, human_dims, attitudes):
         human_models=models,
         solver=SolverOptions(tolerance=1e-8),
     )
-
-
-def _with_offsets(scenario: Scenario, c: np.ndarray,
-                  bases: dict[str, np.ndarray] | None = None) -> Scenario:
-    models = scenario.human_models
-    if bases is not None:
-        models = {k: replace(m, base=bases[k]) for k, m in models.items()}
-    constraint = replace(scenario.constraint, c=np.asarray(c, float))
-    return replace(scenario, constraint=constraint, human_models=models)
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -506,7 +498,7 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
         if c is None:
             rejected["tighten"] += 1
             continue
-        tightened = _with_offsets(draw, c)
+        tightened = draw.with_offset(c)
         dc = build_decoupled(tightened)
         s = _normalize_scale(tightened, cells[own].with_offset(c), dc)
         reason = _rejection(tightened, stacks, own, s, dc, abscissa_bar, check_grid)
@@ -514,8 +506,9 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
             log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
                       "rejected %d draws whole, %d exact offset solves ran",
                       seed, attempt, rejected, tally["screened"], tally["exact_solves"])
-            bases = {k: m.base * s for k, m in tightened.human_models.items()}
-            return _with_offsets(tightened, c * s, bases)
+            models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
+            return replace(tightened, constraint=replace(tightened.constraint, c=c * s),
+                           human_models=models)
         rejected[reason] += 1
     raise NoAdmissibleInstanceError(seed, rejected)
 

@@ -5,10 +5,12 @@ costs, the shared linear inequality coupling every agent, the human response
 models with their schedules, an optional initial state, and solver options.
 `Scenario.__post_init__` is the one semantic check of all of it, for documents
 and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
-changed copy again, which assembles its own read-only `stacked` operators on
-first use. The document parser checks only JSON types. Documents are JSON
-trees; floats survive a save/load round trip bit-exactly. Files are read by
-`oracle.load_scenario`, since a document may ask for a Slater certificate.
+changed copy again. A scenario assembles its read-only `stacked` operators on
+first use. A copy from `with_solver` or `with_offset` shares them once built,
+since they read neither the solver options nor the offset; any other copy
+assembles its own. The document parser checks only JSON types. Documents are
+JSON trees; floats survive a save/load round trip bit-exactly. Files are read
+by `oracle.load_scenario`, since a document may ask for a Slater certificate.
 """
 
 from __future__ import annotations
@@ -322,12 +324,25 @@ class Scenario:
                      f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
-        return replace(self, solver=replace(self.solver, **overrides))
+        return self._sharing_stack(solver=replace(self.solver, **overrides))
+
+    def with_offset(self, c: np.ndarray) -> "Scenario":
+        """The same problem with the constraint offset c."""
+        return self._sharing_stack(constraint=replace(self.constraint, c=c))
+
+    def _sharing_stack(self, **changes) -> "Scenario":
+        """A copy with new solver options or a new offset c, neither of which
+        `stack_problem` reads: it shares this scenario's stack once built."""
+        copy = replace(self, **changes)
+        if "stacked" in vars(self):
+            vars(copy)["stacked"] = self.stacked
+        return copy
 
     @cached_property
     def stacked(self) -> StackedProblem:
         """`stack_problem` of this scenario, built on first use for every
-        consumer; read-only, as the scenario is immutable."""
+        consumer; read-only, as the scenario is immutable. `with_solver` and
+        `with_offset` copies share it."""
         sp = stack_problem(self)
         for value in vars(sp).values():
             if isinstance(value, np.ndarray):

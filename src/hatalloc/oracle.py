@@ -173,11 +173,6 @@ def solve_program(rp: ReducedProgram) -> Solution:
     )
 
 
-def strictly_feasible_point(scenario: Scenario) -> np.ndarray | None:
-    """`interior_point` of the scenario's reduced program."""
-    return interior_point(reduce_program(scenario))
-
-
 def interior_point(rp: ReducedProgram) -> np.ndarray | None:
     """A point with G_c x + h_c < 0 strictly, or None if none was found.
 
@@ -194,7 +189,7 @@ def interior_point(rp: ReducedProgram) -> np.ndarray | None:
 
 def assert_slater(scenario: Scenario) -> None:
     """Raise unless a strictly feasible point is certified."""
-    if strictly_feasible_point(scenario) is None:
+    if interior_point(reduce_program(scenario)) is None:
         raise SlaterConditionError(
             "no strictly feasible point found; the shared constraint admits "
             "no interior after substituting the human responses"

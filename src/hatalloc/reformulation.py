@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError
 from .model import Scenario
-from .topology import laplacian, laplacian_lift, neighbors
+from .topology import laplacian
 
 CERTIFICATE_TOL = 1e-8
 
@@ -48,7 +48,7 @@ class DecoupledConstraint:
         """The dense Laplacian lift L (x) I_r, (r(m+h), r(m+h)), built anew on
         every access. The package computes with the node Laplacian through
         `lift_apply` and `lift_solve`; the dense lift is for inspection."""
-        return laplacian_lift(self.laplacian, self.rows)
+        return np.kron(self.laplacian, np.eye(self.rows))
 
     def lift_apply(self, v: np.ndarray) -> np.ndarray:
         """l_bar v, computed on the node Laplacian (one column per row)."""
@@ -149,35 +149,6 @@ def decoupled_residual(
             f"z must have length {dc.block_dim}, got {z.shape[0]}"
         )
     return stacked_terms(dc, x, y) + dc.lift_apply(z)
-
-
-def decoupled_residual_blocks(
-    scenario: Scenario,
-    dc: DecoupledConstraint,
-    x: np.ndarray,
-    y: np.ndarray,
-    z_blocks: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Per-agent residual blocks computed from neighbor differences.
-
-    Each block uses only the agent's own state and its neighbors' z blocks;
-    agrees with `decoupled_residual` to roundoff.
-    """
-    lay = scenario.layout
-    con = scenario.constraint
-    out = {}
-    for agent_id in lay.node_order:
-        auto_nbrs, human_nbrs = neighbors(scenario.topology, agent_id)
-        block = np.array(dc.c_split[lay.node_slice(agent_id)])
-        if agent_id in lay.x_offsets:
-            block += con.a_blocks[agent_id] @ x[lay.x_slice(agent_id)]
-        else:
-            block += con.b_blocks[agent_id] @ y[lay.y_slice(agent_id)]
-        own_z = z_blocks[agent_id]
-        for other in auto_nbrs + human_nbrs:
-            block += own_z - z_blocks[other]
-        out[agent_id] = block
-    return out
 
 
 def find_certificate_z(

@@ -113,16 +113,6 @@ def laplacian(topology: NetworkTopology) -> np.ndarray:
     return lap
 
 
-def laplacian_lift(lap: np.ndarray, r: int) -> np.ndarray:
-    """Kronecker product lap (x) I_r, acting on stacked r-dimensional blocks."""
-    lap = np.asarray(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError("laplacian must be square")
-    if r < 1:
-        raise ValueError(f"block size must be a positive integer, got {r}")
-    return np.kron(lap, np.eye(r))
-
-
 def lift_entries(lap: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices, column indices and values of the nonzeros of lap (x) I_r,
     read from the node Laplacian: one entry per edge end, per diagonal and

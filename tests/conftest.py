@@ -23,7 +23,6 @@ from hatalloc.experiments import (
     _draw_instance,
     _normalize_scale,
     _offset_search,
-    _with_offsets,
 )
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
 from hatalloc.model import (
@@ -33,7 +32,7 @@ from hatalloc.model import (
     SolverOptions,
 )
 from hatalloc.oracle import reduce_stacked
-from hatalloc.reformulation import build_decoupled, decoupled_residual_blocks
+from hatalloc.reformulation import build_decoupled
 from hatalloc.topology import neighbors
 
 
@@ -260,6 +259,29 @@ class ReferenceRunner:
         )
 
 
+def decoupled_residual_blocks(scenario, dc, x, y, z_blocks):
+    """Per-agent residual blocks computed from neighbor differences: the
+    reference for `decoupled_residual`, with which it agrees to roundoff.
+
+    Each block uses only the agent's own state and its neighbors' z blocks.
+    """
+    lay = scenario.layout
+    con = scenario.constraint
+    out = {}
+    for agent_id in lay.node_order:
+        auto_nbrs, human_nbrs = neighbors(scenario.topology, agent_id)
+        block = np.array(dc.c_split[lay.node_slice(agent_id)])
+        if agent_id in lay.x_offsets:
+            block += con.a_blocks[agent_id] @ x[lay.x_slice(agent_id)]
+        else:
+            block += con.b_blocks[agent_id] @ y[lay.y_slice(agent_id)]
+        own_z = z_blocks[agent_id]
+        for other in auto_nbrs + human_nbrs:
+            block += own_z - z_blocks[other]
+        out[agent_id] = block
+    return out
+
+
 def resummed_lagrangian(scenario, dc, state):
     """F(x) + G(y) + lambda . (decoupled residual), summed agent by agent.
 
@@ -299,7 +321,7 @@ def generator_stages(draw):
     c = _offset_search(cells, Counter())
     if c is None:
         return None
-    tightened = _with_offsets(draw, c)
+    tightened = draw.with_offset(c)
     dc = build_decoupled(tightened)
     s = _normalize_scale(tightened, reduce_stacked(draw.stacked, c), dc)
     return tightened, stacks, own, s, dc
@@ -307,8 +329,9 @@ def generator_stages(draw):
 
 def scaled_scenario(tightened, s):
     """The tightened draw rebuilt with its offsets and bases scaled by s."""
-    bases = {k: m.base * s for k, m in tightened.human_models.items()}
-    return _with_offsets(tightened, tightened.constraint.c * s, bases)
+    con = tightened.constraint
+    models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
+    return replace(tightened, constraint=replace(con, c=con.c * s), human_models=models)
 
 
 def record_calls(monkeypatch, log, *funcs):

@@ -80,3 +80,32 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def _referrers(name: str) -> set[str]:
+    """`module.Class.function` of every scope in the package that names
+    `name`, bare or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in Path(hatalloc.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("name, only", [
+    ("stack_problem", "model.Scenario.stacked"),
+    ("kron", "reformulation.DecoupledConstraint.l_bar"),
+])
+def test_one_place_stacks_the_problem_and_one_builds_the_dense_lift(name, only):
+    """Every other consumer reads `Scenario.stacked`, or applies and solves
+    the lift on the node Laplacian."""
+    assert _referrers(name) == {only}

@@ -291,8 +291,9 @@ def test_folded_velocity_equals_rhs(data):
 def test_integrate_stacks_once_and_folds_its_own_stack(monkeypatch):
     """`integrate` assembles one stack, its engine's, and folds the reduction
     of that stack; it reduces no scenario, since the engine has already
-    decided the flow folds."""
-    scenario = crosscheck_scenario(2).with_solver(max_time=1.0)
+    decided the flow folds. The run is on a fresh copy of the cached
+    scenario, whose stack a `with_solver` copy would share once built."""
+    scenario = replace(crosscheck_scenario(2)).with_solver(max_time=1.0)
     log = []
     record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program,
                  oracle.reduce_stacked)

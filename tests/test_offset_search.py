@@ -41,18 +41,17 @@ from hatalloc.experiments import (
     _scaled,
     _screen,
     _stability_margins,
-    _with_offsets,
     crosscheck_scenario,
     team_scenario,
 )
 from hatalloc.model import Scenario, serialize_scenario
 from hatalloc.oracle import (
     ReducedProgram,
+    interior_point,
     reduce_program,
     reduce_stacked,
     solve_centralized,
     solve_program,
-    strictly_feasible_point,
 )
 from hatalloc.reformulation import build_decoupled
 
@@ -82,7 +81,7 @@ def _tighten(scenario, tally=None):
 
 
 def _reference_row_levels(scenario, c, x):
-    rp = reduce_program(_with_offsets(scenario, c))
+    rp = reduce_program(scenario.with_offset(c))
     return rp.G_c @ x + rp.h_c - c
 
 
@@ -94,7 +93,7 @@ def _reference_cell_admissible(cell):
     return (
         bool(np.all(mu > 1e-2))
         and bool(np.all(y >= 0.0))
-        and strictly_feasible_point(cell) is not None
+        and interior_point(reduce_program(cell)) is not None
     )
 
 
@@ -105,7 +104,7 @@ def _reference_tighten(scenario):
     productions = []
     for cell in cells:
         try:
-            x0, _, _, _ = solve_centralized(_with_offsets(cell, slack_c))
+            x0, _, _, _ = solve_centralized(cell.with_offset(slack_c))
         except HatallocError:
             return None
         productions.append(-_reference_row_levels(cell, slack_c, x0)[1])
@@ -117,7 +116,7 @@ def _reference_tighten(scenario):
         usages = []
         for cell in cells:
             try:
-                x1, _, mu1, _ = solve_centralized(_with_offsets(cell, c_demand))
+                x1, _, mu1, _ = solve_centralized(cell.with_offset(c_demand))
             except HatallocError:
                 usages = None
                 break
@@ -129,7 +128,7 @@ def _reference_tighten(scenario):
             continue
         for theta in (0.85, 0.7, 0.55):
             c_try = np.array([-theta * min(usages), demand])
-            if all(_reference_cell_admissible(_with_offsets(cell, c_try))
+            if all(_reference_cell_admissible(cell.with_offset(c_try))
                    for cell in cells):
                 return c_try
     return None
@@ -154,8 +153,9 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     """`_generate` stacks each draw once, then reduces each attitude cell of
     that stack once, and those reductions are the cells its offset search
     reads. No `Scenario` is built between the draw and its search, and no
-    scenario is reduced. The only other stacks are those of the tightened
-    scenarios, one each, which the scale step's lift reads."""
+    scenario is reduced. The tightened scenario, built right after its
+    search, makes no stack: it shares its draw's, which the scale step's
+    lift reads."""
     log = []
     record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_stacked,
                  oracle.reduce_program, experiments._offset_search)
@@ -169,14 +169,14 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     stacks = [i for i, (name, _, _) in enumerate(log) if name == "stack_problem"]
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
     starts = [search - 5 for search in searches]
-    assert len(searches) == 16 and set(starts) <= set(stacks)
-    offsets = [log[search][2] for search in searches if log[search][2] is not None]
-    assert len(offsets) == 4  # draws 5, 12, 14 and 15
-    tightened = [log[i][1][0] for i in stacks if i not in starts]
-    assert len(tightened) == len(offsets)
-    for scenario, c in zip(tightened, offsets):
-        assert np.array_equal(scenario.constraint.c, c)
+    assert len(searches) == 16 and stacks == starts
+    tightened = [search for search in searches if log[search][2] is not None]
+    assert len(tightened) == 4  # draws 5, 12, 14 and 15
     for start, search in zip(starts, searches):
+        if search in tightened:
+            name, (scenario,), _ = log[search + 1]
+            assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
+            assert scenario.stacked is log[start][2]
         sp, cells = log[start][2], log[search][1][0]
         between = log[start + 1:search]
         assert [name for name, _, _ in between] == ["reduce_stacked"] * 4  # two humans
@@ -412,7 +412,7 @@ def test_program_at_offset_equals_scenario_at_offset(data):
     scenario = data.draw(st.sampled_from(OFFSET_SCENARIOS))
     c = data.draw(arrays(float, scenario.constraint.rows, elements=offsets))
     got = _outcome(lambda: solve_program(reduce_program(scenario).with_offset(c)))
-    expected = _outcome(lambda: solve_centralized(_with_offsets(scenario, c)))
+    expected = _outcome(lambda: solve_centralized(scenario.with_offset(c)))
     if isinstance(expected, type):
         assert got is expected
         return

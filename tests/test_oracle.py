@@ -21,8 +21,8 @@ from hatalloc.errors import (
     InfeasibleProblemError,
     UnsupportedByOracleError,
 )
-from hatalloc.experiments import _with_offsets, crosscheck_scenario, random_scenario
-from hatalloc.oracle import assert_slater, solve_program, strictly_feasible_point
+from hatalloc.experiments import crosscheck_scenario, random_scenario
+from hatalloc.oracle import assert_slater, interior_point, solve_program
 from hatalloc.dynamics import FlowEngine
 
 from conftest import path_scenario, single_agent_scenario
@@ -132,7 +132,7 @@ class TestSolve:
 
 class TestSlater:
     def test_strict_point_found(self, path_team):
-        point = strictly_feasible_point(path_team)
+        point = interior_point(reduce_program(path_team))
         assert point is not None
         rp = reduce_program(path_team)
         assert np.max(rp.constraint(point)) < 0
@@ -191,7 +191,7 @@ class TestSaddleLift:
             x_star, _, mu_star, _ = solve_program(reduce_program(base).with_offset(c))
         except HatallocError:
             assume(False)
-        scenario = _with_offsets(base, c)
+        scenario = base.with_offset(c)
         dc = build_decoupled(scenario)
         z_star, lam_star, _ = lift_to_saddle(scenario, dc, x_star, mu_star)
         lay = scenario.layout

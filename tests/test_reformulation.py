@@ -15,10 +15,10 @@ from hatalloc import (
 from hatalloc.errors import CertificateError, DimensionMismatchError
 from hatalloc.experiments import random_scenario
 from hatalloc.model import scenario_from_document
-from hatalloc.reformulation import decoupled_residual_blocks, stacked_terms
+from hatalloc.reformulation import stacked_terms
 from hatalloc.topology import NetworkTopology
 
-from conftest import path_scenario, single_agent_scenario
+from conftest import decoupled_residual_blocks, path_scenario, single_agent_scenario
 from test_model import reference_dims_doc
 
 

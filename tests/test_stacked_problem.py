@@ -2,6 +2,7 @@
 and the dense Laplacian lift that none of them needs."""
 
 from dataclasses import fields, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hatalloc import (
     reduce_program,
     solve_centralized,
 )
-from hatalloc import reformulation, topology
+from hatalloc import reformulation
 from hatalloc.cli import _sample_feasible_pair
 from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import UnsupportedByOracleError
@@ -29,7 +30,7 @@ from hatalloc.experiments import (
     with_attitudes,
 )
 from hatalloc.human import AFFINE, logistic, softplus
-from hatalloc.model import StackedProblem, stack_problem
+from hatalloc.model import QuadraticCost, StackedProblem, stack_problem
 
 from conftest import with_schedules
 
@@ -40,8 +41,7 @@ def _refuse_lift(*args, **kwargs):
 
 @pytest.mark.parametrize("family", ["affine", "softplus_affine"])
 def test_pipeline_never_builds_the_dense_lift(monkeypatch, family):
-    monkeypatch.setattr(topology, "laplacian_lift", _refuse_lift)
-    monkeypatch.setattr(reformulation, "laplacian_lift", _refuse_lift)
+    monkeypatch.setattr(reformulation.DecoupledConstraint, "l_bar", property(_refuse_lift))
     scenario = random_scenario(
         4, n_autonomous=4, n_human=2, rows=2, families=(family,)
     ).with_solver(tolerance=0.0, max_time=0.3)
@@ -177,18 +177,68 @@ def test_the_scenario_stack_is_read_only():
     assert stack_problem(scenario).S.flags.writeable  # only the shared one is frozen
 
 
-@pytest.mark.parametrize("change", [
-    lambda s: s.with_solver(max_time=1.0),
-    lambda s: replace(s),
-    lambda s: with_attitudes(s, {"h1": ("risk_averse", 1.0)}),
-], ids=["with_solver", "replace", "with_attitudes"])
-def test_changed_copies_build_their_own_stack(change):
-    """`with_solver`, `dataclasses.replace` and `with_attitudes` make a new
-    scenario, whose stack is its own and laid out from its own fields."""
+def _doubled(value):
+    """2 value, for an array or for each array of a map."""
+    return {k: 2.0 * v for k, v in value.items()} if isinstance(value, dict) else 2.0 * value
+
+
+def _doubled_models(scenario, name):
+    """Every human model with its `base` or its `gains` doubled."""
+    models = {k: replace(m, **{name: _doubled(getattr(m, name))})
+              for k, m in scenario.human_models.items()}
+    return replace(scenario, human_models=models)
+
+
+def _doubled_blocks(scenario, name):
+    con = scenario.constraint
+    return replace(scenario, constraint=replace(con, **{name: _doubled(getattr(con, name))}))
+
+
+def _extra_edge(scenario):
+    """One more edge between two autonomous agents; every human keeps its
+    neighbors."""
+    topo = scenario.topology
+    edge = next(pair for pair in combinations(topo.autonomous_ids, 2)
+                if pair not in topo.edges)
+    return replace(scenario, topology=replace(topo, edges=topo.edges | {edge}))
+
+
+SOLVER_CHANGES = {"dt": 5e-4, "max_time": 1.0, "tolerance": 1e-9,
+                  "offset_split": "uniform", "record_stride": 7, "check_slater": True}
+SHARING = {
+    **{name: lambda s, kw={name: value}: s.with_solver(**kw)
+       for name, value in SOLVER_CHANGES.items()},
+    "with_offset": lambda s: s.with_offset(2.0 * s.constraint.c),
+}
+REBUILDING = {
+    "replace": lambda s: replace(s),
+    "with_attitudes": lambda s: with_attitudes(s, {"h1": ("risk_averse", 1.0)}),
+    "bases": lambda s: _doubled_models(s, "base"),
+    "gains": lambda s: _doubled_models(s, "gains"),
+    "costs": lambda s: replace(s, costs={a: QuadraticCost(2.0 * c.weight)
+                                         for a, c in s.costs.items()}),
+    "schedules": lambda s: with_schedules(s, np.random.default_rng(1)),
+    "a_blocks": lambda s: _doubled_blocks(s, "a_blocks"),
+    "b_blocks": lambda s: _doubled_blocks(s, "b_blocks"),
+    "topology": _extra_edge,
+}
+
+
+@pytest.mark.parametrize("change, shares", [
+    *[pytest.param(change, True, id=name) for name, change in SHARING.items()],
+    *[pytest.param(change, False, id=name) for name, change in REBUILDING.items()],
+])
+def test_which_copies_share_the_stack(change, shares):
+    """Once a scenario's stack is built, a `with_solver` copy (one per
+    solver option) and a `with_offset` copy hold that stack itself, since
+    `stack_problem` reads neither the solver options nor the offset c; every
+    other copy builds its own. Either way the copy's stack is, byte for
+    byte, the one `stack_problem` lays out from the copy's own fields."""
     base = team_scenario(1)
+    built = base.stacked
     copy = change(base)
+    assert (copy.stacked is built) == shares
     fresh = stack_problem(copy)
-    assert copy.stacked is not base.stacked
     for f in fields(StackedProblem):
         assert getattr(copy.stacked, f.name).tobytes() == getattr(fresh, f.name).tobytes()
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from hatalloc import NetworkTopology, laplacian, laplacian_lift, neighbors
-from hatalloc.errors import DisconnectedGraphError, TopologyError
+from hatalloc import (
+    CouplingConstraint,
+    DecoupledConstraint,
+    NetworkTopology,
+    laplacian,
+    neighbors,
+)
+from hatalloc.errors import DimensionMismatchError, DisconnectedGraphError, TopologyError
 
 
 def random_connected(rng, n_nodes):
@@ -106,10 +112,17 @@ class TestLaplacian:
             assert np.min(np.linalg.eigvalsh(lap)) >= -1e-10
 
 
+def l_bar(lap, r):
+    """The dense lift lap (x) I_r, read from `DecoupledConstraint.l_bar`."""
+    empty = np.zeros((0, 0))
+    return DecoupledConstraint(a_bar=empty, b_bar=empty, laplacian=lap,
+                               c_split=np.zeros(lap.shape[0] * r), rows=r).l_bar
+
+
 class TestLaplacianLift:
     def test_r_one_is_identity_lift(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        np.testing.assert_array_equal(laplacian_lift(lap, 1), lap)
+        np.testing.assert_array_equal(l_bar(lap, 1), lap)
 
     def test_r_two_blocks(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -119,18 +132,19 @@ class TestLaplacianLift:
             [-1, 0, 1, 0],
             [0, -1, 0, 1],
         ]
-        np.testing.assert_array_equal(laplacian_lift(lap, 2), expected)
+        np.testing.assert_array_equal(l_bar(lap, 2), expected)
 
     def test_zero_block_size_rejected(self):
-        with pytest.raises(ValueError):
-            laplacian_lift(np.eye(2), 0)
+        # The block size is the number of constraint rows, which is never 0.
+        with pytest.raises(DimensionMismatchError, match="at least one row"):
+            CouplingConstraint({}, {}, np.zeros(0))
 
     def test_kernel_contains_consensus_vectors(self):
         rng = np.random.default_rng(5)
         topo = random_connected(rng, 6)
         lap = laplacian(topo)
         for r in (1, 2, 3):
-            lifted = laplacian_lift(lap, r)
+            lifted = l_bar(lap, r)
             w = rng.normal(size=r)
             v = np.kron(np.ones(6), w)
             assert np.max(np.abs(lifted @ v)) <= 1e-12
@@ -141,6 +155,6 @@ class TestLaplacianLift:
             topo = random_connected(rng, int(rng.integers(2, 12)))
             n = len(topo.node_order)
             for r in (1, 3):
-                lifted = laplacian_lift(laplacian(topo), r)
+                lifted = l_bar(laplacian(topo), r)
                 left = np.kron(np.ones(n), np.eye(r))
                 assert np.max(np.abs(left @ lifted)) <= 1e-12
