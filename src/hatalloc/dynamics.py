@@ -296,7 +296,7 @@ def fold(rp: ReducedProgram, dc: DecoupledConstraint):
     M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
     b_x = -g from the reduced program and the l_bar blocks read from the node
     Laplacian, never from the dense lift."""
-    n, q, rm = rp.H.shape[0], dc.block_dim, dc.a_bar.shape[0]
+    n, q = rp.H.shape[0], dc.block_dim
     C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
     hr, hc = np.nonzero(rp.H)
     cr, cc = np.nonzero(C)
@@ -305,11 +305,18 @@ def fold(rp: ReducedProgram, dc: DecoupledConstraint):
     cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
     vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
     order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order], folded_offset(rp, dc)
+
+
+def folded_offset(rp: ReducedProgram, dc: DecoupledConstraint) -> np.ndarray:
+    """`fold`'s b = [b_x ; 0 ; b_g]: the flow's velocity at w = 0, before
+    the multiplier clamp."""
+    n, q, rm = rp.H.shape[0], dc.block_dim, dc.a_bar.shape[0]
     b = np.zeros(n + 2 * q)
     b[:n] = -rp.g
     b[n + q + rm:] = dc.b_bar @ rp.d
     b[n + q:] += dc.c_split
-    return rows[order], cols[order], vals[order], b
+    return b
 
 
 def _finite_max(block: np.ndarray) -> float:

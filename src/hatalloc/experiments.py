@@ -9,27 +9,32 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
-`_generate` reads each draw's stack (`Scenario.stacked`), builds every
-risk-attitude cell from it by negating the gain blocks of the humans whose
-unit attitude the cell flips, and reduces each cell (`reduce_stacked`).
-Every admission stage reads these cells. The offset search screens all nine
-(demand margin, budget fraction) probes at once: with its active set fixed,
-each probe's solution is affine in the offset c, so one inverse of each
-cell's Hessian gives (x, mu, y) at every probe. The screen rejects a probe
-only when a multiplier falls below 1e-2, or a response below 0, by more than
-SCREEN_TOL = 1e-6 times the probe's scale (1 + max |c|); a singular or
-ill-conditioned cell turns it off. Every probe it keeps is solved exactly on
-the cell re-targeted by `ReducedProgram.with_offset`, so the offset taken,
-and every seeded instance, is the exact search's bit for bit.
+`_generate` draws each attempt as raw arrays and lays them out once
+(`stack_parts`, the loop of `stack_problem`) without building or validating
+any object. It builds every risk-attitude cell from that stack by negating
+the gain blocks of the humans whose unit attitude the cell flips, as one
+stack with a leading cell axis, and reduces all cells in one pass
+(`reduce_stacked`). Every admission stage reads these cells. The offset
+search screens all nine (demand margin, budget fraction) probes at once:
+with its active set fixed, each probe's solution is affine in the offset c,
+so one inverse of each cell's Hessian gives (x, mu, y) at every probe. The
+screen rejects a probe only when a multiplier falls below 1e-2, or a
+response below 0, by more than SCREEN_TOL = 1e-6 times the probe's scale
+(1 + max |c|); a singular or ill-conditioned cell turns it off. Every probe
+it keeps is solved exactly on the cell re-targeted by
+`ReducedProgram.with_offset`, so the offset taken, and every seeded
+instance, is the exact search's bit for bit.
 
-Offsets and response bases are then scaled by one factor s: for quadratic
-costs with affine responses the optimal point is exactly linear in
-(c, base), so normalizing the lifted saddle norm keeps the flow's velocity
-small enough for tight per-step descent checks; the lift reads the stack
-that the tightened scenario (`Scenario.with_offset`) shares with its draw.
-The remaining checks read each cell's stack with d scaled by s. A `Scenario`
-is built only for the tightened offsets and for the accepted draw, so each
-draw is stacked once.
+Only a draw the search tightens is built as validated objects (topology,
+costs, constraint, models and a `Scenario` at the tightened offsets), and
+that scenario holds the draw's stack. Offsets and response bases are then
+scaled by one factor s: for quadratic costs with affine responses the
+optimal point is exactly linear in (c, base), so normalizing the lifted
+saddle norm keeps the flow's velocity small enough for tight per-step
+descent checks; the lift reads the draw's stack. The remaining checks read
+the cell stack with d scaled by s. A `Scenario` is built only for the
+tightened draws and for the accepted one, so each draw is laid out once and
+a rejected draw builds no object.
 """
 
 from __future__ import annotations
@@ -41,20 +46,30 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FlowEngine, dense_operator, fold, integrate, kkt_residual
+from .dynamics import (
+    FlowEngine,
+    dense_operator,
+    fold,
+    folded_offset,
+    integrate,
+    kkt_residual,
+)
 from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
-from .human import HumanResponseModel, attitude_preset
+from .human import AFFINE, HumanResponseModel, attitude_preset
 from .metrics import TrajectoryRecord, workload_report
 from .model import (
     CouplingConstraint,
     QuadraticCost,
     Scenario,
+    ScenarioLayout,
     SolverOptions,
     StackedProblem,
     save_scenario,
+    stack_parts,
 )
 from .oracle import (
     ReducedProgram,
@@ -79,15 +94,16 @@ INITIAL_SPEED_CAP = 3.0
 ATTITUDE_KINDS = ("risk_seeking", "risk_averse")  # the grid's attitudes, in cell order
 
 
-def _connected_graph(rng, autonomous, humans, extra_edges):
-    """Random connected graph; every human gets at least one autonomous neighbor."""
+def _graph_edges(rng, autonomous, humans, extra_edges) -> frozenset:
+    """Edges of a random connected graph, as sorted id pairs; every human
+    gets at least one autonomous neighbor."""
     nodes = list(autonomous) + list(humans)
     edges = set()
     for idx in range(1, len(nodes)):
         other = nodes[int(rng.integers(0, idx))]
         edges.add(tuple(sorted((nodes[idx], other))))
     for k in humans:
-        has_auto = any(k in e and (set(e) - {k}) <= set(autonomous) for e in edges)
+        has_auto = any(k in e and (e[0] in autonomous or e[1] in autonomous) for e in edges)
         if not has_auto and autonomous:
             j = autonomous[int(rng.integers(0, len(autonomous)))]
             edges.add(tuple(sorted((k, j))))
@@ -96,24 +112,49 @@ def _connected_graph(rng, autonomous, humans, extra_edges):
             break
         a, b = rng.choice(len(nodes), size=2, replace=False)
         edges.add(tuple(sorted((nodes[a], nodes[b]))))
-    return NetworkTopology(tuple(autonomous), tuple(humans), frozenset(edges))
+    return frozenset(edges)
 
 
-def _draw_instance(rng, auto_dims, human_dims, attitudes):
+class _Response(NamedTuple):
+    """A human's `HumanResponseModel` fields, not yet validated."""
+
+    neighbor_ids: tuple[str, ...]
+    gains: dict[str, np.ndarray]
+    base: np.ndarray
+    attitude: float
+    family: str = AFFINE
+
+
+class _Draw(NamedTuple):
+    """One generator attempt as raw arrays, laid out (`stack_parts`) but not
+    validated: `_scenario` builds its objects."""
+
+    edges: frozenset
+    weights: dict[str, np.ndarray]  # cost weights, autonomous agents first
+    a_blocks: dict[str, np.ndarray]
+    b_blocks: dict[str, np.ndarray]
+    models: dict[str, _Response]
+    layout: ScenarioLayout
+    stacked: StackedProblem
+
+
+def _raw_draw(rng, auto_dims, human_dims, attitudes) -> _Draw:
+    """One generator attempt: its arrays, drawn in a fixed order so that a
+    seed pins them, and their layout."""
     autonomous = tuple(f"r{idx}" for idx in range(1, len(auto_dims) + 1))
     humans = tuple(f"h{idx}" for idx in range(1, len(human_dims) + 1))
     dims = {a: d for a, d in zip(autonomous, auto_dims)}
     dims.update({k: d for k, d in zip(humans, human_dims)})
-    topo = _connected_graph(rng, autonomous, humans, extra_edges=6)
+    edges = _graph_edges(rng, autonomous, humans, extra_edges=6)
 
-    costs = {}
+    weights = {}
     for i in autonomous:
-        costs[i] = QuadraticCost(np.diag(rng.uniform(1.0, 8.0, size=dims[i])))
+        weights[i] = np.diag(rng.uniform(1.0, 8.0, size=dims[i]))
     for pos, k in enumerate(humans):
         weight = np.diag(rng.uniform(1.0, 8.0, size=dims[k]))
         if pos == 0:  # the first human's effort is cheap
             weight = weight * 0.1
-        costs[k] = QuadraticCost(weight)
+        weights[k] = weight
 
     # Row 1: budget (nonnegative usage coefficients). Row 2: demand
     # (production counts toward a required total). Strong rows keep every
@@ -123,29 +164,26 @@ def _draw_instance(rng, auto_dims, human_dims, attitudes):
     # multipliers move together. Both offsets are tightened adaptively
     # afterwards.
     a_blocks = {
-        i: np.vstack([
+        i: np.array([
             rng.uniform(2.5, 4.0, size=dims[i]),
             -rng.normal(1.0, 2.0, size=dims[i]),
         ])
         for i in autonomous
     }
     b_blocks = {
-        k: np.vstack([
+        k: np.array([
             rng.uniform(2.5, 4.0, size=dims[k]),
             -rng.normal(1.2, 1.0, size=dims[k]),
         ])
         for k in humans
     }
-    constraint = CouplingConstraint(
-        a_blocks=a_blocks, b_blocks=b_blocks, c=np.array([0.0, 0.0])
-    )
 
     models = {}
     for k in humans:
-        auto_nbrs, _ = neighbors(topo, k)
+        # The human's autonomous neighbors in id order, as `neighbors` lists them.
+        auto_nbrs = sorted(j for edge in edges if k in edge for j in edge if j in autonomous)
         kind, magnitude = attitudes[k]
-        models[k] = HumanResponseModel(
-            human_id=k,
+        models[k] = _Response(
             neighbor_ids=tuple(auto_nbrs),
             gains={
                 j: rng.uniform(0.25, 0.6, size=(dims[k], dims[j]))
@@ -155,14 +193,31 @@ def _draw_instance(rng, auto_dims, human_dims, attitudes):
             attitude=attitude_preset(kind, magnitude),
         )
 
-    return Scenario(
-        topology=topo,
-        dims=dims,
-        costs=costs,
-        constraint=constraint,
-        human_models=models,
+    lay = ScenarioLayout(tuple(sorted(autonomous)), tuple(sorted(humans)), dims, rows=2)
+    sp = stack_parts(lay, models, a_blocks, b_blocks, weights, schedules={})
+    return _Draw(edges, weights, a_blocks, b_blocks, models, lay, sp)
+
+
+def _scenario(draw: _Draw, c: np.ndarray) -> Scenario:
+    """The draw's validated `Scenario` at constraint offset c, holding the
+    draw's stack."""
+    lay = draw.layout
+    scenario = Scenario(
+        topology=NetworkTopology(lay.autonomous_ids, lay.human_ids, draw.edges),
+        dims=lay.dims,
+        costs={a: QuadraticCost(weight) for a, weight in draw.weights.items()},
+        constraint=CouplingConstraint(a_blocks=draw.a_blocks, b_blocks=draw.b_blocks, c=c),
+        human_models={k: HumanResponseModel(human_id=k, **model._asdict())
+                      for k, model in draw.models.items()},
         solver=SolverOptions(tolerance=1e-8),
     )
+    return scenario._adopt_stack(draw.stacked)
+
+
+def _draw_instance(rng, auto_dims, human_dims, attitudes) -> Scenario:
+    """A generator draw as the validated `Scenario` at offset 0, before any
+    admission check."""
+    return _scenario(_raw_draw(rng, auto_dims, human_dims, attitudes), np.zeros(2))
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -183,28 +238,43 @@ def attitude_cells(scenario: Scenario) -> dict[tuple[str, ...], Scenario]:
     }
 
 
-def _cell_stacks(scenario: Scenario) -> dict[tuple[str, ...], StackedProblem]:
-    """`attitude_cells` as stacked problems, all from the scenario's stack.
+def _cell_stacks(sp: StackedProblem, lay: ScenarioLayout,
+                 models) -> tuple[list[tuple[str, ...]], int, StackedProblem]:
+    """`attitude_cells` as one stacked problem whose S has a leading cell
+    axis, from a draw's stack `sp`: the cells' keys in `attitude_cells`
+    order, the index of the draw's own cell, and that stack.
 
     A unit attitude only signs its human's gain blocks in S, and generated
     draws have unit attitudes, so a cell negates the blocks of each human
     whose attitude it flips: the floats `stack_problem` lays out for the
-    relabeled scenario. The scenario's own cell is `scenario.stacked`.
+    relabeled scenario. `models` are the humans' response models (or a raw
+    draw's `_Response`s).
     """
-    lay, sp = scenario.layout, scenario.stacked
-    models = [scenario.human_models[k] for k in lay.human_ids]
-    if any(abs(model.attitude) != 1.0 for model in models):
+    humans = [(k, models[k]) for k in lay.human_ids]
+    if any(abs(model.attitude) != 1.0 for _, model in humans):
         raise ValueError("attitude cells from one stack need unit attitudes")
-    stacks = {}
-    for combo in product(ATTITUDE_KINDS, repeat=len(models)):
-        flipped = [model for model, kind in zip(models, combo)
+    keys = list(product(ATTITUDE_KINDS, repeat=len(humans)))
+    S = np.repeat(sp.S[None], len(keys), axis=0)
+    for cell, combo in enumerate(keys):
+        flipped = [(k, model) for (k, model), kind in zip(humans, combo)
                    if attitude_preset(kind, 1.0) != model.attitude]
-        S = sp.S.copy() if flipped else sp.S
-        for model in flipped:
+        if not flipped:
+            own = cell
+        for k, model in flipped:
             for j in model.neighbor_ids:
-                S[lay.y_slice(model.human_id), lay.x_slice(j)] *= -1.0
-        stacks[combo] = replace(sp, S=S) if flipped else sp
-    return stacks
+                S[cell, lay.y_slice(k), lay.x_slice(j)] *= -1.0
+    return keys, own, replace(sp, S=S)
+
+
+def _unstack(cells: ReducedProgram) -> list[ReducedProgram]:
+    """Each cell's reduced program from a stacked one, such as
+    `reduce_stacked` of a cell stack; h_c, d and b_d may be every cell's or
+    carry the cell axis too."""
+    n = len(cells.H)
+    h_c, d, b_d = (np.broadcast_to(v, (n, v.shape[-1])) for v in (cells.h_c, cells.d, cells.b_d))
+    return [ReducedProgram(H=cells.H[i], g=cells.g[i], const=cells.const, G_c=cells.G_c[i],
+                           h_c=h_c[i], S=cells.S[i], d=d[i], b_d=b_d[i])
+            for i in range(n)]
 
 
 def _cell_admissible(rp: ReducedProgram) -> bool:
@@ -246,9 +316,11 @@ def _demands(production: float) -> list[float]:
     return [production + margin * (0.5 + 0.5 * abs(production)) for margin in DEMAND_MARGINS]
 
 
-def _screen(cells: list[ReducedProgram]) -> np.ndarray:
+def _screen(cells: ReducedProgram) -> np.ndarray:
     """Which (demand margin, budget fraction) probes of `_offset_search` may
     pass, as a boolean grid; False only where the exact search must fail.
+    `cells` is stacked along a leading cell axis, as `reduce_stacked` lays
+    out a cell stack (d and b_d may be every cell's).
 
     Each probe's solution is the KKT point of a known active set A, affine in
     the offset c (Bemporad et al., Automatica 38(1), 2002): at the slack
@@ -267,17 +339,17 @@ def _screen(cells: list[ReducedProgram]) -> np.ndarray:
     every probe passes.
     """
     unscreened = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
-    G = np.stack([rp.G_c for rp in cells])  # (cells, 2, n)
-    H_inv = _inverse(np.stack([rp.H for rp in cells]))
+    G = cells.G_c  # (cells, 2, n)
+    H_inv = _inverse(cells.H)
     if H_inv is None:
         return unscreened
-    x0 = -H_inv @ np.stack([rp.g for rp in cells])[:, :, None]  # (cells, n, 1)
+    x0 = -H_inv @ cells.g[:, :, None]  # (cells, n, 1)
     V = H_inv @ G.transpose(0, 2, 1)
     M = G @ V
     M_inv = _inverse(M)
     if M_inv is None:
         return unscreened
-    r = G @ x0 + np.stack([rp.b_d for rp in cells])[:, :, None]  # (cells, 2, 1)
+    r = G @ x0 + cells.b_d[..., None]  # (cells, 2, 1)
 
     # Demand probes: the demand row alone binds, mu_2 = (r_2 + c_2) / M_22.
     demands = np.array(_demands(max(-r[:, 1, 0])))
@@ -292,17 +364,17 @@ def _screen(cells: list[ReducedProgram]) -> np.ndarray:
     c = c.reshape(2, -1)  # every (margin, fraction) probe, one per column
     tau = SCREEN_TOL * (1.0 + np.abs(c).max(axis=0))
     mu = M_inv @ (r + c)  # (cells, 2, probes)
-    S = np.stack([rp.S for rp in cells])
-    y = S @ (x0 - V @ mu) + np.stack([rp.d for rp in cells])[:, :, None]
+    y = cells.S @ (x0 - V @ mu) + cells.d[..., None]
     passes = np.repeat(passes, len(BUDGET_FRACTIONS))
     passes &= np.all(mu >= 1e-2 - tau, axis=(0, 1))
     passes &= np.all(y >= -tau, axis=(0, 1))
     return passes.reshape(unscreened.shape)
 
 
-def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | None:
+def _offset_search(cells: ReducedProgram, tally: Counter) -> np.ndarray | None:
     """Demand and budget offsets c at which both constraint rows bind at the
-    optimum of every attitude cell, or None.
+    optimum of every attitude cell (`cells`, as `_screen` reads them), or
+    None.
 
     The production requirement must be active regardless of attitudes,
     otherwise withdrawing humans would not force the autonomous agents to
@@ -316,6 +388,7 @@ def _offset_search(cells: list[ReducedProgram], tally: Counter) -> np.ndarray | 
         tally["screened"] += 1
         return None
 
+    cells = _unstack(cells)
     slack_c = np.array([-1e6, -1e6])
     productions = []
     for cell in cells:
@@ -374,17 +447,18 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
     _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
-    b = fold(rp, dc)[3]
+    b = folded_offset(rp, dc)
     n, q = rp.H.shape[0], dc.block_dim
     dx, dz, dlam = b[:n], b[n:n + q], np.maximum(0.0, b[n + q:])
     speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
     return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
 
 
-def _scaled(cell: StackedProblem, s: float, c: np.ndarray) -> ReducedProgram:
-    """A cell's reduced program with its bases and offset c scaled by s:
-    `stack_problem` copies each base into d, so d * s is the scaled stack."""
-    return reduce_stacked(replace(cell, d=cell.d * s), c * s)
+def _scaled(cells: StackedProblem, s: float, c: np.ndarray) -> ReducedProgram:
+    """The reduced program of a stack (one cell, or all cells of a cell
+    stack) with its bases and offset c scaled by s: `stack_problem` copies
+    each base into d, so d * s is the scaled stack."""
+    return reduce_stacked(replace(cells, d=cells.d * s), c * s)
 
 
 def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
@@ -435,14 +509,16 @@ def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, li
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
 
 
-def _rejection(scenario: Scenario, stacks: dict[tuple[str, ...], StackedProblem],
-               own: tuple[str, ...], s: float, dc: DecoupledConstraint,
+def _rejection(scenario: Scenario, cells: StackedProblem, keys: list[tuple[str, ...]],
+               own: int, s: float, dc: DecoupledConstraint,
                abscissa_bar: float, check_grid: bool) -> str | None:
     """The first check the tightened draw fails once scaled by s, or None.
-    It reads each cell of `stacks` (`own` is the draw's) scaled, reduced
-    once; all share `dc`, since the folded M reads neither c nor d."""
+    It reads each cell of the cell stack `cells` (keyed by `keys`; `own` is
+    the draw's) scaled, reduced once; all share `dc`, since the folded M
+    reads neither c nor d."""
     dt = scenario.solver.dt
-    rp = _scaled(stacks[own], s, scenario.constraint.c)
+    scaled = _unstack(_scaled(cells, s, scenario.constraint.c))
+    rp = scaled[own]
     try:
         _, y, mu, _ = solve_program(rp)
     except HatallocError:
@@ -461,12 +537,8 @@ def _rejection(scenario: Scenario, stacks: dict[tuple[str, ...], StackedProblem]
     # workloads, and the cells' contrasts must clear their margins.
     lay = scenario.layout
     totals = {}
-    for key, cell in stacks.items():
-        if key == own:
-            cell_rp, margins = rp, (abscissa, radius)
-        else:
-            cell_rp = _scaled(cell, s, scenario.constraint.c)
-            margins = _stability_margins(cell_rp, dc, dt)
+    for cell, (key, cell_rp) in enumerate(zip(keys, scaled)):
+        margins = (abscissa, radius) if cell == own else _stability_margins(cell_rp, dc, dt)
         if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
             return "grid"
         try:
@@ -489,23 +561,25 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
     tally = Counter()
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
-        draw = _draw_instance(rng, auto_dims, human_dims, attitudes)
-        # One stack per draw: every stage below reads its attitude cells.
-        stacks = _cell_stacks(draw)
-        own = next(key for key, cell in stacks.items() if cell is draw.stacked)
-        cells = {key: reduce_stacked(cell, draw.constraint.c) for key, cell in stacks.items()}
-        c = _offset_search(list(cells.values()), tally)
+        # Raw arrays and their one stack: objects are built only for the
+        # draws the offset search tightens.
+        draw = _raw_draw(rng, auto_dims, human_dims, attitudes)
+        keys, own, cells = _cell_stacks(draw.stacked, draw.layout, draw.models)
+        reduced = reduce_stacked(cells, np.zeros(draw.layout.rows))
+        c = _offset_search(reduced, tally)
         if c is None:
             rejected["tighten"] += 1
             continue
-        tightened = draw.with_offset(c)
+        tally["built"] += 1
+        tightened = _scenario(draw, c)
         dc = build_decoupled(tightened)
-        s = _normalize_scale(tightened, cells[own].with_offset(c), dc)
-        reason = _rejection(tightened, stacks, own, s, dc, abscissa_bar, check_grid)
+        s = _normalize_scale(tightened, _unstack(reduced)[own].with_offset(c), dc)
+        reason = _rejection(tightened, cells, keys, own, s, dc, abscissa_bar, check_grid)
         if reason is None:
             log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
-                      "rejected %d draws whole, %d exact offset solves ran",
-                      seed, attempt, rejected, tally["screened"], tally["exact_solves"])
+                      "rejected %d draws whole, %d exact offset solves ran, %d draws "
+                      "were built as objects", seed, attempt, rejected, tally["screened"],
+                      tally["exact_solves"], tally["built"])
             models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
             return replace(tightened, constraint=replace(tightened.constraint, c=c * s),
                            human_models=models)
@@ -570,9 +644,9 @@ def random_scenario(
     autonomous = tuple(f"r{i}" for i in range(1, n_autonomous + 1))
     humans = tuple(f"h{k}" for k in range(1, n_human + 1))
     dims = {a: int(rng.integers(1, 4)) for a in autonomous + humans}
-    topo = _connected_graph(
+    topo = NetworkTopology(autonomous, humans, _graph_edges(
         rng, autonomous, humans, extra_edges=int(rng.integers(0, 3))
-    )
+    ))
 
     costs = {
         a: QuadraticCost(np.diag(rng.uniform(0.5, 4.0, size=dims[a])))

@@ -8,9 +8,13 @@ and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
 changed copy again. A scenario assembles its read-only `stacked` operators on
 first use. A copy from `with_solver` or `with_offset` shares them once built,
 since they read neither the solver options nor the offset; any other copy
-assembles its own. The document parser checks only JSON types. Documents are
-JSON trees; floats survive a save/load round trip bit-exactly. Files are read
-by `oracle.load_scenario`, since a document may ask for a Slater certificate.
+assembles its own. `stack_problem`'s layout loop, `stack_parts`, also runs on
+raw parts that nothing has validated: the generator lays out each draw with
+it, and a scenario built from a draw it keeps holds that stack. The
+document parser checks only JSON types.
+Documents are JSON trees; floats survive a save/load round trip bit-exactly.
+Files are read by `oracle.load_scenario`, since a document may ask for a
+Slater certificate.
 """
 
 from __future__ import annotations
@@ -148,12 +152,15 @@ class SolverOptions:
 
 
 class ScenarioLayout:
-    """Index bookkeeping for stacked vectors in canonical agent order."""
+    """Index bookkeeping for stacked vectors in canonical agent order: the
+    autonomous ids, then the human ids, each sorted as `NetworkTopology`
+    stores them."""
 
-    def __init__(self, topology: NetworkTopology, dims: dict[str, int], rows: int):
-        self.autonomous_ids = topology.autonomous_ids
-        self.human_ids = topology.human_ids
-        self.node_order = topology.node_order
+    def __init__(self, autonomous_ids: tuple[str, ...], human_ids: tuple[str, ...],
+                 dims: dict[str, int], rows: int):
+        self.autonomous_ids = autonomous_ids
+        self.human_ids = human_ids
+        self.node_order = autonomous_ids + human_ids
         self.rows = rows
         self.node_index = {a: i for i, a in enumerate(self.node_order)}
         self.x_offsets: dict[str, int] = {}
@@ -294,7 +301,8 @@ class Scenario:
             _require(sched.base_delta.shape == (model.dim,), f"schedule '{k}' base delta "
                      f"has {sched.base_delta.size} entries, the human's dim is {model.dim}")
 
-        object.__setattr__(self, "layout", ScenarioLayout(topo, self.dims, con.rows))
+        object.__setattr__(self, "layout", ScenarioLayout(
+            topo.autonomous_ids, topo.human_ids, self.dims, con.rows))
         start = self.initial_state
         if start is None:
             return
@@ -335,19 +343,23 @@ class Scenario:
         `stack_problem` reads: it shares this scenario's stack once built."""
         copy = replace(self, **changes)
         if "stacked" in vars(self):
-            vars(copy)["stacked"] = self.stacked
+            copy._adopt_stack(self.stacked)
         return copy
+
+    def _adopt_stack(self, sp: StackedProblem) -> "Scenario":
+        """Hold `sp`, made read-only, as this scenario's `stacked`, and return
+        the scenario. For a caller that laid out this scenario's own fields
+        with `stack_parts` already: `sp` must be what `stack_problem` would
+        lay out."""
+        vars(self)["stacked"] = _read_only(sp)
+        return self
 
     @cached_property
     def stacked(self) -> StackedProblem:
         """`stack_problem` of this scenario, built on first use for every
         consumer; read-only, as the scenario is immutable. `with_solver` and
         `with_offset` copies share it."""
-        sp = stack_problem(self)
-        for value in vars(sp).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        return sp
+        return _read_only(stack_problem(self))
 
     def human_response(
         self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0
@@ -388,39 +400,61 @@ class StackedProblem:
     d_delta: np.ndarray
 
 
+def _read_only(sp: StackedProblem) -> StackedProblem:
+    for value in vars(sp).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return sp
+
+
 def stack_problem(scenario: Scenario) -> StackedProblem:
     """Assemble the stacked operators that the flow, the oracle and the
     generator all read, through `Scenario.stacked`."""
-    lay = scenario.layout
     con = scenario.constraint
+    weights = None
+    if all(isinstance(cost, QuadraticCost) for cost in scenario.costs.values()):
+        weights = {a: cost.weight for a, cost in scenario.costs.items()}
+    return stack_parts(scenario.layout, scenario.human_models, con.a_blocks, con.b_blocks,
+                       weights, scenario.schedules)
+
+
+def stack_parts(lay: ScenarioLayout, models, a_blocks: dict[str, np.ndarray],
+                b_blocks: dict[str, np.ndarray], weights: dict[str, np.ndarray] | None,
+                schedules: dict[str, ApproximationSchedule]) -> StackedProblem:
+    """`stack_problem`'s layout loop on a scenario's parts, which it does not
+    validate: the generator lays out each draw's raw arrays with it before it
+    builds any object. `models` maps each human to its response parameters,
+    a `HumanResponseModel` or anything with the fields the loop reads
+    (`neighbor_ids`, `gains`, `base`, `attitude`, `family`, `sharpness`);
+    `weights` are the cost weights, None unless every cost is quadratic."""
     S = np.zeros((lay.y_dim, lay.x_dim))
-    S_delta = np.zeros((lay.y_dim if scenario.schedules else 0, lay.x_dim))
+    S_delta = np.zeros((lay.y_dim if schedules else 0, lay.x_dim))
     d, d_delta, beta, settle = np.zeros((4, lay.y_dim))
     for k in lay.human_ids:
-        model = scenario.human_models[k]
+        model = models[k]
         rows = lay.y_slice(k)
         d[rows] = model.base
         for j in model.neighbor_ids:
             S[rows, lay.x_slice(j)] = model.attitude * model.gains[j]
         if model.family != human_mod.AFFINE:
             beta[rows] = model.sharpness
-        sched = scenario.schedules.get(k)
+        sched = schedules.get(k)
         if sched is not None:
             settle[rows], d_delta[rows] = sched.settle_time, sched.base_delta
             for j, delta in sched.gain_deltas.items():
                 S_delta[rows, lay.x_slice(j)] = model.attitude * delta
     soft, scheduled = np.flatnonzero(beta), np.flatnonzero(settle)
-    empty = np.zeros((con.rows, 0))
-    a_cat = np.hstack([empty] + [con.a_blocks[i] for i in lay.autonomous_ids])
-    b_cat = np.hstack([empty] + [con.b_blocks[k] for k in lay.human_ids])
+    empty = np.zeros((lay.rows, 0))
+    a_cat = np.hstack([empty] + [a_blocks[i] for i in lay.autonomous_ids])
+    b_cat = np.hstack([empty] + [b_blocks[k] for k in lay.human_ids])
     x_weight = y_weight = None
-    if all(isinstance(cost, QuadraticCost) for cost in scenario.costs.values()):
+    if weights is not None:
         x_weight = np.zeros((lay.x_dim, lay.x_dim))
         for i in lay.autonomous_ids:
-            x_weight[lay.x_slice(i), lay.x_slice(i)] = scenario.costs[i].weight
+            x_weight[lay.x_slice(i), lay.x_slice(i)] = weights[i]
         y_weight = np.zeros((lay.y_dim, lay.y_dim))
         for k in lay.human_ids:
-            y_weight[lay.y_slice(k), lay.y_slice(k)] = scenario.costs[k].weight
+            y_weight[lay.y_slice(k), lay.y_slice(k)] = weights[k]
     return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight, soft, beta[soft],
                           scheduled, settle[scheduled], S_delta[scheduled], d_delta[scheduled])
 

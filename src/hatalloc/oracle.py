@@ -10,8 +10,8 @@ program only h_c = c + B d depends on the offset c, so
 `solve_program` / `interior_point` solve a reduced program as it stands.
 `reduce_stacked` holds the reduction algebra, so a caller that already has
 stacked operators reduces them the way `reduce_program` reduces
-`scenario.stacked`, from which `lift_to_saddle` reads S and d: it reduces
-nothing.
+`scenario.stacked` (several attitude cells at once when S carries a leading
+cell axis), from which `lift_to_saddle` reads S and d: it reduces nothing.
 `load_scenario` reads scenario files, since a file may ask for the solver's
 Slater certificate.
 """
@@ -98,12 +98,15 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     """The reduced program of stacked operators with quadratic costs and
     affine responses, at constraint offset c. `reduce_program` checks those
-    conditions; the generator calls this on attitude cells it builds from one
-    stack by flipping rows of S."""
+    conditions. The generator calls this on the attitude cells of a draw at
+    once: an S with a leading cell axis gives H, g, G_c and S with that axis
+    (d, b_d, h_c and const are every cell's), each cell's floats those of
+    its own reduction."""
     S, d, gam_bar = sp.S, sp.d, sp.y_weight
-    H = 2.0 * (sp.x_weight + S.T @ gam_bar @ S)
-    H = 0.5 * (H + H.T)
-    g = 2.0 * (S.T @ (gam_bar @ d))
+    S_T = S.swapaxes(-1, -2)
+    H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
+    H = 0.5 * (H + H.swapaxes(-1, -2))
+    g = 2.0 * (S_T @ (gam_bar @ d))
     const = float(d @ gam_bar @ d)
     G_c = sp.a_cat + sp.b_cat @ S
     b_d = sp.b_cat @ d

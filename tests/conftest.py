@@ -23,6 +23,7 @@ from hatalloc.experiments import (
     _draw_instance,
     _normalize_scale,
     _offset_search,
+    _unstack,
 )
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
 from hatalloc.model import (
@@ -312,19 +313,18 @@ def team_draw(attempt, seed=1):
 
 def generator_stages(draw):
     """What `experiments._generate` hands `_rejection` for a draw: the
-    tightened scenario, the attitude cells' stacks, the key of the draw's own
-    cell, the scale factor s and the decoupled constraint; None when the
-    offset search rejects the draw."""
-    stacks = _cell_stacks(draw)
-    own = next(key for key, cell in stacks.items() if cell is draw.stacked)
-    cells = [reduce_stacked(cell, draw.constraint.c) for cell in stacks.values()]
-    c = _offset_search(cells, Counter())
+    tightened scenario, the attitude cells' stack, their keys, the index of
+    the draw's own cell, the scale factor s and the decoupled constraint;
+    None when the offset search rejects the draw."""
+    keys, own, cells = _cell_stacks(draw.stacked, draw.layout, draw.human_models)
+    reduced = reduce_stacked(cells, draw.constraint.c)
+    c = _offset_search(reduced, Counter())
     if c is None:
         return None
     tightened = draw.with_offset(c)
     dc = build_decoupled(tightened)
-    s = _normalize_scale(tightened, reduce_stacked(draw.stacked, c), dc)
-    return tightened, stacks, own, s, dc
+    s = _normalize_scale(tightened, _unstack(reduced)[own].with_offset(c), dc)
+    return tightened, cells, keys, own, s, dc
 
 
 def scaled_scenario(tightened, s):

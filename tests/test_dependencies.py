@@ -109,3 +109,11 @@ def test_one_place_stacks_the_problem_and_one_builds_the_dense_lift(name, only):
     """Every other consumer reads `Scenario.stacked`, or applies and solves
     the lift on the node Laplacian."""
     assert _referrers(name) == {only}
+
+
+def test_only_the_stack_and_the_generators_draw_lay_out_raw_parts():
+    """`stack_parts` lays out parts it does not validate: only
+    `stack_problem`, on a validated scenario, and the generator's raw draw,
+    whose objects are built and validated once its offset is tightened,
+    call it."""
+    assert _referrers("stack_parts") == {"model.stack_problem", "experiments._raw_draw"}

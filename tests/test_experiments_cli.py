@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,32 @@ from conftest import (
     single_agent_scenario,
     team_draw,
 )
+
+
+@pytest.fixture(scope="module")
+def team_generation():
+    """Uncached `team_scenario` 1-9, recorded: the nine generated
+    scenarios, every raw draw with the offset its search took (None when it
+    rejected the draw), each tightened draw with the `Scenario` built from
+    it, the calls of the generator's assembly functions, and the
+    `QuadraticCost` and `Scenario` constructions."""
+    log, built = [], Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        record_calls(patch, log, experiments._raw_draw, experiments._offset_search,
+                     experiments._scenario, model.stack_parts, model.stack_problem,
+                     oracle.reduce_program, reformulation.build_decoupled)
+        for cls in (model.QuadraticCost, model.Scenario):
+            patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
+                          _name=cls.__name__: built.update([_name]) or _real(self))
+        scenarios = {seed: team_scenario.__wrapped__(seed) for seed in range(1, 10)}
+    return SimpleNamespace(
+        scenarios=scenarios,
+        calls=Counter(name for name, _, _ in log),
+        built=built,
+        draws=[draw for name, _, draw in log if name == "_raw_draw"],
+        offsets=[c for name, _, c in log if name == "_offset_search"],
+        tightened=[(args[0], scenario) for name, args, scenario in log if name == "_scenario"],
+    )
 
 
 class TestGenerators:
@@ -89,16 +116,20 @@ class TestGenerators:
                       check_grid=True, stream=40)
         [record] = [r for r in caplog.records if r.name == "hatalloc.experiments"]
         assert record.levelno == logging.DEBUG
-        seed, draw, rejected, screened, solves = record.args
+        seed, draw, rejected, screened, solves, built = record.args
         assert seed == 7 and draw > 0
         assert list(rejected) == list(REJECTIONS)
         assert sum(rejected.values()) == draw
         assert f"accepted draw {draw}" in record.getMessage()
         # Seed 7's five tighten rejections are all decided by the offset
-        # screen; only the draws it lets through are solved exactly.
+        # screen; only the draws it lets through are solved exactly, and
+        # only the draws it tightens (here the accepted one and one the
+        # grid rejects) are built as objects.
         assert screened == rejected["tighten"] == 5
         assert solves > 0
-        assert f"screen rejected {screened} draws whole, {solves} exact" in record.getMessage()
+        assert built == draw + 1 - rejected["tighten"] == 2
+        assert (f"screen rejected {screened} draws whole, {solves} exact offset solves ran, "
+                f"{built} draws were built as objects") in record.getMessage()
 
     def test_generator_builds_no_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -110,29 +141,49 @@ class TestGenerators:
         monkeypatch.undo()
         assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
-    def test_generator_stacks_each_draw_once(self, monkeypatch):
-        """Generation makes one `stack_problem` per draw, which the
-        tightened draw shares for the scale step's lift, and no
-        `reduce_program`; it decouples each tightened draw once, and builds a
-        `Scenario` only for each draw, each tightened offset and the
-        accepted draw."""
-        log, built = [], []
-        record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program,
-                     reformulation.build_decoupled, experiments._offset_search)
-        real_init = model.Scenario.__post_init__
-        monkeypatch.setattr(model.Scenario, "__post_init__",
-                            lambda self: built.append(self) or real_init(self))
-        fresh = team_scenario.__wrapped__(1)
-        monkeypatch.undo()
-        calls = Counter(name for name, _, _ in log)
-        offsets = [c for name, _, c in log if name == "_offset_search"]
-        tightened = sum(c is not None for c in offsets)
-        assert len(offsets) == 95 and tightened == 16  # seed 1 accepts draw 94
-        assert calls["stack_problem"] == len(offsets)  # 95
-        assert calls["reduce_program"] == 0
-        assert calls["build_decoupled"] == tightened
-        assert len(built) == len(offsets) + tightened + 1
-        assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
+    def test_generator_stacks_each_draw_once(self, team_generation):
+        """Over team seeds 1-9, generation lays out each draw once
+        (`stack_parts`), which the tightened draw's `Scenario` holds for the
+        scale step's lift, and calls no `stack_problem` or `reduce_program`.
+        It decouples each tightened draw once, and builds the validated
+        objects only for the tightened draws: seven `QuadraticCost`s each,
+        and a `Scenario` for each and for each accepted draw."""
+        calls, built = team_generation.calls, team_generation.built
+        tightened = sum(c is not None for c in team_generation.offsets)
+        assert len(team_generation.offsets) == 1142 and tightened == 256
+        assert calls["_raw_draw"] == calls["stack_parts"] == 1142
+        assert calls["stack_problem"] == calls["reduce_program"] == 0
+        assert calls["build_decoupled"] == calls["_scenario"] == tightened
+        assert built["QuadraticCost"] == 7 * tightened == 1792
+        assert built["Scenario"] == tightened + 9 == 265
+        # The recorded run generates the real instances.
+        for seed, scenario in team_generation.scenarios.items():
+            assert serialize_scenario(scenario) == serialize_scenario(team_scenario(seed))
+
+    def test_skipped_validation_hides_no_error(self, team_generation):
+        """Every draw of team seeds 1-9 that the offset search rejected
+        builds its validated objects (topology, costs, constraint, models,
+        `Scenario`) without an error. Every tightened draw's `Scenario`
+        holds the draw's layout, and it is, byte for byte, the stack that
+        `stack_problem` lays out from the validated objects."""
+        rejected = [draw for draw, c in zip(team_generation.draws, team_generation.offsets)
+                    if c is None]
+        assert len(rejected) == 886
+        for draw in rejected:
+            experiments._scenario(draw, np.zeros(2))
+        assert len(team_generation.tightened) == 256
+        for draw, scenario in team_generation.tightened:
+            assert scenario.stacked is draw.stacked
+            fresh = model.stack_problem(scenario)
+            for f in fields(model.StackedProblem):
+                assert getattr(fresh, f.name).tobytes() == getattr(draw.stacked, f.name).tobytes()
+
+    def test_seed_10_finds_no_admissible_draw(self):
+        """team seed 10 rejects all 400 draws, by these checks."""
+        with pytest.raises(NoAdmissibleInstanceError) as info:
+            team_scenario.__wrapped__(10)
+        assert info.value.rejected == {**dict.fromkeys(REJECTIONS, 0),
+                                       "tighten": 327, "stability": 55, "grid": 18}
 
     def test_scale_and_rejection_assemble_nothing(self, monkeypatch):
         """The scale step and `_rejection` read the draw's cell stacks and
@@ -141,9 +192,9 @@ class TestGenerators:
         step's lift reads the stack the tightened scenario shares with its
         draw."""
         draw = team_draw(94)
-        tightened, stacks, own, s, dc = generator_stages(draw)
+        tightened, cells, keys, own, s, dc = generator_stages(draw)
         tightened = draw.with_offset(tightened.constraint.c)  # a new copy, not yet read
-        own_cell = oracle.reduce_stacked(stacks[own], tightened.constraint.c)
+        own_cell = oracle.reduce_stacked(draw.stacked, tightened.constraint.c)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assembled during the scale step or the rejection")
@@ -154,9 +205,9 @@ class TestGenerators:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         monkeypatch.setattr(model.Scenario, "__post_init__", refuse)
         log = []
-        record_calls(monkeypatch, log, model.stack_problem)
+        record_calls(monkeypatch, log, model.stack_problem, model.stack_parts)
         assert _normalize_scale(tightened, own_cell, dc) == s
-        assert _rejection(tightened, stacks, own, s, dc, abscissa_bar=-0.08,
+        assert _rejection(tightened, cells, keys, own, s, dc, abscissa_bar=-0.08,
                           check_grid=True) is None
         assert log == []
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from hatalloc import (
     load_scenario,
+    save_scenario,
     scenario_from_document,
     serialize_scenario,
 )
@@ -29,7 +30,7 @@ from hatalloc.model import (
     midpoint_convexity_gap,
 )
 
-from conftest import path_scenario
+from conftest import path_scenario, with_schedules
 
 MINIMAL_DOC = {
     "agents": [{"id": "a1", "kind": "autonomous", "dim": 1}],
@@ -360,6 +361,21 @@ class TestRoundTrip:
             for j, delta in sched.gain_deltas.items():
                 np.testing.assert_array_equal(delta, other.gain_deltas[j])
         assert again.initial_state == scenario.initial_state
+
+    def test_saved_file_is_the_indented_document(self, tmp_path):
+        """`save_scenario` writes the document as `json.dumps(doc, indent=2)`
+        and a newline, here for humans of both families, all scheduled."""
+        scenario = with_schedules(
+            random_scenario(4, n_human=3, families=("affine", "softplus_affine")),
+            np.random.default_rng(4),
+        )
+        assert {m.family for m in scenario.human_models.values()} == {
+            "affine", "softplus_affine"}
+        assert set(scenario.schedules) == set(scenario.human_models)
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        text = json.dumps(serialize_scenario(scenario), indent=2) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestSolverOptions:

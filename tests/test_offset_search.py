@@ -1,7 +1,7 @@
 """The generator's offset search against a per-offset reference.
 
-The generator reduces every attitude cell of a draw from the draw's one
-stack, `Scenario.stacked`, and `_offset_search` screens all probed offsets with the
+The generator reduces every attitude cell of a draw in one pass from the
+draw's one stack, and `_offset_search` screens all probed offsets with the
 cells' affine KKT maps and solves the probes the screen keeps exactly,
 re-targeting the reduced cells with `ReducedProgram.with_offset`. The
 reference below is the per-offset search it replaced: a new scenario for
@@ -41,6 +41,7 @@ from hatalloc.experiments import (
     _scaled,
     _screen,
     _stability_margins,
+    _unstack,
     crosscheck_scenario,
     team_scenario,
 )
@@ -69,15 +70,31 @@ from conftest import (
 DRAWS = range(4, 16)
 
 
+def _reduced_cells(scenario):
+    """The attitude cells reduced in one pass, stacked along a leading cell
+    axis, as the generator reduces them."""
+    _, _, cells = _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
+    return reduce_stacked(cells, scenario.constraint.c)
+
+
 def _cells(scenario):
-    """The attitude cells' reduced programs, as the generator builds them."""
-    stacks = _cell_stacks(scenario)
-    return [reduce_stacked(sp, scenario.constraint.c) for sp in stacks.values()]
+    """The attitude cells' reduced programs, one per cell."""
+    return _unstack(_reduced_cells(scenario))
+
+
+def _restacked(cells):
+    """Reduced programs stacked along a leading cell axis, each with its own
+    h_c, d and b_d, as `_screen` and `_offset_search` read them."""
+    return ReducedProgram(
+        **{name: np.stack([getattr(cell, name) for cell in cells])
+           for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d")},
+        const=cells[0].const,
+    )
 
 
 def _tighten(scenario, tally=None):
     """The offset the generator's search takes for a raw draw, or None."""
-    return _offset_search(_cells(scenario), Counter() if tally is None else tally)
+    return _offset_search(_reduced_cells(scenario), Counter() if tally is None else tally)
 
 
 def _reference_row_levels(scenario, c, x):
@@ -150,26 +167,26 @@ def test_draws_cover_accepted_and_rejected():
 
 
 def test_tighten_reduces_each_cell_once(monkeypatch):
-    """`_generate` stacks each draw once, then reduces each attitude cell of
-    that stack once, and those reductions are the cells its offset search
-    reads. No `Scenario` is built between the draw and its search, and no
-    scenario is reduced. The tightened scenario, built right after its
-    search, makes no stack: it shares its draw's, which the scale step's
-    lift reads."""
+    """`_generate` lays out each draw's raw arrays once (`stack_parts`),
+    then reduces all its attitude cells in one pass, and that reduction is
+    what its offset search reads. No `Scenario` is built between the draw
+    and its search, and nothing is stacked or reduced from a scenario. The
+    tightened scenario, built right after its search, holds the draw's
+    layout, which the scale step's lift reads."""
     log = []
-    record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_stacked,
-                 oracle.reduce_program, experiments._offset_search)
+    record_calls(monkeypatch, log, model.stack_parts, model.stack_problem,
+                 oracle.reduce_stacked, oracle.reduce_program, experiments._offset_search)
     real_init = Scenario.__post_init__
     monkeypatch.setattr(Scenario, "__post_init__",
                         lambda self: log.append(("Scenario", (self,), None)) or real_init(self))
     with pytest.raises(HatallocError):  # draws 0-15 of seed 1 hold no admissible one
         _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES, abscissa_bar=-0.08,
                   check_grid=True, stream=40, max_attempts=16)
-    assert "reduce_program" not in {name for name, _, _ in log}
-    stacks = [i for i, (name, _, _) in enumerate(log) if name == "stack_problem"]
+    assert not {"stack_problem", "reduce_program"} & {name for name, _, _ in log}
+    layouts = [i for i, (name, _, _) in enumerate(log) if name == "stack_parts"]
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
-    starts = [search - 5 for search in searches]
-    assert len(searches) == 16 and stacks == starts
+    starts = [search - 2 for search in searches]
+    assert len(searches) == 16 and layouts == starts
     tightened = [search for search in searches if log[search][2] is not None]
     assert len(tightened) == 4  # draws 5, 12, 14 and 15
     for start, search in zip(starts, searches):
@@ -177,18 +194,22 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
             name, (scenario,), _ = log[search + 1]
             assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
             assert scenario.stacked is log[start][2]
-        sp, cells = log[start][2], log[search][1][0]
-        between = log[start + 1:search]
-        assert [name for name, _, _ in between] == ["reduce_stacked"] * 4  # two humans
-        assert [result for _, _, result in between] == cells
-        assert any(args[0] is sp for _, args, _ in between)
+        name, (cell_stack, _), cells = log[start + 1]
+        assert name == "reduce_stacked" and log[search][1][0] is cells
+        assert cell_stack.S.shape[0] == 4  # two humans
+        assert cell_stack.d is log[start][2].d
 
 
 def test_cell_stacks_reduce_like_relabeled_scenarios():
     """A cell's sign-flipped stack reduces to the same floats as the
     relabeled scenario, signed zeros included."""
     for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2)):
-        for got, cell in zip(_cells(scenario), attitude_cells(scenario).values()):
+        cells = attitude_cells(scenario)
+        keys, own, _ = _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
+        assert keys == list(cells)
+        attitudes = [m.attitude for m in scenario.human_models.values()]
+        assert [m.attitude for m in cells[keys[own]].human_models.values()] == attitudes
+        for got, cell in zip(_cells(scenario), cells.values()):
             expected = reduce_program(cell)
             for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d"):
                 a, b = getattr(got, name), getattr(expected, name)
@@ -200,7 +221,7 @@ def test_cell_stacks_need_unit_attitudes():
     """Negating gain blocks relabels only a unit attitude."""
     scenario = path_scenario(attitude=0.5)
     with pytest.raises(ValueError, match="unit attitudes"):
-        _cell_stacks(scenario)
+        _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
 
 
 @pytest.mark.parametrize("attempt", DRAWS)
@@ -229,9 +250,9 @@ def test_singular_kkt_system_passes_every_probe():
     """Two equal constraint rows make a cell's KKT matrix, and its Schur
     complement M, singular: that cell turns the screen off."""
     cells = _cells(team_draw(4))
-    assert not _screen(cells).any()  # draw 4 is screened out
+    assert not _screen(_restacked(cells)).any()  # draw 4 is screened out
     twin_rows = replace(cells[2], G_c=cells[2].G_c[[1, 1]])
-    assert _screen(cells[:2] + [twin_rows] + cells[3:]).all()
+    assert _screen(_restacked(cells[:2] + [twin_rows] + cells[3:])).all()
 
 
 def _unscreened(cells):
@@ -251,7 +272,7 @@ def _assert_screen_keeps_zero_responses(cells, c, index):
     edge = replace(cell, d=cell.d - (y.min() - 1e-12))
     assert 0.0 <= solve_program(edge.with_offset(c))[1].min() < 1e-11
     assert _cell_admissible(edge.with_offset(c))
-    shifted = cells[:index] + [edge] + cells[index + 1:]
+    shifted = _restacked(cells[:index] + [edge] + cells[index + 1:])
     assert np.array_equal(_unscreened(shifted), c)
     assert np.array_equal(_offset_search(shifted, Counter()), c)
 
@@ -259,7 +280,7 @@ def _assert_screen_keeps_zero_responses(cells, c, index):
 @pytest.mark.parametrize("attempt", (5, 12, 14, 15))
 def test_screen_keeps_a_probe_with_a_response_at_zero(attempt):
     cells = _cells(team_draw(attempt))
-    c = _offset_search(cells, Counter())
+    c = _tighten(team_draw(attempt))
     for index in range(len(cells)):
         _assert_screen_keeps_zero_responses(cells, c, index)
 
@@ -309,13 +330,14 @@ def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
     draws = (generator_stages(_draw_instance(rng, *shape)) for _ in range(40))
     stages = next((stages for stages in draws if stages is not None), None)
     assume(stages is not None)
-    tightened, stacks, _, s, dc = stages
+    tightened, cell_stack, keys, _, s, dc = stages
     scaled = scaled_scenario(tightened, s)
     scaled_dc, dt = build_decoupled(scaled), tightened.solver.dt
     cells = attitude_cells(scaled)
-    assert list(cells) == list(stacks)
-    for key, cell in cells.items():
-        got, expected = _scaled(stacks[key], s, tightened.constraint.c), reduce_program(cell)
+    assert list(cells) == keys
+    scaled_cells = _unstack(_scaled(cell_stack, s, tightened.constraint.c))
+    for got, cell in zip(scaled_cells, cells.values()):
+        expected = reduce_program(cell)
         for f in fields(ReducedProgram):
             if f.init:
                 a, b = getattr(got, f.name), getattr(expected, f.name)
@@ -387,7 +409,7 @@ def test_scaled_draws_start_within_the_speed_cap():
     for attempt in range(60):
         stages = generator_stages(team_draw(attempt))
         if stages is not None:
-            tightened, _, _, s, _ = stages
+            tightened, _, _, _, s, _ = stages
             speeds[attempt] = _zero_start_speed(scaled_scenario(tightened, s))
     assert max(speeds.values()) <= INITIAL_SPEED_CAP * (1 + 1e-12)
     # Draw 5 is one where the cap, not the saddle-norm target, sets the scale.
