@@ -9,21 +9,29 @@ is stable and well damped at the default step size, and the qualitative
 risk-attitude orderings hold with clear margins. Rejected draws are redrawn
 deterministically, so a seed pins the instance byte for byte.
 
-`_generate` draws each attempt as raw arrays and lays them out once
-(`stack_parts`, the loop of `stack_problem`) without building or validating
-any object. It builds every risk-attitude cell from that stack by negating
-the gain blocks of the humans whose unit attitude the cell flips, as one
-stack with a leading cell axis, and reduces all cells in one pass
-(`reduce_stacked`). Every admission stage reads these cells. The offset
-search screens all nine (demand margin, budget fraction) probes at once:
-with its active set fixed, each probe's solution is affine in the offset c,
-so one inverse of each cell's Hessian gives (x, mu, y) at every probe. The
+`_generate` draws its attempts in blocks: the first attempt alone, then
+blocks that double in size up to BLOCK_CAP = 8 draws. Each attempt is drawn
+from its own seed sequence as raw arrays and laid out once (`stack_parts`,
+the loop of `stack_problem`) without building or validating any object, and
+`_lay_out` stacks a block's layouts along a leading draw axis (a generator
+call's draws share their ids, dims and rows). The attitude cells of the whole
+block are built from that stack by negating the gain blocks of the humans
+whose unit attitude a cell flips, as one stack with a cell axis after the
+draw axis, and reduced in one pass (`reduce_stacked`). Every admission stage
+reads these cells. One screen per block rates all nine (demand margin,
+budget fraction) probes of every draw at once: with its active set fixed,
+each probe's solution is affine in the offset c, so one inverse of each
+draw's Hessian, which its cells share, gives (x, mu, y) at every probe. The
 screen rejects a probe only when a multiplier falls below 1e-2, or a
 response below 0, by more than SCREEN_TOL = 1e-6 times the probe's scale
-(1 + max |c|); a singular or ill-conditioned cell turns it off. Every probe
-it keeps is solved exactly on the cell re-targeted by
+(1 + max |c|); a singular or ill-conditioned matrix turns it off for its own
+draw. The attempts are then taken in order: a draw the screen rejects whole
+counts as a `tighten` rejection; any other is searched exactly, each probe
+the screen keeps solved on the cell re-targeted by
 `ReducedProgram.with_offset`, so the offset taken, and every seeded
-instance, is the exact search's bit for bit.
+instance, is the exact search's bit for bit. Draws of the block after the
+accepted one are discarded uncounted, so the counts are those of a loop
+that draws one attempt at a time.
 
 Only a draw the search tightens is built as validated objects (topology,
 costs, constraint, models and a `Scenario` at the tightened offsets), and
@@ -32,7 +40,7 @@ scaled by one factor s: for quadratic costs with affine responses the
 optimal point is exactly linear in (c, base), so normalizing the lifted
 saddle norm keeps the flow's velocity small enough for tight per-step
 descent checks; the lift reads the draw's stack. The remaining checks read
-the cell stack with d scaled by s. A `Scenario` is built only for the
+the draw's cell stack with d scaled by s. A `Scenario` is built only for the
 tightened draws and for the accepted one, so each draw is laid out once and
 a rejected draw builds no object.
 """
@@ -98,13 +106,15 @@ def _graph_edges(rng, autonomous, humans, extra_edges) -> frozenset:
     """Edges of a random connected graph, as sorted id pairs; every human
     gets at least one autonomous neighbor."""
     nodes = list(autonomous) + list(humans)
-    edges = set()
+    auto = set(autonomous)
+    edges, linked = set(), set()  # linked: the humans with an autonomous neighbor
     for idx in range(1, len(nodes)):
-        other = nodes[int(rng.integers(0, idx))]
-        edges.add(tuple(sorted((nodes[idx], other))))
+        node, other = nodes[idx], nodes[int(rng.integers(0, idx))]
+        edges.add(tuple(sorted((node, other))))
+        if node not in auto and other in auto:  # `other` precedes `node` in `nodes`
+            linked.add(node)
     for k in humans:
-        has_auto = any(k in e and (e[0] in autonomous or e[1] in autonomous) for e in edges)
-        if not has_auto and autonomous:
+        if k not in linked and autonomous:
             j = autonomous[int(rng.integers(0, len(autonomous)))]
             edges.add(tuple(sorted((k, j))))
     for _ in range(extra_edges):
@@ -126,8 +136,8 @@ class _Response(NamedTuple):
 
 
 class _Draw(NamedTuple):
-    """One generator attempt as raw arrays, laid out (`stack_parts`) but not
-    validated: `_scenario` builds its objects."""
+    """One generator attempt as raw arrays, not validated: `_scenario`
+    builds its objects. `stacked` is its layout, once `_lay_out` made it."""
 
     edges: frozenset
     weights: dict[str, np.ndarray]  # cost weights, autonomous agents first
@@ -135,16 +145,24 @@ class _Draw(NamedTuple):
     b_blocks: dict[str, np.ndarray]
     models: dict[str, _Response]
     layout: ScenarioLayout
-    stacked: StackedProblem
+    stacked: StackedProblem | None = None
 
 
-def _raw_draw(rng, auto_dims, human_dims, attitudes) -> _Draw:
+def _layout(auto_dims, human_dims) -> ScenarioLayout:
+    """The layout every draw of a generator call shares: its ids, dims and
+    two constraint rows."""
+    autonomous = [f"r{idx}" for idx in range(1, len(auto_dims) + 1)]
+    humans = [f"h{idx}" for idx in range(1, len(human_dims) + 1)]
+    dims = dict(zip(autonomous + humans, auto_dims + human_dims))
+    return ScenarioLayout(tuple(sorted(autonomous)), tuple(sorted(humans)), dims, rows=2)
+
+
+def _raw_draw(rng, auto_dims, human_dims, attitudes, lay: ScenarioLayout) -> _Draw:
     """One generator attempt: its arrays, drawn in a fixed order so that a
-    seed pins them, and their layout."""
+    seed pins them, with `lay`, the `_layout` of its dims."""
     autonomous = tuple(f"r{idx}" for idx in range(1, len(auto_dims) + 1))
     humans = tuple(f"h{idx}" for idx in range(1, len(human_dims) + 1))
-    dims = {a: d for a, d in zip(autonomous, auto_dims)}
-    dims.update({k: d for k, d in zip(humans, human_dims)})
+    dims = lay.dims
     edges = _graph_edges(rng, autonomous, humans, extra_edges=6)
 
     weights = {}
@@ -193,14 +211,30 @@ def _raw_draw(rng, auto_dims, human_dims, attitudes) -> _Draw:
             attitude=attitude_preset(kind, magnitude),
         )
 
-    lay = ScenarioLayout(tuple(sorted(autonomous)), tuple(sorted(humans)), dims, rows=2)
-    sp = stack_parts(lay, models, a_blocks, b_blocks, weights, schedules={})
-    return _Draw(edges, weights, a_blocks, b_blocks, models, lay, sp)
+    return _Draw(edges, weights, a_blocks, b_blocks, models, lay)
+
+
+# The operators `reduce_stacked` reads, which a block of draws stacks.
+_BLOCK_FIELDS = ("S", "d", "a_cat", "b_cat", "x_weight", "y_weight")
+
+
+def _lay_out(draws: list[_Draw]) -> tuple[list[_Draw], StackedProblem]:
+    """The draws, each with its layout (`stack_parts`), and the block of
+    their layouts: one stack whose operators that `reduce_stacked` reads
+    carry a leading draw axis. The draws share their layout, and none has a
+    softplus human or a schedule, so the other fields are every draw's."""
+    draws = [draw._replace(stacked=stack_parts(draw.layout, draw.models, draw.a_blocks,
+                                               draw.b_blocks, draw.weights, schedules={}))
+             for draw in draws]
+    block = replace(draws[0].stacked, **{
+        name: np.stack([getattr(draw.stacked, name) for draw in draws])
+        for name in _BLOCK_FIELDS})
+    return draws, block
 
 
 def _scenario(draw: _Draw, c: np.ndarray) -> Scenario:
     """The draw's validated `Scenario` at constraint offset c, holding the
-    draw's stack."""
+    draw's stack (`_lay_out`)."""
     lay = draw.layout
     scenario = Scenario(
         topology=NetworkTopology(lay.autonomous_ids, lay.human_ids, draw.edges),
@@ -217,7 +251,9 @@ def _scenario(draw: _Draw, c: np.ndarray) -> Scenario:
 def _draw_instance(rng, auto_dims, human_dims, attitudes) -> Scenario:
     """A generator draw as the validated `Scenario` at offset 0, before any
     admission check."""
-    return _scenario(_raw_draw(rng, auto_dims, human_dims, attitudes), np.zeros(2))
+    lay = _layout(auto_dims, human_dims)
+    [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
+    return _scenario(draw, np.zeros(2))
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -249,31 +285,50 @@ def _cell_stacks(sp: StackedProblem, lay: ScenarioLayout,
     whose attitude it flips: the floats `stack_problem` lays out for the
     relabeled scenario. `models` are the humans' response models (or a raw
     draw's `_Response`s).
+
+    `sp` may also be a block of draws (`_lay_out`), with `models` listing
+    each draw's. The cell axis then follows the draw axis, the block's other
+    operators gain a unit cell axis, so that `reduce_stacked` broadcasts
+    them over the cells, and the own cell's index is the first draw's (a
+    generator call's draws share their attitudes).
     """
-    humans = [(k, models[k]) for k in lay.human_ids]
-    if any(abs(model.attitude) != 1.0 for _, model in humans):
+    block = sp.S.ndim == 3
+    draws = models if block else [models]
+    humans = lay.human_ids
+    attitudes = np.array([[draw[k].attitude for k in humans] for draw in draws])
+    if np.any(np.abs(attitudes) != 1.0):
         raise ValueError("attitude cells from one stack need unit attitudes")
     keys = list(product(ATTITUDE_KINDS, repeat=len(humans)))
-    S = np.repeat(sp.S[None], len(keys), axis=0)
-    for cell, combo in enumerate(keys):
-        flipped = [(k, model) for (k, model), kind in zip(humans, combo)
-                   if attitude_preset(kind, 1.0) != model.attitude]
-        if not flipped:
-            own = cell
-        for k, model in flipped:
-            for j in model.neighbor_ids:
-                S[cell, lay.y_slice(k), lay.x_slice(j)] *= -1.0
-    return keys, own, replace(sp, S=S)
+    units = np.array([[attitude_preset(kind, 1.0) for kind in combo] for combo in keys])
+    flips = units != attitudes[:, None, :]  # (draws, cells, humans)
+    own = int(np.flatnonzero(~flips[0].any(axis=1))[0])
+    # Per draw, each human's gain blocks: the columns of its autonomous neighbors.
+    gains = np.zeros((len(draws), len(humans), lay.x_dim), dtype=bool)
+    for b, draw in enumerate(draws):
+        for h, k in enumerate(humans):
+            for j in draw[k].neighbor_ids:
+                gains[b, h, lay.x_slice(j)] = True
+    rows = np.repeat(np.arange(len(humans)), [lay.dims[k] for k in humans])
+    negated = flips[:, :, rows, None] & gains[:, None, rows, :]  # (draws, cells, y, x)
+    S = sp.S.reshape(len(draws), 1, lay.y_dim, lay.x_dim) * np.where(negated, -1.0, 1.0)
+    if not block:
+        return keys, own, replace(sp, S=S[0])
+    return keys, own, replace(sp, S=S, **{name: getattr(sp, name)[:, None]
+                                          for name in _BLOCK_FIELDS if name != "S"})
 
 
-def _unstack(cells: ReducedProgram) -> list[ReducedProgram]:
+def _unstack(cells: ReducedProgram, *draw: int) -> list[ReducedProgram]:
     """Each cell's reduced program from a stacked one, such as
-    `reduce_stacked` of a cell stack; h_c, d and b_d may be every cell's or
-    carry the cell axis too."""
-    n = len(cells.H)
-    h_c, d, b_d = (np.broadcast_to(v, (n, v.shape[-1])) for v in (cells.h_c, cells.d, cells.b_d))
-    return [ReducedProgram(H=cells.H[i], g=cells.g[i], const=cells.const, G_c=cells.G_c[i],
-                           h_c=h_c[i], S=cells.S[i], d=d[i], b_d=b_d[i])
+    `reduce_stacked` of a cell stack, or of draw `draw` of a block's cell
+    stack; h_c, d, b_d and const may be every cell's or carry the cell axis
+    too."""
+    H, g, G_c, S = (v[draw] for v in (cells.H, cells.g, cells.G_c, cells.S))
+    n = len(H)
+    h_c, d, b_d = (np.broadcast_to(v[draw], (n, v.shape[-1]))
+                   for v in (cells.h_c, cells.d, cells.b_d))
+    const = np.broadcast_to(np.asarray(cells.const)[draw], (n,))
+    return [ReducedProgram(H=H[i], g=g[i], const=float(const[i]), G_c=G_c[i],
+                           h_c=h_c[i], S=S[i], d=d[i], b_d=b_d[i])
             for i in range(n)]
 
 
@@ -300,27 +355,42 @@ SCREEN_TOL = 1e-6
 SCREEN_MAX_COND = 1e6
 
 
-def _inverse(a: np.ndarray) -> np.ndarray | None:
-    """Inverses of a stack of matrices, or None when one is singular or
-    worse conditioned than SCREEN_MAX_COND."""
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of matrices, and which of them the screen may
+    use: not one that is singular or worse conditioned than
+    SCREEN_MAX_COND. The identity takes their place, so that the arithmetic
+    that reads it stays finite."""
+    eye = np.eye(a.shape[-1])
     try:
-        inv = np.linalg.inv(a)
+        inv, singular = np.linalg.inv(a), np.False_
     except np.linalg.LinAlgError:
-        return None
+        # One matrix at a time, so that a singular one spoils only its own place.
+        flat = a.reshape(-1, *a.shape[-2:])
+        inv, singular = np.empty_like(flat), np.zeros(len(flat), dtype=bool)
+        for i, matrix in enumerate(flat):
+            try:
+                inv[i] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                inv[i], singular[i] = eye, True
+        inv, singular = inv.reshape(a.shape), singular.reshape(a.shape[:-2])
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
-    return inv if np.all(norm1 <= SCREEN_MAX_COND) else None
+    usable = (norm1 <= SCREEN_MAX_COND) & ~singular
+    return np.where(usable[..., None, None], inv, eye), usable
 
 
-def _demands(production: float) -> list[float]:
-    """The probed demand offsets: a definite margin above `production`."""
-    return [production + margin * (0.5 + 0.5 * abs(production)) for margin in DEMAND_MARGINS]
+def _demands(production):
+    """The probed demand offsets: a definite margin above `production`, one
+    per DEMAND_MARGINS along a new last axis."""
+    production = np.asarray(production)[..., None]
+    return production + np.array(DEMAND_MARGINS) * (0.5 + 0.5 * np.abs(production))
 
 
 def _screen(cells: ReducedProgram) -> np.ndarray:
     """Which (demand margin, budget fraction) probes of `_offset_search` may
     pass, as a boolean grid; False only where the exact search must fail.
     `cells` is stacked along a leading cell axis, as `reduce_stacked` lays
-    out a cell stack (d and b_d may be every cell's).
+    out a cell stack (d and b_d may be every cell's); a block's cell stack
+    adds a draw axis before it, and gets one grid per draw.
 
     Each probe's solution is the KKT point of a known active set A, affine in
     the offset c (Bemporad et al., Automatica 38(1), 2002): at the slack
@@ -332,63 +402,60 @@ def _screen(cells: ReducedProgram) -> np.ndarray:
 
         mu_A = M_AA^-1 (r_A + c_A),   x = x0 - V_A mu_A,   y = S x + d,
 
-    so one stacked inverse of H gives every probe of every cell. A probe is
-    rejected when some cell's demand or both-row multiplier lies below 1e-2,
-    or a response below 0, by more than SCREEN_TOL times the probe's scale
-    1 + max |c|. When H or M is singular or ill-conditioned in some cell,
-    every probe passes.
+    so one inverse of H gives every probe of every cell. The cells of a draw
+    share H bit for bit (a cell negates whole row blocks of S, and the human
+    cost weights are block diagonal), so the first cell's is inverted. A
+    probe is rejected when some cell's demand or both-row multiplier lies
+    below 1e-2, or a response below 0, by more than SCREEN_TOL times the
+    probe's scale 1 + max |c|. When H or some cell's M is singular or
+    ill-conditioned, every probe of that draw passes.
     """
-    unscreened = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
-    G = cells.G_c  # (cells, 2, n)
-    H_inv = _inverse(cells.H)
-    if H_inv is None:
-        return unscreened
-    x0 = -H_inv @ cells.g[:, :, None]  # (cells, n, 1)
-    V = H_inv @ G.transpose(0, 2, 1)
+    G = cells.G_c  # (..., cells, 2, n)
+    H_inv, usable = _inverse(cells.H[..., 0, :, :])
+    H_inv = H_inv[..., None, :, :]  # every cell's
+    x0 = -H_inv @ cells.g[..., None]  # (..., cells, n, 1)
+    V = H_inv @ G.swapaxes(-1, -2)
     M = G @ V
-    M_inv = _inverse(M)
-    if M_inv is None:
-        return unscreened
-    r = G @ x0 + cells.b_d[..., None]  # (cells, 2, 1)
+    M_inv, usable_cells = _inverse(M)
+    usable &= np.all(usable_cells, axis=-1)
+    # A draw whose screen is off may have M_22 = 0: keep its division finite.
+    M = np.where(usable[..., None, None, None], M, np.eye(2))
+    r = G @ x0 + cells.b_d[..., None]  # (..., cells, 2, 1)
 
     # Demand probes: the demand row alone binds, mu_2 = (r_2 + c_2) / M_22.
-    demands = np.array(_demands(max(-r[:, 1, 0])))
-    mu_demand = (r[:, 1] + demands) / M[:, 1, 1:]  # (cells, margins)
+    demands = _demands(np.max(-r[..., 1, 0], axis=-1))  # (..., margins)
+    mu_demand = (r[..., 1, :] + demands[..., None, :]) / M[..., 1, 1:]  # (..., cells, margins)
     tau = SCREEN_TOL * (1.0 + np.abs(demands))
-    passes = np.all(mu_demand >= 1e-2 - tau, axis=0)
-    usages = r[:, 0] - M[:, 0, 1:] * mu_demand  # the budget row's G_c x + B d
+    passes = np.all(mu_demand >= 1e-2 - tau[..., None, :], axis=-2)
+    usages = r[..., 0, :] - M[..., 0, 1:] * mu_demand  # the budget row's G_c x + B d
 
     # Budget probes: both rows bind.
-    budgets = -np.multiply.outer(usages.min(axis=0), BUDGET_FRACTIONS)
-    c = np.stack([budgets, np.broadcast_to(demands[:, None], budgets.shape)])
-    c = c.reshape(2, -1)  # every (margin, fraction) probe, one per column
-    tau = SCREEN_TOL * (1.0 + np.abs(c).max(axis=0))
-    mu = M_inv @ (r + c)  # (cells, 2, probes)
+    budgets = -np.multiply.outer(usages.min(axis=-2), BUDGET_FRACTIONS)
+    c = np.stack([budgets, np.broadcast_to(demands[..., None], budgets.shape)], axis=-3)
+    c = c.reshape(*c.shape[:-2], -1)  # every (margin, fraction) probe, one per column
+    tau = SCREEN_TOL * (1.0 + np.abs(c).max(axis=-2))[..., None, None, :]
+    mu = M_inv @ (r + c[..., None, :, :])  # (..., cells, 2, probes)
     y = cells.S @ (x0 - V @ mu) + cells.d[..., None]
-    passes = np.repeat(passes, len(BUDGET_FRACTIONS))
-    passes &= np.all(mu >= 1e-2 - tau, axis=(0, 1))
-    passes &= np.all(y >= -tau, axis=(0, 1))
-    return passes.reshape(unscreened.shape)
+    passes = np.repeat(passes, len(BUDGET_FRACTIONS), axis=-1)
+    passes &= np.all(mu >= 1e-2 - tau, axis=(-3, -2))
+    passes &= np.all(y >= -tau, axis=(-3, -2))
+    passes |= ~usable[..., None]
+    return passes.reshape(*passes.shape[:-1], len(DEMAND_MARGINS), len(BUDGET_FRACTIONS))
 
 
-def _offset_search(cells: ReducedProgram, tally: Counter) -> np.ndarray | None:
+def _offset_search(cells: list[ReducedProgram], passes: np.ndarray,
+                   tally: Counter) -> np.ndarray | None:
     """Demand and budget offsets c at which both constraint rows bind at the
-    optimum of every attitude cell (`cells`, as `_screen` reads them), or
+    optimum of every attitude cell (`cells`, one reduced program each), or
     None.
 
     The production requirement must be active regardless of attitudes,
     otherwise withdrawing humans would not force the autonomous agents to
     compensate; the budget likewise. The demand is set a definite margin
     above the largest cost-minimal production level across cells, the budget
-    a factor below the smallest demand-constrained usage. Every probe that
-    `_screen` keeps is solved exactly. `tally` counts the draws the screen
-    rejects whole ("screened") and the exact solves ("exact_solves")."""
-    passes = _screen(cells)
-    if not passes.any():
-        tally["screened"] += 1
-        return None
-
-    cells = _unstack(cells)
+    a factor below the smallest demand-constrained usage. Only the probes
+    that `passes`, the cells' `_screen` grid, keeps (at least one) are solved
+    exactly. `tally` counts the exact solves ("exact_solves")."""
     slack_c = np.array([-1e6, -1e6])
     productions = []
     for cell in cells:
@@ -555,35 +622,59 @@ def _rejection(scenario: Scenario, cells: StackedProblem, keys: list[tuple[str, 
     return None
 
 
+# The generator screens its attempts in blocks: the first attempt alone, then
+# blocks that double in size up to this many draws.
+BLOCK_CAP = 8
+
+
+def _blocks(max_attempts: int):
+    """The generator's blocks of attempts, as ranges, in order."""
+    start, size = 0, 1
+    while start < max_attempts:
+        yield range(start, min(start + size, max_attempts))
+        start, size = start + size, min(2 * size, BLOCK_CAP)
+
+
 def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
               check_grid, stream: int, max_attempts: int = 400) -> Scenario:
     rejected = dict.fromkeys(REJECTIONS, 0)
     tally = Counter()
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
-        # Raw arrays and their one stack: objects are built only for the
-        # draws the offset search tightens.
-        draw = _raw_draw(rng, auto_dims, human_dims, attitudes)
-        keys, own, cells = _cell_stacks(draw.stacked, draw.layout, draw.models)
-        reduced = reduce_stacked(cells, np.zeros(draw.layout.rows))
-        c = _offset_search(reduced, tally)
-        if c is None:
-            rejected["tighten"] += 1
-            continue
-        tally["built"] += 1
-        tightened = _scenario(draw, c)
-        dc = build_decoupled(tightened)
-        s = _normalize_scale(tightened, _unstack(reduced)[own].with_offset(c), dc)
-        reason = _rejection(tightened, cells, keys, own, s, dc, abscissa_bar, check_grid)
-        if reason is None:
-            log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
-                      "rejected %d draws whole, %d exact offset solves ran, %d draws "
-                      "were built as objects", seed, attempt, rejected, tally["screened"],
-                      tally["exact_solves"], tally["built"])
-            models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
-            return replace(tightened, constraint=replace(tightened.constraint, c=c * s),
-                           human_models=models)
-        rejected[reason] += 1
+    lay = _layout(auto_dims, human_dims)
+    for attempts in _blocks(max_attempts):
+        # Raw arrays and their stacks, one block of them: objects are built
+        # only for the draws the offset search tightens.
+        draws, block = _lay_out([
+            _raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
+                      auto_dims, human_dims, attitudes, lay)
+            for attempt in attempts])
+        keys, own, cells = _cell_stacks(block, lay, [draw.models for draw in draws])
+        reduced = reduce_stacked(cells, np.zeros(lay.rows))
+        for i, (attempt, draw, passes) in enumerate(zip(attempts, draws, _screen(reduced))):
+            if not passes.any():
+                tally["screened"] += 1
+                rejected["tighten"] += 1
+                continue
+            draw_cells = _unstack(reduced, i)
+            c = _offset_search(draw_cells, passes, tally)
+            if c is None:
+                rejected["tighten"] += 1
+                continue
+            tally["built"] += 1
+            tightened = _scenario(draw, c)
+            dc = build_decoupled(tightened)
+            s = _normalize_scale(tightened, draw_cells[own].with_offset(c), dc)
+            reason = _rejection(tightened, replace(draw.stacked, S=cells.S[i]), keys, own, s,
+                                dc, abscissa_bar, check_grid)
+            if reason is None:
+                log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
+                          "rejected %d draws whole, %d exact offset solves ran, %d draws "
+                          "were built as objects", seed, attempt, rejected, tally["screened"],
+                          tally["exact_solves"], tally["built"])
+                models = {k: replace(m, base=m.base * s)
+                          for k, m in tightened.human_models.items()}
+                return replace(tightened, constraint=replace(tightened.constraint, c=c * s),
+                               human_models=models)
+            rejected[reason] += 1
     raise NoAdmissibleInstanceError(seed, rejected)
 
 

@@ -10,8 +10,10 @@ program only h_c = c + B d depends on the offset c, so
 `solve_program` / `interior_point` solve a reduced program as it stands.
 `reduce_stacked` holds the reduction algebra, so a caller that already has
 stacked operators reduces them the way `reduce_program` reduces
-`scenario.stacked` (several attitude cells at once when S carries a leading
-cell axis), from which `lift_to_saddle` reads S and d: it reduces nothing.
+`scenario.stacked` (several attitude cells, of several draws, at once when
+the operators carry leading cell and draw axes), from which `lift_to_saddle`
+reads S and d: it reduces nothing. A program solves its offset-free part
+(convexity, active sets and the free minimizer) once for all its offsets.
 `load_scenario` reads scenario files, since a file may ask for the solver's
 Slater certificate.
 """
@@ -62,7 +64,8 @@ class ReducedProgram:
     S: np.ndarray  # stacked response gain, y = S x + d
     d: np.ndarray
     b_d: np.ndarray  # B d, the human part of h_c = c + B d
-    # The part of a solve that h_c does not change; built once, shared by `with_offset`.
+    # The part of a solve that h_c does not change (the convexity verdict, the
+    # active sets and the free minimizer); built once, shared by `with_offset`.
     _offset_free: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def with_offset(self, c: np.ndarray) -> ReducedProgram:
@@ -98,19 +101,22 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     """The reduced program of stacked operators with quadratic costs and
     affine responses, at constraint offset c. `reduce_program` checks those
-    conditions. The generator calls this on the attitude cells of a draw at
-    once: an S with a leading cell axis gives H, g, G_c and S with that axis
-    (d, b_d, h_c and const are every cell's), each cell's floats those of
-    its own reduction."""
+    conditions. The generator calls this on the attitude cells of a block of
+    draws at once: operators with leading axes (S with a cell axis, and in a
+    block every operator with a draw axis before it) give H, g, G_c, S, d,
+    b_d, h_c and const with those axes broadcast, each cell's floats those
+    of its own reduction."""
     S, d, gam_bar = sp.S, sp.d, sp.y_weight
     S_T = S.swapaxes(-1, -2)
     H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
     H = 0.5 * (H + H.swapaxes(-1, -2))
-    g = 2.0 * (S_T @ (gam_bar @ d))
-    const = float(d @ gam_bar @ d)
+    d_col = d[..., None]
+    g = 2.0 * (S_T @ (gam_bar @ d_col))[..., 0]
+    const = (d[..., None, :] @ gam_bar @ d_col)[..., 0, 0]
     G_c = sp.a_cat + sp.b_cat @ S
-    b_d = sp.b_cat @ d
-    return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=c + b_d, S=S, d=d, b_d=b_d)
+    b_d = (sp.b_cat @ d_col)[..., 0]
+    return ReducedProgram(H=H, g=g, const=float(const) if const.ndim == 0 else const,
+                          G_c=G_c, h_c=c + b_d, S=S, d=d, b_d=b_d)
 
 
 def solve_centralized(scenario: Scenario) -> Solution:
@@ -124,7 +130,9 @@ def solve_program(rp: ReducedProgram) -> Solution:
     Every subset of constraint rows is tried as the active set; a candidate
     is accepted when its inactive rows are satisfied and its multipliers are
     nonnegative (both up to 1e-9). Strict convexity makes the accepted
-    solution unique.
+    solution unique. The empty set's candidate, the free minimizer, does not
+    depend on the offset, so a program and its `with_offset` copies solve
+    for it once.
     """
     r = rp.h_c.shape[0]
     if r > MAX_ENUMERATION_ROWS:
@@ -141,13 +149,27 @@ def solve_program(rp: ReducedProgram) -> Solution:
             )
         return np.zeros(0), rp.d.copy(), np.zeros(r), rp.const
     if not rp._offset_free:
-        # (active rows, inactive rows, their G_c rows) of every active set, in order.
+        # (active rows, inactive rows, their G_c rows) of every nonempty active set, in order.
         sets = [(list(a), [j for j in range(r) if j not in a], rp.G_c[list(a)])
-                for size in range(r + 1) for a in combinations(range(r), size)]
-        rp._offset_free.append((bool(np.min(np.linalg.eigvalsh(rp.H)) > 0), sets))
-    convex, sets = rp._offset_free[0]
+                for size in range(1, r + 1) for a in combinations(range(r), size)]
+        convex = bool(np.min(np.linalg.eigvalsh(rp.H)) > 0)
+        # The empty set's candidate, the free minimizer, and its row levels G_c x.
+        x_free = levels = None
+        if convex:
+            try:
+                x_free = np.linalg.solve(rp.H, -rp.g)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                levels = rp.G_c @ x_free
+        rp._offset_free.append((convex, sets, x_free, levels))
+    convex, sets, x_free, levels = rp._offset_free[0]
     if not convex:
         raise UnsupportedByOracleError("reduced objective is not strictly convex")
+    # No row active: accepted when every row holds at x_free, G_c x + h_c <= 0.
+    if x_free is not None and not (r and (levels + rp.h_c).max() > ACCEPT_TOL):
+        x = x_free.copy()
+        return x, rp.S @ x + rp.d, np.zeros(r), rp.objective(x)
 
     kkt_buf = np.zeros((n + r, n + r))  # leading block: [[H, G_a^T], [G_a, 0]]
     kkt_buf[:n, :n] = rp.H

@@ -3,6 +3,7 @@
 import sys
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,19 @@ from hatalloc.agents import (
 )
 from hatalloc.dynamics import SystemState, initial_state
 from hatalloc.experiments import (
+    REJECTIONS,
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _cell_stacks,
     _draw_instance,
+    _lay_out,
+    _layout,
     _normalize_scale,
     _offset_search,
+    _raw_draw,
+    _rejection,
+    _scenario,
+    _screen,
     _unstack,
 )
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
@@ -311,19 +319,31 @@ def team_draw(attempt, seed=1):
     return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
 
 
+def screened_cells(sp, lay, models):
+    """One draw's attitude cells as `experiments._generate` reads them off a
+    block, computed for that draw alone: the cells' keys, the draw's own
+    cell, the cell stack, its reduction at offset 0 and the screen's grid."""
+    keys, own, cells = _cell_stacks(sp, lay, models)
+    reduced = reduce_stacked(cells, np.zeros(lay.rows))
+    return keys, own, cells, reduced, _screen(reduced)
+
+
 def generator_stages(draw):
     """What `experiments._generate` hands `_rejection` for a draw: the
     tightened scenario, the attitude cells' stack, their keys, the index of
     the draw's own cell, the scale factor s and the decoupled constraint;
-    None when the offset search rejects the draw."""
-    keys, own, cells = _cell_stacks(draw.stacked, draw.layout, draw.human_models)
-    reduced = reduce_stacked(cells, draw.constraint.c)
-    c = _offset_search(reduced, Counter())
+    None when the offset screen or search rejects the draw."""
+    keys, own, cells, reduced, passes = screened_cells(draw.stacked, draw.layout,
+                                                       draw.human_models)
+    if not passes.any():
+        return None
+    searched = _unstack(reduced)
+    c = _offset_search(searched, passes, Counter())
     if c is None:
         return None
     tightened = draw.with_offset(c)
     dc = build_decoupled(tightened)
-    s = _normalize_scale(tightened, _unstack(reduced)[own].with_offset(c), dc)
+    s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
     return tightened, cells, keys, own, s, dc
 
 
@@ -332,6 +352,44 @@ def scaled_scenario(tightened, s):
     con = tightened.constraint
     models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
     return replace(tightened, constraint=replace(con, c=con.c * s), human_models=models)
+
+
+def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, check_grid,
+                       stream, max_attempts=400):
+    """`experiments._generate` one draw at a time, the reference its block
+    loop is held to: each attempt is drawn, laid out, reduced and screened
+    on its own, and no attempt is drawn past the accepted one. Returns the
+    accepted scenario (None when every attempt is rejected), its attempt,
+    the rejections by reason, the tally (screened draws, exact solves,
+    built draws) and every attempt's screen grid."""
+    rejected = dict.fromkeys(REJECTIONS, 0)
+    tally, grids = Counter(), []
+    lay = _layout(auto_dims, human_dims)
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
+        [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
+        keys, own, cells, reduced, passes = screened_cells(draw.stacked, lay, draw.models)
+        grids.append(passes)
+        if not passes.any():
+            tally["screened"] += 1
+            rejected["tighten"] += 1
+            continue
+        searched = _unstack(reduced)
+        c = _offset_search(searched, passes, tally)
+        if c is None:
+            rejected["tighten"] += 1
+            continue
+        tally["built"] += 1
+        tightened = _scenario(draw, c)
+        dc = build_decoupled(tightened)
+        s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
+        reason = _rejection(tightened, cells, keys, own, s, dc, abscissa_bar, check_grid)
+        if reason is None:
+            return SimpleNamespace(scenario=scaled_scenario(tightened, s), attempt=attempt,
+                                   rejected=rejected, tally=tally, grids=grids)
+        rejected[reason] += 1
+    return SimpleNamespace(scenario=None, attempt=None, rejected=rejected, tally=tally,
+                           grids=grids)
 
 
 def record_calls(monkeypatch, log, *funcs):

@@ -113,7 +113,15 @@ def test_one_place_stacks_the_problem_and_one_builds_the_dense_lift(name, only):
 
 def test_only_the_stack_and_the_generators_draw_lay_out_raw_parts():
     """`stack_parts` lays out parts it does not validate: only
-    `stack_problem`, on a validated scenario, and the generator's raw draw,
-    whose objects are built and validated once its offset is tightened,
-    call it."""
-    assert _referrers("stack_parts") == {"model.stack_problem", "experiments._raw_draw"}
+    `stack_problem`, on a validated scenario, and the generator's block
+    layout `_lay_out`, which lays out each raw draw of a block and stacks
+    their layouts, call it; a draw's objects are built and validated once
+    its offset is tightened."""
+    assert _referrers("stack_parts") == {"model.stack_problem", "experiments._lay_out"}
+
+
+def test_only_the_screen_inverts_matrices():
+    """`np.linalg.inv` is called only in `experiments._inverse`, so every
+    inverse the generator's screen reads has passed its SCREEN_MAX_COND
+    check."""
+    assert _referrers("inv") == {"experiments._inverse"}

@@ -46,27 +46,56 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def team_generation():
-    """Uncached `team_scenario` 1-9, recorded: the nine generated
-    scenarios, every raw draw with the offset its search took (None when it
-    rejected the draw), each tightened draw with the `Scenario` built from
-    it, the calls of the generator's assembly functions, and the
+    """Uncached `team_scenario` 1-9, recorded: per seed, the generated
+    scenario and its DEBUG record's arguments; over all seeds, every laid-out
+    draw up to each accepted one with its screen grid, the offsets the exact
+    search took (None when it rejected the draw), each tightened draw with
+    the `Scenario` built from it, the number of draws past the accepted
+    ones, the calls of the generator's assembly functions, and the
     `QuadraticCost` and `Scenario` constructions."""
-    log, built = [], Counter()
-    with pytest.MonkeyPatch.context() as patch:
-        record_calls(patch, log, experiments._raw_draw, experiments._offset_search,
-                     experiments._scenario, model.stack_parts, model.stack_problem,
-                     oracle.reduce_program, reformulation.build_decoupled)
-        for cls in (model.QuadraticCost, model.Scenario):
-            patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
-                          _name=cls.__name__: built.update([_name]) or _real(self))
-        scenarios = {seed: team_scenario.__wrapped__(seed) for seed in range(1, 10)}
+    log, built, records = [], Counter(), []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("hatalloc.experiments")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    draws, grids, discarded, scenarios = [], [], 0, {}
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
+                         experiments._screen, experiments._offset_search,
+                         experiments._scenario, model.stack_parts, model.stack_problem,
+                         oracle.reduce_program, oracle.reduce_stacked,
+                         reformulation.build_decoupled)
+            for cls in (model.QuadraticCost, model.Scenario):
+                patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
+                              _name=cls.__name__: built.update([_name]) or _real(self))
+            for seed in range(1, 10):
+                start = len(log)
+                scenarios[seed] = team_scenario.__wrapped__(seed)
+                seed_draws = [d for name, _, out in log[start:] if name == "_lay_out"
+                              for d in out[0]]
+                seed_grids = [g for name, _, out in log[start:] if name == "_screen" for g in out]
+                considered = records[-1].args[1] + 1  # attempts up to the accepted one
+                draws += seed_draws[:considered]
+                grids += seed_grids[:considered]
+                discarded += len(seed_draws) - considered
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     return SimpleNamespace(
         scenarios=scenarios,
+        records=[record.args for record in records],
         calls=Counter(name for name, _, _ in log),
         built=built,
-        draws=[draw for name, _, draw in log if name == "_raw_draw"],
+        draws=draws,
+        grids=grids,
+        discarded=discarded,
         offsets=[c for name, _, c in log if name == "_offset_search"],
         tightened=[(args[0], scenario) for name, args, scenario in log if name == "_scenario"],
+        reductions=[cells for name, args, cells in log
+                    if name == "reduce_stacked" and args[0].S.ndim == 4],
     )
 
 
@@ -145,13 +174,20 @@ class TestGenerators:
         """Over team seeds 1-9, generation lays out each draw once
         (`stack_parts`), which the tightened draw's `Scenario` holds for the
         scale step's lift, and calls no `stack_problem` or `reduce_program`.
-        It decouples each tightened draw once, and builds the validated
-        objects only for the tightened draws: seven `QuadraticCost`s each,
-        and a `Scenario` for each and for each accepted draw."""
+        The 1,142 attempts up to the accepted ones, and 17 drawn past them in
+        the accepted draws' blocks, are laid out in 164 blocks, each reduced
+        once. Only the 256 draws the screen keeps reach the exact search,
+        which tightens each of them. It decouples each tightened draw once,
+        and builds the validated objects only for the tightened draws: seven
+        `QuadraticCost`s each, and a `Scenario` for each and for each
+        accepted draw."""
         calls, built = team_generation.calls, team_generation.built
-        tightened = sum(c is not None for c in team_generation.offsets)
-        assert len(team_generation.offsets) == 1142 and tightened == 256
-        assert calls["_raw_draw"] == calls["stack_parts"] == 1142
+        assert len(team_generation.draws) == 1142 and team_generation.discarded == 17
+        assert calls["_raw_draw"] == calls["stack_parts"] == 1142 + 17
+        assert calls["_lay_out"] == calls["_screen"] == len(team_generation.reductions) == 164
+        offsets = team_generation.offsets
+        tightened = sum(c is not None for c in offsets)
+        assert len(offsets) == tightened == 256
         assert calls["stack_problem"] == calls["reduce_program"] == 0
         assert calls["build_decoupled"] == calls["_scenario"] == tightened
         assert built["QuadraticCost"] == 7 * tightened == 1792
@@ -161,13 +197,13 @@ class TestGenerators:
             assert serialize_scenario(scenario) == serialize_scenario(team_scenario(seed))
 
     def test_skipped_validation_hides_no_error(self, team_generation):
-        """Every draw of team seeds 1-9 that the offset search rejected
+        """Every draw of team seeds 1-9 that the offset screen rejected
         builds its validated objects (topology, costs, constraint, models,
         `Scenario`) without an error. Every tightened draw's `Scenario`
         holds the draw's layout, and it is, byte for byte, the stack that
         `stack_problem` lays out from the validated objects."""
-        rejected = [draw for draw, c in zip(team_generation.draws, team_generation.offsets)
-                    if c is None]
+        rejected = [draw for draw, grid in zip(team_generation.draws, team_generation.grids)
+                    if not grid.any()]
         assert len(rejected) == 886
         for draw in rejected:
             experiments._scenario(draw, np.zeros(2))
@@ -177,6 +213,23 @@ class TestGenerators:
             fresh = model.stack_problem(scenario)
             for f in fields(model.StackedProblem):
                 assert getattr(fresh, f.name).tobytes() == getattr(draw.stacked, f.name).tobytes()
+
+    def test_debug_records_are_the_one_draw_loops(self, team_generation):
+        """Each team seed's DEBUG record (accepted draw, rejections by
+        reason, draws screened out, exact solves, draws built): the counts
+        of the loop that screened one draw at a time."""
+        expected = {  # seed: draw, tighten, stability, grid, screened, exact solves, built
+            1: (94, 79, 11, 4, 79, 192, 16), 2: (253, 190, 43, 20, 190, 768, 64),
+            3: (99, 80, 12, 7, 80, 240, 20), 4: (21, 20, 0, 1, 20, 24, 2),
+            5: (22, 13, 6, 3, 13, 120, 10), 6: (216, 180, 24, 12, 180, 444, 37),
+            7: (6, 5, 0, 1, 5, 24, 2), 8: (37, 32, 3, 2, 32, 72, 6),
+            9: (385, 287, 77, 21, 287, 1188, 99),
+        }
+        for seed, draw, rejected, screened, solves, built in team_generation.records:
+            tighten, stability, grid = (rejected[k] for k in ("tighten", "stability", "grid"))
+            assert rejected == {**dict.fromkeys(REJECTIONS, 0), "tighten": tighten,
+                                "stability": stability, "grid": grid}
+            assert (draw, tighten, stability, grid, screened, solves, built) == expected[seed]
 
     def test_seed_10_finds_no_admissible_draw(self):
         """team seed 10 rejects all 400 draws, by these checks."""

@@ -16,6 +16,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from hatalloc import experiments, model, oracle
 from hatalloc.dynamics import FlowEngine
-from hatalloc.errors import HatallocError, UnsupportedByOracleError
+from hatalloc.errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from hatalloc.experiments import (
     BUDGET_FRACTIONS,
     DEMAND_MARGINS,
@@ -37,12 +38,16 @@ from hatalloc.experiments import (
     _cell_admissible,
     _cell_stacks,
     _generate,
+    _lay_out,
+    _layout,
     _offset_search,
+    _raw_draw,
     _scaled,
     _screen,
     _stability_margins,
     _unstack,
     crosscheck_scenario,
+    random_scenario,
     team_scenario,
 )
 from hatalloc.model import Scenario, serialize_scenario
@@ -61,7 +66,9 @@ from conftest import (
     generator_stages,
     path_scenario,
     record_calls,
+    reference_generate,
     scaled_scenario,
+    screened_cells,
     team_draw,
 )
 
@@ -92,9 +99,18 @@ def _restacked(cells):
     )
 
 
+def _search(cells, tally=None):
+    """The offset the generator's screen and exact search take for one
+    draw's stacked cells, or None."""
+    passes = _screen(cells)
+    if not passes.any():
+        return None
+    return _offset_search(_unstack(cells), passes, Counter() if tally is None else tally)
+
+
 def _tighten(scenario, tally=None):
     """The offset the generator's search takes for a raw draw, or None."""
-    return _offset_search(_reduced_cells(scenario), Counter() if tally is None else tally)
+    return _search(_reduced_cells(scenario), tally)
 
 
 def _reference_row_levels(scenario, c, x):
@@ -168,11 +184,12 @@ def test_draws_cover_accepted_and_rejected():
 
 def test_tighten_reduces_each_cell_once(monkeypatch):
     """`_generate` lays out each draw's raw arrays once (`stack_parts`),
-    then reduces all its attitude cells in one pass, and that reduction is
-    what its offset search reads. No `Scenario` is built between the draw
-    and its search, and nothing is stacked or reduced from a scenario. The
-    tightened scenario, built right after its search, holds the draw's
-    layout, which the scale step's lift reads."""
+    stacks a block of draws, reduces all their attitude cells in one pass,
+    and the offset search of a draw the screen keeps reads that reduction.
+    No `Scenario` is built between the draws and their searches, and nothing
+    is stacked or reduced from a scenario. The tightened scenario, built
+    right after its search, holds the draw's layout, which the scale step's
+    lift reads."""
     log = []
     record_calls(monkeypatch, log, model.stack_parts, model.stack_problem,
                  oracle.reduce_stacked, oracle.reduce_program, experiments._offset_search)
@@ -183,33 +200,50 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
         _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES, abscissa_bar=-0.08,
                   check_grid=True, stream=40, max_attempts=16)
     assert not {"stack_problem", "reduce_program"} & {name for name, _, _ in log}
+    # Blocks of 1, 2, 4 and 8 attempts, and the last one cut at max_attempts.
+    blocks = [i for i, (name, args, _) in enumerate(log)
+              if name == "reduce_stacked" and args[0].S.ndim == 4]
+    assert [log[i][1][0].S.shape[:2] for i in blocks] == [(n, 4) for n in (1, 2, 4, 8, 1)]
     layouts = [i for i, (name, _, _) in enumerate(log) if name == "stack_parts"]
+    assert len(layouts) == 16
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
-    starts = [search - 2 for search in searches]
-    assert len(searches) == 16 and layouts == starts
-    tightened = [search for search in searches if log[search][2] is not None]
-    assert len(tightened) == 4  # draws 5, 12, 14 and 15
-    for start, search in zip(starts, searches):
-        if search in tightened:
-            name, (scenario,), _ = log[search + 1]
-            assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
-            assert scenario.stacked is log[start][2]
-        name, (cell_stack, _), cells = log[start + 1]
-        assert name == "reduce_stacked" and log[search][1][0] is cells
-        assert cell_stack.S.shape[0] == 4  # two humans
-        assert cell_stack.d is log[start][2].d
+    assert [log[i][2] is not None for i in searches] == [True] * 4  # draws 5, 12, 14, 15
+    drawn = 0
+    for block in blocks:
+        # The block's draws are laid out just before it is reduced, and it
+        # stacks their layouts.
+        cell_stack, _ = log[block][1]
+        size = cell_stack.S.shape[0]
+        assert layouts[drawn:drawn + size] == list(range(block - size, block))
+        for i, layout in enumerate(range(block - size, block)):
+            assert cell_stack.d[i, 0].tobytes() == log[layout][2].d.tobytes()
+        drawn += size
+    for search in searches:
+        block = max(b for b in blocks if b < search)
+        size = log[block][1][0].S.shape[0]
+        cells = log[search][1][0]
+        assert len(cells) == 4 and all(np.shares_memory(cell.H, log[block][2].H)
+                                       for cell in cells)
+        name, (scenario,), _ = log[search + 1]
+        assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
+        assert any(scenario.stacked is log[layout][2] for layout in range(block - size, block))
 
 
 def test_cell_stacks_reduce_like_relabeled_scenarios():
     """A cell's sign-flipped stack reduces to the same floats as the
-    relabeled scenario, signed zeros included."""
-    for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2)):
+    relabeled scenario, signed zeros included, whether the draw is reduced
+    alone or in a block of draws (team seed 1, attempts 4-11)."""
+    _, block = _block(1, range(4, 12))
+    alone = [(scenario, _cells(scenario))
+             for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2))]
+    in_block = [(team_draw(attempt), _unstack(block, i)) for i, attempt in enumerate(range(4, 12))]
+    for scenario, reduced in alone + in_block:
         cells = attitude_cells(scenario)
         keys, own, _ = _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
         assert keys == list(cells)
         attitudes = [m.attitude for m in scenario.human_models.values()]
         assert [m.attitude for m in cells[keys[own]].human_models.values()] == attitudes
-        for got, cell in zip(_cells(scenario), cells.values()):
+        for got, cell in zip(reduced, cells.values()):
             expected = reduce_program(cell)
             for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d"):
                 a, b = getattr(got, name), getattr(expected, name)
@@ -226,9 +260,10 @@ def test_cell_stacks_need_unit_attitudes():
 
 @pytest.mark.parametrize("attempt", DRAWS)
 def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
-    """A draw the screen rejects is decided without `solve_program`: no slack
-    or demand probe and no `_cell_admissible`. Every draw the search rejects
-    here is rejected by the screen, and `tally` counts the solves made."""
+    """A draw the screen rejects never reaches the exact search, so it makes
+    no `solve_program` call: no slack or demand probe and no
+    `_cell_admissible`. Every draw the search rejects here is rejected by
+    the screen, and `tally` counts the solves the search makes."""
     solves, admissible = [], []
     real_solve, real_admissible = experiments.solve_program, experiments._cell_admissible
     monkeypatch.setattr(experiments, "solve_program",
@@ -236,13 +271,13 @@ def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
     monkeypatch.setattr(experiments, "_cell_admissible",
                         lambda rp: admissible.append(rp) or real_admissible(rp))
     tally = Counter()
+    screened_out = not _screen(_reduced_cells(team_draw(attempt))).any()
     tightened = _tighten(team_draw(attempt), tally)
     assert tally["exact_solves"] == len(solves)
-    if tightened is None:
-        assert tally["screened"] == 1
+    assert screened_out == (tightened is None)
+    if screened_out:
         assert solves == [] and admissible == []
     else:
-        assert tally["screened"] == 0
         assert len(admissible) >= 4
 
 
@@ -255,12 +290,133 @@ def test_singular_kkt_system_passes_every_probe():
     assert _screen(_restacked(cells[:2] + [twin_rows] + cells[3:])).all()
 
 
+def _block(seed, attempts, stream=40, shape=(TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)):
+    """Attempts `attempts` of a generator call laid out as one block, as
+    `_generate` draws them, and the block's cell stack reduced at offset 0."""
+    auto_dims, human_dims, attitudes = shape
+    lay = _layout(auto_dims, human_dims)
+    draws, block = _lay_out([
+        _raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
+                  auto_dims, human_dims, attitudes, lay)
+        for attempt in attempts])
+    _, _, cells = _cell_stacks(block, lay, [draw.models for draw in draws])
+    return draws, reduce_stacked(cells, np.zeros(lay.rows))
+
+
+@pytest.mark.parametrize("spoil", ["twin rows", "singular H", "ill-conditioned H"])
+def test_a_singular_draw_turns_off_only_its_own_screen(spoil):
+    """A singular or ill-conditioned H, or a singular M (two equal
+    constraint rows in one cell), passes every probe of its own draw; the
+    other draws of its block keep the grids they get alone."""
+    _, reduced = _block(1, range(4, 12))
+    alone = _screen(reduced)
+    assert not alone[0].any()  # draw 4 is screened out, and so are others
+    assert sum(not grid.any() for grid in alone[1:]) >= 4
+    H, G_c = reduced.H.copy(), reduced.G_c.copy()
+    if spoil == "twin rows":
+        G_c[0, 2] = G_c[0, 2, [1, 1]]
+    elif spoil == "singular H":
+        H[0] = 0.0
+    else:
+        H[0, :, 0] *= 1e-5
+        H[0, :, :, 0] *= 1e-5
+    spoiled = _screen(replace(reduced, H=H, G_c=G_c))
+    assert spoiled[0].all()
+    assert np.array_equal(spoiled[1:], alone[1:])
+
+
+@pytest.fixture(scope="module")
+def block_generation():
+    """`team_scenario` 1-9 and `crosscheck_scenario` 1-30, generated uncached
+    with `_generate`, `_screen` and `reduce_stacked` recorded: per instance,
+    the generator's (seed, auto dims, human dims, attitudes) and stream, the
+    screen grid of every attempt it drew, and its block reductions."""
+    runs = []
+    for generate, stream in ((team_scenario, 40), (crosscheck_scenario, 41)):
+        for seed in range(1, 10 if stream == 40 else 31):
+            log = []
+            with pytest.MonkeyPatch.context() as patch:
+                record_calls(patch, log, experiments._generate, experiments._screen,
+                             oracle.reduce_stacked)
+                generate.__wrapped__(seed)
+            [args] = [args for name, args, _ in log if name == "_generate"]
+            runs.append(SimpleNamespace(
+                args=args, stream=stream,
+                grids=[grid for name, _, grids in log if name == "_screen" for grid in grids],
+                reductions=[cells for name, args, cells in log
+                            if name == "reduce_stacked" and args[0].S.ndim == 4]))
+    return runs
+
+
+def test_block_screen_matches_the_one_draw_screen(block_generation):
+    """Every attempt that team 1-9 and crosscheck 1-30 draw gets, in its
+    block, the verdict grid that the screen of that draw alone gives."""
+    drawn = 0
+    for run in block_generation:
+        seed, auto_dims, human_dims, attitudes = run.args
+        lay = _layout(auto_dims, human_dims)
+        for attempt, grid in enumerate(run.grids):
+            rng = np.random.default_rng(np.random.SeedSequence([run.stream, seed, attempt]))
+            [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
+            assert np.array_equal(grid, screened_cells(draw.stacked, lay, draw.models)[-1])
+        drawn += len(run.grids)
+    assert drawn == 1159 + 280  # team draws, crosscheck draws
+
+
+def test_the_cells_of_a_draw_share_their_hessian(block_generation):
+    """`_screen` inverts each draw's first cell's H for all its cells: every
+    cell of every drawn attempt of team 1-9 and crosscheck 1-30 has that H
+    bit for bit."""
+    for run in block_generation:
+        for reduced in run.reductions:
+            bits = reduced.H.view(np.int64)
+            assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2, 3, 4, 7, 8, 9, 17])
+def test_block_loop_stops_where_the_one_draw_loop_stops(max_attempts, monkeypatch):
+    """Cut at `max_attempts` inside or at the end of a block, the block loop
+    draws exactly that many attempts and raises with the one-draw loop's
+    counts of rejections by reason (team seed 1 accepts draw 94)."""
+    args = (1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+    options = dict(abscissa_bar=-0.08, check_grid=True, stream=40, max_attempts=max_attempts)
+    reference = reference_generate(*args, **options)
+    assert reference.scenario is None
+    log = []
+    record_calls(monkeypatch, log, experiments._raw_draw)
+    with pytest.raises(NoAdmissibleInstanceError) as info:
+        _generate(*args, **options)
+    assert info.value.rejected == reference.rejected
+    assert len(log) == sum(info.value.rejected.values()) == max_attempts
+
+
+def test_offset_probes_solve_the_free_minimizer_once(monkeypatch):
+    """A cell solves its free minimizer (the empty active set, which reads
+    no offset) once, at its first probe, and its `with_offset` probes share
+    it: each later probe makes one LAPACK solve fewer, and a slack probe,
+    where no row binds, makes none."""
+    cell = _cells(team_draw(5))[0]
+    c = _tighten(team_draw(5))
+    calls = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or real_solve(*args))
+    counts = []
+    for offset in ([-1e6, -1e6], [-1e6, -1e6], [-1e6, c[1]], c):
+        calls.clear()
+        got = solve_program(cell.with_offset(np.asarray(offset)))
+        counts.append(len(calls))
+        expected = solve_program(replace(cell, h_c=np.asarray(offset) + cell.b_d))
+        for a, b in zip(got, expected):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    # Slack: the free minimizer, first solved then shared; demand: the budget
+    # row, then the demand row alone; admissible: each row alone, then both.
+    assert counts == [1, 0, 2, 3]
+
+
 def _unscreened(cells):
     """`_offset_search` with a screen that passes every probe."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_screen", lambda cells: np.ones(
-            (len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool))
-        return _offset_search(cells, Counter())
+    every_probe = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
+    return _offset_search(_unstack(cells), every_probe, Counter())
 
 
 def _assert_screen_keeps_zero_responses(cells, c, index):
@@ -274,7 +430,7 @@ def _assert_screen_keeps_zero_responses(cells, c, index):
     assert _cell_admissible(edge.with_offset(c))
     shifted = _restacked(cells[:index] + [edge] + cells[index + 1:])
     assert np.array_equal(_unscreened(shifted), c)
-    assert np.array_equal(_offset_search(shifted, Counter()), c)
+    assert np.array_equal(_search(shifted), c)
 
 
 @pytest.mark.parametrize("attempt", (5, 12, 14, 15))
@@ -389,6 +545,73 @@ def test_generator_outputs_are_pinned(kind, seed):
     generate = team_scenario if kind == "team" else crosscheck_scenario
     text = json.dumps(serialize_scenario(generate(seed)), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[(kind, seed)]
+
+
+# The same digest of `random_scenario(seed)` ("random") and of
+# `random_scenario(seed, n_autonomous=200, n_human=50, rows=3)` ("random_large"),
+# recorded before `_graph_edges` kept its set of linked humans.
+RANDOM_SHA256 = {
+    ("random", 0): "ead18a9a87c7bd3b42de50750e806e8402e6ef11a43bec94ede2b2311d5074ee",
+    ("random", 1): "cd836c4e7107019539a562d0ee21ddff045bb347254fd0688b99a1e288b3955c",
+    ("random", 2): "0c85e6777a1432681c944b5aa27f0e5c59b5f2f4fa06454185eea70af5eea5aa",
+    ("random", 3): "70df53f776c253ec88d2ef1ce692a01800014f2e39a9b82c9d9af2a030836edb",
+    ("random", 4): "f948d90e3c9c9b4ec6818119bafe03ec014025b645e83ffa115b59bb28fc31de",
+    ("random", 5): "dfcb230bfb4bdec6b4f08c87087a69522d8ebef9f049b48b29f58ca69b3e84f2",
+    ("random", 6): "faab082e7326d3f714b913605d4819892e9583efe9c1af31beda41568de638d4",
+    ("random", 7): "c26855b1d126f577cbda3af8909a15a5e75719e8c03c95c93201d53ab757bdc4",
+    ("random", 8): "baad564bdc8a1dc6b1efd04235f677a165e507349e108f75ce4ed1e8a0a1e3c3",
+    ("random", 9): "7d9237ec6f5cb370adfdde9611b7095d14af1eedf820801bdfec4f05bedaa695",
+    ("random", 10): "e9b1a8d1f4dabdbb2b424c8d6161933ee7a7f84790ac07f87933227fe9ad01a9",
+    ("random", 11): "9b649ba455deac0ba0c9ca0706221dc76ea1d868e553aafd0bbf89745223f446",
+    ("random", 12): "f82d15c5ff3ff3c2ad2d205bf9843e2e7bb40a5c4d48015b4f92301401add1ef",
+    ("random", 13): "d90da8099629ca14043d8573975e6adb24c8ad48cc70b3f770e3a81f909e3619",
+    ("random", 14): "34eb3a4207f1fa2936f210b51084149cf045951c4f5a1c65001108a910c71356",
+    ("random", 15): "9e23615a451f737d42ac89f25c807f588c9f490290c30caf1970185862e6d5bf",
+    ("random", 16): "461bac6c41eb3ae64e568fd6bccc092cc117ed2d5a894530bde9ec9a179b6282",
+    ("random", 17): "d6e0584cf3e2bacae69d32fe546f4ece1ac3bc86cea875c66e0569ebced62529",
+    ("random", 18): "172400d55d7fe4b19bed50551b36a3515b414ace6be5913bc1343aa6ef49792c",
+    ("random", 19): "236065f7f1b25256af83af25a372323d6774f50eb46b0931ef1f8a8c40bbb1a8",
+    ("random", 20): "df1ba73434ad6d7ad1e0fc532ed3f5607e8c82d41a854a17104d65e2d59ef154",
+    ("random", 21): "b04adba132c4715e62700a1bdad1eda07474d4f7dd7ae3ef37d2cadbc054317b",
+    ("random", 22): "4f6c7165b60d449e242e171bdf42dd4c0bcc7c067726fa0f0526b11cbb969717",
+    ("random", 23): "faeadfffbe94e5eb9c90e09a984c415d5346128014be5c8c9b3151d8208f1abb",
+    ("random", 24): "bb95a2c4356721f64b8d9ecb66ef37c49256a0b66fce1f93a5913228f5427736",
+    ("random", 25): "ace7b7de096e871ec38395ba82d9104a2ec1ec993ff7af77a7a67f09c315cc04",
+    ("random", 26): "7fd7371b08c73e39114fe14c5e609edc08e13693dccee657a862f2d3699500b6",
+    ("random", 27): "14ebf304fdfc0b2474aeb01a1c112e13a9aaa62fbd4ed3e3a9d9674f94fc3b9b",
+    ("random", 28): "2b684fc636d253e08167ac7bf6b6755835eeae4b89e26631219c2d4eda5cef1f",
+    ("random", 29): "eaa25828d5f9c0d9d75a3f7b04aa91172c7af77ac47b273cd5ccc9b1f3248369",
+    ("random", 30): "472de579f0d6e7649ed7d4b216e130d2ac3b23b7dcd09961bb6d6f369f8c7e7d",
+    ("random", 31): "bd6a19216372aa8bdc9d6b9e77594c48922a197815ca645b19793f48aa4b64fc",
+    ("random", 32): "891d885a172dc23e75985388ecdec622fe0638fd9094d3948e2a2e50f33f5f3a",
+    ("random", 33): "49d898308bf05f84e7d87f1bf71ccd9ea3bd73c66d68e87e699d7b690a23176f",
+    ("random", 34): "7f661c8c05a104ccd024789312f1f5ab17b934694d370f12d561a9b5cde23de2",
+    ("random", 35): "b1800f64e55b8300f79b4c803d837563c4ff8161b555b985d4b4be4cd5fc14d9",
+    ("random", 36): "47a3a9368313cac06d04d93bf5c25f69e60e78ade6773319a0efed646b12fcd4",
+    ("random", 37): "dddfc3de834b1b5a523cfbf771ca1c7edf69cab7e56940af79163d7cfe9888c2",
+    ("random", 38): "52eea3c792c5188678377af370d885bcca3a329d6e196bac536b1f1938fe67be",
+    ("random", 39): "0bd86f886ccb7065ed0351262d2352e9fd2834e93de026245eced60711c2fabe",
+    ("random", 40): "fe8fb07dc023fd994ffa4c82d8680a7f8288f87381c1fc396b8fd8eedf2ebef4",
+    ("random", 41): "e207e3434adabd4b3d36921c2751de2eb83642385a9a7065f9baeb5a845e2559",
+    ("random", 42): "4b25a3b97ad9ca121d22584d393f7290a10d02863b05adfee99fde47a088b925",
+    ("random", 43): "8b6ba3441c547896346425b3bb1517e33f1e5829df0627d023b7906ab397afd7",
+    ("random", 44): "41fbeb58d3bbd66714db6d4af5105d268fcda5ec239c764ec1c5cb8a45225dbb",
+    ("random", 45): "ac213dfe3a8b1d340bce22f17ead3840240057e266aa6c5601203b6a14c5ebb0",
+    ("random", 46): "e63f550152f97d7e832ebbf40069ba4f321a2817c3380c1119128dff5192a94e",
+    ("random", 47): "000883af1c3f67ee49dca0895d80e043b9bb5048198c2d232cd4cf9c8a741a05",
+    ("random", 48): "3573fcde9daed0991c3c917e7dfaadab5b27aa14ac22eb0610bf2ae509c85dba",
+    ("random", 49): "a82f0909b181bb74c63343c3ed4d5a0730067feb0fa3db8a198a87620b524b03",
+    ("random_large", 1): "dbec8a51dd1d2d061b1eaf5ae76c7886c3877faa335bac965661db31ef70a276",
+    ("random_large", 2): "93104656e1c49ab5640c306792b093ffc16226ce83abc251008c714b62ad4a9a",
+    ("random_large", 3): "89f40ddfc0e2103f47f7a7775eec7b54b5d9df7fff5c8e4927f10340ff9b27bc",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(RANDOM_SHA256))
+def test_random_scenarios_are_pinned(kind, seed):
+    large = dict(n_autonomous=200, n_human=50, rows=3) if kind == "random_large" else {}
+    text = json.dumps(serialize_scenario(random_scenario(seed, **large)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SHA256[(kind, seed)]
 
 
 def _zero_start_speed(scenario):
