@@ -661,7 +661,7 @@ def _samples(engine, sampled, dt, reference):
     gap = np.concatenate([X @ dc.a_bar.T, Y @ dc.b_bar.T], axis=1) + lifted + dc.c_split
     lagrangian = objective + np.einsum("ij,ij->i", L, gap)
     coupled = (X @ sp.a_cat.T + Y @ sp.b_cat.T + engine.scenario.constraint.c).max(axis=1)
-    min_lam = L.min(axis=1) if q else np.zeros(len(ts))
+    min_lam = L.min(axis=1)
     # Per-agent 1-norms: every block is nonempty, so reduceat sums each one.
     loads = np.concatenate([
         np.add.reduceat(np.abs(X), [*lay.x_offsets.values()], axis=1),

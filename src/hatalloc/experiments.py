@@ -14,35 +14,36 @@ blocks that double in size up to BLOCK_CAP = 8 draws. Each attempt is drawn
 from its own seed sequence as raw arrays and laid out once (`stack_parts`,
 the loop of `stack_problem`) without building or validating any object, and
 `_lay_out` stacks a block's layouts along a leading draw axis (a generator
-call's draws share their ids, dims and rows). The attitude cells of the whole
-block are built from that stack by negating the gain blocks of the humans
-whose unit attitude a cell flips, as one stack with a cell axis after the
-draw axis, and reduced in one pass (`reduce_stacked`). Every admission stage
-reads these cells. One screen per block rates all nine (demand margin,
-budget fraction) probes of every draw at once: with its active set fixed,
-each probe's solution is affine in the offset c, so one inverse of each
-draw's Hessian, which its cells share, gives (x, mu, y) at every probe. The
-screen rejects a probe only when a multiplier falls below 1e-2, or a
-response below 0, by more than SCREEN_TOL = 1e-6 times the probe's scale
-(1 + max |c|); a singular or ill-conditioned matrix turns it off for its own
-draw. The attempts are then taken in order: a draw the screen rejects whole
-counts as a `tighten` rejection; any other is searched exactly, each probe
-the screen keeps solved on the cell re-targeted by
-`ReducedProgram.with_offset`, so the offset taken, and every seeded
-instance, is the exact search's bit for bit. Draws of the block after the
-accepted one are discarded uncounted, so the counts are those of a loop
+call's draws share their ids, dims and rows). That block is the only stack
+shape the generator makes: a draw's stack is its row of the block (`_row`),
+a view. The attitude cells of the whole block are built from it by negating
+the gain blocks of the humans whose unit attitude a cell flips, as one stack
+with a cell axis after the draw axis, and reduced in one pass
+(`reduce_stacked`). Every admission stage reads these cells. One screen per
+block rates all nine (demand margin, budget fraction) probes of every draw
+at once: with its active set fixed, each probe's solution is affine in the
+offset c, so one inverse of each draw's Hessian, which its cells share,
+gives (x, mu, y) at every probe. The screen rejects a probe only when a
+multiplier falls below 1e-2, or a response below 0, by more than SCREEN_TOL
+= 1e-6 times the probe's scale (1 + max |c|); a singular or ill-conditioned
+matrix turns it off for its own draw. The attempts are then taken in order:
+a draw the screen rejects whole counts as a `tighten` rejection; any other
+is searched exactly, each probe the screen keeps solved on the cell
+re-targeted by `ReducedProgram.with_offset`, so the offset taken, and every
+seeded instance, is the exact search's bit for bit. Draws of the block after
+the accepted one are discarded uncounted, so the counts are those of a loop
 that draws one attempt at a time.
 
 Only a draw the search tightens is built as validated objects (topology,
 costs, constraint, models and a `Scenario` at the tightened offsets), and
-that scenario holds the draw's stack. Offsets and response bases are then
-scaled by one factor s: for quadratic costs with affine responses the
-optimal point is exactly linear in (c, base), so normalizing the lifted
+that scenario holds the draw's row of the block. Offsets and response bases
+are then scaled by one factor s: for quadratic costs with affine responses
+the optimal point is exactly linear in (c, base), so normalizing the lifted
 saddle norm keeps the flow's velocity small enough for tight per-step
-descent checks; the lift reads the draw's stack. The remaining checks read
-the draw's cell stack with d scaled by s. A `Scenario` is built only for the
-tightened draws and for the accepted one, so each draw is laid out once and
-a rejected draw builds no object.
+descent checks; the lift reads the draw's row. The remaining checks read the
+draw's row of the block's cell stack with d scaled by s. A `Scenario` is
+built only for the tightened draws and for the accepted one, so each draw is
+laid out once and a rejected draw builds no object.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ class _Response(NamedTuple):
 
 
 class _Draw(NamedTuple):
-    """One generator attempt as raw arrays, not validated: `_scenario`
-    builds its objects. `stacked` is its layout, once `_lay_out` made it."""
+    """One generator attempt as raw arrays, not validated: `_lay_out` lays
+    it out in its block, and `_scenario` builds its objects."""
 
     edges: frozenset
     weights: dict[str, np.ndarray]  # cost weights, autonomous agents first
@@ -145,7 +146,6 @@ class _Draw(NamedTuple):
     b_blocks: dict[str, np.ndarray]
     models: dict[str, _Response]
     layout: ScenarioLayout
-    stacked: StackedProblem | None = None
 
 
 def _layout(auto_dims, human_dims) -> ScenarioLayout:
@@ -218,23 +218,26 @@ def _raw_draw(rng, auto_dims, human_dims, attitudes, lay: ScenarioLayout) -> _Dr
 _BLOCK_FIELDS = ("S", "d", "a_cat", "b_cat", "x_weight", "y_weight")
 
 
-def _lay_out(draws: list[_Draw]) -> tuple[list[_Draw], StackedProblem]:
-    """The draws, each with its layout (`stack_parts`), and the block of
-    their layouts: one stack whose operators that `reduce_stacked` reads
-    carry a leading draw axis. The draws share their layout, and none has a
-    softplus human or a schedule, so the other fields are every draw's."""
-    draws = [draw._replace(stacked=stack_parts(draw.layout, draw.models, draw.a_blocks,
-                                               draw.b_blocks, draw.weights, schedules={}))
-             for draw in draws]
-    block = replace(draws[0].stacked, **{
-        name: np.stack([getattr(draw.stacked, name) for draw in draws])
-        for name in _BLOCK_FIELDS})
-    return draws, block
+def _lay_out(draws: list[_Draw]) -> StackedProblem:
+    """The block of the draws' layouts (`stack_parts`): one stack whose
+    operators that `reduce_stacked` reads carry a leading draw axis. The
+    draws share their layout, and none has a softplus human or a schedule,
+    so the other fields are every draw's."""
+    stacks = [stack_parts(draw.layout, draw.models, draw.a_blocks, draw.b_blocks,
+                          draw.weights, schedules={}) for draw in draws]
+    return replace(stacks[0], **{name: np.stack([getattr(sp, name) for sp in stacks])
+                                 for name in _BLOCK_FIELDS})
 
 
-def _scenario(draw: _Draw, c: np.ndarray) -> Scenario:
-    """The draw's validated `Scenario` at constraint offset c, holding the
-    draw's stack (`_lay_out`)."""
+def _row(block: StackedProblem, i: int) -> StackedProblem:
+    """Draw i's stack in a block (`_lay_out`, or its `_cell_stacks`): a view
+    of row i of each of the block's operators."""
+    return replace(block, **{name: getattr(block, name)[i] for name in _BLOCK_FIELDS})
+
+
+def _scenario(draw: _Draw, stacked: StackedProblem, c: np.ndarray) -> Scenario:
+    """The draw's validated `Scenario` at constraint offset c, holding
+    `stacked`, the draw's row of its block."""
     lay = draw.layout
     scenario = Scenario(
         topology=NetworkTopology(lay.autonomous_ids, lay.human_ids, draw.edges),
@@ -245,15 +248,7 @@ def _scenario(draw: _Draw, c: np.ndarray) -> Scenario:
                       for k, model in draw.models.items()},
         solver=SolverOptions(tolerance=1e-8),
     )
-    return scenario._adopt_stack(draw.stacked)
-
-
-def _draw_instance(rng, auto_dims, human_dims, attitudes) -> Scenario:
-    """A generator draw as the validated `Scenario` at offset 0, before any
-    admission check."""
-    lay = _layout(auto_dims, human_dims)
-    [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
-    return _scenario(draw, np.zeros(2))
+    return scenario._adopt_stack(stacked)
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -274,28 +269,24 @@ def attitude_cells(scenario: Scenario) -> dict[tuple[str, ...], Scenario]:
     }
 
 
-def _cell_stacks(sp: StackedProblem, lay: ScenarioLayout,
-                 models) -> tuple[list[tuple[str, ...]], int, StackedProblem]:
-    """`attitude_cells` as one stacked problem whose S has a leading cell
-    axis, from a draw's stack `sp`: the cells' keys in `attitude_cells`
-    order, the index of the draw's own cell, and that stack.
+def _cell_stacks(block: StackedProblem, lay: ScenarioLayout,
+                 models: list) -> tuple[list[tuple[str, ...]], int, StackedProblem]:
+    """`attitude_cells` of every draw of a block (`_lay_out`) as one stack:
+    the cells' keys in `attitude_cells` order, the index of the draws' own
+    cell, and the block with a cell axis after its draw axis. `models` lists
+    each draw's response models (`HumanResponseModel`s or a raw draw's
+    `_Response`s).
 
     A unit attitude only signs its human's gain blocks in S, and generated
     draws have unit attitudes, so a cell negates the blocks of each human
     whose attitude it flips: the floats `stack_problem` lays out for the
-    relabeled scenario. `models` are the humans' response models (or a raw
-    draw's `_Response`s).
-
-    `sp` may also be a block of draws (`_lay_out`), with `models` listing
-    each draw's. The cell axis then follows the draw axis, the block's other
-    operators gain a unit cell axis, so that `reduce_stacked` broadcasts
-    them over the cells, and the own cell's index is the first draw's (a
-    generator call's draws share their attitudes).
+    relabeled scenario. The block's other operators gain a unit cell axis,
+    so that `reduce_stacked` broadcasts them over the cells, and the own
+    cell's index is the first draw's (a generator call's draws share their
+    attitudes).
     """
-    block = sp.S.ndim == 3
-    draws = models if block else [models]
     humans = lay.human_ids
-    attitudes = np.array([[draw[k].attitude for k in humans] for draw in draws])
+    attitudes = np.array([[draw[k].attitude for k in humans] for draw in models])
     if np.any(np.abs(attitudes) != 1.0):
         raise ValueError("attitude cells from one stack need unit attitudes")
     keys = list(product(ATTITUDE_KINDS, repeat=len(humans)))
@@ -303,18 +294,16 @@ def _cell_stacks(sp: StackedProblem, lay: ScenarioLayout,
     flips = units != attitudes[:, None, :]  # (draws, cells, humans)
     own = int(np.flatnonzero(~flips[0].any(axis=1))[0])
     # Per draw, each human's gain blocks: the columns of its autonomous neighbors.
-    gains = np.zeros((len(draws), len(humans), lay.x_dim), dtype=bool)
-    for b, draw in enumerate(draws):
+    gains = np.zeros((len(models), len(humans), lay.x_dim), dtype=bool)
+    for b, draw in enumerate(models):
         for h, k in enumerate(humans):
             for j in draw[k].neighbor_ids:
                 gains[b, h, lay.x_slice(j)] = True
     rows = np.repeat(np.arange(len(humans)), [lay.dims[k] for k in humans])
     negated = flips[:, :, rows, None] & gains[:, None, rows, :]  # (draws, cells, y, x)
-    S = sp.S.reshape(len(draws), 1, lay.y_dim, lay.x_dim) * np.where(negated, -1.0, 1.0)
-    if not block:
-        return keys, own, replace(sp, S=S[0])
-    return keys, own, replace(sp, S=S, **{name: getattr(sp, name)[:, None]
-                                          for name in _BLOCK_FIELDS if name != "S"})
+    S = block.S[:, None] * np.where(negated, -1.0, 1.0)
+    return keys, own, replace(block, S=S, **{name: getattr(block, name)[:, None]
+                                             for name in _BLOCK_FIELDS if name != "S"})
 
 
 def _unstack(cells: ReducedProgram, *draw: int) -> list[ReducedProgram]:
@@ -580,9 +569,9 @@ def _rejection(scenario: Scenario, cells: StackedProblem, keys: list[tuple[str, 
                own: int, s: float, dc: DecoupledConstraint,
                abscissa_bar: float, check_grid: bool) -> str | None:
     """The first check the tightened draw fails once scaled by s, or None.
-    It reads each cell of the cell stack `cells` (keyed by `keys`; `own` is
-    the draw's) scaled, reduced once; all share `dc`, since the folded M
-    reads neither c nor d."""
+    It reads each cell of `cells`, the draw's row of its block's cell stack
+    (keyed by `keys`; `own` is the draw's own cell), scaled, reduced once;
+    all share `dc`, since the folded M reads neither c nor d."""
     dt = scenario.solver.dt
     scaled = _unstack(_scaled(cells, s, scenario.constraint.c))
     rp = scaled[own]
@@ -643,10 +632,10 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
     for attempts in _blocks(max_attempts):
         # Raw arrays and their stacks, one block of them: objects are built
         # only for the draws the offset search tightens.
-        draws, block = _lay_out([
-            _raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
-                      auto_dims, human_dims, attitudes, lay)
-            for attempt in attempts])
+        draws = [_raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
+                           auto_dims, human_dims, attitudes, lay)
+                 for attempt in attempts]
+        block = _lay_out(draws)
         keys, own, cells = _cell_stacks(block, lay, [draw.models for draw in draws])
         reduced = reduce_stacked(cells, np.zeros(lay.rows))
         for i, (attempt, draw, passes) in enumerate(zip(attempts, draws, _screen(reduced))):
@@ -660,11 +649,11 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
                 rejected["tighten"] += 1
                 continue
             tally["built"] += 1
-            tightened = _scenario(draw, c)
+            tightened = _scenario(draw, _row(block, i), c)
             dc = build_decoupled(tightened)
             s = _normalize_scale(tightened, draw_cells[own].with_offset(c), dc)
-            reason = _rejection(tightened, replace(draw.stacked, S=cells.S[i]), keys, own, s,
-                                dc, abscissa_bar, check_grid)
+            reason = _rejection(tightened, _row(cells, i), keys, own, s, dc, abscissa_bar,
+                                check_grid)
             if reason is None:
                 log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
                           "rejected %d draws whole, %d exact offset solves ran, %d draws "

@@ -6,12 +6,12 @@ models with their schedules, an optional initial state, and solver options.
 `Scenario.__post_init__` is the one semantic check of all of it, for documents
 and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
 changed copy again. A scenario assembles its read-only `stacked` operators on
-first use. A copy from `with_solver` or `with_offset` shares them once built,
-since they read neither the solver options nor the offset; any other copy
+first use. A copy from `with_solver` shares them once built, since they do
+not read the solver options; any other copy, one with a new offset c too,
 assembles its own. `stack_problem`'s layout loop, `stack_parts`, also runs on
 raw parts that nothing has validated: the generator lays out each draw with
-it, and a scenario built from a draw it keeps holds that stack. The
-document parser checks only JSON types.
+it in a block of draws, and a scenario built from a draw it keeps holds the
+draw's row of that block. The document parser checks only JSON types.
 Documents are JSON trees; floats survive a save/load round trip bit-exactly.
 Files are read by `oracle.load_scenario`, since a document may ask for a
 Slater certificate.
@@ -332,16 +332,9 @@ class Scenario:
                      f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
-        return self._sharing_stack(solver=replace(self.solver, **overrides))
-
-    def with_offset(self, c: np.ndarray) -> "Scenario":
-        """The same problem with the constraint offset c."""
-        return self._sharing_stack(constraint=replace(self.constraint, c=c))
-
-    def _sharing_stack(self, **changes) -> "Scenario":
-        """A copy with new solver options or a new offset c, neither of which
-        `stack_problem` reads: it shares this scenario's stack once built."""
-        copy = replace(self, **changes)
+        """A copy with new solver options, which `stack_problem` does not
+        read: it shares this scenario's stack once built."""
+        copy = replace(self, solver=replace(self.solver, **overrides))
         if "stacked" in vars(self):
             copy._adopt_stack(self.stacked)
         return copy
@@ -357,8 +350,8 @@ class Scenario:
     @cached_property
     def stacked(self) -> StackedProblem:
         """`stack_problem` of this scenario, built on first use for every
-        consumer; read-only, as the scenario is immutable. `with_solver` and
-        `with_offset` copies share it."""
+        consumer; read-only, as the scenario is immutable. `with_solver`
+        copies share it."""
         return _read_only(stack_problem(self))
 
     def human_response(

@@ -18,17 +18,18 @@ from hatalloc.agents import (
 )
 from hatalloc.dynamics import SystemState, initial_state
 from hatalloc.experiments import (
+    _BLOCK_FIELDS,
     REJECTIONS,
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _cell_stacks,
-    _draw_instance,
     _lay_out,
     _layout,
     _normalize_scale,
     _offset_search,
     _raw_draw,
     _rejection,
+    _row,
     _scenario,
     _screen,
     _unstack,
@@ -313,35 +314,58 @@ def resummed_lagrangian(scenario, dc, state):
 TEAM_ATTITUDES = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
 
 
+def draw_instance(rng, auto_dims, human_dims, attitudes):
+    """A generator draw as the validated `Scenario` at offset 0, before any
+    admission check, laid out as `_generate` lays it out: in a block, here
+    of one draw, whose row the scenario holds."""
+    lay = _layout(auto_dims, human_dims)
+    draw = _raw_draw(rng, auto_dims, human_dims, attitudes, lay)
+    return _scenario(draw, _row(_lay_out([draw]), 0), np.zeros(lay.rows))
+
+
 def team_draw(attempt, seed=1):
     """Raw draw `attempt` of `team_scenario(seed)`, before any admission check."""
     rng = np.random.default_rng(np.random.SeedSequence([40, seed, attempt]))
-    return _draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
+    return draw_instance(rng, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES)
 
 
-def screened_cells(sp, lay, models):
+def block_of_one(scenario):
+    """The scenario's stack as a block of one draw, the stack shape
+    `experiments._cell_stacks` takes: its `_row` 0 is the scenario's stack."""
+    sp = scenario.stacked
+    return replace(sp, **{name: getattr(sp, name)[None] for name in _BLOCK_FIELDS})
+
+
+def at_offset(scenario, c):
+    """The scenario with the constraint offset c."""
+    return replace(scenario, constraint=replace(scenario.constraint, c=c))
+
+
+def screened_cells(block, lay, models):
     """One draw's attitude cells as `experiments._generate` reads them off a
-    block, computed for that draw alone: the cells' keys, the draw's own
-    cell, the cell stack, its reduction at offset 0 and the screen's grid."""
-    keys, own, cells = _cell_stacks(sp, lay, models)
+    block, computed for that draw alone: `block` is a block of one draw and
+    `models` its response models. Returns the cells' keys, the draw's own
+    cell, the draw's row of the cell stack, its cells reduced at offset 0
+    and the screen's grid."""
+    keys, own, cells = _cell_stacks(block, lay, [models])
     reduced = reduce_stacked(cells, np.zeros(lay.rows))
-    return keys, own, cells, reduced, _screen(reduced)
+    return keys, own, _row(cells, 0), _unstack(reduced, 0), _screen(reduced)[0]
 
 
 def generator_stages(draw):
     """What `experiments._generate` hands `_rejection` for a draw: the
-    tightened scenario, the attitude cells' stack, their keys, the index of
-    the draw's own cell, the scale factor s and the decoupled constraint;
-    None when the offset screen or search rejects the draw."""
-    keys, own, cells, reduced, passes = screened_cells(draw.stacked, draw.layout,
-                                                       draw.human_models)
+    tightened scenario, the draw's row of the attitude cells' stack, their
+    keys, the index of the draw's own cell, the scale factor s and the
+    decoupled constraint; None when the offset screen or search rejects the
+    draw."""
+    keys, own, cells, searched, passes = screened_cells(block_of_one(draw), draw.layout,
+                                                        draw.human_models)
     if not passes.any():
         return None
-    searched = _unstack(reduced)
     c = _offset_search(searched, passes, Counter())
     if c is None:
         return None
-    tightened = draw.with_offset(c)
+    tightened = at_offset(draw, c)
     dc = build_decoupled(tightened)
     s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
     return tightened, cells, keys, own, s, dc
@@ -367,20 +391,20 @@ def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, che
     lay = _layout(auto_dims, human_dims)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(np.random.SeedSequence([stream, seed, attempt]))
-        [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
-        keys, own, cells, reduced, passes = screened_cells(draw.stacked, lay, draw.models)
+        draw = _raw_draw(rng, auto_dims, human_dims, attitudes, lay)
+        block = _lay_out([draw])
+        keys, own, cells, searched, passes = screened_cells(block, lay, draw.models)
         grids.append(passes)
         if not passes.any():
             tally["screened"] += 1
             rejected["tighten"] += 1
             continue
-        searched = _unstack(reduced)
         c = _offset_search(searched, passes, tally)
         if c is None:
             rejected["tighten"] += 1
             continue
         tally["built"] += 1
-        tightened = _scenario(draw, c)
+        tightened = _scenario(draw, _row(block, 0), c)
         dc = build_decoupled(tightened)
         s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
         reason = _rejection(tightened, cells, keys, own, s, dc, abscissa_bar, check_grid)

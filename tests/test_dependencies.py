@@ -125,3 +125,35 @@ def test_only_the_screen_inverts_matrices():
     inverse the generator's screen reads has passed its SCREEN_MAX_COND
     check."""
     assert _referrers("inv") == {"experiments._inverse"}
+
+
+# Private functions that only tests call, each with the reason it stays.
+TEST_ONLY = {
+    "dynamics._step_arrays": "the reference step that every fast path is held to",
+    "agents.DistributedRunner._inbox": "it feeds `agent_round` in the sweep-equivalence tests",
+}
+
+
+def test_every_private_function_is_named_in_its_module():
+    """A function or method whose name has a leading underscore (and is no
+    dunder) is named by code of its own module, bare or as an attribute:
+    code that only tests reach lives in the tests, except for `TEST_ONLY`."""
+    unnamed = set()
+
+    def visit(node, scope, named):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{scope}.{child.name}"
+                if (not isinstance(child, ast.ClassDef) and child.name.startswith("_")
+                        and not child.name.endswith("__") and child.name not in named):
+                    unnamed.add(qualified)
+                visit(child, qualified, named)
+            else:
+                visit(child, scope, named)
+
+    for path in Path(hatalloc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree)}
+        visit(tree, path.stem, named)
+    assert unnamed == set(TEST_ONLY)

@@ -46,13 +46,13 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def team_generation():
-    """Uncached `team_scenario` 1-9, recorded: per seed, the generated
-    scenario and its DEBUG record's arguments; over all seeds, every laid-out
-    draw up to each accepted one with its screen grid, the offsets the exact
-    search took (None when it rejected the draw), each tightened draw with
-    the `Scenario` built from it, the number of draws past the accepted
-    ones, the calls of the generator's assembly functions, and the
-    `QuadraticCost` and `Scenario` constructions."""
+    """Uncached `team_scenario` 1-9, recorded: per seed, the generated scenario
+    and its DEBUG record's arguments; over all seeds, every laid-out draw up to
+    each accepted one with its row of its block and its screen grid, the offsets
+    the exact search took (None when it rejected the draw), each tightened draw
+    with the row it was given and the `Scenario` built from them, the number of
+    draws past the accepted ones, the calls of the generator's assembly
+    functions, and the `QuadraticCost` and `Scenario` constructions."""
     log, built, records = [], Counter(), []
     handler = logging.Handler(logging.DEBUG)
     handler.emit = records.append
@@ -74,8 +74,9 @@ def team_generation():
             for seed in range(1, 10):
                 start = len(log)
                 scenarios[seed] = team_scenario.__wrapped__(seed)
-                seed_draws = [d for name, _, out in log[start:] if name == "_lay_out"
-                              for d in out[0]]
+                seed_draws = [(d, experiments._row(block, i))
+                              for name, args, block in log[start:] if name == "_lay_out"
+                              for i, d in enumerate(args[0])]
                 seed_grids = [g for name, _, out in log[start:] if name == "_screen" for g in out]
                 considered = records[-1].args[1] + 1  # attempts up to the accepted one
                 draws += seed_draws[:considered]
@@ -93,7 +94,8 @@ def team_generation():
         grids=grids,
         discarded=discarded,
         offsets=[c for name, _, c in log if name == "_offset_search"],
-        tightened=[(args[0], scenario) for name, args, scenario in log if name == "_scenario"],
+        tightened=[(*args[:2], scenario) for name, args, scenario in log
+                   if name == "_scenario"],
         reductions=[cells for name, args, cells in log
                     if name == "reduce_stacked" and args[0].S.ndim == 4],
     )
@@ -200,19 +202,19 @@ class TestGenerators:
         """Every draw of team seeds 1-9 that the offset screen rejected
         builds its validated objects (topology, costs, constraint, models,
         `Scenario`) without an error. Every tightened draw's `Scenario`
-        holds the draw's layout, and it is, byte for byte, the stack that
-        `stack_problem` lays out from the validated objects."""
+        holds the draw's row of its block, and it is, byte for byte, the
+        stack that `stack_problem` lays out from the validated objects."""
         rejected = [draw for draw, grid in zip(team_generation.draws, team_generation.grids)
                     if not grid.any()]
         assert len(rejected) == 886
-        for draw in rejected:
-            experiments._scenario(draw, np.zeros(2))
+        for draw, row in rejected:
+            experiments._scenario(draw, row, np.zeros(2))
         assert len(team_generation.tightened) == 256
-        for draw, scenario in team_generation.tightened:
-            assert scenario.stacked is draw.stacked
+        for draw, row, scenario in team_generation.tightened:
+            assert scenario.stacked is row
             fresh = model.stack_problem(scenario)
             for f in fields(model.StackedProblem):
-                assert getattr(fresh, f.name).tobytes() == getattr(draw.stacked, f.name).tobytes()
+                assert getattr(fresh, f.name).tobytes() == getattr(row, f.name).tobytes()
 
     def test_debug_records_are_the_one_draw_loops(self, team_generation):
         """Each team seed's DEBUG record (accepted draw, rejections by
@@ -242,12 +244,9 @@ class TestGenerators:
         """The scale step and `_rejection` read the draw's cell stacks and
         its one decoupled constraint: they call no `build_decoupled` or
         `reduce_program`, build no `Scenario` and make no stack. The scale
-        step's lift reads the stack the tightened scenario shares with its
-        draw."""
-        draw = team_draw(94)
-        tightened, cells, keys, own, s, dc = generator_stages(draw)
-        tightened = draw.with_offset(tightened.constraint.c)  # a new copy, not yet read
-        own_cell = oracle.reduce_stacked(draw.stacked, tightened.constraint.c)
+        step's lift reads the tightened scenario's stack."""
+        tightened, cells, keys, own, s, dc = generator_stages(team_draw(94))
+        own_cell = oracle.reduce_stacked(tightened.stacked, tightened.constraint.c)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assembled during the scale step or the rejection")

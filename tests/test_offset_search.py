@@ -34,7 +34,6 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     attitude_cells,
-    _draw_instance,
     _cell_admissible,
     _cell_stacks,
     _generate,
@@ -63,6 +62,9 @@ from hatalloc.reformulation import build_decoupled
 
 from conftest import (
     TEAM_ATTITUDES,
+    at_offset,
+    block_of_one,
+    draw_instance,
     generator_stages,
     path_scenario,
     record_calls,
@@ -78,34 +80,36 @@ DRAWS = range(4, 16)
 
 
 def _reduced_cells(scenario):
-    """The attitude cells reduced in one pass, stacked along a leading cell
-    axis, as the generator reduces them."""
-    _, _, cells = _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
+    """The attitude cells of the scenario as a block of one draw, reduced in
+    one pass as the generator reduces a block: a draw axis of one, then the
+    cell axis."""
+    _, _, cells = _cell_stacks(block_of_one(scenario), scenario.layout,
+                               [scenario.human_models])
     return reduce_stacked(cells, scenario.constraint.c)
 
 
 def _cells(scenario):
     """The attitude cells' reduced programs, one per cell."""
-    return _unstack(_reduced_cells(scenario))
+    return _unstack(_reduced_cells(scenario), 0)
 
 
 def _restacked(cells):
-    """Reduced programs stacked along a leading cell axis, each with its own
-    h_c, d and b_d, as `_screen` and `_offset_search` read them."""
+    """Reduced programs stacked as a block of one draw, each cell with its
+    own h_c, d and b_d, as `_screen` and `_offset_search` read them."""
     return ReducedProgram(
-        **{name: np.stack([getattr(cell, name) for cell in cells])
+        **{name: np.stack([getattr(cell, name) for cell in cells])[None]
            for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d")},
-        const=cells[0].const,
+        const=np.array([cells[0].const]),
     )
 
 
 def _search(cells, tally=None):
     """The offset the generator's screen and exact search take for one
-    draw's stacked cells, or None."""
-    passes = _screen(cells)
+    draw's cells, reduced as a block of one, or None."""
+    [passes] = _screen(cells)
     if not passes.any():
         return None
-    return _offset_search(_unstack(cells), passes, Counter() if tally is None else tally)
+    return _offset_search(_unstack(cells, 0), passes, Counter() if tally is None else tally)
 
 
 def _tighten(scenario, tally=None):
@@ -114,7 +118,7 @@ def _tighten(scenario, tally=None):
 
 
 def _reference_row_levels(scenario, c, x):
-    rp = reduce_program(scenario.with_offset(c))
+    rp = reduce_program(at_offset(scenario, c))
     return rp.G_c @ x + rp.h_c - c
 
 
@@ -137,7 +141,7 @@ def _reference_tighten(scenario):
     productions = []
     for cell in cells:
         try:
-            x0, _, _, _ = solve_centralized(cell.with_offset(slack_c))
+            x0, _, _, _ = solve_centralized(at_offset(cell, slack_c))
         except HatallocError:
             return None
         productions.append(-_reference_row_levels(cell, slack_c, x0)[1])
@@ -149,7 +153,7 @@ def _reference_tighten(scenario):
         usages = []
         for cell in cells:
             try:
-                x1, _, mu1, _ = solve_centralized(cell.with_offset(c_demand))
+                x1, _, mu1, _ = solve_centralized(at_offset(cell, c_demand))
             except HatallocError:
                 usages = None
                 break
@@ -161,7 +165,7 @@ def _reference_tighten(scenario):
             continue
         for theta in (0.85, 0.7, 0.55):
             c_try = np.array([-theta * min(usages), demand])
-            if all(_reference_cell_admissible(cell.with_offset(c_try))
+            if all(_reference_cell_admissible(at_offset(cell, c_try))
                    for cell in cells):
                 return c_try
     return None
@@ -182,17 +186,27 @@ def test_draws_cover_accepted_and_rejected():
     assert outcomes == {True, False}
 
 
+def _is_row(sp, block, i):
+    """Whether each operator of a block that `sp` holds is a view of that
+    operator's row i in `block`, not a copy of it."""
+    return all(getattr(sp, name).shape == getattr(block, name).shape[1:]
+               and np.shares_memory(getattr(sp, name), getattr(block, name)[i])
+               for name in experiments._BLOCK_FIELDS)
+
+
 def test_tighten_reduces_each_cell_once(monkeypatch):
     """`_generate` lays out each draw's raw arrays once (`stack_parts`),
     stacks a block of draws, reduces all their attitude cells in one pass,
     and the offset search of a draw the screen keeps reads that reduction.
     No `Scenario` is built between the draws and their searches, and nothing
     is stacked or reduced from a scenario. The tightened scenario, built
-    right after its search, holds the draw's layout, which the scale step's
-    lift reads."""
+    right after its search, holds the draw's row of the block, which the
+    scale step's lift reads, and `_rejection` reads the draw's row of the
+    block's cell stack: views of the blocks, so no per-draw copy is made."""
     log = []
     record_calls(monkeypatch, log, model.stack_parts, model.stack_problem,
-                 oracle.reduce_stacked, oracle.reduce_program, experiments._offset_search)
+                 oracle.reduce_stacked, oracle.reduce_program, experiments._lay_out,
+                 experiments._offset_search, experiments._rejection)
     real_init = Scenario.__post_init__
     monkeypatch.setattr(Scenario, "__post_init__",
                         lambda self: log.append(("Scenario", (self,), None)) or real_init(self))
@@ -210,23 +224,31 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     assert [log[i][2] is not None for i in searches] == [True] * 4  # draws 5, 12, 14, 15
     drawn = 0
     for block in blocks:
-        # The block's draws are laid out just before it is reduced, and it
-        # stacks their layouts.
+        # The block's draws are laid out just before `_lay_out` stacks them
+        # and the block is reduced.
         cell_stack, _ = log[block][1]
         size = cell_stack.S.shape[0]
-        assert layouts[drawn:drawn + size] == list(range(block - size, block))
-        for i, layout in enumerate(range(block - size, block)):
+        assert log[block - 1][0] == "_lay_out"
+        assert layouts[drawn:drawn + size] == list(range(block - 1 - size, block - 1))
+        for i, layout in enumerate(range(block - 1 - size, block - 1)):
             assert cell_stack.d[i, 0].tobytes() == log[layout][2].d.tobytes()
         drawn += size
-    for search in searches:
+    rejections = [i for i, (name, _, _) in enumerate(log) if name == "_rejection"]
+    assert len(rejections) == len(searches)
+    for search, rejection in zip(searches, rejections):
         block = max(b for b in blocks if b < search)
-        size = log[block][1][0].S.shape[0]
+        laid_out, (cell_stack, _) = log[block - 1][2], log[block][1]
+        size = cell_stack.S.shape[0]
         cells = log[search][1][0]
         assert len(cells) == 4 and all(np.shares_memory(cell.H, log[block][2].H)
                                        for cell in cells)
         name, (scenario,), _ = log[search + 1]
         assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
-        assert any(scenario.stacked is log[layout][2] for layout in range(block - size, block))
+        [i] = [i for i in range(size) if _is_row(scenario.stacked, laid_out, i)]
+        layout = log[block - 1 - size + i][2]
+        assert scenario.stacked.S.tobytes() == layout.S.tobytes()
+        assert search < rejection and log[rejection][1][0] is scenario
+        assert _is_row(log[rejection][1][1], cell_stack, i)
 
 
 def test_cell_stacks_reduce_like_relabeled_scenarios():
@@ -239,7 +261,8 @@ def test_cell_stacks_reduce_like_relabeled_scenarios():
     in_block = [(team_draw(attempt), _unstack(block, i)) for i, attempt in enumerate(range(4, 12))]
     for scenario, reduced in alone + in_block:
         cells = attitude_cells(scenario)
-        keys, own, _ = _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
+        keys, own, _ = _cell_stacks(block_of_one(scenario), scenario.layout,
+                                    [scenario.human_models])
         assert keys == list(cells)
         attitudes = [m.attitude for m in scenario.human_models.values()]
         assert [m.attitude for m in cells[keys[own]].human_models.values()] == attitudes
@@ -255,7 +278,7 @@ def test_cell_stacks_need_unit_attitudes():
     """Negating gain blocks relabels only a unit attitude."""
     scenario = path_scenario(attitude=0.5)
     with pytest.raises(ValueError, match="unit attitudes"):
-        _cell_stacks(scenario.stacked, scenario.layout, scenario.human_models)
+        _cell_stacks(block_of_one(scenario), scenario.layout, [scenario.human_models])
 
 
 @pytest.mark.parametrize("attempt", DRAWS)
@@ -295,11 +318,10 @@ def _block(seed, attempts, stream=40, shape=(TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_AT
     `_generate` draws them, and the block's cell stack reduced at offset 0."""
     auto_dims, human_dims, attitudes = shape
     lay = _layout(auto_dims, human_dims)
-    draws, block = _lay_out([
-        _raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
-                  auto_dims, human_dims, attitudes, lay)
-        for attempt in attempts])
-    _, _, cells = _cell_stacks(block, lay, [draw.models for draw in draws])
+    draws = [_raw_draw(np.random.default_rng(np.random.SeedSequence([stream, seed, attempt])),
+                       auto_dims, human_dims, attitudes, lay)
+             for attempt in attempts]
+    _, _, cells = _cell_stacks(_lay_out(draws), lay, [draw.models for draw in draws])
     return draws, reduce_stacked(cells, np.zeros(lay.rows))
 
 
@@ -357,8 +379,8 @@ def test_block_screen_matches_the_one_draw_screen(block_generation):
         lay = _layout(auto_dims, human_dims)
         for attempt, grid in enumerate(run.grids):
             rng = np.random.default_rng(np.random.SeedSequence([run.stream, seed, attempt]))
-            [draw], _ = _lay_out([_raw_draw(rng, auto_dims, human_dims, attitudes, lay)])
-            assert np.array_equal(grid, screened_cells(draw.stacked, lay, draw.models)[-1])
+            draw = _raw_draw(rng, auto_dims, human_dims, attitudes, lay)
+            assert np.array_equal(grid, screened_cells(_lay_out([draw]), lay, draw.models)[-1])
         drawn += len(run.grids)
     assert drawn == 1159 + 280  # team draws, crosscheck draws
 
@@ -416,7 +438,7 @@ def test_offset_probes_solve_the_free_minimizer_once(monkeypatch):
 def _unscreened(cells):
     """`_offset_search` with a screen that passes every probe."""
     every_probe = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
-    return _offset_search(_unstack(cells), every_probe, Counter())
+    return _offset_search(_unstack(cells, 0), every_probe, Counter())
 
 
 def _assert_screen_keeps_zero_responses(cells, c, index):
@@ -443,7 +465,7 @@ def test_screen_keeps_a_probe_with_a_response_at_zero(attempt):
 
 @st.composite
 def draw_shapes(draw):
-    """`_draw_instance`'s (autonomous dims, human dims, attitudes), shaped as
+    """`draw_instance`'s (autonomous dims, human dims, attitudes), shaped as
     `team_scenario`'s or as `crosscheck_scenario`'s."""
     if draw(st.booleans()):
         return TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES
@@ -456,7 +478,7 @@ def draw_shapes(draw):
 def raw_draws(draw):
     """An unscreened generator draw of either shape."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _draw_instance(rng, *draw(draw_shapes()))
+    return draw_instance(rng, *draw(draw_shapes()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -483,7 +505,7 @@ def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
     offsets and bases, and the tightened decoupled constraint gives the
     rebuilt scenario's stability margins."""
     rng = np.random.default_rng(seed)
-    draws = (generator_stages(_draw_instance(rng, *shape)) for _ in range(40))
+    draws = (generator_stages(draw_instance(rng, *shape)) for _ in range(40))
     stages = next((stages for stages in draws if stages is not None), None)
     assume(stages is not None)
     tightened, cell_stack, keys, _, s, dc = stages
@@ -657,7 +679,7 @@ def test_program_at_offset_equals_scenario_at_offset(data):
     scenario = data.draw(st.sampled_from(OFFSET_SCENARIOS))
     c = data.draw(arrays(float, scenario.constraint.rows, elements=offsets))
     got = _outcome(lambda: solve_program(reduce_program(scenario).with_offset(c)))
-    expected = _outcome(lambda: solve_centralized(scenario.with_offset(c)))
+    expected = _outcome(lambda: solve_centralized(at_offset(scenario, c)))
     if isinstance(expected, type):
         assert got is expected
         return

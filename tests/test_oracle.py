@@ -191,7 +191,7 @@ class TestSaddleLift:
             x_star, _, mu_star, _ = solve_program(reduce_program(base).with_offset(c))
         except HatallocError:
             assume(False)
-        scenario = base.with_offset(c)
+        scenario = replace(base, constraint=replace(base.constraint, c=c))
         dc = build_decoupled(scenario)
         z_star, lam_star, _ = lift_to_saddle(scenario, dc, x_star, mu_star)
         lay = scenario.layout

@@ -205,13 +205,11 @@ def _extra_edge(scenario):
 
 SOLVER_CHANGES = {"dt": 5e-4, "max_time": 1.0, "tolerance": 1e-9,
                   "offset_split": "uniform", "record_stride": 7, "check_slater": True}
-SHARING = {
-    **{name: lambda s, kw={name: value}: s.with_solver(**kw)
-       for name, value in SOLVER_CHANGES.items()},
-    "with_offset": lambda s: s.with_offset(2.0 * s.constraint.c),
-}
+SHARING = {name: lambda s, kw={name: value}: s.with_solver(**kw)
+           for name, value in SOLVER_CHANGES.items()}
 REBUILDING = {
     "replace": lambda s: replace(s),
+    "offset": lambda s: replace(s, constraint=replace(s.constraint, c=2.0 * s.constraint.c)),
     "with_attitudes": lambda s: with_attitudes(s, {"h1": ("risk_averse", 1.0)}),
     "bases": lambda s: _doubled_models(s, "base"),
     "gains": lambda s: _doubled_models(s, "gains"),
@@ -230,10 +228,10 @@ REBUILDING = {
 ])
 def test_which_copies_share_the_stack(change, shares):
     """Once a scenario's stack is built, a `with_solver` copy (one per
-    solver option) and a `with_offset` copy hold that stack itself, since
-    `stack_problem` reads neither the solver options nor the offset c; every
-    other copy builds its own. Either way the copy's stack is, byte for
-    byte, the one `stack_problem` lays out from the copy's own fields."""
+    solver option) holds that stack itself, since `stack_problem` does not
+    read the solver options; every other copy, a new offset c too, builds
+    its own. Either way the copy's stack is, byte for byte, the one
+    `stack_problem` lays out from the copy's own fields."""
     base = team_scenario(1)
     built = base.stacked
     copy = change(base)
