@@ -35,17 +35,22 @@ of clamped multipliers (those at zero whose gap is <= 0, which the clamp
 keeps at zero). While S stays fixed and every other multiplier positive, a
 step is w <- w + dt D_S (M w + b), where D_S zeroes the rows of S, and the
 realized velocity obeys v_{k+1} = A_S v_k with A_S = I + dt D_S M; S empty
-gives A = I + dt M. `integrate` then takes CHUNK steps per matrix-vector
-product: with P_S = [I; A_S; ...; A_S^(CHUNK-1)], V = (P_S v_k).reshape(CHUNK, N)
-holds the next velocities and the running sums w_k + dt V_0 + ... the next
-states W. The update norms are the row norms of V, not of the state
-differences, which would multiply state roundoff by 1/dt; the saddle
+gives A = I + dt M. `integrate` then takes chunks of CHUNK steps, up to
+CHUNKS_PER_PRODUCT of them per matrix product: with
+P_S = [I; A_S; ...; A_S^(CHUNK-1)] and the velocities at the chunks' starts
+U = [v_k, A_S^CHUNK v_k, A_S^(2 CHUNK) v_k, ...] as columns, P_S U, read
+chunk by chunk as CHUNK rows of N, holds the next velocities V and the
+running sums w_k + dt V_0 + ... the next states W. One product streams P_S
+once for all its chunks, where one matrix-vector product per chunk streams
+it once per chunk. The update norms are the row norms of V, not of the
+state differences, which would multiply state roundoff by 1/dt; the saddle
 distance, the sup-norm and the samples are read from the rows. A chunk is
-taken only if every free multiplier in W is positive, every clamped gap
-M_S w + b_S at a state it steps from is <= 0, max |W| is finite and every
-update norm exceeds tolerance (1 + CHUNK_GUARD). Otherwise the next CHUNK
-steps go singly, so a clamp change, the stopping step and a
-`DivergenceError` are always decided by the single-step arithmetic.
+taken only if every free multiplier in its rows of W is positive, every
+clamped gap M_S w + b_S at a state it steps from is <= 0, its states are
+finite and its update norms exceed tolerance (1 + CHUNK_GUARD); a product
+takes the chunks before the first that fails. That chunk's CHUNK steps go
+singly, so a clamp change, the stopping step and a `DivergenceError` are
+always decided by the single-step arithmetic.
 The guard band is needed because near the crossing the update norm is known
 only to roundoff, and it falls by only ~5e-5 relative per step: the final
 update norms of chunked and single-step runs of crosscheck seeds 1-30
@@ -54,20 +59,25 @@ chunk that ends at the stopping step is taken whenever roundoff puts its
 norm above the tolerance.
 
 The dense M (`dense_operator`, which the generator's stability check also
-reads) and the unclamped P are built once per run of at least CHUNK steps.
-A P_S for a nonempty S is built from that M only once S has held across two
-chunk attempts in a row, into one buffer that the next such S reuses, so at
-most two propagators are live; an attempt under an S without one is
-skipped, not computed. Chunks pay N^2 multiply-adds per step and a sparse
-step its nonzeros plus the numpy call overhead, so chunks are used only
-when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array
-is allocated: the benchmark's 7-agent team chunks, a few hundred agents
-keep the sparse step.
+reads) and the unclamped propagator are built once per run of at least
+CHUNK steps. A propagator is the powers I, A_S, ..., A_S^CHUNK, the first
+CHUNK of them P_S and the last the step between chunk starts: (CHUNK + 1)
+N^2 floats, 0.96 MB at the benchmark team's N = 43, whatever the number of
+chunks per product. A P_S for a nonempty S is built from that M only once S
+has held across two chunk attempts in a row, into one buffer that the next
+such S reuses, so at most two propagators are live; an attempt under an S
+without one, or whose powers are not finite, is skipped, not computed.
+Chunks pay N^2 multiply-adds per step and a sparse step its nonzeros plus
+the numpy call overhead, so chunks are used only when
+N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array is
+allocated: the benchmark's 7-agent team chunks, a few hundred agents keep
+the sparse step.
 
 A run starts from `initial_state`, the scenario's (already checked) overrides
 laid on zeros. Explicit finiteness checks decide divergence, so numpy's
-overflow and invalid-value warnings are off while a run steps. `kkt_residual`
-evaluates optimality residuals on the flow's own Lagrangian gradient.
+overflow and invalid-value warnings are off while a run steps and while a
+propagator is built. `kkt_residual` evaluates optimality residuals on the
+flow's own Lagrangian gradient.
 
 The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
@@ -363,7 +373,8 @@ def integrate(
     enables distance-to-saddle recording, tracked at every step. The record's
     `chunked_steps` and `single_steps` count the steps taken in propagated
     chunks and one at a time, `rejected_chunks` the chunks computed and then
-    stepped singly, and `propagator_builds` the dense propagators built.
+    stepped singly (of a product, the first that fails), and
+    `propagator_builds` the dense propagators built.
     """
     opts = scenario.solver
     engine = FlowEngine(scenario, dc)
@@ -380,6 +391,10 @@ def integrate(
 
 # Euler steps per chunk of the affine propagator.
 CHUNK = 64
+# Chunks one matrix product propagates at most: it streams P_S once for all
+# of them. At 8, crosscheck seed 29 converges at step 99,683, one past its
+# pinned 99,682.
+CHUNKS_PER_PRODUCT = 4
 # A chunk with an update norm within this relative band above the tolerance
 # is stepped singly instead: there the stopping step depends on roundoff,
 # so the single-step arithmetic decides it. 40x the largest gap measured
@@ -404,42 +419,58 @@ def dense_operator(folded) -> np.ndarray:
 
 
 def _propagator(M, dt, clamped=(), out=None):
-    """P_S = [I; A_S; ...; A_S^(CHUNK-1)] stacked to (CHUNK N, N), with
+    """The powers I, A_S, ..., A_S^CHUNK as one (CHUNK + 1, N, N) array, with
     A_S = I + dt D_S M, where D_S zeroes the rows `clamped` (indices into w)
     of the clamped multipliers S; S = () gives the unclamped propagator.
-    Built into `out`, a (CHUNK N, N) array, when one is given.
+    The first CHUNK powers, read as (CHUNK N, N), are P_S; the last steps a
+    velocity CHUNK steps ahead. Built into `out`, an array of that shape,
+    when one is given. The powers of a stiff A_S overflow without a numpy
+    warning; the caller tests them for finiteness.
     """
     size, clamped = M.shape[0], np.asarray(clamped, dtype=int)
     step = np.eye(size)
     step += dt * M
     step[clamped] = 0.0
     step[clamped, clamped] = 1.0
-    powers = np.empty((CHUNK, size, size)) if out is None else out.reshape(CHUNK, size, size)
+    powers = np.empty((CHUNK + 1, size, size)) if out is None else out
     powers[0] = np.eye(size)
-    for j in range(1, CHUNK):
-        np.matmul(step, powers[j - 1], out=powers[j])
-    return powers.reshape(CHUNK * size, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, CHUNK + 1):
+            np.matmul(step, powers[j - 1], out=powers[j])
+    return powers
 
 
-def _chunk(P, w, v, dt, lam_start, floor, clamp=None):
-    """The next CHUNK Euler steps from w, whose realized velocity is v.
+def _chunk(powers, w, v, dt, lam_start, floor, chunks, clamp=None):
+    """The next `chunks` chunks of CHUNK Euler steps from w, whose realized
+    velocity is v, from one matrix product.
 
     While the clamped multipliers S stay at zero and every other one stays
-    positive, v_{k+1} = A_S v_k, so the rows of V = (P_S v).reshape(CHUNK, N)
-    are the next velocities and the running sums w + dt V_0 + ... + dt V_j,
-    accumulated in the order single steps add them, the next states W.
-    `clamp` = (M_S^T, b_S) holds the rows of M and b of S, whose entries of
-    v must be zero; None when S is empty.
+    positive, v_{k+1} = A_S v_k. With P_S the first CHUNK `powers`, the
+    columns U = [v, A_S^CHUNK v, A_S^(2 CHUNK) v, ...] are the velocities at
+    the chunks' starts, and P_S U, one pass over P_S for all of them, holds
+    every velocity: its rows V, chunk by chunk, are the next velocities and
+    the running sums w + dt V_0 + ... + dt V_j, accumulated in the order
+    single steps add them, the next states W. `clamp` = (M_S^T, b_S) holds
+    the rows of M and b of S, whose entries of v must be zero; None when S
+    is empty.
 
-    Returns (W, the update norm of its last step, max |W|), or None when the
-    chunk leaves its piece or cannot decide its steps: a free lambda of W is
-    <= 0, a clamped gap M_S w + b_S at a state stepped from is > 0, max |W|
-    is not finite, or an update norm (a row norm of V) is <= `floor`. The
-    single steps decide those cases.
+    A step fails when it leaves its piece or cannot be decided: a free
+    lambda of its state is <= 0, the clamped gap M_S w + b_S at the state it
+    steps from is > 0, its state is not finite, or its update norm (a row
+    norm of V) is <= `floor`. Returns (W, the update norm of its last step,
+    max |W|) over the leading chunks none of whose steps fail, or None when
+    the first chunk has a failing step. The single steps decide those cases.
     """
-    size = w.size
-    V = (P @ v).reshape(CHUNK, size)
-    W = np.empty((CHUNK + 1, size))
+    size, rows = w.size, chunks * CHUNK
+    # U is C-ordered: with the transpose of a (chunks, N) array the product
+    # took 2-2.5x as long at N = 43.
+    U = np.empty((size, chunks))
+    U[:, 0] = v
+    for j in range(1, chunks):
+        U[:, j] = powers[CHUNK] @ U[:, j - 1]
+    V = (powers[:CHUNK].reshape(CHUNK * size, size) @ U).reshape(CHUNK, size, chunks)
+    V = V.transpose(2, 0, 1).reshape(rows, size)
+    W = np.empty((rows + 1, size))
     W[0] = w
     np.multiply(V, dt, out=W[1:])
     np.add.accumulate(W, axis=0, out=W)
@@ -447,15 +478,27 @@ def _chunk(P, w, v, dt, lam_start, floor, clamp=None):
     squares = np.einsum("ij,ij->i", V, V)
     sup = max(float(W.max()), -float(W.min()))
     n_free = size - lam_start
+    # The clamped gaps at every state the steps step from but the first.
+    gaps = None
     if clamp is not None:
         n_free -= clamp[0].shape[1]
-        # The clamp holds at every state the chunk steps from.
-        if float((W[:-1] @ clamp[0] + clamp[1]).max()) > 0.0:
-            return None
-    if (math.sqrt(float(squares.min())) > floor and sup < math.inf
-            and np.count_nonzero(W[:, lam_start:] > 0.0) == CHUNK * n_free):
+        gaps = W[:-1] @ clamp[0] + clamp[1]
+    if ((gaps is None or not float(gaps.max()) > 0.0)
+            and math.sqrt(float(squares.min())) > floor and sup < math.inf
+            and np.count_nonzero(W[:, lam_start:] > 0.0) == rows * n_free):
         return W, math.sqrt(float(squares[-1])), sup
-    return None
+    # Some step fails: take the chunks before the first one it is in.
+    passed = np.sqrt(squares) > floor
+    passed &= np.abs(W).max(axis=1) < math.inf
+    passed &= np.count_nonzero(W[:, lam_start:] > 0.0, axis=1) == n_free
+    if gaps is not None:
+        passed[1:] &= ~(gaps.max(axis=1) > 0.0)
+    whole = passed.reshape(chunks, CHUNK).all(axis=1)
+    taken = CHUNK * int(np.logical_and.accumulate(whole).sum())
+    if not taken:
+        return None
+    W = W[:taken]
+    return W, math.sqrt(float(squares[taken - 1])), max(float(W.max()), -float(W.min()))
 
 
 class _ChunkPlan:
@@ -464,17 +507,21 @@ class _ChunkPlan:
     held across two chunk attempts in a row. An attempt under any other S is
     skipped, not computed. The dense M they are built from is made once, and
     only when the flow folds, the run's `n_steps` hold a chunk and N^2 <=
-    nnz + STEP_OVERHEAD_ENTRIES; otherwise `free` is None and steps are sparse."""
+    nnz + STEP_OVERHEAD_ENTRIES; otherwise `free` is None and steps are sparse.
+    Powers that are not finite give no propagator: `free` is None, or the
+    attempts under that S are skipped, and single steps decide."""
 
     def __init__(self, engine, dt, n_steps):
         self.dt = dt
         self.free = self.M = None
+        self.builds = 0
         if engine._fold_time < math.inf and n_steps >= CHUNK:
             rows, _, _, b = folded = engine.folded()
             if b.size * b.size <= rows.size + STEP_OVERHEAD_ENTRIES:
                 self.M, self.b = dense_operator(folded), b
-                self.free = _propagator(self.M, dt)
-        self.builds = int(self.free is not None)
+                free = _propagator(self.M, dt)
+                self.builds = 1
+                self.free = free if np.isfinite(free).all() else None
         self.held = self.seen = None  # clamp set keys
         self.clamped = self.clamp = None
 
@@ -495,9 +542,13 @@ class _ChunkPlan:
                 self.seen = key
                 return None
             self.clamped = _propagator(self.M, self.dt, S, out=self.clamped)
-            self.clamp = (np.ascontiguousarray(self.M[S].T), self.b[S])
+            self.clamp = None
+            if np.isfinite(self.clamped).all():
+                self.clamp = (np.ascontiguousarray(self.M[S].T), self.b[S])
             self.held = key
             self.builds += 1
+        if self.clamp is None:
+            return None
         vel[S] = 0.0
         return self.clamped, self.clamp
 
@@ -547,15 +598,18 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
             if (plan.free is not None and k >= single_until and k + CHUNK <= n_steps
                     and t >= engine._fold_time):
                 chosen = plan.choose(n + q, w, vel)
+                chunks = min(CHUNKS_PER_PRODUCT, (n_steps - k) // CHUNK)
                 rows = None
                 if chosen is not None:
-                    P, clamp = chosen
-                    rows = _chunk(P, w, vel, dt, n + q, floor, clamp)
-                    rejected += rows is None
-                if rows is None:
-                    # The next CHUNK steps go singly.
-                    single_until = k + CHUNK
-                else:
+                    powers, clamp = chosen
+                    rows = _chunk(powers, w, vel, dt, n + q, floor, chunks, clamp)
+                taken = 0 if rows is None else len(rows[0])
+                if taken < chunks * CHUNK:
+                    # The skipped chunk, or the first one with a failing
+                    # step, goes singly.
+                    rejected += chosen is not None
+                    single_until = k + taken + CHUNK
+                if rows is not None:
                     W, update_norm, sup = rows
                     sup_norm = max(sup_norm, sup)
                     if w_ref is not None:
@@ -565,7 +619,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
                                    float(np.subtract(twice[1:], twice[:-1]).max()))
                         v_max_inc = max(v_max_inc, 0.5 * rise)
                         v_now = 0.5 * float(twice[-1])
-                    end = k + CHUNK
+                    end = k + taken
                     for s in range((k // stride + 1) * stride, end + 1, stride):
                         j = s - k - 1
                         keep(s, W[j], None if w_ref is None else 0.5 * float(twice[j]))
@@ -573,7 +627,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
                         keep(end, W[-1], v_now)
                     w[:] = W[-1]
                     k = end
-                    chunked += CHUNK
+                    chunked += taken
                     continue
 
             np.multiply(vel, dt, out=w_new)

@@ -122,7 +122,9 @@ class TrajectoryRecord:
     `chunked_steps` + `single_steps` = `steps`: the steps taken in
     propagated chunks of the affine flow and those taken one at a time.
     `rejected_chunks` counts the chunks computed and then stepped singly
-    instead, and `propagator_builds` the dense propagators built.
+    instead: of a matrix product that propagates several chunks, the first
+    one with a failing step (those before it are taken).
+    `propagator_builds` counts the dense propagators built.
     """
 
     agent_order: tuple[str, ...]

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from hatalloc import build_decoupled, initial_state
 from hatalloc.agents import DistributedRunner, Message, agent_round
-from hatalloc.dynamics import FlowEngine, _chunk, _propagator, _step_arrays, dense_operator
+from hatalloc.dynamics import (
+    CHUNKS_PER_PRODUCT, FlowEngine, _chunk, _propagator, _step_arrays, dense_operator,
+)
 from hatalloc.errors import MessageProtocolError
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
@@ -74,9 +76,9 @@ def check_one_sweep(seed, families, state_seed, start):
         folded = w + DT * vel
         np.maximum(folded[x.size + z.size:], 0.0, out=folded[x.size + z.size:])
         assert np.max(np.abs(folded - stepped)) <= 1e-12
-        # the chunk, taken only while no multiplier clamps
-        P = _propagator(dense_operator(engine.folded()), DT)
-        rows = _chunk(P, w, vel, DT, x.size + z.size, 0.0)
+        # the chunks, taken only while no multiplier clamps
+        powers = _propagator(dense_operator(engine.folded()), DT)
+        rows = _chunk(powers, w, vel, DT, x.size + z.size, 0.0, CHUNKS_PER_PRODUCT)
         if rows is not None:
             assert np.max(np.abs(rows[0][0] - stepped)) <= 1e-12
             return True

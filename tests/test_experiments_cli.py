@@ -616,18 +616,37 @@ class TestRunOutputs:
         # dx = -2 x overflowed whole, so no finite entry is left to report
         assert summary["failed_attempt"]["max_entry"] is None
 
-    def test_handled_divergence_prints_no_numpy_warning(self, tmp_path):
-        # A fresh interpreter with numpy's default warnings, not the suite's.
-        path = tmp_path / "s.json"
-        save_scenario(free_multiplier_scenario(1.2), path)
+    @staticmethod
+    def _run_fresh(path, tmp_path):
+        """`hatalloc run` of a saved file in a fresh interpreter with numpy's
+        default warnings, not the suite's."""
         src = str(Path(dynamics.__file__).resolve().parent.parent)
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-W", "default", "-m", "hatalloc.cli", "run", str(path),
              "--out", str(tmp_path / "o"), "--reference", "none"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
+
+    def test_handled_divergence_prints_no_numpy_warning(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(free_multiplier_scenario(1.2), path)
+        done = self._run_fresh(path, tmp_path)
         assert done.returncode == 0
         assert json.loads(done.stdout)["failed_attempt"]["dt"] == 1.2
+        assert "RuntimeWarning" not in done.stderr
+
+    def test_overflowing_propagator_prints_no_numpy_warning(self, tmp_path):
+        """A cost weight scaled by 1e9: the chunk propagator's powers
+        overflow before any step, so it is dropped, and single steps diverge
+        at both step sizes."""
+        path = tmp_path / "s.json"
+        save_scenario(team_scenario(1), path)
+        doc = json.loads(path.read_text())
+        doc["costs"]["r1"]["weight"][0][0] *= 1e9
+        path.write_text(json.dumps(doc))
+        done = self._run_fresh(path, tmp_path)
+        assert done.returncode == 2
+        assert "flow diverged" in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):

@@ -3,9 +3,9 @@ reference `FlowEngine.rhs`.
 
 `integrate` takes the sparse step for quadratic costs with affine humans
 whose schedule (if any) has settled, and `FlowEngine.rhs` otherwise; on small
-affine systems it takes CHUNK steps at a time while the set of clamped
-multipliers stays fixed. `_step_arrays` is the reference all of them are
-held to.
+affine systems it takes up to CHUNKS_PER_PRODUCT chunks of CHUNK steps per
+matrix product while the set of clamped multipliers stays fixed.
+`_step_arrays` is the reference all of them are held to.
 """
 
 import math
@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hatalloc import build_decoupled, dynamics, initial_state, integrate, model, oracle
-from hatalloc.dynamics import CHUNK, FlowEngine, _ChunkPlan, _step_arrays
-from hatalloc.experiments import crosscheck_scenario, random_scenario
+from hatalloc.dynamics import (
+    CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, _chunk, _ChunkPlan, _step_arrays,
+)
+from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
 
 from conftest import path_scenario, record_calls
@@ -46,6 +48,18 @@ def _with_random_start(scenario, seed, clamped=True):
         "x": {i: rng.normal(size=scenario.dims[i]).tolist() for i in lay.autonomous_ids},
         "z": {a: rng.normal(size=lay.rows).tolist() for a in lay.node_order},
         "lambda": {a: lam[lay.node_slice(a)].tolist() for a in lay.node_order},
+    }
+    return replace(scenario, initial_state=start)
+
+
+def _started_at(scenario, w):
+    """The scenario started from the stacked state w = [x, z, lambda]."""
+    lay = scenario.layout
+    n, q = lay.x_dim, lay.block_dim
+    start = {
+        key: {agent: block.tolist() for agent, block in blocks.items()}
+        for key, blocks in (("x", lay.unstack_x(w[:n])), ("z", lay.unstack_nodes(w[n:n + q])),
+                            ("lambda", lay.unstack_nodes(w[n + q:])))
     }
     return replace(scenario, initial_state=start)
 
@@ -173,17 +187,24 @@ def test_clamped_starts_match_reference_steps(seed, start, n_chunks, rest):
     assume(record.propagator_builds > 1)
 
 
-def test_clamp_set_seen_once_builds_no_propagator():
-    engine = FlowEngine(random_scenario(2))
-    plan = _ChunkPlan(engine, 1e-3, CHUNK)
-    lam_at = engine.layout.x_dim + engine.dc.block_dim
-    size = lam_at + engine.dc.block_dim
+def _attempts(engine, plan):
+    """`choose` of the engine's plan at a state whose listed multipliers are
+    clamped."""
+    size = plan.M.shape[0]
+    lam_at = size - engine.dc.block_dim
 
     def attempt(clamped):
-        """`choose` at a state whose listed multipliers are clamped."""
         w = np.ones(size)
         w[lam_at + np.asarray(clamped, dtype=int)] = 0.0
         return plan.choose(lam_at, w, -np.ones(size))
+
+    return attempt
+
+
+def test_clamp_set_seen_once_builds_no_propagator():
+    engine = FlowEngine(random_scenario(2))
+    plan = _ChunkPlan(engine, 1e-3, CHUNK)
+    attempt = _attempts(engine, plan)
 
     assert attempt([])[0] is plan.free
     # Each clamp set is seen once: every attempt is skipped, nothing built.
@@ -196,6 +217,93 @@ def test_clamp_set_seen_once_builds_no_propagator():
     # ... and the next one that holds is built into the same buffer.
     assert attempt([2]) is None
     assert np.shares_memory(attempt([2])[0], first) and plan.builds == 3
+
+
+def test_propagators_hold_one_chunk_of_powers():
+    """On the benchmark's team a propagator is the CHUNK + 1 powers, not one
+    per chunk of a product, and a clamped build reuses its buffer."""
+    engine = FlowEngine(team_scenario(1))
+    plan = _ChunkPlan(engine, 1e-3, CHUNKS_PER_PRODUCT * CHUNK)
+    size = plan.M.shape[0]
+    assert plan.free.nbytes == (CHUNK + 1) * size * size * 8
+    attempt = _attempts(engine, plan)
+    assert attempt([0]) is None
+    first = attempt([0])[0]
+    assert first.nbytes == plan.free.nbytes
+    assert attempt([1]) is None
+    assert np.shares_memory(attempt([1])[0], first) and plan.builds == 3
+
+
+def test_clamp_set_whose_powers_overflow_is_skipped():
+    """Powers that overflow give no propagator, and building them raises no
+    numpy warning (the suite turns warnings into errors)."""
+    engine = FlowEngine(random_scenario(2))
+    plan = _ChunkPlan(engine, 1e-3, CHUNK)
+    attempt = _attempts(engine, plan)
+    plan.M = plan.M * 1e200
+    assert attempt([0]) is None and attempt([0]) is None and plan.builds == 2
+    # The set stays held: its later attempts are skipped without a build.
+    assert attempt([0]) is None and plan.builds == 2
+    assert attempt([])[0] is plan.free
+
+
+@pytest.mark.parametrize("seed", AFFINE_SEEDS)
+def test_one_product_equals_one_product_per_chunk(seed):
+    """A product of CHUNKS_PER_PRODUCT chunks equals one-chunk products, each
+    from `velocity` at its chunk's start."""
+    scenario = _with_random_start(random_scenario(seed), 7, clamped=False)
+    engine, dt = FlowEngine(scenario), scenario.solver.dt
+    plan = _ChunkPlan(engine, dt, CHUNKS_PER_PRODUCT * CHUNK)
+    w = _stacked(scenario, initial_state(scenario))
+    lam_at = w.size - engine.dc.block_dim
+    vel = np.empty_like(w)
+    engine.velocity(w, 0.0, vel)
+    W, norm, sup = _chunk(plan.free, w, vel, dt, lam_at, 0.0, CHUNKS_PER_PRODUCT)
+    assert W.shape == (CHUNKS_PER_PRODUCT * CHUNK, w.size)
+    sups = []
+    for rows in np.split(W, CHUNKS_PER_PRODUCT):
+        engine.velocity(w, 0.0, vel)
+        one, one_norm, one_sup = _chunk(plan.free, w, vel, dt, lam_at, 0.0, 1)
+        np.testing.assert_allclose(rows, one, rtol=0, atol=1e-12)
+        w = one[-1]
+        sups.append(one_sup)
+    assert norm == pytest.approx(one_norm, rel=1e-12)
+    assert sup == pytest.approx(max(sups), rel=1e-12)
+
+
+def _before_a_crossing(scenario, steps):
+    """The reference state `steps` steps before the first step at which a
+    multiplier reaches zero, from a random start with every multiplier
+    positive; every multiplier is positive at it."""
+    lay = scenario.layout
+    rng = np.random.default_rng(0)
+    x, z = rng.normal(size=lay.x_dim), rng.normal(size=lay.block_dim)
+    lam = rng.uniform(0.1, 1.0, size=lay.block_dim)
+    engine, dt = FlowEngine(scenario), scenario.solver.dt
+    states = [np.concatenate([x, z, lam])]
+    while lam.min() > 0.0:
+        x, z, lam, _, _ = _step_arrays(engine, x, z, lam, 0.0, dt)
+        states.append(np.concatenate([x, z, lam]))
+    assert len(states) > steps + 1
+    return states[-1 - steps]
+
+
+def test_product_takes_the_chunks_before_a_crossing():
+    """A free multiplier that reaches zero in the third chunk of a product:
+    the product returns the first two chunks, and `integrate` steps the
+    third singly, as one rejected chunk."""
+    scenario = random_scenario(2)
+    w = _before_a_crossing(scenario, 2 * CHUNK + 22)
+    scenario = _started_at(scenario, w)
+    engine, dt = FlowEngine(scenario), scenario.solver.dt
+    plan = _ChunkPlan(engine, dt, CHUNKS_PER_PRODUCT * CHUNK)
+    vel = np.empty_like(w)
+    engine.velocity(w, 0.0, vel)
+    rows = _chunk(plan.free, w, vel, dt, w.size - engine.dc.block_dim, 0.0, CHUNKS_PER_PRODUCT)
+    assert len(rows[0]) == 2 * CHUNK
+    # Three chunks fit in the run, and no attempt follows the third.
+    record = _check_against_reference(scenario, 3 * CHUNK + 10)
+    assert (record.chunked_steps, record.rejected_chunks) == (2 * CHUNK, 1)
 
 
 def _singly(scenario):
