@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import experiments
+from . import experiments, runs
 from .dynamics import gradient_check, initial_state
 from .errors import (
     DivergenceError,
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=non_negative_int, default=0)
 
     preset = sub.add_parser("preset", help="write a preset's scenario file(s)")
-    preset.add_argument("name", help="|".join(experiments.PRESETS))
+    preset.add_argument("name", help="|".join(runs.PRESETS))
     preset.add_argument("--seed", type=non_negative_int, default=1)
     preset.add_argument("--out", default=None)
     return parser
@@ -112,12 +112,12 @@ def _cmd_run(args) -> int:
         opts["tolerance"] = args.tol
     if args.max_time is not None:
         opts["max_time"] = args.max_time
-    is_preset = args.scenario in experiments.PRESETS
+    is_preset = args.scenario in runs.PRESETS
     if not is_preset and not os.path.exists(args.scenario):
         print(f"error: no such scenario file or preset '{args.scenario}'",
               file=sys.stderr)
         return EXIT_USAGE
-    result = experiments.run_experiment(
+    result = runs.run_experiment(
         args.scenario, seed=args.seed, out_dir=args.out, opts=opts or None,
         reference=args.reference == "oracle",
     )
@@ -211,11 +211,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.name not in experiments.PRESETS:
+    if args.name not in runs.PRESETS:
         print(f"error: unknown preset '{args.name}' "
-              f"(available: {', '.join(experiments.PRESETS)})", file=sys.stderr)
+              f"(available: {', '.join(runs.PRESETS)})", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = args.out or experiments.default_output_dir()
+    out_dir = args.out or runs.default_output_dir()
     os.makedirs(out_dir, exist_ok=True)
     base = experiments.team_scenario(args.seed)
     written = []

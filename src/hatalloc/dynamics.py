@@ -70,8 +70,10 @@ without one, or whose powers are not finite, is skipped, not computed.
 Chunks pay N^2 multiply-adds per step and a sparse step its nonzeros plus
 the numpy call overhead, so chunks are used only when
 N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array is
-allocated: the benchmark's 7-agent team chunks, a few hundred agents keep
-the sparse step.
+allocated: the benchmark's 7-agent team (N = 43) chunks, large_team's 250
+agents (N = 1,896) keep the sparse step. The rule's crossover, N ~ 130, is
+below the measured one (N ~ 230-245 with blocked chunks, builds not
+counted), but no workload lies between the two teams.
 
 A run starts from `initial_state`, the scenario's (already checked) overrides
 laid on zeros. Explicit finiteness checks decide divergence, so numpy's
@@ -97,7 +99,7 @@ import numpy as np
 from . import metrics
 from .errors import DivergenceError
 from .human import logistic, softplus
-from .model import Scenario
+from .model import Scenario, central_difference_error
 from .oracle import ReducedProgram, reduce_stacked
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
@@ -402,7 +404,11 @@ CHUNKS_PER_PRODUCT = 4
 CHUNK_GUARD = 1e-3
 # The numpy call overhead of one sparse step, in dense multiply-adds: a
 # chunk costs N^2 of them per step, a sparse step its nonzeros plus these.
-# Measured on a 2-CPU machine, the two cost the same at N ~ 120.
+# This puts the crossover at N ~ 130 on random affine teams; with blocked
+# chunks the two were measured to cost the same at N ~ 230-245 on a 2-CPU
+# machine, propagator builds not counted. The constant stays: no workload
+# lies between fig4's N = 43 and large_team's N = 1,896, which either value
+# puts on the same side.
 STEP_OVERHEAD_ENTRIES = 16384
 # Sampled states evaluated per stacked pass, which bounds the memory a run
 # holds for states not yet evaluated.
@@ -743,20 +749,15 @@ GRADIENT_CHECK_STEP = 1e-6
 
 def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> float:
     """Max relative error of the analytic x-gradient of the Lagrangian
-    against central finite differences of step `GRADIENT_CHECK_STEP`."""
+    against central finite differences of step `GRADIENT_CHECK_STEP`
+    (`central_difference_error`; not finite is an infinite error)."""
     engine = FlowEngine(scenario, dc)
     x, z, lam = engine.stack_state(state)
-    analytic, _ = engine.lagrangian_gradient_x(x, lam, state.t)
-    worst = 0.0
-    for idx in range(x.shape[0]):
-        bump = np.zeros_like(x)
-        bump[idx] = GRADIENT_CHECK_STEP
-        hi = engine.lagrangian_value(x + bump, z, lam, state.t)
-        lo = engine.lagrangian_value(x - bump, z, lam, state.t)
-        numeric = (hi - lo) / (2.0 * GRADIENT_CHECK_STEP)
-        denom = max(1.0, abs(analytic[idx]), abs(numeric))
-        worst = max(worst, abs(analytic[idx] - numeric) / denom)
-    return worst
+    return central_difference_error(
+        lambda v: engine.lagrangian_value(v, z, lam, state.t),
+        lambda v: engine.lagrangian_gradient_x(v, lam, state.t)[0],
+        x, GRADIENT_CHECK_STEP,
+    )
 
 
 @dataclass(frozen=True)

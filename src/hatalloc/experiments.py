@@ -1,4 +1,11 @@
-"""Experiment presets and the run driver.
+"""The seeded instance generators and the risk-attitude grid.
+
+This module draws instances: `team_scenario`, `crosscheck_scenario` and
+`random_scenario`, the attitude cells of a scenario (`with_attitudes`,
+`attitude_cells`) and the Fig. 5 contrasts (`GRID_CONTRASTS`,
+`CONTRAST_CELLS`, `grid_contrasts`) that both its admission check and the
+grid run read. It runs no flow: the drivers that run, report and write a run
+are in `runs`, and nothing here imports them.
 
 `team_scenario` generates the benchmark instance: five autonomous agents and
 two humans on a random connected graph, quadratic costs, and a two-row shared
@@ -48,28 +55,18 @@ laid out once and a rejected draw builds no object.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    FlowEngine,
-    dense_operator,
-    fold,
-    folded_offset,
-    integrate,
-    kkt_residual,
-)
-from .errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
+from .dynamics import dense_operator, fold, folded_offset
+from .errors import HatallocError, NoAdmissibleInstanceError
 from .human import AFFINE, HumanResponseModel, attitude_preset
-from .metrics import TrajectoryRecord, workload_report
 from .model import (
     CouplingConstraint,
     QuadraticCost,
@@ -77,23 +74,18 @@ from .model import (
     ScenarioLayout,
     SolverOptions,
     StackedProblem,
-    save_scenario,
     stack_parts,
 )
 from .oracle import (
     ReducedProgram,
     interior_point,
     lift_to_saddle,
-    load_scenario,
     reduce_stacked,
-    solve_centralized,
     solve_program,
 )
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import NetworkTopology, neighbors
 
-PRESETS = ("fig4_convergence", "fig5_risk_grid")
-OUTPUT_DIR_ENV = "HATALLOC_OUT_DIR"
 log = logging.getLogger(__name__)
 
 TEAM_DIMS = (3, 5, 4, 2, 1)
@@ -542,24 +534,17 @@ GRID_CONTRASTS = (
 _SEEK, _AVERSE = ATTITUDE_KINDS
 # Per contrast: the total it compares (0 autonomous workload, 1 cost) and the
 # two attitude cells it reads, minuend first.
-_CONTRAST_CELLS = dict(zip(GRID_CONTRASTS, (
+CONTRAST_CELLS = dict(zip(GRID_CONTRASTS, (
     (0, (_SEEK, _SEEK), (_AVERSE, _AVERSE)),
     (1, (_SEEK, _SEEK), (_AVERSE, _SEEK)),
     (1, (_SEEK, _AVERSE), (_AVERSE, _AVERSE)),
 )))
 
 
-def _grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[str, float]:
+def grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[str, float]:
     """The three Fig. 5 contrasts, keyed by `GRID_CONTRASTS`, from each
     attitude cell's (autonomous workload, cost)."""
-    return {name: totals[a][i] - totals[b][i] for name, (i, a, b) in _CONTRAST_CELLS.items()}
-
-
-def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, list[str]]:
-    """Per contrast, the cells it reads ("h1 kind|h2 kind") whose run did not
-    end converged."""
-    return {name: ["|".join(cell) for cell in (a, b) if terminations[cell] != "converged"]
-            for name, (_, a, b) in _CONTRAST_CELLS.items()}
+    return {name: totals[a][i] - totals[b][i] for name, (i, a, b) in CONTRAST_CELLS.items()}
 
 
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
@@ -605,7 +590,7 @@ def _rejection(scenario: Scenario, cells: StackedProblem, keys: list[tuple[str, 
             return "grid"
         totals[key] = (sum(float(np.sum(np.abs(x[lay.x_slice(i)])))
                            for i in lay.autonomous_ids), value)
-    contrasts = tuple(_grid_contrasts(totals).values())
+    contrasts = tuple(grid_contrasts(totals).values())
     if contrasts[0] < 5e-3 or contrasts[1] < 2e-4 or contrasts[2] < 2e-4:
         return "grid"
     return None
@@ -761,182 +746,3 @@ def random_scenario(
         human_models=models,
         solver=SolverOptions(),
     )
-
-
-# ---------------------------------------------------------------------------
-# Run driver
-
-
-@dataclass
-class ExperimentResult:
-    exit_code: int
-    summary: dict
-    artifacts: dict[str, str]
-    record: TrajectoryRecord | None = None
-
-
-def default_output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, "hatalloc-out")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def _outcome(record: TrajectoryRecord, tolerance: float) -> dict:
-    """How a run ended: why and when it stopped, its steps (chunked and
-    single, with the chunks rejected and the propagators built), the step
-    size it finished with, its last update norm against the tolerance, and
-    the attempt that diverged before a `dt` halving."""
-    failed = record.failed_attempt
-    if failed is not None:
-        # JSON has no infinity: null when no entry of the block stayed finite.
-        failed = {**asdict(failed),
-                  "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None}
-    return {
-        "termination": record.termination,
-        "final_t": record.final_t,
-        "steps": record.steps,
-        "chunked_steps": record.chunked_steps,
-        "single_steps": record.single_steps,
-        "rejected_chunks": record.rejected_chunks,
-        "propagator_builds": record.propagator_builds,
-        "dt": record.dt,
-        "final_update_norm": record.final_update_norm,
-        "tolerance": tolerance,
-        "failed_attempt": failed,
-    }
-
-
-def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
-                  oracle: bool) -> ExperimentResult:
-    """Decouple, integrate, take the KKT residuals and write `trajectory.csv`
-    and `summary.json`. With `oracle`, the scenario is solved centrally and
-    lifted, and deviation/saddle-distance metrics are recorded against it;
-    an instance outside the oracle's scope still runs, without them, and
-    `summary["oracle"]` says why."""
-    os.makedirs(out_dir, exist_ok=True)
-    dc = build_decoupled(scenario)
-    tracking = {}
-    if oracle:
-        try:
-            x_star, y_star, mu_star, value = solve_centralized(scenario)
-        except UnsupportedByOracleError as exc:
-            summary["oracle"] = f"unavailable: {exc}"
-        else:
-            _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
-            tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
-    final, record = integrate(scenario, dc=dc, **tracking)
-
-    table_path = os.path.join(out_dir, "trajectory.csv")
-    record.write(table_path)
-    summary.update(_outcome(record, scenario.solver.tolerance))
-    if tracking:
-        summary.update({
-            "final_deviation": record.samples[-1].deviation,
-            "saddle_dist_initial": record.v_initial,
-            "saddle_dist_final": record.v_final,
-            "saddle_dist_max_step_increase": record.v_max_step_increase,
-            "oracle_value": value,
-        })
-    summary["kkt"] = asdict(kkt_residual(scenario, dc, final))
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, summary)
-    converged = not tracking or record.samples[-1].deviation <= 1e-6
-    return ExperimentResult(
-        exit_code=0 if converged else 2,
-        summary=summary,
-        artifacts={"trajectory": table_path, "summary": summary_path},
-        record=record,
-    )
-
-
-def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
-    """Integrate `base` in every attitude cell; the grid never tracks."""
-    os.makedirs(out_dir, exist_ok=True)
-    h1, h2 = base.topology.human_ids
-    rows, totals, terminations, cells = [], {}, {}, {}
-    for (k1, k2), cell in attitude_cells(base).items():
-        dc = build_decoupled(cell)
-        final, record = integrate(cell, dc=dc)
-        engine = FlowEngine(cell, dc)
-        x, _, _ = engine.stack_state(final)
-        y, _ = engine.response(x, final.t)
-        report = workload_report(cell, final)
-        cost = engine.objective_value(x, y)
-        # The oracle's optimum shows how far a cell that stopped short of
-        # its tolerance is from the cost it should report.
-        oracle_cost = solve_centralized(cell)[3]
-        rows.append({
-            f"{h1}_attitude": k1,
-            f"{h2}_attitude": k2,
-            "autonomous_workload": report.autonomous_total,
-            "human_workload": report.human_total,
-            "total_cost": cost,
-            "termination": record.termination,
-            **{f"workload_{a}": w for a, w in report.by_agent.items()},
-        })
-        totals[(k1, k2)] = (report.autonomous_total, cost)
-        terminations[(k1, k2)] = record.termination
-        cells[f"{k1}|{k2}"] = {
-            "cost": cost,
-            "autonomous_workload": report.autonomous_total,
-            "human_workload": report.human_total,
-            **_outcome(record, cell.solver.tolerance),
-            "oracle_cost": oracle_cost,
-            "value_gap": abs(cost - oracle_cost) / max(1.0, abs(oracle_cost)),
-            "kkt": asdict(kkt_residual(cell, dc, final)),
-        }
-
-    grid_path = os.path.join(out_dir, "risk_grid.csv")
-    cols = list(rows[0].keys())
-    with open(grid_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(cols) + "\n")
-        for row in rows:
-            handle.write(",".join(
-                v if isinstance(v, str) else repr(v) for v in (row[c] for c in cols)
-            ) + "\n")
-
-    summary = {"preset": "fig5_risk_grid", "seed": seed, **_grid_contrasts(totals),
-               "contrast_unconverged_cells": _unconverged_cells(terminations), "cells": cells}
-    summary_path = os.path.join(out_dir, "risk_grid_summary.json")
-    _write_json(summary_path, summary)
-    return ExperimentResult(
-        exit_code=0,
-        summary=summary,
-        artifacts={"grid": grid_path, "summary": summary_path},
-    )
-
-
-def run_experiment(
-    preset_or_path: str,
-    seed: int = 1,
-    out_dir: str | None = None,
-    opts: dict | None = None,
-    reference: bool = True,
-) -> ExperimentResult:
-    """Run a named preset or a scenario file; writes tables and a summary.
-
-    A preset runs `team_scenario(seed)`, and `opts` overrides solver options.
-    The fig4 preset (which saves `scenario.json`) and a file run one scenario;
-    with `reference`, deviation/saddle-distance metrics are recorded against
-    the centralized solution.
-    """
-    out_dir = out_dir or default_output_dir()
-    preset = preset_or_path in PRESETS
-    scenario = team_scenario(seed) if preset else load_scenario(preset_or_path)
-    if opts:
-        scenario = scenario.with_solver(**opts)
-    if preset_or_path == "fig5_risk_grid":
-        return run_risk_grid(scenario, seed, out_dir)
-    artifacts = {}
-    if preset:
-        os.makedirs(out_dir, exist_ok=True)
-        artifacts["scenario"] = os.path.join(out_dir, "scenario.json")
-        save_scenario(scenario, artifacts["scenario"])
-    summary = {"preset" if preset else "scenario": str(preset_or_path), "seed": seed}
-    result = _run_scenario(scenario, out_dir, summary, oracle=reference)
-    result.artifacts.update(artifacts)
-    return result

@@ -89,6 +89,13 @@ def workload_report(scenario, state) -> WorkloadReport:
     )
 
 
+def csv_table(header, rows) -> str:
+    """A CSV table, the header line then one line per row: strings as
+    written, every other value by `repr`."""
+    return "".join(",".join(v if isinstance(v, str) else repr(v) for v in line) + "\n"
+                   for line in (header, *rows))
+
+
 @dataclass(frozen=True)
 class TrajectorySample:
     t: float
@@ -153,28 +160,13 @@ class TrajectoryRecord:
         return bool(self.samples) and self.samples[0].saddle_dist is not None
 
     def to_csv(self) -> str:
-        cols = ["t"]
-        if self.has_deviation:
-            cols.append("deviation")
-        if self.has_saddle:
-            cols.append("saddle_dist")
-        cols += ["max_coupled_residual", "min_multiplier", "lagrangian"]
-        cols += [f"workload_{a}" for a in self.agent_order]
-        lines = [",".join(cols)]
-        for s in self.samples:
-            row = [repr(s.t)]
-            if self.has_deviation:
-                row.append(repr(s.deviation))
-            if self.has_saddle:
-                row.append(repr(s.saddle_dist))
-            row += [
-                repr(s.max_coupled_residual),
-                repr(s.min_multiplier),
-                repr(s.lagrangian),
-            ]
-            row += [repr(s.workloads[a]) for a in self.agent_order]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        tracked = [c for c, on in (("deviation", self.has_deviation),
+                                   ("saddle_dist", self.has_saddle)) if on]
+        # Every column but the workloads is the sample field of its name.
+        cols = ["t", *tracked, "max_coupled_residual", "min_multiplier", "lagrangian"]
+        rows = ([*(getattr(s, c) for c in cols), *(s.workloads[a] for a in self.agent_order)]
+                for s in self.samples)
+        return csv_table([*cols, *(f"workload_{a}" for a in self.agent_order)], rows)
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

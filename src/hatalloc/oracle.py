@@ -95,7 +95,10 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
                 f"human '{k}' uses family '{model.family}'; the centralized "
                 "solver handles affine responses only"
             )
-    return reduce_stacked(scenario.stacked, scenario.constraint.c)
+    rp = reduce_stacked(scenario.stacked, scenario.constraint.c)
+    if not all(np.isfinite(a).all() for a in (rp.H, rp.g, rp.G_c, rp.h_c)):
+        raise UnsupportedByOracleError("the reduced program is not finite")
+    return rp
 
 
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
@@ -105,16 +108,18 @@ def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     draws at once: operators with leading axes (S with a cell axis, and in a
     block every operator with a draw axis before it) give H, g, G_c, S, d,
     b_d, h_c and const with those axes broadcast, each cell's floats those
-    of its own reduction."""
+    of its own reduction. Entries that overflow become inf or nan without a
+    warning; `reduce_program` refuses such a program."""
     S, d, gam_bar = sp.S, sp.d, sp.y_weight
     S_T = S.swapaxes(-1, -2)
-    H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
-    H = 0.5 * (H + H.swapaxes(-1, -2))
-    d_col = d[..., None]
-    g = 2.0 * (S_T @ (gam_bar @ d_col))[..., 0]
-    const = (d[..., None, :] @ gam_bar @ d_col)[..., 0, 0]
-    G_c = sp.a_cat + sp.b_cat @ S
-    b_d = (sp.b_cat @ d_col)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
+        H = 0.5 * (H + H.swapaxes(-1, -2))
+        d_col = d[..., None]
+        g = 2.0 * (S_T @ (gam_bar @ d_col))[..., 0]
+        const = (d[..., None, :] @ gam_bar @ d_col)[..., 0, 0]
+        G_c = sp.a_cat + sp.b_cat @ S
+        b_d = (sp.b_cat @ d_col)[..., 0]
     return ReducedProgram(H=H, g=g, const=float(const) if const.ndim == 0 else const,
                           G_c=G_c, h_c=c + b_d, S=S, d=d, b_d=b_d)
 

@@ -30,10 +30,10 @@ from hatalloc.dynamics import FlowEngine, _step_arrays
 from hatalloc.experiments import (
     crosscheck_scenario,
     random_scenario,
-    run_risk_grid,
     team_scenario,
 )
 from hatalloc.human import ApproximationSchedule
+from hatalloc.runs import run_risk_grid
 
 from conftest import path_scenario
 from test_reformulation import feasible_pair

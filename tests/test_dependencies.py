@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hatalloc
+from hatalloc import experiments, runs
 
 
 def test_importing_every_module_loads_no_scipy():
@@ -46,9 +47,27 @@ def imported_modules(name: str) -> set[str]:
 
 @pytest.mark.parametrize("module, above", [
     ("model", "dynamics"), ("oracle", "dynamics"), ("model", "oracle"),
+    ("experiments", "runs"), ("dynamics", "runs"), ("oracle", "runs"),
 ])
 def test_lower_layers_do_not_import_higher_ones(module, above):
     assert f"hatalloc.{above}" not in imported_modules(module)
+
+
+# What `runs` moved out of `experiments`, which keeps no second import path.
+RUN_DRIVERS = ("ExperimentResult", "PRESETS", "OUTPUT_DIR_ENV", "default_output_dir",
+               "outcome", "run_risk_grid", "run_experiment")
+
+
+def test_the_generator_imports_nothing_from_the_run_path():
+    """`experiments` generates instances: it neither integrates nor measures
+    a run, and no run driver is importable from it."""
+    run_path = {"hatalloc.dynamics.integrate", "hatalloc.dynamics.kkt_residual",
+                "hatalloc.dynamics.FlowEngine", "hatalloc.metrics",
+                "hatalloc.model.save_scenario", "hatalloc.oracle.load_scenario",
+                "hatalloc.oracle.solve_centralized"}
+    assert not imported_modules("experiments") & run_path
+    assert not [name for name in RUN_DRIVERS if hasattr(experiments, name)]
+    assert all(hasattr(runs, name) for name in RUN_DRIVERS)
 
 
 def test_wave_kernel_names_no_stacked_builder():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, \
+from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, runs, \
     save_scenario, serialize_scenario
 from hatalloc.cli import main
 from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
@@ -26,13 +26,11 @@ from hatalloc.experiments import (
     _generate,
     _normalize_scale,
     _rejection,
-    _unconverged_cells,
     random_scenario,
-    run_experiment,
-    run_risk_grid,
     team_scenario,
     with_attitudes,
 )
+from hatalloc.runs import _unconverged_cells, run_experiment, run_risk_grid
 
 from conftest import (
     free_multiplier_scenario,
@@ -166,7 +164,6 @@ class TestGenerators:
         def refuse(*args, **kwargs):
             raise AssertionError("the generator built a FlowEngine")
 
-        monkeypatch.setattr(experiments, "FlowEngine", refuse)
         monkeypatch.setattr(dynamics, "FlowEngine", refuse)
         fresh = team_scenario.__wrapped__(1)
         monkeypatch.undo()
@@ -293,7 +290,7 @@ class TestRunExperiment:
         scenario = replace(team_scenario(1)).with_solver(max_time=0.5)
         log = []
         record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program)
-        result = experiments._run_scenario(scenario, str(tmp_path), {}, oracle=True)
+        result = runs._run_scenario(scenario, str(tmp_path), {}, oracle=True)
         assert Counter(name for name, _, _ in log) == {"stack_problem": 1, "reduce_program": 1}
         assert "oracle_value" in result.summary
 
@@ -475,7 +472,7 @@ class TestCli:
         assert len(out) == 4
 
     def test_env_var_default_output(self, tmp_path, monkeypatch):
-        from hatalloc.experiments import default_output_dir
+        from hatalloc.runs import default_output_dir
 
         monkeypatch.setenv("HATALLOC_OUT_DIR", str(tmp_path / "env-out"))
         assert default_output_dir() == str(tmp_path / "env-out")
@@ -603,6 +600,24 @@ class TestScenarioFormatErrors:
         assert "agent 'a1' has no cost" in capsys.readouterr().err
 
 
+def _stiff_cost(doc):
+    doc["costs"]["r1"]["weight"][0][0] *= 1e9
+
+
+def _overflowing_gains(doc):
+    block = next(iter(doc["human_models"]["h1"]["gains"].values()))
+    block[:] = [[v * 1e160 for v in row] for row in block]
+
+
+def _edited_team_file(tmp_path, edit):
+    """`team_scenario(1)` saved with `edit` applied to its document."""
+    path = tmp_path / f"{edit.__name__}.json"
+    doc = serialize_scenario(team_scenario(1))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestRunOutputs:
     def test_summary_records_halved_dt(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -638,16 +653,24 @@ class TestRunOutputs:
     def test_overflowing_propagator_prints_no_numpy_warning(self, tmp_path):
         """A cost weight scaled by 1e9: the chunk propagator's powers
         overflow before any step, so it is dropped, and single steps diverge
-        at both step sizes."""
-        path = tmp_path / "s.json"
-        save_scenario(team_scenario(1), path)
-        doc = json.loads(path.read_text())
-        doc["costs"]["r1"]["weight"][0][0] *= 1e9
-        path.write_text(json.dumps(doc))
-        done = self._run_fresh(path, tmp_path)
-        assert done.returncode == 2
-        assert "flow diverged" in done.stderr
-        assert "RuntimeWarning" not in done.stderr
+        at both step sizes. h1's gains scaled by 1e160: the fold's reduction
+        overflows as well."""
+        for edit in (_stiff_cost, _overflowing_gains):
+            done = self._run_fresh(_edited_team_file(tmp_path, edit), tmp_path)
+            assert done.returncode == 2
+            assert "flow diverged" in done.stderr
+            assert "RuntimeWarning" not in done.stderr
+
+    def test_overflowing_reduction_is_a_numerical_failure(self, tmp_path, capsys):
+        """h1's gains scaled by 1e160 overflow the reduced program: `oracle`
+        refuses it, and `run` goes on without the oracle until the flow
+        diverges. The suite turns numpy warnings into errors, so neither
+        lets one out."""
+        path = str(_edited_team_file(tmp_path, _overflowing_gains))
+        assert main(["oracle", path]) == 2
+        assert "the reduced program is not finite" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "flow diverged" in capsys.readouterr().err
 
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
@@ -779,6 +802,16 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == 0
         assert [name for name, _, _ in log] == ["stack_problem"]
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_check_fails_a_gradient_it_cannot_difference(self, tmp_path, capsys):
+        """h1's gains scaled by 1e160 overflow the Lagrangian and its
+        gradient: the gradient check fails as an infinite error, and no
+        numpy warning (an error in this suite) gets out."""
+        path = str(_edited_team_file(tmp_path, _overflowing_gains))
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert "finite differences: inf" in captured.out
+        assert "FAIL: gradient mismatch inf" in captured.err
 
     def test_check_softplus_instance(self, tmp_path, capsys):
         scenario = path_scenario(attitude=-0.6, family="softplus_affine", beta=4.0)
