@@ -369,7 +369,8 @@ def integrate(
     ||(dx, dz, d lambda)||_2 <= tolerance, with the multiplier part measured
     as the realized post-projection change per unit time. On divergence the
     step size is halved and the run restarted once; the record's
-    `failed_attempt` then names the step size that diverged.
+    `failed_attempt` then names the step size that diverged. When the
+    restart diverges too, its `DivergenceError` carries both attempts.
 
     `reference` = (x*, y*) enables deviation recording; `saddle` = (eta, lam)
     enables distance-to-saddle recording, tracked at every step. The record's
@@ -386,7 +387,11 @@ def integrate(
         return _run_flow(engine, opts, opts.dt, state0, reference, saddle)
     except DivergenceError as exc:
         failed = metrics.FailedAttempt(dt=opts.dt, t=exc.t, max_entry=exc.max_entry)
-    final, record = _run_flow(engine, opts, opts.dt / 2.0, state0, reference, saddle)
+    try:
+        final, record = _run_flow(engine, opts, opts.dt / 2.0, state0, reference, saddle)
+    except DivergenceError as exc:
+        exc.attempts = (failed, metrics.FailedAttempt(opts.dt / 2.0, exc.t, exc.max_entry))
+        raise
     record.failed_attempt = failed
     return final, record
 

@@ -50,7 +50,9 @@ class SlaterConditionError(InfeasibleProblemError):
 
 
 class DivergenceError(HatallocError):
-    """The flow produced non-finite values."""
+    """The flow produced non-finite values. `integrate` sets `attempts`, the
+    runs that diverged (the first, and the one at half the step size), when
+    it gives up."""
 
     def __init__(self, t: float, max_entry: float):
         super().__init__(
@@ -58,6 +60,7 @@ class DivergenceError(HatallocError):
         )
         self.t = t
         self.max_entry = max_entry
+        self.attempts = ()
 
 
 class MessageProtocolError(HatallocError):

@@ -157,7 +157,13 @@ def solve_program(rp: ReducedProgram) -> Solution:
         # (active rows, inactive rows, their G_c rows) of every nonempty active set, in order.
         sets = [(list(a), [j for j in range(r) if j not in a], rp.G_c[list(a)])
                 for size in range(1, r + 1) for a in combinations(range(r), size)]
-        convex = bool(np.min(np.linalg.eigvalsh(rp.H)) > 0)
+        # Strictly convex when H has a Cholesky factor: a relative test, where
+        # min(eigvalsh(H)) > 0 fails a large H by its eigenvalues' roundoff.
+        try:
+            np.linalg.cholesky(rp.H)
+            convex = True
+        except np.linalg.LinAlgError:
+            convex = False
         # The empty set's candidate, the free minimizer, and its row levels G_c x.
         x_free = levels = None
         if convex:

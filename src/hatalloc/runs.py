@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import FlowEngine, integrate, kkt_residual
-from .errors import UnsupportedByOracleError
+from .errors import DivergenceError, UnsupportedByOracleError
 from .experiments import CONTRAST_CELLS, attitude_cells, grid_contrasts, team_scenario
-from .metrics import TrajectoryRecord, csv_table, workload_report
+from .metrics import FailedAttempt, TrajectoryRecord, csv_table, workload_report
 from .model import Scenario, save_scenario
 from .oracle import lift_to_saddle, load_scenario, solve_centralized
 from .reformulation import build_decoupled
@@ -49,6 +49,13 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _attempt(failed: FailedAttempt) -> dict:
+    """A diverged attempt as JSON, which has no infinity: `max_entry` is null
+    when no entry of the block stayed finite."""
+    return {**asdict(failed),
+            "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None}
+
+
 def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
     """How a run ended: why and when it stopped, its steps (chunked and
     single, with the chunks rejected and the propagators built), the step
@@ -56,9 +63,7 @@ def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
     the attempt that diverged before a `dt` halving."""
     failed = record.failed_attempt
     if failed is not None:
-        # JSON has no infinity: null when no entry of the block stayed finite.
-        failed = {**asdict(failed),
-                  "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None}
+        failed = _attempt(failed)
     return {
         "termination": record.termination,
         "final_t": record.final_t,
@@ -80,7 +85,9 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
     and `summary.json`. With `oracle`, the scenario is solved centrally and
     lifted, and deviation/saddle-distance metrics are recorded against it;
     an instance outside the oracle's scope still runs, without them, and
-    `summary["oracle"]` says why."""
+    `summary["oracle"]` says why. A flow that diverges at both step sizes
+    writes only `summary.json`, with `termination: "diverged"` and both
+    attempts, before its `DivergenceError` propagates."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
     tracking = {}
@@ -92,7 +99,13 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
         else:
             _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
             tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
-    final, record = integrate(scenario, dc=dc, **tracking)
+    summary_path = os.path.join(out_dir, "summary.json")
+    try:
+        final, record = integrate(scenario, dc=dc, **tracking)
+    except DivergenceError as exc:
+        summary.update(termination="diverged", attempts=[_attempt(a) for a in exc.attempts])
+        _write_json(summary_path, summary)
+        raise
 
     table_path = os.path.join(out_dir, "trajectory.csv")
     record.write(table_path)
@@ -106,7 +119,6 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
             "oracle_value": value,
         })
     summary["kkt"] = asdict(kkt_residual(scenario, dc, final))
-    summary_path = os.path.join(out_dir, "summary.json")
     _write_json(summary_path, summary)
     converged = not tracking or record.samples[-1].deviation <= 1e-6
     return ExperimentResult(

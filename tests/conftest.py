@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import logging
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hatalloc import NetworkTopology, Scenario
+from hatalloc import NetworkTopology, Scenario, experiments, model, oracle, reformulation
 from hatalloc.agents import (
     AutonomousAgentView,
     HumanProxyView,
@@ -33,6 +34,8 @@ from hatalloc.experiments import (
     _scenario,
     _screen,
     _unstack,
+    crosscheck_scenario,
+    team_scenario,
 )
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
 from hatalloc.model import (
@@ -431,6 +434,71 @@ def record_calls(monkeypatch, log, *funcs):
             for attr, value in list(vars(module).items()):
                 if value is func:
                     monkeypatch.setattr(module, attr, recorded)
+
+
+def _recorded_generation(generate, seed):
+    """`generate(seed)` with the generator's assembly functions recorded by
+    `record_calls`. The public cached generator runs it, so later calls hit
+    the cache; a seed that an earlier test module cached already is
+    generated again uncached, through `__wrapped__`, to be recorded."""
+    log, built, records = [], Counter(), []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("hatalloc.experiments")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
+                         experiments._screen, experiments._offset_search,
+                         experiments._scenario, model.stack_parts, model.stack_problem,
+                         oracle.reduce_program, oracle.reduce_stacked,
+                         reformulation.build_decoupled)
+            for cls in (QuadraticCost, Scenario):
+                patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
+                              _name=cls.__name__: built.update([_name]) or _real(self))
+            misses = generate.cache_info().misses
+            scenario = generate(seed)
+            if generate.cache_info().misses == misses:
+                scenario = generate.__wrapped__(seed)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [record] = records
+    return SimpleNamespace(
+        scenario=scenario,
+        record=record,
+        accepted=record.args[1],
+        calls=Counter(name for name, _, _ in log),
+        built=built,
+        draws=[(draw, _row(block, i)) for name, args, block in log if name == "_lay_out"
+               for i, draw in enumerate(args[0])],
+        grids=[grid for name, _, grids in log if name == "_screen" for grid in grids],
+        offsets=[c for name, _, c in log if name == "_offset_search"],
+        tightened=[(*args[:2], scenario) for name, args, scenario in log
+                   if name == "_scenario"],
+        reductions=[cells for name, args, cells in log
+                    if name == "reduce_stacked" and args[0].S.ndim == 4],
+    )
+
+
+@pytest.fixture(scope="session")
+def generation():
+    """`team_scenario` 1-9 and `crosscheck_scenario` 1-30, each generated
+    once per session and recorded, keyed by seed under `team` and
+    `crosscheck`. Per instance: the generated scenario, its one DEBUG record
+    and the accepted attempt; the calls of the generator's assembly functions and
+    the `QuadraticCost` and `Scenario` constructions; every raw draw it drew
+    (up to the end of the accepted draw's block) with its row of its block,
+    and its screen grid; the offsets the exact search took (None when it
+    rejected the draw); each tightened draw with the row it was given and
+    the `Scenario` built from them; and the block reductions."""
+    return SimpleNamespace(
+        team={seed: _recorded_generation(team_scenario, seed) for seed in range(1, 10)},
+        crosscheck={seed: _recorded_generation(crosscheck_scenario, seed)
+                    for seed in range(1, 31)},
+    )
 
 
 @pytest.fixture

@@ -235,8 +235,10 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_halves_dt_once_then_raises(self):
         # diverges at dt = 2.5 and still at the halved 1.25
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as info:
             integrate(free_multiplier_scenario(2.5))
+        assert [attempt.dt for attempt in info.value.attempts] == [2.5, 1.25]
+        assert info.value.attempts[1].t == info.value.t
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_retry_succeeds_on_borderline_dt(self):

@@ -8,10 +8,11 @@ from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, runs, \
     save_scenario, serialize_scenario
@@ -42,63 +43,6 @@ from conftest import (
 )
 
 
-@pytest.fixture(scope="module")
-def team_generation():
-    """Uncached `team_scenario` 1-9, recorded: per seed, the generated scenario
-    and its DEBUG record's arguments; over all seeds, every laid-out draw up to
-    each accepted one with its row of its block and its screen grid, the offsets
-    the exact search took (None when it rejected the draw), each tightened draw
-    with the row it was given and the `Scenario` built from them, the number of
-    draws past the accepted ones, the calls of the generator's assembly
-    functions, and the `QuadraticCost` and `Scenario` constructions."""
-    log, built, records = [], Counter(), []
-    handler = logging.Handler(logging.DEBUG)
-    handler.emit = records.append
-    logger = logging.getLogger("hatalloc.experiments")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    draws, grids, discarded, scenarios = [], [], 0, {}
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
-                         experiments._screen, experiments._offset_search,
-                         experiments._scenario, model.stack_parts, model.stack_problem,
-                         oracle.reduce_program, oracle.reduce_stacked,
-                         reformulation.build_decoupled)
-            for cls in (model.QuadraticCost, model.Scenario):
-                patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
-                              _name=cls.__name__: built.update([_name]) or _real(self))
-            for seed in range(1, 10):
-                start = len(log)
-                scenarios[seed] = team_scenario.__wrapped__(seed)
-                seed_draws = [(d, experiments._row(block, i))
-                              for name, args, block in log[start:] if name == "_lay_out"
-                              for i, d in enumerate(args[0])]
-                seed_grids = [g for name, _, out in log[start:] if name == "_screen" for g in out]
-                considered = records[-1].args[1] + 1  # attempts up to the accepted one
-                draws += seed_draws[:considered]
-                grids += seed_grids[:considered]
-                discarded += len(seed_draws) - considered
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    return SimpleNamespace(
-        scenarios=scenarios,
-        records=[record.args for record in records],
-        calls=Counter(name for name, _, _ in log),
-        built=built,
-        draws=draws,
-        grids=grids,
-        discarded=discarded,
-        offsets=[c for name, _, c in log if name == "_offset_search"],
-        tightened=[(*args[:2], scenario) for name, args, scenario in log
-                   if name == "_scenario"],
-        reductions=[cells for name, args, cells in log
-                    if name == "reduce_stacked" and args[0].S.ndim == 4],
-    )
-
-
 class TestGenerators:
     def test_team_scenario_reference_dimensions(self):
         scenario = team_scenario(1)
@@ -111,8 +55,7 @@ class TestGenerators:
 
     def test_team_scenario_deterministic(self):
         a = serialize_scenario(team_scenario(1))
-        team_scenario.cache_clear()  # force a true regeneration
-        b = serialize_scenario(team_scenario(1))
+        b = serialize_scenario(team_scenario.__wrapped__(1))  # a true regeneration
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_team_scenario_default_attitudes(self):
@@ -138,12 +81,11 @@ class TestGenerators:
         assert sum(rejected.values()) == 3
         assert "rejected by: tighten" in str(info.value)
 
-    def test_generator_logs_accepted_draw(self, caplog):
-        attitudes = {"h1": ("risk_seeking", 1.0), "h2": ("risk_averse", 1.0)}
-        with caplog.at_level(logging.DEBUG, logger="hatalloc.experiments"):
-            _generate(7, TEAM_DIMS, TEAM_HUMAN_DIMS, attitudes, abscissa_bar=-0.08,
-                      check_grid=True, stream=40)
-        [record] = [r for r in caplog.records if r.name == "hatalloc.experiments"]
+    def test_generator_logs_accepted_draw(self, generation):
+        """Team seed 7's generation logs one DEBUG record (the recording
+        holds exactly one per generator call)."""
+        record = generation.team[7].record
+        assert record.name == "hatalloc.experiments"
         assert record.levelno == logging.DEBUG
         seed, draw, rejected, screened, solves, built = record.args
         assert seed == 7 and draw > 0
@@ -169,7 +111,7 @@ class TestGenerators:
         monkeypatch.undo()
         assert serialize_scenario(fresh) == serialize_scenario(team_scenario(1))
 
-    def test_generator_stacks_each_draw_once(self, team_generation):
+    def test_generator_stacks_each_draw_once(self, generation):
         """Over team seeds 1-9, generation lays out each draw once
         (`stack_parts`), which the tightened draw's `Scenario` holds for the
         scale step's lift, and calls no `stack_problem` or `reduce_program`.
@@ -180,11 +122,15 @@ class TestGenerators:
         and builds the validated objects only for the tightened draws: seven
         `QuadraticCost`s each, and a `Scenario` for each and for each
         accepted draw."""
-        calls, built = team_generation.calls, team_generation.built
-        assert len(team_generation.draws) == 1142 and team_generation.discarded == 17
+        team = generation.team.values()
+        calls = sum((run.calls for run in team), Counter())
+        built = sum((run.built for run in team), Counter())
+        assert sum(run.accepted + 1 for run in team) == 1142
+        assert sum(len(run.draws) - run.accepted - 1 for run in team) == 17
         assert calls["_raw_draw"] == calls["stack_parts"] == 1142 + 17
-        assert calls["_lay_out"] == calls["_screen"] == len(team_generation.reductions) == 164
-        offsets = team_generation.offsets
+        reductions = sum(len(run.reductions) for run in team)
+        assert calls["_lay_out"] == calls["_screen"] == reductions == 164
+        offsets = [c for run in team for c in run.offsets]
         tightened = sum(c is not None for c in offsets)
         assert len(offsets) == tightened == 256
         assert calls["stack_problem"] == calls["reduce_program"] == 0
@@ -192,28 +138,31 @@ class TestGenerators:
         assert built["QuadraticCost"] == 7 * tightened == 1792
         assert built["Scenario"] == tightened + 9 == 265
         # The recorded run generates the real instances.
-        for seed, scenario in team_generation.scenarios.items():
-            assert serialize_scenario(scenario) == serialize_scenario(team_scenario(seed))
+        for seed, run in generation.team.items():
+            assert serialize_scenario(run.scenario) == serialize_scenario(team_scenario(seed))
 
-    def test_skipped_validation_hides_no_error(self, team_generation):
+    def test_skipped_validation_hides_no_error(self, generation):
         """Every draw of team seeds 1-9 that the offset screen rejected
         builds its validated objects (topology, costs, constraint, models,
         `Scenario`) without an error. Every tightened draw's `Scenario`
         holds the draw's row of its block, and it is, byte for byte, the
         stack that `stack_problem` lays out from the validated objects."""
-        rejected = [draw for draw, grid in zip(team_generation.draws, team_generation.grids)
+        team = generation.team.values()
+        rejected = [draw for run in team
+                    for draw, grid in zip(run.draws[:run.accepted + 1], run.grids)
                     if not grid.any()]
         assert len(rejected) == 886
         for draw, row in rejected:
             experiments._scenario(draw, row, np.zeros(2))
-        assert len(team_generation.tightened) == 256
-        for draw, row, scenario in team_generation.tightened:
+        tightened = [entry for run in team for entry in run.tightened]
+        assert len(tightened) == 256
+        for draw, row, scenario in tightened:
             assert scenario.stacked is row
             fresh = model.stack_problem(scenario)
             for f in fields(model.StackedProblem):
                 assert getattr(fresh, f.name).tobytes() == getattr(row, f.name).tobytes()
 
-    def test_debug_records_are_the_one_draw_loops(self, team_generation):
+    def test_debug_records_are_the_one_draw_loops(self, generation):
         """Each team seed's DEBUG record (accepted draw, rejections by
         reason, draws screened out, exact solves, draws built): the counts
         of the loop that screened one draw at a time."""
@@ -224,7 +173,8 @@ class TestGenerators:
             7: (6, 5, 0, 1, 5, 24, 2), 8: (37, 32, 3, 2, 32, 72, 6),
             9: (385, 287, 77, 21, 287, 1188, 99),
         }
-        for seed, draw, rejected, screened, solves, built in team_generation.records:
+        for seed, draw, rejected, screened, solves, built in (
+                run.record.args for run in generation.team.values()):
             tighten, stability, grid = (rejected[k] for k in ("tighten", "stability", "grid"))
             assert rejected == {**dict.fromkeys(REJECTIONS, 0), "tighten": tighten,
                                 "stability": stability, "grid": grid}
@@ -233,7 +183,7 @@ class TestGenerators:
     def test_seed_10_finds_no_admissible_draw(self):
         """team seed 10 rejects all 400 draws, by these checks."""
         with pytest.raises(NoAdmissibleInstanceError) as info:
-            team_scenario.__wrapped__(10)
+            team_scenario(10)  # an error: lru_cache keeps none
         assert info.value.rejected == {**dict.fromkeys(REJECTIONS, 0),
                                        "tighten": 327, "stability": 55, "grid": 18}
 
@@ -672,6 +622,21 @@ class TestRunOutputs:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "flow diverged" in capsys.readouterr().err
 
+    def test_diverged_run_writes_its_summary(self, tmp_path, capsys):
+        """r1's cost weight scaled by 1e9 diverges at both step sizes: `run`
+        exits 2 as before and writes `summary.json`, with both attempts,
+        and no trajectory."""
+        out = tmp_path / "o"
+        assert main(["run", str(_edited_team_file(tmp_path, _stiff_cost)),
+                     "--out", str(out)]) == 2
+        assert "flow diverged" in capsys.readouterr().err
+        assert os.listdir(out) == ["summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "diverged"
+        assert [attempt["dt"] for attempt in summary["attempts"]] == [1e-3, 5e-4]
+        for attempt in summary["attempts"]:
+            assert attempt["t"] > 0 and attempt["max_entry"] > 0
+
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
         saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
@@ -812,6 +777,52 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "finite differences: inf" in captured.out
         assert "FAIL: gradient mismatch inf" in captured.err
+
+    def test_check_passes_exact_costs_at_any_scale(self, tmp_path, capsys):
+        """r1's cost weight scaled by 1e9: the costs are exact, and the
+        central differences' roundoff, not counted, is all that is off."""
+        path = str(_edited_team_file(tmp_path, _stiff_cost))
+        assert main(["check", path]) == 0
+        assert "gradient" not in capsys.readouterr().err
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(agent="r1", k=30)
+    @example(agent="h1", k=24)  # one eps |f| of roundoff per value falls short here
+    @given(agent=st.sampled_from(["r1", "r2", "r3", "r4", "r5", "h1", "h2"]),
+           k=st.integers(0, 30))
+    def test_check_finds_no_gradient_fail_when_a_weight_is_scaled(self, tmp_path, capsys,
+                                                                   agent, k):
+        """One agent's quadratic weight times 2^k keeps every cost exact, so
+        no gradient check fails."""
+        def scaled(doc):
+            doc["costs"][agent]["weight"] = [[w * 2.0 ** k for w in row]
+                                             for row in doc["costs"][agent]["weight"]]
+
+        main(["check", str(_edited_team_file(tmp_path, scaled)), "--samples", "1"])
+        assert "gradient" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, name, message", [
+        (dynamics.FlowEngine, "lagrangian_gradient_x", "FAIL: gradient mismatch"),
+        (model.QuadraticCost, "gradient", "FAIL: cost gradient for"),
+    ])
+    def test_check_fails_a_perturbed_gradient(self, tmp_path, capsys, monkeypatch,
+                                              target, name, message):
+        """On fig4, the Lagrangian's or a cost's gradient off by a factor
+        1 + 1e-3 fails its check."""
+        real = getattr(target, name)
+
+        def perturbed(self, *args):
+            grad = real(self, *args)
+            if isinstance(grad, tuple):
+                return ((1 + 1e-3) * grad[0], *grad[1:])
+            return (1 + 1e-3) * grad
+
+        path = tmp_path / "fig4.json"
+        save_scenario(team_scenario(1), path)
+        monkeypatch.setattr(target, name, perturbed)
+        assert main(["check", str(path), "--samples", "1"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_check_softplus_instance(self, tmp_path, capsys):
         scenario = path_scenario(attitude=-0.6, family="softplus_affine", beta=4.0)

@@ -16,7 +16,6 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,49 +346,23 @@ def test_a_singular_draw_turns_off_only_its_own_screen(spoil):
     assert np.array_equal(spoiled[1:], alone[1:])
 
 
-@pytest.fixture(scope="module")
-def block_generation():
-    """`team_scenario` 1-9 and `crosscheck_scenario` 1-30, generated uncached
-    with `_generate`, `_screen` and `reduce_stacked` recorded: per instance,
-    the generator's (seed, auto dims, human dims, attitudes) and stream, the
-    screen grid of every attempt it drew, and its block reductions."""
-    runs = []
-    for generate, stream in ((team_scenario, 40), (crosscheck_scenario, 41)):
-        for seed in range(1, 10 if stream == 40 else 31):
-            log = []
-            with pytest.MonkeyPatch.context() as patch:
-                record_calls(patch, log, experiments._generate, experiments._screen,
-                             oracle.reduce_stacked)
-                generate.__wrapped__(seed)
-            [args] = [args for name, args, _ in log if name == "_generate"]
-            runs.append(SimpleNamespace(
-                args=args, stream=stream,
-                grids=[grid for name, _, grids in log if name == "_screen" for grid in grids],
-                reductions=[cells for name, args, cells in log
-                            if name == "reduce_stacked" and args[0].S.ndim == 4]))
-    return runs
-
-
-def test_block_screen_matches_the_one_draw_screen(block_generation):
+def test_block_screen_matches_the_one_draw_screen(generation):
     """Every attempt that team 1-9 and crosscheck 1-30 draw gets, in its
     block, the verdict grid that the screen of that draw alone gives."""
     drawn = 0
-    for run in block_generation:
-        seed, auto_dims, human_dims, attitudes = run.args
-        lay = _layout(auto_dims, human_dims)
-        for attempt, grid in enumerate(run.grids):
-            rng = np.random.default_rng(np.random.SeedSequence([run.stream, seed, attempt]))
-            draw = _raw_draw(rng, auto_dims, human_dims, attitudes, lay)
-            assert np.array_equal(grid, screened_cells(_lay_out([draw]), lay, draw.models)[-1])
+    for run in [*generation.team.values(), *generation.crosscheck.values()]:
+        for (draw, _), grid in zip(run.draws, run.grids, strict=True):
+            alone = screened_cells(_lay_out([draw]), draw.layout, draw.models)[-1]
+            assert np.array_equal(grid, alone)
         drawn += len(run.grids)
     assert drawn == 1159 + 280  # team draws, crosscheck draws
 
 
-def test_the_cells_of_a_draw_share_their_hessian(block_generation):
+def test_the_cells_of_a_draw_share_their_hessian(generation):
     """`_screen` inverts each draw's first cell's H for all its cells: every
     cell of every drawn attempt of team 1-9 and crosscheck 1-30 has that H
     bit for bit."""
-    for run in block_generation:
+    for run in [*generation.team.values(), *generation.crosscheck.values()]:
         for reduced in run.reductions:
             bits = reduced.H.view(np.int64)
             assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))

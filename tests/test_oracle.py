@@ -21,7 +21,8 @@ from hatalloc.errors import (
     InfeasibleProblemError,
     UnsupportedByOracleError,
 )
-from hatalloc.experiments import crosscheck_scenario, random_scenario
+from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
+from hatalloc.model import QuadraticCost
 from hatalloc.oracle import assert_slater, interior_point, solve_program
 from hatalloc.dynamics import FlowEngine
 
@@ -128,6 +129,22 @@ class TestSolve:
         rp = reduce_program(path_team)
         assert np.all(mu_star >= 0.0)
         assert abs(mu_star @ rp.constraint(x_star)) <= 1e-8
+
+    def test_convexity_holds_at_any_scale(self):
+        """r1's cost weight scaled by 1e160: H stays positive definite, and
+        the program solves (its eigenvalues carry a roundoff of about
+        eps |H|, larger than the smallest of them). An indefinite H raises."""
+        base = team_scenario(1)
+        costs = {**base.costs, "r1": QuadraticCost(base.costs["r1"].weight * 1e160)}
+        rp = reduce_program(replace(base, costs=costs))
+        x, _, mu, _ = solve_program(rp)
+        assert np.isfinite(x).all() and (mu >= 0).all()
+        assert rp.constraint(x).max() <= 1e-9
+        unscaled = reduce_program(base)
+        H = unscaled.H.copy()
+        H[0, 0] = -H[0, 0]
+        with pytest.raises(UnsupportedByOracleError, match="not strictly convex"):
+            solve_program(replace(unscaled, H=H))
 
 
 class TestSlater:
