@@ -29,9 +29,10 @@ proxies respond once per sweep, at the fresh x and t + dt, which is the y
 the next sweep's gap needs. Each per-block product is one batched `np.matmul`
 per block shape (see `_apply`), and each neighbor sum one ordered
 `np.add.at`: the agent's own term, then its edge terms in `_consensus`'s
-neighbor order, the reference's accumulation order. The runner's `views`,
-`mailbox` and `_inbox` are built from the stacked arrays on demand, and
-stay the same objects until the next sweep.
+neighbor order, the reference's accumulation order. The runner's `mailbox`
+is built from the stacked arrays on demand, and stays the same object until
+the next sweep. The runner builds no views or inboxes: to step an agent with
+`agent_round`, build its view from the scenario and the state.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ class DistributedRunner:
             block.flags.writeable = False
         self._x, self._z, self._lam, self._t = x, z, lam, t
         self._y, self._cpl = self._respond()
-        self._views = self._mail = None
+        self._mail = None
 
     def _respond(self):
         """Every y_k and coupling term J_{k,j}^T (grad g_k(y_k) + B_k^T lambda_k)
@@ -313,28 +314,6 @@ class DistributedRunner:
                     cpl = self._cpl[self._cpl_slice[b, a]] if (b, a) in self._cpl_slice else None
                     self._mail[b, a] = Message(b, a, self._z[s], self._lam[s], x=x, coupling=cpl)
         return self._mail
-
-    @property
-    def views(self) -> dict[str, AutonomousAgentView | HumanProxyView]:
-        """Every agent's view of the current state, as `agent_round` takes it."""
-        if self._views is None:
-            scenario, lay, mail = self.scenario, self.scenario.layout, self.mailbox
-            con, top = scenario.constraint, scenario.topology
-            self._views = {}
-            for a in lay.node_order:
-                auto_n, human_n, s = *neighbors(top, a), lay.node_slice(a)
-                own = dict(agent_id=a, z=self._z[s], lam=self._lam[s], cost=scenario.costs[a],
-                           c_block=self._c[s], auto_neighbors=tuple(auto_n),
-                           human_neighbors=tuple(human_n), t=self._t)
-                self._views[a] = AutonomousAgentView(
-                    **own, x=self._x[lay.x_slice(a)], a_block=con.a_blocks[a],
-                ) if a in lay.x_offsets else HumanProxyView(
-                    **own, model=scenario.human_models[a], b_block=con.b_blocks[a],
-                    snapshot={j: mail[j, a] for j in auto_n}, schedule=scenario.schedules.get(a))
-        return self._views
-
-    def _inbox(self, agent_id: str) -> list[Message]:
-        return [self.mailbox[sender, agent_id] for sender in self._nbrs[agent_id]]
 
     def sweep(self, dt: float) -> None:
         """One synchronous step of every agent (autonomous wave, human wave)."""

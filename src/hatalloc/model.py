@@ -149,6 +149,8 @@ class SolverOptions:
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
             raise ValueError(f"record_stride must be an integer >= 1: {stride!r}")
+        if not isinstance(self.check_slater, bool):
+            raise ValueError(f"check_slater must be a boolean: {self.check_slater!r}")
 
 
 class ScenarioLayout:
@@ -442,14 +444,21 @@ def stack_parts(lay: ScenarioLayout, models, a_blocks: dict[str, np.ndarray],
     b_cat = np.hstack([empty] + [b_blocks[k] for k in lay.human_ids])
     x_weight = y_weight = None
     if weights is not None:
-        x_weight = np.zeros((lay.x_dim, lay.x_dim))
-        for i in lay.autonomous_ids:
-            x_weight[lay.x_slice(i), lay.x_slice(i)] = weights[i]
-        y_weight = np.zeros((lay.y_dim, lay.y_dim))
-        for k in lay.human_ids:
-            y_weight[lay.y_slice(k), lay.y_slice(k)] = weights[k]
+        x_weight = block_diagonal([weights[i] for i in lay.autonomous_ids])
+        y_weight = block_diagonal([weights[k] for k in lay.human_ids])
     return StackedProblem(S, d, a_cat, b_cat, x_weight, y_weight, soft, beta[soft],
                           scheduled, settle[scheduled], S_delta[scheduled], d_delta[scheduled])
+
+
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The matrices `blocks` along the diagonal, in order, and zeros elsewhere."""
+    shapes = [block.shape for block in blocks]
+    out = np.zeros((sum(m for m, _ in shapes), sum(n for _, n in shapes)))
+    row = col = 0
+    for block, (m, n) in zip(blocks, shapes):
+        out[row:row + m, col:col + n] = block
+        row, col = row + m, col + n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +475,13 @@ def _as_int(raw, context: str) -> int:
     _require(isinstance(raw, Integral) and not isinstance(raw, bool),
              f"{context} {raw!r} is not an integer")
     return int(raw)
+
+
+def _as_number(raw, context: str) -> float:
+    """A JSON number: booleans and strings fail, not convert."""
+    _require(isinstance(raw, Real) and not isinstance(raw, bool),
+             f"{context} {raw!r} is not a number")
+    return float(raw)
 
 
 def _as_matrix(raw, context: str) -> np.ndarray:
@@ -502,16 +518,16 @@ def _parse_model(human_id: str, doc: dict, neighbor_ids: list[str]) -> HumanResp
     }
     attitude_doc = doc.get("attitude")
     _require(isinstance(attitude_doc, dict), f"model '{human_id}': attitude required")
+    context = f"model '{human_id}':"
     try:
         if "alpha" in attitude_doc:
-            alpha = float(attitude_doc["alpha"])
+            alpha = _as_number(attitude_doc["alpha"], f"{context} alpha")
         else:
-            alpha = attitude_preset(
-                attitude_doc.get("kind", ""), float(attitude_doc.get("magnitude", 0.0))
-            )
+            alpha = attitude_preset(attitude_doc.get("kind", ""), _as_number(
+                attitude_doc.get("magnitude", 0.0), f"{context} magnitude"))
         kwargs = {}
         if "beta" in doc:
-            kwargs["sharpness"] = float(doc["beta"])
+            kwargs["sharpness"] = _as_number(doc["beta"], f"{context} beta")
         return HumanResponseModel(
             human_id=human_id,
             neighbor_ids=tuple(neighbor_ids),
@@ -538,11 +554,12 @@ def _parse_schedule(model: HumanResponseModel, doc) -> ApproximationSchedule:
                    for j, g in gains_doc.items()}
     base_delta = _as_vector(delta.get("base", np.zeros(model.dim)),
                             f"schedule '{k}' base delta")
+    settle_time = _as_number(doc.get("settle_time", 0.0), f"schedule '{k}': settle_time")
     try:
         return ApproximationSchedule(
             gain_deltas=gain_deltas,
             base_delta=base_delta,
-            settle_time=float(doc.get("settle_time", 0.0)),
+            settle_time=settle_time,
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"schedule '{k}': {exc}") from exc

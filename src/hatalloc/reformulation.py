@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError
-from .model import Scenario
+from .model import Scenario, block_diagonal
 from .topology import laplacian
 
 CERTIFICATE_TOL = 1e-8
@@ -84,26 +84,13 @@ def split_offset(c: np.ndarray, topology, policy: str = "first_agent") -> np.nda
     return out
 
 
-def _block_diag(blocks: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
-    out = np.zeros((rows * len(blocks), cols))
-    col = 0
-    for idx, block in enumerate(blocks):
-        out[idx * rows:(idx + 1) * rows, col:col + block.shape[1]] = block
-        col += block.shape[1]
-    return out
-
-
 def build_decoupled(scenario: Scenario) -> DecoupledConstraint:
     """Assemble the decoupled constraint for a scenario in canonical order,
     splitting the offset by `scenario.solver.offset_split`."""
     lay = scenario.layout
     con = scenario.constraint
-    a_bar = _block_diag(
-        [con.a_blocks[i] for i in lay.autonomous_ids], con.rows, lay.x_dim
-    )
-    b_bar = _block_diag(
-        [con.b_blocks[k] for k in lay.human_ids], con.rows, lay.y_dim
-    )
+    a_bar = block_diagonal([con.a_blocks[i] for i in lay.autonomous_ids])
+    b_bar = block_diagonal([con.b_blocks[k] for k in lay.human_ids])
     lap = laplacian(scenario.topology)
     c_split = split_offset(con.c, scenario.topology, scenario.solver.offset_split)
     return DecoupledConstraint(

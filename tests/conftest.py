@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hatalloc import NetworkTopology, Scenario, experiments, model, oracle, reformulation
 from hatalloc.agents import (
@@ -47,6 +48,11 @@ from hatalloc.model import (
 from hatalloc.oracle import reduce_stacked
 from hatalloc.reformulation import build_decoupled
 from hatalloc.topology import neighbors
+
+# Hypothesis's own `ci` profile: derandomized, with no example database and
+# no deadline, so that every run of the suite draws the same examples.
+# `pytest --hypothesis-profile default` searches new ones.
+settings.load_profile("ci")
 
 
 def single_agent_scenario(c=(-1.0,)):
@@ -245,6 +251,11 @@ class ReferenceRunner:
         return {(sender, receiver): msg for receiver, inbox in self._by_receiver.items()
                 for sender, msg in inbox.items()}
 
+    def inbox(self, agent_id):
+        """The last message from each neighbor of `agent_id`, as `agent_round`
+        takes them."""
+        return list(self._by_receiver[agent_id].values())
+
     def _deliver(self, messages):
         for msg in messages:
             self._by_receiver[msg.receiver][msg.sender] = msg
@@ -256,8 +267,7 @@ class ReferenceRunner:
             outgoing = []
             for agent_id in order:
                 if agent_id in wave:
-                    new_view, outbox = agent_round(
-                        self.views[agent_id], list(self._by_receiver[agent_id].values()), dt)
+                    new_view, outbox = agent_round(self.views[agent_id], self.inbox(agent_id), dt)
                     self.views[agent_id] = new_view
                     outgoing.extend(outbox)
             self._deliver(outgoing)

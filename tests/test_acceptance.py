@@ -35,7 +35,7 @@ from hatalloc.experiments import (
 from hatalloc.human import ApproximationSchedule
 from hatalloc.runs import run_risk_grid
 
-from conftest import path_scenario
+from conftest import ReferenceRunner, path_scenario
 from test_reformulation import feasible_pair
 
 
@@ -227,13 +227,13 @@ def test_criterion_6_compact_equals_distributed(fig4):
         worst = max(worst, float(np.max(np.abs(dist.lam[a] - compact.lam[a]))))
 
     # locality: non-neighbor garbage cannot change any round, bit for bit
-    fresh = DistributedRunner(scenario, dc, state=initial_state(scenario))
+    fresh = ReferenceRunner(scenario, dc, state=initial_state(scenario))
     for _ in range(3):
         fresh.sweep(dt)
     rng = np.random.default_rng(0)
     locality_ok = True
     for agent_id, view in fresh.views.items():
-        inbox = fresh._inbox(agent_id)
+        inbox = fresh.inbox(agent_id)
         clean_view, clean_out = agent_round(view, list(inbox), dt)
         neighbor_set = set(view.auto_neighbors) | set(view.human_neighbors)
         garbage = [

@@ -14,7 +14,7 @@ from hatalloc.errors import MessageProtocolError
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
 
-from conftest import path_scenario, single_agent_scenario, with_schedules
+from conftest import ReferenceRunner, path_scenario, single_agent_scenario, with_schedules
 
 DT = 1e-3
 
@@ -171,11 +171,11 @@ class TestLocality:
         dc = build_decoupled(scenario)
         rng = np.random.default_rng(1)
         state = random_system_state(scenario, rng)
-        runner = DistributedRunner(scenario, dc, state=state)
+        runner = ReferenceRunner(scenario, dc, state=state)
         rows = scenario.constraint.rows
 
         for agent_id, view in runner.views.items():
-            inbox = runner._inbox(agent_id)
+            inbox = runner.inbox(agent_id)
             clean_view, clean_out = agent_round(view, list(inbox), DT)
             neighbor_set = set(view.auto_neighbors) | set(view.human_neighbors)
             strangers = [a for a in scenario.topology.node_order
@@ -202,19 +202,19 @@ class TestLocality:
     def test_missing_neighbor_message_is_protocol_error(self):
         scenario = path_scenario()
         dc = build_decoupled(scenario)
-        runner = DistributedRunner(scenario, dc)
+        runner = ReferenceRunner(scenario, dc)
         view = runner.views["k1"]
-        inbox = [m for m in runner._inbox("k1") if m.sender != "a1"]
+        inbox = [m for m in runner.inbox("k1") if m.sender != "a1"]
         with pytest.raises(MessageProtocolError, match="a1"):
             agent_round(view, inbox, DT)
 
     def test_missing_coupling_term_is_protocol_error(self):
         scenario = path_scenario()
         dc = build_decoupled(scenario)
-        runner = DistributedRunner(scenario, dc)
+        runner = ReferenceRunner(scenario, dc)
         view = runner.views["a1"]
         inbox = []
-        for msg in runner._inbox("a1"):
+        for msg in runner.inbox("a1"):
             if msg.sender == "k1":
                 inbox.append(Message(sender="k1", receiver="a1",
                                      z=msg.z, lam=msg.lam))

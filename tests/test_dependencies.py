@@ -11,6 +11,8 @@ import pytest
 import hatalloc
 from hatalloc import experiments, runs
 
+from test_readme import quick_start_block
+
 
 def test_importing_every_module_loads_no_scipy():
     # A fresh interpreter, so that test tooling cannot have loaded scipy.
@@ -146,25 +148,25 @@ def test_only_the_screen_inverts_matrices():
     assert _referrers("inv") == {"experiments._inverse"}
 
 
-# Private functions that only tests call, each with the reason it stays.
+# The references that only tests call, each with the reason it stays.
 TEST_ONLY = {
+    "agents.agent_round": "the per-agent round that the wave kernel is held to, bit for bit",
     "dynamics._step_arrays": "the reference step that every fast path is held to",
-    "agents.DistributedRunner._inbox": "it feeds `agent_round` in the sweep-equivalence tests",
 }
 
 
-def test_every_private_function_is_named_in_its_module():
-    """A function or method whose name has a leading underscore (and is no
-    dunder) is named by code of its own module, bare or as an attribute:
-    code that only tests reach lives in the tests, except for `TEST_ONLY`."""
+def _unnamed_functions(named_in) -> set[str]:
+    """`module.Class.function` of every function, method or property of the
+    package (no dunder) whose name is not in `named_in(tree)`, `tree` being
+    its module's syntax tree."""
     unnamed = set()
 
     def visit(node, scope, named):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualified = f"{scope}.{child.name}"
-                if (not isinstance(child, ast.ClassDef) and child.name.startswith("_")
-                        and not child.name.endswith("__") and child.name not in named):
+                if (not isinstance(child, ast.ClassDef) and not child.name.endswith("__")
+                        and child.name not in named):
                     unnamed.add(qualified)
                 visit(child, qualified, named)
             else:
@@ -172,7 +174,34 @@ def test_every_private_function_is_named_in_its_module():
 
     for path in Path(hatalloc.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        named = {getattr(node, "id", None) or getattr(node, "attr", None)
-                 for node in ast.walk(tree)}
-        visit(tree, path.stem, named)
-    assert unnamed == set(TEST_ONLY)
+        visit(tree, path.stem, named_in(tree))
+    return unnamed
+
+
+def _private(qualified: str) -> bool:
+    return qualified.rsplit(".", 1)[-1].startswith("_")
+
+
+def _names(tree) -> set[str]:
+    """Every name in `tree`, bare or as an attribute."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+
+
+def test_every_private_function_is_named_in_its_module():
+    """A function or method whose name has a leading underscore (and is no
+    dunder) is named by code of its own module, bare or as an attribute:
+    code that only tests reach lives in the tests, except for `TEST_ONLY`."""
+    unnamed = _unnamed_functions(_names)
+    assert set(filter(_private, unnamed)) == set(filter(_private, TEST_ONLY))
+
+
+def test_every_function_is_named_outside_the_tests():
+    """Every function, method or property is named by code of the package
+    (its re-exports in `__init__` aside), by `bench/` or by README's quick
+    start: what only tests reach lives in the tests, except for `TEST_ONLY`."""
+    package = Path(hatalloc.__file__).parent
+    named = _names(ast.parse(quick_start_block()))
+    for path in [*package.glob("*.py"), *(package.parents[1] / "bench").glob("*.py")]:
+        if path.name != "__init__.py":
+            named |= _names(ast.parse(path.read_text()))
+    assert _unnamed_functions(lambda tree: named) == set(TEST_ONLY)

@@ -499,6 +499,20 @@ class TestScenarioFormatErrors:
         (lambda d: d.update(human_models=[]), "'human_models' must be a map"),
         (lambda d: d["costs"].update(zz={"type": "quadratic", "weight": [[1.0]]}),
          "costs declared for unknown agents ['zz']"),
+        (lambda d: d["human_models"]["k1"].update(attitude={"alpha": True}),
+         "model 'k1': alpha True is not a number"),
+        (lambda d: d["human_models"]["k1"].update(attitude={"alpha": "0.5"}),
+         "model 'k1': alpha '0.5' is not a number"),
+        (lambda d: d["human_models"]["k1"].update(
+            attitude={"kind": "risk_averse", "magnitude": "1"}),
+         "model 'k1': magnitude '1' is not a number"),
+        (lambda d: d["human_models"]["k1"].update(family="softplus_affine", beta="6"),
+         "model 'k1': beta '6' is not a number"),
+        (lambda d: d["human_models"]["k1"].update(schedule={"settle_time": "5"}),
+         "schedule 'k1': settle_time '5' is not a number"),
+        (lambda d: d["solver"].update(check_slater="false"),
+         "check_slater must be a boolean: 'false'"),
+        (lambda d: d["solver"].update(check_slater=1), "check_slater must be a boolean: 1"),
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
             "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
@@ -509,7 +523,9 @@ class TestScenarioFormatErrors:
             "schedule-delta-not-an-object", "schedule-gains-not-a-map",
             "schedule-base-wrong-dim", "schedule-gain-unknown-neighbor",
             "schedule-gain-wrong-shape", "a-blocks-not-a-map", "b-blocks-not-a-map",
-            "human-models-not-a-map", "cost-for-unknown-agent"])
+            "human-models-not-a-map", "cost-for-unknown-agent", "boolean-alpha",
+            "string-alpha", "string-magnitude", "string-beta", "string-settle-time",
+            "string-check-slater", "integer-check-slater"])
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, edit, message):
         doc = serialize_scenario(path_scenario())
         edit(doc)

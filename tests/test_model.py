@@ -26,6 +26,7 @@ from hatalloc.model import (
     CustomCost,
     QuadraticCost,
     SolverOptions,
+    block_diagonal,
     gradient_consistency_error,
     midpoint_convexity_gap,
 )
@@ -263,6 +264,14 @@ class TestStackDimensions:
         total = offsets[-1] + scenario.dims[lay.autonomous_ids[-1]]
         assert total == lay.x_dim == 15
         assert sum(scenario.dims[k] for k in lay.human_ids) == lay.y_dim == 8
+
+    def test_block_diagonal_places_each_block_and_zeros_elsewhere(self):
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(size=shape) for shape in [(2, 3), (1, 1), (3, 2)]]
+        expected = np.block([[b if i == j else np.zeros((b.shape[0], c.shape[1]))
+                              for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
+        assert block_diagonal(blocks).tobytes() == expected.tobytes()
+        assert block_diagonal([]).shape == (0, 0)
 
 
 class TestCosts:

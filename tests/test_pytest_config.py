@@ -1,12 +1,14 @@
 """The suite's own pytest settings (`pyproject.toml`) let a failing
-hypothesis test fail on its own: the session goes on and reports it. The
-test files keep the generators' caches, so a session generates each seed
-once."""
+hypothesis test fail on its own: the session goes on and reports it. Its
+property tests draw the same examples on every run. The test files keep the
+generators' caches, so a session generates each seed once."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -35,6 +37,13 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_property_tests_draw_the_same_examples_every_run():
+    """`conftest` loads hypothesis's `ci` profile: examples are derived from
+    each test, not drawn at random, and no database replays earlier ones."""
+    assert settings.default.derandomize
+    assert settings.default.database is None
 
 
 TESTS = Path(__file__).resolve().parent
