@@ -35,9 +35,12 @@ multiplier falls below 1e-2, or a response below 0, by more than SCREEN_TOL
 = 1e-6 times the probe's scale (1 + max |c|); a singular or ill-conditioned
 matrix turns it off for its own draw. The attempts are then taken in order:
 a draw the screen rejects whole counts as a `tighten` rejection; any other
-is searched exactly, each probe the screen keeps solved on the cell
-re-targeted by `ReducedProgram.with_offset`, so the offset taken, and every
-seeded instance, is the exact search's bit for bit. Draws of the block after
+is searched exactly. Each probe the screen keeps solves the draw's cells,
+re-targeted by `ReducedProgram.with_offset`, in one stacked pass
+(`solve_programs`) that gives each cell the floats it gets alone, so the
+offset taken, and every seeded instance, is the exact search's bit for bit.
+The "exact offset solves" it counts are the cells a loop over them would
+solve, up to and including the first that fails. Draws of the block after
 the accepted one are discarded uncounted, so the counts are those of a loop
 that draws one attempt at a time.
 
@@ -47,10 +50,16 @@ that scenario holds the draw's row of the block. Offsets and response bases
 are then scaled by one factor s: for quadratic costs with affine responses
 the optimal point is exactly linear in (c, base), so normalizing the lifted
 saddle norm keeps the flow's velocity small enough for tight per-step
-descent checks; the lift reads the draw's row. The remaining checks read the
-draw's row of the block's cell stack with d scaled by s. A `Scenario` is
-built only for the tightened draws and for the accepted one, so each draw is
-laid out once and a rejected draw builds no object.
+descent checks; the lift reads the draw's row and the own cell's solution
+that the search found at c. The remaining checks read the search's cells
+with d scaled by s (`_scaled`): H, G_c and S read no d, so only g, const,
+B d and h_c are computed, and the solve reuses what it built from H and G_c.
+`_rejection` solves the scaled cells in one stacked pass. Its grid checks
+run the cheap ones first (every cell's solution, workloads and contrasts)
+and the other cells' stability margins, one `eigvals` each, last; each
+counts as "grid", so the order changes no verdict. A `Scenario` is built
+only for the tightened draws and for the accepted one, so each draw is laid
+out once and a rejected draw builds no object.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import dense_operator, fold, folded_offset
-from .errors import HatallocError, NoAdmissibleInstanceError
+from .errors import NoAdmissibleInstanceError
 from .human import AFFINE, HumanResponseModel, attitude_preset
 from .model import (
     CouplingConstraint,
@@ -78,10 +87,11 @@ from .model import (
 )
 from .oracle import (
     ReducedProgram,
-    interior_point,
+    Solutions,
+    interior_points,
     lift_to_saddle,
     reduce_stacked,
-    solve_program,
+    solve_programs,
 )
 from .reformulation import DecoupledConstraint, build_decoupled
 from .topology import NetworkTopology, neighbors
@@ -298,31 +308,15 @@ def _cell_stacks(block: StackedProblem, lay: ScenarioLayout,
                                              for name in _BLOCK_FIELDS if name != "S"})
 
 
-def _unstack(cells: ReducedProgram, *draw: int) -> list[ReducedProgram]:
-    """Each cell's reduced program from a stacked one, such as
-    `reduce_stacked` of a cell stack, or of draw `draw` of a block's cell
-    stack; h_c, d, b_d and const may be every cell's or carry the cell axis
-    too."""
-    H, g, G_c, S = (v[draw] for v in (cells.H, cells.g, cells.G_c, cells.S))
+def _draw_cells(cells: ReducedProgram, i: int) -> ReducedProgram:
+    """Draw i's attitude cells as a stack of programs, from `reduce_stacked`
+    of a block's cell stack, whose h_c, d, b_d and const are every cell's."""
+    H, g, G_c, S = (v[i] for v in (cells.H, cells.g, cells.G_c, cells.S))
     n = len(H)
-    h_c, d, b_d = (np.broadcast_to(v[draw], (n, v.shape[-1]))
+    h_c, d, b_d = (np.broadcast_to(v[i], (n, v.shape[-1]))
                    for v in (cells.h_c, cells.d, cells.b_d))
-    const = np.broadcast_to(np.asarray(cells.const)[draw], (n,))
-    return [ReducedProgram(H=H[i], g=g[i], const=float(const[i]), G_c=G_c[i],
-                           h_c=h_c[i], S=S[i], d=d[i], b_d=b_d[i])
-            for i in range(n)]
-
-
-def _cell_admissible(rp: ReducedProgram) -> bool:
-    try:
-        _, y, mu, _ = solve_program(rp)
-    except HatallocError:
-        return False
-    return (
-        bool(np.all(mu > 1e-2))
-        and bool(np.all(y >= 0.0))
-        and interior_point(rp) is not None
-    )
+    const = np.broadcast_to(cells.const[i], (n,))
+    return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=h_c, S=S, d=d, b_d=b_d)
 
 
 DEMAND_MARGINS = (1.0, 1.8, 2.8)
@@ -424,11 +418,20 @@ def _screen(cells: ReducedProgram) -> np.ndarray:
     return passes.reshape(*passes.shape[:-1], len(DEMAND_MARGINS), len(BUDGET_FRACTIONS))
 
 
-def _offset_search(cells: list[ReducedProgram], passes: np.ndarray,
-                   tally: Counter) -> np.ndarray | None:
+def _passes(verdicts: np.ndarray, tally: Counter) -> bool:
+    """Whether every cell of a probe passes, by their `verdicts` in cell
+    order. `tally` counts the cells that a loop over the cells, stopping at
+    the first that fails, would solve ("exact_solves")."""
+    failed = np.flatnonzero(~verdicts)
+    tally["exact_solves"] += int(failed[0]) + 1 if failed.size else len(verdicts)
+    return not failed.size
+
+
+def _offset_search(cells: ReducedProgram, passes: np.ndarray,
+                   tally: Counter) -> tuple[np.ndarray, Solutions] | None:
     """Demand and budget offsets c at which both constraint rows bind at the
-    optimum of every attitude cell (`cells`, one reduced program each), or
-    None.
+    optimum of every attitude cell (`cells`, a stack of their reduced
+    programs), with the cells' solutions at c; or None.
 
     The production requirement must be active regardless of attitudes,
     otherwise withdrawing humans would not force the autonomous agents to
@@ -436,54 +439,51 @@ def _offset_search(cells: list[ReducedProgram], passes: np.ndarray,
     above the largest cost-minimal production level across cells, the budget
     a factor below the smallest demand-constrained usage. Only the probes
     that `passes`, the cells' `_screen` grid, keeps (at least one) are solved
-    exactly. `tally` counts the exact solves ("exact_solves")."""
+    exactly, each probe's cells in one stacked pass (`solve_programs`).
+    `tally` counts the exact solves ("exact_solves") as `_passes` does."""
     slack_c = np.array([-1e6, -1e6])
-    productions = []
-    for cell in cells:
-        probe = cell.with_offset(slack_c)
-        tally["exact_solves"] += 1
-        try:
-            x0, _, _, _ = solve_program(probe)
-        except HatallocError:
-            return None
-        # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
-        productions.append(-(probe.constraint(x0) - slack_c)[1])
+    probe = cells.with_offset(slack_c)
+    slack = solve_programs(probe)
+    if not _passes(slack.solved, tally):
+        return None
+    # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
+    productions = -_row_levels(probe, slack, slack_c)[:, 1]
     for demand, probes in zip(_demands(max(productions)), passes):
         if not probes.any():
             continue
         c_demand = np.array([-1e6, demand])
-        usages = []
-        for cell in cells:
-            probe = cell.with_offset(c_demand)
-            tally["exact_solves"] += 1
-            try:
-                x1, _, mu1, _ = solve_program(probe)
-            except HatallocError:
-                usages = None
-                break
-            if mu1[1] <= 1e-2:
-                usages = None
-                break
-            usages.append((probe.constraint(x1) - c_demand)[0])
-        if usages is None or min(usages) <= 0.05:
+        probe = cells.with_offset(c_demand)
+        demanded = solve_programs(probe)
+        if not _passes(demanded.solved & ~(demanded.mu[:, 1] <= 1e-2), tally):
+            continue
+        usages = _row_levels(probe, demanded, c_demand)[:, 0]
+        if min(usages) <= 0.05:
             continue
         for theta, screened_in in zip(BUDGET_FRACTIONS, probes):
             if not screened_in:
                 continue
             c_try = np.array([-theta * min(usages), demand])
-            for cell in cells:
-                tally["exact_solves"] += 1
-                if not _cell_admissible(cell.with_offset(c_try)):
-                    break
-            else:
-                return c_try
+            probe = cells.with_offset(c_try)
+            found = solve_programs(probe)
+            admissible = (found.solved & np.all(found.mu > 1e-2, axis=1)
+                          & np.all(found.y >= 0.0, axis=1))
+            if admissible.any():
+                admissible &= [point is not None for point in interior_points(probe)]
+            if _passes(admissible, tally):
+                return c_try, found
     return None
 
 
-def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
-                     dc: DecoupledConstraint) -> float:
+def _row_levels(probe: ReducedProgram, solved: Solutions, c: np.ndarray) -> np.ndarray:
+    """Each cell's G_c x + h_c - c at its solution x of `probe`."""
+    return (probe.G_c @ solved.x[..., None])[..., 0] + probe.h_c - c
+
+
+def _normalize_scale(scenario: Scenario, rp: ReducedProgram, dc: DecoupledConstraint,
+                     x: np.ndarray, mu: np.ndarray) -> float:
     """The factor s for (c, bases) that keeps the lifted saddle norm and the
-    initial flow speed small, from the scenario's `rp` and `dc`.
+    initial flow speed small, from the scenario's `rp`, its solution (x, mu)
+    and `dc`.
 
     The optimum of a quadratic/affine instance is exactly linear in these
     offsets, and so is the flow velocity at the all-zero start, so one scale
@@ -491,7 +491,6 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
     per-step overshoot. The rescaled instance keeps its active set and
     structure; its zero-start speed is at most `INITIAL_SPEED_CAP`.
     """
-    x, _, mu, _ = solve_program(rp)
     _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
@@ -502,11 +501,13 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram,
     return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
 
 
-def _scaled(cells: StackedProblem, s: float, c: np.ndarray) -> ReducedProgram:
-    """The reduced program of a stack (one cell, or all cells of a cell
-    stack) with its bases and offset c scaled by s: `stack_problem` copies
-    each base into d, so d * s is the scaled stack."""
-    return reduce_stacked(replace(cells, d=cells.d * s), c * s)
+def _scaled(programs: ReducedProgram, cells: StackedProblem, s: float,
+            c: np.ndarray) -> ReducedProgram:
+    """The draw's attitude cells `programs`, reduced from `cells` (its row
+    of its block's cell stack), with their bases and offset c scaled by s:
+    `stack_problem` copies each base into d, so d * s is the scaled stack.
+    H, G_c and S read no d, so they are the search's."""
+    return programs.with_bases(cells, cells.d * s, c * s)
 
 
 def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
@@ -550,49 +551,43 @@ def grid_contrasts(totals: dict[tuple[str, ...], tuple[float, float]]) -> dict[s
 REJECTIONS = ("tighten", "oracle", "multipliers/responses", "Slater", "stability", "grid")
 
 
-def _rejection(scenario: Scenario, cells: StackedProblem, keys: list[tuple[str, ...]],
-               own: int, s: float, dc: DecoupledConstraint,
-               abscissa_bar: float, check_grid: bool) -> str | None:
-    """The first check the tightened draw fails once scaled by s, or None.
-    It reads each cell of `cells`, the draw's row of its block's cell stack
-    (keyed by `keys`; `own` is the draw's own cell), scaled, reduced once;
-    all share `dc`, since the folded M reads neither c nor d."""
+def _rejection(scenario: Scenario, scaled: ReducedProgram, keys: list[tuple[str, ...]],
+               own: int, dc: DecoupledConstraint, abscissa_bar: float,
+               check_grid: bool) -> str | None:
+    """The first check the tightened draw fails once scaled, or None. It
+    reads `scaled`, the stack of the draw's attitude cells scaled by
+    `_scaled` (keyed by `keys`; `own` is the draw's own cell), solved in one
+    stacked pass; all share `dc`, since the folded M reads neither c nor d.
+    The grid's checks all count as "grid", so its cheap ones run first."""
     dt = scenario.solver.dt
-    scaled = _unstack(_scaled(cells, s, scenario.constraint.c))
-    rp = scaled[own]
-    try:
-        _, y, mu, _ = solve_program(rp)
-    except HatallocError:
+    solved = solve_programs(scaled)
+    if solved.error[own] is not None:
         return "oracle"
-    if np.any(mu < 5e-4) or np.any(y < 0.0):
+    if np.any(solved.mu[own] < 5e-4) or np.any(solved.y[own] < 0.0):
         return "multipliers/responses"
-    if interior_point(rp) is None:
+    if interior_points(scaled)[own] is None:
         return "Slater"
-    abscissa, radius = _stability_margins(rp, dc, dt)
+    abscissa, radius = _stability_margins(scaled.at(own), dc, dt)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
     if not check_grid:
         return None
     # The grid experiment integrates every attitude cell, so each must be
-    # stable and reasonably damped, solvable with nonnegative human
-    # workloads, and the cells' contrasts must clear their margins.
+    # solvable with nonnegative human workloads, the cells' contrasts must
+    # clear their margins, and each must be stable and reasonably damped.
     lay = scenario.layout
-    totals = {}
-    for cell, (key, cell_rp) in enumerate(zip(keys, scaled)):
-        margins = (abscissa, radius) if cell == own else _stability_margins(cell_rp, dc, dt)
-        if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
-            return "grid"
-        try:
-            x, y, _, value = solve_program(cell_rp)
-        except HatallocError:
-            return "grid"
-        if np.any(y < -1e-9):
-            return "grid"
-        totals[key] = (sum(float(np.sum(np.abs(x[lay.x_slice(i)])))
-                           for i in lay.autonomous_ids), value)
+    if not solved.solved.all() or np.any(solved.y < -1e-9):
+        return "grid"
+    totals = {key: (sum(float(np.sum(np.abs(x[lay.x_slice(i)]))) for i in lay.autonomous_ids),
+                    float(value))
+              for key, x, value in zip(keys, solved.x, solved.value)}
     contrasts = tuple(grid_contrasts(totals).values())
     if contrasts[0] < 5e-3 or contrasts[1] < 2e-4 or contrasts[2] < 2e-4:
         return "grid"
+    for cell in range(len(keys)):
+        margins = (abscissa, radius) if cell == own else _stability_margins(scaled.at(cell), dc, dt)
+        if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
+            return "grid"
     return None
 
 
@@ -628,17 +623,19 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
                 tally["screened"] += 1
                 rejected["tighten"] += 1
                 continue
-            draw_cells = _unstack(reduced, i)
-            c = _offset_search(draw_cells, passes, tally)
-            if c is None:
+            draw_cells = _draw_cells(reduced, i)
+            found = _offset_search(draw_cells, passes, tally)
+            if found is None:
                 rejected["tighten"] += 1
                 continue
+            c, at_c = found
             tally["built"] += 1
             tightened = _scenario(draw, _row(block, i), c)
             dc = build_decoupled(tightened)
-            s = _normalize_scale(tightened, draw_cells[own].with_offset(c), dc)
-            reason = _rejection(tightened, _row(cells, i), keys, own, s, dc, abscissa_bar,
-                                check_grid)
+            s = _normalize_scale(tightened, draw_cells.with_offset(c).at(own), dc,
+                                 at_c.x[own], at_c.mu[own])
+            reason = _rejection(tightened, _scaled(draw_cells, _row(cells, i), s, c), keys, own,
+                                dc, abscissa_bar, check_grid)
             if reason is None:
                 log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
                           "rejected %d draws whole, %d exact offset solves ran, %d draws "

@@ -141,6 +141,8 @@ class SolverOptions:
         for name, strict in (("dt", True), ("max_time", True), ("tolerance", False)):
             value = getattr(self, name)
             number = isinstance(value, Real) and not isinstance(value, bool)  # JSON true
+            if number and not _fits_float(value):
+                raise ValueError(f"{name} is an integer too large for a float")
             if not (number and math.isfinite(value) and (value > 0 if strict else value >= 0)):
                 bound = "positive" if strict else "nonnegative"
                 raise ValueError(f"{name} must be {bound} and finite: {value!r}")
@@ -323,6 +325,9 @@ class Scenario:
                          f"initial_state.{key}: unknown agent '{agent_id}'")
                 try:
                     vec = np.asarray(raw, dtype=float)
+                except OverflowError as exc:
+                    raise ScenarioFormatError(
+                        f"{name} holds an integer too large for a float") from exc
                 except (TypeError, ValueError) as exc:
                     raise ScenarioFormatError(f"{name} is not a numeric vector") from exc
                 _require(vec.shape == shapes[key][agent_id], f"{name} has shape "
@@ -481,12 +486,24 @@ def _as_number(raw, context: str) -> float:
     """A JSON number: booleans and strings fail, not convert."""
     _require(isinstance(raw, Real) and not isinstance(raw, bool),
              f"{context} {raw!r} is not a number")
+    _require(_fits_float(raw), f"{context} is an integer too large for a float")
     return float(raw)
+
+
+def _fits_float(number) -> bool:
+    """Whether a real number converts to a float: a JSON integer may not."""
+    try:
+        float(number)
+    except OverflowError:
+        return False
+    return True
 
 
 def _as_matrix(raw, context: str) -> np.ndarray:
     try:
         mat = np.array(raw, dtype=float)
+    except OverflowError as exc:
+        raise ScenarioFormatError(f"{context}: an integer too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{context}: not a numeric matrix") from exc
     if mat.ndim == 1:
@@ -499,6 +516,8 @@ def _as_matrix(raw, context: str) -> np.ndarray:
 def _as_vector(raw, context: str) -> np.ndarray:
     try:
         vec = np.array(raw, dtype=float)
+    except OverflowError as exc:
+        raise ScenarioFormatError(f"{context}: an integer too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{context}: not a numeric vector") from exc
     _require(vec.ndim == 1, f"{context}: expected a flat vector")

@@ -7,22 +7,36 @@ is used as ground truth against the distributed flow: same problem, entirely
 different solution path. Reduce once, solve per offset: of the reduced
 program only h_c = c + B d depends on the offset c, so
 `ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
-`solve_program` / `interior_point` solve a reduced program as it stands.
-`reduce_stacked` holds the reduction algebra, so a caller that already has
-stacked operators reduces them the way `reduce_program` reduces
-`scenario.stacked` (several attitude cells, of several draws, at once when
-the operators carry leading cell and draw axes), from which `lift_to_saddle`
-reads S and d: it reduces nothing. A program solves its offset-free part
-(convexity, active sets and the free minimizer) once for all its offsets.
-`load_scenario` reads scenario files, since a file may ask for the solver's
-Slater certificate.
+`ReducedProgram.with_bases` re-targets it to new bases d, computing only the
+terms that read d (g, const and B d). `reduce_stacked` holds the reduction
+algebra, so a caller that already has stacked operators reduces them the way
+`reduce_program` reduces `scenario.stacked` (several attitude cells, of
+several draws, at once when the operators carry leading cell and draw axes),
+from which `lift_to_saddle` reads S and d: it reduces nothing.
+
+`solve_programs` and `interior_points` solve a stack of programs (one
+leading axis on every field) with one active-set enumeration:
+each active set, in order, is solved for every program still undecided in
+one `np.linalg.solve` call, and the enumeration stops once every program is
+decided (Nocedal & Wright, *Numerical Optimization*, ch. 16). LAPACK and
+BLAS treat a stack one matrix at a time, so with `np.linalg` and `@` each
+program's floats are those it gets alone (`np.einsum`'s sums are not);
+`solve_program` and `interior_point` are the same code on a stack of one.
+What a solve reads of H and G_c alone (the Cholesky verdicts, each active
+set's rows G_a of the KKT matrix [[H, G_a^T], [G_a, 0]], and pinv(G_c)) is
+built once per stack and shared by its `with_offset` and `with_bases`
+copies; the free minimizer and its row levels, which read g too, by its
+`with_offset` copies. `load_scenario` reads scenario files, since a file may
+ask for the solver's Slater certificate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +68,10 @@ Solution = tuple[np.ndarray, np.ndarray, np.ndarray, float]  # (x*, y*, mu*, val
 
 @dataclass(frozen=True)
 class ReducedProgram:
-    """min 0.5 x^T H x + g^T x + const  s.t.  G_c x + h_c <= 0."""
+    """min 0.5 x^T H x + g^T x + const  s.t.  G_c x + h_c <= 0.
+
+    A stack of programs carries one leading axis on every field, const an
+    array; `at` takes one program out of it."""
 
     H: np.ndarray
     g: np.ndarray
@@ -64,15 +81,42 @@ class ReducedProgram:
     S: np.ndarray  # stacked response gain, y = S x + d
     d: np.ndarray
     b_d: np.ndarray  # B d, the human part of h_c = c + B d
-    # The part of a solve that h_c does not change (the convexity verdict, the
-    # active sets and the free minimizer); built once, shared by `with_offset`.
-    _offset_free: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # What a solve reads of H and G_c alone: the Cholesky verdicts, each
+    # active set's rows G_a of the KKT matrix, and pinv(G_c). Built once,
+    # shared by `with_offset` and `with_bases` copies.
+    _structure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The free minimizer and its row levels G_c x, which read g too; shared
+    # by `with_offset` copies.
+    _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def with_offset(self, c: np.ndarray) -> ReducedProgram:
         """The same program with the scenario's constraint offset set to c."""
         probe = replace(self, h_c=np.asarray(c, dtype=float) + self.b_d)
-        object.__setattr__(probe, "_offset_free", self._offset_free)
+        object.__setattr__(probe, "_structure", self._structure)
+        object.__setattr__(probe, "_free", self._free)
         return probe
+
+    def with_bases(self, sp: StackedProblem, d: np.ndarray, c: np.ndarray) -> ReducedProgram:
+        """`reduce_stacked(replace(sp, d=d), c)`, where `sp` is the stack
+        this program reduces: H, G_c and S read no d, so they are this
+        program's, and only g, const, B d and h_c are computed. The copy
+        shares what a solve reads of H and G_c alone. Each field is broadcast
+        to this program's shape."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, const, b_d = _base_terms(sp, d)
+            h_c = c + b_d
+        parts = dict(g=g, d=d, b_d=b_d, h_c=h_c)
+        copy = replace(self, const=np.broadcast_to(const, np.shape(self.const)),
+                       **{name: np.broadcast_to(value, getattr(self, name).shape)
+                          for name, value in parts.items()})
+        object.__setattr__(copy, "_structure", self._structure)
+        return copy
+
+    def at(self, i: int) -> ReducedProgram:
+        """Program i of a stack."""
+        return ReducedProgram(H=self.H[i], g=self.g[i], const=float(self.const[i]),
+                              G_c=self.G_c[i], h_c=self.h_c[i], S=self.S[i], d=self.d[i],
+                              b_d=self.b_d[i])
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x + self.const)
@@ -110,18 +154,25 @@ def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     b_d, h_c and const with those axes broadcast, each cell's floats those
     of its own reduction. Entries that overflow become inf or nan without a
     warning; `reduce_program` refuses such a program."""
-    S, d, gam_bar = sp.S, sp.d, sp.y_weight
+    S, gam_bar = sp.S, sp.y_weight
     S_T = S.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
         H = 0.5 * (H + H.swapaxes(-1, -2))
-        d_col = d[..., None]
-        g = 2.0 * (S_T @ (gam_bar @ d_col))[..., 0]
-        const = (d[..., None, :] @ gam_bar @ d_col)[..., 0, 0]
+        g, const, b_d = _base_terms(sp, sp.d)
         G_c = sp.a_cat + sp.b_cat @ S
-        b_d = (sp.b_cat @ d_col)[..., 0]
     return ReducedProgram(H=H, g=g, const=float(const) if const.ndim == 0 else const,
-                          G_c=G_c, h_c=c + b_d, S=S, d=d, b_d=b_d)
+                          G_c=G_c, h_c=c + b_d, S=S, d=sp.d, b_d=b_d)
+
+
+def _base_terms(sp: StackedProblem, d: np.ndarray):
+    """(g, const, B d): the terms of `reduce_stacked` of `sp` that read the
+    bases d."""
+    d_col = d[..., None]
+    g = 2.0 * (sp.S.swapaxes(-1, -2) @ (sp.y_weight @ d_col))[..., 0]
+    const = (d[..., None, :] @ sp.y_weight @ d_col)[..., 0, 0]
+    b_d = (sp.b_cat @ d_col)[..., 0]
+    return g, const, b_d
 
 
 def solve_centralized(scenario: Scenario) -> Solution:
@@ -130,97 +181,219 @@ def solve_centralized(scenario: Scenario) -> Solution:
 
 
 def solve_program(rp: ReducedProgram) -> Solution:
-    """Exact solution (x*, y*, mu*, value) by active-set enumeration.
+    """Exact solution (x*, y*, mu*, value) of one program: `solve_programs`
+    on a stack of one, raising its error."""
+    solved = solve_programs(rp)
+    if solved.error[0] is not None:
+        raise solved.error[0]
+    return solved.x[0], solved.y[0], solved.mu[0], float(solved.value[0])
 
-    Every subset of constraint rows is tried as the active set; a candidate
-    is accepted when its inactive rows are satisfied and its multipliers are
-    nonnegative (both up to 1e-9). Strict convexity makes the accepted
-    solution unique. The empty set's candidate, the free minimizer, does not
-    depend on the offset, so a program and its `with_offset` copies solve
-    for it once.
+
+class Solutions(NamedTuple):
+    """`solve_programs` of a stack, one row per program: its x*, y* = S x* + d,
+    mu* and objective value; nan where `error` holds the `HatallocError`
+    that solving the program alone raises (None where it solved)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    mu: np.ndarray
+    value: np.ndarray
+    error: list
+
+    @property
+    def solved(self) -> np.ndarray:
+        return np.array([e is None for e in self.error])
+
+
+def _stack(rp: ReducedProgram):
+    """(H, g, G_c, h_c, S, d, const) with one leading stack axis: a single
+    program's as a stack of one."""
+    if rp.H.ndim == 3:
+        return rp.H, rp.g, rp.G_c, rp.h_c, rp.S, rp.d, np.asarray(rp.const)
+    return (rp.H[None], rp.g[None], rp.G_c[None], rp.h_c[None], rp.S[None], rp.d[None],
+            np.array([rp.const]))
+
+
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`a[rows]` for sorted distinct `rows` of a stack, without a copy when
+    they are all of them."""
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _each(func, a: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
+    """`func(a, *args)` of a stack of matrices a (`np.linalg.solve` or
+    `np.linalg.cholesky`), and on which matrices it fails: one call, or
+    when it raises, one call per matrix, so that a matrix fails only its own
+    place (left 0)."""
+    try:
+        return func(a, *args), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, failed = np.zeros((args[0] if args else a).shape), np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = func(a[i], *(arg[i] for arg in args))
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return out, failed
+
+
+@lru_cache(maxsize=None)
+def _active_sets(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(active rows, inactive rows) of every nonempty active set of r
+    constraint rows, in enumeration order: smallest first. The arrays are
+    read-only, since every caller shares them."""
+    sets = []
+    for size in range(1, r + 1):
+        for active in combinations(range(r), size):
+            rows = np.array(active), np.array([j for j in range(r) if j not in active], dtype=int)
+            for array in rows:
+                array.flags.writeable = False
+            sets.append(rows)
+    return tuple(sets)
+
+
+def solve_programs(rp: ReducedProgram) -> Solutions:
+    """Exact solutions of a stack of programs (one program is a stack of
+    one) by active-set enumeration.
+
+    Every subset of constraint rows is tried as the active set, smallest
+    first; a candidate is accepted when its inactive rows are satisfied and
+    its multipliers are nonnegative (both up to 1e-9). Strict convexity
+    makes the accepted solution unique. The empty set's candidate, the free
+    minimizer, does not depend on the offset, so a stack and its
+    `with_offset` copies solve for it once. Every other set is solved for
+    every program still undecided in one `np.linalg.solve` call, and the
+    enumeration stops once each program is decided.
     """
-    r = rp.h_c.shape[0]
+    H, g, G_c, h_c, S, d, const = _stack(rp)
+    k, r, n = G_c.shape
+    error = [None] * k
     if r > MAX_ENUMERATION_ROWS:
-        raise ActiveSetEnumerationError(
-            f"{r} constraint rows exceed the enumeration bound "
-            f"{MAX_ENUMERATION_ROWS}"
-        )
-    n = rp.H.shape[0]
+        error = [ActiveSetEnumerationError(
+            f"{r} constraint rows exceed the enumeration bound {MAX_ENUMERATION_ROWS}")] * k
+        return _solutions(np.empty((k, n)), np.empty((k, r)), error, H, g, S, d, const)
     if n == 0:
         # No controllable states: a constant problem, feasible or not.
-        if np.max(rp.h_c) > ACCEPT_TOL:
-            raise InfeasibleProblemError(
-                "fixed human responses violate the shared constraint"
-            )
-        return np.zeros(0), rp.d.copy(), np.zeros(r), rp.const
-    if not rp._offset_free:
-        # (active rows, inactive rows, their G_c rows) of every nonempty active set, in order.
-        sets = [(list(a), [j for j in range(r) if j not in a], rp.G_c[list(a)])
-                for size in range(1, r + 1) for a in combinations(range(r), size)]
+        for i in range(k):
+            if np.max(h_c[i]) > ACCEPT_TOL:
+                error[i] = InfeasibleProblemError(
+                    "fixed human responses violate the shared constraint")
+        return _solutions(np.empty((k, 0)), np.zeros((k, r)), error, H, g, S, d, const)
+    structure = rp._structure
+    if "convex" not in structure:
         # Strictly convex when H has a Cholesky factor: a relative test, where
         # min(eigvalsh(H)) > 0 fails a large H by its eigenvalues' roundoff.
-        try:
-            np.linalg.cholesky(rp.H)
-            convex = True
-        except np.linalg.LinAlgError:
-            convex = False
+        structure.update(convex=~_each(np.linalg.cholesky, H)[1],
+                         G_a=[G_c[:, active] for active, _ in _active_sets(r)])
+    convex = structure["convex"]
+    for i in np.flatnonzero(~convex):
+        error[i] = UnsupportedByOracleError("reduced objective is not strictly convex")
+    free = rp._free
+    if not free:
         # The empty set's candidate, the free minimizer, and its row levels G_c x.
-        x_free = levels = None
-        if convex:
-            try:
-                x_free = np.linalg.solve(rp.H, -rp.g)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                levels = rp.G_c @ x_free
-        rp._offset_free.append((convex, sets, x_free, levels))
-    convex, sets, x_free, levels = rp._offset_free[0]
-    if not convex:
-        raise UnsupportedByOracleError("reduced objective is not strictly convex")
+        rows = np.flatnonzero(convex)
+        x_free, failed = _each(np.linalg.solve, _rows(H, rows), -_rows(g, rows)[..., None])
+        rows, x_free = rows[~failed], x_free[~failed]
+        free.update(rows=rows, x=x_free[..., 0], levels=(_rows(G_c, rows) @ x_free)[..., 0])
     # No row active: accepted when every row holds at x_free, G_c x + h_c <= 0.
-    if x_free is not None and not (r and (levels + rp.h_c).max() > ACCEPT_TOL):
-        x = x_free.copy()
-        return x, rp.S @ x + rp.d, np.zeros(r), rp.objective(x)
+    x, mu = np.empty((k, n)), np.zeros((k, r))
+    rows = free["rows"]
+    holds = (~((free["levels"] + _rows(h_c, rows)).max(axis=1) > ACCEPT_TOL) if r
+             else np.ones(len(rows), dtype=bool))
+    rows = rows[holds]
+    x[rows] = free["x"][holds]
+    pending = convex.copy()
+    pending[rows] = False
+    pending = np.flatnonzero(pending)
+    if pending.size:
+        pending = _nonempty_sets(H, g, G_c, h_c, structure["G_a"], pending, x, mu)
+    for i in pending:
+        error[i] = InfeasibleProblemError(
+            "no active set admissible: instance is infeasible or degenerate")
+    return _solutions(x, mu, error, H, g, S, d, const)
 
-    kkt_buf = np.zeros((n + r, n + r))  # leading block: [[H, G_a^T], [G_a, 0]]
-    kkt_buf[:n, :n] = rp.H
-    rhs_buf = np.concatenate([-rp.g, np.empty(r)])
-    for idx, inactive, G_a in sets:
-        m = n + len(idx)
-        kkt_buf[n:m, :n] = G_a
-        kkt_buf[:n, n:m] = G_a.T
-        rhs_buf[n:m] = -rp.h_c[idx]
-        try:
-            sol = np.linalg.solve(kkt_buf[:m, :m], rhs_buf[:m])
-        except np.linalg.LinAlgError:
+
+def _nonempty_sets(H, g, G_c, h_c, G_as, pending, x, mu) -> np.ndarray:
+    """The nonempty active sets, in order, for the stack's programs
+    `pending`: each set's KKT system is solved for the programs still
+    undecided in one `np.linalg.solve` call, and an accepted program's x and
+    mu rows are written. Returns the programs no set accepts."""
+    k, r, n = G_c.shape
+    kkt = np.zeros((k, n + r, n + r))  # leading block: [[H, G_a^T], [G_a, 0]]
+    kkt[:, :n, :n] = H
+    rhs = np.empty((k, n + r, 1))
+    rhs[:, :n, 0] = -g
+    neg_h = -h_c
+    for (active, inactive), G_a in zip(_active_sets(r), G_as):
+        m = n + len(active)
+        kkt[:, n:m, :n] = G_a
+        kkt[:, :n, n:m] = G_a.swapaxes(-1, -2)
+        rhs[:, n:m, 0] = neg_h[:, active]
+        sol, bad = _each(np.linalg.solve, _rows(kkt, pending)[:, :m, :m],
+                         _rows(rhs, pending)[:, :m])
+        mu_a = sol[:, n:, 0]
+        # Some multiplier below -ACCEPT_TOL (fmin passes over a nan).
+        bad |= np.fmin.reduce(mu_a, axis=1) < -ACCEPT_TOL
+        if inactive.size:
+            levels = (_rows(G_c, pending) @ sol[:, :n])[..., 0] + _rows(h_c, pending)
+            bad |= levels[:, inactive].max(axis=1) > ACCEPT_TOL
+        if bad.all():
             continue
-        x = sol[:n]
-        mu_active = sol[n:]
-        if (mu_active < -ACCEPT_TOL).any():
-            continue
-        if inactive and rp.constraint(x)[inactive].max() > ACCEPT_TOL:
-            continue
-        mu = np.zeros(r)
-        mu[idx] = np.maximum(mu_active, 0.0)
-        y = rp.S @ x + rp.d
-        return x, y, mu, rp.objective(x)
-    raise InfeasibleProblemError(
-        "no active set admissible: instance is infeasible or degenerate"
-    )
+        decided = pending
+        if bad.any():
+            decided, sol, mu_a, pending = pending[~bad], sol[~bad], mu_a[~bad], pending[bad]
+        else:
+            pending = pending[:0]
+        x[decided] = sol[:, :n, 0]
+        mu[decided[:, None], active] = np.maximum(mu_a, 0.0)
+        if not pending.size:
+            break
+    return pending
+
+
+def _solutions(x, mu, error, H, g, S, d, const) -> Solutions:
+    """The `Solutions` of a stack from its points x and multipliers mu."""
+    failed = [i for i, e in enumerate(error) if e is not None]
+    x[failed], mu[failed] = np.nan, np.nan
+    if x.shape[1] == 0:  # y = d and the objective is const, as they stand
+        y, value = d.copy(), np.array(const, dtype=float)
+    else:
+        x_col = x[..., None]
+        y = (S @ x_col)[..., 0] + d
+        value = ((0.5 * x[:, None, :] @ H) @ x_col)[:, 0, 0] + (
+            g[:, None, :] @ x_col)[:, 0, 0] + const
+    y[failed], value[failed] = np.nan, np.nan
+    return Solutions(x, y, mu, value, error)
 
 
 def interior_point(rp: ReducedProgram) -> np.ndarray | None:
-    """A point with G_c x + h_c < 0 strictly, or None if none was found.
+    """A point with G_c x + h_c < 0 strictly, or None if none was found:
+    `interior_points` on a stack of one."""
+    return interior_points(rp)[0]
+
+
+def interior_points(rp: ReducedProgram) -> list[np.ndarray | None]:
+    """Per program of a stack, a point with G_c x + h_c < 0 strictly, or
+    None if none was found.
 
     Probes least-squares shifts at a few margins; sufficient for full
     row-rank constraints, which covers the generated scenario class.
+    pinv(G_c) is computed once per stack.
     """
-    pinv = np.linalg.pinv(rp.G_c)
+    _, _, G_c, h_c, _, _, _ = _stack(rp)
+    if "pinv" not in rp._structure:
+        rp._structure["pinv"] = np.linalg.pinv(G_c)
+    pinv = rp._structure["pinv"]
+    points = [None] * len(G_c)
     for scale in (1e-3, 1e-2, 1e-1, 1.0):
-        x = -pinv @ (rp.h_c + scale)
-        if np.max(rp.constraint(x)) < -ACCEPT_TOL:
-            return x
-    return None
+        x = -pinv @ (h_c + scale)[..., None]
+        strict = np.max((G_c @ x)[..., 0] + h_c, axis=1) < -ACCEPT_TOL
+        for i in np.flatnonzero(strict):
+            if points[i] is None:
+                points[i] = x[i, :, 0]
+        if all(point is not None for point in points):
+            break
+    return points
 
 
 def assert_slater(scenario: Scenario) -> None:

@@ -25,6 +25,7 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _cell_stacks,
+    _draw_cells,
     _lay_out,
     _layout,
     _normalize_scale,
@@ -33,9 +34,11 @@ from hatalloc.experiments import (
     _rejection,
     _row,
     _scenario,
+    _scaled,
     _screen,
-    _unstack,
+    _stability_margins,
     crosscheck_scenario,
+    grid_contrasts,
     team_scenario,
 )
 from hatalloc.human import ApproximationSchedule, HumanResponseModel
@@ -45,7 +48,8 @@ from hatalloc.model import (
     QuadraticCost,
     SolverOptions,
 )
-from hatalloc.oracle import reduce_stacked
+from hatalloc.errors import HatallocError
+from hatalloc.oracle import interior_point, reduce_stacked, solve_program
 from hatalloc.reformulation import build_decoupled
 from hatalloc.topology import neighbors
 
@@ -358,30 +362,45 @@ def screened_cells(block, lay, models):
     """One draw's attitude cells as `experiments._generate` reads them off a
     block, computed for that draw alone: `block` is a block of one draw and
     `models` its response models. Returns the cells' keys, the draw's own
-    cell, the draw's row of the cell stack, its cells reduced at offset 0
-    and the screen's grid."""
+    cell, the draw's row of the cell stack, the stack of its cells' programs
+    reduced at offset 0 and the screen's grid."""
     keys, own, cells = _cell_stacks(block, lay, [models])
     reduced = reduce_stacked(cells, np.zeros(lay.rows))
-    return keys, own, _row(cells, 0), _unstack(reduced, 0), _screen(reduced)[0]
+    return keys, own, _row(cells, 0), _draw_cells(reduced, 0), _screen(reduced)[0]
+
+
+def cell_programs(stack):
+    """Each program of a stack, such as `_draw_cells` or `reduce_stacked` of
+    a draw's row of its cell stack (whose h_c, d, b_d and const may be every
+    cell's), on its own."""
+    n = len(stack.H)
+    every = {name: getattr(stack, name) for name in ("h_c", "d", "b_d")}
+    full = replace(stack, const=np.broadcast_to(stack.const, (n,)),
+                   **{name: np.broadcast_to(v, (n, v.shape[-1])) for name, v in every.items()})
+    return [full.at(i) for i in range(n)]
 
 
 def generator_stages(draw):
-    """What `experiments._generate` hands `_rejection` for a draw: the
-    tightened scenario, the draw's row of the attitude cells' stack, their
-    keys, the index of the draw's own cell, the scale factor s and the
-    decoupled constraint; None when the offset screen or search rejects the
-    draw."""
+    """What `experiments._generate` hands the scale step and `_rejection`
+    for a draw, as a namespace: the tightened scenario, the stack of its
+    attitude cells' programs the search solved (`searched`), the draw's row
+    of the cells' stack (`cells`), their keys, the index of the draw's own
+    cell, the scale factor s, the decoupled constraint and the scaled cells
+    (`scaled`); None when the offset screen or search rejects the draw."""
     keys, own, cells, searched, passes = screened_cells(block_of_one(draw), draw.layout,
                                                         draw.human_models)
     if not passes.any():
         return None
-    c = _offset_search(searched, passes, Counter())
-    if c is None:
+    found = _offset_search(searched, passes, Counter())
+    if found is None:
         return None
+    c, at_c = found
     tightened = at_offset(draw, c)
     dc = build_decoupled(tightened)
-    s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
-    return tightened, cells, keys, own, s, dc
+    s = _normalize_scale(tightened, searched.with_offset(c).at(own), dc, at_c.x[own],
+                         at_c.mu[own])
+    return SimpleNamespace(tightened=tightened, searched=searched, cells=cells, keys=keys,
+                           own=own, s=s, dc=dc, scaled=_scaled(searched, cells, s, c))
 
 
 def scaled_scenario(tightened, s):
@@ -389,6 +408,108 @@ def scaled_scenario(tightened, s):
     con = tightened.constraint
     models = {k: replace(m, base=m.base * s) for k, m in tightened.human_models.items()}
     return replace(tightened, constraint=replace(con, c=con.c * s), human_models=models)
+
+
+def reference_cell_admissible(rp):
+    """Whether one cell's program is admissible at its offset: solvable,
+    with multipliers above 1e-2, nonnegative responses and an interior."""
+    try:
+        _, y, mu, _ = solve_program(rp)
+    except HatallocError:
+        return False
+    return (
+        bool(np.all(mu > 1e-2))
+        and bool(np.all(y >= 0.0))
+        and interior_point(rp) is not None
+    )
+
+
+def reference_offset_search(cells, passes, tally):
+    """`experiments._offset_search` one cell at a time, the reference its
+    stacked probes are held to: `cells` lists the cells' programs, and each
+    probe solves them in order and stops at the first that fails, counting
+    every solve in `tally["exact_solves"]`. Returns the offset or None."""
+    slack_c = np.array([-1e6, -1e6])
+    productions = []
+    for cell in cells:
+        probe = cell.with_offset(slack_c)
+        tally["exact_solves"] += 1
+        try:
+            x0, _, _, _ = solve_program(probe)
+        except HatallocError:
+            return None
+        # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
+        productions.append(-(probe.constraint(x0) - slack_c)[1])
+    for demand, probes in zip(experiments._demands(max(productions)), passes):
+        if not probes.any():
+            continue
+        c_demand = np.array([-1e6, demand])
+        usages = []
+        for cell in cells:
+            probe = cell.with_offset(c_demand)
+            tally["exact_solves"] += 1
+            try:
+                x1, _, mu1, _ = solve_program(probe)
+            except HatallocError:
+                usages = None
+                break
+            if mu1[1] <= 1e-2:
+                usages = None
+                break
+            usages.append((probe.constraint(x1) - c_demand)[0])
+        if usages is None or min(usages) <= 0.05:
+            continue
+        for theta, screened_in in zip(experiments.BUDGET_FRACTIONS, probes):
+            if not screened_in:
+                continue
+            c_try = np.array([-theta * min(usages), demand])
+            for cell in cells:
+                tally["exact_solves"] += 1
+                if not reference_cell_admissible(cell.with_offset(c_try)):
+                    break
+            else:
+                return c_try
+    return None
+
+
+def reference_rejection(scenario, scaled, keys, own, dc, abscissa_bar, check_grid):
+    """`experiments._rejection` in the order of the loop it replaced, the
+    reference it is held to: `scaled` lists the scaled cells' programs; the
+    own cell's checks, then per cell the margins, the solve and the
+    responses, then the contrasts."""
+    dt = scenario.solver.dt
+    rp = scaled[own]
+    try:
+        _, y, mu, _ = solve_program(rp)
+    except HatallocError:
+        return "oracle"
+    if np.any(mu < 5e-4) or np.any(y < 0.0):
+        return "multipliers/responses"
+    if interior_point(rp) is None:
+        return "Slater"
+    abscissa, radius = _stability_margins(rp, dc, dt)
+    if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
+        return "stability"
+    if not check_grid:
+        return None
+    lay = scenario.layout
+    totals = {}
+    for cell, (key, cell_rp) in enumerate(zip(keys, scaled)):
+        margins = (abscissa, radius) if cell == own else _stability_margins(cell_rp, dc, dt)
+        if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
+            return "grid"
+        try:
+            x, y, _, value = solve_program(cell_rp)
+        except HatallocError:
+            return "grid"
+        if np.any(y < -1e-9):
+            return "grid"
+        totals[key] = (sum(float(np.sum(np.abs(x[lay.x_slice(i)])))
+                           for i in lay.autonomous_ids), value)
+    contrasts = tuple(grid_contrasts(totals).values())
+    if contrasts[0] < 5e-3 or contrasts[1] < 2e-4 or contrasts[2] < 2e-4:
+        return "grid"
+    return None
 
 
 def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, check_grid,
@@ -412,15 +533,18 @@ def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, che
             tally["screened"] += 1
             rejected["tighten"] += 1
             continue
-        c = _offset_search(searched, passes, tally)
-        if c is None:
+        found = _offset_search(searched, passes, tally)
+        if found is None:
             rejected["tighten"] += 1
             continue
+        c, at_c = found
         tally["built"] += 1
         tightened = _scenario(draw, _row(block, 0), c)
         dc = build_decoupled(tightened)
-        s = _normalize_scale(tightened, searched[own].with_offset(c), dc)
-        reason = _rejection(tightened, cells, keys, own, s, dc, abscissa_bar, check_grid)
+        s = _normalize_scale(tightened, searched.with_offset(c).at(own), dc, at_c.x[own],
+                             at_c.mu[own])
+        reason = _rejection(tightened, _scaled(searched, cells, s, c), keys, own, dc,
+                            abscissa_bar, check_grid)
         if reason is None:
             return SimpleNamespace(scenario=scaled_scenario(tightened, s), attempt=attempt,
                                    rejected=rejected, tally=tally, grids=grids)
@@ -451,7 +575,15 @@ def _recorded_generation(generate, seed):
     `record_calls`. The public cached generator runs it, so later calls hit
     the cache; a seed that an earlier test module cached already is
     generated again uncached, through `__wrapped__`, to be recorded."""
-    log, built, records = [], Counter(), []
+    log, built, records, searches = [], Counter(), [], []
+
+    def search(cells, passes, tally, _real=experiments._offset_search):
+        solves = tally["exact_solves"]
+        found = _real(cells, passes, tally)
+        searches.append(SimpleNamespace(cells=cells, passes=passes, found=found,
+                                        solves=tally["exact_solves"] - solves))
+        return found
+
     handler = logging.Handler(logging.DEBUG)
     handler.emit = records.append
     logger = logging.getLogger("hatalloc.experiments")
@@ -461,10 +593,11 @@ def _recorded_generation(generate, seed):
     try:
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
-                         experiments._screen, experiments._offset_search,
-                         experiments._scenario, model.stack_parts, model.stack_problem,
+                         experiments._screen, experiments._scenario, experiments._scaled,
+                         experiments._rejection, model.stack_parts, model.stack_problem,
                          oracle.reduce_program, oracle.reduce_stacked,
                          reformulation.build_decoupled)
+            patch.setattr(experiments, "_offset_search", search)
             for cls in (QuadraticCost, Scenario):
                 patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
                               _name=cls.__name__: built.update([_name]) or _real(self))
@@ -485,7 +618,10 @@ def _recorded_generation(generate, seed):
         draws=[(draw, _row(block, i)) for name, args, block in log if name == "_lay_out"
                for i, draw in enumerate(args[0])],
         grids=[grid for name, _, grids in log if name == "_screen" for grid in grids],
-        offsets=[c for name, _, c in log if name == "_offset_search"],
+        searches=searches,
+        offsets=[None if search.found is None else search.found[0] for search in searches],
+        scaled=[args for name, args, _ in log if name == "_scaled"],
+        rejections=[(args, reason) for name, args, reason in log if name == "_rejection"],
         tightened=[(*args[:2], scenario) for name, args, scenario in log
                    if name == "_scenario"],
         reductions=[cells for name, args, cells in log
@@ -501,9 +637,12 @@ def generation():
     and the accepted attempt; the calls of the generator's assembly functions and
     the `QuadraticCost` and `Scenario` constructions; every raw draw it drew
     (up to the end of the accepted draw's block) with its row of its block,
-    and its screen grid; the offsets the exact search took (None when it
+    and its screen grid; each exact search (its cells, screen grid, result
+    and the exact solves it counted) and the offsets it took (None when it
     rejected the draw); each tightened draw with the row it was given and
-    the `Scenario` built from them; and the block reductions."""
+    the `Scenario` built from them; the arguments of each `_scaled` call,
+    and of each `_rejection` call with its verdict; and the block
+    reductions."""
     return SimpleNamespace(
         team={seed: _recorded_generation(team_scenario, seed) for seed in range(1, 10)},
         crosscheck={seed: _recorded_generation(crosscheck_scenario, seed)

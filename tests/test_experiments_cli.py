@@ -27,6 +27,7 @@ from hatalloc.experiments import (
     _generate,
     _normalize_scale,
     _rejection,
+    _scaled,
     random_scenario,
     team_scenario,
     with_attitudes,
@@ -188,12 +189,16 @@ class TestGenerators:
                                        "tighten": 327, "stability": 55, "grid": 18}
 
     def test_scale_and_rejection_assemble_nothing(self, monkeypatch):
-        """The scale step and `_rejection` read the draw's cell stacks and
-        its one decoupled constraint: they call no `build_decoupled` or
-        `reduce_program`, build no `Scenario` and make no stack. The scale
-        step's lift reads the tightened scenario's stack."""
-        tightened, cells, keys, own, s, dc = generator_stages(team_draw(94))
-        own_cell = oracle.reduce_stacked(tightened.stacked, tightened.constraint.c)
+        """The scale step, `_scaled` and `_rejection` read the draw's cell
+        stacks, the search's programs and its one decoupled constraint: they
+        call no `build_decoupled`, `reduce_program` or `reduce_stacked`,
+        build no `Scenario` and make no stack. The scale step's lift reads
+        the tightened scenario's stack."""
+        stages = generator_stages(team_draw(94))
+        tightened, own, s, dc = stages.tightened, stages.own, stages.s, stages.dc
+        c = tightened.constraint.c
+        own_cell = oracle.reduce_stacked(tightened.stacked, c)
+        x, _, mu, _ = oracle.solve_program(own_cell)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assembled during the scale step or the rejection")
@@ -204,9 +209,11 @@ class TestGenerators:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         monkeypatch.setattr(model.Scenario, "__post_init__", refuse)
         log = []
-        record_calls(monkeypatch, log, model.stack_problem, model.stack_parts)
-        assert _normalize_scale(tightened, own_cell, dc) == s
-        assert _rejection(tightened, cells, keys, own, s, dc, abscissa_bar=-0.08,
+        record_calls(monkeypatch, log, model.stack_problem, model.stack_parts,
+                     oracle.reduce_stacked)
+        assert _normalize_scale(tightened, own_cell, dc, x, mu) == s
+        scaled = _scaled(stages.searched, stages.cells, s, c)
+        assert _rejection(tightened, scaled, stages.keys, own, dc, abscissa_bar=-0.08,
                           check_grid=True) is None
         assert log == []
 
@@ -535,6 +542,28 @@ class TestScenarioFormatErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["solver"].update(dt=10**400),
+        lambda d: d["constraint"]["c"].__setitem__(0, 10**400),
+        lambda d: d["costs"]["a1"]["weight"][0].__setitem__(0, 10**400),
+        lambda d: d.update(initial_state={"x": {"a1": [10**400, 0.0]}}),
+        lambda d: d["human_models"]["k1"].update(beta=10**400),
+        lambda d: d["human_models"]["k1"].update(attitude={"alpha": 10**400}),
+    ], ids=["solver-dt", "constraint-c", "cost-weight", "initial-x", "beta", "alpha"])
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, edit):
+        """A JSON integer that no float holds is a format error (exit 1),
+        not a raw `OverflowError`."""
+        doc = serialize_scenario(path_scenario())
+        edit(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "too large for a float" in err
+        assert "Traceback" not in err and "OverflowError" not in err
         with pytest.raises(ScenarioFormatError):
             load_scenario(str(path))
 

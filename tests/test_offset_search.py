@@ -33,8 +33,8 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     attitude_cells,
-    _cell_admissible,
     _cell_stacks,
+    _draw_cells,
     _generate,
     _lay_out,
     _layout,
@@ -43,7 +43,6 @@ from hatalloc.experiments import (
     _scaled,
     _screen,
     _stability_margins,
-    _unstack,
     crosscheck_scenario,
     random_scenario,
     team_scenario,
@@ -63,11 +62,15 @@ from conftest import (
     TEAM_ATTITUDES,
     at_offset,
     block_of_one,
+    cell_programs,
     draw_instance,
     generator_stages,
     path_scenario,
     record_calls,
+    reference_cell_admissible,
     reference_generate,
+    reference_offset_search,
+    reference_rejection,
     scaled_scenario,
     screened_cells,
     team_draw,
@@ -89,7 +92,7 @@ def _reduced_cells(scenario):
 
 def _cells(scenario):
     """The attitude cells' reduced programs, one per cell."""
-    return _unstack(_reduced_cells(scenario), 0)
+    return cell_programs(_draw_cells(_reduced_cells(scenario), 0))
 
 
 def _restacked(cells):
@@ -108,7 +111,8 @@ def _search(cells, tally=None):
     [passes] = _screen(cells)
     if not passes.any():
         return None
-    return _offset_search(_unstack(cells, 0), passes, Counter() if tally is None else tally)
+    found = _offset_search(_draw_cells(cells, 0), passes, Counter() if tally is None else tally)
+    return None if found is None else found[0]
 
 
 def _tighten(scenario, tally=None):
@@ -200,12 +204,13 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     No `Scenario` is built between the draws and their searches, and nothing
     is stacked or reduced from a scenario. The tightened scenario, built
     right after its search, holds the draw's row of the block, which the
-    scale step's lift reads, and `_rejection` reads the draw's row of the
-    block's cell stack: views of the blocks, so no per-draw copy is made."""
+    scale step's lift reads; `_scaled` reads the search's cells and the
+    draw's row of the block's cell stack, views of the blocks, so no
+    per-draw copy is made, and `_rejection` reads what `_scaled` returns."""
     log = []
     record_calls(monkeypatch, log, model.stack_parts, model.stack_problem,
                  oracle.reduce_stacked, oracle.reduce_program, experiments._lay_out,
-                 experiments._offset_search, experiments._rejection)
+                 experiments._offset_search, experiments._scaled, experiments._rejection)
     real_init = Scenario.__post_init__
     monkeypatch.setattr(Scenario, "__post_init__",
                         lambda self: log.append(("Scenario", (self,), None)) or real_init(self))
@@ -217,6 +222,7 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
     blocks = [i for i, (name, args, _) in enumerate(log)
               if name == "reduce_stacked" and args[0].S.ndim == 4]
     assert [log[i][1][0].S.shape[:2] for i in blocks] == [(n, 4) for n in (1, 2, 4, 8, 1)]
+    assert len(blocks) == sum(name == "reduce_stacked" for name, _, _ in log)
     layouts = [i for i, (name, _, _) in enumerate(log) if name == "stack_parts"]
     assert len(layouts) == 16
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
@@ -232,22 +238,23 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
         for i, layout in enumerate(range(block - 1 - size, block - 1)):
             assert cell_stack.d[i, 0].tobytes() == log[layout][2].d.tobytes()
         drawn += size
+    scalings = [i for i, (name, _, _) in enumerate(log) if name == "_scaled"]
     rejections = [i for i, (name, _, _) in enumerate(log) if name == "_rejection"]
-    assert len(rejections) == len(searches)
-    for search, rejection in zip(searches, rejections):
+    assert len(scalings) == len(rejections) == len(searches)
+    for search, scaling, rejection in zip(searches, scalings, rejections):
         block = max(b for b in blocks if b < search)
         laid_out, (cell_stack, _) = log[block - 1][2], log[block][1]
         size = cell_stack.S.shape[0]
         cells = log[search][1][0]
-        assert len(cells) == 4 and all(np.shares_memory(cell.H, log[block][2].H)
-                                       for cell in cells)
+        assert cells.H.shape[0] == 4 and np.shares_memory(cells.H, log[block][2].H)
         name, (scenario,), _ = log[search + 1]
-        assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2])
+        assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2][0])
         [i] = [i for i in range(size) if _is_row(scenario.stacked, laid_out, i)]
         layout = log[block - 1 - size + i][2]
         assert scenario.stacked.S.tobytes() == layout.S.tobytes()
-        assert search < rejection and log[rejection][1][0] is scenario
-        assert _is_row(log[rejection][1][1], cell_stack, i)
+        assert search < scaling < rejection and log[scaling][1][0] is cells
+        assert _is_row(log[scaling][1][1], cell_stack, i)
+        assert log[rejection][1][0] is scenario and log[rejection][1][1] is log[scaling][2]
 
 
 def test_cell_stacks_reduce_like_relabeled_scenarios():
@@ -257,7 +264,8 @@ def test_cell_stacks_reduce_like_relabeled_scenarios():
     _, block = _block(1, range(4, 12))
     alone = [(scenario, _cells(scenario))
              for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2))]
-    in_block = [(team_draw(attempt), _unstack(block, i)) for i, attempt in enumerate(range(4, 12))]
+    in_block = [(team_draw(attempt), cell_programs(_draw_cells(block, i)))
+                for i, attempt in enumerate(range(4, 12))]
     for scenario, reduced in alone + in_block:
         cells = attitude_cells(scenario)
         keys, own, _ = _cell_stacks(block_of_one(scenario), scenario.layout,
@@ -283,19 +291,25 @@ def test_cell_stacks_need_unit_attitudes():
 @pytest.mark.parametrize("attempt", DRAWS)
 def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
     """A draw the screen rejects never reaches the exact search, so it makes
-    no `solve_program` call: no slack or demand probe and no
-    `_cell_admissible`. Every draw the search rejects here is rejected by
-    the screen, and `tally` counts the solves the search makes."""
+    no stacked solve (`solve_programs`): no slack or demand probe and no
+    admissibility check (`interior_points`). Every draw the search rejects
+    here is rejected by the screen, and `tally` counts the solves of the
+    loop that solves one cell at a time and stops at the first that fails
+    (`reference_offset_search`)."""
     solves, admissible = [], []
-    real_solve, real_admissible = experiments.solve_program, experiments._cell_admissible
-    monkeypatch.setattr(experiments, "solve_program",
+    real_solve, real_interior = experiments.solve_programs, experiments.interior_points
+    monkeypatch.setattr(experiments, "solve_programs",
                         lambda rp: solves.append(rp) or real_solve(rp))
-    monkeypatch.setattr(experiments, "_cell_admissible",
-                        lambda rp: admissible.append(rp) or real_admissible(rp))
-    tally = Counter()
-    screened_out = not _screen(_reduced_cells(team_draw(attempt))).any()
+    monkeypatch.setattr(experiments, "interior_points",
+                        lambda rp: admissible.extend(cell_programs(rp)) or real_interior(rp))
+    tally, one_cell = Counter(), Counter()
+    reduced = _reduced_cells(team_draw(attempt))
+    [passes] = _screen(reduced)
+    screened_out = not passes.any()
     tightened = _tighten(team_draw(attempt), tally)
-    assert tally["exact_solves"] == len(solves)
+    if not screened_out:
+        reference_offset_search(cell_programs(_draw_cells(reduced, 0)), passes, one_cell)
+    assert tally["exact_solves"] == one_cell["exact_solves"]
     assert screened_out == (tightened is None)
     if screened_out:
         assert solves == [] and admissible == []
@@ -368,6 +382,42 @@ def test_the_cells_of_a_draw_share_their_hessian(generation):
             assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
 
 
+def test_stacked_generation_matches_the_one_cell_references(generation):
+    """On every draw that team 1-9 and crosscheck 1-30 search exactly, the
+    stacked search takes the offset of the loop that solves one cell at a
+    time (`reference_offset_search`), byte for byte, and counts the exact
+    solves that loop makes. On every tightened draw, `_scaled` gives each
+    cell the floats of a reduction anew with d scaled, and `_rejection`
+    gives the reason of the loop in the order it replaced
+    (`reference_rejection`)."""
+    searched, tightened = Counter(), Counter()
+    for kind, runs in (("team", generation.team), ("crosscheck", generation.crosscheck)):
+        for run in runs.values():
+            for search in run.searches:
+                tally = Counter()
+                expected = reference_offset_search(cell_programs(search.cells), search.passes,
+                                                   tally)
+                assert (search.found is None) == (expected is None)
+                if expected is not None:
+                    assert search.found[0].tobytes() == expected.tobytes()
+                assert search.solves == tally["exact_solves"]
+                searched[kind] += 1
+            assert len(run.scaled) == len(run.rejections) == sum(
+                search.found is not None for search in run.searches)
+            for (_, cells, s, c), (args, reason) in zip(run.scaled, run.rejections):
+                scenario, scaled, keys, own, dc, abscissa_bar, check_grid = args
+                anew = cell_programs(reduce_stacked(replace(cells, d=cells.d * s), c * s))
+                for got, expected in zip(cell_programs(scaled), anew, strict=True):
+                    for f in fields(ReducedProgram):
+                        if f.init:
+                            a, b = getattr(got, f.name), getattr(expected, f.name)
+                            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+                assert reference_rejection(scenario, anew, keys, own, dc, abscissa_bar,
+                                           check_grid) == reason
+                tightened[kind] += 1
+    assert searched == tightened == {"team": 256, "crosscheck": 78}
+
+
 @pytest.mark.parametrize("max_attempts", [1, 2, 3, 4, 7, 8, 9, 17])
 def test_block_loop_stops_where_the_one_draw_loop_stops(max_attempts, monkeypatch):
     """Cut at `max_attempts` inside or at the end of a block, the block loop
@@ -411,7 +461,8 @@ def test_offset_probes_solve_the_free_minimizer_once(monkeypatch):
 def _unscreened(cells):
     """`_offset_search` with a screen that passes every probe."""
     every_probe = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
-    return _offset_search(_unstack(cells, 0), every_probe, Counter())
+    found = _offset_search(_draw_cells(cells, 0), every_probe, Counter())
+    return None if found is None else found[0]
 
 
 def _assert_screen_keeps_zero_responses(cells, c, index):
@@ -422,7 +473,7 @@ def _assert_screen_keeps_zero_responses(cells, c, index):
     y = solve_program(cell.with_offset(c))[1]
     edge = replace(cell, d=cell.d - (y.min() - 1e-12))
     assert 0.0 <= solve_program(edge.with_offset(c))[1].min() < 1e-11
-    assert _cell_admissible(edge.with_offset(c))
+    assert reference_cell_admissible(edge.with_offset(c))
     shifted = _restacked(cells[:index] + [edge] + cells[index + 1:])
     assert np.array_equal(_unscreened(shifted), c)
     assert np.array_equal(_search(shifted), c)
@@ -481,12 +532,13 @@ def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
     draws = (generator_stages(draw_instance(rng, *shape)) for _ in range(40))
     stages = next((stages for stages in draws if stages is not None), None)
     assume(stages is not None)
-    tightened, cell_stack, keys, _, s, dc = stages
+    tightened, s, dc = stages.tightened, stages.s, stages.dc
     scaled = scaled_scenario(tightened, s)
     scaled_dc, dt = build_decoupled(scaled), tightened.solver.dt
     cells = attitude_cells(scaled)
-    assert list(cells) == keys
-    scaled_cells = _unstack(_scaled(cell_stack, s, tightened.constraint.c))
+    assert list(cells) == stages.keys
+    scaled_cells = cell_programs(_scaled(stages.searched, stages.cells, s,
+                                         tightened.constraint.c))
     for got, cell in zip(scaled_cells, cells.values()):
         expected = reduce_program(cell)
         for f in fields(ReducedProgram):
@@ -627,8 +679,7 @@ def test_scaled_draws_start_within_the_speed_cap():
     for attempt in range(60):
         stages = generator_stages(team_draw(attempt))
         if stages is not None:
-            tightened, _, _, _, s, _ = stages
-            speeds[attempt] = _zero_start_speed(scaled_scenario(tightened, s))
+            speeds[attempt] = _zero_start_speed(scaled_scenario(stages.tightened, stages.s))
     assert max(speeds.values()) <= INITIAL_SPEED_CAP * (1 + 1e-12)
     # Draw 5 is one where the cap, not the saddle-norm target, sets the scale.
     assert speeds[5] == pytest.approx(INITIAL_SPEED_CAP, abs=1e-12)
