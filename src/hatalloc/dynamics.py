@@ -23,10 +23,13 @@ are the true ones:
     dz      = -l_bar lambda
     gap     = C x + l_bar z + b_g,     b_g = [0 ; b_bar d] + c_split
 
-where H and g come from the oracle's `reduce_stacked` of `scenario.stacked`,
-so the flow and the oracle step one assembled problem. The velocity
-is M w + b; M is graph-local, kept as row, column and value arrays of its
-O(edges) nonzeros. Every other scenario takes its velocity from
+where H and g come from the scenario's one reduction (`oracle.reduction`
+of `scenario.stacked`), so the flow and the oracle step one assembled
+problem and reduce it once. The velocity is M w + b; M is graph-local, kept
+as row, column and value arrays of its O(edges) nonzeros, folded once per
+scenario and shared by the engines of the scenario and its `with_solver`
+copies (`FlowEngine.folded`); each engine takes its own b, which reads
+c_split. Every other scenario takes its velocity from
 `FlowEngine.rhs`, which reads the softplus rows and the schedules row by row
 from the same stack, as the oracle reads S and d.
 
@@ -58,8 +61,9 @@ update norms of chunked and single-step runs of crosscheck seeds 1-30
 chunk that ends at the stopping step is taken whenever roundoff puts its
 norm above the tolerance.
 
-The dense M (`dense_operator`, which the generator's stability check also
-reads) and the unclamped propagator are built once per run of at least
+The dense M (`dense_operator`; the generator's stability check builds the
+same bytes directly, `folded_matrix`) and the unclamped propagator are
+built once per run of at least
 CHUNK steps. A propagator is the powers I, A_S, ..., A_S^CHUNK, the first
 CHUNK of them P_S and the last the step between chunk starts: (CHUNK + 1)
 N^2 floats, 0.96 MB at the benchmark team's N = 43, whatever the number of
@@ -93,6 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +105,7 @@ from . import metrics
 from .errors import DivergenceError
 from .human import logistic, softplus
 from .model import Scenario, central_difference_error
-from .oracle import ReducedProgram, reduce_stacked
+from .oracle import ReducedProgram, reduction
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
 
@@ -124,9 +129,9 @@ def initial_state(scenario: Scenario) -> SystemState:
     """All-zero state with the scenario's `initial_state` overrides laid on
     top; `Scenario` checked them when it was built."""
     lay = scenario.layout
-    x = {i: np.zeros(scenario.dims[i]) for i in lay.autonomous_ids}
-    z = {a: np.zeros(lay.rows) for a in lay.node_order}
-    lam = {a: np.zeros(lay.rows) for a in lay.node_order}
+    x = lay.unstack_x(np.zeros(lay.x_dim))
+    z = lay.unstack_nodes(np.zeros(lay.block_dim))
+    lam = lay.unstack_nodes(np.zeros(lay.block_dim))
     doc = scenario.initial_state or {}
     for target, key in ((x, "x"), (z, "z"), (lam, "lambda")):
         for agent_id, raw in doc.get(key, {}).items():
@@ -263,11 +268,28 @@ class FlowEngine:
         return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
     def folded(self):
-        """`fold` of the scenario's stack, reduced, on the first call; read
-        only once the flow folds, which covers `reduce_program`'s checks."""
+        """`fold` of the scenario's `reduction`, on the first call; read only
+        once the flow folds, which covers the reduction's quadratic costs.
+        The reduction is unchecked, so one that is not finite folds and the
+        flow diverges. M's triplets are folded once per scenario and held in
+        `scenario.derived` with the a_bar, b_bar and Laplacian they read, and
+        an engine whose `dc` holds those same arrays (every `build_decoupled`
+        of the scenario and of its `with_solver` copies) reads them; b reads
+        `c_split`, so each engine takes its own. An engine with other blocks
+        folds its own M."""
         if self._folded is None:
-            rp = reduce_stacked(self.stacked, self.scenario.constraint.c)
-            self._folded = fold(rp, self.dc)
+            rp, dc, derived = reduction(self.scenario), self.dc, self.scenario.derived
+            blocks = (dc.a_bar, dc.b_bar, dc.laplacian)
+            held = derived.get("fold")
+            if held is not None and held.rows == dc.rows and all(
+                    a is b for a, b in zip(held.blocks, blocks)):
+                self._folded = (*held.triplets, folded_offset(rp, dc))
+            else:
+                self._folded = fold(rp, dc)
+                if held is None:
+                    for array in self._folded[:3]:
+                        array.flags.writeable = False
+                    derived["fold"] = _HeldFold(blocks, dc.rows, self._folded[:3])
         return self._folded
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
@@ -303,21 +325,52 @@ class FlowEngine:
         )
 
 
+class _HeldFold(NamedTuple):
+    """M's triplets as `FlowEngine.folded` holds them in `scenario.derived`,
+    with the decoupled blocks (a_bar, b_bar, Laplacian) and rows they read."""
+
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rows: int
+    triplets: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def fold(rp: ReducedProgram, dc: DecoupledConstraint):
     """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
     M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
-    b_x = -g from the reduced program and the l_bar blocks read from the node
-    Laplacian, never from the dense lift."""
+    b_x = -g from the reduced program, C = [a_bar ; b_bar S], and the l_bar
+    blocks read from the node Laplacian, never from the dense lift. H and
+    C's two blocks are each scanned once, flat, and the entries are put in
+    row order by one sort of their flat indices into M, which are distinct."""
     n, q = rp.H.shape[0], dc.block_dim
-    C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
-    hr, hc = np.nonzero(rp.H)
-    cr, cc = np.nonzero(C)
+    a_bar, b_s = dc.a_bar, dc.b_bar @ rp.S
+    h = np.flatnonzero(rp.H != 0.0)
+    a, s = np.flatnonzero(a_bar != 0.0), np.flatnonzero(b_s != 0.0)
+    hr, hc = np.divmod(h, n)
+    cr, cc = np.divmod(np.concatenate([a, a_bar.size + s]), n)  # flat indices into C
+    cv = np.concatenate([a_bar.take(a), b_s.take(s)])
     lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
     rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
     cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
-    vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
-    order = np.lexsort((cols, rows))
+    vals = np.concatenate([-rp.H.take(h), -cv, -lv, cv, lv])
+    order = np.argsort(rows * (n + 2 * q) + cols, kind="stable")
     return rows[order], cols[order], vals[order], folded_offset(rp, dc)
+
+
+def folded_matrix(rp: ReducedProgram, dc: DecoupledConstraint) -> np.ndarray:
+    """`dense_operator(fold(rp, dc))`, byte for byte, built as a dense array
+    without the triplets: each block is written only where its entries are
+    nonzero, so every other entry keeps the +0.0 the scatter leaves."""
+    n, q = rp.H.shape[0], dc.block_dim
+    C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
+    M = np.zeros((n + 2 * q, n + 2 * q))
+    x, lam = slice(0, n), slice(n + q, None)
+    np.negative(rp.H, out=M[x, x], where=rp.H != 0.0)
+    np.negative(C.T, out=M[x, lam], where=C.T != 0.0)
+    np.copyto(M[lam, x], C, where=C != 0.0)
+    lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
+    M[n + lr, n + q + lc] = -lv
+    M[n + q + lr, n + lc] = lv
+    return M
 
 
 def folded_offset(rp: ReducedProgram, dc: DecoupledConstraint) -> np.ndarray:

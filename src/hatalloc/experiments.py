@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import dense_operator, fold, folded_offset
+from .dynamics import folded_matrix, folded_offset
 from .errors import NoAdmissibleInstanceError
 from .human import AFFINE, HumanResponseModel, attitude_preset
 from .model import (
@@ -520,7 +520,7 @@ def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    eigs = np.linalg.eigvals(dense_operator(fold(rp, dc)))
+    eigs = np.linalg.eigvals(folded_matrix(rp, dc))
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
         return 0.0, 1.0

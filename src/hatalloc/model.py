@@ -6,9 +6,11 @@ models with their schedules, an optional initial state, and solver options.
 `Scenario.__post_init__` is the one semantic check of all of it, for documents
 and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
 changed copy again. A scenario assembles its read-only `stacked` operators on
-first use. A copy from `with_solver` shares them once built, since they do
-not read the solver options; any other copy, one with a new offset c too,
-assembles its own. `stack_problem`'s layout loop, `stack_parts`, also runs on
+first use, and holds in `derived` what other layers build from it once: the
+oracle's reduction, the decoupled blocks and the flow's folded M. A copy
+from `with_solver` shares both once built, since none of them reads the
+solver options; any other copy, one with a new offset c too, assembles its
+own. `stack_problem`'s layout loop, `stack_parts`, also runs on
 raw parts that nothing has validated: the generator lays out each draw with
 it in a block of draws, and a scenario built from a draw it keeps holds the
 draw's row of that block. The document parser checks only JSON types.
@@ -23,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from numbers import Integral, Real
 from typing import Callable
 
@@ -211,10 +214,14 @@ class ScenarioLayout:
         )
 
     def unstack_x(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {i: np.array(vec[self.x_slice(i)]) for i in self.autonomous_ids}
+        """Each autonomous agent's block of x: views into one copy of vec."""
+        vec = np.array(vec)
+        return {i: vec[self.x_slice(i)] for i in self.autonomous_ids}
 
     def unstack_nodes(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {a: np.array(vec[self.node_slice(a)]) for a in self.node_order}
+        """Each node's r-block: the rows of one copy of vec."""
+        return dict(zip(self.node_order,
+                        np.array(vec).reshape(len(self.node_order), self.rows)))
 
 
 @dataclass(frozen=True)
@@ -339,11 +346,14 @@ class Scenario:
                      f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
-        """A copy with new solver options, which `stack_problem` does not
-        read: it shares this scenario's stack once built."""
+        """A copy with new solver options, which neither `stack_problem` nor
+        what is built into `derived` reads: it shares this scenario's stack
+        and its `derived` dict once built."""
         copy = replace(self, solver=replace(self.solver, **overrides))
         if "stacked" in vars(self):
             copy._adopt_stack(self.stacked)
+        if "derived" in vars(self):
+            vars(copy)["derived"] = self.derived
         return copy
 
     def _adopt_stack(self, sp: StackedProblem) -> "Scenario":
@@ -360,6 +370,16 @@ class Scenario:
         consumer; read-only, as the scenario is immutable. `with_solver`
         copies share it."""
         return _read_only(stack_problem(self))
+
+    @cached_property
+    def derived(self) -> dict:
+        """What other layers build once from this scenario's stack, offset c,
+        constraint blocks and topology, by name, each filled in by its owner
+        on first use: `oracle.reduction`, `build_decoupled`'s blocks and
+        `FlowEngine.folded`'s M. No entry reads the solver options, so the
+        dict is shared by `with_solver` copies, and freed with the last of
+        them."""
+        return {}
 
     def human_response(
         self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0
@@ -730,9 +750,19 @@ def serialize_scenario(scenario: Scenario) -> dict:
     return doc
 
 
+# Encoded pieces joined per write: `json.dump` writes each piece its encoder
+# yields on its own, ~19k of them for a 250-agent document, and batching them
+# keeps the streamed write's memory to one batch.
+SAVE_BATCH = 2048
+
+
 def save_scenario(scenario: Scenario, path) -> None:
+    """Write the document as `json.dumps(doc, indent=2)` and a newline,
+    streamed SAVE_BATCH encoded pieces at a time."""
+    pieces = json.JSONEncoder(indent=2).iterencode(serialize_scenario(scenario))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(serialize_scenario(scenario), handle, indent=2)
+        while batch := "".join(islice(pieces, SAVE_BATCH)):
+            handle.write(batch)
         handle.write("\n")
 
 

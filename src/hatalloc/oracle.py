@@ -4,15 +4,20 @@ Substituting the affine response map y = d + S x into the objective and the
 shared constraint leaves a strictly convex QP in x alone, which is solved
 exactly by enumerating active sets of the (few) constraint rows. The result
 is used as ground truth against the distributed flow: same problem, entirely
-different solution path. Reduce once, solve per offset: of the reduced
-program only h_c = c + B d depends on the offset c, so
-`ReducedProgram.with_offset` re-targets it to a new c without reassembly, and
-`ReducedProgram.with_bases` re-targets it to new bases d, computing only the
-terms that read d (g, const and B d). `reduce_stacked` holds the reduction
-algebra, so a caller that already has stacked operators reduces them the way
-`reduce_program` reduces `scenario.stacked` (several attitude cells, of
-several draws, at once when the operators carry leading cell and draw axes),
-from which `lift_to_saddle` reads S and d: it reduces nothing.
+different solution path. Reduce once per scenario, solve per offset:
+`reduction` is the one place that reduces a scenario's own stack. It holds
+the result, read-only and unchecked, in `scenario.derived`, so the oracle's
+solves, the flow's fold (`FlowEngine.folded`) and every `with_solver` copy
+read one reduction; `reduce_program` checks the oracle's scope and the
+reduction's finiteness on top of it. Of the reduced program only
+h_c = c + B d depends on the offset c, so `ReducedProgram.with_offset`
+re-targets it to a new c without reassembly, and `ReducedProgram.with_bases`
+re-targets it to new bases d, computing only the terms that read d (g, const
+and B d). `reduce_stacked` holds the reduction algebra, so the generator,
+which already has stacked operators, reduces them as `reduction` reduces
+`scenario.stacked` (several attitude cells, of several draws, at once when
+the operators carry leading cell and draw axes). `lift_to_saddle` reads S
+and d from the stack: it reduces nothing.
 
 `solve_programs` and `interior_points` solve a stack of programs (one
 leading axis on every field) with one active-set enumeration:
@@ -126,7 +131,9 @@ class ReducedProgram:
 
 
 def reduce_program(scenario: Scenario) -> ReducedProgram:
-    """Eliminate the human states, leaving a QP in the autonomous states."""
+    """Eliminate the human states, leaving a QP in the autonomous states:
+    the scenario's `reduction`, once its costs and humans are in the
+    oracle's scope and its H, g, G_c and h_c are finite."""
     for agent_id, cost in scenario.costs.items():
         if not isinstance(cost, QuadraticCost):
             raise UnsupportedByOracleError(
@@ -139,10 +146,25 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
                 f"human '{k}' uses family '{model.family}'; the centralized "
                 "solver handles affine responses only"
             )
-    rp = reduce_stacked(scenario.stacked, scenario.constraint.c)
+    rp = reduction(scenario)
     if not all(np.isfinite(a).all() for a in (rp.H, rp.g, rp.G_c, rp.h_c)):
         raise UnsupportedByOracleError("the reduced program is not finite")
     return rp
+
+
+def reduction(scenario: Scenario) -> ReducedProgram:
+    """`reduce_stacked` of the scenario's own stack at its offset c, built on
+    first use and held, read-only, in `scenario.derived`: the scenario, its
+    `with_solver` copies, the oracle and the flow share it. It is unchecked,
+    so a reduction that is not finite still folds; every cost must be
+    quadratic (`reduce_program` checks the rest of the oracle's scope)."""
+    derived = scenario.derived
+    if "reduction" not in derived:
+        rp = reduce_stacked(scenario.stacked, scenario.constraint.c)
+        for array in (rp.H, rp.g, rp.G_c, rp.h_c, rp.b_d):
+            array.flags.writeable = False
+        derived["reduction"] = rp
+    return derived["reduction"]
 
 
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:

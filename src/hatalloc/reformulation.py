@@ -86,12 +86,21 @@ def split_offset(c: np.ndarray, topology, policy: str = "first_agent") -> np.nda
 
 def build_decoupled(scenario: Scenario) -> DecoupledConstraint:
     """Assemble the decoupled constraint for a scenario in canonical order,
-    splitting the offset by `scenario.solver.offset_split`."""
-    lay = scenario.layout
+    splitting the offset by `scenario.solver.offset_split`. a_bar, b_bar and
+    the Laplacian read no solver option: they are built once per scenario,
+    read-only, held in `scenario.derived` and shared by every constraint
+    built for the scenario or its `with_solver` copies."""
     con = scenario.constraint
-    a_bar = block_diagonal([con.a_blocks[i] for i in lay.autonomous_ids])
-    b_bar = block_diagonal([con.b_blocks[k] for k in lay.human_ids])
-    lap = laplacian(scenario.topology)
+    derived = scenario.derived
+    if "decoupled" not in derived:
+        lay = scenario.layout
+        blocks = (block_diagonal([con.a_blocks[i] for i in lay.autonomous_ids]),
+                  block_diagonal([con.b_blocks[k] for k in lay.human_ids]),
+                  laplacian(scenario.topology))
+        for block in blocks:
+            block.flags.writeable = False
+        derived["decoupled"] = blocks
+    a_bar, b_bar, lap = derived["decoupled"]
     c_split = split_offset(con.c, scenario.topology, scenario.solver.offset_split)
     return DecoupledConstraint(
         a_bar=a_bar, b_bar=b_bar, laplacian=lap, c_split=c_split, rows=con.rows,

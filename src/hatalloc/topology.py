@@ -117,10 +117,11 @@ def lift_entries(lap: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """Row indices, column indices and values of the nonzeros of lap (x) I_r,
     read from the node Laplacian: one entry per edge end, per diagonal and
     per block row, never the dense lift."""
-    i, j = np.nonzero(lap)
+    ij = np.flatnonzero(lap != 0.0)
+    i, j = np.divmod(ij, lap.shape[0])
     k = np.arange(r)
     return (
         (i[:, None] * r + k).ravel(),
         (j[:, None] * r + k).ravel(),
-        np.repeat(lap[i, j], r),
+        np.repeat(lap.take(ij), r),
     )

@@ -18,7 +18,7 @@ from hatalloc.agents import (
     _proxy_coupling,
     agent_round,
 )
-from hatalloc.dynamics import SystemState, initial_state
+from hatalloc.dynamics import SystemState, folded_offset, initial_state
 from hatalloc.experiments import (
     _BLOCK_FIELDS,
     REJECTIONS,
@@ -553,6 +553,27 @@ def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, che
                            grids=grids)
 
 
+def reference_fold(rp, dc):
+    """`dynamics.fold` as it was first written, the reference its flat scans
+    are held to: 2-D `np.nonzero` scans of the dense H, of C = [a_bar ;
+    b_bar S] and of the node Laplacian, then one `lexsort` by row and
+    column. Nonzeros of M in row order (rows, cols, values) and
+    b = [b_x ; 0 ; b_g]."""
+    n, q, r = rp.H.shape[0], dc.block_dim, dc.rows
+    C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
+    hr, hc = np.nonzero(rp.H)
+    cr, cc = np.nonzero(C)
+    i, j = np.nonzero(dc.laplacian)
+    k = np.arange(r)
+    lr, lc = (i[:, None] * r + k).ravel(), (j[:, None] * r + k).ravel()
+    lv = np.repeat(dc.laplacian[i, j], r)
+    rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
+    cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
+    vals = np.concatenate([-rp.H[hr, hc], -C[cr, cc], -lv, C[cr, cc], lv])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order], folded_offset(rp, dc)
+
+
 def record_calls(monkeypatch, log, *funcs):
     """Patch each of `funcs` under every name a module of the package binds
     it to, so that each call appends (function name, args, result) to `log`
@@ -594,7 +615,8 @@ def _recorded_generation(generate, seed):
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
                          experiments._screen, experiments._scenario, experiments._scaled,
-                         experiments._rejection, model.stack_parts, model.stack_problem,
+                         experiments._rejection, experiments._stability_margins,
+                         model.stack_parts, model.stack_problem,
                          oracle.reduce_program, oracle.reduce_stacked,
                          reformulation.build_decoupled)
             patch.setattr(experiments, "_offset_search", search)
@@ -622,6 +644,7 @@ def _recorded_generation(generate, seed):
         offsets=[None if search.found is None else search.found[0] for search in searches],
         scaled=[args for name, args, _ in log if name == "_scaled"],
         rejections=[(args, reason) for name, args, reason in log if name == "_rejection"],
+        margins=[args for name, args, _ in log if name == "_stability_margins"],
         tightened=[(*args[:2], scenario) for name, args, scenario in log
                    if name == "_scenario"],
         reductions=[cells for name, args, cells in log
@@ -641,8 +664,8 @@ def generation():
     and the exact solves it counted) and the offsets it took (None when it
     rejected the draw); each tightened draw with the row it was given and
     the `Scenario` built from them; the arguments of each `_scaled` call,
-    and of each `_rejection` call with its verdict; and the block
-    reductions."""
+    of each `_rejection` call with its verdict and of each margin check
+    (`_stability_margins`); and the block reductions."""
     return SimpleNamespace(
         team={seed: _recorded_generation(team_scenario, seed) for seed in range(1, 10)},
         crosscheck={seed: _recorded_generation(crosscheck_scenario, seed)

@@ -132,6 +132,14 @@ def test_one_place_stacks_the_problem_and_one_builds_the_dense_lift(name, only):
     assert _referrers(name) == {only}
 
 
+def test_one_place_reduces_a_scenarios_stack():
+    """`oracle.reduction` reduces a scenario's own stack, once, and the
+    oracle's solves and the flow's fold read what it holds. The listed
+    exception is the generator's `_generate`, which reduces the attitude
+    cells of a block of raw draws: no scenario's stack."""
+    assert _referrers("reduce_stacked") == {"oracle.reduction", "experiments._generate"}
+
+
 def test_only_the_stack_and_the_generators_draw_lay_out_raw_parts():
     """`stack_parts` lays out parts it does not validate: only
     `stack_problem`, on a validated scenario, and the generator's block

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, runs, \
     save_scenario, serialize_scenario
 from hatalloc.cli import main
-from hatalloc.errors import NoAdmissibleInstanceError, ScenarioFormatError
+from hatalloc.errors import DivergenceError, NoAdmissibleInstanceError, ScenarioFormatError
 from hatalloc.experiments import (
     ATTITUDE_KINDS,
     GRID_CONTRASTS,
@@ -241,25 +241,49 @@ class TestRunExperiment:
     def test_run_with_the_oracle_reduces_once(self, tmp_path, monkeypatch):
         """A run with the oracle reference makes one stack, the scenario's,
         which the oracle's reduction, the lift, the flow's engine and the KKT
-        residuals' engine all read, and one `reduce_program`, the solve's.
+        residuals' engine all read, one `reduce_program`, the solve's, and
+        one `reduce_stacked`, which the solve checks and the flow folds.
         The cached `team_scenario(1)` may hold its stack already, which a
         `with_solver` copy would share, so the run is on a fresh copy."""
         scenario = replace(team_scenario(1)).with_solver(max_time=0.5)
         log = []
-        record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program)
+        record_calls(monkeypatch, log, model.stack_problem, oracle.reduce_program,
+                     oracle.reduce_stacked, dynamics.fold)
         result = runs._run_scenario(scenario, str(tmp_path), {}, oracle=True)
-        assert Counter(name for name, _, _ in log) == {"stack_problem": 1, "reduce_program": 1}
+        assert Counter(name for name, _, _ in log) == {
+            "stack_problem": 1, "reduce_program": 1, "reduce_stacked": 1, "fold": 1}
         assert "oracle_value" in result.summary
 
+    def test_an_instance_reduces_and_folds_once(self, monkeypatch):
+        """The benchmark's pipeline on one instance (the oracle's solve, the
+        flow, the reference run of a `with_solver` copy and the KKT
+        residuals) reduces the scenario once and folds M once: the flow folds
+        the oracle's reduction, and the reference run's engine reads the
+        same reduction and M, with its own b."""
+        scenario = replace(team_scenario(1)).with_solver(max_time=0.5)
+        log = []
+        record_calls(monkeypatch, log, oracle.reduce_stacked, dynamics.fold,
+                     dynamics.folded_offset)
+        dc = reformulation.build_decoupled(scenario)
+        oracle.solve_centralized(scenario)
+        final, _ = dynamics.integrate(scenario, dc=dc)
+        dynamics.integrate(scenario.with_solver(tolerance=0.0, max_time=0.2), dc=dc)
+        dynamics.kkt_residual(scenario, dc, final)
+        assert [name for name, _, _ in log] == [
+            "reduce_stacked", "folded_offset", "fold", "folded_offset"]
+
     def test_risk_grid_stacks_each_cell_once(self, tmp_path, monkeypatch):
-        """Each attitude cell of the grid is stacked once and decoupled once:
-        its flow, its cost, its oracle solve and its KKT residuals read the
-        cell's one stack."""
+        """Each attitude cell of the grid is stacked, decoupled and reduced
+        once: its flow, its cost, its oracle solve and its KKT residuals read
+        the cell's one stack, and its flow folds the reduction its oracle
+        solve reads."""
         base = team_scenario(1).with_solver(max_time=0.5)
         log = []
-        record_calls(monkeypatch, log, model.stack_problem, reformulation.build_decoupled)
+        record_calls(monkeypatch, log, model.stack_problem, reformulation.build_decoupled,
+                     oracle.reduce_stacked)
         run_risk_grid(base, 1, str(tmp_path))
-        assert Counter(name for name, _, _ in log) == {"stack_problem": 4, "build_decoupled": 4}
+        assert Counter(name for name, _, _ in log) == {
+            "stack_problem": 4, "build_decoupled": 4, "reduce_stacked": 4}
         stacked = [args[0] for name, args, _ in log if name == "stack_problem"]
         assert len({id(cell) for cell in stacked}) == 4
 
@@ -666,6 +690,19 @@ class TestRunOutputs:
         assert "the reduced program is not finite" in capsys.readouterr().err
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "flow diverged" in capsys.readouterr().err
+
+    def test_overflowing_reduction_is_reduced_once(self, tmp_path, monkeypatch):
+        """The run of h1's gains scaled by 1e160 reduces its scenario once:
+        the oracle refuses that reduction as not finite, and the flow folds
+        it as it is, with no `UnsupportedByOracleError`, and diverges."""
+        scenario = load_scenario(str(_edited_team_file(tmp_path, _overflowing_gains)))
+        log, summary = [], {}
+        record_calls(monkeypatch, log, oracle.reduce_stacked, dynamics.fold)
+        with pytest.raises(DivergenceError):
+            runs._run_scenario(scenario, str(tmp_path / "o"), summary, oracle=True)
+        assert summary["oracle"] == "unavailable: the reduced program is not finite"
+        assert summary["termination"] == "diverged"
+        assert Counter(name for name, _, _ in log) == {"reduce_stacked": 1, "fold": 1}
 
     def test_diverged_run_writes_its_summary(self, tmp_path, capsys):
         """r1's cost weight scaled by 1e9 diverges at both step sizes: `run`

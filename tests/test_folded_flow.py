@@ -25,7 +25,7 @@ from hatalloc.dynamics import (
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
 
-from conftest import path_scenario, record_calls
+from conftest import path_scenario, record_calls, reference_fold, with_schedules
 
 STEPS = 300
 AFFINE_SEEDS = (0, 1, 2, 5, 11)
@@ -409,3 +409,35 @@ def test_integrate_stacks_once_and_folds_its_own_stack(monkeypatch):
     assert [name for name, _, _ in log] == ["stack_problem", "reduce_stacked"]
     assert log[1][1][0] is log[0][2]
     assert record.chunked_steps > 0
+
+
+FOLD_CASES = {
+    "team": lambda: [team_scenario(seed) for seed in range(1, 10)],
+    "crosscheck": lambda: [crosscheck_scenario(seed) for seed in range(1, 31)],
+    "random": lambda: [random_scenario(seed) for seed in range(40)],
+    "large_team": lambda: [random_scenario(1, n_autonomous=200, n_human=50, rows=3)],
+    "scheduled": lambda: [with_schedules(team_scenario(1), np.random.default_rng(3))],
+}
+
+
+@pytest.mark.parametrize("kind", FOLD_CASES)
+def test_fold_equals_the_reference_fold(kind):
+    """The engine's M and b, folded from flat scans of H and C sorted by
+    their flat indices, are the reference fold's (2-D scans and a `lexsort`)
+    byte for byte, on the reduction of the scenario's own stack. A scheduled
+    scenario folds its settled stack, and steps it from its settle time."""
+    for scenario in FOLD_CASES[kind]():
+        dc = build_decoupled(scenario)
+        engine = FlowEngine(scenario, dc)
+        expected = reference_fold(oracle.reduce_stacked(scenario.stacked,
+                                                        scenario.constraint.c), dc)
+        for got, want in zip(engine.folded(), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if scenario.schedules:
+            assert engine._fold_time > 0.0
+            w = np.random.default_rng(0).normal(size=expected[3].size)
+            out = np.empty_like(w)
+            engine.velocity(w, engine._fold_time, out)
+            rows, cols, vals, b = expected
+            assert out.tobytes() == (np.bincount(rows, vals * w[cols], minlength=b.size)
+                                     + b).tobytes()

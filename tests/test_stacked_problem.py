@@ -1,6 +1,8 @@
 """The one stacked assembly that the flow, the oracle and the generator read,
 and the dense Laplacian lift that none of them needs."""
 
+import gc
+import weakref
 from dataclasses import fields, replace
 from itertools import combinations
 
@@ -19,7 +21,7 @@ from hatalloc import (
 )
 from hatalloc import reformulation
 from hatalloc.cli import _sample_feasible_pair
-from hatalloc.dynamics import FlowEngine
+from hatalloc.dynamics import FlowEngine, folded_offset
 from hatalloc.errors import UnsupportedByOracleError
 from hatalloc.experiments import (
     _stability_margins,
@@ -31,8 +33,9 @@ from hatalloc.experiments import (
 )
 from hatalloc.human import AFFINE, logistic, softplus
 from hatalloc.model import QuadraticCost, StackedProblem, stack_problem
+from hatalloc.oracle import ReducedProgram, reduce_stacked, reduction
 
-from conftest import with_schedules
+from conftest import reference_fold, with_schedules
 
 
 def _refuse_lift(*args, **kwargs):
@@ -231,14 +234,75 @@ def test_which_copies_share_the_stack(change, shares):
     solver option) holds that stack itself, since `stack_problem` does not
     read the solver options; every other copy, a new offset c too, builds
     its own. Either way the copy's stack is, byte for byte, the one
-    `stack_problem` lays out from the copy's own fields."""
+    `stack_problem` lays out from the copy's own fields. The same copies
+    share the scenario's reduction and the triplets of its folded M, which
+    the engine of any `build_decoupled` of the copy reads; the others reduce
+    and fold their own. Either way they equal, byte for byte, a fresh
+    reduction of the copy's stack and the reference fold of it."""
     base = team_scenario(1)
     built = base.stacked
+    rp = reduction(base)
+    held = FlowEngine(base, build_decoupled(base)).folded()
     copy = change(base)
     assert (copy.stacked is built) == shares
     fresh = stack_problem(copy)
     for f in fields(StackedProblem):
         assert getattr(copy.stacked, f.name).tobytes() == getattr(fresh, f.name).tobytes()
+
+    assert (reduction(copy) is rp) == shares
+    fresh = reduce_stacked(copy.stacked, copy.constraint.c)
+    for f in fields(ReducedProgram):
+        if not f.name.startswith("_"):
+            got = np.asarray(getattr(reduction(copy), f.name))
+            assert got.tobytes() == np.asarray(getattr(fresh, f.name)).tobytes()
+    dc = build_decoupled(copy)
+    folded = FlowEngine(copy, dc).folded()
+    assert [a is b for a, b in zip(folded[:3], held[:3])] == [shares] * 3
+    for got, expected in zip(folded, reference_fold(fresh, dc)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_an_offset_split_copy_shares_m_and_takes_its_own_b():
+    """b reads c_split: a `with_solver(offset_split="uniform")` copy folds
+    with the scenario's M and its own b."""
+    base = team_scenario(1)
+    held = FlowEngine(base, build_decoupled(base)).folded()
+    copy = base.with_solver(offset_split="uniform")
+    dc = build_decoupled(copy)
+    folded = FlowEngine(copy, dc).folded()
+    assert all(a is b for a, b in zip(folded[:3], held[:3]))
+    assert folded[3].tobytes() == folded_offset(reduction(copy), dc).tobytes()
+    assert not np.array_equal(folded[3], held[3])
+
+
+def test_an_engine_with_other_blocks_folds_its_own():
+    """An engine whose decoupled constraint holds blocks other than the
+    scenario's folds its own M from them, the reference fold's bytes, and
+    leaves the scenario's held M as it was."""
+    base = team_scenario(1)
+    dc = build_decoupled(base)
+    held = FlowEngine(base, dc).folded()
+    for other in (replace(dc, a_bar=dc.a_bar.copy()), replace(dc, laplacian=2.0 * dc.laplacian)):
+        folded = FlowEngine(base, other).folded()
+        assert not any(a is b for a, b in zip(folded[:3], held[:3]))
+        for got, expected in zip(folded, reference_fold(reduction(base), other)):
+            assert got.tobytes() == expected.tobytes()
+    assert all(a is b for a, b in zip(FlowEngine(base, dc).folded()[:3], held[:3]))
+
+
+def test_a_dropped_scenario_frees_its_reduction_and_fold():
+    """The reduction and the folded M live as long as the last of a scenario
+    and its `with_solver` copies that hold them."""
+    scenario = replace(crosscheck_scenario(2)).with_solver(max_time=0.1)
+    integrate(scenario)
+    copy = scenario.with_solver(tolerance=0.0)
+    refs = [weakref.ref(reduction(copy)), weakref.ref(FlowEngine(copy).folded()[0])]
+    del scenario
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    del copy
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_a_flipped_cell_stacks_its_own_attitudes():
