@@ -29,10 +29,15 @@ proxies respond once per sweep, at the fresh x and t + dt, which is the y
 the next sweep's gap needs. Each per-block product is one batched `np.matmul`
 per block shape (see `_apply`), and each neighbor sum one ordered
 `np.add.at`: the agent's own term, then its edge terms in `_consensus`'s
-neighbor order, the reference's accumulation order. The runner's `mailbox`
-is built from the stacked arrays on demand, and stays the same object until
-the next sweep. The runner builds no views or inboxes: to step an agent with
-`agent_round`, build its view from the scenario and the state.
+neighbor order, the reference's accumulation order.
+
+The runner's state is its own read-only w = [x, z, lambda], read as the
+slices x, z and lambda: it starts from a copy of the given state's w, each
+sweep writes a fresh w, and `state()` returns a `SystemState` on a copy. Its
+`mailbox` is built from the slices on demand, and stays the same object,
+with the same values, until the next sweep. The runner builds no views or
+inboxes: to step an agent with `agent_round`, build its view from the
+scenario and the state's blocks.
 """
 
 from __future__ import annotations
@@ -214,9 +219,9 @@ def agent_round(view, inbox, dt: float):
 class DistributedRunner:
     """Synchronous execution of all agents as one stacked wave kernel.
 
-    Holds x, z and lambda stacked in layout order, with the proxies' last
-    responses y and coupling terms; a sweep is one Jacobi step. The proxies
-    respond under the scenario's own approximation schedules.
+    Holds its own w = [x, z, lambda] (see the module docstring), with the
+    proxies' last responses y and coupling terms; a sweep is one Jacobi step.
+    The proxies respond under the scenario's own approximation schedules.
     """
 
     def __init__(self, scenario: Scenario, dc: DecoupledConstraint | None = None,
@@ -263,14 +268,13 @@ class DistributedRunner:
         self._beta = np.array([beta for _, beta in soft])
         self._base = lay.stack_y({k: models[k].base for k in humans})
         self._c = np.array(self.dc.c_split)
-        self._advance(lay.stack_x(state.x), lay.stack_nodes(state.z),
-                      lay.stack_nodes(state.lam), state.t)
+        self._advance(state.w.copy(), state.t)
 
-    def _advance(self, x, z, lam, t):
-        """Make (x, z, lam, t) the state, and have the proxies respond there."""
-        for block in (x, z, lam):
-            block.flags.writeable = False
-        self._x, self._z, self._lam, self._t = x, z, lam, t
+    def _advance(self, w, t):
+        """Make (w, t) the state, and have the proxies respond there."""
+        w.flags.writeable = False
+        self._w, self._t = w, t
+        self._x, self._z, self._lam = self.scenario.layout.parts(w)
         self._y, self._cpl = self._respond()
         self._mail = None
 
@@ -325,7 +329,10 @@ class DistributedRunner:
         np.add.at(gap, recv, z[recv] - z[send])
         dz = np.zeros(z.size)
         np.subtract.at(dz, recv, lam[recv] - lam[send])
-        self._advance(x + dt * dx, z + dt * dz, np.maximum(0.0, lam + dt * gap), self._t + dt)
+        w = np.empty(self._w.size)
+        new_x, new_z, new_lam = self.scenario.layout.parts(w)
+        new_x[:], new_z[:], new_lam[:] = x + dt * dx, z + dt * dz, np.maximum(0.0, lam + dt * gap)
+        self._advance(w, self._t + dt)
 
     def run(self, n_sweeps: int, dt: float) -> SystemState:
         for _ in range(n_sweeps):
@@ -333,9 +340,8 @@ class DistributedRunner:
         return self.state()
 
     def state(self) -> SystemState:
-        lay = self.scenario.layout
-        return SystemState(x=lay.unstack_x(self._x), z=lay.unstack_nodes(self._z),
-                           lam=lay.unstack_nodes(self._lam), t=self._t)
+        """The current state, on a copy of the runner's w."""
+        return SystemState(self.scenario.layout, self._w.copy(), self._t)
 
 
 def _groups(items, key) -> list[list]:

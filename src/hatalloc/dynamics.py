@@ -54,36 +54,21 @@ finite and its update norms exceed tolerance (1 + CHUNK_GUARD); a product
 takes the chunks before the first that fails. That chunk's CHUNK steps go
 singly, so a clamp change, the stopping step and a `DivergenceError` are
 always decided by the single-step arithmetic.
-The guard band is needed because near the crossing the update norm is known
-only to roundoff, and it falls by only ~5e-5 relative per step: the final
-update norms of chunked and single-step runs of crosscheck seeds 1-30
-(tolerance 1e-10) differ by up to 2.5e-5 relative, and without the band a
-chunk that ends at the stopping step is taken whenever roundoff puts its
-norm above the tolerance.
 
-The dense M (`dense_operator`; the generator's stability check builds the
-same bytes directly, `folded_matrix`) and the unclamped propagator are
-built once per run of at least
-CHUNK steps. A propagator is the powers I, A_S, ..., A_S^CHUNK, the first
-CHUNK of them P_S and the last the step between chunk starts: (CHUNK + 1)
-N^2 floats, 0.96 MB at the benchmark team's N = 43, whatever the number of
-chunks per product. A P_S for a nonempty S is built from that M only once S
-has held across two chunk attempts in a row, into one buffer that the next
-such S reuses, so at most two propagators are live; an attempt under an S
-without one, or whose powers are not finite, is skipped, not computed.
-Chunks pay N^2 multiply-adds per step and a sparse step its nonzeros plus
-the numpy call overhead, so chunks are used only when
-N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES, decided before any dense array is
-allocated: the benchmark's 7-agent team (N = 43) chunks, large_team's 250
-agents (N = 1,896) keep the sparse step. The rule's crossover, N ~ 130, is
-below the measured one (N ~ 230-245 with blocked chunks, builds not
-counted), but no workload lies between the two teams.
+A run's propagators, the powers I, A_S, ..., A_S^CHUNK ((CHUNK + 1) N^2
+floats, 0.96 MB at the benchmark team's N = 43), are built from the dense M
+(`dense_operator`; the generator's stability check builds the same bytes
+directly, `folded_matrix`) as `_ChunkPlan` describes, and only when
+N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES: the benchmark's 7-agent team chunks,
+large_team's 250 agents (N = 1,896) keep the sparse step.
 
+A state (`SystemState`) is one stacked w, whose per-agent blocks are views.
 A run starts from `initial_state`, the scenario's (already checked) overrides
-laid on zeros. Explicit finiteness checks decide divergence, so numpy's
-overflow and invalid-value warnings are off while a run steps and while a
-propagator is built. `kkt_residual` evaluates optimality residuals on the
-flow's own Lagrangian gradient.
+written into zeros, steps a copy of its w and returns a copy of the final
+one. Explicit finiteness checks decide divergence, so numpy's overflow and
+invalid-value warnings are off while a run steps and while a propagator is
+built. `kkt_residual` evaluates optimality residuals on the flow's own
+Lagrangian gradient; it and `gradient_check` read slices of a state's w.
 
 The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
@@ -96,47 +81,90 @@ state-level functions in `metrics` are the reference the samples agree with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .errors import DivergenceError
+from .errors import DimensionMismatchError, DivergenceError
 from .human import logistic, softplus
-from .model import Scenario, central_difference_error
+from .model import Scenario, ScenarioLayout, central_difference_error
 from .oracle import ReducedProgram, reduction
 from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
 from .topology import lift_entries
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SystemState:
-    """Phase point of the flow: per-agent primal, auxiliary and multiplier blocks.
+    """Phase point of the flow: one stacked w = [x, z, lambda] in layout
+    order, which the package reads, and the time t. Human responses are
+    derived from x on demand, never stored.
 
-    `x` is keyed by autonomous ids; `z` and `lam` by every vertex (each block
-    has one entry per constraint row). Human responses are derived from x on
-    demand, never stored.
-    """
+    `x` maps each autonomous id, `z` and `lam` each vertex (one entry per
+    constraint row), to its block of w, a view, for files, tests and README's
+    quick start. `state.x[i] = v` writes v into w; a block of another shape
+    raises `DimensionMismatchError`, and no block can be deleted or rebound.
+    A state owns the w it is given: `initial_state`, `integrate` and
+    `DistributedRunner.state` return a fresh one each, and no function of the
+    package writes into a state it is given or keeps it."""
 
-    x: dict[str, np.ndarray]
-    z: dict[str, np.ndarray]
-    lam: dict[str, np.ndarray]
+    layout: ScenarioLayout
+    w: np.ndarray
     t: float = 0.0
+    x: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    z: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    lam: Mapping[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lay = self.layout
+        size = lay.x_dim + 2 * lay.block_dim
+        if self.w.shape != (size,) or self.w.dtype != np.float64:
+            raise DimensionMismatchError(f"w must be {size} floats: {self.w.dtype} {self.w.shape}")
+        x, z, lam = lay.parts(self.w)
+        object.__setattr__(self, "x", _Blocks(x, lay.autonomous_ids, lay.x_slice))
+        object.__setattr__(self, "z", _Blocks(z, lay.node_order, lay.node_slice))
+        object.__setattr__(self, "lam", _Blocks(lam, lay.node_order, lay.node_slice))
+
+
+class _Blocks(Mapping):
+    """One part of a state's w as per-agent blocks, in layout order: each
+    block a view into w, and assigning one writes into w."""
+
+    def __init__(self, part: np.ndarray, ids: tuple[str, ...], block):
+        self._part, self._ids, self._block = part, ids, block
+
+    def __getitem__(self, agent_id: str) -> np.ndarray:
+        return self._part[self._block(agent_id)]
+
+    def __setitem__(self, agent_id: str, value) -> None:
+        block, value = self[agent_id], np.asarray(value, dtype=float)
+        if value.shape != block.shape:
+            raise DimensionMismatchError(
+                f"block '{agent_id}' has shape {block.shape}, not {value.shape}")
+        block[...] = value
+
+    def __delitem__(self, agent_id: str):
+        raise TypeError(f"block '{agent_id}' is part of the state's w and cannot be deleted")
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 def initial_state(scenario: Scenario) -> SystemState:
-    """All-zero state with the scenario's `initial_state` overrides laid on
-    top; `Scenario` checked them when it was built."""
+    """The scenario's `initial_state` overrides written into a zero state;
+    `Scenario` checked them when it was built."""
     lay = scenario.layout
-    x = lay.unstack_x(np.zeros(lay.x_dim))
-    z = lay.unstack_nodes(np.zeros(lay.block_dim))
-    lam = lay.unstack_nodes(np.zeros(lay.block_dim))
+    state = SystemState(lay, np.zeros(lay.x_dim + 2 * lay.block_dim))
     doc = scenario.initial_state or {}
-    for target, key in ((x, "x"), (z, "z"), (lam, "lambda")):
+    for blocks, key in ((state.x, "x"), (state.z, "z"), (state.lam, "lambda")):
         for agent_id, raw in doc.get(key, {}).items():
-            target[agent_id] = np.asarray(raw, dtype=float)
-    return SystemState(x=x, z=z, lam=lam, t=0.0)
+            blocks[agent_id] = raw
+    return state
 
 
 class FlowEngine:
@@ -295,8 +323,7 @@ class FlowEngine:
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
         """Write (dx, dz, raw multiplier gradient) at w = [x, z, lambda] into out."""
         if t < self._fold_time:
-            n, q = self.layout.x_dim, self.dc.block_dim
-            out[:n], out[n:n + q], out[n + q:] = self.rhs(w[:n], w[n:n + q], w[n + q:], t)
+            out[:] = np.concatenate(self.rhs(*self.layout.parts(w), t))
             return
         rows, cols, vals, b = self.folded()
         np.add(np.bincount(rows, vals * w[cols], minlength=out.size), b, out=out)
@@ -305,24 +332,10 @@ class FlowEngine:
         y, _ = self.response(x, t)
         return self.objective_value(x, y) + float(lam @ self.constraint_gap(x, y, z))
 
-    # -- state conversion ------------------------------------------------------
-
     def stack_state(self, state: SystemState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lay = self.layout
-        return (
-            lay.stack_x(state.x),
-            lay.stack_nodes(state.z),
-            lay.stack_nodes(state.lam),
-        )
-
-    def unstack_state(self, x, z, lam, t) -> SystemState:
-        lay = self.layout
-        return SystemState(
-            x=lay.unstack_x(x),
-            z=lay.unstack_nodes(z),
-            lam=lay.unstack_nodes(lam),
-            t=t,
-        )
+        """(x, z, lambda) of the state's w, as views; `bench/` reads it, the
+        package reads `layout.parts(state.w)`."""
+        return self.layout.parts(state.w)
 
 
 class _HeldFold(NamedTuple):
@@ -434,14 +447,14 @@ def integrate(
     """
     opts = scenario.solver
     engine = FlowEngine(scenario, dc)
-    state0 = initial_state(scenario)
+    w0 = initial_state(scenario).w
 
     try:
-        return _run_flow(engine, opts, opts.dt, state0, reference, saddle)
+        return _run_flow(engine, opts, opts.dt, w0, reference, saddle)
     except DivergenceError as exc:
         failed = metrics.FailedAttempt(dt=opts.dt, t=exc.t, max_entry=exc.max_entry)
     try:
-        final, record = _run_flow(engine, opts, opts.dt / 2.0, state0, reference, saddle)
+        final, record = _run_flow(engine, opts, opts.dt / 2.0, w0, reference, saddle)
     except DivergenceError as exc:
         exc.attempts = (failed, metrics.FailedAttempt(opts.dt / 2.0, exc.t, exc.max_entry))
         raise
@@ -456,9 +469,11 @@ CHUNK = 64
 # pinned 99,682.
 CHUNKS_PER_PRODUCT = 4
 # A chunk with an update norm within this relative band above the tolerance
-# is stepped singly instead: there the stopping step depends on roundoff,
-# so the single-step arithmetic decides it. 40x the largest gap measured
-# between the final update norms of chunked and single-step runs.
+# is stepped singly instead: near the stop the update norm is known only to
+# roundoff and falls by only ~5e-5 relative per step, so without the band a
+# chunk ending at the stop is taken whenever roundoff puts its norm above the
+# tolerance. 40x the largest gap measured between the final update norms of
+# chunked and single-step runs (2.5e-5, crosscheck 1-30 at tolerance 1e-10).
 CHUNK_GUARD = 1e-3
 # The numpy call overhead of one sparse step, in dense multiply-adds: a
 # chunk costs N^2 of them per step, a sparse step its nonzeros plus these.
@@ -506,17 +521,11 @@ def _propagator(M, dt, clamped=(), out=None):
 
 def _chunk(powers, w, v, dt, lam_start, floor, chunks, clamp=None):
     """The next `chunks` chunks of CHUNK Euler steps from w, whose realized
-    velocity is v, from one matrix product.
-
-    While the clamped multipliers S stay at zero and every other one stays
-    positive, v_{k+1} = A_S v_k. With P_S the first CHUNK `powers`, the
-    columns U = [v, A_S^CHUNK v, A_S^(2 CHUNK) v, ...] are the velocities at
-    the chunks' starts, and P_S U, one pass over P_S for all of them, holds
-    every velocity: its rows V, chunk by chunk, are the next velocities and
-    the running sums w + dt V_0 + ... + dt V_j, accumulated in the order
-    single steps add them, the next states W. `clamp` = (M_S^T, b_S) holds
-    the rows of M and b of S, whose entries of v must be zero; None when S
-    is empty.
+    velocity is v, from one matrix product P_S U (the module docstring), P_S
+    the first CHUNK `powers`: its rows V are the next velocities, and their
+    running sums from w, accumulated in the order single steps add them, the
+    next states W. `clamp` = (M_S^T, b_S) holds the rows of M and b of the
+    clamped set S, whose entries of v must be zero; None when S is empty.
 
     A step fails when it leaves its piece or cannot be decided: a free
     lambda of its state is <= 0, the clamped gap M_S w + b_S at the state it
@@ -617,12 +626,13 @@ class _ChunkPlan:
         return self.clamped, self.clamp
 
 
-def _run_flow(engine, opts, dt, state0, reference, saddle):
+def _run_flow(engine, opts, dt, w0, reference, saddle):
     lay = engine.layout
     n, q = lay.x_dim, engine.dc.block_dim
     # Two stacked states [x, z, lambda] that trade places every step, so the
-    # pre-step state is still at hand when a step has to be checked.
-    w = np.concatenate(engine.stack_state(state0))
+    # pre-step state is still at hand when a step has to be checked. They
+    # start from a copy of w0, and the final state takes a copy of one.
+    w = w0.copy()
     w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
@@ -728,7 +738,7 @@ def _run_flow(engine, opts, dt, state0, reference, saddle):
     if pending:
         samples.extend(_samples(engine, pending, dt, reference))
     t = k * dt
-    final = engine.unstack_state(w[:n], w[n:n + q], w[n + q:], t)
+    final = SystemState(lay, w.copy(), t)
     record = metrics.TrajectoryRecord(
         agent_order=lay.node_order,
         samples=samples,
@@ -753,11 +763,9 @@ def _samples(engine, sampled, dt, reference):
     """The trajectory samples of (step, stacked state, saddle distance)
     triples, evaluated in one stacked pass over the sampled states."""
     lay = engine.layout
-    n, q = lay.x_dim, engine.dc.block_dim
     steps, states, dists = zip(*sampled)
     ts = [s * dt for s in steps]
-    W = np.stack(states)
-    X, Z, L = W[:, :n], W[:, n:n + q], W[:, n + q:]
+    X, Z, L = lay.parts(np.stack(states))
     sp, dc = engine.stacked, engine.dc
     pre = X @ sp.S.T + sp.d
     for i in np.flatnonzero(np.asarray(ts) < engine._settle_time):
@@ -810,7 +818,7 @@ def gradient_check(scenario: Scenario, dc: DecoupledConstraint, state: SystemSta
     against central finite differences of step `GRADIENT_CHECK_STEP`
     (`central_difference_error`; not finite is an infinite error)."""
     engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
+    x, z, lam = scenario.layout.parts(state.w)
     return central_difference_error(
         lambda v: engine.lagrangian_value(v, z, lam, state.t),
         lambda v: engine.lagrangian_gradient_x(v, lam, state.t)[0],
@@ -834,7 +842,7 @@ def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state: SystemState
     constraint violation; comp_slack is |lambda . residual|.
     """
     engine = FlowEngine(scenario, dc)
-    x, z, lam = engine.stack_state(state)
+    x, z, lam = scenario.layout.parts(state.w)
     grad_x, y = engine.lagrangian_gradient_x(x, lam, state.t)
     resid = decoupled_residual(dc, x, y, z)
     station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0

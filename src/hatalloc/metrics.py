@@ -5,6 +5,12 @@ every agent's state (human responses included) from a reference allocation.
 `saddle_distance` is the half squared distance to a reference saddle point,
 the quantity that is nonincreasing along the flow. Workloads are 1-norms of
 the state blocks.
+
+`saddle_distance` subtracts the reference from slices of the state's w. The
+other two keep per-agent arithmetic, on the blocks (views into w) and on
+each human's own response (`_current_y`): their floats reach the outputs
+(`workload_report`'s are `risk_grid.csv`'s workload columns), and the
+stacked response S x + d differs from the per-human one in the last bits.
 """
 
 from __future__ import annotations
@@ -37,13 +43,11 @@ def squared_deviation(
     from the reference map.
     """
     lay = scenario.layout
-    x_ref, y_ref = reference
-    x_ref = np.asarray(x_ref, dtype=float)
-    y_ref = np.asarray(y_ref, dtype=float)
+    x_ref, y_ref = (np.asarray(ref, dtype=float) for ref in reference)
     y_now = _current_y(scenario, state)
     total = 0.0
     for i in lay.autonomous_ids:
-        diff = np.asarray(state.x[i], dtype=float) - x_ref[lay.x_slice(i)]
+        diff = state.x[i] - x_ref[lay.x_slice(i)]
         total += float(diff @ diff)
     for k in lay.human_ids:
         diff = y_now[k] - y_ref[lay.y_slice(k)]
@@ -57,12 +61,10 @@ def saddle_distance(
     saddle: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """0.5 ||(x, z) - (x, z)_ref||^2 + 0.5 ||lambda - lambda_ref||^2."""
-    lay = scenario.layout
-    eta_ref, lam_ref = saddle
-    eta = np.concatenate([lay.stack_x(state.x), lay.stack_nodes(state.z)])
-    lam = lay.stack_nodes(state.lam)
-    d_eta = eta - np.asarray(eta_ref, dtype=float)
-    d_lam = lam - np.asarray(lam_ref, dtype=float)
+    lay, (eta_ref, lam_ref) = scenario.layout, saddle
+    split = lay.x_dim + lay.block_dim  # eta = (x, z) is w's head
+    d_eta = state.w[:split] - np.asarray(eta_ref, dtype=float)
+    d_lam = state.w[split:] - np.asarray(lam_ref, dtype=float)
     return float(0.5 * (d_eta @ d_eta) + 0.5 * (d_lam @ d_lam))
 
 
@@ -76,12 +78,8 @@ class WorkloadReport:
 def workload_report(scenario, state) -> WorkloadReport:
     """Per-agent 1-norm workloads plus group totals."""
     lay = scenario.layout
-    by_agent = {}
-    for i in lay.autonomous_ids:
-        by_agent[i] = float(np.sum(np.abs(state.x[i])))
-    y_now = _current_y(scenario, state)
-    for k in lay.human_ids:
-        by_agent[k] = float(np.sum(np.abs(y_now[k])))
+    blocks = {**state.x, **_current_y(scenario, state)}
+    by_agent = {a: float(np.sum(np.abs(block))) for a, block in blocks.items()}
     return WorkloadReport(
         by_agent=by_agent,
         autonomous_total=sum(by_agent[i] for i in lay.autonomous_ids),

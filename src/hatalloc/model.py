@@ -198,30 +198,16 @@ class ScenarioLayout:
         start = self.node_index[agent_id] * self.rows
         return slice(start, start + self.rows)
 
-    def stack_x(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(blocks[i], dtype=float) for i in self.autonomous_ids]
-        ) if self.autonomous_ids else np.zeros(0)
-
     def stack_y(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
         return np.concatenate(
             [np.asarray(blocks[k], dtype=float) for k in self.human_ids]
         ) if self.human_ids else np.zeros(0)
 
-    def stack_nodes(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(blocks[a], dtype=float) for a in self.node_order]
-        )
-
-    def unstack_x(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Each autonomous agent's block of x: views into one copy of vec."""
-        vec = np.array(vec)
-        return {i: vec[self.x_slice(i)] for i in self.autonomous_ids}
-
-    def unstack_nodes(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Each node's r-block: the rows of one copy of vec."""
-        return dict(zip(self.node_order,
-                        np.array(vec).reshape(len(self.node_order), self.rows)))
+    def parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, lambda) of stacked states w = [x, z, lambda]: views along
+        w's last axis."""
+        n, q = self.x_dim, self.block_dim
+        return w[..., :n], w[..., n:n + q], w[..., n + q:]
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
         dc = build_decoupled(cell)
         final, record = integrate(cell, dc=dc)
         engine = FlowEngine(cell, dc)
-        x, _, _ = engine.stack_state(final)
+        x, _, _ = cell.layout.parts(final.w)
         y, _ = engine.response(x, final.t)
         report = workload_report(cell, final)
         cost = engine.objective_value(x, y)

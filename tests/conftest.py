@@ -278,12 +278,10 @@ class ReferenceRunner:
 
     def state(self):
         lay = self.scenario.layout
-        return SystemState(
-            x={i: np.array(self.views[i].x) for i in lay.autonomous_ids},
-            z={a: np.array(self.views[a].z) for a in lay.node_order},
-            lam={a: np.array(self.views[a].lam) for a in lay.node_order},
-            t=max((v.t for v in self.views.values()), default=0.0),
-        )
+        w = np.concatenate([*(self.views[i].x for i in lay.autonomous_ids),
+                            *(self.views[a].z for a in lay.node_order),
+                            *(self.views[a].lam for a in lay.node_order)])
+        return SystemState(lay, w, t=max((v.t for v in self.views.values()), default=0.0))
 
 
 def decoupled_residual_blocks(scenario, dc, x, y, z_blocks):
@@ -323,7 +321,7 @@ def resummed_lagrangian(scenario, dc, state):
     total = sum(scenario.costs[i].value(state.x[i]) for i in lay.autonomous_ids)
     total += sum(scenario.costs[k].value(y[k]) for k in lay.human_ids)
     blocks = decoupled_residual_blocks(
-        scenario, dc, lay.stack_x(state.x), lay.stack_y(y), state.z
+        scenario, dc, lay.parts(state.w)[0], lay.stack_y(y), state.z
     )
     return total + sum(float(state.lam[a] @ blocks[a]) for a in lay.node_order)
 

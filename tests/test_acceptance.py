@@ -26,7 +26,7 @@ from hatalloc import (
     solve_centralized,
 )
 from hatalloc.agents import DistributedRunner, Message, agent_round
-from hatalloc.dynamics import FlowEngine, _step_arrays
+from hatalloc.dynamics import FlowEngine, SystemState, _step_arrays
 from hatalloc.experiments import (
     crosscheck_scenario,
     random_scenario,
@@ -217,7 +217,7 @@ def test_criterion_6_compact_equals_distributed(fig4):
         runner.sweep(dt)
         x, z, lam, _, _ = _step_arrays(engine, x, z, lam, t, dt)
         t += dt
-    compact = engine.unstack_state(x, z, lam, t)
+    compact = SystemState(scenario.layout, np.concatenate([x, z, lam]), t)
     dist = runner.state()
     worst = 0.0
     for i in scenario.topology.autonomous_ids:

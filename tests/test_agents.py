@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hatalloc import build_decoupled, initial_state
 from hatalloc.agents import DistributedRunner, Message, agent_round
 from hatalloc.dynamics import (
-    CHUNKS_PER_PRODUCT, FlowEngine, _chunk, _propagator, _step_arrays, dense_operator,
+    CHUNKS_PER_PRODUCT, FlowEngine, SystemState, _chunk, _propagator, _step_arrays,
+    dense_operator,
 )
 from hatalloc.errors import MessageProtocolError
 from hatalloc.experiments import random_scenario
@@ -115,7 +116,7 @@ class TestSweepEquivalence:
             runner.sweep(DT)
             x, z, lam, _, _ = _step_arrays(engine, x, z, lam, t, DT)
             t += DT
-        compact = engine.unstack_state(x, z, lam, t)
+        compact = SystemState(scenario.layout, np.concatenate([x, z, lam]), t)
         assert max_state_diff(scenario, runner.state(), compact) <= 1e-10
 
     def test_scheduled_models_still_match(self):
@@ -146,7 +147,7 @@ class TestSweepEquivalence:
                 runner.sweep(DT)
                 x, z, lam, _, _ = _step_arrays(engine, x, z, lam, t, DT)
                 t += DT
-                compact = engine.unstack_state(x, z, lam, t)
+                compact = SystemState(scenario.layout, np.concatenate([x, z, lam]), t)
                 assert max_state_diff(scenario, runner.state(), compact) <= 1e-11
             assert t > max(s.settle_time for s in scenario.schedules.values())
 

@@ -149,6 +149,23 @@ def test_only_the_stack_and_the_generators_draw_lay_out_raw_parts():
     assert _referrers("stack_parts") == {"model.stack_problem", "experiments._lay_out"}
 
 
+def test_the_package_reads_a_states_w_and_never_restacks_it():
+    """No scope of the package calls `FlowEngine.stack_state`, which stays
+    for `bench/`, and the per-agent stack and split helpers are gone: none
+    of them is defined or named. Only `SystemState` makes per-agent blocks
+    from a stacked vector."""
+    assert _referrers("stack_state") == set()
+    bench = Path(hatalloc.__file__).parents[2] / "bench"
+    assert "stack_state" in set().union(*(_names(ast.parse(p.read_text()))
+                                          for p in bench.glob("*.py")))
+    gone = {"stack_x", "stack_nodes", "unstack_x", "unstack_nodes", "unstack_state"}
+    assert not set().union(*map(_referrers, gone))
+    defined = {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & gone
+
+
 def test_only_the_screen_inverts_matrices():
     """`np.linalg.inv` is called only in `experiments._inverse`, so every
     inverse the generator's screen reads has passed its SCREEN_MAX_COND

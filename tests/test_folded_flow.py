@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from hatalloc import build_decoupled, dynamics, initial_state, integrate, model, oracle
 from hatalloc.dynamics import (
-    CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, _chunk, _ChunkPlan, _step_arrays,
+    CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, SystemState, _chunk, _ChunkPlan, _step_arrays,
 )
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
@@ -54,12 +54,10 @@ def _with_random_start(scenario, seed, clamped=True):
 
 def _started_at(scenario, w):
     """The scenario started from the stacked state w = [x, z, lambda]."""
-    lay = scenario.layout
-    n, q = lay.x_dim, lay.block_dim
+    state = SystemState(scenario.layout, w)
     start = {
         key: {agent: block.tolist() for agent, block in blocks.items()}
-        for key, blocks in (("x", lay.unstack_x(w[:n])), ("z", lay.unstack_nodes(w[n:n + q])),
-                            ("lambda", lay.unstack_nodes(w[n + q:])))
+        for key, blocks in (("x", state.x), ("z", state.z), ("lambda", state.lam))
     }
     return replace(scenario, initial_state=start)
 
@@ -123,13 +121,6 @@ def _reference_run(scenario, w_ref, steps=STEPS):
     return stacked(), sup, v_max_inc
 
 
-def _stacked(scenario, state):
-    lay = scenario.layout
-    return np.concatenate([
-        lay.stack_x(state.x), lay.stack_nodes(state.z), lay.stack_nodes(state.lam)
-    ])
-
-
 def _check_against_reference(scenario, steps):
     """`integrate` over `steps` steps from the scenario's start equals the
     reference steps: final state, sup-norm and largest saddle-distance
@@ -145,7 +136,7 @@ def _check_against_reference(scenario, steps):
 
     assert (record.steps, record.termination) == (steps, "max_time")
     assert record.chunked_steps + record.single_steps == steps
-    np.testing.assert_allclose(_stacked(scenario, final), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.w, expected, rtol=0, atol=1e-12)
     assert record.state_sup_norm == pytest.approx(sup, rel=1e-12)
     assert record.v_max_step_increase == pytest.approx(v_max_inc, rel=1e-12)
     return record
@@ -254,7 +245,7 @@ def test_one_product_equals_one_product_per_chunk(seed):
     scenario = _with_random_start(random_scenario(seed), 7, clamped=False)
     engine, dt = FlowEngine(scenario), scenario.solver.dt
     plan = _ChunkPlan(engine, dt, CHUNKS_PER_PRODUCT * CHUNK)
-    w = _stacked(scenario, initial_state(scenario))
+    w = initial_state(scenario).w
     lam_at = w.size - engine.dc.block_dim
     vel = np.empty_like(w)
     engine.velocity(w, 0.0, vel)
@@ -333,7 +324,7 @@ def test_stop_inside_a_chunk_is_decided_by_single_steps(seed, start, clamped, of
     scenario = _with_random_start(random_scenario(seed), start, clamped)
     dt = scenario.solver.dt
     engine = FlowEngine(scenario)
-    w = _stacked(scenario, initial_state(scenario))
+    w = initial_state(scenario).w
     vel = np.empty_like(w)
     engine.velocity(w, 0.0, vel)
     n_steps = 2 * CHUNK + 40
@@ -346,7 +337,7 @@ def test_stop_inside_a_chunk_is_decided_by_single_steps(seed, start, clamped, of
     expected, single = _singly(scenario)
     final, record = integrate(scenario)
     assert (record.steps, record.termination) == (single.steps, single.termination)
-    np.testing.assert_array_equal(_stacked(scenario, final), _stacked(scenario, expected))
+    np.testing.assert_array_equal(final.w, expected.w)
 
 
 @pytest.mark.parametrize("seed, steps", [(2, 80482), (6, 166874)])
@@ -368,7 +359,7 @@ def test_roundoff_sensitive_stops_match_reference(seed, steps):
         norm = np.sqrt(dx @ dx + dz @ dz + dlam @ dlam)
         assert (norm <= tol) == (k + 1 == steps)
     np.testing.assert_allclose(
-        _stacked(scenario, final), np.concatenate([x, z, lam]), rtol=0, atol=1e-12
+        final.w, np.concatenate([x, z, lam]), rtol=0, atol=1e-12
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hatalloc import (
     ApproximationSchedule,
+    SystemState,
     build_decoupled,
     coupled_residual,
     initial_state,
@@ -39,9 +40,8 @@ def _sampled_scenarios():
 class TestSquaredDeviation:
     def test_zero_at_reference(self, path_team):
         x_star, y_star, _, _ = solve_centralized(path_team)
-        lay = path_team.layout
         state = initial_state(path_team)
-        state.x = lay.unstack_x(x_star)
+        state.w[:path_team.layout.x_dim] = x_star
         assert squared_deviation(path_team, state, (x_star, y_star)) \
             == pytest.approx(0.0, abs=1e-24)
 
@@ -62,7 +62,7 @@ class TestSquaredDeviation:
         value = squared_deviation(path_team, state, (x_ref, y_ref))
 
         engine = FlowEngine(path_team)
-        x = lay.stack_x(state.x)
+        x, _, _ = lay.parts(state.w)
         y, _ = engine.response(x, 0.0)
         manual = float(np.sum((x - x_ref) ** 2) + np.sum((y - y_ref) ** 2))
         assert value == pytest.approx(manual, rel=1e-12)
@@ -73,11 +73,7 @@ class TestSaddleDistance:
         dc = build_decoupled(path_team)
         x_star, _, mu_star, _ = solve_centralized(path_team)
         z_star, lam_star, eta_star = lift_to_saddle(path_team, dc, x_star, mu_star)
-        lay = path_team.layout
-        state = initial_state(path_team)
-        state.x = lay.unstack_x(x_star)
-        state.z = lay.unstack_nodes(z_star)
-        state.lam = lay.unstack_nodes(lam_star)
+        state = SystemState(path_team.layout, np.concatenate([x_star, z_star, lam_star]))
         assert saddle_distance(path_team, state, (eta_star, lam_star)) \
             == pytest.approx(0.0, abs=1e-20)
 
@@ -158,7 +154,7 @@ class TestTrajectoryRecord:
                 k: scenario.human_response(k, final.x, final.t)
                 for k in lay.human_ids
             })
-            coupled = coupled_residual(scenario, lay.stack_x(final.x), y)
+            coupled = coupled_residual(scenario, lay.parts(final.w)[0], y)
             assert abs(last.max_coupled_residual - np.max(coupled)) <= 1e-12
 
     def test_time_strictly_increasing(self, path_team):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hatalloc import (
+    SystemState,
     build_decoupled,
     initial_state,
     kkt_residual,
@@ -343,11 +344,7 @@ class TestSaddleLift:
             dc = build_decoupled(scenario)
             x_star, y_star, mu_star, _ = solve_centralized(scenario)
             z_star, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
-            lay = scenario.layout
-            state = initial_state(scenario)
-            state.x = lay.unstack_x(x_star)
-            state.z = lay.unstack_nodes(z_star)
-            state.lam = lay.unstack_nodes(lam_star)
+            state = SystemState(scenario.layout, np.concatenate([x_star, z_star, lam_star]))
             res = kkt_residual(scenario, dc, state)
             assert res.stationarity <= 1e-6
             assert res.primal <= 1e-6
@@ -377,11 +374,7 @@ class TestSaddleLift:
         scenario = replace(base, constraint=replace(base.constraint, c=c))
         dc = build_decoupled(scenario)
         z_star, lam_star, _ = lift_to_saddle(scenario, dc, x_star, mu_star)
-        lay = scenario.layout
-        state = initial_state(scenario)
-        state.x = lay.unstack_x(x_star)
-        state.z = lay.unstack_nodes(z_star)
-        state.lam = lay.unstack_nodes(lam_star)
+        state = SystemState(scenario.layout, np.concatenate([x_star, z_star, lam_star]))
         res = kkt_residual(scenario, dc, state)
         assert res.stationarity <= 1e-6
         assert res.primal <= 1e-6

@@ -169,7 +169,7 @@ class TestResiduals:
             x = rng.normal(size=lay.x_dim)
             y = rng.normal(size=lay.y_dim)
             z_blocks = {a: rng.normal(size=dc.rows) for a in lay.node_order}
-            z = lay.stack_nodes(z_blocks)
+            z = np.concatenate([z_blocks[a] for a in lay.node_order])
             compact = decoupled_residual(dc, x, y, z)
             blocks = decoupled_residual_blocks(scenario, dc, x, y, z_blocks)
             for a in lay.node_order:
