@@ -15,9 +15,9 @@ node Laplacian L (`DecoupledConstraint.lift_apply`), never as a dense matrix.
 
 `integrate` steps one stacked state w = [x, z, lambda]. When every cost is
 quadratic and every human affine, the response y = S x + d is folded into
-one sparse affine operator (`fold`, stepped by `FlowEngine.velocity`), from
-the start or, with a schedule, from its settle time on, where the parameters
-are the true ones:
+one sparse affine operator M (`fold`) and offset b (`folded_offset`),
+stepped by `FlowEngine.velocity`, from the start or, with a schedule, from
+its settle time on, where the parameters are the true ones:
 
     dx      = -g - H x - C^T lambda,   C = [a_bar ; b_bar S]
     dz      = -l_bar lambda
@@ -27,11 +27,12 @@ where H and g come from the scenario's one reduction (`oracle.reduction`
 of `scenario.stacked`), so the flow and the oracle step one assembled
 problem and reduce it once. The velocity is M w + b; M is graph-local, kept
 as row, column and value arrays of its O(edges) nonzeros, folded once per
-scenario and shared by the engines of the scenario and its `with_solver`
-copies (`FlowEngine.folded`); each engine takes its own b, which reads
-c_split. Every other scenario takes its velocity from
-`FlowEngine.rhs`, which reads the softplus rows and the schedules row by row
-from the same stack, as the oracle reads S and d.
+scenario and held by `Scenario.derive` for the engines of the scenario and
+its `with_solver` copies whose blocks are the scenario's own
+(`FlowEngine.folded`); each engine takes its own b, which reads c_split.
+Every other scenario takes its velocity from `FlowEngine.rhs`, which reads
+the softplus rows and the schedules row by row from the same stack, as the
+oracle reads S and d.
 
 Projected Euler on the affine flow is piecewise affine, one piece per set S
 of clamped multipliers (those at zero whose gap is <= 0, which the clamp
@@ -57,10 +58,10 @@ always decided by the single-step arithmetic.
 
 A run's propagators, the powers I, A_S, ..., A_S^CHUNK ((CHUNK + 1) N^2
 floats, 0.96 MB at the benchmark team's N = 43), are built from the dense M
-(`dense_operator`; the generator's stability check builds the same bytes
-directly, `folded_matrix`) as `_ChunkPlan` describes, and only when
-N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES: the benchmark's 7-agent team chunks,
-large_team's 250 agents (N = 1,896) keep the sparse step.
+(`dense_operator`, which the generator's stability check reads too) as
+`_ChunkPlan` describes, and only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES:
+the benchmark's 7-agent team chunks, large_team's 250 agents (N = 1,896)
+keep the sparse step.
 
 A state (`SystemState`) is one stacked w, whose per-agent blocks are views.
 A run starts from `initial_state`, the scenario's (already checked) overrides
@@ -83,7 +84,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +92,12 @@ from .errors import DimensionMismatchError, DivergenceError
 from .human import logistic, softplus
 from .model import Scenario, ScenarioLayout, central_difference_error
 from .oracle import ReducedProgram, reduction
-from .reformulation import DecoupledConstraint, build_decoupled, decoupled_residual
+from .reformulation import (
+    DecoupledConstraint,
+    build_decoupled,
+    decoupled_blocks,
+    decoupled_residual,
+)
 from .topology import lift_entries
 
 
@@ -296,28 +301,21 @@ class FlowEngine:
         return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
 
     def folded(self):
-        """`fold` of the scenario's `reduction`, on the first call; read only
-        once the flow folds, which covers the reduction's quadratic costs.
-        The reduction is unchecked, so one that is not finite folds and the
-        flow diverges. M's triplets are folded once per scenario and held in
-        `scenario.derived` with the a_bar, b_bar and Laplacian they read, and
-        an engine whose `dc` holds those same arrays (every `build_decoupled`
-        of the scenario and of its `with_solver` copies) reads them; b reads
-        `c_split`, so each engine takes its own. An engine with other blocks
-        folds its own M."""
+        """(rows, cols, values) of M (`fold`) and b (`folded_offset`) of the
+        scenario's `reduction`, on the first call; read only once the flow
+        folds, which covers the reduction's quadratic costs. The reduction is
+        unchecked, so one that is not finite folds and the flow diverges.
+        When the engine's blocks are the scenario's own `decoupled_blocks`
+        (every `build_decoupled` of the scenario and of its `with_solver`
+        copies), M is held by `scenario.derive`; an engine with other blocks
+        folds its own M and holds nothing. b reads `c_split`, so each engine
+        takes its own."""
         if self._folded is None:
-            rp, dc, derived = reduction(self.scenario), self.dc, self.scenario.derived
-            blocks = (dc.a_bar, dc.b_bar, dc.laplacian)
-            held = derived.get("fold")
-            if held is not None and held.rows == dc.rows and all(
-                    a is b for a, b in zip(held.blocks, blocks)):
-                self._folded = (*held.triplets, folded_offset(rp, dc))
-            else:
-                self._folded = fold(rp, dc)
-                if held is None:
-                    for array in self._folded[:3]:
-                        array.flags.writeable = False
-                    derived["fold"] = _HeldFold(blocks, dc.rows, self._folded[:3])
+            scenario, rp, dc = self.scenario, reduction(self.scenario), self.dc
+            own = all(a is b for a, b in zip(decoupled_blocks(scenario),
+                                             (dc.a_bar, dc.b_bar, dc.laplacian)))
+            triplets = scenario.derive("fold", lambda: fold(rp, dc)) if own else fold(rp, dc)
+            self._folded = (*triplets, folded_offset(rp, dc))
         return self._folded
 
     def velocity(self, w: np.ndarray, t: float, out: np.ndarray) -> None:
@@ -338,22 +336,13 @@ class FlowEngine:
         return self.layout.parts(state.w)
 
 
-class _HeldFold(NamedTuple):
-    """M's triplets as `FlowEngine.folded` holds them in `scenario.derived`,
-    with the decoupled blocks (a_bar, b_bar, Laplacian) and rows they read."""
-
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
-    rows: int
-    triplets: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def fold(rp: ReducedProgram, dc: DecoupledConstraint):
-    """Nonzeros of M in row order (rows, cols, values) and b = [b_x ; 0 ; b_g]:
-    M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H and
-    b_x = -g from the reduced program, C = [a_bar ; b_bar S], and the l_bar
-    blocks read from the node Laplacian, never from the dense lift. H and
-    C's two blocks are each scanned once, flat, and the entries are put in
-    row order by one sort of their flat indices into M, which are distinct."""
+    """Nonzeros of M in row order (rows, cols, values), the one builder of
+    M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H from the
+    reduced program, C = [a_bar ; b_bar S], and the l_bar blocks read from
+    the node Laplacian, never from the dense lift. H and C's two blocks are
+    each scanned once, flat, and the entries are put in row order by one
+    sort of their flat indices into M, which are distinct."""
     n, q = rp.H.shape[0], dc.block_dim
     a_bar, b_s = dc.a_bar, dc.b_bar @ rp.S
     h = np.flatnonzero(rp.H != 0.0)
@@ -366,29 +355,13 @@ def fold(rp: ReducedProgram, dc: DecoupledConstraint):
     cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
     vals = np.concatenate([-rp.H.take(h), -cv, -lv, cv, lv])
     order = np.argsort(rows * (n + 2 * q) + cols, kind="stable")
-    return rows[order], cols[order], vals[order], folded_offset(rp, dc)
-
-
-def folded_matrix(rp: ReducedProgram, dc: DecoupledConstraint) -> np.ndarray:
-    """`dense_operator(fold(rp, dc))`, byte for byte, built as a dense array
-    without the triplets: each block is written only where its entries are
-    nonzero, so every other entry keeps the +0.0 the scatter leaves."""
-    n, q = rp.H.shape[0], dc.block_dim
-    C = np.vstack([dc.a_bar, dc.b_bar @ rp.S])
-    M = np.zeros((n + 2 * q, n + 2 * q))
-    x, lam = slice(0, n), slice(n + q, None)
-    np.negative(rp.H, out=M[x, x], where=rp.H != 0.0)
-    np.negative(C.T, out=M[x, lam], where=C.T != 0.0)
-    np.copyto(M[lam, x], C, where=C != 0.0)
-    lr, lc, lv = lift_entries(dc.laplacian, dc.rows)
-    M[n + lr, n + q + lc] = -lv
-    M[n + q + lr, n + lc] = lv
-    return M
+    return rows[order], cols[order], vals[order]
 
 
 def folded_offset(rp: ReducedProgram, dc: DecoupledConstraint) -> np.ndarray:
-    """`fold`'s b = [b_x ; 0 ; b_g]: the flow's velocity at w = 0, before
-    the multiplier clamp."""
+    """b = [b_x ; 0 ; b_g] of the velocity M w + b, b_x = -g from the
+    reduced program: the flow's velocity at w = 0, before the multiplier
+    clamp."""
     n, q, rm = rp.H.shape[0], dc.block_dim, dc.a_bar.shape[0]
     b = np.zeros(n + 2 * q)
     b[:n] = -rp.g
@@ -783,8 +756,7 @@ def _samples(engine, sampled, dt, reference):
                      + np.einsum("ij,ij->i", Y @ sp.y_weight.T, Y))
     else:
         objective = np.array([engine.objective_value(x, y) for x, y in zip(X, Y)])
-    lifted = (dc.laplacian @ Z.reshape(len(ts), -1, dc.rows)).reshape(Z.shape)
-    gap = np.concatenate([X @ dc.a_bar.T, Y @ dc.b_bar.T], axis=1) + lifted + dc.c_split
+    gap = np.concatenate([X @ dc.a_bar.T, Y @ dc.b_bar.T], axis=1) + dc.lift_apply(Z) + dc.c_split
     lagrangian = objective + np.einsum("ij,ij->i", L, gap)
     coupled = (X @ sp.a_cat.T + Y @ sp.b_cat.T + engine.scenario.constraint.c).max(axis=1)
     min_lam = L.min(axis=1)

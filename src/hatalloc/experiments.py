@@ -46,18 +46,20 @@ that draws one attempt at a time.
 
 Only a draw the search tightens is built as validated objects (topology,
 costs, constraint, models and a `Scenario` at the tightened offsets), and
-that scenario holds the draw's row of the block. Offsets and response bases
-are then scaled by one factor s: for quadratic costs with affine responses
-the optimal point is exactly linear in (c, base), so normalizing the lifted
-saddle norm keeps the flow's velocity small enough for tight per-step
-descent checks; the lift reads the draw's row and the own cell's solution
-that the search found at c. The remaining checks read the search's cells
+that scenario holds the draw's row of the block as its stack
+(`Scenario.derive`). Offsets and response bases are then scaled by one
+factor s: for quadratic costs with affine responses the optimal point is
+exactly linear in (c, base), so normalizing the lifted saddle norm keeps
+the flow's velocity small enough for tight per-step descent checks; the
+lift reads the draw's row and the own cell's solution that the search found
+at c. The remaining checks read the search's cells
 with d scaled by s (`_scaled`): H, G_c and S read no d, so only g, const,
 B d and h_c are computed, and the solve reuses what it built from H and G_c.
 `_rejection` solves the scaled cells in one stacked pass. Its grid checks
 run the cheap ones first (every cell's solution, workloads and contrasts)
-and the other cells' stability margins, one `eigvals` each, last; each
-counts as "grid", so the order changes no verdict. A `Scenario` is built
+and the other cells' stability margins, one `eigvals` of the flow's dense M
+(`dense_operator` of `fold`) each, last; each counts as "grid", so the
+order changes no verdict. A `Scenario` is built
 only for the tightened draws and for the accepted one, so each draw is laid
 out once and a rejected draw builds no object.
 """
@@ -73,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import folded_matrix, folded_offset
+from .dynamics import dense_operator, fold, folded_offset
 from .errors import NoAdmissibleInstanceError
 from .human import AFFINE, HumanResponseModel, attitude_preset
 from .model import (
@@ -250,7 +252,8 @@ def _scenario(draw: _Draw, stacked: StackedProblem, c: np.ndarray) -> Scenario:
                       for k, model in draw.models.items()},
         solver=SolverOptions(tolerance=1e-8),
     )
-    return scenario._adopt_stack(stacked)
+    scenario.derive("stacked", lambda: stacked)
+    return scenario
 
 
 def with_attitudes(scenario: Scenario, attitudes: dict[str, tuple[str, float]]) -> Scenario:
@@ -520,7 +523,7 @@ def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    eigs = np.linalg.eigvals(folded_matrix(rp, dc))
+    eigs = np.linalg.eigvals(dense_operator((*fold(rp, dc), folded_offset(rp, dc))))
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
         return 0.0, 1.0

@@ -5,18 +5,18 @@ costs, the shared linear inequality coupling every agent, the human response
 models with their schedules, an optional initial state, and solver options.
 `Scenario.__post_init__` is the one semantic check of all of it, for documents
 and code alike; a `Scenario` is frozen, and `dataclasses.replace` checks the
-changed copy again. A scenario assembles its read-only `stacked` operators on
-first use, and holds in `derived` what other layers build from it once: the
-oracle's reduction, the decoupled blocks and the flow's folded M. A copy
-from `with_solver` shares both once built, since none of them reads the
-solver options; any other copy, one with a new offset c too, assembles its
-own. `stack_problem`'s layout loop, `stack_parts`, also runs on
-raw parts that nothing has validated: the generator lays out each draw with
-it in a block of draws, and a scenario built from a draw it keeps holds the
-draw's row of that block. The document parser checks only JSON types.
-Documents are JSON trees; floats survive a save/load round trip bit-exactly.
-Files are read by `oracle.load_scenario`, since a document may ask for a
-Slater certificate.
+changed copy again. `Scenario.derive` is the one place that holds what is
+built once from a scenario: its read-only `stacked` operators, the oracle's
+reduction, the decoupled blocks and the flow's folded M, each built on first
+use. A copy from `with_solver` shares the held dict, made before or after
+anything is built, since nothing held reads the solver options; any other
+copy, one with a new offset c too, builds its own. `stack_problem`'s layout
+loop, `stack_parts`, also runs on raw parts that nothing has validated: the
+generator lays out each draw with it in a block of draws, and a scenario
+built from a draw it keeps holds the draw's row of that block as its stack.
+The document parser checks only JSON types. Documents are JSON trees;
+floats survive a save/load round trip bit-exactly. Files are read by
+`oracle.load_scenario`, since a document may ask for a Slater certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import islice
 from numbers import Integral, Real
 from typing import Callable
@@ -149,6 +148,10 @@ class SolverOptions:
             if not (number and math.isfinite(value) and (value > 0 if strict else value >= 0)):
                 bound = "positive" if strict else "nonnegative"
                 raise ValueError(f"{name} must be {bound} and finite: {value!r}")
+        half = self.dt / 2.0  # the step of the run's one retry
+        if not (half > 0.0 and math.isfinite(self.max_time / half)):
+            raise ValueError(f"max_time / dt must be finite at dt and dt / 2: "
+                             f"{self.max_time!r} / {self.dt!r}")
         if self.offset_split not in ("first_agent", "uniform"):
             raise ValueError(f"unknown offset split policy '{self.offset_split}'")
         stride = self.record_stride
@@ -300,6 +303,7 @@ class Scenario:
 
         object.__setattr__(self, "layout", ScenarioLayout(
             topo.autonomous_ids, topo.human_ids, self.dims, con.rows))
+        object.__setattr__(self, "_derived", {})  # what `derive` holds, by key
         start = self.initial_state
         if start is None:
             return
@@ -332,40 +336,36 @@ class Scenario:
                      f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
-        """A copy with new solver options, which neither `stack_problem` nor
-        what is built into `derived` reads: it shares this scenario's stack
-        and its `derived` dict once built."""
-        copy = replace(self, solver=replace(self.solver, **overrides))
-        if "stacked" in vars(self):
-            copy._adopt_stack(self.stacked)
-        if "derived" in vars(self):
-            vars(copy)["derived"] = self.derived
+        """A copy with new solver options, which nothing held by `derive`
+        reads: the copy shares this scenario's held dict, what is built
+        into it before or after the copy alike."""
+        try:
+            copy = replace(self, solver=replace(self.solver, **overrides))
+        except ValueError as exc:
+            raise ScenarioFormatError(f"solver options: {exc}") from exc
+        object.__setattr__(copy, "_derived", self._derived)
         return copy
 
-    def _adopt_stack(self, sp: StackedProblem) -> "Scenario":
-        """Hold `sp`, made read-only, as this scenario's `stacked`, and return
-        the scenario. For a caller that laid out this scenario's own fields
-        with `stack_parts` already: `sp` must be what `stack_problem` would
-        lay out."""
-        vars(self)["stacked"] = _read_only(sp)
-        return self
+    def derive(self, key: str, build: Callable):
+        """What `build()` returns, called only the first time `key` is asked
+        for, with its arrays (its fields', or a tuple's items) made
+        read-only and held in one dict that this scenario shares with every
+        `with_solver` copy, made before or after the build. Whatever is held
+        must read no solver option."""
+        held = self._derived
+        if key not in held:
+            value = build()
+            for item in value if isinstance(value, tuple) else vars(value).values():
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
+            held[key] = value
+        return held[key]
 
-    @cached_property
+    @property
     def stacked(self) -> StackedProblem:
-        """`stack_problem` of this scenario, built on first use for every
-        consumer; read-only, as the scenario is immutable. `with_solver`
-        copies share it."""
-        return _read_only(stack_problem(self))
-
-    @cached_property
-    def derived(self) -> dict:
-        """What other layers build once from this scenario's stack, offset c,
-        constraint blocks and topology, by name, each filled in by its owner
-        on first use: `oracle.reduction`, `build_decoupled`'s blocks and
-        `FlowEngine.folded`'s M. No entry reads the solver options, so the
-        dict is shared by `with_solver` copies, and freed with the last of
-        them."""
-        return {}
+        """`stack_problem` of this scenario, held by `derive` for every
+        consumer: read-only, as the scenario is immutable."""
+        return self.derive("stacked", lambda: stack_problem(self))
 
     def human_response(
         self, agent_id: str, x_blocks: dict[str, np.ndarray], t: float = 0.0
@@ -404,13 +404,6 @@ class StackedProblem:
     settle: np.ndarray
     S_delta: np.ndarray
     d_delta: np.ndarray
-
-
-def _read_only(sp: StackedProblem) -> StackedProblem:
-    for value in vars(sp).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return sp
 
 
 def stack_problem(scenario: Scenario) -> StackedProblem:
@@ -732,7 +725,9 @@ def serialize_scenario(scenario: Scenario) -> dict:
             }
         doc["human_models"][k] = entry
     if scenario.initial_state is not None:
-        doc["initial_state"] = scenario.initial_state
+        doc["initial_state"] = {key: {i: np.asarray(vec, dtype=float).tolist()
+                                      for i, vec in blocks.items()}
+                                for key, blocks in scenario.initial_state.items()}
     return doc
 
 

@@ -6,7 +6,7 @@ exactly by enumerating active sets of the (few) constraint rows. The result
 is used as ground truth against the distributed flow: same problem, entirely
 different solution path. Reduce once per scenario, solve per offset:
 `reduction` is the one place that reduces a scenario's own stack. It holds
-the result, read-only and unchecked, in `scenario.derived`, so the oracle's
+the result, read-only and unchecked, by `Scenario.derive`, so the oracle's
 solves, the flow's fold (`FlowEngine.folded`) and every `with_solver` copy
 read one reduction; `reduce_program` checks the oracle's scope and the
 reduction's finiteness on top of it. Of the reduced program only
@@ -153,18 +153,13 @@ def reduce_program(scenario: Scenario) -> ReducedProgram:
 
 
 def reduction(scenario: Scenario) -> ReducedProgram:
-    """`reduce_stacked` of the scenario's own stack at its offset c, built on
-    first use and held, read-only, in `scenario.derived`: the scenario, its
-    `with_solver` copies, the oracle and the flow share it. It is unchecked,
-    so a reduction that is not finite still folds; every cost must be
-    quadratic (`reduce_program` checks the rest of the oracle's scope)."""
-    derived = scenario.derived
-    if "reduction" not in derived:
-        rp = reduce_stacked(scenario.stacked, scenario.constraint.c)
-        for array in (rp.H, rp.g, rp.G_c, rp.h_c, rp.b_d):
-            array.flags.writeable = False
-        derived["reduction"] = rp
-    return derived["reduction"]
+    """`reduce_stacked` of the scenario's own stack at its offset c, held by
+    `scenario.derive`: the scenario, its `with_solver` copies, the oracle and
+    the flow share it. It is unchecked, so a reduction that is not finite
+    still folds; every cost must be quadratic (`reduce_program` checks the
+    rest of the oracle's scope)."""
+    return scenario.derive(
+        "reduction", lambda: reduce_stacked(scenario.stacked, scenario.constraint.c))
 
 
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:

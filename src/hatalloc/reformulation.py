@@ -10,6 +10,9 @@ blockwise split of c whose blocks sum to c. Each block of the reformulated
 inequality involves one agent and its graph neighbors only, which is what
 makes a fully distributed algorithm possible.
 
+The blocks a_bar, b_bar and the node Laplacian read no solver option, so
+`decoupled_blocks` builds them once per scenario and holds them by
+`Scenario.derive`; `build_decoupled` adds the offset split each call.
 Both residual evaluators and a constructive certificate recovery (slack
 placement plus a Laplacian least-squares solve) live here. The lift
 L (x) I_r is never stored: it is applied and solved on the node Laplacian,
@@ -51,8 +54,9 @@ class DecoupledConstraint:
         return np.kron(self.laplacian, np.eye(self.rows))
 
     def lift_apply(self, v: np.ndarray) -> np.ndarray:
-        """l_bar v, computed on the node Laplacian (one column per row)."""
-        return (self.laplacian @ v.reshape(-1, self.rows)).ravel()
+        """l_bar v along v's last axis, computed on the node Laplacian (one
+        column per row)."""
+        return (self.laplacian @ v.reshape(*v.shape[:-1], -1, self.rows)).reshape(v.shape)
 
     def lift_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution of l_bar z = rhs, solved on the
@@ -84,23 +88,23 @@ def split_offset(c: np.ndarray, topology, policy: str = "first_agent") -> np.nda
     return out
 
 
+def decoupled_blocks(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_bar, b_bar, Laplacian) of the scenario in canonical order, which
+    read no solver option: held by `scenario.derive` and shared by every
+    constraint built for the scenario or its `with_solver` copies."""
+    con, lay = scenario.constraint, scenario.layout
+    return scenario.derive("decoupled", lambda: (
+        block_diagonal([con.a_blocks[i] for i in lay.autonomous_ids]),
+        block_diagonal([con.b_blocks[k] for k in lay.human_ids]),
+        laplacian(scenario.topology)))
+
+
 def build_decoupled(scenario: Scenario) -> DecoupledConstraint:
-    """Assemble the decoupled constraint for a scenario in canonical order,
-    splitting the offset by `scenario.solver.offset_split`. a_bar, b_bar and
-    the Laplacian read no solver option: they are built once per scenario,
-    read-only, held in `scenario.derived` and shared by every constraint
-    built for the scenario or its `with_solver` copies."""
+    """Assemble the decoupled constraint for a scenario in canonical order:
+    its held `decoupled_blocks`, and the offset split by
+    `scenario.solver.offset_split`."""
     con = scenario.constraint
-    derived = scenario.derived
-    if "decoupled" not in derived:
-        lay = scenario.layout
-        blocks = (block_diagonal([con.a_blocks[i] for i in lay.autonomous_ids]),
-                  block_diagonal([con.b_blocks[k] for k in lay.human_ids]),
-                  laplacian(scenario.topology))
-        for block in blocks:
-            block.flags.writeable = False
-        derived["decoupled"] = blocks
-    a_bar, b_bar, lap = derived["decoupled"]
+    a_bar, b_bar, lap = decoupled_blocks(scenario)
     c_split = split_offset(con.c, scenario.topology, scenario.solver.offset_split)
     return DecoupledConstraint(
         a_bar=a_bar, b_bar=b_bar, laplacian=lap, c_split=c_split, rows=con.rows,

@@ -613,7 +613,7 @@ def _recorded_generation(generate, seed):
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
                          experiments._screen, experiments._scenario, experiments._scaled,
-                         experiments._rejection, experiments._stability_margins,
+                         experiments._rejection,
                          model.stack_parts, model.stack_problem,
                          oracle.reduce_program, oracle.reduce_stacked,
                          reformulation.build_decoupled)
@@ -642,7 +642,6 @@ def _recorded_generation(generate, seed):
         offsets=[None if search.found is None else search.found[0] for search in searches],
         scaled=[args for name, args, _ in log if name == "_scaled"],
         rejections=[(args, reason) for name, args, reason in log if name == "_rejection"],
-        margins=[args for name, args, _ in log if name == "_stability_margins"],
         tightened=[(*args[:2], scenario) for name, args, scenario in log
                    if name == "_scenario"],
         reductions=[cells for name, args, cells in log
@@ -661,9 +660,9 @@ def generation():
     and its screen grid; each exact search (its cells, screen grid, result
     and the exact solves it counted) and the offsets it took (None when it
     rejected the draw); each tightened draw with the row it was given and
-    the `Scenario` built from them; the arguments of each `_scaled` call,
-    of each `_rejection` call with its verdict and of each margin check
-    (`_stability_margins`); and the block reductions."""
+    the `Scenario` built from them; the arguments of each `_scaled` call
+    and of each `_rejection` call with its verdict; and the block
+    reductions."""
     return SimpleNamespace(
         team={seed: _recorded_generation(team_scenario, seed) for seed in range(1, 10)},
         crosscheck={seed: _recorded_generation(crosscheck_scenario, seed)

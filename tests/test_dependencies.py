@@ -166,6 +166,50 @@ def test_the_package_reads_a_states_w_and_never_restacks_it():
     assert not defined & gone
 
 
+def _derive_calls() -> set[tuple[str, str]]:
+    """(`module.Class.function`, key) of every `.derive(key, ...)` call in
+    the package."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "derive"):
+                found.add((scope, ast.literal_eval(child.args[0])))
+            visit(child, scope)
+
+    for path in Path(hatalloc.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_holder_for_what_a_scenario_derives():
+    """What is built once from a scenario is held only by `Scenario.derive`:
+    one caller per held key, besides the generator's `_scenario`, which
+    gives a draw's scenario its row of the draw block as its stack. No
+    other scope names the held dict."""
+    assert _derive_calls() == {
+        ("model.Scenario.stacked", "stacked"),
+        ("experiments._scenario", "stacked"),
+        ("oracle.reduction", "reduction"),
+        ("reformulation.decoupled_blocks", "decoupled"),
+        ("dynamics.FlowEngine.folded", "fold"),
+    }
+    assert _referrers("derive") == {scope for scope, _ in _derive_calls()}
+    assert _referrers("_derived") == {"model.Scenario.with_solver", "model.Scenario.derive"}
+    package = Path(hatalloc.__file__).parent  # `__post_init__` sets it by its name
+    assert [p.stem for p in package.glob("*.py") if "_derived" in p.read_text()] == ["model"]
+
+
+def test_one_builder_of_the_flow_operator():
+    """Only `dynamics.fold` reads the lift's nonzeros: M has one builder,
+    which the flow's engine and the generator's margin checks both read."""
+    assert _referrers("lift_entries") == {"dynamics.fold"}
+
+
 def test_only_the_screen_inverts_matrices():
     """`np.linalg.inv` is called only in `experiments._inverse`, so every
     inverse the generator's screen reads has passed its SCREEN_MAX_COND

@@ -270,7 +270,7 @@ class TestRunExperiment:
         dynamics.integrate(scenario.with_solver(tolerance=0.0, max_time=0.2), dc=dc)
         dynamics.kkt_residual(scenario, dc, final)
         assert [name for name, _, _ in log] == [
-            "reduce_stacked", "folded_offset", "fold", "folded_offset"]
+            "reduce_stacked", "fold", "folded_offset", "folded_offset"]
 
     def test_risk_grid_stacks_each_cell_once(self, tmp_path, monkeypatch):
         """Each attitude cell of the grid is stacked, decoupled and reduced
@@ -590,6 +590,23 @@ class TestScenarioFormatErrors:
         assert "Traceback" not in err and "OverflowError" not in err
         with pytest.raises(ScenarioFormatError):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("solver, flags", [
+        ({"dt": 1e-320}, []),
+        ({}, ["--max-time", "1e300", "--dt", "1e-300"]),
+    ], ids=["file", "flags"])
+    def test_a_horizon_of_infinitely_many_steps_is_usage_error(self, tmp_path, capsys,
+                                                                solver, flags):
+        """A max_time / dt that no float holds, in the file or from the
+        flags, exits 1 with an error line, not an `OverflowError`."""
+        doc = serialize_scenario(path_scenario())
+        doc["solver"].update(solver)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver options: max_time / dt must be finite")
+        assert "Traceback" not in err and "OverflowError" not in err
 
     def test_schedule_without_base_delta_runs(self, tmp_path, capsys):
         doc = serialize_scenario(path_scenario())

@@ -19,6 +19,7 @@ from hatalloc.errors import (
     NotPositiveDefiniteError,
     ScenarioFormatError,
 )
+from hatalloc.dynamics import initial_state
 from hatalloc.experiments import random_scenario
 from hatalloc.human import ApproximationSchedule
 from hatalloc.model import (
@@ -386,6 +387,23 @@ class TestRoundTrip:
         text = json.dumps(serialize_scenario(scenario), indent=2) + "\n"
         assert path.read_bytes() == text.encode("utf-8")
 
+    def test_numpy_initial_state_saves_as_lists_of_floats(self, tmp_path):
+        """A scenario built in code with numpy vectors (and an integer list)
+        in `initial_state` saves each vector as a list of floats, and the
+        loaded copy starts from the same w, byte for byte."""
+        start = {"x": {"a1": np.array([0.7, -0.0]), "a2": [1, 2]},
+                 "z": {"k1": np.array([1e-300, -2.5])},
+                 "lambda": {"a2": np.array([0.2, 0.0])}}
+        scenario = replace(path_scenario(), initial_state=start)
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        saved = json.loads(path.read_text())["initial_state"]
+        assert saved["x"] == {"a1": [0.7, -0.0], "a2": [1.0, 2.0]}
+        assert all(type(v) is float for blocks in saved.values()
+                   for vec in blocks.values() for v in vec)
+        again = load_scenario(str(path))
+        assert initial_state(again).w.tobytes() == initial_state(scenario).w.tobytes()
+
 
 class TestSolverOptions:
     def test_defaults(self):
@@ -401,6 +419,15 @@ class TestSolverOptions:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             SolverOptions(dt=0.0)
+
+    @pytest.mark.parametrize("opts", [
+        dict(dt=1e-320), dict(max_time=1e300, dt=1e-300),
+        dict(max_time=1e300, dt=1e-8),  # finite at dt, not at the retry's dt / 2
+        dict(max_time=1e-320, dt=5e-324),  # dt / 2 rounds to zero
+    ])
+    def test_rejects_a_horizon_of_infinitely_many_steps(self, opts):
+        with pytest.raises(ValueError, match="max_time / dt must be finite"):
+            SolverOptions(**opts)
 
     def test_unknown_solver_key_in_document(self):
         doc = dict(MINIMAL_DOC)
@@ -433,8 +460,6 @@ class TestSlaterFlag:
 
 class TestOffsets:
     def test_random_scenarios_have_consistent_offsets(self):
-        from hatalloc.experiments import random_scenario
-
         for seed in range(6):
             scenario = random_scenario(seed)
             lay = scenario.layout

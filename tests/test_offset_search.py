@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hatalloc import experiments, model, oracle
-from hatalloc.dynamics import FlowEngine, dense_operator, folded_matrix
+from hatalloc.dynamics import FlowEngine
 from hatalloc.errors import HatallocError, NoAdmissibleInstanceError, UnsupportedByOracleError
 from hatalloc.experiments import (
     BUDGET_FRACTIONS,
@@ -381,17 +381,6 @@ def test_the_cells_of_a_draw_share_their_hessian(generation):
         for reduced in run.reductions:
             bits = reduced.H.view(np.int64)
             assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
-
-
-def test_margin_checks_read_the_scattered_fold(generation):
-    """Every margin check of team 1-9 and crosscheck 1-30 builds its dense M
-    with `folded_matrix`, which is the reference fold scattered by
-    `dense_operator`, byte for byte, signed zeros included."""
-    runs = [*generation.team.values(), *generation.crosscheck.values()]
-    checks = [args for run in runs for args in run.margins]
-    assert sum(len(run.margins) for run in generation.team.values()) == 283
-    for rp, dc, _ in checks:
-        assert folded_matrix(rp, dc).tobytes() == dense_operator(reference_fold(rp, dc)).tobytes()
 
 
 def test_stacked_generation_matches_the_one_cell_references(generation):

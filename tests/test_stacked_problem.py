@@ -230,36 +230,38 @@ REBUILDING = {
     *[pytest.param(change, False, id=name) for name, change in REBUILDING.items()],
 ])
 def test_which_copies_share_the_stack(change, shares):
-    """Once a scenario's stack is built, a `with_solver` copy (one per
-    solver option) holds that stack itself, since `stack_problem` does not
-    read the solver options; every other copy, a new offset c too, builds
-    its own. Either way the copy's stack is, byte for byte, the one
-    `stack_problem` lays out from the copy's own fields. The same copies
-    share the scenario's reduction and the triplets of its folded M, which
-    the engine of any `build_decoupled` of the copy reads; the others reduce
-    and fold their own. Either way they equal, byte for byte, a fresh
-    reduction of the copy's stack and the reference fold of it."""
-    base = team_scenario(1)
+    """A `with_solver` copy (one per solver option) shares the scenario's
+    stack, since `stack_problem` does not read the solver options, whether
+    the copy is made before or after the stack is built; every other copy,
+    a new offset c too, builds its own. Either way the copy's stack is, byte
+    for byte, the one `stack_problem` lays out from the copy's own fields.
+    The same copies share the scenario's reduction and the triplets of its
+    folded M, which the engine of any `build_decoupled` of the copy reads;
+    the others reduce and fold their own. Either way they equal, byte for
+    byte, a fresh reduction of the copy's stack and the reference fold of
+    it."""
+    base = replace(team_scenario(1))
+    early = change(base)  # made before anything is built
     built = base.stacked
     rp = reduction(base)
     held = FlowEngine(base, build_decoupled(base)).folded()
-    copy = change(base)
-    assert (copy.stacked is built) == shares
-    fresh = stack_problem(copy)
-    for f in fields(StackedProblem):
-        assert getattr(copy.stacked, f.name).tobytes() == getattr(fresh, f.name).tobytes()
+    for copy in (early, change(base)):
+        assert (copy.stacked is built) == shares
+        fresh = stack_problem(copy)
+        for f in fields(StackedProblem):
+            assert getattr(copy.stacked, f.name).tobytes() == getattr(fresh, f.name).tobytes()
 
-    assert (reduction(copy) is rp) == shares
-    fresh = reduce_stacked(copy.stacked, copy.constraint.c)
-    for f in fields(ReducedProgram):
-        if not f.name.startswith("_"):
-            got = np.asarray(getattr(reduction(copy), f.name))
-            assert got.tobytes() == np.asarray(getattr(fresh, f.name)).tobytes()
-    dc = build_decoupled(copy)
-    folded = FlowEngine(copy, dc).folded()
-    assert [a is b for a, b in zip(folded[:3], held[:3])] == [shares] * 3
-    for got, expected in zip(folded, reference_fold(fresh, dc)):
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert (reduction(copy) is rp) == shares
+        fresh = reduce_stacked(copy.stacked, copy.constraint.c)
+        for f in fields(ReducedProgram):
+            if not f.name.startswith("_"):
+                got = np.asarray(getattr(reduction(copy), f.name))
+                assert got.tobytes() == np.asarray(getattr(fresh, f.name)).tobytes()
+        dc = build_decoupled(copy)
+        folded = FlowEngine(copy, dc).folded()
+        assert [a is b for a, b in zip(folded[:3], held[:3])] == [shares] * 3
+        for got, expected in zip(folded, reference_fold(fresh, dc)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_an_offset_split_copy_shares_m_and_takes_its_own_b():
@@ -278,16 +280,23 @@ def test_an_offset_split_copy_shares_m_and_takes_its_own_b():
 def test_an_engine_with_other_blocks_folds_its_own():
     """An engine whose decoupled constraint holds blocks other than the
     scenario's folds its own M from them, the reference fold's bytes, and
-    leaves the scenario's held M as it was."""
-    base = team_scenario(1)
+    holds nothing: folding first, it leaves the scenario's M to the first
+    engine with the scenario's own blocks, whose triplets every later such
+    engine shares."""
+    base = replace(team_scenario(1))
     dc = build_decoupled(base)
-    held = FlowEngine(base, dc).folded()
-    for other in (replace(dc, a_bar=dc.a_bar.copy()), replace(dc, laplacian=2.0 * dc.laplacian)):
-        folded = FlowEngine(base, other).folded()
-        assert not any(a is b for a, b in zip(folded[:3], held[:3]))
+    others = [replace(dc, a_bar=dc.a_bar.copy()), replace(dc, laplacian=2.0 * dc.laplacian)]
+    folds = [FlowEngine(base, other).folded() for other in others]
+    for folded, other in zip(folds, others):
         for got, expected in zip(folded, reference_fold(reduction(base), other)):
             assert got.tobytes() == expected.tobytes()
-    assert all(a is b for a, b in zip(FlowEngine(base, dc).folded()[:3], held[:3]))
+    held = FlowEngine(base, dc).folded()
+    for folded in folds:
+        assert not any(a is b for a, b in zip(folded[:3], held[:3]))
+    again = FlowEngine(base, build_decoupled(base)).folded()
+    assert all(a is b for a, b in zip(again[:3], held[:3]))
+    for got, expected in zip(held, reference_fold(reduction(base), dc)):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_a_dropped_scenario_frees_its_reduction_and_fold():
