@@ -32,7 +32,6 @@ from .human import (
 )
 from .metrics import (
     TrajectoryRecord,
-    TrajectorySample,
     WorkloadReport,
     saddle_distance,
     squared_deviation,
@@ -86,7 +85,6 @@ __all__ = [
     "SolverOptions",
     "SystemState",
     "TrajectoryRecord",
-    "TrajectorySample",
     "WorkloadReport",
     "agent_round",
     "attitude_preset",

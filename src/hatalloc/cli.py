@@ -121,7 +121,7 @@ def _cmd_run(args) -> int:
         args.scenario, seed=args.seed, out_dir=args.out, opts=opts or None,
         reference=args.reference == "oracle",
     )
-    print(json.dumps(result.summary, indent=2))
+    print(json.dumps(result.summary, indent=2, allow_nan=False))
     for name, path in result.artifacts.items():
         print(f"{name}: {path}", file=sys.stderr)
     return result.exit_code

@@ -75,8 +75,10 @@ The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
 and the sparse operator are held to it, and both velocities give the same
 trajectory to roundoff. The states at the sampled steps are kept during the
-run and evaluated SAMPLE_BLOCK at a time in one stacked pass each; the
-state-level functions in `metrics` are the reference the samples agree with.
+run and evaluated SAMPLE_BLOCK at a time in one stacked pass each, a block
+of `trajectory.csv`'s columns; the blocks are joined once at the end into
+the record's `samples`, one record array. The state-level functions in
+`metrics` are the reference the samples agree with.
 """
 
 from __future__ import annotations
@@ -620,15 +622,16 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
         v_now = v_initial = 0.5 * float(scratch @ scratch)
         v_max_inc = -math.inf
 
-    # (step, state, saddle distance) of the samples not yet evaluated.
-    samples, pending = [], []
+    # The evaluated blocks of samples, each (header, table), and (step,
+    # state, saddle distance) of the samples not yet evaluated.
+    blocks, pending = [], []
     caller = np.geterr()  # the samples are evaluated under the caller's settings
 
     def keep(step, state, dist):
         pending.append((step, state.copy(), dist))
         if len(pending) == SAMPLE_BLOCK:
             with np.errstate(**caller):
-                samples.extend(_samples(engine, pending, dt, reference))
+                blocks.append(_samples(engine, pending, dt, reference))
             pending.clear()
 
     keep(0, w, v_now)
@@ -709,12 +712,17 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
                 break
 
     if pending:
-        samples.extend(_samples(engine, pending, dt, reference))
+        blocks.append(_samples(engine, pending, dt, reference))
+    # Every field is a float64, so the C-ordered (samples, fields) table is
+    # viewed as records, with no field-by-field copy; a record array's rows
+    # have attribute access.
+    names = blocks[0][0]
+    fields = np.dtype({"names": names, "formats": [float] * len(names)})
+    table = np.concatenate([block for _, block in blocks])
     t = k * dt
     final = SystemState(lay, w.copy(), t)
     record = metrics.TrajectoryRecord(
-        agent_order=lay.node_order,
-        samples=samples,
+        samples=table.view(fields)[:, 0].view(np.recarray),
         termination=termination,
         final_t=t,
         steps=k,
@@ -733,53 +741,47 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
 
 
 def _samples(engine, sampled, dt, reference):
-    """The trajectory samples of (step, stacked state, saddle distance)
-    triples, evaluated in one stacked pass over the sampled states."""
+    """The rows of `TrajectoryRecord.samples` for (step, stacked state,
+    saddle distance) triples, evaluated in one stacked pass over the sampled
+    states: (`trajectory.csv`'s header, a float table with a row per state
+    and a column per header name), `saddle_dist` when the distances are not
+    None."""
     lay = engine.layout
     steps, states, dists = zip(*sampled)
-    ts = [s * dt for s in steps]
+    ts = np.array(steps) * dt
     X, Z, L = lay.parts(np.stack(states))
     sp, dc = engine.stacked, engine.dc
     pre = X @ sp.S.T + sp.d
-    for i in np.flatnonzero(np.asarray(ts) < engine._settle_time):
+    for i in np.flatnonzero(ts < engine._settle_time):
         S, d = engine._params(ts[i])  # a schedule still settling
         pre[i] = S @ X[i] + d
     Y = engine._activate(pre)
 
-    deviation = [None] * len(ts)
+    columns = {"t": ts}
     if reference is not None:
         dX = X - np.asarray(reference[0], float)
         dY = Y - np.asarray(reference[1], float)
-        deviation = (np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", dY, dY)).tolist()
+        columns["deviation"] = np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", dY, dY)
+    if dists[0] is not None:
+        columns["saddle_dist"] = np.array(dists)
     if engine._quadratic:
         objective = (np.einsum("ij,ij->i", X @ sp.x_weight.T, X)
                      + np.einsum("ij,ij->i", Y @ sp.y_weight.T, Y))
     else:
         objective = np.array([engine.objective_value(x, y) for x, y in zip(X, Y)])
     gap = np.concatenate([X @ dc.a_bar.T, Y @ dc.b_bar.T], axis=1) + dc.lift_apply(Z) + dc.c_split
-    lagrangian = objective + np.einsum("ij,ij->i", L, gap)
-    coupled = (X @ sp.a_cat.T + Y @ sp.b_cat.T + engine.scenario.constraint.c).max(axis=1)
-    min_lam = L.min(axis=1)
-    # Per-agent 1-norms: every block is nonempty, so reduceat sums each one.
-    loads = np.concatenate([
+    columns["max_coupled_residual"] = (
+        X @ sp.a_cat.T + Y @ sp.b_cat.T + engine.scenario.constraint.c).max(axis=1)
+    columns["min_multiplier"] = L.min(axis=1)
+    columns["lagrangian"] = objective + np.einsum("ij,ij->i", L, gap)
+    names = [*columns, *(f"workload_{a}" for a in lay.node_order)]
+    # The per-agent 1-norms follow: every block is nonempty, so reduceat sums
+    # each one.
+    return names, np.concatenate([
+        np.column_stack([*columns.values()]),
         np.add.reduceat(np.abs(X), [*lay.x_offsets.values()], axis=1),
         np.add.reduceat(np.abs(Y), [*lay.y_offsets.values()], axis=1),
-    ], axis=1).tolist()
-    agents = (*lay.autonomous_ids, *lay.human_ids)
-    return [
-        metrics.TrajectorySample(
-            t=t,
-            deviation=dev,
-            saddle_dist=dist,
-            max_coupled_residual=res,
-            min_multiplier=low,
-            lagrangian=value,
-            workloads=dict(zip(agents, row)),
-        )
-        for t, dev, dist, res, low, value, row in zip(
-            ts, deviation, dists, coupled.tolist(), min_lam.tolist(),
-            lagrangian.tolist(), loads)
-    ]
+    ], axis=1)
 
 
 GRADIENT_CHECK_STEP = 1e-6

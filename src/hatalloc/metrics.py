@@ -4,7 +4,8 @@
 every agent's state (human responses included) from a reference allocation.
 `saddle_distance` is the half squared distance to a reference saddle point,
 the quantity that is nonincreasing along the flow. Workloads are 1-norms of
-the state blocks.
+the state blocks. `TrajectoryRecord.samples` is the table `trajectory.csv`
+writes, one record array with a row per sampled step.
 
 `saddle_distance` subtracts the reference from slices of the state's w. The
 other two keep per-agent arithmetic, on the blocks (views into w) and on
@@ -95,17 +96,6 @@ def csv_table(header, rows) -> str:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    max_coupled_residual: float
-    min_multiplier: float
-    lagrangian: float
-    workloads: dict[str, float]
-    deviation: float | None = None
-    saddle_dist: float | None = None
-
-
-@dataclass(frozen=True)
 class FailedAttempt:
     """A run that diverged before the integrator retried at half the step."""
 
@@ -117,6 +107,14 @@ class FailedAttempt:
 @dataclass
 class TrajectoryRecord:
     """Sampled run history plus termination bookkeeping.
+
+    `samples` is one record array with a row per sampled step, whose field
+    names are `trajectory.csv`'s header: `t`, then `deviation` and
+    `saddle_dist` when a reference and a saddle were tracked,
+    `max_coupled_residual`, `min_multiplier`, `lagrangian`, and
+    `workload_<id>` (the 1-norm of each agent's block, human responses
+    included) in the layout's node order. `to_csv` writes its rows as they
+    are; `samples[-1].deviation` reads the last row's field.
 
     When a reference saddle was supplied, the half squared distance to it is
     additionally tracked at every integrator step; `v_max_step_increase` is
@@ -132,8 +130,7 @@ class TrajectoryRecord:
     `propagator_builds` counts the dense propagators built.
     """
 
-    agent_order: tuple[str, ...]
-    samples: list[TrajectorySample]
+    samples: np.recarray
     termination: str
     final_t: float
     steps: int
@@ -149,22 +146,8 @@ class TrajectoryRecord:
     rejected_chunks: int = 0
     propagator_builds: int = 0
 
-    @property
-    def has_deviation(self) -> bool:
-        return bool(self.samples) and self.samples[0].deviation is not None
-
-    @property
-    def has_saddle(self) -> bool:
-        return bool(self.samples) and self.samples[0].saddle_dist is not None
-
     def to_csv(self) -> str:
-        tracked = [c for c, on in (("deviation", self.has_deviation),
-                                   ("saddle_dist", self.has_saddle)) if on]
-        # Every column but the workloads is the sample field of its name.
-        cols = ["t", *tracked, "max_coupled_residual", "min_multiplier", "lagrangian"]
-        rows = ([*(getattr(s, c) for c in cols), *(s.workloads[a] for a in self.agent_order)]
-                for s in self.samples)
-        return csv_table([*cols, *(f"workload_{a}" for a in self.agent_order)], rows)
+        return csv_table(self.samples.dtype.names, self.samples.tolist())
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -123,12 +123,6 @@ class ReducedProgram:
                               G_c=self.G_c[i], h_c=self.h_c[i], S=self.S[i], d=self.d[i],
                               b_d=self.b_d[i])
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.H @ x + self.g @ x + self.const)
-
-    def constraint(self, x: np.ndarray) -> np.ndarray:
-        return self.G_c @ x + self.h_c
-
 
 def reduce_program(scenario: Scenario) -> ReducedProgram:
     """Eliminate the human states, leaving a QP in the autonomous states:

@@ -14,15 +14,14 @@ which imports nothing from here.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .dynamics import FlowEngine, integrate, kkt_residual
 from .errors import DivergenceError, UnsupportedByOracleError
 from .experiments import CONTRAST_CELLS, attitude_cells, grid_contrasts, team_scenario
-from .metrics import FailedAttempt, TrajectoryRecord, csv_table, workload_report
+from .metrics import TrajectoryRecord, csv_table, workload_report
 from .model import Scenario, save_scenario
 from .oracle import lift_to_saddle, load_scenario, solve_centralized
 from .reformulation import build_decoupled
@@ -43,17 +42,24 @@ def default_output_dir() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, "hatalloc-out")
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _strict(value):
+    """`value` with every float that is not finite (an infinity or NaN, which
+    strict JSON cannot hold) replaced by None, in dicts and lists too."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_summary(path: str, summary: dict) -> dict:
+    """Write `summary` as strict JSON, each non-finite float as null, and
+    return what was written, the summary a caller prints."""
+    summary = _strict(summary)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(summary, handle, indent=2, allow_nan=False)
         handle.write("\n")
-
-
-def _attempt(failed: FailedAttempt) -> dict:
-    """A diverged attempt as JSON, which has no infinity: `max_entry` is null
-    when no entry of the block stayed finite."""
-    return {**asdict(failed),
-            "max_entry": failed.max_entry if np.isfinite(failed.max_entry) else None}
+    return summary
 
 
 def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
@@ -62,8 +68,6 @@ def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
     size it finished with, its last update norm against the tolerance, and
     the attempt that diverged before a `dt` halving."""
     failed = record.failed_attempt
-    if failed is not None:
-        failed = _attempt(failed)
     return {
         "termination": record.termination,
         "final_t": record.final_t,
@@ -75,7 +79,7 @@ def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
         "dt": record.dt,
         "final_update_norm": record.final_update_norm,
         "tolerance": tolerance,
-        "failed_attempt": failed,
+        "failed_attempt": None if failed is None else asdict(failed),
     }
 
 
@@ -103,8 +107,8 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
     try:
         final, record = integrate(scenario, dc=dc, **tracking)
     except DivergenceError as exc:
-        summary.update(termination="diverged", attempts=[_attempt(a) for a in exc.attempts])
-        _write_json(summary_path, summary)
+        summary.update(termination="diverged", attempts=[asdict(a) for a in exc.attempts])
+        _write_summary(summary_path, summary)
         raise
 
     table_path = os.path.join(out_dir, "trajectory.csv")
@@ -119,7 +123,7 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
             "oracle_value": value,
         })
     summary["kkt"] = asdict(kkt_residual(scenario, dc, final))
-    _write_json(summary_path, summary)
+    summary = _write_summary(summary_path, summary)
     converged = not tracking or record.samples[-1].deviation <= 1e-6
     return ExperimentResult(
         exit_code=0 if converged else 2,
@@ -180,7 +184,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
     summary = {"preset": "fig5_risk_grid", "seed": seed, **grid_contrasts(totals),
                "contrast_unconverged_cells": _unconverged_cells(terminations), "cells": cells}
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
-    _write_json(summary_path, summary)
+    summary = _write_summary(summary_path, summary)
     return ExperimentResult(
         exit_code=0,
         summary=summary,

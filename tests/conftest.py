@@ -408,6 +408,16 @@ def scaled_scenario(tightened, s):
     return replace(tightened, constraint=replace(con, c=con.c * s), human_models=models)
 
 
+def reduced_objective(rp, x):
+    """The reduced program's objective 0.5 x^T H x + g^T x + const at x."""
+    return float(0.5 * x @ rp.H @ x + rp.g @ x + rp.const)
+
+
+def reduced_constraint(rp, x):
+    """The reduced program's row levels G_c x + h_c at x."""
+    return rp.G_c @ x + rp.h_c
+
+
 def reference_cell_admissible(rp):
     """Whether one cell's program is admissible at its offset: solvable,
     with multipliers above 1e-2, nonnegative responses and an interior."""
@@ -437,7 +447,7 @@ def reference_offset_search(cells, passes, tally):
         except HatallocError:
             return None
         # Row levels as G_c x + h_c - c: the float ops of a scenario reduced at c.
-        productions.append(-(probe.constraint(x0) - slack_c)[1])
+        productions.append(-(reduced_constraint(probe, x0) - slack_c)[1])
     for demand, probes in zip(experiments._demands(max(productions)), passes):
         if not probes.any():
             continue
@@ -454,7 +464,7 @@ def reference_offset_search(cells, passes, tally):
             if mu1[1] <= 1e-2:
                 usages = None
                 break
-            usages.append((probe.constraint(x1) - c_demand)[0])
+            usages.append((reduced_constraint(probe, x1) - c_demand)[0])
         if usages is None or min(usages) <= 0.05:
             continue
         for theta, screened_in in zip(experiments.BUDGET_FRACTIONS, probes):

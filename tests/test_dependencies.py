@@ -166,6 +166,18 @@ def test_the_package_reads_a_states_w_and_never_restacks_it():
     assert not defined & gone
 
 
+def test_the_samples_are_one_table():
+    """A record's samples are one record array whose field names are
+    `trajectory.csv`'s header: no per-sample class, per-agent workload dict
+    or header bookkeeping is defined or named in the package."""
+    gone = {"TrajectorySample", "workloads", "agent_order", "has_deviation", "has_saddle"}
+    assert not set().union(*map(_referrers, gone))
+    defined = {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & gone
+
+
 def _derive_calls() -> set[tuple[str, str]]:
     """(`module.Class.function`, key) of every `.derive(key, ...)` call in
     the package."""
@@ -226,8 +238,9 @@ TEST_ONLY = {
 
 def _unnamed_functions(named_in) -> set[str]:
     """`module.Class.function` of every function, method or property of the
-    package (no dunder) whose name is not in `named_in(tree)`, `tree` being
-    its module's syntax tree."""
+    package (no dunder) whose name is not among those `named_in(tree)` gives
+    for it, `tree` being its module's syntax tree: `named_in` returns (the
+    names that count for a function, those that count for a method)."""
     unnamed = set()
 
     def visit(node, scope, named):
@@ -235,7 +248,7 @@ def _unnamed_functions(named_in) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualified = f"{scope}.{child.name}"
                 if (not isinstance(child, ast.ClassDef) and not child.name.endswith("__")
-                        and child.name not in named):
+                        and child.name not in named[isinstance(node, ast.ClassDef)]):
                     unnamed.add(qualified)
                 visit(child, qualified, named)
             else:
@@ -256,21 +269,28 @@ def _names(tree) -> set[str]:
     return {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
 
 
+def _attributes(tree) -> set[str]:
+    """Every name in `tree` that is reached as an attribute (`.name`)."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_every_private_function_is_named_in_its_module():
     """A function or method whose name has a leading underscore (and is no
     dunder) is named by code of its own module, bare or as an attribute:
     code that only tests reach lives in the tests, except for `TEST_ONLY`."""
-    unnamed = _unnamed_functions(_names)
+    unnamed = _unnamed_functions(lambda tree: (_names(tree),) * 2)
     assert set(filter(_private, unnamed)) == set(filter(_private, TEST_ONLY))
 
 
 def test_every_function_is_named_outside_the_tests():
-    """Every function, method or property is named by code of the package
-    (its re-exports in `__init__` aside), by `bench/` or by README's quick
-    start: what only tests reach lives in the tests, except for `TEST_ONLY`."""
+    """Every function is named, and every method or property reached as an
+    attribute (`.name`), by code of the package (its re-exports in
+    `__init__` aside), by `bench/` or by README's quick start: what only
+    tests reach lives in the tests, except for `TEST_ONLY`."""
     package = Path(hatalloc.__file__).parent
-    named = _names(ast.parse(quick_start_block()))
+    trees = [ast.parse(quick_start_block())]
     for path in [*package.glob("*.py"), *(package.parents[1] / "bench").glob("*.py")]:
         if path.name != "__init__.py":
-            named |= _names(ast.parse(path.read_text()))
+            trees.append(ast.parse(path.read_text()))
+    named = set().union(*map(_names, trees)), set().union(*map(_attributes, trees))
     assert _unnamed_functions(lambda tree: named) == set(TEST_ONLY)

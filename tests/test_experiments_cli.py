@@ -645,6 +645,16 @@ def _overflowing_gains(doc):
     block[:] = [[v * 1e160 for v in row] for row in block]
 
 
+def _scaled_row_r3(doc):
+    doc["constraint"]["a_blocks"]["r3"] = [[v * 1e9 for v in row]
+                                           for row in doc["constraint"]["a_blocks"]["r3"]]
+    doc["solver"]["max_time"] = 0.05
+
+
+def _refuse(token):
+    raise AssertionError(f"{token} is not strict JSON")
+
+
 def _edited_team_file(tmp_path, edit):
     """`team_scenario(1)` saved with `edit` applied to its document."""
     path = tmp_path / f"{edit.__name__}.json"
@@ -736,9 +746,30 @@ class TestRunOutputs:
         for attempt in summary["attempts"]:
             assert attempt["t"] > 0 and attempt["max_entry"] > 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("reference, code", [("oracle", 2), ("none", 0)])
+    def test_summary_of_an_overflowing_run_is_strict_json(self, tmp_path, capsys,
+                                                          reference, code):
+        """r3's constraint row scaled by 1e9 overflows the flow within 0.05
+        time units without diverging: the update norm, the deviation, the
+        saddle distances and the complementary slackness are not finite.
+        The summary writes each as null, and prints the bytes it writes."""
+        out = tmp_path / "o"
+        assert main(["run", str(_edited_team_file(tmp_path, _scaled_row_r3)), "--out", str(out),
+                     "--reference", reference]) == code
+        printed, written = capsys.readouterr().out, (out / "summary.json").read_text()
+        assert printed == written
+        summary = json.loads(written, parse_constant=_refuse)
+        assert summary["final_update_norm"] is None
+        assert summary["kkt"]["comp_slack"] is None
+        if reference == "oracle":
+            assert summary["final_deviation"] is None
+            assert summary["saddle_dist_final"] is None
+
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
-        saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
+        saved = json.loads((tmp_path / "risk_grid_summary.json").read_text(),
+                           parse_constant=_refuse)
         assert len(saved["cells"]) == 4
         for cell in saved["cells"].values():
             assert (cell["termination"], cell["steps"]) == ("max_time", 500)
@@ -800,7 +831,7 @@ class TestPresetRun:
         code = main(["run", "fig4_convergence", "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = json.loads(capsys.readouterr().out, parse_constant=_refuse)
         assert summary["final_deviation"] <= 1e-6
         # After the clamp pattern settles, the run goes in propagated chunks.
         steps = summary["steps"]

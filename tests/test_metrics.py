@@ -120,6 +120,7 @@ class TestTrajectoryRecord:
                               "max_coupled_residual", "min_multiplier",
                               "lagrangian"]
         assert header[6:] == [f"workload_{a}" for a in scenario.layout.node_order]
+        assert list(rec1.samples.dtype.names) == header
 
     def test_reference_free_record_omits_columns(self, path_team):
         scenario = path_team.with_solver(max_time=0.2)
@@ -127,6 +128,7 @@ class TestTrajectoryRecord:
         header = rec.to_csv().splitlines()[0].split(",")
         assert "deviation" not in header
         assert "saddle_dist" not in header
+        assert list(rec.samples.dtype.names) == header
 
     def test_final_sample_matches_returned_state(self):
         # The sample is computed on the stacked state; the state-level API
@@ -147,9 +149,10 @@ class TestTrajectoryRecord:
             assert abs(last.saddle_dist - saddle_distance(scenario, final, saddle)) <= 1e-12
             assert abs(last.lagrangian - resummed_lagrangian(scenario, dc, final)) <= 1e-12
             report = workload_report(scenario, final)
-            assert list(last.workloads) == list(report.by_agent)
+            loads = [name for name in rec.samples.dtype.names if name.startswith("workload_")]
+            assert loads == [f"workload_{a}" for a in report.by_agent]
             for agent, value in report.by_agent.items():
-                assert abs(last.workloads[agent] - value) <= 1e-12
+                assert abs(last[f"workload_{agent}"] - value) <= 1e-12
             y = lay.stack_y({
                 k: scenario.human_response(k, final.x, final.t)
                 for k in lay.human_ids
@@ -179,6 +182,6 @@ class TestTrajectoryRecord:
             _, short = integrate(scenario.with_solver(max_time=steps * dt))
             a, b = rec.samples[steps], short.samples[-1]
             assert a.t == b.t
-            for key in ("max_coupled_residual", "min_multiplier", "lagrangian"):
-                assert abs(getattr(a, key) - getattr(b, key)) <= 1e-12
-            assert a.workloads == pytest.approx(b.workloads, rel=0, abs=1e-12)
+            for key in ("max_coupled_residual", "min_multiplier", "lagrangian",
+                        *(f"workload_{a}" for a in lay.node_order)):
+                assert abs(a[key] - b[key]) <= 1e-12

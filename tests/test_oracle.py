@@ -38,7 +38,7 @@ from hatalloc.oracle import (
 )
 from hatalloc.dynamics import FlowEngine
 
-from conftest import path_scenario, single_agent_scenario
+from conftest import path_scenario, reduced_constraint, reduced_objective, single_agent_scenario
 
 
 class TestReduce:
@@ -69,7 +69,7 @@ class TestReduce:
             x = rng.normal(size=path_team.layout.x_dim)
             y, _ = engine.response(x, 0.0)
             direct = engine.objective_value(x, y)
-            assert rp.objective(x) == pytest.approx(direct, abs=1e-10)
+            assert reduced_objective(rp, x) == pytest.approx(direct, abs=1e-10)
 
     def test_softplus_rejected(self):
         scenario = path_scenario(family="softplus_affine")
@@ -128,10 +128,10 @@ class TestSolve:
             direction = rng.normal(size=x_star.shape[0])
             direction /= np.linalg.norm(direction)
             candidate = x_star + 1e-3 * direction
-            if np.max(rp.constraint(candidate)) > 0:
+            if np.max(reduced_constraint(rp, candidate)) > 0:
                 continue
             accepted += 1
-            assert rp.objective(candidate) >= value - 1e-9
+            assert reduced_objective(rp, candidate) >= value - 1e-9
             if accepted >= 50:
                 break
         assert accepted >= 20
@@ -140,7 +140,7 @@ class TestSolve:
         x_star, _, mu_star, _ = solve_centralized(path_team)
         rp = reduce_program(path_team)
         assert np.all(mu_star >= 0.0)
-        assert abs(mu_star @ rp.constraint(x_star)) <= 1e-8
+        assert abs(mu_star @ reduced_constraint(rp, x_star)) <= 1e-8
 
     def test_convexity_holds_at_any_scale(self):
         """r1's cost weight scaled by 1e160: H stays positive definite, and
@@ -151,7 +151,7 @@ class TestSolve:
         rp = reduce_program(replace(base, costs=costs))
         x, _, mu, _ = solve_program(rp)
         assert np.isfinite(x).all() and (mu >= 0).all()
-        assert rp.constraint(x).max() <= 1e-9
+        assert reduced_constraint(rp, x).max() <= 1e-9
         unscaled = reduce_program(base)
         H = unscaled.H.copy()
         H[0, 0] = -H[0, 0]
@@ -176,7 +176,7 @@ def _reference_solve(rp):
         pass
     else:
         if not (rp.G_c @ x + rp.h_c).max() > ACCEPT_TOL:
-            return x, rp.S @ x + rp.d, np.zeros(r), rp.objective(x)
+            return x, rp.S @ x + rp.d, np.zeros(r), reduced_objective(rp, x)
     for size in range(1, r + 1):
         for active in map(list, combinations(range(r), size)):
             inactive = [j for j in range(r) if j not in active]
@@ -189,11 +189,11 @@ def _reference_solve(rp):
             x, mu_active = sol[:n], sol[n:]
             if (mu_active < -ACCEPT_TOL).any():
                 continue
-            if inactive and rp.constraint(x)[inactive].max() > ACCEPT_TOL:
+            if inactive and reduced_constraint(rp, x)[inactive].max() > ACCEPT_TOL:
                 continue
             mu = np.zeros(r)
             mu[active] = np.maximum(mu_active, 0.0)
-            return x, rp.S @ x + rp.d, mu, rp.objective(x)
+            return x, rp.S @ x + rp.d, mu, reduced_objective(rp, x)
     raise InfeasibleProblemError("no active set admissible")
 
 
@@ -319,7 +319,7 @@ class TestSlater:
         point = interior_point(reduce_program(path_team))
         assert point is not None
         rp = reduce_program(path_team)
-        assert np.max(rp.constraint(point)) < 0
+        assert np.max(reduced_constraint(rp, point)) < 0
 
     def test_assert_slater_raises_on_empty_interior(self):
         from dataclasses import replace
