@@ -26,10 +26,12 @@ order inside a wave cannot change the result.
 `DistributedRunner` runs all rounds of a sweep as one stacked wave kernel,
 bit for bit `agent_round`. Both waves read only pre-sweep z and lambda; the
 proxies respond once per sweep, at the fresh x and t + dt, which is the y
-the next sweep's gap needs. Each per-block product is one batched `np.matmul`
-per block shape (see `_apply`), and each neighbor sum one ordered
-`np.add.at`: the agent's own term, then its edge terms in `_consensus`'s
-neighbor order, the reference's accumulation order.
+the next sweep's gap needs. Each kind of block product (a batch list and a
+transpose flag) is a `_Product` the runner builds in `__init__` and holds:
+a call is one gather into its held buffer, one batched `np.matmul` per
+block shape into views of a second one, and one scatter. Each neighbor sum
+is one ordered `np.add.at`: the agent's own term, then its edge terms in
+`_consensus`'s neighbor order, the reference's accumulation order.
 
 The runner's state is its own read-only w = [x, z, lambda], read as the
 slices x, z and lambda: it starts from a copy of the given state's w, each
@@ -236,10 +238,11 @@ class DistributedRunner:
         pairs = [(node[a], node[b]) for a in lay.node_order for b in self._nbrs[a]]
         pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         self._recv, self._send = ((p[:, None] + np.arange(con.rows)).ravel() for p in pairs.T)
-        self._a = [_batch(g, con.a_blocks.get, node.get, xo.get)
-                   for g in _groups(lay.autonomous_ids, dims.get)]
-        self._b = [_batch(g, con.b_blocks.get, node.get, yo.get)
-                   for g in _groups(humans, dims.get)]
+        a = [_batch(g, con.a_blocks.get, node.get, xo.get)
+             for g in _groups(lay.autonomous_ids, dims.get)]
+        b = [_batch(g, con.b_blocks.get, node.get, yo.get) for g in _groups(humans, dims.get)]
+        self._ax, self._at_lam = _Product(a), _Product(a, transposed=True)
+        self._by, self._bt_lam = _Product(b), _Product(b, transposed=True)
         self._wx = _cost_blocks(lay.autonomous_ids, scenario.costs, xo, dims)
         self._wy = _cost_blocks(humans, scenario.costs, yo, dims)
 
@@ -254,13 +257,15 @@ class DistributedRunner:
         self._alpha = np.array([models[k].attitude for k, _ in edges for _ in range(dims[k])])
         groups = _groups(edges, lambda e: (dims[e[0]], dims[e[1]]))
         self._at = {e: (n, m) for n, group in enumerate(groups) for m, e in enumerate(group)}
-        self._gain = [_batch(g, lambda e: models[e[0]].gains[e[1]], term.get, lambda e: xo[e[1]])
-                      for g in groups]
-        self._jac = [_batch(g, lambda e: models[e[0]].attitude * models[e[0]].gains[e[1]],
-                            lambda e: yo[e[0]], cpl.get) for g in groups]
+        gain = [_batch(g, lambda e: models[e[0]].gains[e[1]], term.get, lambda e: xo[e[1]])
+                for g in groups]
+        jac = [_batch(g, lambda e: models[e[0]].attitude * models[e[0]].gains[e[1]],
+                      lambda e: yo[e[0]], cpl.get) for g in groups]
+        self._gain, self._jac = _Product(gain), _Product(jac, transposed=True)
+        self._jac_rows = [yk for _, yk, _ in jac]
         self._terms_at = np.zeros(self._alpha.size, dtype=np.intp)
         self._cpl_at = np.zeros(ends[-1], dtype=np.intp)
-        for (_, terms, xj), (_, yk, cpl_pos) in zip(self._gain, self._jac):
+        for (_, terms, xj), (_, yk, cpl_pos) in zip(gain, jac):
             self._terms_at[terms], self._cpl_at[cpl_pos] = yk, xj
         soft = [(yo[k] + n, models[k].sharpness) for k in humans for n in range(dims[k])
                 if models[k].family == SOFTPLUS_AFFINE]
@@ -281,28 +286,26 @@ class DistributedRunner:
     def _respond(self):
         """Every y_k and coupling term J_{k,j}^T (grad g_k(y_k) + B_k^T lambda_k)
         at the current state, computed as `_proxy_coupling` computes them."""
-        gain, jac, base, sc = self._gain, self._jac, self._base, self.scenario
+        gain, jac, base, sc = self._gain.mats, self._jac.mats, self._base, self.scenario
         live = [k for k, s in sc.schedules.items() if s.blend(self._t) != 0.0]
         if live:  # the blended parameters, from `effective_parameters` itself
-            gain = [(G.copy(), rows, cols) for G, rows, cols in gain]
-            jac = [(J.copy(), rows, cols) for J, rows, cols in jac]
-            base = base.copy()
+            gain, jac, base = [G.copy() for G in gain], [J.copy() for J in jac], base.copy()
             for k in live:
                 model, schedule = sc.human_models[k], sc.schedules[k]
                 gains, base[sc.layout.y_slice(k)] = effective_parameters(model, self._t, schedule)
                 for j in model.neighbor_ids:
                     n, m = self._at[k, j]
-                    gain[n][0][m], jac[n][0][m] = gains[j], model.attitude * gains[j]
+                    gain[n][m], jac[n][m] = gains[j], model.attitude * gains[j]
         pre = base.copy()
-        terms = _apply(gain, self._x, np.zeros(self._alpha.size))
+        terms = self._gain(self._x, np.zeros(self._alpha.size), gain)
         np.add.at(pre, self._terms_at, self._alpha * terms)
         y = pre
         if self._soft.size:
             u, y, sig = pre[self._soft], pre.copy(), np.ones(pre.size)
             y[self._soft], sig[self._soft] = softplus(u, self._beta), logistic(u, self._beta)
-            jac = [(sig[rows][..., None] * J, rows, cols) for J, rows, cols in jac]
-        w = _gradient(*self._wy, y) + _apply(self._b, self._lam, np.zeros(y.size), True)
-        return y, _apply(jac, w, np.zeros(self._cpl_at.size), True)
+            jac = [sig[rows][..., None] * J for J, rows in zip(jac, self._jac_rows)]
+        w = _gradient(*self._wy, y) + self._bt_lam(self._lam, np.zeros(y.size))
+        return y, self._jac(w, np.zeros(self._cpl_at.size), jac)
 
     @property
     def mailbox(self) -> dict[tuple[str, str], Message]:
@@ -322,9 +325,9 @@ class DistributedRunner:
     def sweep(self, dt: float) -> None:
         """One synchronous step of every agent (autonomous wave, human wave)."""
         x, z, lam, recv, send = self._x, self._z, self._lam, self._recv, self._send
-        dx = -(_gradient(*self._wx, x) + _apply(self._a, lam, np.zeros(x.size), True))
+        dx = -(_gradient(*self._wx, x) + self._at_lam(lam, np.zeros(x.size)))
         np.subtract.at(dx, self._cpl_at, self._cpl)
-        gap = _apply(self._b, self._y, _apply(self._a, x, np.zeros(z.size)))
+        gap = self._by(self._y, self._ax(x, np.zeros(z.size)))
         gap += self._c
         np.add.at(gap, recv, z[recv] - z[send])
         dz = np.zeros(z.size)
@@ -362,31 +365,62 @@ def _batch(members, block, row, col):
     return mats, at[:, :m], at[:, m:]
 
 
-def _apply(batches, v, out, transposed=False):
-    """out[rows_e] = M_e @ v[cols_e] for every block of every batch, or
-    out[cols_e] = M_e^T @ v[rows_e] if `transposed`. The transpose stays a
-    strided view, and the value objects store their blocks C-ordered: so each
-    item runs the BLAS call of `M @ v` or `M.T @ v` on one block, bit for bit."""
-    for mats, rows, cols in batches:
-        if transposed:
-            out[cols] = np.matmul(mats.transpose(0, 2, 1), v[rows][..., None])[..., 0]
-        else:
-            out[rows] = np.matmul(mats, v[cols][..., None])[..., 0]
-    return out
+class _Product:
+    """One kind of block product of a sweep, over the batches (M, rows, cols)
+    of `_batch`: out[rows_e] = M_e @ v[cols_e] for every block of every
+    batch, or out[cols_e] = M_e^T @ v[rows_e] if `transposed`.
+
+    Its plan is built once: one gather index over every batch, an input and
+    an output buffer with a view per batch, and one scatter index. A call
+    gathers v into the input buffer with one `take`, runs one batched
+    `np.matmul` per block shape into the output views, and scatters the
+    output with one assignment; the positions it writes are distinct. The
+    transpose stays a strided view, and the value objects store their blocks
+    C-ordered: so each item runs the BLAS call of `M @ v` or `M.T @ v` on one
+    block, bit for bit. `mats` holds the batches' blocks; a call may pass
+    other blocks of the same shapes (blended or scaled ones)."""
+
+    def __init__(self, batches, transposed=False):
+        self.mats = [mats for mats, _, _ in batches]
+        self._transposed = transposed
+        self._operands = self._operands_of(self.mats)
+        ends = [(rows, cols) if transposed else (cols, rows) for _, rows, cols in batches]
+        none = np.empty(0, dtype=np.intp)
+        self._gather = np.concatenate([none] + [src.ravel() for src, _ in ends])
+        self._scatter = np.concatenate([none] + [dst.ravel() for _, dst in ends])
+        self._in, self._out = np.empty(self._gather.size), np.empty(self._scatter.size)
+        # Batch e's (k, n) inputs and (k, m) outputs, as (k, n, 1) and (k, m, 1).
+        at_in = list(accumulate([src.size for src, _ in ends], initial=0))
+        at_out = list(accumulate([dst.size for _, dst in ends], initial=0))
+        self._views = [(self._in[at_in[e]:at_in[e + 1]].reshape(*src.shape, 1),
+                        self._out[at_out[e]:at_out[e + 1]].reshape(*dst.shape, 1))
+                       for e, (src, dst) in enumerate(ends)]
+
+    def _operands_of(self, mats):
+        return [M.transpose(0, 2, 1) for M in mats] if self._transposed else mats
+
+    def __call__(self, v, out, mats=None):
+        # Every index is in range: "clip" only spares `take` buffering its out.
+        v.take(self._gather, out=self._in, mode="clip")
+        operands = self._operands if mats is None else self._operands_of(mats)
+        for M, (src, dst) in zip(operands, self._views):
+            np.matmul(M, src, out=dst)
+        out[self._scatter] = self._out
+        return out
 
 
 def _cost_blocks(ids, costs, start, dims):
-    """Batches of the quadratic costs' weights; the callback costs, sliced."""
+    """The quadratic costs' weights as one `_Product`; the callback costs, sliced."""
     quadratic = dict.fromkeys(a for a in ids if isinstance(costs[a], QuadraticCost))
     custom = [(slice(start[a], start[a] + dims[a]), costs[a]) for a in ids if a not in quadratic]
-    return [_batch(g, lambda a: costs[a].weight, start.get, start.get)
-            for g in _groups(quadratic, dims.get)], custom
+    return _Product([_batch(g, lambda a: costs[a].weight, start.get, start.get)
+                     for g in _groups(quadratic, dims.get)]), custom
 
 
 def _gradient(quadratic, custom, v):
     """Every cost's gradient on its slice of v: 2.0 * (W @ v) per quadratic
     block, as `QuadraticCost.gradient`, and one call per callback cost."""
-    g = 2.0 * _apply(quadratic, v, np.zeros(v.size))
+    g = 2.0 * quadratic(v, np.zeros(v.size))
     for s, cost in custom:
         g[s] = cost.gradient(v[s])
     return g

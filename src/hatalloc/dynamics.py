@@ -26,7 +26,8 @@ its settle time on, where the parameters are the true ones:
 where H and g come from the scenario's one reduction (`oracle.reduction`
 of `scenario.stacked`), so the flow and the oracle step one assembled
 problem and reduce it once. The velocity is M w + b; M is graph-local, kept
-as row, column and value arrays of its O(edges) nonzeros, folded once per
+as row, column and value arrays of its O(edges) nonzeros in column order,
+which `bincount` sums row by row in ascending column order, folded once per
 scenario and held by `Scenario.derive` for the engines of the scenario and
 its `with_solver` copies whose blocks are the scenario's own
 (`FlowEngine.folded`); each engine takes its own b, which reads c_split.
@@ -50,11 +51,13 @@ it once per chunk. The update norms are the row norms of V, not of the
 state differences, which would multiply state roundoff by 1/dt; the saddle
 distance, the sup-norm and the samples are read from the rows. A chunk is
 taken only if every free multiplier in its rows of W is positive, every
-clamped gap M_S w + b_S at a state it steps from is <= 0, its states are
-finite and its update norms exceed tolerance (1 + CHUNK_GUARD); a product
-takes the chunks before the first that fails. That chunk's CHUNK steps go
-singly, so a clamp change, the stopping step and a `DivergenceError` are
-always decided by the single-step arithmetic.
+clamped gap M_S w + b_S at a state it steps from is <= 0, its states and
+the squares of its update norms are finite, and its update norms exceed
+tolerance (1 + CHUNK_GUARD); a product takes the chunks before the first
+that fails. That chunk's CHUNK steps go singly, so a clamp change, the
+stopping step and a `DivergenceError` are always decided by the single-step
+arithmetic. A single step diverges when its velocity or state is not
+finite, or when they are but the squares of its update norm overflow.
 
 A run's propagators, the powers I, A_S, ..., A_S^CHUNK ((CHUNK + 1) N^2
 floats, 0.96 MB at the benchmark team's N = 43), are built from the dense M
@@ -339,12 +342,15 @@ class FlowEngine:
 
 
 def fold(rp: ReducedProgram, dc: DecoupledConstraint):
-    """Nonzeros of M in row order (rows, cols, values), the one builder of
+    """Nonzeros of M in column order (rows, cols, values), the one builder of
     M = [[-H, 0, -C^T], [0, 0, -l_bar], [C, l_bar, 0]], with H from the
     reduced program, C = [a_bar ; b_bar S], and the l_bar blocks read from
     the node Laplacian, never from the dense lift. H and C's two blocks are
-    each scanned once, flat, and the entries are put in row order by one
-    sort of their flat indices into M, which are distinct."""
+    each scanned once, flat, and the entries are put in order by one sort of
+    their flat indices into M^T, which are distinct: by column, and within a
+    column by row. Each row's entries still come in ascending column order,
+    so `bincount` adds every row's products in the order a row-ordered list
+    gives them, and consecutive adds land on different rows."""
     n, q = rp.H.shape[0], dc.block_dim
     a_bar, b_s = dc.a_bar, dc.b_bar @ rp.S
     h = np.flatnonzero(rp.H != 0.0)
@@ -356,7 +362,7 @@ def fold(rp: ReducedProgram, dc: DecoupledConstraint):
     rows = np.concatenate([hr, cc, n + lr, n + q + cr, n + q + lr])
     cols = np.concatenate([hc, n + q + cr, n + q + lc, cc, n + lc])
     vals = np.concatenate([-rp.H.take(h), -cv, -lv, cv, lv])
-    order = np.argsort(rows * (n + 2 * q) + cols, kind="stable")
+    order = np.argsort(cols * (n + 2 * q) + rows, kind="stable")
     return rows[order], cols[order], vals[order]
 
 
@@ -505,9 +511,10 @@ def _chunk(powers, w, v, dt, lam_start, floor, chunks, clamp=None):
     A step fails when it leaves its piece or cannot be decided: a free
     lambda of its state is <= 0, the clamped gap M_S w + b_S at the state it
     steps from is > 0, its state is not finite, or its update norm (a row
-    norm of V) is <= `floor`. Returns (W, the update norm of its last step,
-    max |W|) over the leading chunks none of whose steps fail, or None when
-    the first chunk has a failing step. The single steps decide those cases.
+    norm of V) is <= `floor` or overflows when squared. Returns (W, the
+    update norm of its last step, max |W|) over the leading chunks none of
+    whose steps fail, or None when the first chunk has a failing step. The
+    single steps decide those cases.
     """
     size, rows = w.size, chunks * CHUNK
     # U is C-ordered: with the transpose of a (chunks, N) array the product
@@ -533,10 +540,12 @@ def _chunk(powers, w, v, dt, lam_start, floor, chunks, clamp=None):
         gaps = W[:-1] @ clamp[0] + clamp[1]
     if ((gaps is None or not float(gaps.max()) > 0.0)
             and math.sqrt(float(squares.min())) > floor and sup < math.inf
+            and float(squares.max()) < math.inf
             and np.count_nonzero(W[:, lam_start:] > 0.0) == rows * n_free):
         return W, math.sqrt(float(squares[-1])), sup
     # Some step fails: take the chunks before the first one it is in.
     passed = np.sqrt(squares) > floor
+    passed &= squares < math.inf
     passed &= np.abs(W).max(axis=1) < math.inf
     passed &= np.count_nonzero(W[:, lam_start:] > 0.0, axis=1) == n_free
     if gaps is not None:
@@ -691,9 +700,13 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
             step_sup = float(np.abs(w_new, out=scratch).max())
             if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
                 # A non-finite velocity or state reaches one of the two; only
-                # then are the blocks checked one by one.
+                # then are the blocks checked one by one. When every block is
+                # finite, the update's squares overflowed: that diverges too.
+                largest = _finite_max(vel)
                 engine.velocity(w, t, vel)
                 _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
+                if not math.isfinite(update_norm):
+                    raise DivergenceError(t, largest)
             w, w_new = w_new, w
             k += 1
             sup_norm = max(sup_norm, step_sup)

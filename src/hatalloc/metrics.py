@@ -89,10 +89,17 @@ def workload_report(scenario, state) -> WorkloadReport:
 
 
 def csv_table(header, rows) -> str:
-    """A CSV table, the header line then one line per row: strings as
-    written, every other value by `repr`."""
-    return "".join(",".join(v if isinstance(v, str) else repr(v) for v in line) + "\n"
-                   for line in (header, *rows))
+    """A CSV table, the header line as written, then one line per row: a row
+    of floats by `float.__repr__`, any other row value by value, strings as
+    written and every other value by `repr`."""
+    lines = [",".join(header)]
+    for row in rows:
+        try:
+            lines.append(",".join(map(float.__repr__, row)))
+        except TypeError:  # a value that is not a float
+            lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
+    lines.append("")  # the last line's newline, with no second copy of the table
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

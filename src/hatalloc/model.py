@@ -14,8 +14,10 @@ copy, one with a new offset c too, builds its own. `stack_problem`'s layout
 loop, `stack_parts`, also runs on raw parts that nothing has validated: the
 generator lays out each draw with it in a block of draws, and a scenario
 built from a draw it keeps holds the draw's row of that block as its stack.
-The document parser checks only JSON types. Documents are JSON trees;
-floats survive a save/load round trip bit-exactly. Files are read by
+The document parser checks only JSON types. `scenario_text` writes a
+document's text, `json.dumps(tree, indent=2)` byte for byte, and is the one
+definition of its layout: `serialize_scenario` parses that text back into
+the tree. Floats survive a save/load round trip bit-exactly. Files are read by
 `oracle.load_scenario`, since a document may ask for a Slater certificate.
 """
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from numbers import Integral, Real
 from typing import Callable
 
@@ -668,82 +669,107 @@ def scenario_from_document(doc: dict) -> Scenario:
     )
 
 
-def serialize_scenario(scenario: Scenario) -> dict:
-    """Scenario back to a JSON tree. Custom callback costs cannot be serialized."""
-    agents = []
-    for i in scenario.topology.autonomous_ids:
-        agents.append({"id": i, "kind": "autonomous", "dim": scenario.dims[i]})
-    for k in scenario.topology.human_ids:
-        agents.append({"id": k, "kind": "human", "dim": scenario.dims[k]})
-
-    costs = {}
+def scenario_text(scenario: Scenario) -> str:
+    """The scenario's document as the text `json.dumps(tree, indent=2)`
+    writes for it, written directly: the one definition of the document's
+    layout. Each value is written at its depth in the tree. Float arrays are
+    joined from `float.__repr__`, as json writes a finite float (`Scenario`
+    refuses any other); ids and other strings go through json's string
+    encoder, other scalars through `json.dumps`. Custom callback costs
+    cannot be serialized."""
     for agent_id, cost in scenario.costs.items():
         if not isinstance(cost, QuadraticCost):
             raise ScenarioFormatError(
                 f"cost for '{agent_id}' is not serializable (callback cost)"
             )
-        costs[agent_id] = {"type": "quadratic", "weight": cost.weight.tolist()}
-
-    con = scenario.constraint
-    doc = {
-        "agents": agents,
-        "edges": sorted([list(e) for e in scenario.topology.edges]),
-        "costs": costs,
-        "constraint": {
-            "rows": con.rows,
-            "a_blocks": {i: m.tolist() for i, m in con.a_blocks.items()},
-            "b_blocks": {k: m.tolist() for k, m in con.b_blocks.items()},
-            "c": con.c.tolist(),
-        },
-        "human_models": {},
-        "solver": {
-            "dt": scenario.solver.dt,
-            "max_time": scenario.solver.max_time,
-            "tolerance": scenario.solver.tolerance,
-            "offset_split": scenario.solver.offset_split,
-            "record_stride": scenario.solver.record_stride,
-            "check_slater": scenario.solver.check_slater,
-        },
-    }
-    schedules = scenario.schedules
+    con, opts, topo = scenario.constraint, scenario.solver, scenario.topology
+    kinds = [(i, "autonomous") for i in topo.autonomous_ids] + [
+        (k, "human") for k in topo.human_ids]
+    agents = [_object([("id", _string(i)), ("kind", _string(kind)),
+                       ("dim", _scalar(scenario.dims[i]))], 2) for i, kind in kinds]
+    edges = [_list([_string(a), _string(b)], 2) for a, b in sorted(topo.edges)]
+    costs = [(i, _object([("type", _string("quadratic")), ("weight", _array(cost.weight, 3))],
+                         2))
+             for i, cost in scenario.costs.items()]
+    models = []
     for k, model in scenario.human_models.items():
-        entry = {
-            "family": model.family,
-            "base": model.base.tolist(),
-            "gains": {j: g.tolist() for j, g in model.gains.items()},
-            "attitude": {"alpha": model.attitude},
-            "beta": model.sharpness,
-        }
-        if k in schedules:
-            sched = schedules[k]
-            entry["schedule"] = {
-                "delta": {
-                    "gains": {j: g.tolist() for j, g in sched.gain_deltas.items()},
-                    "base": sched.base_delta.tolist(),
-                },
-                "settle_time": sched.settle_time,
-            }
-        doc["human_models"][k] = entry
+        entry = [
+            ("family", _string(model.family)),
+            ("base", _array(model.base, 3)),
+            ("gains", _object([(j, _array(g, 4)) for j, g in model.gains.items()], 3)),
+            ("attitude", _object([("alpha", _scalar(model.attitude))], 3)),
+            ("beta", _scalar(model.sharpness)),
+        ]
+        if k in scenario.schedules:
+            sched = scenario.schedules[k]
+            delta = [("gains", _object([(j, _array(g, 6)) for j, g in sched.gain_deltas.items()],
+                                       5)),
+                     ("base", _array(sched.base_delta, 5))]
+            entry.append(("schedule", _object([("delta", _object(delta, 4)),
+                                               ("settle_time", _scalar(sched.settle_time))], 3)))
+        models.append((k, _object(entry, 2)))
+    doc = [
+        ("agents", _list(agents, 1)),
+        ("edges", _list(edges, 1)),
+        ("costs", _object(costs, 1)),
+        ("constraint", _object([
+            ("rows", _scalar(con.rows)),
+            ("a_blocks", _object([(i, _array(m, 3)) for i, m in con.a_blocks.items()], 2)),
+            ("b_blocks", _object([(k, _array(m, 3)) for k, m in con.b_blocks.items()], 2)),
+            ("c", _array(con.c, 2)),
+        ], 1)),
+        ("human_models", _object(models, 1)),
+        ("solver", _object([(name, _scalar(getattr(opts, name))) for name in (
+            "dt", "max_time", "tolerance", "offset_split", "record_stride", "check_slater")],
+            1)),
+    ]
     if scenario.initial_state is not None:
-        doc["initial_state"] = {key: {i: np.asarray(vec, dtype=float).tolist()
-                                      for i, vec in blocks.items()}
-                                for key, blocks in scenario.initial_state.items()}
-    return doc
+        doc.append(("initial_state", _object([
+            (key, _object([(i, _array(np.asarray(vec, dtype=float), 3))
+                           for i, vec in blocks.items()], 2))
+            for key, blocks in scenario.initial_state.items()], 1)))
+    return _object(doc, 0)
 
 
-# Encoded pieces joined per write: `json.dump` writes each piece its encoder
-# yields on its own, ~19k of them for a 250-agent document, and batching them
-# keeps the streamed write's memory to one batch.
-SAVE_BATCH = 2048
+# The text of one JSON value whose brackets sit `depth` levels deep, laid
+# out as `json.dumps(..., indent=2)` lays it out: each item on its own line,
+# one level deeper than its brackets, and an empty container as `[]` or `{}`.
+_string = json.encoder.encode_basestring_ascii
+_scalar = json.dumps
+
+
+def _list(items: list[str], depth: int) -> str:
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _object(items: list[tuple[str, str]], depth: int) -> str:
+    if not items:
+        return "{}"
+    pad = "  " * depth
+    return f"{{\n{pad}  " + f",\n{pad}  ".join(
+        f"{_string(key)}: {text}" for key, text in items) + f"\n{pad}}}"
+
+
+def _array(a: np.ndarray, depth: int) -> str:
+    """A float vector or matrix, each float by `float.__repr__`."""
+    if a.ndim == 1:
+        return _list(list(map(float.__repr__, a.tolist())), depth)
+    return _list([_list(list(map(float.__repr__, row)), depth + 1) for row in a.tolist()], depth)
+
+
+def serialize_scenario(scenario: Scenario) -> dict:
+    """Scenario back to a JSON tree: the parsed `scenario_text`."""
+    return json.loads(scenario_text(scenario))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write the document as `json.dumps(doc, indent=2)` and a newline,
-    streamed SAVE_BATCH encoded pieces at a time."""
-    pieces = json.JSONEncoder(indent=2).iterencode(serialize_scenario(scenario))
+    """Write `scenario_text` and a newline."""
+    text = scenario_text(scenario)
     with open(path, "w", encoding="utf-8") as handle:
-        while batch := "".join(islice(pieces, SAVE_BATCH)):
-            handle.write(batch)
+        handle.write(text)
         handle.write("\n")
 
 

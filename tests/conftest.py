@@ -582,6 +582,24 @@ def reference_fold(rp, dc):
     return rows[order], cols[order], vals[order], folded_offset(rp, dc)
 
 
+def row_ordered(folded):
+    """`fold`'s triplets, in column order, sorted stably by row, with the
+    offset b as it is: the reference fold's order when each row's entries
+    come in ascending column order, which `assert_rows_ascend` checks."""
+    rows, cols, vals, *rest = folded
+    order = np.argsort(rows, kind="stable")
+    return (rows[order], cols[order], vals[order], *rest)
+
+
+def assert_rows_ascend(folded):
+    """Within every row, the triplets' columns ascend in the order they are
+    listed: the order in which `bincount` adds a row's products, the same as
+    the row-ordered reference's, so every sum is the reference's."""
+    rows, cols = row_ordered(folded)[:2]
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(cols[1:][same_row] > cols[:-1][same_row])
+
+
 def record_calls(monkeypatch, log, *funcs):
     """Patch each of `funcs` under every name a module of the package binds
     it to, so that each call appends (function name, args, result) to `log`

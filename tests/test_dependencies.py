@@ -222,6 +222,68 @@ def test_one_builder_of_the_flow_operator():
     assert _referrers("lift_entries") == {"dynamics.fold"}
 
 
+def test_the_writer_streams_through_no_encoder():
+    """No module of the package names json's pure-Python streaming encoder
+    or a batch size for its pieces: `save_scenario` writes the text that
+    `scenario_text` builds."""
+    package = Path(hatalloc.__file__).parent
+    named = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named |= _names(tree) | {alias.name for node in ast.walk(tree)
+                                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                                 for alias in node.names}
+    assert not named & {"iterencode", "JSONEncoder", "SAVE_BATCH"}
+
+
+# The top-level keys of a scenario document.
+DOCUMENT_KEYS = {"agents", "edges", "costs", "constraint", "human_models", "solver",
+                 "initial_state"}
+
+
+def test_one_function_lays_out_the_document():
+    """Only `model.scenario_text` pairs a top-level key of the document with
+    a value, as a dict display's key or the head of a (key, value) pair:
+    the layout has one definition, which `save_scenario` writes and
+    `serialize_scenario` parses. The parser only reads the keys."""
+    found = set()
+
+    def is_key(node):
+        return isinstance(node, ast.Constant) and node.value in DOCUMENT_KEYS
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Dict) and any(map(is_key, child.keys)):
+                found.add(scope)
+            if (isinstance(child, ast.Tuple) and len(child.elts) == 2 and is_key(child.elts[0])
+                    and not isinstance(child.elts[1], ast.Constant)):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in Path(hatalloc.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {"model.scenario_text"}
+    assert _referrers("scenario_text") == {"model.serialize_scenario", "model.save_scenario"}
+
+
+def test_the_wave_kernel_keeps_its_plans_on_its_runner():
+    """`agents` keeps no module-level container of arrays and no cache: its
+    top level holds only its docstring, imports, classes and functions, and
+    nothing in it is cached, so every product plan is built for a runner
+    (in `__init__`, its cost batches through `_cost_blocks`) and lives on
+    it, and a dropped runner frees its plans."""
+    tree = ast.parse(Path(hatalloc.__file__).with_name("agents.py").read_text())
+    allowed = (ast.Import, ast.ImportFrom, ast.ClassDef, ast.FunctionDef)
+    extra = [ast.dump(node)[:60] for node in tree.body if not isinstance(node, allowed)
+             and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert extra == []
+    assert not _names(tree) & {"cache", "lru_cache", "WeakKeyDictionary", "WeakValueDictionary"}
+    assert _referrers("_Product") == {"agents.DistributedRunner.__init__", "agents._cost_blocks"}
+
+
 def test_only_the_screen_inverts_matrices():
     """`np.linalg.inv` is called only in `experiments._inverse`, so every
     inverse the generator's screen reads has passed its SCREEN_MAX_COND
@@ -233,6 +295,8 @@ def test_only_the_screen_inverts_matrices():
 TEST_ONLY = {
     "agents.agent_round": "the per-agent round that the wave kernel is held to, bit for bit",
     "dynamics._step_arrays": "the reference step that every fast path is held to",
+    "model.serialize_scenario": "the document's tree, whose `json.dumps(tree, indent=2)` "
+                                "the bytes of `scenario_text` are held to",
 }
 
 

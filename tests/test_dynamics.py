@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -248,20 +250,24 @@ class TestIntegrate:
         np.testing.assert_allclose(final.x["a1"], [0.0], atol=1e-5)
         failed = record.failed_attempt
         assert failed is not None and failed.dt == 1.2
-        # |x| grows by 1.4 per step until dx = -2 x overflows, near 9e307
-        assert 1.2 * 2000 < failed.t < 1.2 * 2200
-        assert failed.max_entry == np.inf
+        # |x| grows by 1.4 per step until the update norm |dx| = 2 |x|
+        # overflows when squared, past sqrt(9e307) ~ 1.3e154, while every
+        # entry is still finite: the largest, |dx|, is reported.
+        assert 1.2 * 1000 < failed.t < 1.2 * 1100
+        assert math.sqrt(sys.float_info.max) < failed.max_entry < 1.4 * math.sqrt(
+            sys.float_info.max)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_the_state_block_that_overflowed(self):
-        # At the halved dt = 2, x1 <- -3 x1 while x2 <- -x2: the step
-        # overflows x1 before its velocity -2 x1 does, and the largest
-        # finite entry left in x is |x2| = 1. The multipliers stay at zero.
+        # From x = (1e150, 1), the velocity (-2e150, -1) has a finite norm,
+        # but the step of dt = 1e160 (and of the halved 5e159) overflows x1;
+        # the largest finite entry left in x is |x2| = |1 - dt|, dt itself.
+        # The multipliers stay at zero.
         from dataclasses import replace
 
         from hatalloc.model import CouplingConstraint, QuadraticCost
 
-        base = single_agent_scenario().with_solver(dt=4.0, max_time=20000.0)
+        base = single_agent_scenario().with_solver(dt=1e160, max_time=1e161)
         scenario = replace(
             base,
             dims={"a1": 2},
@@ -269,11 +275,27 @@ class TestIntegrate:
             constraint=CouplingConstraint(
                 {"a1": np.zeros((1, 2))}, {}, np.array([-1.0])
             ),
-            initial_state={"x": {"a1": [1.0, 1.0]}},
+            initial_state={"x": {"a1": [1e150, 1.0]}},
         )
         with pytest.raises(DivergenceError) as info:
             integrate(scenario)
-        assert info.value.max_entry == 1.0
+        assert [a.max_entry for a in info.value.attempts] == [1e160, 1e160 / 2.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_update_norm_that_overflows_diverges(self):
+        """Every entry of the velocity and of the state stays finite, but the
+        squares of the update norm overflow: the step diverges, at either
+        step size, and reports the update's largest entry. A norm that
+        overflows inside a chunk fails the chunk, so the single steps decide
+        it (this scenario chunks)."""
+        scenario = single_agent_scenario().with_solver(dt=0.05, max_time=50.0)
+        huge = 1e155  # its square overflows, ten of them do too
+        scenario = replace(scenario, initial_state={"x": {"a1": [huge]}})
+        with pytest.raises(DivergenceError) as info:
+            integrate(scenario)
+        assert [a.t for a in info.value.attempts] == [0.0, 0.0]
+        for attempt in info.value.attempts:
+            assert math.isfinite(attempt.max_entry) and attempt.max_entry >= huge
 
     def test_initial_state_override(self):
         scenario = replace(single_agent_scenario(),

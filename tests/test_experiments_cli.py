@@ -674,8 +674,9 @@ class TestRunOutputs:
         assert summary["dt"] == 0.6
         assert summary["failed_attempt"]["dt"] == 1.2
         assert summary["failed_attempt"]["t"] > 0
-        # dx = -2 x overflowed whole, so no finite entry is left to report
-        assert summary["failed_attempt"]["max_entry"] is None
+        # the update norm overflowed while every entry was finite, so the
+        # largest entry, |dx|, is reported
+        assert summary["failed_attempt"]["max_entry"] > math.sqrt(sys.float_info.max)
 
     @staticmethod
     def _run_fresh(path, tmp_path):
@@ -746,25 +747,37 @@ class TestRunOutputs:
         for attempt in summary["attempts"]:
             assert attempt["t"] > 0 and attempt["max_entry"] > 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("reference, code", [("oracle", 2), ("none", 0)])
-    def test_summary_of_an_overflowing_run_is_strict_json(self, tmp_path, capsys,
-                                                          reference, code):
-        """r3's constraint row scaled by 1e9 overflows the flow within 0.05
-        time units without diverging: the update norm, the deviation, the
-        saddle distances and the complementary slackness are not finite.
-        The summary writes each as null, and prints the bytes it writes."""
+    @pytest.mark.parametrize("reference", ["oracle", "none"])
+    def test_summary_of_an_overflowing_run_is_strict_json(self, tmp_path, capsys, reference):
+        """r3's constraint row scaled by 1e9 overflows the flow's update norm
+        within 0.05 time units while every entry stays finite: the flow
+        diverges at both step sizes, and the run exits 2 and writes a
+        strict-JSON diverged summary, whose attempts report their largest
+        entries."""
         out = tmp_path / "o"
         assert main(["run", str(_edited_team_file(tmp_path, _scaled_row_r3)), "--out", str(out),
-                     "--reference", reference]) == code
-        printed, written = capsys.readouterr().out, (out / "summary.json").read_text()
-        assert printed == written
-        summary = json.loads(written, parse_constant=_refuse)
-        assert summary["final_update_norm"] is None
-        assert summary["kkt"]["comp_slack"] is None
-        if reference == "oracle":
-            assert summary["final_deviation"] is None
-            assert summary["saddle_dist_final"] is None
+                     "--reference", reference]) == 2
+        assert "flow diverged" in capsys.readouterr().err
+        assert os.listdir(out) == ["summary.json"]
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+        assert summary["termination"] == "diverged"
+        assert [attempt["dt"] for attempt in summary["attempts"]] == [1e-3, 5e-4]
+        for attempt in summary["attempts"]:
+            assert attempt["max_entry"] > math.sqrt(sys.float_info.max)
+
+    def test_summary_writes_each_non_finite_float_as_null(self, tmp_path):
+        """`_write_summary` writes an infinity or a NaN, at any depth, as
+        null, and returns what it wrote."""
+        summary = {"final_update_norm": math.inf, "steps": 3, "kkt": {"comp_slack": math.nan},
+                   "attempts": [{"dt": 1e-3, "max_entry": -math.inf}], "termination": "max_time"}
+        path = tmp_path / "summary.json"
+        written = runs._write_summary(str(path), summary)
+        assert written == {"final_update_norm": None, "steps": 3, "kkt": {"comp_slack": None},
+                           "attempts": [{"dt": 1e-3, "max_entry": None}],
+                           "termination": "max_time"}
+        text = path.read_text()
+        assert json.loads(text, parse_constant=_refuse) == written
+        assert text == json.dumps(written, indent=2) + "\n"
 
     def test_grid_cells_report_how_each_run_ended(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))

@@ -25,7 +25,14 @@ from hatalloc.dynamics import (
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
 
-from conftest import path_scenario, record_calls, reference_fold, with_schedules
+from conftest import (
+    assert_rows_ascend,
+    path_scenario,
+    record_calls,
+    reference_fold,
+    row_ordered,
+    with_schedules,
+)
 
 STEPS = 300
 AFFINE_SEEDS = (0, 1, 2, 5, 11)
@@ -411,18 +418,40 @@ FOLD_CASES = {
 }
 
 
+@pytest.mark.parametrize("make", [lambda: team_scenario(1), lambda: LARGE_TEAM],
+                         ids=["team", "large_team"])
+def test_velocity_is_the_row_ordered_sum_bit_for_bit(make):
+    """The sparse velocity at random states is `bincount` over the reference
+    fold's row-ordered triplets plus b, bit for bit: the column order
+    changes which bins consecutive adds land on, not any sum."""
+    scenario = make()
+    dc = build_decoupled(scenario)
+    engine = FlowEngine(scenario, dc)
+    rows, cols, vals, b = reference_fold(oracle.reduction(scenario), dc)
+    rng = np.random.default_rng(5)
+    out = np.empty(b.size)
+    for _ in range(5):
+        w = rng.normal(size=b.size) * rng.choice([1e-6, 1.0, 1e6], size=b.size)
+        engine.velocity(w, 0.0, out)
+        expected = np.bincount(rows, vals * w[cols], minlength=b.size) + b
+        assert out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("kind", FOLD_CASES)
 def test_fold_equals_the_reference_fold(kind):
     """The engine's M and b, folded from flat scans of H and C sorted by
-    their flat indices, are the reference fold's (2-D scans and a `lexsort`)
-    byte for byte, on the reduction of the scenario's own stack. A scheduled
-    scenario folds its settled stack, and steps it from its settle time."""
+    their flat indices into M^T, are, sorted stably by row, the reference
+    fold's (2-D scans and a `lexsort` by row and column) byte for byte, on
+    the reduction of the scenario's own stack; within each row the engine
+    lists its entries in ascending column order. A scheduled scenario folds
+    its settled stack, and steps it from its settle time."""
     for scenario in FOLD_CASES[kind]():
         dc = build_decoupled(scenario)
         engine = FlowEngine(scenario, dc)
         expected = reference_fold(oracle.reduce_stacked(scenario.stacked,
                                                         scenario.constraint.c), dc)
-        for got, want in zip(engine.folded(), expected):
+        assert_rows_ascend(engine.folded())
+        for got, want in zip(row_ordered(engine.folded()), expected):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if scenario.schedules:
             assert engine._fold_time > 0.0

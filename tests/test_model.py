@@ -20,7 +20,7 @@ from hatalloc.errors import (
     ScenarioFormatError,
 )
 from hatalloc.dynamics import initial_state
-from hatalloc.experiments import random_scenario
+from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
 from hatalloc.model import (
     CouplingConstraint,
@@ -339,6 +339,19 @@ def scenarios(draw):
     )
 
 
+WRITER_CASES = {
+    "team": lambda: [team_scenario(seed) for seed in range(1, 10)],
+    "crosscheck": lambda: [crosscheck_scenario(seed) for seed in range(1, 31)],
+    "random": lambda: [random_scenario(seed) for seed in range(40)],
+    "large_team": lambda: [random_scenario(seed, n_autonomous=200, n_human=50, rows=3)
+                           for seed in range(1, 4)],
+    "scheduled": lambda: [with_schedules(team_scenario(1), np.random.default_rng(3))],
+    "initial_state": lambda: [replace(team_scenario(1), initial_state={
+        "x": {"r1": np.array([0.1, -0.0, 1e-300]), "r4": [1, 2]},
+        "lambda": {"h1": np.array([0.5, 2.0])}})],
+}
+
+
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios())
@@ -386,6 +399,31 @@ class TestRoundTrip:
         save_scenario(scenario, path)
         text = json.dumps(serialize_scenario(scenario), indent=2) + "\n"
         assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("kind", WRITER_CASES)
+    def test_writer_bytes_are_the_indented_tree(self, tmp_path, kind):
+        """The text `save_scenario` writes directly is, byte for byte,
+        `json.dumps(tree, indent=2)` and a newline, `tree` being the text
+        parsed, so the writer lays every value out as json does; the pinned
+        digests of the generators' trees (`test_offset_search`) hold the
+        values."""
+        path = tmp_path / "scenario.json"
+        for scenario in WRITER_CASES[kind]():
+            save_scenario(scenario, path)
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert json.loads(text) == serialize_scenario(scenario)
+
+    def test_callback_cost_is_not_serializable(self, tmp_path):
+        """A callback cost cannot be written, and no file is started."""
+        base = path_scenario()
+        scenario = replace(base, costs={**base.costs, "a1": CustomCost(
+            2, lambda v: float(v @ v), lambda v: 2.0 * v)})
+        path = tmp_path / "scenario.json"
+        with pytest.raises(ScenarioFormatError,
+                           match=r"^cost for 'a1' is not serializable \(callback cost\)$"):
+            save_scenario(scenario, path)
+        assert not path.exists()
 
     def test_numpy_initial_state_saves_as_lists_of_floats(self, tmp_path):
         """A scenario built in code with numpy vectors (and an integer list)
