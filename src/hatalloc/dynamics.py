@@ -625,11 +625,6 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
 
     w_ref = None
     v_initial = v_max_inc = v_now = None
-    if saddle is not None:
-        w_ref = np.concatenate([np.asarray(saddle[0], float), np.asarray(saddle[1], float)])
-        np.subtract(w, w_ref, out=scratch)
-        v_now = v_initial = 0.5 * float(scratch @ scratch)
-        v_max_inc = -math.inf
 
     # The evaluated blocks of samples, each (header, table), and (step,
     # state, saddle distance) of the samples not yet evaluated.
@@ -643,14 +638,20 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
                 blocks.append(_samples(engine, pending, dt, reference))
             pending.clear()
 
-    keep(0, w, v_now)
     termination = "max_time"
     k = chunked = rejected = single_until = 0
     update_norm = None
     sup_norm = float(np.max(np.abs(w)))
-    # The explicit finiteness checks decide divergence, so the stepping
-    # raises no numpy overflow or invalid-value warnings.
+    # The explicit finiteness checks decide divergence, so neither the saddle
+    # distances nor the stepping raise numpy overflow or invalid-value
+    # warnings: the distance of a huge start overflows to inf.
     with np.errstate(over="ignore", invalid="ignore"):
+        if saddle is not None:
+            w_ref = np.concatenate([np.asarray(saddle[0], float), np.asarray(saddle[1], float)])
+            np.subtract(w, w_ref, out=scratch)
+            v_now = v_initial = 0.5 * float(scratch @ scratch)
+            v_max_inc = -math.inf
+        keep(0, w, v_now)
         while k < n_steps:
             t = k * dt
             engine.velocity(w, t, vel)

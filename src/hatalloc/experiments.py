@@ -92,6 +92,7 @@ from .oracle import (
     Solutions,
     interior_points,
     lift_to_saddle,
+    per_matrix,
     reduce_stacked,
     solve_programs,
 )
@@ -339,18 +340,8 @@ def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SCREEN_MAX_COND. The identity takes their place, so that the arithmetic
     that reads it stays finite."""
     eye = np.eye(a.shape[-1])
-    try:
-        inv, singular = np.linalg.inv(a), np.False_
-    except np.linalg.LinAlgError:
-        # One matrix at a time, so that a singular one spoils only its own place.
-        flat = a.reshape(-1, *a.shape[-2:])
-        inv, singular = np.empty_like(flat), np.zeros(len(flat), dtype=bool)
-        for i, matrix in enumerate(flat):
-            try:
-                inv[i] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                inv[i], singular[i] = eye, True
-        inv, singular = inv.reshape(a.shape), singular.reshape(a.shape[:-2])
+    inv, singular = per_matrix(np.linalg.inv, a.reshape(-1, *a.shape[-2:]))
+    inv, singular = inv.reshape(a.shape), singular.reshape(a.shape[:-2])
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
     usable = (norm1 <= SCREEN_MAX_COND) & ~singular
     return np.where(usable[..., None, None], inv, eye), usable

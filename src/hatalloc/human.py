@@ -76,28 +76,27 @@ class HumanResponseModel:
         gains = {j: np.atleast_2d(np.ascontiguousarray(g, dtype=float))
                  for j, g in self.gains.items()}
         object.__setattr__(self, "gains", gains)
+        # Every error names the model once, whether it is built from a file
+        # or in code.
+        name = f"model '{self.human_id}':"
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown response family '{self.family}'")
+            raise ValueError(f"{name} unknown response family '{self.family}'")
         if set(gains) != set(self.neighbor_ids):
-            raise ValueError(
-                f"model '{self.human_id}': gain blocks {sorted(gains)} do not "
-                f"match neighbor list {sorted(self.neighbor_ids)}"
-            )
+            raise ValueError(f"{name} gain blocks {sorted(gains)} do not match neighbor "
+                             f"list {sorted(self.neighbor_ids)}")
         dim = self.base.shape[0]
         if not np.isfinite(self.base).all():
-            raise ValueError(f"model '{self.human_id}': base entries must be finite")
+            raise ValueError(f"{name} base entries must be finite")
         for j, g in gains.items():
             if g.shape[0] != dim:
-                raise ValueError(
-                    f"model '{self.human_id}': gain block for '{j}' has "
-                    f"{g.shape[0]} rows, base has {dim}"
-                )
+                raise ValueError(f"{name} gain block for '{j}' has {g.shape[0]} rows, "
+                                 f"base has {dim}")
             if not np.isfinite(g).all():
-                raise ValueError(f"model '{self.human_id}': gain for '{j}' must be finite")
+                raise ValueError(f"{name} gain for '{j}' must be finite")
         if not -1.0 <= self.attitude <= 1.0:
-            raise ValueError(f"attitude must lie in [-1, 1], got {self.attitude}")
+            raise ValueError(f"{name} attitude must lie in [-1, 1], got {self.attitude}")
         if self.family == SOFTPLUS_AFFINE and not 0 < self.sharpness < np.inf:
-            raise ValueError(f"sharpness must be positive and finite: {self.sharpness}")
+            raise ValueError(f"{name} sharpness must be positive and finite: {self.sharpness}")
 
     @property
     def dim(self) -> int:

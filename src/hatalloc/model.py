@@ -14,11 +14,14 @@ copy, one with a new offset c too, builds its own. `stack_problem`'s layout
 loop, `stack_parts`, also runs on raw parts that nothing has validated: the
 generator lays out each draw with it in a block of draws, and a scenario
 built from a draw it keeps holds the draw's row of that block as its stack.
-The document parser checks only JSON types. `scenario_text` writes a
-document's text, `json.dumps(tree, indent=2)` byte for byte, and is the one
-definition of its layout: `serialize_scenario` parses that text back into
-the tree. Floats survive a save/load round trip bit-exactly. Files are read by
-`oracle.load_scenario`, since a document may ask for a Slater certificate.
+The document parser checks only JSON types, and reads every number array
+with one reader, `_as_array`. Every other rule, finiteness among them, is
+checked by the object that owns it when that object is built.
+`scenario_text` writes a document's text, `json.dumps(tree, indent=2)` byte
+for byte, and is the one definition of its layout: `serialize_scenario`
+parses that text back into the tree. Floats survive a save/load round trip
+bit-exactly. Files are read by `oracle.load_scenario`, since a document may
+ask for a Slater certificate.
 """
 
 from __future__ import annotations
@@ -321,20 +324,12 @@ class Scenario:
                 name = f"initial_state.{key}['{agent_id}']"
                 _require(agent_id in shapes[key],
                          f"initial_state.{key}: unknown agent '{agent_id}'")
-                try:
-                    vec = np.asarray(raw, dtype=float)
-                except OverflowError as exc:
-                    raise ScenarioFormatError(
-                        f"{name} holds an integer too large for a float") from exc
-                except (TypeError, ValueError) as exc:
-                    raise ScenarioFormatError(f"{name} is not a numeric vector") from exc
+                vec = _as_array(raw, name, 1)
                 _require(vec.shape == shapes[key][agent_id], f"{name} has shape "
                          f"{vec.shape}, expected {shapes[key][agent_id]}")
                 _require(bool(np.all(np.isfinite(vec))), f"{name} is not finite")
-        lam = start.get("lambda", {})
-        for agent_id in topo.node_order:
-            _require(not np.any(np.asarray(lam.get(agent_id, 0.0), dtype=float) < 0),
-                     f"initial multiplier for '{agent_id}' is negative")
+                _require(key != "lambda" or not np.any(vec < 0),
+                         f"initial multiplier for '{agent_id}' is negative")
 
     def with_solver(self, **overrides) -> "Scenario":
         """A copy with new solver options, which nothing held by `derive`
@@ -499,89 +494,73 @@ def _fits_float(number) -> bool:
     return True
 
 
-def _as_matrix(raw, context: str) -> np.ndarray:
+def _as_array(raw, context: str, ndim: int) -> np.ndarray:
+    """A JSON array of numbers of rank `ndim`, 1 or 2, as floats; a matrix
+    may be written as one row. It refuses only what JSON typing decides: an
+    entry that is not a number (a boolean or a string is not converted), an
+    integer too large for a float, or the wrong rank. Every other rule on
+    the entries, finiteness among them, belongs to the object built from
+    them."""
+    a = np.array(raw, dtype=object)
+    if a.ndim == 1 and ndim == 2:
+        a = a[None, :]
+    noun = ("vector", "matrix")[ndim - 1]
+    _require(a.ndim == ndim and all(issubclass(kind, Real) and kind is not bool
+                                    for kind in set(map(type, a.flat))),
+             f"{context}: not a numeric {noun}")
     try:
-        mat = np.array(raw, dtype=float)
+        return a.astype(float)
     except OverflowError as exc:
         raise ScenarioFormatError(f"{context}: an integer too large for a float") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{context}: not a numeric matrix") from exc
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    _require(mat.ndim == 2, f"{context}: expected a matrix")
-    _require(bool(np.all(np.isfinite(mat))), f"{context}: entries must be finite")
-    return mat
 
 
-def _as_vector(raw, context: str) -> np.ndarray:
-    try:
-        vec = np.array(raw, dtype=float)
-    except OverflowError as exc:
-        raise ScenarioFormatError(f"{context}: an integer too large for a float") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{context}: not a numeric vector") from exc
-    _require(vec.ndim == 1, f"{context}: expected a flat vector")
-    _require(bool(np.all(np.isfinite(vec))), f"{context}: entries must be finite")
-    return vec
-
-
-def _parse_model(human_id: str, doc: dict, neighbor_ids: list[str]) -> HumanResponseModel:
-    _require(isinstance(doc, dict), f"model '{human_id}': expected an object")
-    family = doc.get("family", human_mod.AFFINE)
-    base = _as_vector(doc.get("base"), f"model '{human_id}' base")
-    gains_doc = doc.get("gains", {})
-    _require(isinstance(gains_doc, dict), f"model '{human_id}': gains must be a map")
-    gains = {
-        j: _as_matrix(g, f"model '{human_id}' gain for '{j}'")
-        for j, g in gains_doc.items()
-    }
-    attitude_doc = doc.get("attitude")
-    _require(isinstance(attitude_doc, dict), f"model '{human_id}': attitude required")
+def _parse_model(human_id: str, doc: dict, topo: NetworkTopology) -> HumanResponseModel:
+    """The response model of `human_id`, whose neighbors are the topology's.
+    The model of an id that is no human lists its gains' ids, so that it is
+    built, and `Scenario` refuses it as a model of an unknown human. The
+    model names itself in its own errors."""
     context = f"model '{human_id}':"
+    _require(isinstance(doc, dict), f"{context} expected an object")
+    base = _as_array(doc.get("base"), f"{context} base", 1)
+    gains_doc = doc.get("gains", {})
+    _require(isinstance(gains_doc, dict), f"{context} gains must be a map")
+    gains = {j: _as_array(g, f"{context} gain for '{j}'", 2) for j, g in gains_doc.items()}
+    attitude_doc = doc.get("attitude")
+    _require(isinstance(attitude_doc, dict), f"{context} attitude required")
+    if "alpha" in attitude_doc:
+        alpha = _as_number(attitude_doc["alpha"], f"{context} alpha")
+    else:
+        magnitude = _as_number(attitude_doc.get("magnitude", 0.0), f"{context} magnitude")
+        try:
+            alpha = attitude_preset(attitude_doc.get("kind", ""), magnitude)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{context} {exc}") from exc
+    kwargs = {"sharpness": _as_number(doc["beta"], f"{context} beta")} if "beta" in doc else {}
+    nbrs = neighbors(topo, human_id)[0] if human_id in topo.human_ids else list(gains)
     try:
-        if "alpha" in attitude_doc:
-            alpha = _as_number(attitude_doc["alpha"], f"{context} alpha")
-        else:
-            alpha = attitude_preset(attitude_doc.get("kind", ""), _as_number(
-                attitude_doc.get("magnitude", 0.0), f"{context} magnitude"))
-        kwargs = {}
-        if "beta" in doc:
-            kwargs["sharpness"] = _as_number(doc["beta"], f"{context} beta")
-        return HumanResponseModel(
-            human_id=human_id,
-            neighbor_ids=tuple(neighbor_ids),
-            gains=gains,
-            base=base,
-            attitude=alpha,
-            family=family,
-            **kwargs,
-        )
+        return HumanResponseModel(human_id, tuple(nbrs), gains, base, alpha,
+                                  doc.get("family", human_mod.AFFINE), **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"model '{human_id}': {exc}") from exc
+        raise ScenarioFormatError(str(exc)) from exc
 
 
 def _parse_schedule(model: HumanResponseModel, doc) -> ApproximationSchedule:
     """The schedule of `model`'s human: an object whose `delta` object holds
     an optional `base` (omitted means zero) and a map of `gains` deltas."""
-    k = model.human_id
-    _require(isinstance(doc, dict), f"schedule '{k}': expected an object")
+    context = f"schedule '{model.human_id}':"
+    _require(isinstance(doc, dict), f"{context} expected an object")
     delta = doc.get("delta", {})
-    _require(isinstance(delta, dict), f"schedule '{k}': delta must be an object")
+    _require(isinstance(delta, dict), f"{context} delta must be an object")
     gains_doc = delta.get("gains", {})
-    _require(isinstance(gains_doc, dict), f"schedule '{k}': gain deltas must be a map")
-    gain_deltas = {j: _as_matrix(g, f"schedule '{k}' gain delta for '{j}'")
+    _require(isinstance(gains_doc, dict), f"{context} gain deltas must be a map")
+    gain_deltas = {j: _as_array(g, f"{context} gain delta for '{j}'", 2)
                    for j, g in gains_doc.items()}
-    base_delta = _as_vector(delta.get("base", np.zeros(model.dim)),
-                            f"schedule '{k}' base delta")
-    settle_time = _as_number(doc.get("settle_time", 0.0), f"schedule '{k}': settle_time")
+    base_delta = _as_array(delta.get("base", np.zeros(model.dim)), f"{context} base delta", 1)
+    settle_time = _as_number(doc.get("settle_time", 0.0), f"{context} settle_time")
     try:
-        return ApproximationSchedule(
-            gain_deltas=gain_deltas,
-            base_delta=base_delta,
-            settle_time=settle_time,
-        )
+        return ApproximationSchedule(gain_deltas, base_delta, settle_time)
     except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"schedule '{k}': {exc}") from exc
+        raise ScenarioFormatError(f"{context} {exc}") from exc
 
 
 def scenario_from_document(doc: dict) -> Scenario:
@@ -617,15 +596,14 @@ def scenario_from_document(doc: dict) -> Scenario:
     costs: dict[str, CostFunction] = {}
     _require(isinstance(doc["costs"], dict), "'costs' must be a map")
     for agent_id, cost_doc in doc["costs"].items():
-        _require(isinstance(cost_doc, dict), f"cost for '{agent_id}': expected object")
+        context = f"cost for '{agent_id}':"
+        _require(isinstance(cost_doc, dict), f"{context} expected object")
         kind = cost_doc.get("type")
-        _require(kind == "quadratic", f"cost for '{agent_id}': unknown type '{kind}'")
-        try:
-            costs[agent_id] = QuadraticCost(
-                _as_matrix(cost_doc.get("weight"), f"cost weight for '{agent_id}'")
-            )
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(f"cost for '{agent_id}': {exc}") from exc
+        _require(kind == "quadratic", f"{context} unknown type '{kind}'")
+        try:  # the weight's faults, and the cost's own
+            costs[agent_id] = QuadraticCost(_as_array(cost_doc.get("weight"), "weight", 2))
+        except ScenarioFormatError as exc:
+            raise type(exc)(f"{context} {exc}") from exc
 
     con_doc = doc["constraint"]
     _require(isinstance(con_doc, dict), "'constraint' must be an object")
@@ -633,10 +611,10 @@ def scenario_from_document(doc: dict) -> Scenario:
     for key in ("a_blocks", "b_blocks"):
         section = con_doc.get(key, {})
         _require(isinstance(section, dict), f"constraint '{key}' must be a map")
-        blocks[key] = {i: _as_matrix(m, f"{key[:-1]} for '{i}'") for i, m in section.items()}
-    constraint = CouplingConstraint(
-        **blocks, c=_as_vector(con_doc.get("c"), "constraint offset c")
-    )
+        blocks[key] = {i: _as_array(m, f"constraint block for '{i}'", 2)
+                       for i, m in section.items()}
+    constraint = CouplingConstraint(**blocks, c=_as_array(con_doc.get("c"),
+                                                          "constraint offset c", 1))
     if "rows" in con_doc and _as_int(con_doc["rows"], "constraint rows") != constraint.rows:
         raise DimensionMismatchError(
             f"declared {con_doc['rows']} constraint rows, offset c has {constraint.rows}"
@@ -647,8 +625,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     models = {}
     schedules = {}
     for human_id, model_doc in models_doc.items():
-        auto_nbrs, _ = neighbors(topo, human_id) if human_id in topo.node_order else ([], [])
-        models[human_id] = _parse_model(human_id, model_doc, auto_nbrs)
+        models[human_id] = _parse_model(human_id, model_doc, topo)
         if "schedule" in model_doc:
             schedules[human_id] = _parse_schedule(models[human_id], model_doc["schedule"])
 

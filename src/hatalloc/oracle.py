@@ -231,11 +231,11 @@ def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def _each(func, a: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
-    """`func(a, *args)` of a stack of matrices a (`np.linalg.solve` or
-    `np.linalg.cholesky`), and on which matrices it fails: one call, or
-    when it raises, one call per matrix, so that a matrix fails only its own
-    place (left 0)."""
+def per_matrix(func, a: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
+    """`func(a, *args)` of a stack of matrices a (`np.linalg.solve`,
+    `np.linalg.cholesky` or `np.linalg.inv`), and on which matrices it
+    fails: one call, or when it raises, one call per matrix, so that a
+    matrix fails only its own place (left 0)."""
     try:
         return func(a, *args), np.zeros(len(a), dtype=bool)
     except np.linalg.LinAlgError:
@@ -294,7 +294,7 @@ def solve_programs(rp: ReducedProgram) -> Solutions:
     if "convex" not in structure:
         # Strictly convex when H has a Cholesky factor: a relative test, where
         # min(eigvalsh(H)) > 0 fails a large H by its eigenvalues' roundoff.
-        structure.update(convex=~_each(np.linalg.cholesky, H)[1],
+        structure.update(convex=~per_matrix(np.linalg.cholesky, H)[1],
                          G_a=[G_c[:, active] for active, _ in _active_sets(r)])
     convex = structure["convex"]
     for i in np.flatnonzero(~convex):
@@ -303,7 +303,7 @@ def solve_programs(rp: ReducedProgram) -> Solutions:
     if not free:
         # The empty set's candidate, the free minimizer, and its row levels G_c x.
         rows = np.flatnonzero(convex)
-        x_free, failed = _each(np.linalg.solve, _rows(H, rows), -_rows(g, rows)[..., None])
+        x_free, failed = per_matrix(np.linalg.solve, _rows(H, rows), -_rows(g, rows)[..., None])
         rows, x_free = rows[~failed], x_free[~failed]
         free.update(rows=rows, x=x_free[..., 0], levels=(_rows(G_c, rows) @ x_free)[..., 0])
     # No row active: accepted when every row holds at x_free, G_c x + h_c <= 0.
@@ -340,8 +340,8 @@ def _nonempty_sets(H, g, G_c, h_c, G_as, pending, x, mu) -> np.ndarray:
         kkt[:, n:m, :n] = G_a
         kkt[:, :n, n:m] = G_a.swapaxes(-1, -2)
         rhs[:, n:m, 0] = neg_h[:, active]
-        sol, bad = _each(np.linalg.solve, _rows(kkt, pending)[:, :m, :m],
-                         _rows(rhs, pending)[:, :m])
+        sol, bad = per_matrix(np.linalg.solve, _rows(kkt, pending)[:, :m, :m],
+                              _rows(rhs, pending)[:, :m])
         mu_a = sol[:, n:, 0]
         # Some multiplier below -ACCEPT_TOL (fmin passes over a nan).
         bad |= np.fmin.reduce(mu_a, axis=1) < -ACCEPT_TOL

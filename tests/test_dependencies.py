@@ -291,6 +291,28 @@ def test_only_the_screen_inverts_matrices():
     assert _referrers("inv") == {"experiments._inverse"}
 
 
+def test_the_parser_checks_only_json_types():
+    """Scenario documents are read by one number reader, `_as_array`, and no
+    function of the parser (`_as_*`, `_parse_*`, `scenario_from_document`)
+    calls `np.isfinite`: each object built from the numbers refuses a
+    non-finite one itself. The two readers it replaced are neither defined
+    nor named."""
+    tree = ast.parse(Path(hatalloc.__file__).with_name("model.py").read_text())
+    parser = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith(("_as_", "_parse_"))
+                   or node.name == "scenario_from_document")}
+    assert {"_as_array", "_parse_model", "scenario_from_document"} <= set(parser)
+    assert [name for name, node in parser.items() if "isfinite" in _names(node)] == []
+    gone = {"_as_matrix", "_as_vector"}
+    assert not gone & set(parser) and not set().union(*map(_referrers, gone))
+
+
+def test_one_per_matrix_fallback():
+    """Only `oracle.per_matrix` retries a failing stack of matrices one at a
+    time: `experiments` handles no `LinAlgError` itself."""
+    assert _referrers("LinAlgError") == {"oracle.per_matrix"}
+
+
 # The references that only tests call, each with the reason it stays.
 TEST_ONLY = {
     "agents.agent_round": "the per-agent round that the wave kernel is held to, bit for bit",

@@ -297,6 +297,16 @@ class TestIntegrate:
         for attempt in info.value.attempts:
             assert math.isfinite(attempt.max_entry) and attempt.max_entry >= huge
 
+    def test_a_saddle_distance_that_overflows_diverges(self):
+        """From x = 1e308 the squared distance to the saddle overflows: it
+        is inf, with no numpy warning (the suite makes one an error), and
+        the flow diverges at t = 0 at both step sizes."""
+        scenario = replace(single_agent_scenario(), initial_state={"x": {"a1": [1e308]}})
+        q = scenario.layout.block_dim
+        with pytest.raises(DivergenceError) as info:
+            integrate(scenario, saddle=(np.zeros(1 + q), np.zeros(q)))
+        assert [a.t for a in info.value.attempts] == [0.0, 0.0]
+
     def test_initial_state_override(self):
         scenario = replace(single_agent_scenario(),
                            initial_state={"x": {"a1": [0.7]}, "lambda": {"a1": [0.2]}})

@@ -459,6 +459,49 @@ class TestCli:
         assert default_output_dir() == str(tmp_path / "env-out")
 
 
+# The number arrays of fig4's document, once `_malformed_number` has added a
+# schedule to h1 and a start to r1: (the keys to each, what names its place).
+NUMBER_PLACES = {
+    "cost-weight": (("costs", "r1", "weight"), ["cost for 'r1'"]),
+    "a-block": (("constraint", "a_blocks", "r1"), ["constraint block for 'r1'"]),
+    "offset-c": (("constraint", "c"), ["constraint offset c"]),
+    "gain": (("human_models", "h1", "gains", "r1"), ["model 'h1'", "gain for 'r1'"]),
+    "base": (("human_models", "h1", "base"), ["model 'h1'", "base"]),
+    "schedule-delta": (("human_models", "h1", "schedule", "delta", "gains", "r1"),
+                       ["schedule 'h1'", "delta for 'r1'"]),
+    "initial-x": (("initial_state", "x", "r1"), ["initial_state.x['r1']"]),
+}
+# (a malformed value, whether it takes the place of the whole array or of its
+# first entry, what the message says of it)
+MALFORMED = {
+    "nan": (math.nan, False, "finite"),
+    "infinity": (math.inf, False, "finite"),
+    "string": ("0.5", False, "not a numeric"),
+    "huge-integer": (10**400, False, "an integer too large for a float"),
+    "rank-3": ([[[1.0]]], True, "not a numeric"),
+}
+
+
+def _malformed_number(keys, bad, whole):
+    """An edit of fig4's document that gives h1 a zero schedule and r1 a
+    zero start, and then puts `bad` at `keys`."""
+    def edit(doc):
+        doc["human_models"]["h1"]["schedule"] = {
+            "delta": {"gains": {"r1": np.zeros((3, 3)).tolist()}}, "settle_time": 1.0}
+        doc["initial_state"] = {"x": {"r1": [0.0, 0.0, 0.0]}}
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        if whole:
+            doc[last] = bad
+            return
+        entries = doc[last]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = bad
+    return edit
+
+
 class TestScenarioFormatErrors:
     @pytest.mark.parametrize("start, message", [
         ({"x": {"r9": [0.0]}}, "unknown agent 'r9'"),
@@ -635,6 +678,45 @@ class TestScenarioFormatErrors:
         assert main(["oracle", str(path)]) == 1
         assert "agent 'a1' has no cost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malformed", MALFORMED)
+    @pytest.mark.parametrize("place", NUMBER_PLACES)
+    def test_a_malformed_number_names_its_place_once(self, tmp_path, capsys, place, malformed):
+        """A malformed number at any place of fig4's document fails to load
+        with one message, from the parser (its JSON type) or from the object
+        built there (its value), which names the place exactly once."""
+        keys, names = NUMBER_PLACES[place]
+        bad, whole, says = MALFORMED[malformed]
+        path = _edited_team_file(tmp_path, _malformed_number(keys, bad, whole))
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(str(path))
+        message = str(info.value)
+        assert says in message
+        assert [message.count(name) for name in names] == [1] * len(names), message
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["human_models"]["h1"].update(gains={}),
+         "model 'h1': gain blocks [] do not match neighbor list ['r1', 'r2', 'r5']"),
+        (lambda d: d["human_models"]["h1"]["gains"]["r1"].pop(),
+         "model 'h1': gain block for 'r1' has 2 rows, base has 3"),
+        (lambda d: d["human_models"].update(zz=d["human_models"]["h1"]),
+         "response models for unknown humans ['zz']"),
+        (lambda d: d["human_models"].update(r1=d["human_models"]["h1"]),
+         "response models for unknown humans ['r1']"),
+    ], ids=["no-gains", "gain-row-count", "unknown-id", "autonomous-id"])
+    def test_a_model_fault_has_one_message(self, tmp_path, capsys, edit, message):
+        """A model's own fault names the model once, and a model of an id
+        that is no human meets `Scenario`'s rule for unknown humans."""
+        path = _edited_team_file(tmp_path, edit)
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == message
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 def _stiff_cost(doc):
     doc["costs"]["r1"]["weight"][0][0] *= 1e9
@@ -649,6 +731,10 @@ def _scaled_row_r3(doc):
     doc["constraint"]["a_blocks"]["r3"] = [[v * 1e9 for v in row]
                                            for row in doc["constraint"]["a_blocks"]["r3"]]
     doc["solver"]["max_time"] = 0.05
+
+
+def _huge_start(doc):
+    doc["initial_state"] = {"x": {"r1": [1e308, 1e308, 1e308]}}
 
 
 def _refuse(token):
@@ -679,13 +765,13 @@ class TestRunOutputs:
         assert summary["failed_attempt"]["max_entry"] > math.sqrt(sys.float_info.max)
 
     @staticmethod
-    def _run_fresh(path, tmp_path):
+    def _run_fresh(path, tmp_path, reference="none"):
         """`hatalloc run` of a saved file in a fresh interpreter with numpy's
         default warnings, not the suite's."""
         src = str(Path(dynamics.__file__).resolve().parent.parent)
         return subprocess.run(
             [sys.executable, "-W", "default", "-m", "hatalloc.cli", "run", str(path),
-             "--out", str(tmp_path / "o"), "--reference", "none"],
+             "--out", str(tmp_path / "o"), "--reference", reference],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
 
@@ -707,6 +793,16 @@ class TestRunOutputs:
             assert done.returncode == 2
             assert "flow diverged" in done.stderr
             assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("reference", ["oracle", "none"])
+    def test_a_huge_start_prints_no_numpy_warning(self, tmp_path, reference):
+        """r1 starts at 1e308 in every entry: its distance to the saddle,
+        tracked under `--reference oracle`, overflows to inf, and the flow
+        diverges at t = 0 at both step sizes, with no numpy warning."""
+        done = self._run_fresh(_edited_team_file(tmp_path, _huge_start), tmp_path, reference)
+        assert done.returncode == 2
+        assert "flow diverged at t=0" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_overflowing_reduction_is_a_numerical_failure(self, tmp_path, capsys):
         """h1's gains scaled by 1e160 overflow the reduced program: `oracle`
