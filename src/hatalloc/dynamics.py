@@ -66,6 +66,17 @@ floats, 0.96 MB at the benchmark team's N = 43), are built from the dense M
 the benchmark's 7-agent team chunks, large_team's 250 agents (N = 1,896)
 keep the sparse step.
 
+A run is one loop over one step source. The source (`_steps`) decides how
+the steps are taken: it attempts the chunks, steps singly where a chunk is
+skipped or fails, and raises `DivergenceError`. It yields runs of states: a
+product's rows, or one single step's state as a one-row view. The loop's
+body in `_run_flow` is the only consumer, written once for both. It updates
+the sup-norm and the saddle distance (a single step's with `@`, as the
+reference takes it, a chunk's rows with one einsum; the two differ in the
+last bit), keeps the samples of step 0, every stride step and the stop
+step, and decides the stop: the update norm at or below the tolerance, or
+the step budget spent.
+
 A state (`SystemState`) is one stacked w, whose per-agent blocks are views.
 A run starts from `initial_state`, the scenario's (already checked) overrides
 written into zeros, steps a copy of its w and returns a copy of the final
@@ -469,11 +480,10 @@ STEP_OVERHEAD_ENTRIES = 16384
 SAMPLE_BLOCK = 256
 
 
-def dense_operator(folded) -> np.ndarray:
-    """The folded M as a dense (N, N) array, from `fold`'s nonzeros, each of
-    which it lists once."""
-    rows, cols, vals, b = folded
-    M = np.zeros((b.size, b.size))
+def dense_operator(rows, cols, vals, size) -> np.ndarray:
+    """The folded M as a dense (size, size) array, from `fold`'s nonzeros,
+    each of which it lists once."""
+    M = np.zeros((size, size))
     M[rows, cols] = vals
     return M
 
@@ -571,11 +581,13 @@ class _ChunkPlan:
     def __init__(self, engine, dt, n_steps):
         self.dt = dt
         self.free = self.M = None
-        self.builds = 0
+        # The propagators built, the steps taken in chunks, the chunks
+        # computed and then stepped singly.
+        self.builds = self.chunked = self.rejected = 0
         if engine._fold_time < math.inf and n_steps >= CHUNK:
-            rows, _, _, b = folded = engine.folded()
+            rows, cols, vals, b = engine.folded()
             if b.size * b.size <= rows.size + STEP_OVERHEAD_ENTRIES:
-                self.M, self.b = dense_operator(folded), b
+                self.M, self.b = dense_operator(rows, cols, vals, b.size), b
                 free = _propagator(self.M, dt)
                 self.builds = 1
                 self.free = free if np.isfinite(free).all() else None
@@ -610,22 +622,68 @@ class _ChunkPlan:
         return self.clamped, self.clamp
 
 
-def _run_flow(engine, opts, dt, w0, reference, saddle):
-    lay = engine.layout
-    n, q = lay.x_dim, engine.dc.block_dim
+def _steps(engine, plan, w0, n_steps, floor):
+    """The steps from w0, as runs (W, update norm of its last row, max |W|)
+    of the states reached: a chunk product's rows, or a single step as a
+    one-row view of the state, which the next step overwrites. No chunk
+    passes `n_steps`, where the consumer stops at the latest; `plan` counts
+    the chunks."""
+    dt, n, lam_at = plan.dt, engine.layout.x_dim, w0.size - engine.dc.block_dim
     # Two stacked states [x, z, lambda] that trade places every step, so the
-    # pre-step state is still at hand when a step has to be checked. They
-    # start from a copy of w0, and the final state takes a copy of one.
+    # pre-step state is still at hand when a step has to be checked.
     w = w0.copy()
     w_new, vel, scratch = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+    k = single_until = 0
+    while True:
+        t = k * dt
+        engine.velocity(w, t, vel)
+        if (plan.free is not None and k >= single_until and k + CHUNK <= n_steps
+                and t >= engine._fold_time):
+            chosen = plan.choose(lam_at, w, vel)
+            chunks = min(CHUNKS_PER_PRODUCT, (n_steps - k) // CHUNK)
+            rows = None
+            if chosen is not None:
+                powers, clamp = chosen
+                rows = _chunk(powers, w, vel, dt, lam_at, floor, chunks, clamp)
+            taken = 0 if rows is None else len(rows[0])
+            if taken < chunks * CHUNK:
+                # The skipped chunk, or the first with a failing step, goes singly.
+                plan.rejected += chosen is not None
+                single_until = k + taken + CHUNK
+            if rows is not None:
+                plan.chunked += taken
+                yield rows
+                w[:] = rows[0][-1]
+                k += taken
+                continue
+
+        np.multiply(vel, dt, out=w_new)
+        w_new += w
+        lam, lam_new, dlam = w[lam_at:], w_new[lam_at:], vel[lam_at:]
+        np.maximum(lam_new, 0.0, out=lam_new)
+        # The multiplier part of the update norm is the realized change.
+        np.subtract(lam_new, lam, out=dlam)
+        dlam /= dt
+        update_norm = math.sqrt(vel @ vel)
+        step_sup = float(np.abs(w_new, out=scratch).max())
+        if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
+            # A non-finite velocity or state reaches one of the two; only
+            # then are the blocks checked one by one. When every block is
+            # finite, the update's squares overflowed: that diverges too.
+            largest = _finite_max(vel)
+            engine.velocity(w, t, vel)
+            _check_finite(t, vel[:n], vel[n:lam_at], vel[lam_at:], w_new[:n], w_new[n:lam_at])
+            if not math.isfinite(update_norm):
+                raise DivergenceError(t, largest)
+        w, w_new = w_new, w
+        k += 1
+        yield w[None], update_norm, step_sup
+
+
+def _run_flow(engine, opts, dt, w0, reference, saddle):
     n_steps = max(1, int(round(opts.max_time / dt)))
     stride = opts.record_stride
     plan = _ChunkPlan(engine, dt, n_steps)
-    floor = opts.tolerance * (1.0 + CHUNK_GUARD)
-
-    w_ref = None
-    v_initial = v_max_inc = v_now = None
-
     # The evaluated blocks of samples, each (header, table), and (step,
     # state, saddle distance) of the samples not yet evaluated.
     blocks, pending = [], []
@@ -638,91 +696,45 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
                 blocks.append(_samples(engine, pending, dt, reference))
             pending.clear()
 
-    termination = "max_time"
-    k = chunked = rejected = single_until = 0
-    update_norm = None
-    sup_norm = float(np.max(np.abs(w)))
+    k, sup_norm = 0, float(np.max(np.abs(w0)))
+    w_ref = v_initial = v_now = v_max_inc = None
     # The explicit finiteness checks decide divergence, so neither the saddle
     # distances nor the stepping raise numpy overflow or invalid-value
     # warnings: the distance of a huge start overflows to inf.
     with np.errstate(over="ignore", invalid="ignore"):
         if saddle is not None:
             w_ref = np.concatenate([np.asarray(saddle[0], float), np.asarray(saddle[1], float)])
-            np.subtract(w, w_ref, out=scratch)
-            v_now = v_initial = 0.5 * float(scratch @ scratch)
+            diff = w0 - w_ref
+            v_now = v_initial = 0.5 * float(diff @ diff)
             v_max_inc = -math.inf
-        keep(0, w, v_now)
-        while k < n_steps:
-            t = k * dt
-            engine.velocity(w, t, vel)
-            if (plan.free is not None and k >= single_until and k + CHUNK <= n_steps
-                    and t >= engine._fold_time):
-                chosen = plan.choose(n + q, w, vel)
-                chunks = min(CHUNKS_PER_PRODUCT, (n_steps - k) // CHUNK)
-                rows = None
-                if chosen is not None:
-                    powers, clamp = chosen
-                    rows = _chunk(powers, w, vel, dt, n + q, floor, chunks, clamp)
-                taken = 0 if rows is None else len(rows[0])
-                if taken < chunks * CHUNK:
-                    # The skipped chunk, or the first one with a failing
-                    # step, goes singly.
-                    rejected += chosen is not None
-                    single_until = k + taken + CHUNK
-                if rows is not None:
-                    W, update_norm, sup = rows
-                    sup_norm = max(sup_norm, sup)
-                    if w_ref is not None:
-                        D = W - w_ref
-                        twice = np.einsum("ij,ij->i", D, D)  # twice the distances
-                        rise = max(float(twice[0]) - 2.0 * v_now,
-                                   float(np.subtract(twice[1:], twice[:-1]).max()))
-                        v_max_inc = max(v_max_inc, 0.5 * rise)
-                        v_now = 0.5 * float(twice[-1])
-                    end = k + taken
-                    for s in range((k // stride + 1) * stride, end + 1, stride):
-                        j = s - k - 1
-                        keep(s, W[j], None if w_ref is None else 0.5 * float(twice[j]))
-                    if end == n_steps and n_steps % stride:
-                        keep(end, W[-1], v_now)
-                    w[:] = W[-1]
-                    k = end
-                    chunked += taken
-                    continue
-
-            np.multiply(vel, dt, out=w_new)
-            w_new += w
-            lam, lam_new, dlam = w[n + q:], w_new[n + q:], vel[n + q:]
-            np.maximum(lam_new, 0.0, out=lam_new)
-            # The multiplier part of the update norm is the realized change.
-            np.subtract(lam_new, lam, out=dlam)
-            dlam /= dt
-            update_norm = math.sqrt(vel @ vel)
-            step_sup = float(np.abs(w_new, out=scratch).max())
-            if not (math.isfinite(update_norm) and math.isfinite(step_sup)):
-                # A non-finite velocity or state reaches one of the two; only
-                # then are the blocks checked one by one. When every block is
-                # finite, the update's squares overflowed: that diverges too.
-                largest = _finite_max(vel)
-                engine.velocity(w, t, vel)
-                _check_finite(t, vel[:n], vel[n:n + q], vel[n + q:], w_new[:n], w_new[n:n + q])
-                if not math.isfinite(update_norm):
-                    raise DivergenceError(t, largest)
-            w, w_new = w_new, w
-            k += 1
-            sup_norm = max(sup_norm, step_sup)
-
+        keep(0, w0, v_now)
+        for W, update_norm, sup in _steps(engine, plan, w0, n_steps,
+                                          opts.tolerance * (1.0 + CHUNK_GUARD)):
+            sup_norm = max(sup_norm, sup)
             if w_ref is not None:
-                v_prev = v_now
-                np.subtract(w, w_ref, out=scratch)
-                v_now = 0.5 * float(scratch @ scratch)
-                v_max_inc = max(v_max_inc, v_now - v_prev)
-
+                # Twice the distances: a single step's with `@` on scalars,
+                # as the reference takes it, a chunk's rows with one einsum.
+                if len(W) == 1:
+                    np.subtract(W[0], w_ref, out=diff)
+                    twice = (float(diff @ diff),)
+                    rise = 0.5 * twice[0] - v_now
+                else:
+                    D = W - w_ref
+                    twice = np.einsum("ij,ij->i", D, D)
+                    rise = 0.5 * max(float(twice[0]) - 2.0 * v_now,
+                                     float(np.subtract(twice[1:], twice[:-1]).max()))
+                v_max_inc = max(v_max_inc, rise)
+                v_now = 0.5 * float(twice[-1])
+            end = k + len(W)
             converged = update_norm <= opts.tolerance
-            if converged or k == n_steps or k % stride == 0:
-                keep(k, w, v_now)
-            if converged:
-                termination = "converged"
+            stop = converged or end == n_steps
+            kept = range((k // stride + 1) * stride, end + 1, stride)
+            if stop and end % stride:
+                kept = [*kept, end]
+            for s in kept:
+                keep(s, W[s - k - 1], None if w_ref is None else 0.5 * float(twice[s - k - 1]))
+            k = end
+            if stop:
                 break
 
     if pending:
@@ -733,12 +745,11 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
     names = blocks[0][0]
     fields = np.dtype({"names": names, "formats": [float] * len(names)})
     table = np.concatenate([block for _, block in blocks])
-    t = k * dt
-    final = SystemState(lay, w.copy(), t)
-    record = metrics.TrajectoryRecord(
+    final = SystemState(engine.layout, W[-1].copy(), k * dt)
+    return final, metrics.TrajectoryRecord(
         samples=table.view(fields)[:, 0].view(np.recarray),
-        termination=termination,
-        final_t=t,
+        termination="converged" if converged else "max_time",
+        final_t=final.t,
         steps=k,
         dt=dt,
         state_sup_norm=sup_norm,
@@ -746,12 +757,11 @@ def _run_flow(engine, opts, dt, w0, reference, saddle):
         v_initial=v_initial,
         v_final=v_now,
         v_max_step_increase=v_max_inc,
-        chunked_steps=chunked,
-        single_steps=k - chunked,
-        rejected_chunks=rejected,
+        chunked_steps=plan.chunked,
+        single_steps=k - plan.chunked,
+        rejected_chunks=plan.rejected,
         propagator_builds=plan.builds,
     )
-    return final, record
 
 
 def _samples(engine, sampled, dt, reference):

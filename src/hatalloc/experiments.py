@@ -514,7 +514,7 @@ def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
     flow and never excited from consensus-free initial data, so exact-zero
     eigenvalues are excluded.
     """
-    eigs = np.linalg.eigvals(dense_operator((*fold(rp, dc), folded_offset(rp, dc))))
+    eigs = np.linalg.eigvals(dense_operator(*fold(rp, dc), rp.H.shape[0] + 2 * dc.block_dim))
     moving = eigs[np.abs(eigs) > 1e-9]
     if moving.size == 0:
         return 0.0, 1.0

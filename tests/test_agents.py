@@ -78,7 +78,8 @@ def check_one_sweep(seed, families, state_seed, start):
         np.maximum(folded[x.size + z.size:], 0.0, out=folded[x.size + z.size:])
         assert np.max(np.abs(folded - stepped)) <= 1e-12
         # the chunks, taken only while no multiplier clamps
-        powers = _propagator(dense_operator(engine.folded()), DT)
+        *entries, b = engine.folded()
+        powers = _propagator(dense_operator(*entries, b.size), DT)
         rows = _chunk(powers, w, vel, DT, x.size + z.size, 0.0, CHUNKS_PER_PRODUCT)
         if rows is not None:
             assert np.max(np.abs(rows[0][0] - stepped)) <= 1e-12

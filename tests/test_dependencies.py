@@ -222,6 +222,17 @@ def test_one_builder_of_the_flow_operator():
     assert _referrers("lift_entries") == {"dynamics.fold"}
 
 
+def test_one_stepper_feeds_one_consumer():
+    """A run's steps come from one source, `dynamics._steps`, the only scope
+    that attempts chunks, and `_run_flow`'s loop over it is the only
+    consumer: it alone tracks, samples and stops. The samples are evaluated
+    only from that loop's `keep`."""
+    assert _referrers("_chunk") == {"dynamics._steps"}
+    assert _referrers("choose") == {"dynamics._steps"}
+    assert _referrers("_steps") == {"dynamics._run_flow"}
+    assert _referrers("_samples") == {"dynamics._run_flow", "dynamics._run_flow.keep"}
+
+
 def test_the_writer_streams_through_no_encoder():
     """No module of the package names json's pure-Python streaming encoder
     or a batch size for its pieces: `save_scenario` writes the text that

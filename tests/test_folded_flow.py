@@ -8,17 +8,21 @@ matrix product while the set of clamped multipliers stays fixed.
 `_step_arrays` is the reference all of them are held to.
 """
 
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hatalloc import build_decoupled, dynamics, initial_state, integrate, model, oracle
+from hatalloc import (
+    build_decoupled, dynamics, initial_state, integrate, lift_to_saddle, model, oracle,
+    solve_centralized,
+)
 from hatalloc.dynamics import (
     CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, SystemState, _chunk, _ChunkPlan, _step_arrays,
 )
@@ -128,17 +132,23 @@ def _reference_run(scenario, w_ref, steps=STEPS):
     return stacked(), sup, v_max_inc
 
 
+def _random_saddle(scenario):
+    """A random saddle (eta, lambda) to track, its multipliers nonnegative."""
+    lay = scenario.layout
+    n_eta = lay.x_dim + lay.block_dim
+    w_ref = np.random.default_rng(8).normal(size=n_eta + lay.block_dim)
+    return w_ref[:n_eta], np.abs(w_ref[n_eta:])
+
+
 def _check_against_reference(scenario, steps):
     """`integrate` over `steps` steps from the scenario's start equals the
     reference steps: final state, sup-norm and largest saddle-distance
     increase. Returns the run's record."""
     scenario = scenario.with_solver(tolerance=0.0, max_time=steps * 1e-3)
-    lay = scenario.layout
-    n_eta = lay.x_dim + lay.block_dim
-    w_ref = np.random.default_rng(8).normal(size=n_eta + lay.block_dim)
-    w_ref[n_eta:] = np.abs(w_ref[n_eta:])
+    saddle = _random_saddle(scenario)
+    w_ref = np.concatenate(saddle)
 
-    final, record = integrate(scenario, saddle=(w_ref[:n_eta], w_ref[n_eta:]))
+    final, record = integrate(scenario, saddle=saddle)
     expected, sup, v_max_inc = _reference_run(scenario, w_ref, steps)
 
     assert (record.steps, record.termination) == (steps, "max_time")
@@ -183,6 +193,85 @@ def test_clamped_starts_match_reference_steps(seed, start, n_chunks, rest):
     record = _check_against_reference(scenario, n_chunks * CHUNK + rest)
     # Only runs that built a clamped propagator count as examples.
     assume(record.propagator_builds > 1)
+
+
+def _oracle_tracking(scenario):
+    """The oracle's solution and its lifted saddle, tracked as `hatalloc run`
+    tracks them."""
+    dc = build_decoupled(scenario)
+    x, y, mu, _ = solve_centralized(scenario)
+    _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
+    return {"dc": dc, "reference": (x, y), "saddle": (eta, lam)}
+
+
+# sha256 of a run's final w, its samples and every other record field.
+RUN_SHA256 = {
+    # chunks and 1,840 single steps, across clamp changes
+    "random-0": "865c53eb3185adf88695494bffb9fea0aeb60ab150e501df9a3cb249b3aca699",
+    # single steps of the rhs only
+    "softplus": "cca70c4c67345dd19445b1e77c386f16b8144a28fed6d7a2ccb330e290dbca22",
+    # the rhs, then chunks once the schedule has settled
+    "scheduled": "40d220ce572ae11a8362c939adcf18eab6697384f11b364e684e7f44db784aba",
+}
+RUNS = {
+    "random-0": lambda: random_scenario(0).with_solver(max_time=30.0),
+    "softplus": lambda: _with_random_start(
+        path_scenario(attitude=-0.8, family="softplus_affine", beta=5.0), 7
+    ).with_solver(max_time=2.0, record_stride=7),
+    "scheduled": lambda: _scheduled().with_solver(max_time=5.0, record_stride=33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SHA256))
+def test_tracked_runs_are_pinned_bit_for_bit(name):
+    """The loop's bookkeeping is pinned to the bit: the saddle distances a
+    single step takes with `@`, a chunk's with one einsum, the samples and
+    the counts. The oracle's saddle is tracked where the oracle applies, a
+    random one for softplus humans."""
+    scenario = RUNS[name]()
+    tracking = ({"saddle": _random_saddle(scenario)} if name == "softplus"
+                else _oracle_tracking(scenario))
+    final, record = integrate(scenario, **tracking)
+    digest = hashlib.sha256(final.w.tobytes())
+    digest.update(repr(record.samples.dtype.names).encode())
+    digest.update(record.samples.tobytes())
+    digest.update(repr([(f.name, getattr(record, f.name))
+                        for f in fields(record) if f.name != "samples"]).encode())
+    assert digest.hexdigest() == RUN_SHA256[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stride=st.integers(1, 200),
+    n_chunks=st.integers(0, 6),
+    rest=st.integers(0, CHUNK - 1),
+    clamped=st.booleans(),
+    stop_at=st.none() | st.floats(0.0, 1.0),
+)
+# a stride that does not divide a budget ending in a chunk
+@example(stride=37, n_chunks=3, rest=0, clamped=False, stop_at=None)
+def test_samples_are_step_0_the_stride_steps_and_the_stop(stride, n_chunks, rest, clamped,
+                                                          stop_at):
+    """The sampled steps are 0, every multiple of the stride up to the stop,
+    and the stop step, each once: at the budget with tolerance 0, and mid-run
+    with the update norm a run ended with at a drawn step of the budget as
+    the tolerance, whether chunks or single steps end the run."""
+    scenario = _with_random_start(random_scenario(0), 7, clamped)
+    dt = scenario.solver.dt
+    n_steps = max(1, n_chunks * CHUNK + rest)
+    tolerance = 0.0
+    if stop_at is not None:
+        at = max(1, round(stop_at * n_steps))
+        _, probe = integrate(scenario.with_solver(tolerance=0.0, max_time=at * dt))
+        tolerance = probe.final_update_norm
+    _, record = integrate(scenario.with_solver(
+        tolerance=tolerance, max_time=n_steps * dt, record_stride=stride))
+    stop = record.steps
+    if stop_at is None:
+        assert (stop, record.termination) == (n_steps, "max_time")
+    assert stop <= n_steps
+    sampled = np.rint(record.samples.t / dt).astype(int).tolist()
+    assert sampled == sorted({*range(0, stop + 1, stride), stop})
 
 
 def _attempts(engine, plan):
