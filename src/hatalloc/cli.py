@@ -239,16 +239,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    commands = {"run": _cmd_run, "oracle": _cmd_oracle, "check": _cmd_check,
+                "preset": _cmd_preset}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        return EXIT_USAGE
+        return commands[args.command](args)
     except (OSError, ScenarioFormatError, NoAdmissibleInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

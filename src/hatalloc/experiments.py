@@ -25,8 +25,9 @@ call's draws share their ids, dims and rows). That block is the only stack
 shape the generator makes: a draw's stack is its row of the block (`_row`),
 a view. The attitude cells of the whole block are built from it by negating
 the gain blocks of the humans whose unit attitude a cell flips, as one stack
-with a cell axis after the draw axis, and reduced in one pass
-(`reduce_stacked`). Every admission stage reads these cells. One screen per
+with a cell axis after the draw axis on every operator, and reduced in one
+pass (`reduce_stacked`); a draw's cells are its row of that reduction
+(`ReducedProgram.at`). Every admission stage reads these cells. One screen per
 block rates all nine (demand margin, budget fraction) probes of every draw
 at once: with its active set fixed, each probe's solution is affine in the
 offset c, so one inverse of each draw's Hessian, which its cells share,
@@ -52,10 +53,9 @@ factor s: for quadratic costs with affine responses the optimal point is
 exactly linear in (c, base), so normalizing the lifted saddle norm keeps
 the flow's velocity small enough for tight per-step descent checks; the
 lift reads the draw's row and the own cell's solution that the search found
-at c. The remaining checks read the search's cells
-with d scaled by s (`_scaled`): H, G_c and S read no d, so only g, const,
-B d and h_c are computed, and the solve reuses what it built from H and G_c.
-`_rejection` solves the scaled cells in one stacked pass. Its grid checks
+at c. The remaining checks read the draw's row of the block's cell stack
+with d scaled by s, reduced anew at c s (`reduce_stacked`), and
+`_rejection` solves these scaled cells in one stacked pass. Its grid checks
 run the cheap ones first (every cell's solution, workloads and contrasts)
 and the other cells' stability margins, one `eigvals` of the flow's dense M
 (`dense_operator` of `fold`) each, last; each counts as "grid", so the
@@ -286,10 +286,10 @@ def _cell_stacks(block: StackedProblem, lay: ScenarioLayout,
     A unit attitude only signs its human's gain blocks in S, and generated
     draws have unit attitudes, so a cell negates the blocks of each human
     whose attitude it flips: the floats `stack_problem` lays out for the
-    relabeled scenario. The block's other operators gain a unit cell axis,
-    so that `reduce_stacked` broadcasts them over the cells, and the own
-    cell's index is the first draw's (a generator call's draws share their
-    attitudes).
+    relabeled scenario. The block's other operators are broadcast over the
+    cells as read-only views, so every operator has the draw and cell axes
+    and `reduce_stacked` gives every field both. The own cell's index is
+    the first draw's (a generator call's draws share their attitudes).
     """
     humans = lay.human_ids
     attitudes = np.array([[draw[k].attitude for k in humans] for draw in models])
@@ -308,19 +308,10 @@ def _cell_stacks(block: StackedProblem, lay: ScenarioLayout,
     rows = np.repeat(np.arange(len(humans)), [lay.dims[k] for k in humans])
     negated = flips[:, :, rows, None] & gains[:, None, rows, :]  # (draws, cells, y, x)
     S = block.S[:, None] * np.where(negated, -1.0, 1.0)
-    return keys, own, replace(block, S=S, **{name: getattr(block, name)[:, None]
-                                             for name in _BLOCK_FIELDS if name != "S"})
-
-
-def _draw_cells(cells: ReducedProgram, i: int) -> ReducedProgram:
-    """Draw i's attitude cells as a stack of programs, from `reduce_stacked`
-    of a block's cell stack, whose h_c, d, b_d and const are every cell's."""
-    H, g, G_c, S = (v[i] for v in (cells.H, cells.g, cells.G_c, cells.S))
-    n = len(H)
-    h_c, d, b_d = (np.broadcast_to(v[i], (n, v.shape[-1]))
-                   for v in (cells.h_c, cells.d, cells.b_d))
-    const = np.broadcast_to(cells.const[i], (n,))
-    return ReducedProgram(H=H, g=g, const=const, G_c=G_c, h_c=h_c, S=S, d=d, b_d=b_d)
+    axes = S.shape[:2]  # (draws, cells)
+    return keys, own, replace(block, S=S, **{
+        name: np.broadcast_to(getattr(block, name)[:, None], axes + getattr(block, name).shape[1:])
+        for name in _BLOCK_FIELDS if name != "S"})
 
 
 DEMAND_MARGINS = (1.0, 1.8, 2.8)
@@ -358,8 +349,8 @@ def _screen(cells: ReducedProgram) -> np.ndarray:
     """Which (demand margin, budget fraction) probes of `_offset_search` may
     pass, as a boolean grid; False only where the exact search must fail.
     `cells` is stacked along a leading cell axis, as `reduce_stacked` lays
-    out a cell stack (d and b_d may be every cell's); a block's cell stack
-    adds a draw axis before it, and gets one grid per draw.
+    out a draw's cell stack; a block's cell stack adds a draw axis before
+    it, and gets one grid per draw.
 
     Each probe's solution is the KKT point of a known active set A, affine in
     the offset c (Bemporad et al., Automatica 38(1), 2002): at the slack
@@ -477,7 +468,8 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram, dc: DecoupledConstr
                      x: np.ndarray, mu: np.ndarray) -> float:
     """The factor s for (c, bases) that keeps the lifted saddle norm and the
     initial flow speed small, from the scenario's `rp`, its solution (x, mu)
-    and `dc`.
+    and `dc`. Of `rp` it reads H's size, g and d (`folded_offset`), which
+    no offset changes, so the program may be reduced at any offset.
 
     The optimum of a quadratic/affine instance is exactly linear in these
     offsets, and so is the flow velocity at the all-zero start, so one scale
@@ -493,15 +485,6 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram, dc: DecoupledConstr
     dx, dz, dlam = b[:n], b[n:n + q], np.maximum(0.0, b[n + q:])
     speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
     return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
-
-
-def _scaled(programs: ReducedProgram, cells: StackedProblem, s: float,
-            c: np.ndarray) -> ReducedProgram:
-    """The draw's attitude cells `programs`, reduced from `cells` (its row
-    of its block's cell stack), with their bases and offset c scaled by s:
-    `stack_problem` copies each base into d, so d * s is the scaled stack.
-    H, G_c and S read no d, so they are the search's."""
-    return programs.with_bases(cells, cells.d * s, c * s)
 
 
 def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
@@ -549,9 +532,10 @@ def _rejection(scenario: Scenario, scaled: ReducedProgram, keys: list[tuple[str,
                own: int, dc: DecoupledConstraint, abscissa_bar: float,
                check_grid: bool) -> str | None:
     """The first check the tightened draw fails once scaled, or None. It
-    reads `scaled`, the stack of the draw's attitude cells scaled by
-    `_scaled` (keyed by `keys`; `own` is the draw's own cell), solved in one
-    stacked pass; all share `dc`, since the folded M reads neither c nor d.
+    reads `scaled`, the stack of the draw's attitude cells reduced with
+    their bases and offset scaled by s (keyed by `keys`; `own` is the
+    draw's own cell), solved in one stacked pass; all share `dc`, since the
+    folded M reads neither c nor d.
     The grid's checks all count as "grid", so its cheap ones run first."""
     dt = scenario.solver.dt
     solved = solve_programs(scaled)
@@ -617,7 +601,7 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
                 tally["screened"] += 1
                 rejected["tighten"] += 1
                 continue
-            draw_cells = _draw_cells(reduced, i)
+            draw_cells = reduced.at(i)
             found = _offset_search(draw_cells, passes, tally)
             if found is None:
                 rejected["tighten"] += 1
@@ -626,10 +610,11 @@ def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
             tally["built"] += 1
             tightened = _scenario(draw, _row(block, i), c)
             dc = build_decoupled(tightened)
-            s = _normalize_scale(tightened, draw_cells.with_offset(c).at(own), dc,
-                                 at_c.x[own], at_c.mu[own])
-            reason = _rejection(tightened, _scaled(draw_cells, _row(cells, i), s, c), keys, own,
-                                dc, abscissa_bar, check_grid)
+            s = _normalize_scale(tightened, draw_cells.at(own), dc, at_c.x[own], at_c.mu[own])
+            # `stack_problem` copies each base into d, so d * s is the scaled stack.
+            row = _row(cells, i)
+            scaled = reduce_stacked(replace(row, d=row.d * s), c * s)
+            reason = _rejection(tightened, scaled, keys, own, dc, abscissa_bar, check_grid)
             if reason is None:
                 log.debug("seed %d: accepted draw %d; rejected by %s; the offset screen "
                           "rejected %d draws whole, %d exact offset solves ran, %d draws "

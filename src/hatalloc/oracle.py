@@ -11,13 +11,13 @@ solves, the flow's fold (`FlowEngine.folded`) and every `with_solver` copy
 read one reduction; `reduce_program` checks the oracle's scope and the
 reduction's finiteness on top of it. Of the reduced program only
 h_c = c + B d depends on the offset c, so `ReducedProgram.with_offset`
-re-targets it to a new c without reassembly, and `ReducedProgram.with_bases`
-re-targets it to new bases d, computing only the terms that read d (g, const
-and B d). `reduce_stacked` holds the reduction algebra, so the generator,
-which already has stacked operators, reduces them as `reduction` reduces
+re-targets it to a new c without reassembly. `reduce_stacked` holds the
+reduction algebra and makes every reduced program: the generator, which
+already has stacked operators, reduces them as `reduction` reduces
 `scenario.stacked` (several attitude cells, of several draws, at once when
-the operators carry leading cell and draw axes). `lift_to_saddle` reads S
-and d from the stack: it reduces nothing.
+the operators carry leading draw and cell axes), and reduces a draw's cells
+anew when it scales their bases d. `lift_to_saddle` reads S and d from the
+stack: it reduces nothing.
 
 `solve_programs` and `interior_points` solve a stack of programs (one
 leading axis on every field) with one active-set enumeration:
@@ -29,10 +29,9 @@ program's floats are those it gets alone (`np.einsum`'s sums are not);
 `solve_program` and `interior_point` are the same code on a stack of one.
 What a solve reads of H and G_c alone (the Cholesky verdicts, each active
 set's rows G_a of the KKT matrix [[H, G_a^T], [G_a, 0]], and pinv(G_c)) is
-built once per stack and shared by its `with_offset` and `with_bases`
-copies; the free minimizer and its row levels, which read g too, by its
-`with_offset` copies. `load_scenario` reads scenario files, since a file may
-ask for the solver's Slater certificate.
+built once per stack and shared by its `with_offset` copies, and so are the
+free minimizer and its row levels, which read g too. `load_scenario` reads
+scenario files, since a file may ask for the solver's Slater certificate.
 """
 
 from __future__ import annotations
@@ -75,8 +74,9 @@ Solution = tuple[np.ndarray, np.ndarray, np.ndarray, float]  # (x*, y*, mu*, val
 class ReducedProgram:
     """min 0.5 x^T H x + g^T x + const  s.t.  G_c x + h_c <= 0.
 
-    A stack of programs carries one leading axis on every field, const an
-    array; `at` takes one program out of it."""
+    A stack of programs carries the same leading axes on every field, const
+    an array of them: one axis for a draw's attitude cells, two for a block
+    of draws and their cells; `at` takes the first."""
 
     H: np.ndarray
     g: np.ndarray
@@ -88,7 +88,7 @@ class ReducedProgram:
     b_d: np.ndarray  # B d, the human part of h_c = c + B d
     # What a solve reads of H and G_c alone: the Cholesky verdicts, each
     # active set's rows G_a of the KKT matrix, and pinv(G_c). Built once,
-    # shared by `with_offset` and `with_bases` copies.
+    # shared by `with_offset` copies.
     _structure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The free minimizer and its row levels G_c x, which read g too; shared
     # by `with_offset` copies.
@@ -101,25 +101,13 @@ class ReducedProgram:
         object.__setattr__(probe, "_free", self._free)
         return probe
 
-    def with_bases(self, sp: StackedProblem, d: np.ndarray, c: np.ndarray) -> ReducedProgram:
-        """`reduce_stacked(replace(sp, d=d), c)`, where `sp` is the stack
-        this program reduces: H, G_c and S read no d, so they are this
-        program's, and only g, const, B d and h_c are computed. The copy
-        shares what a solve reads of H and G_c alone. Each field is broadcast
-        to this program's shape."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, const, b_d = _base_terms(sp, d)
-            h_c = c + b_d
-        parts = dict(g=g, d=d, b_d=b_d, h_c=h_c)
-        copy = replace(self, const=np.broadcast_to(const, np.shape(self.const)),
-                       **{name: np.broadcast_to(value, getattr(self, name).shape)
-                          for name, value in parts.items()})
-        object.__setattr__(copy, "_structure", self._structure)
-        return copy
-
     def at(self, i: int) -> ReducedProgram:
-        """Program i of a stack."""
-        return ReducedProgram(H=self.H[i], g=self.g[i], const=float(self.const[i]),
+        """Row i of the first axis of every field: program i of a stack of
+        programs, or draw i's cells of a block. const is a float when one
+        program results."""
+        const = self.const[i]
+        return ReducedProgram(H=self.H[i], g=self.g[i],
+                              const=float(const) if const.ndim == 0 else const,
                               G_c=self.G_c[i], h_c=self.h_c[i], S=self.S[i], d=self.d[i],
                               b_d=self.b_d[i])
 
@@ -158,32 +146,25 @@ def reduction(scenario: Scenario) -> ReducedProgram:
 
 def reduce_stacked(sp: StackedProblem, c: np.ndarray) -> ReducedProgram:
     """The reduced program of stacked operators with quadratic costs and
-    affine responses, at constraint offset c. `reduce_program` checks those
-    conditions. The generator calls this on the attitude cells of a block of
-    draws at once: operators with leading axes (S with a cell axis, and in a
-    block every operator with a draw axis before it) give H, g, G_c, S, d,
-    b_d, h_c and const with those axes broadcast, each cell's floats those
+    affine responses, at constraint offset c: the one maker of reduced
+    programs. `reduce_program` checks those conditions. The generator calls
+    this on the attitude cells of a block of draws at once, every operator
+    with a leading draw axis and a cell axis after it, and on one draw's
+    cells, a cell axis alone, with their bases d scaled. It gives H, g,
+    G_c, S, d, b_d, h_c and const with those axes, each cell's floats those
     of its own reduction. Entries that overflow become inf or nan without a
     warning; `reduce_program` refuses such a program."""
-    S, gam_bar = sp.S, sp.y_weight
+    S, gam_bar, d_col = sp.S, sp.y_weight, sp.d[..., None]
     S_T = S.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         H = 2.0 * (sp.x_weight + S_T @ gam_bar @ S)
         H = 0.5 * (H + H.swapaxes(-1, -2))
-        g, const, b_d = _base_terms(sp, sp.d)
+        g = 2.0 * (S_T @ (gam_bar @ d_col))[..., 0]
+        const = (sp.d[..., None, :] @ gam_bar @ d_col)[..., 0, 0]
+        b_d = (sp.b_cat @ d_col)[..., 0]
         G_c = sp.a_cat + sp.b_cat @ S
     return ReducedProgram(H=H, g=g, const=float(const) if const.ndim == 0 else const,
                           G_c=G_c, h_c=c + b_d, S=S, d=sp.d, b_d=b_d)
-
-
-def _base_terms(sp: StackedProblem, d: np.ndarray):
-    """(g, const, B d): the terms of `reduce_stacked` of `sp` that read the
-    bases d."""
-    d_col = d[..., None]
-    g = 2.0 * (sp.S.swapaxes(-1, -2) @ (sp.y_weight @ d_col))[..., 0]
-    const = (d[..., None, :] @ sp.y_weight @ d_col)[..., 0, 0]
-    b_d = (sp.b_cat @ d_col)[..., 0]
-    return g, const, b_d
 
 
 def solve_centralized(scenario: Scenario) -> Solution:

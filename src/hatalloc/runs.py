@@ -141,13 +141,25 @@ def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, li
 
 
 def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
-    """Integrate `base` in every attitude cell; the grid never tracks."""
+    """Integrate `base` in every attitude cell; the grid never tracks. A
+    cell whose flow diverges at both step sizes writes the summary of the
+    cells finished so far and of itself, with `termination: "diverged"`
+    and both attempts, and no contrasts, before its `DivergenceError`
+    propagates."""
     os.makedirs(out_dir, exist_ok=True)
+    summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     h1, h2 = base.topology.human_ids
     rows, totals, terminations, cells = [], {}, {}, {}
     for (k1, k2), cell in attitude_cells(base).items():
         dc = build_decoupled(cell)
-        final, record = integrate(cell, dc=dc)
+        try:
+            final, record = integrate(cell, dc=dc)
+        except DivergenceError as exc:
+            cells[f"{k1}|{k2}"] = {"termination": "diverged",
+                                   "attempts": [asdict(a) for a in exc.attempts]}
+            _write_summary(summary_path, {"preset": "fig5_risk_grid", "seed": seed,
+                                          "cells": cells})
+            raise
         engine = FlowEngine(cell, dc)
         x, _, _ = cell.layout.parts(final.w)
         y, _ = engine.response(x, final.t)
@@ -183,7 +195,6 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
 
     summary = {"preset": "fig5_risk_grid", "seed": seed, **grid_contrasts(totals),
                "contrast_unconverged_cells": _unconverged_cells(terminations), "cells": cells}
-    summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     summary = _write_summary(summary_path, summary)
     return ExperimentResult(
         exit_code=0,

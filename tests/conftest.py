@@ -25,7 +25,6 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _cell_stacks,
-    _draw_cells,
     _lay_out,
     _layout,
     _normalize_scale,
@@ -34,7 +33,6 @@ from hatalloc.experiments import (
     _rejection,
     _row,
     _scenario,
-    _scaled,
     _screen,
     _stability_margins,
     crosscheck_scenario,
@@ -361,21 +359,24 @@ def screened_cells(block, lay, models):
     block, computed for that draw alone: `block` is a block of one draw and
     `models` its response models. Returns the cells' keys, the draw's own
     cell, the draw's row of the cell stack, the stack of its cells' programs
-    reduced at offset 0 and the screen's grid."""
+    reduced at offset 0 (its row of the block's reduction) and the screen's
+    grid."""
     keys, own, cells = _cell_stacks(block, lay, [models])
     reduced = reduce_stacked(cells, np.zeros(lay.rows))
-    return keys, own, _row(cells, 0), _draw_cells(reduced, 0), _screen(reduced)[0]
+    return keys, own, _row(cells, 0), reduced.at(0), _screen(reduced)[0]
 
 
 def cell_programs(stack):
-    """Each program of a stack, such as `_draw_cells` or `reduce_stacked` of
-    a draw's row of its cell stack (whose h_c, d, b_d and const may be every
-    cell's), on its own."""
-    n = len(stack.H)
-    every = {name: getattr(stack, name) for name in ("h_c", "d", "b_d")}
-    full = replace(stack, const=np.broadcast_to(stack.const, (n,)),
-                   **{name: np.broadcast_to(v, (n, v.shape[-1])) for name, v in every.items()})
-    return [full.at(i) for i in range(n)]
+    """Each program of a stack, such as a draw's row of a block's reduction
+    or `reduce_stacked` of a draw's row of its cell stack, on its own."""
+    return [stack.at(i) for i in range(len(stack.H))]
+
+
+def scaled_cells(cells, s, c):
+    """The draw's attitude cells that `_rejection` reads, as `_generate`
+    reduces them: `cells`, the draw's row of its block's cell stack, with d
+    scaled by s, reduced at the tightened offset c scaled by s."""
+    return reduce_stacked(replace(cells, d=cells.d * s), c * s)
 
 
 def generator_stages(draw):
@@ -395,10 +396,9 @@ def generator_stages(draw):
     c, at_c = found
     tightened = at_offset(draw, c)
     dc = build_decoupled(tightened)
-    s = _normalize_scale(tightened, searched.with_offset(c).at(own), dc, at_c.x[own],
-                         at_c.mu[own])
+    s = _normalize_scale(tightened, searched.at(own), dc, at_c.x[own], at_c.mu[own])
     return SimpleNamespace(tightened=tightened, searched=searched, cells=cells, keys=keys,
-                           own=own, s=s, dc=dc, scaled=_scaled(searched, cells, s, c))
+                           own=own, s=s, dc=dc, scaled=scaled_cells(cells, s, c))
 
 
 def scaled_scenario(tightened, s):
@@ -549,9 +549,8 @@ def reference_generate(seed, auto_dims, human_dims, attitudes, abscissa_bar, che
         tally["built"] += 1
         tightened = _scenario(draw, _row(block, 0), c)
         dc = build_decoupled(tightened)
-        s = _normalize_scale(tightened, searched.with_offset(c).at(own), dc, at_c.x[own],
-                             at_c.mu[own])
-        reason = _rejection(tightened, _scaled(searched, cells, s, c), keys, own, dc,
+        s = _normalize_scale(tightened, searched.at(own), dc, at_c.x[own], at_c.mu[own])
+        reason = _rejection(tightened, scaled_cells(cells, s, c), keys, own, dc,
                             abscissa_bar, check_grid)
         if reason is None:
             return SimpleNamespace(scenario=scaled_scenario(tightened, s), attempt=attempt,
@@ -640,15 +639,16 @@ def _recorded_generation(generate, seed):
     try:
         with pytest.MonkeyPatch.context() as patch:
             record_calls(patch, log, experiments._raw_draw, experiments._lay_out,
-                         experiments._screen, experiments._scenario, experiments._scaled,
-                         experiments._rejection,
+                         experiments._screen, experiments._scenario,
+                         experiments._normalize_scale, experiments._rejection,
                          model.stack_parts, model.stack_problem,
                          oracle.reduce_program, oracle.reduce_stacked,
                          reformulation.build_decoupled)
             patch.setattr(experiments, "_offset_search", search)
             for cls in (QuadraticCost, Scenario):
                 patch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__,
-                              _name=cls.__name__: built.update([_name]) or _real(self))
+                              _name=cls.__name__: built.update([_name])
+                              or log.append((_name, (self,), None)) or _real(self))
             misses = generate.cache_info().misses
             scenario = generate(seed)
             if generate.cache_info().misses == misses:
@@ -661,6 +661,7 @@ def _recorded_generation(generate, seed):
         scenario=scenario,
         record=record,
         accepted=record.args[1],
+        log=log,
         calls=Counter(name for name, _, _ in log),
         built=built,
         draws=[(draw, _row(block, i)) for name, args, block in log if name == "_lay_out"
@@ -668,7 +669,9 @@ def _recorded_generation(generate, seed):
         grids=[grid for name, _, grids in log if name == "_screen" for grid in grids],
         searches=searches,
         offsets=[None if search.found is None else search.found[0] for search in searches],
-        scaled=[args for name, args, _ in log if name == "_scaled"],
+        scales=[s for name, _, s in log if name == "_normalize_scale"],
+        scaled=[SimpleNamespace(operand=args[0], c=args[1], cells=cells)
+                for name, args, cells in log if name == "reduce_stacked" and args[0].S.ndim == 3],
         rejections=[(args, reason) for name, args, reason in log if name == "_rejection"],
         tightened=[(*args[:2], scenario) for name, args, scenario in log
                    if name == "_scenario"],
@@ -683,14 +686,16 @@ def generation():
     once per session and recorded, keyed by seed under `team` and
     `crosscheck`. Per instance: the generated scenario, its one DEBUG record
     and the accepted attempt; the calls of the generator's assembly functions and
-    the `QuadraticCost` and `Scenario` constructions; every raw draw it drew
+    the `QuadraticCost` and `Scenario` constructions, in the order they
+    returned (`log`, as `record_calls` records them) and counted; every raw draw it drew
     (up to the end of the accepted draw's block) with its row of its block,
     and its screen grid; each exact search (its cells, screen grid, result
     and the exact solves it counted) and the offsets it took (None when it
     rejected the draw); each tightened draw with the row it was given and
-    the `Scenario` built from them; the arguments of each `_scaled` call
-    and of each `_rejection` call with its verdict; and the block
-    reductions."""
+    the `Scenario` built from them; each scale factor s
+    (`_normalize_scale`), each scaled reduction (its operand, offset and
+    cells) and the arguments of each `_rejection` call with its verdict; and
+    the block reductions."""
     return SimpleNamespace(
         team={seed: _recorded_generation(team_scenario, seed) for seed in range(1, 10)},
         crosscheck={seed: _recorded_generation(crosscheck_scenario, seed)

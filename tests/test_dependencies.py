@@ -103,9 +103,10 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def _referrers(name: str) -> set[str]:
+def _referrers(name: str, calls: bool = False) -> set[str]:
     """`module.Class.function` of every scope in the package that names
-    `name`, bare or as an attribute."""
+    `name`, bare or as an attribute; with `calls`, every scope that calls
+    it."""
     found = set()
 
     def visit(node, scope):
@@ -113,7 +114,8 @@ def _referrers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+            named = (child.func if isinstance(child, ast.Call) else None) if calls else child
+            if name in (getattr(named, "id", None), getattr(named, "attr", None)):
                 found.add(scope)
             visit(child, scope)
 
@@ -160,10 +162,26 @@ def test_the_package_reads_a_states_w_and_never_restacks_it():
                                           for p in bench.glob("*.py")))
     gone = {"stack_x", "stack_nodes", "unstack_x", "unstack_nodes", "unstack_state"}
     assert not set().union(*map(_referrers, gone))
-    defined = {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    assert not defined & gone
+    assert not _defined_functions() & gone
+
+
+def _defined_functions() -> set[str]:
+    """The name of every function and method the package defines."""
+    return {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_one_maker_of_reduced_programs():
+    """`oracle.reduce_stacked` makes every reduced program, and
+    `ReducedProgram.at` takes one out of a stack: no other scope calls the
+    constructor. The partial re-reduction to new bases and the helpers that
+    re-stacked a draw's cells are neither defined nor named."""
+    assert _referrers("ReducedProgram", calls=True) == {"oracle.reduce_stacked",
+                                                         "oracle.ReducedProgram.at"}
+    gone = {"with_bases", "_base_terms", "_scaled", "_draw_cells"}
+    assert not set().union(*map(_referrers, gone))
+    assert not _defined_functions() & gone
 
 
 def test_the_samples_are_one_table():

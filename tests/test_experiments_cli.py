@@ -25,9 +25,6 @@ from hatalloc.experiments import (
     TEAM_DIMS,
     TEAM_HUMAN_DIMS,
     _generate,
-    _normalize_scale,
-    _rejection,
-    _scaled,
     random_scenario,
     team_scenario,
     with_attitudes,
@@ -36,11 +33,9 @@ from hatalloc.runs import _unconverged_cells, run_experiment, run_risk_grid
 
 from conftest import (
     free_multiplier_scenario,
-    generator_stages,
     path_scenario,
     record_calls,
     single_agent_scenario,
-    team_draw,
 )
 
 
@@ -188,34 +183,39 @@ class TestGenerators:
         assert info.value.rejected == {**dict.fromkeys(REJECTIONS, 0),
                                        "tighten": 327, "stability": 55, "grid": 18}
 
-    def test_scale_and_rejection_assemble_nothing(self, monkeypatch):
-        """The scale step, `_scaled` and `_rejection` read the draw's cell
-        stacks, the search's programs and its one decoupled constraint: they
-        call no `build_decoupled`, `reduce_program` or `reduce_stacked`,
-        build no `Scenario` and make no stack. The scale step's lift reads
-        the tightened scenario's stack."""
-        stages = generator_stages(team_draw(94))
-        tightened, own, s, dc = stages.tightened, stages.own, stages.s, stages.dc
-        c = tightened.constraint.c
-        own_cell = oracle.reduce_stacked(tightened.stacked, c)
-        x, _, mu, _ = oracle.solve_program(own_cell)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("assembled during the scale step or the rejection")
-
-        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "hatalloc"]
-        for module in modules:
-            for name in ("build_decoupled", "reduce_program"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
-        monkeypatch.setattr(model.Scenario, "__post_init__", refuse)
-        log = []
-        record_calls(monkeypatch, log, model.stack_problem, model.stack_parts,
-                     oracle.reduce_stacked)
-        assert _normalize_scale(tightened, own_cell, dc, x, mu) == s
-        scaled = _scaled(stages.searched, stages.cells, s, c)
-        assert _rejection(tightened, scaled, stages.keys, own, dc, abscissa_bar=-0.08,
-                          check_grid=True) is None
-        assert log == []
+    def test_scale_and_rejection_assemble_nothing(self, generation):
+        """On every draw that team 1-9 and crosscheck 1-30 tighten, the scale
+        step and the rejection (from the return of the draw's
+        `build_decoupled` to the return of its `_rejection`) call no
+        `build_decoupled`, `reduce_program`, `stack_problem` or
+        `stack_parts` and build no `Scenario` or cost: they call
+        `_normalize_scale` and then `reduce_stacked` once, on the draw's row
+        of its block's cell stack, every array of it a view of that row but
+        d, which is the row's d times s, and `_rejection` reads that
+        reduction."""
+        fields_but_d = [name for name in experiments._BLOCK_FIELDS if name != "d"]
+        spans = 0
+        for run in [*generation.team.values(), *generation.crosscheck.values()]:
+            log = run.log
+            names = [name for name, _, _ in log]
+            opens = [i for i, name in enumerate(names) if name == "build_decoupled"]
+            closes = [i for i, name in enumerate(names) if name == "_rejection"]
+            assert len(opens) == len(closes) and log[closes[-1]][2] is None
+            for start, end in zip(opens, closes):
+                assert names[start + 1:end] == ["_normalize_scale", "reduce_stacked"]
+                s = log[start + 1][2]
+                (operand, _), scaled = log[start + 2][1:]
+                assert log[end][1][1] is scaled
+                cell_stack = next(args[0] for name, args, _ in reversed(log[:start])
+                                  if name == "reduce_stacked" and args[0].S.ndim == 4)
+                [i] = [i for i in range(len(cell_stack.S))
+                       if np.shares_memory(operand.S, cell_stack.S[i])]
+                for name in fields_but_d:
+                    got, row = getattr(operand, name), getattr(cell_stack, name)[i]
+                    assert got.shape == row.shape and np.shares_memory(got, row), name
+                assert operand.d.tobytes() == (cell_stack.d[i] * s).tobytes()
+                spans += 1
+        assert spans == 256 + 78
 
     def test_random_scenario_round_trips(self):
         for seed in range(5):
@@ -225,6 +225,14 @@ class TestGenerators:
 
             again = load_scenario(doc)
             assert again.dims == scenario.dims
+
+    def test_a_scenario_loads_from_an_open_file(self, tmp_path):
+        """`load_scenario` reads a file object as it reads the file's path."""
+        path = tmp_path / "fig4.json"
+        save_scenario(team_scenario(1), path)
+        with open(path, encoding="utf-8") as handle:
+            loaded = load_scenario(handle)
+        assert serialize_scenario(loaded) == serialize_scenario(load_scenario(str(path)))
 
 
 class TestRunExperiment:
@@ -366,6 +374,18 @@ class TestCli:
         assert summary["final_update_norm"] <= summary["tolerance"] == 1e-6
         assert summary["failed_attempt"] is None
 
+    def test_run_runs_the_risk_grid(self, tmp_path, capsys):
+        """`run fig5_risk_grid` writes a four-row grid table and a summary of
+        four cells, and prints the summary it wrote."""
+        out = tmp_path / "grid"
+        assert main(["run", "fig5_risk_grid", "--max-time", "0.5", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["risk_grid.csv", "risk_grid_summary.json"]
+        lines = (out / "risk_grid.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+        text = (out / "risk_grid_summary.json").read_text()
+        assert len(json.loads(text)["cells"]) == 4
+        assert capsys.readouterr().out == text
+
     def test_run_option_overrides(self, tmp_path, capsys):
         scenario = single_agent_scenario()
         path = tmp_path / "s.json"
@@ -391,10 +411,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["run", "f.json", "--dt", "0"], "must be a finite positive number"),
         (["run", "f.json", "--dt", "nan"], "must be a finite positive number"),
+        (["run", "f.json", "--dt", "abc"], "must be a finite positive number"),
         (["run", "f.json", "--max-time", "inf"], "must be a finite positive number"),
         (["run", "f.json", "--tol", "-1"], "must be a finite non-negative number"),
         (["check", "f.json", "--samples", "0"], "must be a positive integer"),
-    ], ids=["zero-dt", "nan-dt", "infinite-max-time", "negative-tol", "zero-samples"])
+    ], ids=["zero-dt", "nan-dt", "text-dt", "infinite-max-time", "negative-tol",
+            "zero-samples"])
     def test_bad_override_value_is_usage_error(self, capsys, argv, message):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -741,6 +763,11 @@ def _refuse(token):
     raise AssertionError(f"{token} is not strict JSON")
 
 
+def _agent(doc, agent_id):
+    """The entry of `agent_id` in a document's agent list."""
+    return next(entry for entry in doc["agents"] if entry["id"] == agent_id)
+
+
 def _edited_team_file(tmp_path, edit):
     """`team_scenario(1)` saved with `edit` applied to its document."""
     path = tmp_path / f"{edit.__name__}.json"
@@ -895,6 +922,49 @@ class TestRunOutputs:
             assert kkt["dual_min"] >= 0.0
 
 
+    def test_a_diverged_grid_cell_writes_the_grid_summary(self, tmp_path, capsys):
+        """At dt 5 the first cell diverges, and again at dt 2.5 (t = 217.5,
+        after 87 steps): `run` exits 2 and writes only the grid's summary,
+        with that cell's record of its attempts and no contrasts."""
+        out = tmp_path / "grid"
+        assert main(["run", "fig5_risk_grid", "--dt", "5", "--max-time", "20000",
+                     "--out", str(out)]) == 2
+        assert "flow diverged" in capsys.readouterr().err
+        assert os.listdir(out) == ["risk_grid_summary.json"]
+        saved = json.loads((out / "risk_grid_summary.json").read_text(), parse_constant=_refuse)
+        assert list(saved) == ["preset", "seed", "cells"]
+        assert (saved["preset"], saved["seed"]) == ("fig5_risk_grid", 1)
+        [(key, cell)] = saved["cells"].items()
+        assert key == "risk_seeking|risk_seeking" and cell["termination"] == "diverged"
+        assert [(a["dt"], a["t"]) for a in cell["attempts"]][1] == (2.5, 217.5)
+        assert [a["dt"] for a in cell["attempts"]] == [5.0, 2.5]
+        assert all(a["max_entry"] > 0 for a in cell["attempts"])
+
+    def test_a_diverged_grid_cell_keeps_the_cells_before_it(self, tmp_path, monkeypatch):
+        """The third cell diverging at both step sizes: the grid's summary
+        holds the two cells before it as the whole grid writes them, then
+        the diverged one."""
+        base = team_scenario(1).with_solver(max_time=0.5)
+        whole = run_risk_grid(base, 1, str(tmp_path / "whole")).summary["cells"]
+        real, cells = runs.integrate, []
+
+        def integrate(cell, **kwargs):
+            cells.append(cell)
+            if len(cells) == 3:
+                cell = cell.with_solver(dt=5.0, max_time=20000.0)
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(runs, "integrate", integrate)
+        with pytest.raises(DivergenceError):
+            run_risk_grid(base, 1, str(tmp_path / "cut"))
+        saved = json.loads((tmp_path / "cut" / "risk_grid_summary.json").read_text())
+        first, second, third = list(whole)[:3]
+        assert list(saved) == ["preset", "seed", "cells"]
+        assert list(saved["cells"]) == [first, second, third]
+        assert saved["cells"][first] == whole[first] and saved["cells"][second] == whole[second]
+        assert saved["cells"][third]["termination"] == "diverged"
+        assert [a["dt"] for a in saved["cells"][third]["attempts"]] == [5.0, 2.5]
+
     def test_grid_flags_contrasts_read_from_unconverged_cells(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
         saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
@@ -1006,6 +1076,47 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == 0
         assert [name for name, _, _ in log] == ["stack_problem"]
         assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: _agent(d, "r5").update(dim=0), "agent 'r5' has dim < 1"),
+        (lambda d: d["costs"]["r5"].update(weight=[[1.0, 0.0], [0.0, 1.0]]),
+         "cost for 'r5' has dim 2, agent dim is 1"),
+        (lambda d: d["constraint"]["a_blocks"].pop("r5"),
+         "constraint a_blocks must cover exactly the autonomous agents"),
+        (lambda d: d["constraint"]["b_blocks"].pop("h2"),
+         "constraint b_blocks must cover exactly the human agents"),
+        (lambda d: d["human_models"]["h1"].update(
+            base=d["human_models"]["h1"]["base"][:-1],
+            gains={j: g[:-1] for j, g in d["human_models"]["h1"]["gains"].items()}),
+         "model for 'h1' outputs dim 2, agent dim is 3"),
+        (lambda d: d["human_models"]["h1"]["gains"].update(
+            r1=[row[:-1] for row in d["human_models"]["h1"]["gains"]["r1"]]),
+         "model for 'h1': gain block for 'r1' has 2 columns, agent dim is 3"),
+        (lambda d: _agent(d, "r1").update(kind="robot"), "agent 'r1': unknown kind 'robot'"),
+        (lambda d: d["constraint"].update(rows=3),
+         "declared 3 constraint rows, offset c has 2"),
+        (lambda d: d["human_models"]["h1"].update(
+            attitude={"kind": "reckless", "magnitude": 1.0}),
+         "model 'h1': unknown attitude kind 'reckless'"),
+        (lambda d: d.update(agents=[]), "topology needs at least one agent"),
+    ], ids=["dim-0", "weight-size", "a-blocks", "b-blocks", "model-rows", "gain-columns",
+            "agent-kind", "declared-rows", "attitude-kind", "no-agents"])
+    def test_check_refuses_a_malformed_document(self, tmp_path, capsys, edit, message):
+        """fig4's document with one part malformed: `check` exits 1 with the
+        refusal, which names the agent or the option, and no traceback."""
+        assert main(["check", str(_edited_team_file(tmp_path, edit)), "--samples", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    def test_check_reads_a_matrix_written_as_one_row(self, tmp_path, capsys):
+        """r5 has dim 1, so its weight [[w]] may be written as the row [w]."""
+        def one_row(doc):
+            doc["costs"]["r5"]["weight"] = doc["costs"]["r5"]["weight"][0]
+
+        path = _edited_team_file(tmp_path, one_row)
+        assert main(["check", str(path), "--samples", "1"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert load_scenario(str(path)).costs["r5"].weight.shape == (1, 1)
 
     def test_check_fails_a_gradient_it_cannot_difference(self, tmp_path, capsys):
         """h1's gains scaled by 1e160 overflow the Lagrangian and its

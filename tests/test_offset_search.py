@@ -8,8 +8,9 @@ reference below is the per-offset search it replaced: a new scenario for
 every probe, solved and checked with the scenario-level oracle functions.
 Both must pick the same offset bit for bit, because the generator's accepted
 draws (and so every seeded benchmark instance) depend on it. After the
-search, the generator scales the draw's cell stacks instead of rebuilding
-the scaled scenario; they must reduce to the same floats.
+search, the generator reduces the draw's cell stacks with scaled bases
+instead of rebuilding the scaled scenario; they must reduce to the same
+floats.
 """
 
 import hashlib
@@ -34,13 +35,11 @@ from hatalloc.experiments import (
     TEAM_HUMAN_DIMS,
     attitude_cells,
     _cell_stacks,
-    _draw_cells,
     _generate,
     _lay_out,
     _layout,
     _offset_search,
     _raw_draw,
-    _scaled,
     _screen,
     _stability_margins,
     crosscheck_scenario,
@@ -93,7 +92,7 @@ def _reduced_cells(scenario):
 
 def _cells(scenario):
     """The attitude cells' reduced programs, one per cell."""
-    return cell_programs(_draw_cells(_reduced_cells(scenario), 0))
+    return cell_programs(_reduced_cells(scenario).at(0))
 
 
 def _restacked(cells):
@@ -112,7 +111,7 @@ def _search(cells, tally=None):
     [passes] = _screen(cells)
     if not passes.any():
         return None
-    found = _offset_search(_draw_cells(cells, 0), passes, Counter() if tally is None else tally)
+    found = _offset_search(cells.at(0), passes, Counter() if tally is None else tally)
     return None if found is None else found[0]
 
 
@@ -190,28 +189,31 @@ def test_draws_cover_accepted_and_rejected():
     assert outcomes == {True, False}
 
 
-def _is_row(sp, block, i):
-    """Whether each operator of a block that `sp` holds is a view of that
-    operator's row i in `block`, not a copy of it."""
+def _is_row(sp, block, i, names=experiments._BLOCK_FIELDS):
+    """Whether each operator `names` of a block that `sp` holds is a view of
+    that operator's row i in `block`, not a copy of it."""
     return all(getattr(sp, name).shape == getattr(block, name).shape[1:]
                and np.shares_memory(getattr(sp, name), getattr(block, name)[i])
-               for name in experiments._BLOCK_FIELDS)
+               for name in names)
 
 
-def test_tighten_reduces_each_cell_once(monkeypatch):
+def test_tighten_reduces_each_block_once_and_each_scaled_draw_once(monkeypatch):
     """`_generate` lays out each draw's raw arrays once (`stack_parts`),
     stacks a block of draws, reduces all their attitude cells in one pass,
-    and the offset search of a draw the screen keeps reads that reduction.
-    No `Scenario` is built between the draws and their searches, and nothing
-    is stacked or reduced from a scenario. The tightened scenario, built
-    right after its search, holds the draw's row of the block, which the
-    scale step's lift reads; `_scaled` reads the search's cells and the
-    draw's row of the block's cell stack, views of the blocks, so no
-    per-draw copy is made, and `_rejection` reads what `_scaled` returns."""
+    and the offset search of a draw the screen keeps reads its row of that
+    reduction. No `Scenario` is built between the draws and their searches,
+    and nothing is stacked or reduced from a scenario. The tightened
+    scenario, built right after its search, holds the draw's row of the
+    block, which the scale step's lift reads, and the scale step reads the
+    search's own cell, a view. Every other `reduce_stacked` call is one per
+    tightened draw, between its scale step and its `_rejection`, which reads
+    it: the draw's row of the block's cell stack, views of it but for d,
+    which is that row's d times s, reduced at the search's offset times s."""
     log = []
     record_calls(monkeypatch, log, model.stack_parts, model.stack_problem,
                  oracle.reduce_stacked, oracle.reduce_program, experiments._lay_out,
-                 experiments._offset_search, experiments._scaled, experiments._rejection)
+                 experiments._offset_search, experiments._normalize_scale,
+                 experiments._rejection)
     real_init = Scenario.__post_init__
     monkeypatch.setattr(Scenario, "__post_init__",
                         lambda self: log.append(("Scenario", (self,), None)) or real_init(self))
@@ -219,11 +221,12 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
         _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES, abscissa_bar=-0.08,
                   check_grid=True, stream=40, max_attempts=16)
     assert not {"stack_problem", "reduce_program"} & {name for name, _, _ in log}
+    reductions = [i for i, (name, _, _) in enumerate(log) if name == "reduce_stacked"]
     # Blocks of 1, 2, 4 and 8 attempts, and the last one cut at max_attempts.
-    blocks = [i for i, (name, args, _) in enumerate(log)
-              if name == "reduce_stacked" and args[0].S.ndim == 4]
+    blocks = [i for i in reductions if log[i][1][0].S.ndim == 4]
+    scalings = [i for i in reductions if log[i][1][0].S.ndim == 3]
     assert [log[i][1][0].S.shape[:2] for i in blocks] == [(n, 4) for n in (1, 2, 4, 8, 1)]
-    assert len(blocks) == sum(name == "reduce_stacked" for name, _, _ in log)
+    assert len(blocks) + len(scalings) == len(reductions)
     layouts = [i for i, (name, _, _) in enumerate(log) if name == "stack_parts"]
     assert len(layouts) == 16
     searches = [i for i, (name, _, _) in enumerate(log) if name == "_offset_search"]
@@ -239,22 +242,28 @@ def test_tighten_reduces_each_cell_once(monkeypatch):
         for i, layout in enumerate(range(block - 1 - size, block - 1)):
             assert cell_stack.d[i, 0].tobytes() == log[layout][2].d.tobytes()
         drawn += size
-    scalings = [i for i, (name, _, _) in enumerate(log) if name == "_scaled"]
+    scales = [i for i, (name, _, _) in enumerate(log) if name == "_normalize_scale"]
     rejections = [i for i, (name, _, _) in enumerate(log) if name == "_rejection"]
-    assert len(scalings) == len(rejections) == len(searches)
-    for search, scaling, rejection in zip(searches, scalings, rejections):
+    assert len(scales) == len(scalings) == len(rejections) == len(searches)
+    for search, scale, scaling, rejection in zip(searches, scales, scalings, rejections):
         block = max(b for b in blocks if b < search)
         laid_out, (cell_stack, _) = log[block - 1][2], log[block][1]
         size = cell_stack.S.shape[0]
         cells = log[search][1][0]
         assert cells.H.shape[0] == 4 and np.shares_memory(cells.H, log[block][2].H)
         name, (scenario,), _ = log[search + 1]
-        assert name == "Scenario" and np.array_equal(scenario.constraint.c, log[search][2][0])
+        c = log[search][2][0]
+        assert name == "Scenario" and np.array_equal(scenario.constraint.c, c)
         [i] = [i for i in range(size) if _is_row(scenario.stacked, laid_out, i)]
         layout = log[block - 1 - size + i][2]
         assert scenario.stacked.S.tobytes() == layout.S.tobytes()
-        assert search < scaling < rejection and log[scaling][1][0] is cells
-        assert _is_row(log[scaling][1][1], cell_stack, i)
+        assert search < scale < scaling < rejection
+        own_cell, s = log[scale][1][1], log[scale][2]
+        assert own_cell.H.ndim == 2 and np.shares_memory(own_cell.H, cells.H)
+        operand, scaled_c = log[scaling][1]
+        assert _is_row(operand, cell_stack, i, [n for n in experiments._BLOCK_FIELDS if n != "d"])
+        assert operand.d.tobytes() == (cell_stack.d[i] * s).tobytes()
+        assert scaled_c.tobytes() == (c * s).tobytes()
         assert log[rejection][1][0] is scenario and log[rejection][1][1] is log[scaling][2]
 
 
@@ -265,7 +274,7 @@ def test_cell_stacks_reduce_like_relabeled_scenarios():
     _, block = _block(1, range(4, 12))
     alone = [(scenario, _cells(scenario))
              for scenario in (team_draw(5), team_draw(6), crosscheck_scenario(2))]
-    in_block = [(team_draw(attempt), cell_programs(_draw_cells(block, i)))
+    in_block = [(team_draw(attempt), cell_programs(block.at(i)))
                 for i, attempt in enumerate(range(4, 12))]
     for scenario, reduced in alone + in_block:
         cells = attitude_cells(scenario)
@@ -309,7 +318,7 @@ def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
     screened_out = not passes.any()
     tightened = _tighten(team_draw(attempt), tally)
     if not screened_out:
-        reference_offset_search(cell_programs(_draw_cells(reduced, 0)), passes, one_cell)
+        reference_offset_search(cell_programs(reduced.at(0)), passes, one_cell)
     assert tally["exact_solves"] == one_cell["exact_solves"]
     assert screened_out == (tightened is None)
     if screened_out:
@@ -387,10 +396,10 @@ def test_stacked_generation_matches_the_one_cell_references(generation):
     """On every draw that team 1-9 and crosscheck 1-30 search exactly, the
     stacked search takes the offset of the loop that solves one cell at a
     time (`reference_offset_search`), byte for byte, and counts the exact
-    solves that loop makes. On every tightened draw, `_scaled` gives each
-    cell the floats of a reduction anew with d scaled, and `_rejection`
-    gives the reason of the loop in the order it replaced
-    (`reference_rejection`)."""
+    solves that loop makes. Every tightened draw is reduced once more,
+    scaled: the search's cells with d scaled by s, at the search's offset
+    times s, and `_rejection` reads that reduction and gives the reason of
+    the loop in the order it replaced (`reference_rejection`)."""
     searched, tightened = Counter(), Counter()
     for kind, runs in (("team", generation.team), ("crosscheck", generation.crosscheck)):
         for run in runs.values():
@@ -403,18 +412,17 @@ def test_stacked_generation_matches_the_one_cell_references(generation):
                     assert search.found[0].tobytes() == expected.tobytes()
                 assert search.solves == tally["exact_solves"]
                 searched[kind] += 1
-            assert len(run.scaled) == len(run.rejections) == sum(
-                search.found is not None for search in run.searches)
-            for (_, cells, s, c), (args, reason) in zip(run.scaled, run.rejections):
-                scenario, scaled, keys, own, dc, abscissa_bar, check_grid = args
-                anew = cell_programs(reduce_stacked(replace(cells, d=cells.d * s), c * s))
-                for got, expected in zip(cell_programs(scaled), anew, strict=True):
-                    for f in fields(ReducedProgram):
-                        if f.init:
-                            a, b = getattr(got, f.name), getattr(expected, f.name)
-                            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
-                assert reference_rejection(scenario, anew, keys, own, dc, abscissa_bar,
-                                           check_grid) == reason
+            found = [search for search in run.searches if search.found is not None]
+            assert len(run.scales) == len(run.scaled) == len(run.rejections) == len(found)
+            for search, s, scaled, (args, reason) in zip(found, run.scales, run.scaled,
+                                                         run.rejections, strict=True):
+                scenario, cells, keys, own, dc, abscissa_bar, check_grid = args
+                assert cells is scaled.cells
+                assert np.shares_memory(scaled.operand.S, search.cells.S)
+                assert scaled.operand.d.tobytes() == (search.cells.d * s).tobytes()
+                assert scaled.c.tobytes() == (search.found[0] * s).tobytes()
+                assert reference_rejection(scenario, cell_programs(cells), keys, own, dc,
+                                           abscissa_bar, check_grid) == reason
                 tightened[kind] += 1
     assert searched == tightened == {"team": 256, "crosscheck": 78}
 
@@ -462,7 +470,7 @@ def test_offset_probes_solve_the_free_minimizer_once(monkeypatch):
 def _unscreened(cells):
     """`_offset_search` with a screen that passes every probe."""
     every_probe = np.ones((len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool)
-    found = _offset_search(_draw_cells(cells, 0), every_probe, Counter())
+    found = _offset_search(cells.at(0), every_probe, Counter())
     return None if found is None else found[0]
 
 
@@ -524,8 +532,9 @@ def test_screened_search_matches_reference_on_raw_draws(scenario, data):
 @given(seed=st.integers(0, 2**32 - 1), shape=draw_shapes())
 def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
     """On the first of up to 40 raw draws from one seed that the offset
-    search tightens: `_rejection` reads each attitude cell as `_scaled` of
-    the draw's cell stack. Every field of it is byte-equal to
+    search tightens: `_rejection` reads each attitude cell as the draw's
+    cell stack reduced with scaled bases and offset. Every field of it is
+    byte-equal to
     `reduce_program` of the same cell of the scenario rebuilt with scaled
     offsets and bases, and the tightened decoupled constraint gives the
     rebuilt scenario's stability margins."""
@@ -538,9 +547,7 @@ def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
     scaled_dc, dt = build_decoupled(scaled), tightened.solver.dt
     cells = attitude_cells(scaled)
     assert list(cells) == stages.keys
-    scaled_cells = cell_programs(_scaled(stages.searched, stages.cells, s,
-                                         tightened.constraint.c))
-    for got, cell in zip(scaled_cells, cells.values()):
+    for got, cell in zip(cell_programs(stages.scaled), cells.values(), strict=True):
         expected = reduce_program(cell)
         for f in fields(ReducedProgram):
             if f.init:
