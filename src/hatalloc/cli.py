@@ -117,10 +117,15 @@ def _cmd_run(args) -> int:
         print(f"error: no such scenario file or preset '{args.scenario}'",
               file=sys.stderr)
         return EXIT_USAGE
-    result = runs.run_experiment(
-        args.scenario, seed=args.seed, out_dir=args.out, opts=opts or None,
-        reference=args.reference == "oracle",
-    )
+    try:
+        result = runs.run_experiment(
+            args.scenario, seed=args.seed, out_dir=args.out, opts=opts or None,
+            reference=args.reference == "oracle",
+        )
+    except DivergenceError as exc:
+        # `run` prints the summary it writes, a diverged run's too.
+        print(json.dumps(exc.summary, indent=2, allow_nan=False))
+        raise
     print(json.dumps(result.summary, indent=2, allow_nan=False))
     for name, path in result.artifacts.items():
         print(f"{name}: {path}", file=sys.stderr)

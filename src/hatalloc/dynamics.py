@@ -82,8 +82,11 @@ A run starts from `initial_state`, the scenario's (already checked) overrides
 written into zeros, steps a copy of its w and returns a copy of the final
 one. Explicit finiteness checks decide divergence, so numpy's overflow and
 invalid-value warnings are off while a run steps and while a propagator is
-built. `kkt_residual` evaluates optimality residuals on the flow's own
-Lagrangian gradient; it and `gradient_check` read slices of a state's w.
+built. `kkt_residual` reads the optimality residuals from one call of the
+reference velocity `FlowEngine.rhs`, whose gap is `decoupled_residual`: it
+shares no arithmetic with the folded M, so a wrong `fold` shows in the
+residuals of every affine run. It and `gradient_check` read slices of a
+state's w.
 
 The reference path is `FlowEngine.rhs` stepped by `_step_arrays`, one
 projected Euler step on the stacked arrays. The per-agent rounds of `agents`
@@ -293,14 +296,6 @@ class FlowEngine:
 
     # -- flow ----------------------------------------------------------------
 
-    def constraint_gap(self, x, y, z) -> np.ndarray:
-        """Decoupled residual [a_bar x ; b_bar y] + l_bar z + c_split."""
-        dc = self.dc
-        return (
-            np.concatenate([dc.a_bar @ x, dc.b_bar @ y])
-            + dc.lift_apply(z) + dc.c_split
-        )
-
     def lagrangian_gradient_x(self, x, lam, t) -> tuple[np.ndarray, np.ndarray]:
         """x-gradient of the Lagrangian, and the response y it was taken at."""
         S, d = self._params(t)
@@ -314,7 +309,7 @@ class FlowEngine:
     def rhs(self, x, z, lam, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dx, dz, raw multiplier gradient) at the given stacked state."""
         grad, y = self.lagrangian_gradient_x(x, lam, t)
-        return -grad, -self.dc.lift_apply(lam), self.constraint_gap(x, y, z)
+        return -grad, -self.dc.lift_apply(lam), decoupled_residual(self.dc, x, y, z)
 
     def folded(self):
         """(rows, cols, values) of M (`fold`) and b (`folded_offset`) of the
@@ -344,7 +339,7 @@ class FlowEngine:
 
     def lagrangian_value(self, x, z, lam, t) -> float:
         y, _ = self.response(x, t)
-        return self.objective_value(x, y) + float(lam @ self.constraint_gap(x, y, z))
+        return self.objective_value(x, y) + float(lam @ decoupled_residual(self.dc, x, y, z))
 
     def stack_state(self, state: SystemState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, lambda) of the state's w, as views; `bench/` reads it, the
@@ -833,21 +828,20 @@ class KKTResidual:
 
 
 def kkt_residual(scenario: Scenario, dc: DecoupledConstraint, state: SystemState) -> KKTResidual:
-    """First-order optimality residuals of a system state.
+    """First-order optimality residuals of a system state, read from one call
+    of the reference velocity `FlowEngine.rhs` (dx, dz, gap), which never
+    reads the folded operator that affine runs step.
 
-    Stationarity covers both the x gradient of the Lagrangian and the z
-    gradient (the Laplacian image of the multipliers); primal is the largest
-    constraint violation; comp_slack is |lambda . residual|.
+    Stationarity is max |(dx, dz)|: the x gradient of the Lagrangian and the
+    z gradient (the Laplacian image of the multipliers); primal is the
+    largest violation of the decoupled constraint, max(0, max gap);
+    comp_slack is |lambda . gap|.
     """
-    engine = FlowEngine(scenario, dc)
     x, z, lam = scenario.layout.parts(state.w)
-    grad_x, y = engine.lagrangian_gradient_x(x, lam, state.t)
-    resid = decoupled_residual(dc, x, y, z)
-    station_x = float(np.max(np.abs(grad_x))) if grad_x.size else 0.0
-    station_z = float(np.max(np.abs(dc.lift_apply(lam))))
+    dx, dz, gap = FlowEngine(scenario, dc).rhs(x, z, lam, state.t)
     return KKTResidual(
-        stationarity=max(station_x, station_z),
-        primal=float(max(0.0, np.max(resid))),
+        stationarity=max(float(np.abs(dx).max(initial=0.0)), float(np.abs(dz).max())),
+        primal=float(max(0.0, np.max(gap))),
         dual_min=float(np.min(lam)),
-        comp_slack=float(abs(lam @ resid)),
+        comp_slack=float(abs(lam @ gap)),
     )

@@ -52,7 +52,8 @@ class SlaterConditionError(InfeasibleProblemError):
 class DivergenceError(HatallocError):
     """The flow produced non-finite values. `integrate` sets `attempts`, the
     runs that diverged (the first, and the one at half the step size), when
-    it gives up."""
+    it gives up; a run driver of `runs` sets `summary`, the summary it wrote,
+    before it re-raises."""
 
     def __init__(self, t: float, max_entry: float):
         super().__init__(
@@ -61,6 +62,7 @@ class DivergenceError(HatallocError):
         self.t = t
         self.max_entry = max_entry
         self.attempts = ()
+        self.summary = None
 
 
 class MessageProtocolError(HatallocError):

@@ -14,7 +14,10 @@ The blocks a_bar, b_bar and the node Laplacian read no solver option, so
 `decoupled_blocks` builds them once per scenario and holds them by
 `Scenario.derive`; `build_decoupled` adds the offset split each call.
 Both residual evaluators and a constructive certificate recovery (slack
-placement plus a Laplacian least-squares solve) live here. The lift
+placement plus a Laplacian least-squares solve) live here.
+`decoupled_residual` is the one decoupled gap: the flow's multiplier
+gradient (`FlowEngine.rhs`), its Lagrangian and the KKT read-out of a run
+all evaluate it; `coupled_residual` checks it from the raw blocks. The lift
 L (x) I_r is never stored: it is applied and solved on the node Laplacian,
 and `DecoupledConstraint.l_bar` builds the dense matrix only when read.
 """
@@ -135,20 +138,23 @@ def coupled_residual(scenario: Scenario, x: np.ndarray, y: np.ndarray) -> np.nda
 
 
 def stacked_terms(dc: DecoupledConstraint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[a_bar x ; b_bar y] + c_split, the z-independent part of the residual."""
+    """[a_bar x ; b_bar y] + c_split, the z-independent part of the residual,
+    which the certificate's Laplacian solve reads."""
     return np.concatenate([dc.a_bar @ x, dc.b_bar @ y]) + dc.c_split
 
 
 def decoupled_residual(
     dc: DecoupledConstraint, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Blockwise residual [a_bar x ; b_bar y] + l_bar z + c_split."""
+    """Blockwise residual [a_bar x ; b_bar y] + l_bar z + c_split, added in
+    that order: the flow's multiplier gradient (`FlowEngine.rhs`) and the
+    KKT read-out of a final state are this one expression."""
     z = np.asarray(z, dtype=float)
     if z.shape[0] != dc.block_dim:
         raise DimensionMismatchError(
             f"z must have length {dc.block_dim}, got {z.shape[0]}"
         )
-    return stacked_terms(dc, x, y) + dc.lift_apply(z)
+    return np.concatenate([dc.a_bar @ x, dc.b_bar @ y]) + dc.lift_apply(z) + dc.c_split
 
 
 def find_certificate_z(

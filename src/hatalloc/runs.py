@@ -35,7 +35,6 @@ class ExperimentResult:
     exit_code: int
     summary: dict
     artifacts: dict[str, str]
-    record: TrajectoryRecord | None = None
 
 
 def default_output_dir() -> str:
@@ -91,7 +90,8 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
     an instance outside the oracle's scope still runs, without them, and
     `summary["oracle"]` says why. A flow that diverges at both step sizes
     writes only `summary.json`, with `termination: "diverged"` and both
-    attempts, before its `DivergenceError` propagates."""
+    attempts, before its `DivergenceError` propagates with what was
+    written as its `summary`."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
     tracking = {}
@@ -108,7 +108,7 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
         final, record = integrate(scenario, dc=dc, **tracking)
     except DivergenceError as exc:
         summary.update(termination="diverged", attempts=[asdict(a) for a in exc.attempts])
-        _write_summary(summary_path, summary)
+        exc.summary = _write_summary(summary_path, summary)
         raise
 
     table_path = os.path.join(out_dir, "trajectory.csv")
@@ -129,7 +129,6 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
         exit_code=0 if converged else 2,
         summary=summary,
         artifacts={"trajectory": table_path, "summary": summary_path},
-        record=record,
     )
 
 
@@ -145,7 +144,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
     cell whose flow diverges at both step sizes writes the summary of the
     cells finished so far and of itself, with `termination: "diverged"`
     and both attempts, and no contrasts, before its `DivergenceError`
-    propagates."""
+    propagates with what was written as its `summary`."""
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     h1, h2 = base.topology.human_ids
@@ -157,8 +156,8 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
         except DivergenceError as exc:
             cells[f"{k1}|{k2}"] = {"termination": "diverged",
                                    "attempts": [asdict(a) for a in exc.attempts]}
-            _write_summary(summary_path, {"preset": "fig5_risk_grid", "seed": seed,
-                                          "cells": cells})
+            exc.summary = _write_summary(summary_path, {"preset": "fig5_risk_grid",
+                                                        "seed": seed, "cells": cells})
             raise
         engine = FlowEngine(cell, dc)
         x, _, _ = cell.layout.parts(final.w)

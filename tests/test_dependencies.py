@@ -240,6 +240,19 @@ def test_one_builder_of_the_flow_operator():
     assert _referrers("lift_entries") == {"dynamics.fold"}
 
 
+def test_one_decoupled_gap():
+    """`reformulation.decoupled_residual` is the one decoupled gap: the flow's
+    velocity `rhs` and its Lagrangian call it, as does `hatalloc check`, and
+    the engine keeps no second expression of it. `kkt_residual` reads the
+    gap and both gradients from `rhs` alone."""
+    assert _referrers("decoupled_residual", calls=True) == {
+        "dynamics.FlowEngine.rhs", "dynamics.FlowEngine.lagrangian_value", "cli._cmd_check"}
+    assert _referrers("constraint_gap") == set()
+    assert "dynamics.kkt_residual" in _referrers("rhs", calls=True)
+    for name in ("lagrangian_gradient_x", "lift_apply"):
+        assert "dynamics.kkt_residual" not in _referrers(name, calls=True)
+
+
 def test_one_stepper_feeds_one_consumer():
     """A run's steps come from one source, `dynamics._steps`, the only scope
     that attempts chunks, and `_run_flow`'s loop over it is the only

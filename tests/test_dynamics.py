@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hatalloc import (
 )
 from hatalloc.dynamics import FlowEngine, _check_finite, _finite_max, _step_arrays
 from hatalloc.errors import DivergenceError, ScenarioFormatError
-from hatalloc.experiments import crosscheck_scenario, random_scenario
+from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.model import CouplingConstraint
 
 from conftest import (
@@ -233,6 +233,28 @@ class TestIntegrate:
         assert res.primal <= 10 * tol
         assert res.dual_min >= -1e-15
         assert res.comp_slack <= 10 * tol
+
+    @pytest.mark.parametrize("make", [
+        lambda: team_scenario(1), lambda: team_scenario(7),
+        *(lambda seed=seed: crosscheck_scenario(seed).with_solver(tolerance=1e-10,
+                                                                   max_time=600.0)
+          for seed in (1, 2, 3)),
+    ], ids=["fig4-seed1", "fig4-seed7", "crosscheck1", "crosscheck2", "crosscheck3"])
+    def test_kkt_residual_is_one_reference_velocity(self, make):
+        """The KKT read-out of a final state is one `rhs` call's, bit for bit:
+        max |(dx, dz)|, max(0, max gap), min lambda and |lambda . gap|. These
+        runs step the folded operator, which `rhs` does not read."""
+        scenario = make()
+        dc = build_decoupled(scenario)
+        final, _ = integrate(scenario, dc=dc)
+        x, z, lam = scenario.layout.parts(final.w)
+        dx, dz, gap = FlowEngine(scenario, dc).rhs(x, z, lam, final.t)
+        assert asdict(kkt_residual(scenario, dc, final)) == {
+            "stationarity": max(np.max(np.abs(dx)), np.max(np.abs(dz))),
+            "primal": max(0.0, np.max(gap)),
+            "dual_min": np.min(lam),
+            "comp_slack": abs(lam @ gap),
+        }
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_halves_dt_once_then_raises(self):

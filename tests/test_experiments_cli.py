@@ -965,6 +965,22 @@ class TestRunOutputs:
         assert saved["cells"][third]["termination"] == "diverged"
         assert [a["dt"] for a in saved["cells"][third]["attempts"]] == [5.0, 2.5]
 
+    @pytest.mark.parametrize("target, written", [
+        (lambda tmp_path: [str(_edited_team_file(tmp_path, _stiff_cost))], "summary.json"),
+        (lambda tmp_path: ["fig5_risk_grid", "--dt", "5", "--max-time", "20000"],
+         "risk_grid_summary.json"),
+    ], ids=["stiff-cost-run", "grid-cell"])
+    def test_a_diverged_run_prints_the_summary_it_wrote(self, tmp_path, capsys, target,
+                                                        written):
+        """r1's cost weight scaled by 1e9, and the grid's first cell at dt 5,
+        diverge at both step sizes: `run` prints the bytes of the summary it
+        wrote, as a finished run does, exits 2 and says why on stderr."""
+        out = tmp_path / "o"
+        assert main(["run", *target(tmp_path), "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert "numerical failure: flow diverged" in printed.err
+        assert printed.out == (out / written).read_text()
+
     def test_grid_flags_contrasts_read_from_unconverged_cells(self, tmp_path):
         run_risk_grid(team_scenario(1).with_solver(max_time=0.5), 1, str(tmp_path))
         saved = json.loads((tmp_path / "risk_grid_summary.json").read_text())
@@ -1010,7 +1026,10 @@ class TestPresetRun:
         code = main(["run", "fig4_convergence", "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+        printed = capsys.readouterr().out
+        # `run` prints the bytes it writes.
+        assert printed == (tmp_path / "summary.json").read_text()
+        summary = json.loads(printed, parse_constant=_refuse)
         assert summary["final_deviation"] <= 1e-6
         # After the clamp pattern settles, the run goes in propagated chunks.
         steps = summary["steps"]
