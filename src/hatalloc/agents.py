@@ -271,7 +271,7 @@ class DistributedRunner:
                 if models[k].family == SOFTPLUS_AFFINE]
         self._soft = np.array([row for row, _ in soft], dtype=np.intp)
         self._beta = np.array([beta for _, beta in soft])
-        self._base = lay.stack_y({k: models[k].base for k in humans})
+        self._base = np.concatenate([np.zeros(0), *(models[k].base for k in humans)])
         self._c = np.array(self.dc.c_split)
         self._advance(state.w.copy(), state.t)
 
@@ -336,11 +336,6 @@ class DistributedRunner:
         new_x, new_z, new_lam = self.scenario.layout.parts(w)
         new_x[:], new_z[:], new_lam[:] = x + dt * dx, z + dt * dz, np.maximum(0.0, lam + dt * gap)
         self._advance(w, self._t + dt)
-
-    def run(self, n_sweeps: int, dt: float) -> SystemState:
-        for _ in range(n_sweeps):
-            self.sweep(dt)
-        return self.state()
 
     def state(self) -> SystemState:
         """The current state, on a copy of the runner's w."""

@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="integrate a scenario file or preset")
     run.add_argument("scenario", help="scenario file path or preset name")
     run.add_argument("--dt", type=positive_float, default=None)
-    run.add_argument("--tol", type=non_negative_float, default=None)
+    run.add_argument("--tol", dest="tolerance", metavar="TOL", type=non_negative_float,
+                     default=None)
     run.add_argument("--max-time", type=positive_float, default=None)
     run.add_argument("--seed", type=non_negative_int, default=1)
     run.add_argument("--out", default=None, help="output directory")
@@ -105,13 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    opts = {}
-    if args.dt is not None:
-        opts["dt"] = args.dt
-    if args.tol is not None:
-        opts["tolerance"] = args.tol
-    if args.max_time is not None:
-        opts["max_time"] = args.max_time
+    opts = {key: value for key in ("dt", "tolerance", "max_time")
+            if (value := getattr(args, key)) is not None}
     is_preset = args.scenario in runs.PRESETS
     if not is_preset and not os.path.exists(args.scenario):
         print(f"error: no such scenario file or preset '{args.scenario}'",

@@ -623,7 +623,7 @@ def _steps(engine, plan, w0, n_steps, floor):
     one-row view of the state, which the next step overwrites. No chunk
     passes `n_steps`, where the consumer stops at the latest; `plan` counts
     the chunks."""
-    dt, n, lam_at = plan.dt, engine.layout.x_dim, w0.size - engine.dc.block_dim
+    dt, lam_at = plan.dt, w0.size - engine.dc.block_dim
     # Two stacked states [x, z, lambda] that trade places every step, so the
     # pre-step state is still at hand when a step has to be checked.
     w = w0.copy()
@@ -667,7 +667,7 @@ def _steps(engine, plan, w0, n_steps, floor):
             # finite, the update's squares overflowed: that diverges too.
             largest = _finite_max(vel)
             engine.velocity(w, t, vel)
-            _check_finite(t, vel[:n], vel[n:lam_at], vel[lam_at:], w_new[:n], w_new[n:lam_at])
+            _check_finite(t, *engine.layout.parts(vel), *engine.layout.parts(w_new)[:2])
             if not math.isfinite(update_norm):
                 raise DivergenceError(t, largest)
         w, w_new = w_new, w

@@ -480,9 +480,8 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram, dc: DecoupledConstr
     _, lam, eta = lift_to_saddle(scenario, dc, x, mu)
     norm = float(np.sqrt(eta @ eta + lam @ lam))
     # The velocity at w = 0 is the folded offset b = (dx, dz, gap).
-    b = folded_offset(rp, dc)
-    n, q = rp.H.shape[0], dc.block_dim
-    dx, dz, dlam = b[:n], b[n:n + q], np.maximum(0.0, b[n + q:])
+    dx, dz, gap = scenario.layout.parts(folded_offset(rp, dc))
+    dlam = np.maximum(0.0, gap)
     speed = float(np.sqrt(dx @ dx + dz @ dz + dlam @ dlam))
     return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
 

@@ -7,9 +7,11 @@ the quantity that is nonincreasing along the flow. Workloads are 1-norms of
 the state blocks. `TrajectoryRecord.samples` is the table `trajectory.csv`
 writes, one record array with a row per sampled step.
 
-`saddle_distance` subtracts the reference from slices of the state's w. The
-other two keep per-agent arithmetic, on the blocks (views into w) and on
-each human's own response (`_current_y`): their floats reach the outputs
+`saddle_distance` takes one dot product over the stacked w, the expression
+`_run_flow` takes at the start and at every single step, so a run's
+`v_initial` (and a converged run's `v_final`) is its value. The other two
+keep per-agent arithmetic, on the blocks (views into w) and on each human's
+own response (`_current_y`): their floats reach the outputs
 (`workload_report`'s are `risk_grid.csv`'s workload columns), and the
 stacked response S x + d differs from the per-human one in the last bits.
 """
@@ -61,12 +63,10 @@ def saddle_distance(
     state: "SystemState",
     saddle: tuple[np.ndarray, np.ndarray],
 ) -> float:
-    """0.5 ||(x, z) - (x, z)_ref||^2 + 0.5 ||lambda - lambda_ref||^2."""
-    lay, (eta_ref, lam_ref) = scenario.layout, saddle
-    split = lay.x_dim + lay.block_dim  # eta = (x, z) is w's head
-    d_eta = state.w[:split] - np.asarray(eta_ref, dtype=float)
-    d_lam = state.w[split:] - np.asarray(lam_ref, dtype=float)
-    return float(0.5 * (d_eta @ d_eta) + 0.5 * (d_lam @ d_lam))
+    """0.5 ||w - [eta_ref; lambda_ref]||^2 for the stacked w = [x, z, lambda]
+    of `state`, eta = (x, z) being w's head."""
+    diff = state.w - np.concatenate([np.asarray(part, dtype=float) for part in saddle])
+    return 0.5 * float(diff @ diff)
 
 
 @dataclass(frozen=True)

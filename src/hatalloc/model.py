@@ -205,11 +205,6 @@ class ScenarioLayout:
         start = self.node_index[agent_id] * self.rows
         return slice(start, start + self.rows)
 
-    def stack_y(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(blocks[k], dtype=float) for k in self.human_ids]
-        ) if self.human_ids else np.zeros(0)
-
     def parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, lambda) of stacked states w = [x, z, lambda]: views along
         w's last axis."""

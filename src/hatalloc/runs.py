@@ -6,7 +6,9 @@ or a scenario file, and writes `trajectory.csv` and `summary.json`; the
 fig5 preset runs `run_risk_grid` instead, which integrates every
 risk-attitude cell (`experiments.attitude_cells`) and writes
 `risk_grid.csv` and `risk_grid_summary.json`. `outcome(record, tolerance)`
-is the record of how one run ended, which both summaries hold. The seeded
+is the record of how one run ended, which both summaries hold; `_integrate`
+is the one record of a run that diverged at both step sizes, which writes
+the summary so far before its `DivergenceError` propagates. The seeded
 generators, the attitude cells and the grid contrasts live in `experiments`,
 which imports nothing from here.
 """
@@ -82,6 +84,21 @@ def outcome(record: TrajectoryRecord, tolerance: float) -> dict:
     }
 
 
+def _integrate(scenario: Scenario, dc, path: str, summary: dict, entry: dict,
+               **tracking):
+    """`integrate(scenario, dc=dc, **tracking)`, the one catch of a run that
+    diverges at both step sizes: `entry` (`summary` itself, or a grid cell's
+    entry in it) gets `termination: "diverged"` and both attempts, `summary`
+    is written to `path`, and the `DivergenceError` propagates with what was
+    written as its `summary`."""
+    try:
+        return integrate(scenario, dc=dc, **tracking)
+    except DivergenceError as exc:
+        entry.update(termination="diverged", attempts=[asdict(a) for a in exc.attempts])
+        exc.summary = _write_summary(path, summary)
+        raise
+
+
 def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
                   oracle: bool) -> ExperimentResult:
     """Decouple, integrate, take the KKT residuals and write `trajectory.csv`
@@ -89,9 +106,8 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
     lifted, and deviation/saddle-distance metrics are recorded against it;
     an instance outside the oracle's scope still runs, without them, and
     `summary["oracle"]` says why. A flow that diverges at both step sizes
-    writes only `summary.json`, with `termination: "diverged"` and both
-    attempts, before its `DivergenceError` propagates with what was
-    written as its `summary`."""
+    writes only `summary.json`, the summary so far with its termination and
+    attempts (`_integrate`)."""
     os.makedirs(out_dir, exist_ok=True)
     dc = build_decoupled(scenario)
     tracking = {}
@@ -104,13 +120,7 @@ def _run_scenario(scenario: Scenario, out_dir: str, summary: dict,
             _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
             tracking = {"reference": (x_star, y_star), "saddle": (eta_star, lam_star)}
     summary_path = os.path.join(out_dir, "summary.json")
-    try:
-        final, record = integrate(scenario, dc=dc, **tracking)
-    except DivergenceError as exc:
-        summary.update(termination="diverged", attempts=[asdict(a) for a in exc.attempts])
-        exc.summary = _write_summary(summary_path, summary)
-        raise
-
+    final, record = _integrate(scenario, dc, summary_path, summary, summary, **tracking)
     table_path = os.path.join(out_dir, "trajectory.csv")
     record.write(table_path)
     summary.update(outcome(record, scenario.solver.tolerance))
@@ -142,23 +152,17 @@ def _unconverged_cells(terminations: dict[tuple[str, ...], str]) -> dict[str, li
 def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
     """Integrate `base` in every attitude cell; the grid never tracks. A
     cell whose flow diverges at both step sizes writes the summary of the
-    cells finished so far and of itself, with `termination: "diverged"`
-    and both attempts, and no contrasts, before its `DivergenceError`
-    propagates with what was written as its `summary`."""
+    cells finished so far and of itself, with its termination and attempts,
+    and no contrasts (`_integrate`)."""
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "risk_grid_summary.json")
     h1, h2 = base.topology.human_ids
     rows, totals, terminations, cells = [], {}, {}, {}
+    so_far = {"preset": "fig5_risk_grid", "seed": seed, "cells": cells}
     for (k1, k2), cell in attitude_cells(base).items():
         dc = build_decoupled(cell)
-        try:
-            final, record = integrate(cell, dc=dc)
-        except DivergenceError as exc:
-            cells[f"{k1}|{k2}"] = {"termination": "diverged",
-                                   "attempts": [asdict(a) for a in exc.attempts]}
-            exc.summary = _write_summary(summary_path, {"preset": "fig5_risk_grid",
-                                                        "seed": seed, "cells": cells})
-            raise
+        cells[f"{k1}|{k2}"] = entry = {}
+        final, record = _integrate(cell, dc, summary_path, so_far, entry)
         engine = FlowEngine(cell, dc)
         x, _, _ = cell.layout.parts(final.w)
         y, _ = engine.response(x, final.t)
@@ -178,7 +182,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
         })
         totals[(k1, k2)] = (report.autonomous_total, cost)
         terminations[(k1, k2)] = record.termination
-        cells[f"{k1}|{k2}"] = {
+        entry.update({
             "cost": cost,
             "autonomous_workload": report.autonomous_total,
             "human_workload": report.human_total,
@@ -186,7 +190,7 @@ def run_risk_grid(base: Scenario, seed: int, out_dir: str) -> ExperimentResult:
             "oracle_cost": oracle_cost,
             "value_gap": abs(cost - oracle_cost) / max(1.0, abs(oracle_cost)),
             "kkt": asdict(kkt_residual(cell, dc, final)),
-        }
+        })
 
     grid_path = os.path.join(out_dir, "risk_grid.csv")
     with open(grid_path, "w", encoding="utf-8", newline="\n") as handle:

@@ -319,7 +319,8 @@ def resummed_lagrangian(scenario, dc, state):
     total = sum(scenario.costs[i].value(state.x[i]) for i in lay.autonomous_ids)
     total += sum(scenario.costs[k].value(y[k]) for k in lay.human_ids)
     blocks = decoupled_residual_blocks(
-        scenario, dc, lay.parts(state.w)[0], lay.stack_y(y), state.z
+        scenario, dc, lay.parts(state.w)[0],
+        np.concatenate([np.zeros(0), *(y[k] for k in lay.human_ids)]), state.z
     )
     return total + sum(float(state.lam[a] @ blocks[a]) for a in lay.node_order)
 

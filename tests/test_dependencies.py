@@ -253,6 +253,35 @@ def test_one_decoupled_gap():
         assert "dynamics.kkt_residual" not in _referrers(name, calls=True)
 
 
+def test_the_single_caller_conveniences_are_gone():
+    """`ScenarioLayout.stack_y` and `DistributedRunner.run` are neither
+    defined nor named in the package or README's quick start, which steps
+    `sweep` itself."""
+    package = Path(hatalloc.__file__).parent
+    trees = [ast.parse(quick_start_block()), *(ast.parse(p.read_text())
+                                               for p in package.glob("*.py"))]
+    assert "stack_y" not in set().union(*map(_names, trees))
+    assert "run" not in set().union(*map(_attributes, trees))
+    assert not _defined_functions() & {"stack_y", "run"}
+
+
+def test_one_record_of_a_diverged_run():
+    """Exactly one scope of `runs` names, and so catches, `DivergenceError`:
+    `_integrate`, which records both attempts and writes the summary so
+    far, for a run and for a grid cell alike."""
+    assert {scope for scope in _referrers("DivergenceError")
+            if scope.split(".")[0] == "runs"} == {"runs._integrate"}
+
+
+def test_the_saddle_distance_reads_no_offsets():
+    """`metrics.saddle_distance` takes one dot product over the stacked w,
+    as the run does: it reads no layout offset to split w."""
+    tree = ast.parse(Path(hatalloc.__file__).with_name("metrics.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "saddle_distance")
+    assert not _names(func) & {"x_dim", "block_dim"}
+
+
 def test_one_stepper_feeds_one_consumer():
     """A run's steps come from one source, `dynamics._steps`, the only scope
     that attempts chunks, and `_run_flow`'s loop over it is the only

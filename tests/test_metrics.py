@@ -17,6 +17,7 @@ from hatalloc import (
     workload_report,
 )
 from hatalloc.dynamics import SAMPLE_BLOCK, FlowEngine
+from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 
 from conftest import path_scenario, resummed_lagrangian
 
@@ -86,6 +87,31 @@ class TestSaddleDistance:
         assert saddle_distance(path_team, state, (eta_ref, lam_ref)) \
             == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("kind, seed", [
+        *(("fig4", s) for s in (1, 7)),
+        *(("crosscheck", s) for s in (1, 2, 3)),
+        *(("random", s) for s in range(12)),
+    ])
+    def test_a_tracked_runs_distances_are_its_saddle_distance(self, kind, seed):
+        # The run takes the distance as `saddle_distance` does, one dot
+        # product over the stacked w: at the start, and at a converged
+        # run's stop, which is always a single step.
+        scenario = {
+            "fig4": lambda: team_scenario(seed),
+            "crosscheck": lambda: crosscheck_scenario(seed).with_solver(tolerance=1e-10),
+            "random": lambda: random_scenario(seed).with_solver(max_time=5.0),
+        }[kind]()
+        dc = build_decoupled(scenario)
+        x_star, y_star, mu_star, _ = solve_centralized(scenario)
+        _, lam_star, eta_star = lift_to_saddle(scenario, dc, x_star, mu_star)
+        saddle = (eta_star, lam_star)
+        final, rec = integrate(scenario, dc=dc, reference=(x_star, y_star), saddle=saddle)
+        assert rec.v_initial == saddle_distance(scenario, initial_state(scenario), saddle)
+        assert (rec.termination == "converged") == (kind != "random")
+        if rec.termination == "converged":
+            assert rec.v_final == saddle_distance(scenario, final, saddle)
+            assert rec.samples[-1].saddle_dist == rec.v_final
+
 
 class TestWorkloads:
     def test_zero_states(self, path_team):
@@ -153,10 +179,8 @@ class TestTrajectoryRecord:
             assert loads == [f"workload_{a}" for a in report.by_agent]
             for agent, value in report.by_agent.items():
                 assert abs(last[f"workload_{agent}"] - value) <= 1e-12
-            y = lay.stack_y({
-                k: scenario.human_response(k, final.x, final.t)
-                for k in lay.human_ids
-            })
+            y = np.concatenate([np.zeros(0), *(scenario.human_response(k, final.x, final.t)
+                                              for k in lay.human_ids)])
             coupled = coupled_residual(scenario, lay.parts(final.w)[0], y)
             assert abs(last.max_coupled_residual - np.max(coupled)) <= 1e-12
 

@@ -24,6 +24,6 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(quick_start_block(), str(README), "exec"), names)
     assert names["record"].termination == "converged"
     assert capsys.readouterr().out.startswith("converged")
-    # `DistributedRunner.run` stepped 1000 sweeps from the initial state
+    # `runner.sweep` stepped 1000 times from the initial state
     assert names["state"].t == pytest.approx(1000 * scenario.solver.dt)
     assert names["state"].x.keys() == set(scenario.layout.autonomous_ids)
