@@ -44,9 +44,17 @@ class ApproximationSchedule:
     def __post_init__(self):
         if not 0 <= self.settle_time < np.inf:
             raise ValueError(f"settle_time must be nonnegative and finite: {self.settle_time}")
-        deltas = {j: np.ascontiguousarray(d, dtype=float) for j, d in self.gain_deltas.items()}
+        deltas = {j: np.atleast_2d(np.ascontiguousarray(d, dtype=float))
+                  for j, d in self.gain_deltas.items()}
         object.__setattr__(self, "gain_deltas", deltas)
         object.__setattr__(self, "base_delta", np.asarray(self.base_delta, dtype=float))
+        if self.base_delta.ndim != 1:
+            raise ValueError(f"schedule base delta must be a vector, got shape "
+                             f"{self.base_delta.shape}")
+        for j, delta in deltas.items():
+            if delta.ndim != 2:
+                raise ValueError(f"schedule gain delta for '{j}' must be a matrix, got shape "
+                                 f"{delta.shape}")
         for name, delta in [("base", self.base_delta), *deltas.items()]:
             if not np.isfinite(delta).all():
                 raise ValueError(f"schedule delta for '{name}' must be finite")
@@ -84,10 +92,14 @@ class HumanResponseModel:
         if set(gains) != set(self.neighbor_ids):
             raise ValueError(f"{name} gain blocks {sorted(gains)} do not match neighbor "
                              f"list {sorted(self.neighbor_ids)}")
+        if self.base.ndim != 1:
+            raise ValueError(f"{name} base must be a vector, got shape {self.base.shape}")
         dim = self.base.shape[0]
         if not np.isfinite(self.base).all():
             raise ValueError(f"{name} base entries must be finite")
         for j, g in gains.items():
+            if g.ndim != 2:
+                raise ValueError(f"{name} gain for '{j}' must be a matrix, got shape {g.shape}")
             if g.shape[0] != dim:
                 raise ValueError(f"{name} gain block for '{j}' has {g.shape[0]} rows, "
                                  f"base has {dim}")

@@ -16,7 +16,14 @@ generator lays out each draw with it in a block of draws, and a scenario
 built from a draw it keeps holds the draw's row of that block as its stack.
 The document parser checks only JSON types, and reads every number array
 with one reader, `_as_array`. Every other rule, finiteness among them, is
-checked by the object that owns it when that object is built.
+checked by the object that owns it when that object is built. So is each
+rank the parser gives a document's values, for objects built in code: a
+cost weight is a nonempty matrix, constraint blocks are matrices and the
+offset c a vector, and every agent's dim is an integer >= 1, not a boolean
+(`DimensionMismatchError`); a model's base and a schedule's base delta are
+vectors and gains and gain deltas matrices (`ValueError`). A scalar or a
+vector given for a matrix is read as a matrix of one row, as the parser
+reads a one-row matrix.
 `scenario_text` writes a document's text, `json.dumps(tree, indent=2)` byte
 for byte, and is the one definition of its layout: `serialize_scenario`
 parses that text back into the tree. Floats survive a save/load round trip
@@ -57,8 +64,12 @@ class QuadraticCost:
     def __post_init__(self):
         w = np.atleast_2d(np.ascontiguousarray(self.weight, dtype=float))
         object.__setattr__(self, "weight", w)
+        if w.ndim != 2:
+            raise DimensionMismatchError(f"cost weight must be a matrix, got shape {w.shape}")
         if w.shape[0] != w.shape[1]:
             raise DimensionMismatchError(f"cost weight must be square, got {w.shape}")
+        if w.size == 0:
+            raise DimensionMismatchError("cost weight must not be empty")
         if not np.isfinite(w).all():
             raise NotPositiveDefiniteError("cost weight entries must be finite")
         if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
@@ -113,12 +124,18 @@ class CouplingConstraint:
                 for blocks in (self.a_blocks, self.b_blocks))
         object.__setattr__(self, "a_blocks", a)
         object.__setattr__(self, "b_blocks", b)
+        if self.c.ndim != 1:
+            raise DimensionMismatchError(
+                f"constraint offset c must be a vector, got shape {self.c.shape}")
         r = self.c.shape[0]
         if r < 1:
             raise DimensionMismatchError("constraint needs at least one row")
         if not np.isfinite(self.c).all():
             raise DimensionMismatchError("constraint offset c entries must be finite")
         for agent_id, block in list(a.items()) + list(b.items()):
+            if block.ndim != 2:
+                raise DimensionMismatchError(f"constraint block for '{agent_id}' must be a "
+                                             f"matrix, got shape {block.shape}")
             if block.shape[0] != r:
                 raise DimensionMismatchError(
                     f"constraint block for '{agent_id}' has {block.shape[0]} rows, "
@@ -233,7 +250,10 @@ class Scenario:
         for agent_id in topo.node_order:
             if agent_id not in self.dims:
                 raise ScenarioFormatError(f"agent '{agent_id}' has no declared dim")
-            if self.dims[agent_id] < 1:
+            dim = self.dims[agent_id]
+            if isinstance(dim, bool) or not isinstance(dim, Integral):
+                raise DimensionMismatchError(f"agent '{agent_id}' has dim {dim!r}, not an integer")
+            if dim < 1:
                 raise DimensionMismatchError(f"agent '{agent_id}' has dim < 1")
             if agent_id not in self.costs:
                 raise ScenarioFormatError(f"agent '{agent_id}' has no cost")

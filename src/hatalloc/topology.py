@@ -3,7 +3,9 @@
 The vertex set is the union of the two agent groups. Every stacked vector or
 matrix in the package orders blocks canonically: sorted autonomous ids first,
 then sorted human ids. Connectivity is a hard precondition for the constraint
-decoupling, so it is checked at construction time.
+decoupling, so it is checked at construction time, as is each edge: a pair
+of agent ids (a list or tuple of two), whether it comes from a scenario file
+or from code, else `TopologyError`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class NetworkTopology:
         normalized = set()
         adjacency: dict[str, list[str]] = {i: [] for i in all_ids}
         for edge in self.edges:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+                raise TopologyError(f"edge {edge!r}: expected a pair of agent ids")
             a, b = edge
             if a == b:
                 raise TopologyError(f"self loop on '{a}'")

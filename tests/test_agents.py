@@ -210,6 +210,16 @@ class TestLocality:
         with pytest.raises(MessageProtocolError, match="a1"):
             agent_round(view, inbox, DT)
 
+    def test_missing_state_block_is_protocol_error(self):
+        runner = ReferenceRunner(path_scenario(), build_decoupled(path_scenario()))
+        inbox = [replace(m, x=None) if m.sender == "a1" else m for m in runner.inbox("k1")]
+        with pytest.raises(MessageProtocolError, match="'a1' -> 'k1' lacks the state block"):
+            agent_round(runner.views["k1"], inbox, DT)
+
+    def test_agent_round_refuses_a_non_view(self):
+        with pytest.raises(TypeError, match="not an agent view"):
+            agent_round(object(), [], DT)
+
     def test_missing_coupling_term_is_protocol_error(self):
         scenario = path_scenario()
         dc = build_decoupled(scenario)

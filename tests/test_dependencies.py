@@ -1,9 +1,12 @@
-"""The package runs on numpy alone, and its layers import only downward."""
+"""The package runs on numpy alone, and its layers import only downward.
+The structure guards read one parse of it, node by node with their scopes."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,96 @@ import hatalloc
 from hatalloc import experiments, runs
 
 from test_readme import quick_start_block
+
+PACKAGE = Path(hatalloc.__file__).parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@cache
+def _trees() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by module name."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@cache
+def _nodes() -> tuple[tuple[str, ast.AST], ...]:
+    """(scope, node) of every node of the package, `scope` being
+    `module.Class.function` of the innermost function or class around the
+    node. A function's decorators and arguments are inside its scope; its
+    own node is in the scope around it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            found.append((scope, child))
+            inner = isinstance(child, (*FUNCTIONS, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    for module, tree in _trees().items():
+        visit(tree, module)
+    return tuple(found)
+
+
+def _name(node) -> str | None:
+    """The name `node` reads, bare or as an attribute (`.name`)."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+@cache
+def _index() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Name -> the scopes that name it, bare or as an attribute; and name ->
+    the scopes that call it by that name."""
+    named, called = defaultdict(set), defaultdict(set)
+    for scope, node in _nodes():
+        named[_name(node)].add(scope)
+        if isinstance(node, ast.Call):
+            called[_name(node.func)].add(scope)
+    return dict(named), dict(called)
+
+
+def _referrers(name: str, calls: bool = False) -> set[str]:
+    """`module.Class.function` of every scope in the package that names
+    `name`, bare or as an attribute; with `calls`, every scope that calls
+    it."""
+    return set(_index()[calls].get(name, ()))
+
+
+def _names_in(scope: str) -> set[str]:
+    """Every name, bare or as an attribute, in `scope` (a module or a
+    `module.Class.function`) and in the scopes inside it."""
+    return {name for name, scopes in _index()[0].items()
+            if any(s == scope or s.startswith(f"{scope}.") for s in scopes)}
+
+
+def _module_nodes(module: str) -> list[ast.AST]:
+    """Every node of `hatalloc.<module>`."""
+    return [node for scope, node in _nodes() if scope.split(".")[0] == module]
+
+
+def _defined_functions() -> set[str]:
+    """The name of every function and method the package defines."""
+    return {node.name for _, node in _nodes() if isinstance(node, FUNCTIONS)}
+
+
+@cache
+def _callers() -> dict[str, ast.Module]:
+    """The syntax trees of the code outside the package that calls it:
+    README's quick start, and each file of `bench/` by its path."""
+    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    return {"quick start": ast.parse(quick_start_block()),
+            **{f"bench/{path.name}": ast.parse(path.read_text()) for path in bench}}
+
+
+def _attributes(nodes) -> set[str]:
+    """Every name among `nodes` that is reached as an attribute (`.name`)."""
+    return {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def test_the_guards_share_one_parse():
+    """The index helpers read `_trees`, which parses the package once."""
+    _referrers("derive")
+    _defined_functions()
+    assert _trees.cache_info().misses == 1
 
 
 def test_importing_every_module_loads_no_scipy():
@@ -22,7 +115,7 @@ def test_importing_every_module_loads_no_scipy():
         "    importlib.import_module('hatalloc.' + mod.name)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(hatalloc.__file__).resolve().parent.parent)
+    src = str(PACKAGE.resolve().parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True,
@@ -33,9 +126,8 @@ def test_importing_every_module_loads_no_scipy():
 
 def imported_modules(name: str) -> set[str]:
     """Every module that `hatalloc.<name>` imports, at module or function level."""
-    tree = ast.parse(Path(hatalloc.__file__).with_name(f"{name}.py").read_text())
     found = set()
-    for node in ast.walk(tree):
+    for node in _module_nodes(name):
         if isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -76,15 +168,9 @@ def test_wave_kernel_names_no_stacked_builder():
     """`agents` keeps its own per-block build: its source neither imports
     nor names `FlowEngine`, `reduce_program` or `stack_problem`, so no call
     to them can hide on a path that a run of the kernel does not take."""
-    tree = ast.parse(Path(hatalloc.__file__).with_name("agents.py").read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {part for alias in node.names for part in alias.name.split(".")}
+    names = _names_in("agents") | {
+        part for node in _module_nodes("agents") if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names for part in alias.name.split(".")}
     assert not names & {"FlowEngine", "reduce_program", "stack_problem"}
 
 
@@ -92,36 +178,11 @@ def test_no_module_imports_a_private_name_of_another():
     """A name with a leading underscore stays inside its module: no module
     of the package imports one from another, so each private helper can be
     changed without a caller elsewhere depending on it."""
-    package = Path(hatalloc.__file__).parent
-    private = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "hatalloc"):
-                private += [f"{path.stem}: {alias.name}" for alias in node.names
-                            if alias.name.startswith("_")]
+    private = [f"{scope.split('.')[0]}: {alias.name}" for scope, node in _nodes()
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "hatalloc")
+               for alias in node.names if alias.name.startswith("_")]
     assert private == []
-
-
-def _referrers(name: str, calls: bool = False) -> set[str]:
-    """`module.Class.function` of every scope in the package that names
-    `name`, bare or as an attribute; with `calls`, every scope that calls
-    it."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            named = (child.func if isinstance(child, ast.Call) else None) if calls else child
-            if name in (getattr(named, "id", None), getattr(named, "attr", None)):
-                found.add(scope)
-            visit(child, scope)
-
-    for path in Path(hatalloc.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
 
 
 @pytest.mark.parametrize("name, only", [
@@ -157,19 +218,11 @@ def test_the_package_reads_a_states_w_and_never_restacks_it():
     of them is defined or named. Only `SystemState` makes per-agent blocks
     from a stacked vector."""
     assert _referrers("stack_state") == set()
-    bench = Path(hatalloc.__file__).parents[2] / "bench"
-    assert "stack_state" in set().union(*(_names(ast.parse(p.read_text()))
-                                          for p in bench.glob("*.py")))
+    assert "stack_state" in {_name(node) for path, tree in _callers().items()
+                             if path.startswith("bench/") for node in ast.walk(tree)}
     gone = {"stack_x", "stack_nodes", "unstack_x", "unstack_nodes", "unstack_state"}
     assert not set().union(*map(_referrers, gone))
     assert not _defined_functions() & gone
-
-
-def _defined_functions() -> set[str]:
-    """The name of every function and method the package defines."""
-    return {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def test_one_maker_of_reduced_programs():
@@ -190,8 +243,7 @@ def test_the_samples_are_one_table():
     or header bookkeeping is defined or named in the package."""
     gone = {"TrajectorySample", "workloads", "agent_order", "has_deviation", "has_saddle"}
     assert not set().union(*map(_referrers, gone))
-    defined = {node.name for path in Path(hatalloc.__file__).parent.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
+    defined = {node.name for _, node in _nodes()
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & gone
 
@@ -199,21 +251,9 @@ def test_the_samples_are_one_table():
 def _derive_calls() -> set[tuple[str, str]]:
     """(`module.Class.function`, key) of every `.derive(key, ...)` call in
     the package."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "derive"):
-                found.add((scope, ast.literal_eval(child.args[0])))
-            visit(child, scope)
-
-    for path in Path(hatalloc.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+    return {(scope, ast.literal_eval(node.args[0])) for scope, node in _nodes()
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "derive"}
 
 
 def test_one_holder_for_what_a_scenario_derives():
@@ -230,8 +270,8 @@ def test_one_holder_for_what_a_scenario_derives():
     }
     assert _referrers("derive") == {scope for scope, _ in _derive_calls()}
     assert _referrers("_derived") == {"model.Scenario.with_solver", "model.Scenario.derive"}
-    package = Path(hatalloc.__file__).parent  # `__post_init__` sets it by its name
-    assert [p.stem for p in package.glob("*.py") if "_derived" in p.read_text()] == ["model"]
+    # `__post_init__` sets it by its name
+    assert [p.stem for p in PACKAGE.glob("*.py") if "_derived" in p.read_text()] == ["model"]
 
 
 def test_one_builder_of_the_flow_operator():
@@ -257,11 +297,9 @@ def test_the_single_caller_conveniences_are_gone():
     """`ScenarioLayout.stack_y` and `DistributedRunner.run` are neither
     defined nor named in the package or README's quick start, which steps
     `sweep` itself."""
-    package = Path(hatalloc.__file__).parent
-    trees = [ast.parse(quick_start_block()), *(ast.parse(p.read_text())
-                                               for p in package.glob("*.py"))]
-    assert "stack_y" not in set().union(*map(_names, trees))
-    assert "run" not in set().union(*map(_attributes, trees))
+    quick_start = list(ast.walk(_callers()["quick start"]))
+    assert "stack_y" not in map(_name, quick_start) and not _referrers("stack_y")
+    assert "run" not in _attributes(quick_start) | _attributes(node for _, node in _nodes())
     assert not _defined_functions() & {"stack_y", "run"}
 
 
@@ -276,10 +314,9 @@ def test_one_record_of_a_diverged_run():
 def test_the_saddle_distance_reads_no_offsets():
     """`metrics.saddle_distance` takes one dot product over the stacked w,
     as the run does: it reads no layout offset to split w."""
-    tree = ast.parse(Path(hatalloc.__file__).with_name("metrics.py").read_text())
-    func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "saddle_distance")
-    assert not _names(func) & {"x_dim", "block_dim"}
+    assert "saddle_distance" in {node.name for node in _trees()["metrics"].body
+                                 if isinstance(node, ast.FunctionDef)}
+    assert not _names_in("metrics.saddle_distance") & {"x_dim", "block_dim"}
 
 
 def test_one_stepper_feeds_one_consumer():
@@ -297,13 +334,9 @@ def test_the_writer_streams_through_no_encoder():
     """No module of the package names json's pure-Python streaming encoder
     or a batch size for its pieces: `save_scenario` writes the text that
     `scenario_text` builds."""
-    package = Path(hatalloc.__file__).parent
-    named = set()
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        named |= _names(tree) | {alias.name for node in ast.walk(tree)
-                                 if isinstance(node, (ast.Import, ast.ImportFrom))
-                                 for alias in node.names}
+    named = set(_index()[0]) | {alias.name for _, node in _nodes()
+                                if isinstance(node, (ast.Import, ast.ImportFrom))
+                                for alias in node.names}
     assert not named & {"iterencode", "JSONEncoder", "SAVE_BATCH"}
 
 
@@ -317,25 +350,13 @@ def test_one_function_lays_out_the_document():
     a value, as a dict display's key or the head of a (key, value) pair:
     the layout has one definition, which `save_scenario` writes and
     `serialize_scenario` parses. The parser only reads the keys."""
-    found = set()
-
     def is_key(node):
         return isinstance(node, ast.Constant) and node.value in DOCUMENT_KEYS
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Dict) and any(map(is_key, child.keys)):
-                found.add(scope)
-            if (isinstance(child, ast.Tuple) and len(child.elts) == 2 and is_key(child.elts[0])
-                    and not isinstance(child.elts[1], ast.Constant)):
-                found.add(scope)
-            visit(child, scope)
-
-    for path in Path(hatalloc.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
+    found = {scope for scope, node in _nodes()
+             if isinstance(node, ast.Dict) and any(map(is_key, node.keys))
+             or (isinstance(node, ast.Tuple) and len(node.elts) == 2 and is_key(node.elts[0])
+                 and not isinstance(node.elts[1], ast.Constant))}
     assert found == {"model.scenario_text"}
     assert _referrers("scenario_text") == {"model.serialize_scenario", "model.save_scenario"}
 
@@ -346,12 +367,13 @@ def test_the_wave_kernel_keeps_its_plans_on_its_runner():
     nothing in it is cached, so every product plan is built for a runner
     (in `__init__`, its cost batches through `_cost_blocks`) and lives on
     it, and a dropped runner frees its plans."""
-    tree = ast.parse(Path(hatalloc.__file__).with_name("agents.py").read_text())
     allowed = (ast.Import, ast.ImportFrom, ast.ClassDef, ast.FunctionDef)
-    extra = [ast.dump(node)[:60] for node in tree.body if not isinstance(node, allowed)
+    extra = [ast.dump(node)[:60] for node in _trees()["agents"].body
+             if not isinstance(node, allowed)
              and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
     assert extra == []
-    assert not _names(tree) & {"cache", "lru_cache", "WeakKeyDictionary", "WeakValueDictionary"}
+    assert not _names_in("agents") & {"cache", "lru_cache", "WeakKeyDictionary",
+                                      "WeakValueDictionary"}
     assert _referrers("_Product") == {"agents.DistributedRunner.__init__", "agents._cost_blocks"}
 
 
@@ -368,14 +390,13 @@ def test_the_parser_checks_only_json_types():
     calls `np.isfinite`: each object built from the numbers refuses a
     non-finite one itself. The two readers it replaced are neither defined
     nor named."""
-    tree = ast.parse(Path(hatalloc.__file__).with_name("model.py").read_text())
-    parser = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    parser = {node.name for node in _trees()["model"].body if isinstance(node, ast.FunctionDef)
               and (node.name.startswith(("_as_", "_parse_"))
                    or node.name == "scenario_from_document")}
-    assert {"_as_array", "_parse_model", "scenario_from_document"} <= set(parser)
-    assert [name for name, node in parser.items() if "isfinite" in _names(node)] == []
+    assert {"_as_array", "_parse_model", "scenario_from_document"} <= parser
+    assert [name for name in parser if "isfinite" in _names_in(f"model.{name}")] == []
     gone = {"_as_matrix", "_as_vector"}
-    assert not gone & set(parser) and not set().union(*map(_referrers, gone))
+    assert not gone & parser and not set().union(*map(_referrers, gone))
 
 
 def test_one_per_matrix_fallback():
@@ -395,47 +416,26 @@ TEST_ONLY = {
 
 def _unnamed_functions(named_in) -> set[str]:
     """`module.Class.function` of every function, method or property of the
-    package (no dunder) whose name is not among those `named_in(tree)` gives
-    for it, `tree` being its module's syntax tree: `named_in` returns (the
-    names that count for a function, those that count for a method)."""
-    unnamed = set()
-
-    def visit(node, scope, named):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qualified = f"{scope}.{child.name}"
-                if (not isinstance(child, ast.ClassDef) and not child.name.endswith("__")
-                        and child.name not in named[isinstance(node, ast.ClassDef)]):
-                    unnamed.add(qualified)
-                visit(child, qualified, named)
-            else:
-                visit(child, scope, named)
-
-    for path in Path(hatalloc.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        visit(tree, path.stem, named_in(tree))
-    return unnamed
+    package (no dunder) whose name is not among those `named_in(module)`
+    gives for its module: (the names that count for a function, those that
+    count for a method)."""
+    classes = {f"{scope}.{node.name}" for scope, node in _nodes()
+               if isinstance(node, ast.ClassDef)}
+    named = {module: named_in(module) for module in _trees()}
+    return {f"{scope}.{node.name}" for scope, node in _nodes()
+            if isinstance(node, FUNCTIONS) and not node.name.endswith("__")
+            and node.name not in named[scope.split(".")[0]][scope in classes]}
 
 
 def _private(qualified: str) -> bool:
     return qualified.rsplit(".", 1)[-1].startswith("_")
 
 
-def _names(tree) -> set[str]:
-    """Every name in `tree`, bare or as an attribute."""
-    return {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
-
-
-def _attributes(tree) -> set[str]:
-    """Every name in `tree` that is reached as an attribute (`.name`)."""
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-
-
 def test_every_private_function_is_named_in_its_module():
     """A function or method whose name has a leading underscore (and is no
     dunder) is named by code of its own module, bare or as an attribute:
     code that only tests reach lives in the tests, except for `TEST_ONLY`."""
-    unnamed = _unnamed_functions(lambda tree: (_names(tree),) * 2)
+    unnamed = _unnamed_functions(lambda module: (_names_in(module),) * 2)
     assert set(filter(_private, unnamed)) == set(filter(_private, TEST_ONLY))
 
 
@@ -444,10 +444,7 @@ def test_every_function_is_named_outside_the_tests():
     attribute (`.name`), by code of the package (its re-exports in
     `__init__` aside), by `bench/` or by README's quick start: what only
     tests reach lives in the tests, except for `TEST_ONLY`."""
-    package = Path(hatalloc.__file__).parent
-    trees = [ast.parse(quick_start_block())]
-    for path in [*package.glob("*.py"), *(package.parents[1] / "bench").glob("*.py")]:
-        if path.name != "__init__.py":
-            trees.append(ast.parse(path.read_text()))
-    named = set().union(*map(_names, trees)), set().union(*map(_attributes, trees))
-    assert _unnamed_functions(lambda tree: named) == set(TEST_ONLY)
+    nodes = [node for scope, node in _nodes() if scope.split(".")[0] != "__init__"]
+    nodes += [node for tree in _callers().values() for node in ast.walk(tree)]
+    named = set(map(_name, nodes)), _attributes(nodes)
+    assert _unnamed_functions(lambda module: named) == set(TEST_ONLY)

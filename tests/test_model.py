@@ -18,6 +18,7 @@ from hatalloc.errors import (
     MissingHumanModelError,
     NotPositiveDefiniteError,
     ScenarioFormatError,
+    TopologyError,
 )
 from hatalloc.dynamics import initial_state
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
@@ -31,8 +32,9 @@ from hatalloc.model import (
     gradient_consistency_error,
     midpoint_convexity_gap,
 )
+from hatalloc.topology import NetworkTopology
 
-from conftest import path_scenario, with_schedules
+from conftest import path_scenario, single_agent_scenario, with_schedules
 
 MINIMAL_DOC = {
     "agents": [{"id": "a1", "kind": "autonomous", "dim": 1}],
@@ -173,6 +175,23 @@ CONSTRUCTION_FAULTS = {
         lambda s: replace(s, initial_state=UNKNOWN_START),
         lambda d: d.update(initial_state=UNKNOWN_START),
         "initial_state.x: unknown agent 'zz'"),
+    "constraint-block-wrong-rows": (
+        lambda s: replace(s, constraint=replace(
+            s.constraint, a_blocks={**s.constraint.a_blocks, "a1": np.ones((3, 2))})),
+        lambda d: d["constraint"]["a_blocks"].update(a1=[[1.0, 1.0]] * 3),
+        "constraint block for 'a1' has 3 rows, expected 2"),
+}
+
+# Faults that no document can hold, since its parser builds the dims and
+# the models' neighbor lists itself: (edit of a scenario, its message).
+CODE_ONLY_FAULTS = {
+    "agent-without-dim": (lambda s: replace(s, dims={"a2": 2, "k1": 2}),
+                          "agent 'a1' has no declared dim"),
+    "model-neighbors-differ": (
+        lambda s: replace(s, human_models={"k1": replace(
+            s.human_models["k1"], neighbor_ids=("a1",),
+            gains={"a1": s.human_models["k1"].gains["a1"]})}),
+        "model for 'k1' lists neighbors ['a1'], topology says ['a1', 'a2']"),
 }
 
 
@@ -189,6 +208,13 @@ class TestConstruction:
         with pytest.raises(ScenarioFormatError) as from_file:
             scenario_from_document(doc)
         assert str(from_code.value) == str(from_file.value) == message
+
+    @pytest.mark.parametrize("edit_scenario, message", CODE_ONLY_FAULTS.values(),
+                             ids=CODE_ONLY_FAULTS)
+    def test_faults_no_document_can_hold_are_refused(self, edit_scenario, message):
+        with pytest.raises(ScenarioFormatError) as from_code:
+            edit_scenario(path_scenario())
+        assert str(from_code.value) == message
 
     def test_schedule_for_unknown_human_is_rejected(self):
         schedule = ApproximationSchedule({}, np.zeros(2), 1.0)
@@ -256,6 +282,52 @@ class TestNonFiniteParameters:
         assert all(m.flags.c_contiguous for m in (*con.a_blocks.values(), *con.b_blocks.values()))
 
 
+def _model(**changes):
+    return replace(path_scenario().human_models["k1"], **changes)
+
+
+# Values of the right type but the wrong rank or kind, which a document's
+# parser refuses before any object is built: (build, error, message).
+SHAPE_FAULTS = {
+    "cost-weight-empty": (lambda: QuadraticCost(np.zeros((0, 0))), DimensionMismatchError,
+                          "cost weight must not be empty"),
+    "cost-weight-3d": (lambda: QuadraticCost(np.ones((1, 1, 1))), DimensionMismatchError,
+                       r"cost weight must be a matrix, got shape \(1, 1, 1\)"),
+    "constraint-c-matrix": (lambda: _constraint(lambda p: p.update(c=[[-1.0], [1.0]])),
+                            DimensionMismatchError, "offset c must be a vector"),
+    "constraint-c-scalar": (lambda: _constraint(lambda p: p.update(c=-1.0)),
+                            DimensionMismatchError, "offset c must be a vector"),
+    "constraint-block-3d": (lambda: _constraint(lambda p: p["a_blocks"].update(
+        a1=np.ones((2, 2, 1)))), DimensionMismatchError, "block for 'a1' must be a matrix"),
+    "model-base-matrix": (lambda: _model(base=[[1.0], [0.8]]), ValueError,
+                          "model 'k1': base must be a vector"),
+    "model-gain-3d": (lambda: _model(gains={"a1": np.ones((2, 2, 1)), "a2": np.eye(2)}),
+                      ValueError, "model 'k1': gain for 'a1' must be a matrix"),
+    "schedule-base-delta-matrix": (lambda: ApproximationSchedule({}, np.zeros((2, 1)), 1.0),
+                                   ValueError, "base delta must be a vector"),
+    "schedule-gain-delta-3d": (lambda: ApproximationSchedule(
+        {"a1": np.zeros((2, 2, 1))}, np.zeros(2), 1.0), ValueError,
+        "gain delta for 'a1' must be a matrix"),
+    "dim-float": (lambda: replace(path_scenario(), dims={"a1": 2.0, "a2": 2, "k1": 2}),
+                  DimensionMismatchError, "agent 'a1' has dim 2.0, not an integer"),
+    "dim-bool": (lambda: replace(single_agent_scenario(), dims={"a1": True}),
+                 DimensionMismatchError, "agent 'a1' has dim True, not an integer"),
+    "edge-triple": (lambda: NetworkTopology(("a1", "a2"), (), frozenset({("a1", "a2", "a1")})),
+                    TopologyError, "expected a pair of agent ids"),
+}
+
+
+class TestShapes:
+    """An object built in code refuses a value of the wrong rank or kind,
+    as a document with it is refused, with the error type it raises for its
+    other faults."""
+
+    @pytest.mark.parametrize("build, error, message", SHAPE_FAULTS.values(), ids=SHAPE_FAULTS)
+    def test_rejected_at_construction(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+
 class TestStackDimensions:
     def test_offsets_increase_to_total(self):
         scenario = scenario_from_document(reference_dims_doc())
@@ -279,6 +351,10 @@ class TestCosts:
     def test_quadratic_requires_symmetry(self):
         with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
             QuadraticCost(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_quadratic_requires_square(self):
+        with pytest.raises(DimensionMismatchError, match=r"square, got \(2, 3\)"):
+            QuadraticCost(np.ones((2, 3)))
 
     def test_quadratic_requires_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):

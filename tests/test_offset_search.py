@@ -40,6 +40,7 @@ from hatalloc.experiments import (
     _layout,
     _offset_search,
     _raw_draw,
+    _rejection,
     _screen,
     _stability_margins,
     crosscheck_scenario,
@@ -425,6 +426,26 @@ def test_stacked_generation_matches_the_one_cell_references(generation):
                                            abscissa_bar, check_grid) == reason
                 tightened[kind] += 1
     assert searched == tightened == {"team": 256, "crosscheck": 78}
+
+
+# Edits of an accepted draw's scaled cells, keyed by the reason `_rejection`
+# gives the edited cells: each fails a check that no generated draw fails.
+UNREACHED_REJECTIONS = {
+    "oracle": lambda cells: replace(cells, H=-cells.H),
+    "multipliers/responses": lambda cells: cells.with_offset(np.full(cells.h_c.shape[-1], -1e6)),
+}
+
+
+@pytest.mark.parametrize("reason", UNREACHED_REJECTIONS)
+def test_rejection_reasons_no_generated_draw_reaches(generation, reason):
+    """Team 1's accepted draw is rejected with "oracle" once its own cell
+    has no solution (H negated, so not convex), and with
+    "multipliers/responses" once no row binds (every offset -1e6, so every
+    multiplier is 0)."""
+    [args] = [args for args, verdict in generation.team[1].rejections if verdict is None]
+    scenario, cells, *rest = args
+    assert _rejection(scenario, cells, *rest) is None
+    assert _rejection(scenario, UNREACHED_REJECTIONS[reason](cells), *rest) == reason
 
 
 @pytest.mark.parametrize("max_attempts", [1, 2, 3, 4, 7, 8, 9, 17])

@@ -25,7 +25,7 @@ from hatalloc.errors import (
     UnsupportedByOracleError,
 )
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
-from hatalloc.model import QuadraticCost
+from hatalloc.model import CustomCost, QuadraticCost
 from hatalloc.oracle import (
     ACCEPT_TOL,
     MAX_ENUMERATION_ROWS,
@@ -70,6 +70,12 @@ class TestReduce:
             y, _ = engine.response(x, 0.0)
             direct = engine.objective_value(x, y)
             assert reduced_objective(rp, x) == pytest.approx(direct, abs=1e-10)
+
+    def test_callback_cost_rejected(self, path_team):
+        cost = CustomCost(2, lambda v: float(v @ v), lambda v: 2.0 * v)
+        scenario = replace(path_team, costs={**path_team.costs, "a2": cost})
+        with pytest.raises(UnsupportedByOracleError, match="cost for 'a2' is not quadratic"):
+            reduce_program(scenario)
 
     def test_softplus_rejected(self):
         scenario = path_scenario(family="softplus_affine")
@@ -380,6 +386,12 @@ class TestSaddleLift:
         assert res.primal <= 1e-6
         assert res.comp_slack <= 1e-6
         assert res.dual_min >= 0.0
+
+    def test_infeasible_candidate_is_refused(self):
+        # x = 2 breaks the one row x - 1 <= 0.
+        scenario = single_agent_scenario()
+        with pytest.raises(InfeasibleProblemError, match="violates the coupled constraint"):
+            lift_to_saddle(scenario, build_decoupled(scenario), np.array([2.0]), np.zeros(1))
 
     def test_multiplier_lift_is_consensus(self, path_team):
         dc = build_decoupled(path_team)

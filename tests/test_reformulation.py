@@ -125,6 +125,11 @@ class TestResiduals:
         with pytest.raises(DimensionMismatchError):
             coupled_residual(scenario, np.zeros(2), np.zeros(0))
 
+    def test_z_of_the_wrong_length_is_refused(self):
+        dc = build_decoupled(path_scenario())
+        with pytest.raises(DimensionMismatchError, match="z must have length 6, got 5"):
+            decoupled_residual(dc, np.zeros(4), np.zeros(2), np.zeros(5))
+
     def test_zero_z_reduces_to_terms(self):
         scenario = path_scenario()
         dc = build_decoupled(scenario)
