@@ -61,10 +61,12 @@ finite, or when they are but the squares of its update norm overflow.
 
 A run's propagators, the powers I, A_S, ..., A_S^CHUNK ((CHUNK + 1) N^2
 floats, 0.96 MB at the benchmark team's N = 43), are built from the dense M
-(`dense_operator`, which the generator's stability check reads too) as
-`_ChunkPlan` describes, and only when N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES:
-the benchmark's 7-agent team chunks, large_team's 250 agents (N = 1,896)
-keep the sparse step.
+(`dense_operator`) as `_ChunkPlan` describes, and only when
+N^2 <= nnz(M) + STEP_OVERHEAD_ENTRIES: the benchmark's 7-agent team chunks,
+large_team's 250 agents (N = 1,896) keep the sparse step. Euler at step dt
+damps the all-active flow only when every non-null eigenvalue mu of M has
+|1 + dt mu| <= 1; `euler_spectrum` reads them, and it is the generator's
+stability check.
 
 A run is one loop over one step source. The source (`_steps`) decides how
 the steps are taken: it attempts the chunks, steps singly where a chunk is
@@ -481,6 +483,22 @@ def dense_operator(rows, cols, vals, size) -> np.ndarray:
     M = np.zeros((size, size))
     M[rows, cols] = vals
     return M
+
+
+def euler_spectrum(M, dt):
+    """(spectral abscissa, forward-Euler radius max |1 + dt mu|) over the
+    non-null eigenvalues mu of the all-active operator M. Euler at step dt
+    damps every mode only when the radius is below 1.
+
+    Shared z/lambda consensus shifts are genuinely neutral directions of the
+    flow and never excited from consensus-free initial data, so eigenvalues
+    with |mu| <= 1e-9 are excluded; with none left the result is (0, 1).
+    """
+    eigs = np.linalg.eigvals(M)
+    moving = eigs[np.abs(eigs) > 1e-9]
+    if moving.size == 0:
+        return 0.0, 1.0
+    return float(np.max(moving.real)), float(np.max(np.abs(1.0 + dt * moving)))
 
 
 def _propagator(M, dt, clamped=(), out=None):

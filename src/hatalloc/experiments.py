@@ -57,9 +57,9 @@ at c. The remaining checks read the draw's row of the block's cell stack
 with d scaled by s, reduced anew at c s (`reduce_stacked`), and
 `_rejection` solves these scaled cells in one stacked pass. Its grid checks
 run the cheap ones first (every cell's solution, workloads and contrasts)
-and the other cells' stability margins, one `eigvals` of the flow's dense M
-(`dense_operator` of `fold`) each, last; each counts as "grid", so the
-order changes no verdict. A `Scenario` is built
+and the other cells' stability margins, each `dynamics.euler_spectrum` of
+the flow's all-active dense M (`dense_operator` of `fold`), last; each
+counts as "grid", so the order changes no verdict. A `Scenario` is built
 only for the tightened draws and for the accepted one, so each draw is laid
 out once and a rejected draw builds no object.
 """
@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import dense_operator, fold, folded_offset
+from .dynamics import dense_operator, euler_spectrum, fold, folded_offset
 from .errors import NoAdmissibleInstanceError
 from .human import AFFINE, HumanResponseModel, attitude_preset
 from .model import (
@@ -486,23 +486,6 @@ def _normalize_scale(scenario: Scenario, rp: ReducedProgram, dc: DecoupledConstr
     return min(SADDLE_NORM_TARGET / norm, INITIAL_SPEED_CAP / max(speed, 1e-12))
 
 
-def _stability_margins(rp: ReducedProgram, dc: DecoupledConstraint,
-                       dt: float) -> tuple[float, float]:
-    """(spectral abscissa, forward-Euler radius at step dt) of the all-active
-    linearization, the flow's affine operator M (`fold`) with every
-    multiplier unclamped.
-
-    Shared z/lambda consensus shifts are genuinely neutral directions of the
-    flow and never excited from consensus-free initial data, so exact-zero
-    eigenvalues are excluded.
-    """
-    eigs = np.linalg.eigvals(dense_operator(*fold(rp, dc), rp.H.shape[0] + 2 * dc.block_dim))
-    moving = eigs[np.abs(eigs) > 1e-9]
-    if moving.size == 0:
-        return 0.0, 1.0
-    return float(np.max(moving.real)), float(np.max(np.abs(1.0 + dt * moving)))
-
-
 GRID_CONTRASTS = (
     "autonomous_workload_seeking_minus_averse",
     "cost_drop_h1_averse_h2_seeking",
@@ -544,7 +527,12 @@ def _rejection(scenario: Scenario, scaled: ReducedProgram, keys: list[tuple[str,
         return "multipliers/responses"
     if interior_points(scaled)[own] is None:
         return "Slater"
-    abscissa, radius = _stability_margins(scaled.at(own), dc, dt)
+    size = scaled.H.shape[-1] + 2 * dc.block_dim
+
+    def margins(cell):
+        return euler_spectrum(dense_operator(*fold(scaled.at(cell), dc), size), dt)
+
+    abscissa, radius = margins(own)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
     if not check_grid:
@@ -562,8 +550,8 @@ def _rejection(scenario: Scenario, scaled: ReducedProgram, keys: list[tuple[str,
     if contrasts[0] < 5e-3 or contrasts[1] < 2e-4 or contrasts[2] < 2e-4:
         return "grid"
     for cell in range(len(keys)):
-        margins = (abscissa, radius) if cell == own else _stability_margins(scaled.at(cell), dc, dt)
-        if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
+        cell_abscissa, cell_radius = (abscissa, radius) if cell == own else margins(cell)
+        if cell_abscissa > -0.03 or cell_radius > 1.0 - 1e-9:
             return "grid"
     return None
 

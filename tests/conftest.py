@@ -18,7 +18,14 @@ from hatalloc.agents import (
     _proxy_coupling,
     agent_round,
 )
-from hatalloc.dynamics import SystemState, folded_offset, initial_state
+from hatalloc.dynamics import (
+    SystemState,
+    dense_operator,
+    euler_spectrum,
+    fold,
+    folded_offset,
+    initial_state,
+)
 from hatalloc.experiments import (
     _BLOCK_FIELDS,
     REJECTIONS,
@@ -34,7 +41,6 @@ from hatalloc.experiments import (
     _row,
     _scenario,
     _screen,
-    _stability_margins,
     crosscheck_scenario,
     grid_contrasts,
     team_scenario,
@@ -481,6 +487,12 @@ def reference_offset_search(cells, passes, tally):
     return None
 
 
+def all_active_spectrum(rp, dc, dt):
+    """`dynamics.euler_spectrum` of the flow's all-active dense M, the
+    margins the generator's stability checks read."""
+    return euler_spectrum(dense_operator(*fold(rp, dc), rp.H.shape[0] + 2 * dc.block_dim), dt)
+
+
 def reference_rejection(scenario, scaled, keys, own, dc, abscissa_bar, check_grid):
     """`experiments._rejection` in the order of the loop it replaced, the
     reference it is held to: `scaled` lists the scaled cells' programs; the
@@ -496,7 +508,7 @@ def reference_rejection(scenario, scaled, keys, own, dc, abscissa_bar, check_gri
         return "multipliers/responses"
     if interior_point(rp) is None:
         return "Slater"
-    abscissa, radius = _stability_margins(rp, dc, dt)
+    abscissa, radius = all_active_spectrum(rp, dc, dt)
     if abscissa > abscissa_bar or radius > 1.0 - 1e-9:
         return "stability"
     if not check_grid:
@@ -504,7 +516,7 @@ def reference_rejection(scenario, scaled, keys, own, dc, abscissa_bar, check_gri
     lay = scenario.layout
     totals = {}
     for cell, (key, cell_rp) in enumerate(zip(keys, scaled)):
-        margins = (abscissa, radius) if cell == own else _stability_margins(cell_rp, dc, dt)
+        margins = (abscissa, radius) if cell == own else all_active_spectrum(cell_rp, dc, dt)
         if margins[0] > -0.03 or margins[1] > 1.0 - 1e-9:
             return "grid"
         try:

@@ -280,6 +280,14 @@ def test_one_builder_of_the_flow_operator():
     assert _referrers("lift_entries") == {"dynamics.fold"}
 
 
+def test_one_euler_spectrum():
+    """`dynamics.euler_spectrum` is the package's one eigenvalue problem of
+    the flow, in the module that owns the Euler step; the generator's margin
+    checks call it."""
+    assert _referrers("eigvals") == {"dynamics.euler_spectrum"}
+    assert _referrers("_stability_margins") == set()
+
+
 def test_one_decoupled_gap():
     """`reformulation.decoupled_residual` is the one decoupled gap: the flow's
     velocity `rhs` and its Lagrangian call it, as does `hatalloc check`, and

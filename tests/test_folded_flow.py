@@ -24,7 +24,8 @@ from hatalloc import (
     solve_centralized,
 )
 from hatalloc.dynamics import (
-    CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, SystemState, _chunk, _ChunkPlan, _step_arrays,
+    CHUNK, CHUNKS_PER_PRODUCT, FlowEngine, SystemState, _chunk, _ChunkPlan, _propagator,
+    _step_arrays, dense_operator, euler_spectrum,
 )
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
@@ -319,6 +320,47 @@ def test_propagators_hold_one_chunk_of_powers():
     assert first.nbytes == plan.free.nbytes
     assert attempt([1]) is None
     assert np.shares_memory(attempt([1])[0], first) and plan.builds == 3
+
+
+@pytest.mark.parametrize("make", [lambda: team_scenario(1), lambda: random_scenario(2)],
+                         ids=["team-1", "random-2"])
+@pytest.mark.parametrize("picks", [(0,), (0, 1, -1)], ids=["one", "three"])
+def test_clamped_propagator_is_the_powers_of_its_step(make, picks):
+    """A clamped propagator is bit for bit the powers of A_S = I + dt M with
+    the rows of S zeroed and 1 on their diagonal."""
+    engine = FlowEngine(make())
+    rows, cols, vals, b = engine.folded()
+    M, dt = dense_operator(rows, cols, vals, b.size), 1e-3
+    lam = np.arange(b.size - engine.dc.block_dim, b.size)
+    S = lam[list(picks)]
+    step = np.eye(b.size) + dt * M
+    step[S] = 0.0
+    step[S, S] = 1.0
+    powers = [np.eye(b.size)]
+    for _ in range(CHUNK):
+        powers.append(step @ powers[-1])
+    assert _propagator(M, dt, S).tobytes() == np.stack(powers).tobytes()
+
+
+def test_euler_spectrum_of_a_damped_rotation():
+    """M = [[-a, -w], [w, 0]] has mu = -a/2 +- i sqrt(w^2 - a^2/4), so at
+    a = 0.5, w = 2 and dt = 0.1, |1 + dt mu|^2 = 0.975^2 + 0.01 * 3.9375."""
+    M = np.array([[-0.5, -2.0], [2.0, 0.0]])
+    assert euler_spectrum(M, 0.1) == pytest.approx((-0.25, math.sqrt(0.99)), rel=1e-12)
+
+
+@pytest.mark.parametrize("make, rate", [
+    (lambda: random_scenario(1), 4.49998e-6),
+    (lambda: team_scenario(1), -8.3336e-5),
+    (lambda: crosscheck_scenario(1), -1.5302e-4),
+], ids=["random-1", "team-1", "crosscheck-1"])
+def test_all_active_euler_rate(make, rate):
+    """rho = log radius of the all-active M at the scenario's dt: Euler
+    amplifies `random_scenario(1)`'s slowest mode and damps the others."""
+    scenario = make()
+    rows, cols, vals, b = FlowEngine(scenario).folded()
+    _, radius = euler_spectrum(dense_operator(rows, cols, vals, b.size), scenario.solver.dt)
+    assert math.log(radius) == pytest.approx(rate, rel=1e-2)
 
 
 def test_clamp_set_whose_powers_overflow_is_skipped():

@@ -42,7 +42,6 @@ from hatalloc.experiments import (
     _raw_draw,
     _rejection,
     _screen,
-    _stability_margins,
     crosscheck_scenario,
     random_scenario,
     team_scenario,
@@ -60,6 +59,7 @@ from hatalloc.reformulation import build_decoupled
 
 from conftest import (
     TEAM_ATTITUDES,
+    all_active_spectrum,
     at_offset,
     block_of_one,
     cell_programs,
@@ -574,7 +574,7 @@ def test_scaled_cells_reduce_like_the_rebuilt_scaled_scenario(seed, shape):
             if f.init:
                 a, b = getattr(got, f.name), getattr(expected, f.name)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
-        assert _stability_margins(got, dc, dt) == _stability_margins(got, scaled_dc, dt)
+        assert all_active_spectrum(got, dc, dt) == all_active_spectrum(got, scaled_dc, dt)
 
 
 # sha256 of `json.dumps(serialize_scenario(s), indent=2)`, the text that

@@ -24,7 +24,6 @@ from hatalloc.cli import _sample_feasible_pair
 from hatalloc.dynamics import FlowEngine, folded_offset
 from hatalloc.errors import UnsupportedByOracleError
 from hatalloc.experiments import (
-    _stability_margins,
     attitude_cells,
     crosscheck_scenario,
     random_scenario,
@@ -35,7 +34,7 @@ from hatalloc.human import AFFINE, logistic, softplus
 from hatalloc.model import QuadraticCost, StackedProblem, stack_problem
 from hatalloc.oracle import ReducedProgram, reduce_stacked, reduction
 
-from conftest import reference_fold, row_ordered, with_schedules
+from conftest import all_active_spectrum, reference_fold, row_ordered, with_schedules
 
 
 def _refuse_lift(*args, **kwargs):
@@ -69,11 +68,11 @@ def test_pipeline_never_builds_the_dense_lift(monkeypatch, family):
     assert z is not None
 
     if family == "affine":
-        abscissa, radius = _stability_margins(reduce_program(scenario), dc, scenario.solver.dt)
+        abscissa, radius = all_active_spectrum(reduce_program(scenario), dc, scenario.solver.dt)
         assert np.isfinite(abscissa) and np.isfinite(radius)
     else:
         with pytest.raises(UnsupportedByOracleError):
-            _stability_margins(reduce_program(scenario), dc, scenario.solver.dt)
+            all_active_spectrum(reduce_program(scenario), dc, scenario.solver.dt)
 
 
 def _block_jacobian(scenario):
@@ -106,7 +105,7 @@ def test_stability_operator_equals_block_assembly(monkeypatch, make):
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.copy()) or eigvals(a))
     rp, dc = reduce_program(scenario), build_decoupled(scenario)
-    _stability_margins(rp, dc, scenario.solver.dt)
+    all_active_spectrum(rp, dc, scenario.solver.dt)
     assert len(seen) == 1
     assert np.array_equal(seen[0], _block_jacobian(scenario))
 
