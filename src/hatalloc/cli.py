@@ -125,6 +125,8 @@ def _cmd_run(args) -> int:
     print(json.dumps(result.summary, indent=2, allow_nan=False))
     for name, path in result.artifacts.items():
         print(f"{name}: {path}", file=sys.stderr)
+    if result.failure:
+        print(f"numerical failure: {result.failure}", file=sys.stderr)
     return result.exit_code
 
 

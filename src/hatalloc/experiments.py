@@ -44,6 +44,9 @@ The "exact offset solves" it counts are the cells a loop over them would
 solve, up to and including the first that fails. Draws of the block after
 the accepted one are discarded uncounted, so the counts are those of a loop
 that draws one attempt at a time.
+The search takes the first probe, in order, that makes both rows bind
+with multipliers above 1e-2, nonnegative human workloads and a strict
+interior, in every cell.
 
 Only a draw the search tightens is built as validated objects (topology,
 costs, constraint, models and a `Scenario` at the tightened offsets), and
@@ -61,7 +64,10 @@ and the other cells' stability margins, each `dynamics.euler_spectrum` of
 the flow's all-active dense M (`dense_operator` of `fold`), last; each
 counts as "grid", so the order changes no verdict. A `Scenario` is built
 only for the tightened draws and for the accepted one, so each draw is laid
-out once and a rejected draw builds no object.
+out once and a rejected draw builds no object. That hides no error: the
+tests build the objects of every draw of team seeds 1-9 that the offset
+screen rejects. The own cell is checked first (solvable, multipliers,
+workloads, a strict interior, stability), then the grid.
 """
 
 from __future__ import annotations
@@ -571,6 +577,16 @@ def _blocks(max_attempts: int):
 
 def _generate(seed: int, auto_dims, human_dims, attitudes, abscissa_bar,
               check_grid, stream: int, max_attempts: int = 400) -> Scenario:
+    """The first admissible draw of `seed`, as the module docstring describes.
+    When none of the `max_attempts` draws passes, the
+    `NoAdmissibleInstanceError` counts the draws each check rejected
+    (`REJECTIONS`). An accepted draw logs one DEBUG record on the
+    `hatalloc.experiments` logger: the seed, the accepted draw's index, the
+    same counts for the draws before it, the draws the offset screen
+    rejected whole, the exact offset solves made and the draws built as
+    objects. The package installs no log handler, so the record shows only
+    where logging is configured, e.g. with
+    `logging.basicConfig(level=logging.DEBUG)`."""
     rejected = dict.fromkeys(REJECTIONS, 0)
     tally = Counter()
     lay = _layout(auto_dims, human_dims)

@@ -23,7 +23,18 @@ offset c a vector, and every agent's dim is an integer >= 1, not a boolean
 (`DimensionMismatchError`); a model's base and a schedule's base delta are
 vectors and gains and gain deltas matrices (`ValueError`). A scalar or a
 vector given for a matrix is read as a matrix of one row, as the parser
-reads a one-row matrix.
+reads a one-row matrix. The value objects refuse non-finite entries when
+they are built, each with the error it raises for its other faults:
+`QuadraticCost` (weight) and `CouplingConstraint` (blocks and c) raise a
+`ScenarioFormatError`, `HumanResponseModel` (gains and base) and
+`ApproximationSchedule` (deltas) a `ValueError`. A document's error names
+its place once, as in `cost for 'r1': cost weight entries must be finite`,
+`schedule 'h1': schedule delta for 'r1' must be finite` or
+`initial_state.x['r1'] is not finite`. A model names itself in each of its
+errors, from a document or from code (`model 'h1': gain blocks [] do not
+match neighbor list ['r1', 'r2', 'r5']`), and a document's model for an id
+that is no human fails with `Scenario`'s rule, `response models for unknown
+humans ['zz']`.
 `scenario_text` writes a document's text, `json.dumps(tree, indent=2)` byte
 for byte, and is the one definition of its layout: `serialize_scenario`
 parses that text back into the tree. Floats survive a save/load round trip
@@ -419,7 +430,15 @@ class StackedProblem:
 
 def stack_problem(scenario: Scenario) -> StackedProblem:
     """Assemble the stacked operators that the flow, the oracle and the
-    generator all read, through `Scenario.stacked`."""
+    generator all read, through `Scenario.stacked`.
+
+    The flow (`FlowEngine`), the oracle's `reduce_program` and
+    `lift_to_saddle`, the generator and the CLI's `check` read the stack; no
+    other module assembles these matrices, except that the wave kernel
+    (`agents.DistributedRunner`) builds its own per-block copy, so that it
+    runs without any stacked operator. So a run with the oracle reference
+    (solve, lift, flow and KKT residuals) stacks its scenario once, the risk
+    grid each of its four cells once, and `check` once per command."""
     con = scenario.constraint
     weights = None
     if all(isinstance(cost, QuadraticCost) for cost in scenario.costs.values()):
@@ -466,7 +485,9 @@ def stack_parts(lay: ScenarioLayout, models, a_blocks: dict[str, np.ndarray],
 
 
 def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """The matrices `blocks` along the diagonal, in order, and zeros elsewhere."""
+    """The matrices `blocks` along the diagonal, in order, and zeros
+    elsewhere: the stack's cost weights, and the decoupled constraint's
+    a_bar and b_bar."""
     shapes = [block.shape for block in blocks]
     out = np.zeros((sum(m for m, _ in shapes), sum(n for _, n in shapes)))
     row = col = 0

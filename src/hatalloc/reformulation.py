@@ -19,7 +19,8 @@ placement plus a Laplacian least-squares solve) live here.
 gradient (`FlowEngine.rhs`), its Lagrangian and the KKT read-out of a run
 all evaluate it; `coupled_residual` checks it from the raw blocks. The lift
 L (x) I_r is never stored: it is applied and solved on the node Laplacian,
-and `DecoupledConstraint.l_bar` builds the dense matrix only when read.
+and `DecoupledConstraint.l_bar` builds the dense matrix only when read; no
+other code in the package builds it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
 """The package runs on numpy alone, and its layers import only downward.
-The structure guards read one parse of it, node by node with their scopes."""
+
+The structure guards (one builder of M, one reduction, one stepper, layers
+that import only downward, and so on) read one parse of the package:
+`_trees` parses each module of `src/hatalloc` once per session, `_nodes`
+lists every node with its innermost `module.Class.function` scope once, and
+each guard's question (which scopes name or call a name, which functions
+the package defines, what a module imports) is answered from that list;
+`test_the_guards_share_one_parse` checks that the package is parsed once."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -122,6 +130,30 @@ def test_importing_every_module_loads_no_scipy():
         capture_output=True, text=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_the_suite_imports_only_declared_distributions():
+    """Every top-level module that `tests/` and `bench/` import, other than
+    the standard library, the package and their own files, is named in
+    pyproject's `dependencies` or its `test` extra, so that
+    `pip install -e ".[test]"` installs what the suite imports. Each of
+    these distributions is imported under its own name."""
+    tomllib = pytest.importorskip("tomllib")
+    root = PACKAGE.parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+                for requirement in [*project["dependencies"],
+                                    *project["optional-dependencies"]["test"]]}
+    files = [*(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    local = {path.stem for path in files} | {"hatalloc"}
+    assert imported - set(sys.stdlib_module_names) - local - declared == set()
 
 
 def imported_modules(name: str) -> set[str]:

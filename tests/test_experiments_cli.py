@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -1041,6 +1042,19 @@ class TestPresetRun:
         assert summary["propagator_builds"] > 1
         assert (tmp_path / "scenario.json").exists()
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_unconverged_run_says_why_it_exits_2(self, tmp_path, capsys):
+        """A run with the oracle reference whose final deviation is above
+        `runs.DEVIATION_BOUND` exits 2 and says why on stderr, after its
+        artifact lines. What it prints and writes is pinned by sha256."""
+        assert main(["run", "fig4_convergence", "--max-time", "0.5",
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == "numerical failure: final deviation 0.00972 above 1e-06"
+        assert len(err.splitlines()) == 4
+        assert out == (tmp_path / "summary.json").read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "51a53411a2bb97829e640f85b5dd587223c1fd860534193e430bc0ada2073685")
 
     def test_preset_run_without_reference_skips_oracle(self, tmp_path, capsys):
         assert main(["run", "fig4_convergence", "--seed", "1", "--reference", "none",
