@@ -355,9 +355,8 @@ def _batch(members, block, row, col):
     blocks and the flat positions of each block's row and column space."""
     mats = np.array([block(e) for e in members])
     _, m, n = mats.shape
-    at = np.array([[*range(row(e), row(e) + m), *range(col(e), col(e) + n)] for e in members],
-                  dtype=np.intp)
-    return mats, at[:, :m], at[:, m:]
+    starts = np.array([(row(e), col(e)) for e in members], dtype=np.intp)
+    return mats, starts[:, :1] + np.arange(m), starts[:, 1:] + np.arange(n)
 
 
 class _Product:

@@ -213,6 +213,9 @@ class FlowEngine:
         self.stacked = sp = scenario.stacked
         self._rm = self.dc.rows * len(lay.autonomous_ids)
         self._quadratic = sp.x_weight is not None
+        # (stacked cost weight, agent ids, block slicer) of the x and y parts.
+        self._parts = ((sp.x_weight, lay.autonomous_ids, lay.x_slice),
+                       (sp.y_weight, lay.human_ids, lay.y_slice))
 
         self._settle_time = float(sp.settle.max(initial=0.0))
         # From `_fold_time` on the flow is affine and `velocity` steps the
@@ -256,55 +259,49 @@ class FlowEngine:
         out[soft] = logistic(pre[soft], self.stacked.beta) * w[soft]
         return out
 
-    def response(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked human response and its pre-activation at time t."""
+    def _respond(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, pre-activation S x + d, response) at time t."""
         S, d = self._params(t)
         pre = S @ x + d
-        return self._activate(pre), pre
+        return S, pre, self._activate(pre)
+
+    def response(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked human response and its pre-activation at time t."""
+        _, pre, y = self._respond(x, t)
+        return y, pre
 
     # -- cost terms ----------------------------------------------------------
 
-    def _grad_f(self, x: np.ndarray) -> np.ndarray:
+    def _cost_gradient(self, v: np.ndarray, weight, ids, block) -> np.ndarray:
+        """Gradient of the costs of one part (x or y) at its values v: one
+        stacked mat-vec when every cost is quadratic, else each agent's own
+        `gradient` on its block."""
         if self._quadratic:
-            return 2.0 * (self.stacked.x_weight @ x)
-        lay = self.layout
-        out = np.empty(lay.x_dim)
-        for i in lay.autonomous_ids:
-            sl = lay.x_slice(i)
-            out[sl] = self.scenario.costs[i].gradient(x[sl])
-        return out
-
-    def _grad_g(self, y: np.ndarray) -> np.ndarray:
-        if self._quadratic:
-            return 2.0 * (self.stacked.y_weight @ y)
-        lay = self.layout
-        out = np.empty(lay.y_dim)
-        for k in lay.human_ids:
-            sl = lay.y_slice(k)
-            out[sl] = self.scenario.costs[k].gradient(y[sl])
+            return 2.0 * (weight @ v)
+        out = np.empty(v.shape)
+        for agent_id in ids:
+            sl = block(agent_id)
+            out[sl] = self.scenario.costs[agent_id].gradient(v[sl])
         return out
 
     def objective_value(self, x: np.ndarray, y: np.ndarray) -> float:
         if self._quadratic:
             sp = self.stacked
             return float(x @ (sp.x_weight @ x) + y @ (sp.y_weight @ y))
-        lay = self.layout
         total = 0.0
-        for i in lay.autonomous_ids:
-            total += self.scenario.costs[i].value(x[lay.x_slice(i)])
-        for k in lay.human_ids:
-            total += self.scenario.costs[k].value(y[lay.y_slice(k)])
+        for v, (_, ids, block) in zip((x, y), self._parts):
+            for agent_id in ids:
+                total += self.scenario.costs[agent_id].value(v[block(agent_id)])
         return total
 
     # -- flow ----------------------------------------------------------------
 
     def lagrangian_gradient_x(self, x, lam, t) -> tuple[np.ndarray, np.ndarray]:
         """x-gradient of the Lagrangian, and the response y it was taken at."""
-        S, d = self._params(t)
-        pre = S @ x + d
-        y = self._activate(pre)
-        w = self._grad_g(y) + self.dc.b_bar.T @ lam[self._rm:]
-        grad = self._grad_f(x) + S.T @ self._chain_scale(w, pre) \
+        S, pre, y = self._respond(x, t)
+        x_part, y_part = self._parts
+        w = self._cost_gradient(y, *y_part) + self.dc.b_bar.T @ lam[self._rm:]
+        grad = self._cost_gradient(x, *x_part) + S.T @ self._chain_scale(w, pre) \
             + self.dc.a_bar.T @ lam[:self._rm]
         return grad, y
 

@@ -15,10 +15,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hatalloc import dynamics, experiments, load_scenario, model, oracle, reformulation, runs, \
-    save_scenario, serialize_scenario
+from hatalloc import cli, dynamics, experiments, load_scenario, model, oracle, reformulation, \
+    runs, save_scenario, serialize_scenario
 from hatalloc.cli import main
-from hatalloc.errors import DivergenceError, NoAdmissibleInstanceError, ScenarioFormatError
+from hatalloc.errors import (
+    CertificateError,
+    DivergenceError,
+    NoAdmissibleInstanceError,
+    ScenarioFormatError,
+)
 from hatalloc.experiments import (
     ATTITUDE_KINDS,
     GRID_CONTRASTS,
@@ -778,6 +783,29 @@ def _edited_team_file(tmp_path, edit):
     return path
 
 
+def _moved_off(z):
+    """A certificate z moved far off the decoupled solution, along its first
+    unit vector."""
+    return z + 1e3 * np.eye(z.size)[0]
+
+
+def _pushed_out(scenario, a_pinv, rng, sample):
+    """`sample`'s feasible pair with x shifted so that every coupled row
+    exceeds its bound by about 1e3."""
+    x, y = sample(scenario, a_pinv, rng)
+    return x + a_pinv @ np.full(scenario.layout.rows, 1e3), y
+
+
+def _refuse_certificate(*args):
+    raise CertificateError("the Laplacian solve broke")
+
+
+def _checkout_env():
+    """The environment with `PYTHONPATH` set to the `src` directory of this
+    checkout, so a child interpreter imports the package under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).resolve().parent.parent)}
+
+
 class TestRunOutputs:
     def test_summary_records_halved_dt(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -796,11 +824,10 @@ class TestRunOutputs:
     def _run_fresh(path, tmp_path, reference="none"):
         """`hatalloc run` of a saved file in a fresh interpreter with numpy's
         default warnings, not the suite's."""
-        src = str(Path(dynamics.__file__).resolve().parent.parent)
         return subprocess.run(
             [sys.executable, "-W", "default", "-m", "hatalloc.cli", "run", str(path),
              "--out", str(tmp_path / "o"), "--reference", reference],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            env=_checkout_env(), capture_output=True, text=True,
         )
 
     def test_handled_divergence_prints_no_numpy_warning(self, tmp_path):
@@ -1079,21 +1106,18 @@ class TestPresetRun:
 
 class TestReproducibility:
     def test_identical_runs_write_identical_tables(self, tmp_path):
-        import subprocess
-        import sys
-
         scenario = single_agent_scenario().with_solver(max_time=10.0)
         path = tmp_path / "s.json"
         save_scenario(scenario, path)
         outs = []
         for name in ("one", "two"):
             out_dir = tmp_path / name
-            code = subprocess.run(
+            done = subprocess.run(
                 [sys.executable, "-m", "hatalloc.cli", "run", str(path),
                  "--out", str(out_dir)],
-                capture_output=True,
-            ).returncode
-            assert code == 0
+                env=_checkout_env(), capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
             outs.append((out_dir / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
@@ -1206,6 +1230,34 @@ class TestCheckCommand:
         monkeypatch.setattr(target, name, perturbed)
         assert main(["check", str(path), "--samples", "1"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fakes, message", [
+        ({"find_certificate_z": lambda real: lambda *args: None},
+         "FAIL: no certificate for a feasible point"),
+        ({"find_certificate_z": lambda real: lambda *args: _moved_off(real(*args))},
+         "FAIL: certificate violates the decoupled form"),
+        ({"_sample_feasible_pair": lambda real: lambda *args: _pushed_out(*args, real),
+          "find_certificate_z": lambda real: lambda dc, *args: np.zeros(dc.block_dim)},
+         "FAIL: certificate produced for an infeasible point"),
+        ({"midpoint_convexity_gap": lambda real: lambda *args, **kwargs: 1.0},
+         "FAIL: cost for 'r1' fails midpoint convexity"),
+        ({"find_certificate_z": lambda real: _refuse_certificate},
+         "error: the Laplacian solve broke"),
+    ], ids=["no-certificate", "off-solution", "infeasible-certified", "nonconvex",
+            "certificate-error"])
+    def test_check_fails_a_wrong_decoupling_or_convexity_answer(self, tmp_path, capsys,
+                                                               monkeypatch, fakes, message):
+        """On fig4, each name of `fakes` in `cli` replaced by its fake (made
+        from the real function): `check` exits 2 with the failed check's
+        line on stderr, or, for a `CertificateError`, with `error:` and no
+        traceback."""
+        path = tmp_path / "fig4.json"
+        save_scenario(team_scenario(1), path)
+        for name, fake in fakes.items():
+            monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+        assert main(["check", str(path), "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_check_softplus_instance(self, tmp_path, capsys):
         scenario = path_scenario(attitude=-0.6, family="softplus_affine", beta=4.0)

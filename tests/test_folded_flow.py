@@ -349,6 +349,11 @@ def test_euler_spectrum_of_a_damped_rotation():
     assert euler_spectrum(M, 0.1) == pytest.approx((-0.25, math.sqrt(0.99)), rel=1e-12)
 
 
+def test_euler_spectrum_of_a_null_operator():
+    """Every eigenvalue of M = 0 is null, so no mode moves: (0, 1)."""
+    assert euler_spectrum(np.zeros((2, 2)), 0.1) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("make, rate", [
     (lambda: random_scenario(1), 4.49998e-6),
     (lambda: team_scenario(1), -8.3336e-5),

@@ -15,6 +15,7 @@ floats.
 
 import hashlib
 import json
+import logging
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -326,6 +327,31 @@ def test_screened_draws_make_no_exact_solve(attempt, monkeypatch):
         assert solves == [] and admissible == []
     else:
         assert len(admissible) >= 4
+
+
+def test_the_offset_screen_only_saves_exact_solves(generation, monkeypatch, caplog):
+    """Team seed 1 generated with `_screen` passing every probe, so that the
+    exact search decides every draw and rejects the ones the screen would:
+    the same scenario, byte for byte, with the same rejections by check.
+    Only the screen's own counts differ: it rejects no draw whole, and more
+    exact solves run."""
+    monkeypatch.setattr(experiments, "_screen", lambda reduced: np.ones(
+        (len(reduced.H), len(DEMAND_MARGINS), len(BUDGET_FRACTIONS)), dtype=bool))
+    caplog.set_level(logging.DEBUG, logger="hatalloc.experiments")
+    unscreened = _generate(1, TEAM_DIMS, TEAM_HUMAN_DIMS, TEAM_ATTITUDES,
+                           abscissa_bar=-0.08, check_grid=True, stream=40)
+    [record] = caplog.records
+    _, draw, rejected, screened, solves, built = record.args
+    _, draw_at, rejected_at, screened_at, solves_at, built_at = generation.team[1].record.args
+
+    def text(scenario):
+        return json.dumps(serialize_scenario(scenario), indent=2)
+
+    assert text(unscreened) == text(team_scenario(1))
+    assert (draw, rejected, built) == (draw_at, rejected_at, built_at)
+    assert {k: n for k, n in rejected.items() if n} == {"tighten": 79, "stability": 11, "grid": 4}
+    assert screened == 0 < screened_at == rejected["tighten"]
+    assert solves > solves_at
 
 
 def test_singular_kkt_system_passes_every_probe():
