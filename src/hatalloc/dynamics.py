@@ -244,8 +244,6 @@ class FlowEngine:
 
     def _activate(self, pre: np.ndarray) -> np.ndarray:
         soft = self.stacked.soft
-        if not soft.size:
-            return pre
         y = pre.copy()
         y[..., soft] = softplus(pre[..., soft], self.stacked.beta)
         return y
@@ -253,8 +251,6 @@ class FlowEngine:
     def _chain_scale(self, w: np.ndarray, pre: np.ndarray) -> np.ndarray:
         """Multiply by the activation derivative (identity for affine rows)."""
         soft = self.stacked.soft
-        if not soft.size:
-            return w
         out = w.copy()
         out[soft] = logistic(pre[soft], self.stacked.beta) * w[soft]
         return out

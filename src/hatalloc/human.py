@@ -166,16 +166,22 @@ def logistic(u: np.ndarray, beta) -> np.ndarray:
         return np.where(bu >= 0, 1.0 / (1.0 + np.exp(-bu)), e / (1.0 + e))
 
 
-def _pre_activation(model, x_neighbors, gains, base) -> np.ndarray:
+def _check_neighbors(model, x_neighbors) -> None:
+    """Raise unless `x_neighbors` holds a state for exactly the model's
+    neighbors."""
     extra = set(x_neighbors) - set(model.neighbor_ids)
     if extra:
         raise ValueError(
             f"model '{model.human_id}': unexpected neighbor states {sorted(extra)}"
         )
-    pre = base.copy()
     for j in model.neighbor_ids:
         if j not in x_neighbors:
             raise ValueError(f"model '{model.human_id}': missing state for neighbor '{j}'")
+
+
+def _pre_activation(model, x_neighbors, gains, base) -> np.ndarray:
+    pre = base.copy()
+    for j in model.neighbor_ids:
         pre += model.attitude * (gains[j] @ np.asarray(x_neighbors[j], dtype=float))
     return pre
 
@@ -187,6 +193,7 @@ def respond(
     schedule: ApproximationSchedule | None = None,
 ) -> np.ndarray:
     """Evaluate the human's workload response at the given neighbor states."""
+    _check_neighbors(model, x_neighbors)
     gains, base = effective_parameters(model, t, schedule)
     pre = _pre_activation(model, x_neighbors, gains, base)
     if model.family == AFFINE:
@@ -201,6 +208,7 @@ def response_jacobian(
     schedule: ApproximationSchedule | None = None,
 ) -> dict[str, np.ndarray]:
     """Jacobian of `respond` with respect to each neighbor's state block."""
+    _check_neighbors(model, x_neighbors)
     gains, base = effective_parameters(model, t, schedule)
     if model.family == AFFINE:
         return {j: model.attitude * gains[j] for j in model.neighbor_ids}

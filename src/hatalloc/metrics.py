@@ -88,16 +88,24 @@ def workload_report(scenario, state) -> WorkloadReport:
     )
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell (RFC 4180): in double quotes, each `"` doubled,
+    when it holds a comma, a quote, CR or LF; as written otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_table(header, rows) -> str:
-    """A CSV table, the header line as written, then one line per row: a row
-    of floats by `float.__repr__`, any other row value by value, strings as
-    written and every other value by `repr`."""
-    lines = [",".join(header)]
+    """A CSV table, the header line, then one line per row: a row of floats
+    by `float.__repr__`, any other row value by value, strings and header
+    names as CSV cells (`_csv_cell`) and every other value by `repr`."""
+    lines = [",".join(map(_csv_cell, header))]
     for row in rows:
         try:
             lines.append(",".join(map(float.__repr__, row)))
         except TypeError:  # a value that is not a float
-            lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
+            lines.append(",".join(_csv_cell(v) if isinstance(v, str) else repr(v) for v in row))
     lines.append("")  # the last line's newline, with no second copy of the table
     return "\n".join(lines)
 

@@ -343,6 +343,26 @@ def test_the_single_caller_conveniences_are_gone():
     assert not _defined_functions() & {"stack_y", "run"}
 
 
+def test_no_fork_on_an_empty_operand():
+    """`oracle.solve_programs` and `_solutions` compare no number with 0: a
+    program with no autonomous state is enumerated and evaluated like any
+    other. `FlowEngine._activate` and `_chain_scale` read no `.size`: with
+    no softplus row they index an empty row set like any other."""
+    def scope_nodes(scope):
+        return [node for s, node in _nodes() if s == scope or s.startswith(f"{scope}.")]
+
+    def compares_with_zero(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Constant) and side.value == 0
+            for side in (node.left, *node.comparators))
+
+    compared = ("oracle.solve_programs", "oracle._solutions")
+    sized = ("dynamics.FlowEngine._activate", "dynamics.FlowEngine._chain_scale")
+    assert all(map(scope_nodes, compared + sized))
+    assert [scope for scope in compared if any(map(compares_with_zero, scope_nodes(scope)))] == []
+    assert [scope for scope in sized if "size" in _attributes(scope_nodes(scope))] == []
+
+
 def test_one_record_of_a_diverged_run():
     """Exactly one scope of `runs` names, and so catches, `DivergenceError`:
     `_integrate`, which records both attempts and writes the summary so

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import logging
 import math
@@ -229,7 +230,7 @@ class TestGenerators:
             doc = json.dumps(serialize_scenario(scenario))
             from hatalloc import load_scenario
 
-            again = load_scenario(doc)
+            again = load_scenario(io.StringIO(doc))
             assert again.dims == scenario.dims
 
     def test_a_scenario_loads_from_an_open_file(self, tmp_path):
@@ -347,6 +348,15 @@ class TestCli:
         assert payload["x"]["a1"] == [pytest.approx(-1.0)]
         assert payload["mu"] == [pytest.approx(2.0)]
         assert payload["value"] == pytest.approx(1.0)
+
+    def test_oracle_reads_a_file_whose_name_starts_with_a_brace(self, tmp_path, monkeypatch,
+                                                                capsys):
+        """A path is a file path whatever its first character."""
+        save_scenario(team_scenario(1), tmp_path / "{team}.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle", "{team}.json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == oracle.solve_centralized(team_scenario(1))[3]
 
     def test_oracle_infeasible_exit_code(self, tmp_path):
         doc = serialize_scenario(single_agent_scenario())

@@ -96,6 +96,17 @@ class TestJacobian:
         jac = response_jacobian(model, {"a1": np.array([4.0])})
         np.testing.assert_array_equal(jac["a1"], [[0.0]])
 
+    @pytest.mark.parametrize("model", [affine_model(), softplus_model()],
+                             ids=["affine", "softplus_affine"])
+    @pytest.mark.parametrize("func", [respond, response_jacobian])
+    def test_both_maps_check_the_neighbor_set(self, model, func):
+        """`respond` and `response_jacobian` refuse a missing and an extra
+        neighbor state alike, whatever the family."""
+        with pytest.raises(ValueError, match="missing state for neighbor 'a1'"):
+            func(model, {})
+        with pytest.raises(ValueError, match=r"unexpected neighbor states \['zz'\]"):
+            func(model, {"a1": np.zeros(1), "zz": np.zeros(1)})
+
     @pytest.mark.parametrize("family", ["affine", "softplus_affine"])
     def test_matches_finite_differences(self, family):
         rng = np.random.default_rng(42)

@@ -1,3 +1,5 @@
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,10 @@ import pytest
 
 from hatalloc import (
     ApproximationSchedule,
+    CouplingConstraint,
+    NetworkTopology,
+    QuadraticCost,
+    Scenario,
     SystemState,
     build_decoupled,
     coupled_residual,
@@ -147,6 +153,24 @@ class TestTrajectoryRecord:
                               "lagrangian"]
         assert header[6:] == [f"workload_{a}" for a in scenario.layout.node_order]
         assert list(rec1.samples.dtype.names) == header
+
+    def test_ids_with_commas_and_quotes_stay_one_cell(self):
+        """An agent id holding `,` or `"` is one quoted header cell (RFC
+        4180), so `csv.reader` reads every line at the header's length."""
+        ids = ("r,1", 'r"2')
+        scenario = Scenario(
+            topology=NetworkTopology(ids, (), frozenset({ids})),
+            dims={i: 1 for i in ids},
+            costs={i: QuadraticCost(np.array([[1.0]])) for i in ids},
+            constraint=CouplingConstraint({i: np.array([[1.0]]) for i in ids}, {},
+                                          np.array([-1.0])),
+            human_models={},
+        ).with_solver(max_time=0.01)
+        _, rec = integrate(scenario)
+        header, *rows = csv.reader(io.StringIO(rec.to_csv()))
+        assert header == list(rec.samples.dtype.names)
+        assert sorted(header[-2:]) == ['workload_r"2', "workload_r,1"]
+        assert rows and {len(row) for row in rows} == {len(header)}
 
     def test_reference_free_record_omits_columns(self, path_team):
         scenario = path_team.with_solver(max_time=0.2)

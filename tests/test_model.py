@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import FrozenInstanceError, replace
 
@@ -101,7 +102,7 @@ class TestLoad:
         assert (len(lay.autonomous_ids), len(lay.human_ids)) == (5, 2)
 
     def test_load_from_json_text(self):
-        scenario = load_scenario(json.dumps(MINIMAL_DOC))
+        scenario = load_scenario(io.StringIO(json.dumps(MINIMAL_DOC)))
         assert scenario.dims["a1"] == 1
 
     def test_load_from_file(self, tmp_path):
@@ -435,7 +436,7 @@ class TestRoundTrip:
     def test_serialize_load_is_bit_exact(self, scenario):
         doc = serialize_scenario(scenario)
         text = json.dumps(doc)
-        again = load_scenario(text)
+        again = load_scenario(io.StringIO(text))
         assert serialize_scenario(again) == doc
         assert json.dumps(serialize_scenario(again)) == text  # -0.0 stays -0.0
         # and nothing was lost on the way into the document
@@ -554,7 +555,7 @@ class TestSlaterFlag:
     def test_load_with_check_slater_passes_on_interior(self):
         doc = dict(MINIMAL_DOC)
         doc["solver"] = {"check_slater": True}
-        scenario = load_scenario(json.dumps(doc))
+        scenario = load_scenario(io.StringIO(json.dumps(doc)))
         assert scenario.solver.check_slater
 
     def test_load_with_check_slater_rejects_pinched_interior(self):
@@ -569,7 +570,7 @@ class TestSlaterFlag:
         from hatalloc.errors import SlaterConditionError
 
         with pytest.raises(SlaterConditionError):
-            load_scenario(json.dumps(doc))
+            load_scenario(io.StringIO(json.dumps(doc)))
 
 
 class TestOffsets:

@@ -467,3 +467,39 @@ class TestDegenerateInstances:
         )
         with pytest.raises(InfeasibleProblemError):
             solve_centralized(scenario)
+
+    def test_stacked_humans_only_programs_solve_as_each_alone(self):
+        """A stack of two programs with no autonomous state, one feasible
+        and one not, goes through the one enumeration: each gets what
+        `solve_program` gives it alone (x of shape (0,), y = d, value =
+        const, or the same error type), and an interior point or None."""
+        from hatalloc import NetworkTopology, Scenario
+        from hatalloc.human import HumanResponseModel
+        from hatalloc.model import CouplingConstraint
+
+        ids = ("k1", "k2")
+        scenario = Scenario(
+            NetworkTopology((), ids, frozenset({ids})), {k: 1 for k in ids},
+            {"k1": QuadraticCost(np.array([[1.0]])), "k2": QuadraticCost(np.array([[2.0]]))},
+            CouplingConstraint({}, {k: np.array([[1.0]]) for k in ids}, np.array([-2.0])),
+            {"k1": HumanResponseModel("k1", (), {}, np.array([0.5]), 0.5),
+             "k2": HumanResponseModel("k2", (), {}, np.array([0.3]), 0.5)},
+        )
+        rp = reduce_program(scenario)
+        stack = replace(rp, **{name: getattr(rp, name)[None].repeat(2, axis=0)
+                               for name in ("H", "g", "G_c", "h_c", "S", "d", "b_d")},
+                        const=np.full(2, rp.const))
+        # B d = 0.8: row level -1.2 at c = -2, +0.5 at c = -0.3.
+        stack = stack.with_offset(np.array([[-2.0], [-0.3]]))
+        solved = solve_programs(stack)
+        x, y, mu, value = solve_program(stack.at(0))
+        assert solved.error[0] is None and x.shape == solved.x[0].shape == (0,)
+        assert y.tobytes() == solved.y[0].tobytes() == rp.d.tobytes()
+        assert mu.tobytes() == solved.mu[0].tobytes() == np.zeros(1).tobytes()
+        assert value == solved.value[0] == rp.const
+        with pytest.raises(InfeasibleProblemError):
+            solve_program(stack.at(1))
+        assert type(solved.error[1]) is InfeasibleProblemError
+        points = interior_points(stack)
+        assert points[1] is None and interior_point(stack.at(1)) is None
+        assert points[0].shape == interior_point(stack.at(0)).shape == (0,)

@@ -14,6 +14,7 @@ import pytest
 from hatalloc import runs
 from hatalloc.cli import _build_parser
 from hatalloc.experiments import team_scenario
+from hatalloc.metrics import TrajectoryRecord
 from hatalloc.model import save_scenario
 
 from conftest import path_scenario
@@ -106,4 +107,20 @@ def test_the_output_keys_name_every_summary_key(tmp_path):
     assert unsolved.summary["oracle"].startswith("unavailable: ")
     written = {*preset.summary, *unsolved.summary, *preset.summary["kkt"]}
     assert {"final_deviation", "oracle_value", "saddle_dist_final"} <= written
+    assert [key for key in sorted(written) if f"`{key}`" not in keys] == []
+
+
+def test_the_grid_keys_name_every_grid_summary_key(tmp_path):
+    """README's `risk_grid_summary.json` paragraph names every top-level key
+    and every cell key that a real short grid writes; of `runs.outcome`'s
+    keys, which it cites as `termination` through `failed_attempt`, those
+    two ends."""
+    keys = section("CLI").split("### Output keys", 1)[1].split(
+        "`risk_grid_summary.json`", 1)[1].split("\n\n", 1)[0]
+    grid = runs.run_risk_grid(team_scenario(1).with_solver(max_time=0.05), 1, str(tmp_path))
+    cells = grid.summary["cells"].values()
+    outcome = [*runs.outcome(TrajectoryRecord(None, "max_time", 0.0, 0, 0.0), 0.0)]
+    assert outcome[0] == "termination" and outcome[-1] == "failed_attempt"
+    written = {*grid.summary, *(key for cell in cells for key in cell)} - {*outcome[1:-1]}
+    assert {"cells", "contrast_unconverged_cells", "oracle_cost", "termination"} <= written
     assert [key for key in sorted(written) if f"`{key}`" not in keys] == []
