@@ -140,7 +140,7 @@ def _cmd_oracle(args) -> int:
         "mu": mu.tolist(),
         "value": value,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -158,52 +158,57 @@ def _sample_feasible_pair(scenario, a_pinv, rng):
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     rng = np.random.default_rng(args.seed)
-    dc = build_decoupled(scenario)
-    a_pinv = np.linalg.pinv(scenario.stacked.a_cat)
     failures = []
+    # A drawn point or a checked value that overflows fails its check, with
+    # no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc = build_decoupled(scenario)
+        a_pinv = np.linalg.pinv(scenario.stacked.a_cat)
+        certified = skipped = 0
+        for _ in range(args.samples):
+            x, y = _sample_feasible_pair(scenario, a_pinv, rng)
+            coupled = coupled_residual(scenario, x, y)
+            if not np.isfinite(coupled).all():
+                failures.append("a drawn point's coupled residual is not finite")
+                continue
+            z = find_certificate_z(dc, x, y, coupled)
+            if not np.max(coupled) <= 0:
+                if z is not None:
+                    failures.append("certificate produced for an infeasible point")
+                skipped += 1
+                continue
+            if z is None:
+                failures.append("no certificate for a feasible point")
+                continue
+            gap = np.max(decoupled_residual(dc, x, y, z))
+            if not gap <= 1e-8:
+                failures.append(f"certificate violates the decoupled form by {gap:.3g}")
+            certified += 1
+        print(f"decoupling: {certified} certified, {skipped} infeasible draws")
 
-    certified = skipped = 0
-    for _ in range(args.samples):
-        x, y = _sample_feasible_pair(scenario, a_pinv, rng)
-        coupled = coupled_residual(scenario, x, y)
-        z = find_certificate_z(dc, x, y, coupled)
-        if np.max(coupled) > 0:
-            if z is not None:
-                failures.append("certificate produced for an infeasible point")
-            skipped += 1
-            continue
-        if z is None:
-            failures.append("no certificate for a feasible point")
-            continue
-        gap = np.max(decoupled_residual(dc, x, y, z))
-        if gap > 1e-8:
-            failures.append(f"certificate violates the decoupled form by {gap:.3g}")
-        certified += 1
-    print(f"decoupling: {certified} certified, {skipped} infeasible draws")
+        worst_grad = 0.0
+        for _ in range(10):
+            state = initial_state(scenario)
+            for i in scenario.layout.autonomous_ids:
+                state.x[i] = rng.normal(size=scenario.dims[i])
+            for a in scenario.layout.node_order:
+                state.z[a] = rng.normal(size=dc.rows)
+                state.lam[a] = rng.uniform(0.0, 1.0, size=dc.rows)
+            worst_grad = max(worst_grad, gradient_check(scenario, dc, state))
+        grad_tol = 1e-4 if scenario.stacked.soft.size else 1e-5
+        print(f"lagrangian x-gradient vs finite differences: {worst_grad:.3g} "
+              f"(tolerance {grad_tol:g})")
+        if worst_grad > grad_tol:
+            failures.append(f"gradient mismatch {worst_grad:.3g}")
 
-    worst_grad = 0.0
-    for _ in range(10):
-        state = initial_state(scenario)
-        for i in scenario.layout.autonomous_ids:
-            state.x[i] = rng.normal(size=scenario.dims[i])
-        for a in scenario.layout.node_order:
-            state.z[a] = rng.normal(size=dc.rows)
-            state.lam[a] = rng.uniform(0.0, 1.0, size=dc.rows)
-        worst_grad = max(worst_grad, gradient_check(scenario, dc, state))
-    grad_tol = 1e-4 if scenario.stacked.soft.size else 1e-5
-    print(f"lagrangian x-gradient vs finite differences: {worst_grad:.3g} "
-          f"(tolerance {grad_tol:g})")
-    if worst_grad > grad_tol:
-        failures.append(f"gradient mismatch {worst_grad:.3g}")
-
-    for agent_id, cost in scenario.costs.items():
-        gap = midpoint_convexity_gap(cost, rng, samples=50)
-        if gap > 1e-9:
-            failures.append(f"cost for '{agent_id}' fails midpoint convexity")
-        err = gradient_consistency_error(cost, rng, points=10)
-        if err > 1e-5:
-            failures.append(f"cost gradient for '{agent_id}' off by {err:.3g}")
-    print(f"cost convexity/gradients: {len(scenario.costs)} checked")
+        for agent_id, cost in scenario.costs.items():
+            gap = midpoint_convexity_gap(cost, rng, samples=50)
+            if not gap <= 1e-9:
+                failures.append(f"cost for '{agent_id}' fails midpoint convexity")
+            err = gradient_consistency_error(cost, rng, points=10)
+            if err > 1e-5:
+                failures.append(f"cost gradient for '{agent_id}' off by {err:.3g}")
+        print(f"cost convexity/gradients: {len(scenario.costs)} checked")
 
     if failures:
         for line in failures:

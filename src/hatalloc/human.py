@@ -107,8 +107,11 @@ class HumanResponseModel:
                 raise ValueError(f"{name} gain for '{j}' must be finite")
         if not -1.0 <= self.attitude <= 1.0:
             raise ValueError(f"{name} attitude must lie in [-1, 1], got {self.attitude}")
-        if self.family == SOFTPLUS_AFFINE and not 0 < self.sharpness < np.inf:
-            raise ValueError(f"{name} sharpness must be positive and finite: {self.sharpness}")
+        # Every model's sharpness is saved, so it is finite; softplus reads it.
+        softplus = self.family == SOFTPLUS_AFFINE
+        if not (0 if softplus else -np.inf) < self.sharpness < np.inf:
+            raise ValueError(f"{name} sharpness must be {'positive and ' * softplus}finite: "
+                             f"{self.sharpness}")
 
     @property
     def dim(self) -> int:

@@ -14,17 +14,18 @@ copy, one with a new offset c too, builds its own. `stack_problem`'s layout
 loop, `stack_parts`, also runs on raw parts that nothing has validated: the
 generator lays out each draw with it in a block of draws, and a scenario
 built from a draw it keeps holds the draw's row of that block as its stack.
-The document parser checks only JSON types, and reads every number array
-with one reader, `_as_array`. Every other rule, finiteness among them, is
-checked by the object that owns it when that object is built. So is each
-rank the parser gives a document's values, for objects built in code: a
-cost weight is a nonempty matrix, constraint blocks are matrices and the
-offset c a vector, and every agent's dim is an integer >= 1, not a boolean
+The document parser checks only JSON types: it reads every number or
+number array with one reader, `_as_array`, at the rank it is written, and
+passes each edge and each agent's dim on as read. Every other rule is
+checked once, by the object that owns it, when that object is built from a
+document or in code: finiteness, and each value's rank and kind. A cost
+weight is a nonempty matrix, constraint blocks are matrices and the offset c
+a vector, and every agent's dim is an integer >= 1, not a boolean
 (`DimensionMismatchError`); a model's base and a schedule's base delta are
-vectors and gains and gain deltas matrices (`ValueError`). A scalar or a
-vector given for a matrix is read as a matrix of one row, as the parser
-reads a one-row matrix. The value objects refuse non-finite entries when
-they are built, each with the error it raises for its other faults:
+vectors and gains and gain deltas matrices (`ValueError`); an edge is a pair
+of agent ids (`TopologyError`). A scalar or a vector given for a matrix is
+read as a matrix of one row, from a document as in code. The value objects
+refuse non-finite entries, each with the error it raises for its other faults:
 `QuadraticCost` (weight) and `CouplingConstraint` (blocks and c) raise a
 `ScenarioFormatError`, `HumanResponseModel` (gains and base) and
 `ApproximationSchedule` (deltas) a `ValueError`. A document's error names
@@ -350,7 +351,7 @@ class Scenario:
                 name = f"initial_state.{key}['{agent_id}']"
                 _require(agent_id in shapes[key],
                          f"initial_state.{key}: unknown agent '{agent_id}'")
-                vec = _as_array(raw, name, 1)
+                vec = _as_array(raw, name)
                 _require(vec.shape == shapes[key][agent_id], f"{name} has shape "
                          f"{vec.shape}, expected {shapes[key][agent_id]}")
                 _require(bool(np.all(np.isfinite(vec))), f"{name} is not finite")
@@ -530,20 +531,15 @@ def _fits_float(number) -> bool:
     return True
 
 
-def _as_array(raw, context: str, ndim: int) -> np.ndarray:
-    """A JSON array of numbers of rank `ndim`, 1 or 2, as floats; a matrix
-    may be written as one row. It refuses only what JSON typing decides: an
-    entry that is not a number (a boolean or a string is not converted), an
-    integer too large for a float, or the wrong rank. Every other rule on
-    the entries, finiteness among them, belongs to the object built from
-    them."""
+def _as_array(raw, context: str) -> np.ndarray:
+    """A JSON number or array of numbers, as floats at the rank it has. It
+    refuses only what JSON typing decides: an entry that is not a number (a
+    boolean or a string is not converted), an integer too large for a float,
+    or a ragged array. Every other rule, rank and finiteness among them,
+    belongs to the object built from it."""
     a = np.array(raw, dtype=object)
-    if a.ndim == 1 and ndim == 2:
-        a = a[None, :]
-    noun = ("vector", "matrix")[ndim - 1]
-    _require(a.ndim == ndim and all(issubclass(kind, Real) and kind is not bool
-                                    for kind in set(map(type, a.flat))),
-             f"{context}: not a numeric {noun}")
+    _require(all(issubclass(kind, Real) and kind is not bool for kind in set(map(type, a.flat))),
+             f"{context}: not a numeric array")
     try:
         return a.astype(float)
     except OverflowError as exc:
@@ -557,10 +553,10 @@ def _parse_model(human_id: str, doc: dict, topo: NetworkTopology) -> HumanRespon
     model names itself in its own errors."""
     context = f"model '{human_id}':"
     _require(isinstance(doc, dict), f"{context} expected an object")
-    base = _as_array(doc.get("base"), f"{context} base", 1)
+    base = _as_array(doc.get("base"), f"{context} base")
     gains_doc = doc.get("gains", {})
     _require(isinstance(gains_doc, dict), f"{context} gains must be a map")
-    gains = {j: _as_array(g, f"{context} gain for '{j}'", 2) for j, g in gains_doc.items()}
+    gains = {j: _as_array(g, f"{context} gain for '{j}'") for j, g in gains_doc.items()}
     attitude_doc = doc.get("attitude")
     _require(isinstance(attitude_doc, dict), f"{context} attitude required")
     if "alpha" in attitude_doc:
@@ -589,9 +585,9 @@ def _parse_schedule(model: HumanResponseModel, doc) -> ApproximationSchedule:
     _require(isinstance(delta, dict), f"{context} delta must be an object")
     gains_doc = delta.get("gains", {})
     _require(isinstance(gains_doc, dict), f"{context} gain deltas must be a map")
-    gain_deltas = {j: _as_array(g, f"{context} gain delta for '{j}'", 2)
+    gain_deltas = {j: _as_array(g, f"{context} gain delta for '{j}'")
                    for j, g in gains_doc.items()}
-    base_delta = _as_array(delta.get("base", np.zeros(model.dim)), f"{context} base delta", 1)
+    base_delta = _as_array(delta.get("base", np.zeros(model.dim)), f"{context} base delta")
     settle_time = _as_number(doc.get("settle_time", 0.0), f"{context} settle_time")
     try:
         return ApproximationSchedule(gain_deltas, base_delta, settle_time)
@@ -614,7 +610,7 @@ def scenario_from_document(doc: dict) -> Scenario:
             "each agent needs id, kind and dim",
         )
         agent_id = str(entry["id"])
-        dims[agent_id] = _as_int(entry["dim"], f"agent '{agent_id}': dim")
+        dims[agent_id] = entry["dim"]
         kind = entry["kind"]
         if kind == "autonomous":
             autonomous.append(agent_id)
@@ -623,10 +619,8 @@ def scenario_from_document(doc: dict) -> Scenario:
         else:
             raise ScenarioFormatError(f"agent '{agent_id}': unknown kind '{kind}'")
 
-    for e in doc["edges"]:
-        _require(isinstance(e, (list, tuple)) and len(e) == 2,
-                 f"edge {e!r}: expected a pair of agent ids")
-    edges = frozenset((str(a), str(b)) for a, b in doc["edges"])
+    edges = tuple(tuple(map(str, e)) if isinstance(e, (list, tuple)) else e
+                  for e in doc["edges"])
     topo = NetworkTopology(tuple(autonomous), tuple(humans), edges)
 
     costs: dict[str, CostFunction] = {}
@@ -637,7 +631,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         kind = cost_doc.get("type")
         _require(kind == "quadratic", f"{context} unknown type '{kind}'")
         try:  # the weight's faults, and the cost's own
-            costs[agent_id] = QuadraticCost(_as_array(cost_doc.get("weight"), "weight", 2))
+            costs[agent_id] = QuadraticCost(_as_array(cost_doc.get("weight"), "weight"))
         except ScenarioFormatError as exc:
             raise type(exc)(f"{context} {exc}") from exc
 
@@ -647,10 +641,8 @@ def scenario_from_document(doc: dict) -> Scenario:
     for key in ("a_blocks", "b_blocks"):
         section = con_doc.get(key, {})
         _require(isinstance(section, dict), f"constraint '{key}' must be a map")
-        blocks[key] = {i: _as_array(m, f"constraint block for '{i}'", 2)
-                       for i, m in section.items()}
-    constraint = CouplingConstraint(**blocks, c=_as_array(con_doc.get("c"),
-                                                          "constraint offset c", 1))
+        blocks[key] = {i: _as_array(m, f"constraint block for '{i}'") for i, m in section.items()}
+    constraint = CouplingConstraint(**blocks, c=_as_array(con_doc.get("c"), "constraint offset c"))
     if "rows" in con_doc and _as_int(con_doc["rows"], "constraint rows") != constraint.rows:
         raise DimensionMismatchError(
             f"declared {con_doc['rows']} constraint rows, offset c has {constraint.rows}"
@@ -793,14 +785,13 @@ def save_scenario(scenario: Scenario, path) -> None:
 def midpoint_convexity_gap(cost: CostFunction, rng: np.random.Generator,
                            samples: int = 200) -> float:
     """Worst violation of f((u+v)/2) <= (f(u)+f(v))/2 over random pairs,
-    drawn normal with standard deviation 3."""
-    worst = -np.inf
+    drawn normal with standard deviation 3: NaN if any gap is NaN."""
+    gaps = [-np.inf]
     for _ in range(samples):
         u = rng.normal(scale=3.0, size=cost.dim)
         v = rng.normal(scale=3.0, size=cost.dim)
-        gap = cost.value((u + v) / 2) - 0.5 * (cost.value(u) + cost.value(v))
-        worst = max(worst, gap)
-    return float(worst)
+        gaps.append(cost.value((u + v) / 2) - 0.5 * (cost.value(u) + cost.value(v)))
+    return float(np.max(gaps))
 
 
 # The rounding error of an evaluated f, in units of eps |f|, that a central

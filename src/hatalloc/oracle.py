@@ -343,14 +343,18 @@ def _nonempty_sets(H, g, G_c, h_c, G_as, pending, x, mu) -> np.ndarray:
 
 
 def _solutions(x, mu, error, H, g, S, d, const) -> Solutions:
-    """The `Solutions` of a stack from its points x and multipliers mu."""
-    failed = [i for i, e in enumerate(error) if e is not None]
-    x[failed], mu[failed] = np.nan, np.nan
+    """The `Solutions` of a stack from its points x and multipliers mu. A
+    program whose objective value is not finite, which may overflow at a
+    finite x, fails with `UnsupportedByOracleError`."""
     x_col = x[..., None]
-    y = (S @ x_col)[..., 0] + d
-    value = ((0.5 * x[:, None, :] @ H) @ x_col)[:, 0, 0] + (
-        g[:, None, :] @ x_col)[:, 0, 0] + const
-    y[failed], value[failed] = np.nan, np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (S @ x_col)[..., 0] + d
+        value = ((0.5 * x[:, None, :] @ H) @ x_col)[:, 0, 0] + (
+            g[:, None, :] @ x_col)[:, 0, 0] + const
+    for i in np.flatnonzero(~np.isfinite(value)):
+        error[i] = error[i] or UnsupportedByOracleError("the objective value is not finite")
+    failed = [i for i, e in enumerate(error) if e is not None]
+    x[failed], y[failed], mu[failed], value[failed] = np.nan, np.nan, np.nan, np.nan
     return Solutions(x, y, mu, value, error)
 
 
@@ -426,13 +430,15 @@ def lift_to_saddle(
     Laplacian kernel forces consensus multipliers on a connected graph) and
     z* is recovered by `find_certificate_z` with slack placed only on inactive
     rows, so complementary slackness carries over and the flow is stationary
-    at the lifted point. Raises `CertificateError` when the Laplacian solve
-    for z* leaves a residual, i.e. the decoupled constraint is broken.
+    at the lifted point. Raises `InfeasibleProblemError` when the point's
+    coupled residual exceeds 1e-6 or is not a number, and `CertificateError`
+    when the Laplacian solve for z* leaves a residual, i.e. the decoupled
+    constraint is broken.
     """
     sp = scenario.stacked
     y_star = sp.S @ x_star + sp.d
     coupled = coupled_residual(scenario, x_star, y_star)
-    if np.max(coupled) > 1e-6:
+    if not np.max(coupled) <= 1e-6:
         raise InfeasibleProblemError(
             "cannot lift: the candidate point violates the coupled constraint"
         )

@@ -167,12 +167,14 @@ def find_certificate_z(
     """Recover an auxiliary z certifying the decoupled constraint, if any.
 
     Returns None when the coupled residual has a positive component (no z can
-    exist). Otherwise places the full slack -coupled_s in the first block and
-    solves l_bar z = -(terms + slack) by minimum-norm least squares; the
-    right-hand side lies in the image of l_bar by construction.
+    exist) or one that is not a number. Otherwise places the full slack
+    -coupled_s in the first block and solves l_bar z = -(terms + slack) by
+    minimum-norm least squares; the right-hand side lies in the image of
+    l_bar by construction, so a solve residual above CERTIFICATE_TOL, or one
+    that is not a number, raises `CertificateError`.
     """
     coupled_s = np.asarray(coupled_s, dtype=float)
-    if np.max(coupled_s) > 0:
+    if not np.max(coupled_s) <= 0:
         return None
     terms = stacked_terms(dc, x, y)
     slack = np.zeros_like(terms)
@@ -180,7 +182,7 @@ def find_certificate_z(
     rhs = -(terms + slack)
     z = dc.lift_solve(rhs)
     solve_gap = float(np.max(np.abs(dc.lift_apply(z) - rhs)))
-    if solve_gap > CERTIFICATE_TOL:
+    if not solve_gap <= CERTIFICATE_TOL:
         raise CertificateError(
             f"Laplacian solve residual {solve_gap:.3g} exceeds {CERTIFICATE_TOL:.0e}; "
             "decoupling invariants are broken upstream"

@@ -447,14 +447,22 @@ def test_only_the_screen_inverts_matrices():
 def test_the_parser_checks_only_json_types():
     """Scenario documents are read by one number reader, `_as_array`, and no
     function of the parser (`_as_*`, `_parse_*`, `scenario_from_document`)
-    calls `np.isfinite`: each object built from the numbers refuses a
-    non-finite one itself. The two readers it replaced are neither defined
-    nor named."""
+    calls `np.isfinite`, reads an array's `.ndim`, tests an edge's length
+    (`len`) or passes a document's `dim` to a call: each object built from
+    the values refuses a non-finite entry, a wrong rank, an edge that is no
+    pair or a dim that is no integer itself. The two readers it replaced
+    are neither defined nor named."""
     parser = {node.name for node in _trees()["model"].body if isinstance(node, ast.FunctionDef)
               and (node.name.startswith(("_as_", "_parse_"))
                    or node.name == "scenario_from_document")}
     assert {"_as_array", "_parse_model", "scenario_from_document"} <= parser
-    assert [name for name in parser if "isfinite" in _names_in(f"model.{name}")] == []
+    checks = {"isfinite", "ndim", "len"}
+    assert [name for name in parser if checks & _names_in(f"model.{name}")] == []
+    dim_calls = [scope for scope, node in _nodes() if scope in {f"model.{name}" for name in parser}
+                 and isinstance(node, ast.Call) and any(
+                     isinstance(sub, ast.Subscript) and getattr(sub.slice, "value", None) == "dim"
+                     for arg in node.args for sub in ast.walk(arg))]
+    assert dim_calls == []
     gone = {"_as_matrix", "_as_vector"}
     assert not gone & parser and not set().union(*map(_referrers, gone))
 

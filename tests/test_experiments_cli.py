@@ -516,7 +516,7 @@ MALFORMED = {
     "infinity": (math.inf, False, "finite"),
     "string": ("0.5", False, "not a numeric"),
     "huge-integer": (10**400, False, "an integer too large for a float"),
-    "rank-3": ([[[1.0]]], True, "not a numeric"),
+    "rank-3": ([[[1.0]]], True, "shape (1, 1, 1)"),
 }
 
 
@@ -560,7 +560,7 @@ class TestScenarioFormatErrors:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["edges"][0].append("a2"), "expected a pair of agent ids"),
-        (lambda d: d["agents"][0].update(dim="x"), "dim 'x' is not an integer"),
+        (lambda d: d["agents"][0].update(dim="x"), "has dim 'x', not an integer"),
         (lambda d: d["solver"].update(dt=-1e-3), "dt must be positive"),
         (lambda d: d["solver"].update(offset_split="sideways"),
          "unknown offset split policy 'sideways'"),
@@ -579,6 +579,7 @@ class TestScenarioFormatErrors:
         (lambda d: d["solver"].update(max_time=True), "max_time must be positive and finite"),
         (lambda d: d["human_models"]["k1"].update(family="softplus_affine", beta=math.nan),
          "sharpness must be positive and finite"),
+        (lambda d: d["human_models"]["k1"].update(beta=math.nan), "sharpness must be finite"),
         (lambda d: d.update(edges=[["a1", "k1"]]), "graph is not connected"),
         (lambda d: d["edges"].append(["a1", "a1"]), "self loop on 'a1'"),
         (lambda d: d["costs"]["a1"].update(weight=[[1.0, 0.0], [0.0, -1.0]]),
@@ -588,8 +589,8 @@ class TestScenarioFormatErrors:
         (lambda d: d["human_models"].pop("k1"), "human 'k1' has no response model"),
         (lambda d: d.update(constraint=[1]), "'constraint' must be an object"),
         (lambda d: d["constraint"].update(rows="x"), "constraint rows 'x' is not an integer"),
-        (lambda d: d["agents"][0].update(dim=1.7), "dim 1.7 is not an integer"),
-        (lambda d: d["agents"][0].update(dim=True), "dim True is not an integer"),
+        (lambda d: d["agents"][0].update(dim=1.7), "has dim 1.7, not an integer"),
+        (lambda d: d["agents"][0].update(dim=True), "has dim True, not an integer"),
         (lambda d: d["human_models"]["k1"].update(schedule=[1]),
          "schedule 'k1': expected an object"),
         (lambda d: d["human_models"]["k1"].update(schedule={"delta": [1]}),
@@ -628,7 +629,7 @@ class TestScenarioFormatErrors:
     ], ids=["three-element-edge", "dim-not-integer", "negative-dt",
             "unknown-offset-split", "unknown-family", "agents-not-a-list",
             "alpha-out-of-range", "nan-dt", "non-numeric-tolerance", "nan-settle-time",
-            "fractional-record-stride", "boolean-max-time", "nan-softplus-beta",
+            "fractional-record-stride", "boolean-max-time", "nan-softplus-beta", "nan-affine-beta",
             "disconnected-graph", "self-loop", "weight-not-pd", "block-dim-mismatch",
             "missing-response-model", "constraint-not-an-object", "rows-not-integer",
             "fractional-dim", "boolean-dim", "schedule-not-an-object",
@@ -771,6 +772,18 @@ def _scaled_row_r3(doc):
     doc["solver"]["max_time"] = 0.05
 
 
+def _huge_a_entry(doc):
+    doc["constraint"]["a_blocks"]["r4"][1][0] = -1e308
+
+
+def _huge_b_entry(doc):
+    doc["constraint"]["b_blocks"]["h2"][0][0] = -1e308
+
+
+def _huge_weight_entry(doc):
+    doc["costs"]["r3"]["weight"][0][0] = 1e308
+
+
 def _huge_start(doc):
     doc["initial_state"] = {"x": {"r1": [1e308, 1e308, 1e308]}}
 
@@ -879,6 +892,21 @@ class TestRunOutputs:
         assert "the reduced program is not finite" in capsys.readouterr().err
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "flow diverged" in capsys.readouterr().err
+
+    def test_an_objective_that_overflows_is_a_numerical_failure(self, tmp_path, capsys):
+        """b_blocks.h2[0][0] = -1e308: the oracle's x, y and mu are finite,
+        but its objective value overflows. `oracle` exits 2 and prints no
+        JSON; `run` goes on without the oracle and exits 0. The suite turns
+        numpy warnings into errors, so neither lets one out."""
+        path = str(_edited_team_file(tmp_path, _huge_b_entry))
+        assert main(["oracle", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: the objective value is not finite" in captured.err
+        out = tmp_path / "o"
+        assert main(["run", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+        assert summary["oracle"] == "unavailable: the objective value is not finite"
 
     def test_overflowing_reduction_is_reduced_once(self, tmp_path, monkeypatch):
         """The run of h1's gains scaled by 1e160 reduces its scenario once:
@@ -1194,6 +1222,26 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "finite differences: inf" in captured.out
         assert "FAIL: gradient mismatch inf" in captured.err
+
+    def test_check_fails_a_draw_that_is_not_finite(self, tmp_path, capsys):
+        """a_blocks.r4[1][0] = -1e308: the first draw's shift onto the
+        feasible set overflows, so its coupled residual is NaN. `check`
+        fails it and certifies nothing, with no numpy warning."""
+        path = str(_edited_team_file(tmp_path, _huge_a_entry))
+        assert main(["check", path, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "decoupling: 0 certified, 0 infeasible draws" in captured.out
+        assert "FAIL: a drawn point's coupled residual is not finite" in captured.err
+
+    def test_check_fails_a_cost_value_that_overflows(self, tmp_path, capsys):
+        """costs.r3.weight[0][0] = 1e308: r3's cost value overflows at the
+        midpoint check's draws, which fails as NaN, and its gradient check
+        as an infinite error, with no numpy warning."""
+        path = str(_edited_team_file(tmp_path, _huge_weight_entry))
+        assert main(["check", path, "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "FAIL: cost for 'r3' fails midpoint convexity" in err
+        assert "FAIL: cost gradient for 'r3' off by inf" in err
 
     def test_check_passes_exact_costs_at_any_scale(self, tmp_path, capsys):
         """r1's cost weight scaled by 1e9: the costs are exact, and the

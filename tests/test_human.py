@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,3 +267,11 @@ class TestValidation:
     def test_softplus_needs_positive_sharpness(self):
         with pytest.raises(ValueError, match="sharpness"):
             softplus_model(beta=0.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_every_family_needs_finite_sharpness(self, beta):
+        """An affine model does not read its sharpness, but a saved document
+        carries it, so it is finite too; a negative one is allowed."""
+        with pytest.raises(ValueError, match=r"model 'k1': sharpness must be finite"):
+            replace(affine_model(), sharpness=beta)
+        assert replace(affine_model(), sharpness=-2.0).sharpness == -2.0

@@ -21,6 +21,7 @@ from hatalloc.errors import (
     ScenarioFormatError,
     TopologyError,
 )
+from hatalloc.cli import main
 from hatalloc.dynamics import initial_state
 from hatalloc.experiments import crosscheck_scenario, random_scenario, team_scenario
 from hatalloc.human import ApproximationSchedule
@@ -35,7 +36,7 @@ from hatalloc.model import (
 )
 from hatalloc.topology import NetworkTopology
 
-from conftest import path_scenario, single_agent_scenario, with_schedules
+from conftest import path_scenario, with_schedules
 
 MINIMAL_DOC = {
     "agents": [{"id": "a1", "kind": "autonomous", "dim": 1}],
@@ -283,50 +284,97 @@ class TestNonFiniteParameters:
         assert all(m.flags.c_contiguous for m in (*con.a_blocks.values(), *con.b_blocks.values()))
 
 
-def _model(**changes):
-    return replace(path_scenario().human_models["k1"], **changes)
+def _h1(**changes):
+    return replace(team_scenario(1).human_models["h1"], **changes)
 
 
-# Values of the right type but the wrong rank or kind, which a document's
-# parser refuses before any object is built: (build, error, message).
+def _ones(*shape):
+    return np.ones(shape).tolist()
+
+
+# Values of the right type but the wrong rank or kind, each refused once, by
+# the object that owns it, whether that object is built in code or from a
+# document (whose reader checks JSON types only): (build, error, message,
+# and the keys and value that write the fault into fig4's document, or None).
 SHAPE_FAULTS = {
     "cost-weight-empty": (lambda: QuadraticCost(np.zeros((0, 0))), DimensionMismatchError,
-                          "cost weight must not be empty"),
+                          "cost weight must not be empty", None),
     "cost-weight-3d": (lambda: QuadraticCost(np.ones((1, 1, 1))), DimensionMismatchError,
-                       r"cost weight must be a matrix, got shape \(1, 1, 1\)"),
+                       r"cost weight must be a matrix, got shape \(1, 1, 1\)",
+                       (("costs", "r1", "weight"), _ones(1, 1, 1))),
     "constraint-c-matrix": (lambda: _constraint(lambda p: p.update(c=[[-1.0], [1.0]])),
-                            DimensionMismatchError, "offset c must be a vector"),
+                            DimensionMismatchError, "offset c must be a vector",
+                            (("constraint", "c"), [[-1.0], [1.0]])),
     "constraint-c-scalar": (lambda: _constraint(lambda p: p.update(c=-1.0)),
-                            DimensionMismatchError, "offset c must be a vector"),
+                            DimensionMismatchError, "offset c must be a vector",
+                            (("constraint", "c"), -1.0)),
     "constraint-block-3d": (lambda: _constraint(lambda p: p["a_blocks"].update(
-        a1=np.ones((2, 2, 1)))), DimensionMismatchError, "block for 'a1' must be a matrix"),
-    "model-base-matrix": (lambda: _model(base=[[1.0], [0.8]]), ValueError,
-                          "model 'k1': base must be a vector"),
-    "model-gain-3d": (lambda: _model(gains={"a1": np.ones((2, 2, 1)), "a2": np.eye(2)}),
-                      ValueError, "model 'k1': gain for 'a1' must be a matrix"),
-    "schedule-base-delta-matrix": (lambda: ApproximationSchedule({}, np.zeros((2, 1)), 1.0),
-                                   ValueError, "base delta must be a vector"),
+        r1=np.ones((2, 2, 1)))), DimensionMismatchError, "block for 'r1' must be a matrix",
+        (("constraint", "a_blocks", "r1"), _ones(2, 2, 1))),
+    "model-base-matrix": (lambda: _h1(base=[[1.0], [0.8]]), ValueError,
+                          "model 'h1': base must be a vector",
+                          (("human_models", "h1", "base"), [[1.0], [0.8]])),
+    "model-gain-3d": (lambda: _h1(gains={**_h1().gains, "r1": np.ones((3, 3, 1))}),
+                      ValueError, "model 'h1': gain for 'r1' must be a matrix",
+                      (("human_models", "h1", "gains", "r1"), _ones(3, 3, 1))),
+    "schedule-base-delta-matrix": (lambda: ApproximationSchedule({}, np.zeros((3, 1)), 1.0),
+                                   ValueError, "base delta must be a vector",
+                                   (("human_models", "h1", "schedule"),
+                                    {"delta": {"base": _ones(3, 1)}, "settle_time": 1.0})),
     "schedule-gain-delta-3d": (lambda: ApproximationSchedule(
-        {"a1": np.zeros((2, 2, 1))}, np.zeros(2), 1.0), ValueError,
-        "gain delta for 'a1' must be a matrix"),
-    "dim-float": (lambda: replace(path_scenario(), dims={"a1": 2.0, "a2": 2, "k1": 2}),
-                  DimensionMismatchError, "agent 'a1' has dim 2.0, not an integer"),
-    "dim-bool": (lambda: replace(single_agent_scenario(), dims={"a1": True}),
-                 DimensionMismatchError, "agent 'a1' has dim True, not an integer"),
-    "edge-triple": (lambda: NetworkTopology(("a1", "a2"), (), frozenset({("a1", "a2", "a1")})),
-                    TopologyError, "expected a pair of agent ids"),
+        {"r1": np.ones((3, 3, 1))}, np.zeros(3), 1.0), ValueError,
+        "gain delta for 'r1' must be a matrix", (("human_models", "h1", "schedule"), {
+            "delta": {"gains": {"r1": _ones(3, 3, 1)}}, "settle_time": 1.0})),
+    "dim-float": (lambda: replace(team_scenario(1), dims={**team_scenario(1).dims, "r1": 3.0}),
+                  DimensionMismatchError, "agent 'r1' has dim 3.0, not an integer",
+                  (("agents", 0, "dim"), 3.0)),
+    "dim-bool": (lambda: replace(team_scenario(1), dims={**team_scenario(1).dims, "r1": True}),
+                 DimensionMismatchError, "agent 'r1' has dim True, not an integer",
+                 (("agents", 0, "dim"), True)),
+    "edge-triple": (lambda: NetworkTopology(("r1", "r2"), (), frozenset({("r1", "r2", "r1")})),
+                    TopologyError, "expected a pair of agent ids",
+                    (("edges", 0), ["r1", "r2", "r1"])),
 }
 
 
 class TestShapes:
-    """An object built in code refuses a value of the wrong rank or kind,
-    as a document with it is refused, with the error type it raises for its
-    other faults."""
+    """An object refuses a value of the wrong rank or kind with the error
+    type it raises for its other faults, and with the same message when the
+    value comes from a document."""
 
-    @pytest.mark.parametrize("build, error, message", SHAPE_FAULTS.values(), ids=SHAPE_FAULTS)
-    def test_rejected_at_construction(self, build, error, message):
+    @pytest.mark.parametrize("build, error, message, place", SHAPE_FAULTS.values(),
+                             ids=SHAPE_FAULTS)
+    def test_rejected_at_construction(self, build, error, message, place):
         with pytest.raises(error, match=message):
             build()
+
+    @pytest.mark.parametrize("fault", [key for key, (*_, place) in SHAPE_FAULTS.items()
+                                       if place is not None])
+    def test_a_document_is_refused_with_the_objects_message(self, tmp_path, capsys, fault):
+        """The fault written into fig4's document: `oracle` exits 1 with the
+        message that the object built in code raises, and no traceback."""
+        build, error, _, ((*outer, last), value) = SHAPE_FAULTS[fault]
+        with pytest.raises(error) as info:
+            build()
+        doc = serialize_scenario(team_scenario(1))
+        inner = doc
+        for key in outer:
+            inner = inner[key]
+        inner[last] = value
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(info.value) in err and "Traceback" not in err
+
+    def test_a_number_written_for_a_one_by_one_matrix_loads(self):
+        """r5 has dim 1: its weight written as a number loads as a 1x1
+        matrix, as `QuadraticCost` reads a number given in code."""
+        doc = serialize_scenario(team_scenario(1))
+        [[weight]] = doc["costs"]["r5"]["weight"]
+        doc["costs"]["r5"]["weight"] = weight
+        loaded = scenario_from_document(doc).costs["r5"].weight
+        assert loaded.tolist() == [[weight]] == QuadraticCost(weight).weight.tolist()
 
 
 class TestStackDimensions:
@@ -381,6 +429,13 @@ class TestCosts:
         rng = np.random.default_rng(3)
         assert gradient_consistency_error(cost, rng, points=30) <= 1e-5
         assert midpoint_convexity_gap(cost, rng, samples=100) <= 1e-9
+
+    def test_midpoint_gap_keeps_a_nan(self):
+        """A value that is not a number at one pair makes the gap NaN, which
+        no convexity tolerance passes."""
+        values = iter([0.0, 0.0, 0.0, np.nan] + [0.0] * 10)
+        cost = CustomCost(dim=1, value_fn=lambda v: next(values), gradient_fn=lambda v: v)
+        assert np.isnan(midpoint_convexity_gap(cost, np.random.default_rng(0), samples=4))
 
 
 @st.composite

@@ -392,6 +392,8 @@ class TestSaddleLift:
         scenario = single_agent_scenario()
         with pytest.raises(InfeasibleProblemError, match="violates the coupled constraint"):
             lift_to_saddle(scenario, build_decoupled(scenario), np.array([2.0]), np.zeros(1))
+        with pytest.raises(InfeasibleProblemError, match="violates the coupled constraint"):
+            lift_to_saddle(scenario, build_decoupled(scenario), np.array([np.nan]), np.zeros(1))
 
     def test_multiplier_lift_is_consensus(self, path_team):
         dc = build_decoupled(path_team)

@@ -203,6 +203,15 @@ class TestCertificate:
         s = coupled_residual(scenario, x, np.zeros(0))
         dc = build_decoupled(scenario)
         assert find_certificate_z(dc, x, np.zeros(0), s) is None
+        assert find_certificate_z(dc, x, np.zeros(0), np.array([np.nan])) is None
+
+    def test_a_solve_residual_that_is_not_a_number_raises(self):
+        """x is NaN but its residual, passed in, is feasible: the Laplacian
+        solve's residual is NaN, which no tolerance passes."""
+        scenario = single_agent_scenario()
+        with pytest.raises(CertificateError, match="residual nan exceeds"):
+            find_certificate_z(build_decoupled(scenario), np.array([np.nan]), np.zeros(0),
+                               np.array([-0.5]))
 
     def test_single_node_returns_zero(self):
         scenario = single_agent_scenario()
